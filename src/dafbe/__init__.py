@@ -8,7 +8,7 @@ pays off whenever tables repeat values a lot.
 
 from ._backend import BACKEND
 from .automata import Dafsa, Nfa
-from .factor import DafsaFactor, TabularFactor, ValueKeySet
+from .factor import DafsaFactor, SparseFactor, TabularFactor, ValueKeySet
 from .model import GraphicalModel, Task, bucket_elimination, min_fill_ordering
 
 __version__ = "0.1.0"
@@ -18,6 +18,7 @@ __all__ = [
     "Dafsa",
     "Nfa",
     "DafsaFactor",
+    "SparseFactor",
     "TabularFactor",
     "ValueKeySet",
     "GraphicalModel",

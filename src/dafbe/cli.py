@@ -82,14 +82,6 @@ def _default_eps():
     return val
 
 
-def _parse_instance(path: str, dialect: str) -> GraphicalModel:
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    if dialect == "uai" or (dialect == "auto" and not path.endswith(".wcsp")):
-        return formats.parse_uai(text)
-    return formats.parse_wcsp(text)
-
-
 def _ordering_for(model: GraphicalModel, cfg: RunConfig):
     if cfg.ordering == "file":
         with open(cfg.ordering_file, "r", encoding="ascii") as fh:
@@ -169,7 +161,7 @@ def cmd_solve(cfg: RunConfig, out) -> int:
     for path in cfg.inputs:
         rec = None
         try:
-            model = _parse_instance(path, cfg.dialect)
+            model = formats.parse_path(path, cfg.dialect)
         except FormatError as exc:
             rec = formats.result_record(path, None, cfg.engine, error=str(exc))
             worst = max(worst, 1)
@@ -208,7 +200,7 @@ def cmd_stats(cfg: RunConfig, out, csv_fmt: bool) -> int:
     rows = []
     for path in cfg.inputs:
         try:
-            model = _parse_instance(path, cfg.dialect)
+            model = formats.parse_path(path, cfg.dialect)
         except (FormatError, OSError) as exc:
             rows.append({"file": str(path), "error": str(exc)})
             worst = max(worst, 1)

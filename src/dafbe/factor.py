@@ -1,11 +1,20 @@
-"""Factors over discrete variables: dense tables and value-keyed automata.
+"""Factors over discrete variables: dense tables, sparse tables and
+value-keyed automata.
 
 A ``TabularFactor`` is the plain representation: sorted scope, flat
-row-major table, last scope variable fastest.  A ``DafsaFactor`` stores
-the same function as a list of (value, automaton) entries: each distinct
-(epsilon-keyed) value owns the minimal DAFSA of the assignments mapping
-to it.  Entries are pairwise disjoint and, unless infinity rows were
-pruned, cover the whole assignment space.
+row-major table, last scope variable fastest.  A ``SparseFactor`` is a
+default value plus exception tuples, the way WCSP files state a
+function; its size does not depend on ``prod(domains)``.  A
+``DafsaFactor`` stores the same function as a list of (value, automaton)
+entries: each distinct (epsilon-keyed) value owns the minimal DAFSA of
+the assignments mapping to it.  Entries are pairwise disjoint and, unless
+infinity rows were pruned, cover the whole assignment space.
+
+Both table kinds expose the same read side: ``scope``, ``domains``,
+``size``, ``value_of``, ``redundancy``, ``values`` (dense, so only the
+oracles and tests read it), ``present_values`` (the values of at least
+one cell) and ``cells`` (what ``DafsaFactor.from_table`` and the WCSP
+writer consume).
 
 ``math.inf`` marks hard-infeasible assignments.  It is absorbing under
 sum-combination, never beats a finite value under min-projection, and is
@@ -39,6 +48,22 @@ def _strides(domains):
     return out
 
 
+def _check_scope(scope, domains):
+    if list(scope) != sorted(set(scope)):
+        raise FactorError(f"scope {scope} must be sorted and duplicate-free")
+    if len(scope) != len(domains):
+        raise FactorError("scope and domains length mismatch")
+    if any(k < 1 for k in domains):
+        raise FactorError("domain sizes must be >= 1")
+
+
+def _check_value(v):
+    if math.isnan(v):
+        raise FactorError("NaN in factor table")
+    if v == -math.inf:
+        raise FactorError("-inf in factor table")
+
+
 @dataclasses.dataclass(frozen=True)
 class TabularFactor:
     """Dense factor over a sorted variable scope.
@@ -57,12 +82,7 @@ class TabularFactor:
         domains = tuple(self.domains)
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "domains", domains)
-        if list(scope) != sorted(set(scope)):
-            raise FactorError(f"scope {scope} must be sorted and duplicate-free")
-        if len(scope) != len(domains):
-            raise FactorError("scope and domains length mismatch")
-        if any(k < 1 for k in domains):
-            raise FactorError("domain sizes must be >= 1")
+        _check_scope(scope, domains)
         values = np.asarray(self.values, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "values", values)
         expected = math.prod(domains)
@@ -87,9 +107,125 @@ class TabularFactor:
             idx += v * stride
         return float(self.values[idx])
 
+    def present_values(self) -> np.ndarray:
+        return self.values
+
+    def cells(self):
+        """(digits, values, None): every row, in rank order.
+
+        ``digits`` is an ``size x len(scope)`` intc matrix of assignments;
+        there is no default, every cell is listed.
+        """
+        rank = np.arange(self.size, dtype=np.int64)
+        digits = np.empty((self.size, len(self.domains)), dtype=np.intc)
+        for j, (stride, k) in enumerate(zip(_strides(self.domains), self.domains)):
+            digits[:, j] = rank // stride % k
+        return digits, self.values, None
+
     def redundancy(self, eps: float = DEFAULT_EPS) -> float:
         """1 - distinct/total over epsilon-keyed table values."""
-        return _value_redundancy(self.values.tolist(), eps)
+        return _value_redundancy(self.values, eps)
+
+
+@dataclasses.dataclass(frozen=True)
+class SparseFactor:
+    """Factor given as a default value plus exception tuples.
+
+    ``exceptions`` maps assignments of the sorted scope (tuples in scope
+    order) to their values; every other cell holds ``default``.  Nothing
+    here allocates ``prod(domains)`` cells except ``values`` and
+    ``to_table``.
+    """
+
+    scope: tuple[int, ...]
+    domains: tuple[int, ...]
+    default: float
+    exceptions: dict
+
+    def __post_init__(self):
+        scope = tuple(self.scope)
+        domains = tuple(self.domains)
+        object.__setattr__(self, "scope", scope)
+        object.__setattr__(self, "domains", domains)
+        _check_scope(scope, domains)
+        default = float(self.default)
+        _check_value(default)
+        object.__setattr__(self, "default", default)
+        exceptions = {}
+        for word, v in self.exceptions.items():
+            word = tuple(int(d) for d in word)
+            if len(word) != len(domains) or not all(0 <= d < k for d, k in zip(word, domains)):
+                raise FactorError(f"exception {word} is not an assignment of domains {domains}")
+            v = float(v)
+            _check_value(v)
+            exceptions[word] = v
+        object.__setattr__(self, "exceptions", exceptions)
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.domains)
+
+    @property
+    def default_covers(self) -> bool:
+        """True if at least one cell is not an exception."""
+        return len(self.exceptions) < self.size
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.to_table().values
+
+    def to_table(self) -> TabularFactor:
+        """The dense table; allocates ``size`` cells."""
+        values = np.full(self.size, self.default)
+        digits, exc_values, _ = self.cells()
+        strides = np.asarray(_strides(self.domains), dtype=np.int64)
+        values[digits.astype(np.int64) @ strides] = exc_values
+        return TabularFactor(self.scope, self.domains, values)
+
+    def value_of(self, assignment) -> float:
+        """Value at a full model assignment (indexable by variable id)."""
+        word = tuple(assignment[var] for var in self.scope)
+        for var, v, k in zip(self.scope, word, self.domains):
+            if not 0 <= v < k:
+                raise FactorError(f"value {v} outside domain of variable {var}")
+        return self.exceptions.get(word, self.default)
+
+    def present_values(self) -> np.ndarray:
+        values = list(self.exceptions.values())
+        if self.default_covers:
+            values.append(self.default)
+        return np.asarray(values, dtype=np.float64)
+
+    def cells(self):
+        """(digits, values, default): the exceptions, lexicographically sorted.
+
+        ``default`` is None when every cell is an exception.
+        """
+        words = sorted(self.exceptions)
+        digits = np.asarray(words, dtype=np.intc).reshape(len(words), len(self.domains))
+        values = np.asarray([self.exceptions[w] for w in words], dtype=np.float64)
+        return digits, values, self.default if self.default_covers else None
+
+    def redundancy(self, eps: float = DEFAULT_EPS) -> float:
+        """1 - distinct/total over epsilon-keyed cell values, from counts."""
+        return _value_redundancy(self.present_values(), eps, total=self.size)
+
+
+def _compile_rows(domains, rows) -> Dafsa:
+    """Minimal DAFSA of the rows of an intc matrix, strictly increasing."""
+    buf = array("i")
+    buf.frombytes(np.ascontiguousarray(rows, dtype=np.intc).tobytes())
+    return Dafsa._from_parts(domains, kernels.compile_sorted(buf, len(rows), len(domains), domains))
+
+
+def _keyed(keyset: ValueKeySet, values: np.ndarray) -> np.ndarray:
+    """Representative of every value (values must come from the keyset's population)."""
+    reps = np.asarray(keyset.reps, dtype=np.float64)
+    keyed = np.full(len(values), math.inf)
+    finite = ~np.isinf(values)
+    if finite.any():
+        keyed[finite] = reps[np.searchsorted(reps, values[finite], side="right") - 1]
+    return keyed
 
 
 def _combine_values(op, va, vb):
@@ -123,10 +259,7 @@ class DafsaFactor:
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "domains", domains)
         object.__setattr__(self, "entries", entries)
-        if list(scope) != sorted(set(scope)):
-            raise FactorError(f"scope {scope} must be sorted and duplicate-free")
-        if len(scope) != len(domains):
-            raise FactorError("scope and domains length mismatch")
+        _check_scope(scope, domains)
         prev = None
         for v, dafsa in entries:
             if math.isnan(v):
@@ -146,39 +279,42 @@ class DafsaFactor:
     @classmethod
     def from_table(
         cls,
-        table: TabularFactor,
+        table: TabularFactor | SparseFactor,
         eps: float = DEFAULT_EPS,
         prune_infinite: bool = False,
     ) -> "DafsaFactor":
         """Group epsilon-equal cells and compile each group to a DAFSA.
 
-        With ``prune_infinite`` the infinity rows are simply not
-        represented; ``value_at`` then returns None for them.
+        ``table`` is a ``TabularFactor`` or a ``SparseFactor``.  Listed
+        cells are grouped by key with one stable sort, so each group stays
+        lexicographically sorted and compiles directly.  The cells a
+        sparse default covers are the universal language minus every
+        exception; they join the entry their value keys to.  Minimal
+        leveled DAFSAs are canonical, so the result is the same as
+        compiling the dense table.  With ``prune_infinite`` the infinity
+        rows are simply not represented; ``value_at`` then returns None
+        for them.
         """
-        values = table.values
-        keyset = ValueKeySet.from_values(values, eps)
-        reps = np.asarray(keyset.reps, dtype=np.float64)
-        keyed = np.full(len(values), math.inf)
-        finite = ~np.isinf(values)
-        if finite.any():
-            pos = np.searchsorted(reps, values[finite], side="right") - 1
-            keyed[finite] = reps[pos]
-
         domains = table.domains
-        L = len(domains)
-        strides = np.asarray(_strides(domains), dtype=np.int64)
-        dims = np.asarray(domains, dtype=np.int64)
+        digits, values, default = table.cells()
+        keyset = ValueKeySet.from_values(table.present_values(), eps)
+        keyed = _keyed(keyset, values)
+        order = np.argsort(keyed, kind="stable")
+        keyed = keyed[order]
+        bounds = [0, *(np.flatnonzero(keyed[1:] != keyed[:-1]) + 1).tolist(), len(keyed)]
+        groups = {float(keyed[a]): order[a:b] for a, b in zip(bounds, bounds[1:]) if b > a}
+        default_key = None if default is None else _keyed(keyset, np.array([default]))[0]
+
         entries = []
-        order = list(keyset.reps) + ([math.inf] if keyset.has_infinity else [])
-        for rep in order:
+        for rep in keyset:
             if math.isinf(rep) and prune_infinite:
                 continue
-            rows = np.nonzero(np.isinf(keyed) if math.isinf(rep) else keyed == rep)[0]
-            flat = ((rows[:, None] // strides) % dims).astype(np.intc).reshape(-1)
-            buf = array("i")
-            buf.frombytes(flat.tobytes())
-            parts = kernels.compile_sorted(buf, len(rows), L, domains)
-            entries.append((rep, Dafsa._from_parts(domains, parts)))
+            rows = groups.get(rep)
+            dafsa = None if rows is None else _compile_rows(domains, digits[rows])
+            if rep == default_key:
+                rest = Dafsa.universal(domains).difference(_compile_rows(domains, digits))
+                dafsa = rest if dafsa is None else dafsa.union(rest)
+            entries.append((rep, dafsa))
         return cls(table.scope, domains, tuple(entries))
 
     def to_table(self, default: float = math.inf) -> TabularFactor:

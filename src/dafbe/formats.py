@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 
 from .errors import FormatError
 from .model import GraphicalModel, SolverResult, Task
-from .factor import TabularFactor, _strides
+from .factor import SparseFactor, TabularFactor
 
 
 class _Tokens:
@@ -124,7 +125,12 @@ def parse_uai(text: str) -> GraphicalModel:
 
 
 def parse_wcsp(text: str) -> GraphicalModel:
-    """WCSP format as a WCSP model; costs >= the upper bound become inf."""
+    """WCSP format as a WCSP model; costs >= the upper bound become inf.
+
+    Each function stays a ``SparseFactor``: its default plus the
+    exception tuples, reordered to the sorted scope.  A tuple listed
+    twice keeps its last cost.
+    """
     toks = _Tokens(text)
     toks.next("problem name")
     n_vars = toks.next_int("variable count", minimum=0)
@@ -147,11 +153,10 @@ def parse_wcsp(text: str) -> GraphicalModel:
             raise FormatError(f"function {i} repeats a variable", toks.last_line)
         default = toks.next_float(f"default cost of function {i}")
         n_exc = toks.next_int(f"exception count of function {i}", minimum=0)
-        dims = [domains[v] for v in raw_scope]
-        table = np.full(math.prod(dims), default)
-        strides = _strides(dims)
+        perm = sorted(range(arity), key=lambda j: raw_scope[j])
+        exceptions = {}
         for e in range(n_exc):
-            idx = 0
+            word = []
             for j, v in enumerate(raw_scope):
                 val = toks.next_int(f"tuple value {j} of exception {e} of function {i}")
                 if not 0 <= val < domains[v]:
@@ -160,20 +165,31 @@ def parse_wcsp(text: str) -> GraphicalModel:
                         f"of variable {v}",
                         toks.last_line,
                     )
-                idx += val * strides[j]
-            table[idx] = toks.next_float(f"cost of exception {e} of function {i}")
-        if np.isneginf(table).any() or (table < 0).any():
+                word.append(val)
+            cost = toks.next_float(f"cost of exception {e} of function {i}")
+            exceptions[tuple(word[j] for j in perm)] = cost
+        scope = tuple(raw_scope[j] for j in perm)
+        dims = tuple(domains[v] for v in scope)
+        resolved = list(exceptions.values())
+        if len(exceptions) < math.prod(dims):
+            resolved.append(default)
+        if any(c < 0 for c in resolved):
             raise FormatError(f"function {i} has a negative cost", toks.last_line)
-        table[table >= upper] = math.inf
-        factors.append(_sorted_table(raw_scope, lambda v: domains[v], table))
+        capped = {word: _cap(c, upper) for word, c in exceptions.items()}
+        factors.append(SparseFactor(scope, dims, _cap(default, upper), capped))
     toks.expect_end()
     return GraphicalModel(n_vars, tuple(domains), tuple(factors), Task.WCSP)
 
 
-def parse_path(path: str) -> GraphicalModel:
+def _cap(cost, upper):
+    return math.inf if cost >= upper else cost
+
+
+def parse_path(path: str, dialect: str = "auto") -> GraphicalModel:
+    """Parse a file as ``uai`` or ``wcsp``; ``auto`` picks wcsp for a .wcsp name."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
-    if str(path).endswith(".wcsp"):
+    if dialect == "wcsp" or (dialect == "auto" and str(path).endswith(".wcsp")):
         return parse_wcsp(text)
     return parse_uai(text)
 
@@ -202,38 +218,48 @@ def write_wcsp(model: GraphicalModel, name: str = "instance") -> str:
     """Normal form: finite costs kept, inf written as the upper bound.
 
     The emitted upper bound is one above the largest finite cost so that
-    re-parsing maps exactly the inf cells back to inf.
+    re-parsing maps exactly the inf cells back to inf.  Each function's
+    default is its most frequent value, ties to the smallest; every other
+    cell is an exception, in lexicographic order.  Value counts come from
+    the factor's cells, so a sparse factor is densified only when one of
+    its exception values outnumbers its default.
     """
     if model.task is not Task.WCSP:
         raise FormatError("write_wcsp needs a WCSP model")
     finite_max = 0.0
     for f in model.factors:
-        finite = f.values[np.isfinite(f.values)]
+        present = f.present_values()
+        finite = present[np.isfinite(present)]
         if len(finite):
             finite_max = max(finite_max, float(finite.max()))
     upper = math.floor(finite_max) + 1
+
+    def fmt(v):
+        return _format_value(upper if math.isinf(v) else v)
+
     max_dom = max(model.domains, default=0)
     lines = [
         " ".join([name, str(model.n_vars), str(max_dom), str(len(model.factors)), _format_value(upper)]),
         " ".join(map(str, model.domains)),
     ]
     for f in model.factors:
-        values = np.where(np.isinf(f.values), float(upper), f.values)
-        # default cost: most frequent value, ties to the smallest
-        uniq, counts = np.unique(values, return_counts=True)
-        default = float(uniq[np.argmax(counts)])
-        exceptions = np.nonzero(values != default)[0]
+        digits, values, default = f.cells()
+        counts = Counter(values.tolist())
+        if default is not None:
+            counts[default] += f.size - len(values)
+        chosen = min(counts, key=lambda v: (-counts[v], v))
+        if default is not None and chosen != default:
+            digits, values, _ = f.to_table().cells()
+        exceptions = np.nonzero(values != chosen)[0]
         lines.append(
             " ".join(
                 [str(len(f.scope))]
                 + [str(v) for v in f.scope]
-                + [_format_value(default), str(len(exceptions))]
+                + [fmt(chosen), str(len(exceptions))]
             )
         )
-        strides = _strides(f.domains)
         for idx in exceptions:
-            digits = [(int(idx) // s) % k for s, k in zip(strides, f.domains)]
-            lines.append(" ".join([str(d) for d in digits] + [_format_value(values[idx])]))
+            lines.append(" ".join([str(d) for d in digits[idx].tolist()] + [fmt(values[idx])]))
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,6 @@ default), pushing redundancy toward 1 while the induced width grows.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 
@@ -102,8 +101,3 @@ def model_in_width_band(
         if lo <= width <= hi:
             return model
     raise RuntimeError(f"no width-{lo}..{hi} instance found in {max_tries} tries")
-
-
-def all_assignments(domains):
-    """Every full assignment, lexicographic."""
-    return itertools.product(*[range(k) for k in domains])

@@ -5,13 +5,16 @@ the same key so that near-duplicates produced by floating-point combine
 steps share one automaton.  Clustering is a single sorted scan: a value
 opens a new cluster when it sits more than ``eps`` above the current
 cluster's representative, and every member maps to that representative
-(the cluster's smallest value).  Infinity is its own key.
+(the cluster's smallest value).  Infinity is its own key.  Repeated
+values never open a cluster, so the scan only needs the distinct ones.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+
+import numpy as np
 
 from .errors import FactorError
 
@@ -32,20 +35,27 @@ class ValueKeySet:
 
     @classmethod
     def from_values(cls, values, eps: float = DEFAULT_EPS) -> "ValueKeySet":
-        """Cluster ``values``; finite representatives come out sorted."""
-        has_inf = False
-        finite = []
-        for v in values:
-            v = float(v)
-            if math.isnan(v):
-                raise FactorError("NaN factor value")
-            if math.isinf(v):
-                if v < 0:
-                    raise FactorError("-inf factor value")
-                has_inf = True
-            else:
-                finite.append(v)
-        finite.sort()
+        """Cluster ``values``; finite representatives come out sorted.
+
+        An ndarray is reduced to its distinct values by ``np.unique``
+        before the scan; any other iterable is scanned value by value.
+        """
+        if isinstance(values, np.ndarray):
+            finite, has_inf = _distinct_finite(values)
+        else:
+            has_inf = False
+            finite = []
+            for v in values:
+                v = float(v)
+                if math.isnan(v):
+                    raise FactorError("NaN factor value")
+                if math.isinf(v):
+                    if v < 0:
+                        raise FactorError("-inf factor value")
+                    has_inf = True
+                else:
+                    finite.append(v)
+            finite.sort()
         reps = []
         for v in finite:
             if not reps or v - reps[-1] > eps:
@@ -89,13 +99,33 @@ class ValueKeySet:
         return f"ValueKeySet(eps={self.eps}, reps={list(self.reps)}{inf})"
 
 
-def redundancy(values, eps: float = DEFAULT_EPS) -> float:
-    """1 - distinct/total over epsilon-keyed values; 0.0 for empty input."""
-    total = 0
-    vals = []
-    for v in values:
-        total += 1
-        vals.append(v)
+def _distinct_finite(values: np.ndarray):
+    """(sorted distinct finite values as floats, whether inf occurs).
+
+    ``return_index`` makes ``np.unique`` sort stably, so among equal
+    values (0.0 and -0.0) the first one in ``values`` is kept, as the
+    sorted scan over every value would keep it.
+    """
+    uniq = np.unique(np.asarray(values, dtype=np.float64), return_index=True)[0]
+    if len(uniq) and np.isnan(uniq[-1]):
+        raise FactorError("NaN factor value")
+    if len(uniq) and uniq[0] == -math.inf:
+        raise FactorError("-inf factor value")
+    has_inf = bool(len(uniq)) and uniq[-1] == math.inf
+    return (uniq[:-1] if has_inf else uniq).tolist(), has_inf
+
+
+def redundancy(values, eps: float = DEFAULT_EPS, total: int | None = None) -> float:
+    """1 - distinct/total over epsilon-keyed values; 0.0 for empty input.
+
+    ``total`` is the number of cells the values stand for, by default
+    ``len(values)``; a caller passing only the values that occur in a
+    larger table gives the table's size.
+    """
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    if total is None:
+        total = len(values)
     if total == 0:
         return 0.0
-    return 1.0 - len(ValueKeySet.from_values(vals, eps)) / total
+    return 1.0 - len(ValueKeySet.from_values(values, eps)) / total

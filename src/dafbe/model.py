@@ -1,8 +1,8 @@
 """Graphical models, elimination orderings, and the automaton-based solver.
 
-A model is variables 0..n-1 with finite domains, a bag of tabular
-factors, and a task: MAP (maximize the product) or WCSP (minimize the
-sum, with math.inf as hard infeasibility).  ``bucket_elimination`` solves
+A model is variables 0..n-1 with finite domains, a bag of dense or
+sparse table factors, and a task: MAP (maximize the product) or WCSP
+(minimize the sum, with math.inf as hard infeasibility).  ``bucket_elimination`` solves
 it exactly by eliminating variables along an ordering, doing all factor
 work on value-keyed automata.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import factor as factor_ops
 from .errors import ModelError, TimeLimit
-from .factor import DafsaFactor, TabularFactor
+from .factor import DafsaFactor, SparseFactor, TabularFactor
 from .keying import DEFAULT_EPS
 
 
@@ -52,7 +52,7 @@ class Task(enum.Enum):
 class GraphicalModel:
     n_vars: int
     domains: tuple[int, ...]
-    factors: tuple[TabularFactor, ...]
+    factors: tuple[TabularFactor | SparseFactor, ...]
     task: Task
 
     def __post_init__(self):
@@ -72,7 +72,7 @@ class GraphicalModel:
                     raise ModelError(
                         f"factor domain {k} for variable {var} != model domain {domains[var]}"
                     )
-            if self.task is Task.MAP and np.isinf(f.values).any():
+            if self.task is Task.MAP and np.isinf(f.present_values()).any():
                 raise ModelError("MAP factors cannot contain infinity")
 
     def primal_graph(self) -> list:

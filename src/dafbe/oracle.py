@@ -3,8 +3,9 @@
 Both solvers work straight on numpy tables and share nothing with the
 automaton pipeline beyond the model types, so agreement between the three
 engines is meaningful evidence.  Both refuse oversized instances instead
-of degrading; ``tabular_be`` additionally reports its peak table cells,
-the dense-memory baseline the automaton solver is measured against.
+of degrading, checking their budgets before densifying a sparse factor
+or allocating a table; ``tabular_be`` additionally reports its peak table
+cells, the dense-memory baseline the automaton solver is measured against.
 """
 
 from __future__ import annotations
@@ -119,10 +120,13 @@ def tabular_be(
         if expires is not None and time.monotonic() > expires:
             raise TimeLimit("time limit exceeded")
 
+    def fits(cells):
+        # checked before a table is allocated, never after
+        if cells > budget.max_cells:
+            raise BudgetExceeded(f"table of {cells} cells exceeds budget {budget.max_cells}")
+
     def place(scope, table):
         nonlocal live_cells, peak, optimum, infeasible
-        if table.size > budget.max_cells:
-            raise BudgetExceeded(f"table of {table.size} cells exceeds budget {budget.max_cells}")
         if not scope:
             val = float(table.reshape(()))
             if task is Task.WCSP and math.isinf(val):
@@ -136,6 +140,7 @@ def tabular_be(
         buckets[max(pos_of[v] for v in scope)].append((scope, table))
 
     for f in model.factors:
+        fits(f.size)
         place(f.scope, f.values.reshape(f.domains))
 
     if not infeasible:
@@ -148,6 +153,7 @@ def tabular_be(
             for oscope, otable in bucket[1:]:
                 check_time()
                 merged = sorted(set(scope) | set(oscope))
+                fits(math.prod(model.domains[v] for v in merged))
                 scope_pos = {v: i for i, v in enumerate(merged)}
                 sa = [1] * len(merged)
                 for v in scope:
@@ -159,10 +165,6 @@ def tabular_be(
                 b = otable.reshape(sb)
                 table = a * b if task is Task.MAP else a + b
                 scope = tuple(merged)
-                if table.size > budget.max_cells:
-                    raise BudgetExceeded(
-                        f"table of {table.size} cells exceeds budget {budget.max_cells}"
-                    )
                 peak = max(peak, live_cells + table.size)
             axis = scope.index(ordering[p])
             if task is Task.MAP:

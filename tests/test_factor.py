@@ -3,13 +3,16 @@
 import itertools
 import math
 import random
+from array import array
 
 import numpy as np
 import pytest
 
+from dafbe._backend import kernels
 from dafbe.automata import Dafsa
 from dafbe.errors import FactorError
-from dafbe.factor import DafsaFactor, TabularFactor, combine, project
+from dafbe.factor import DafsaFactor, TabularFactor, _strides, combine, project
+from dafbe.keying import ValueKeySet
 
 from conftest import demo_factor, demo_table, table_from_feed
 
@@ -93,6 +96,53 @@ class TestFromTable:
         t = TabularFactor((0,), (2,), np.array([1.0, 1.0 + 1e-12]))
         assert DafsaFactor.from_table(t, eps=1e-10).entry_count == 1
         assert DafsaFactor.from_table(t, eps=0.0).entry_count == 2
+
+
+def scan_from_table(table, eps, prune_infinite):
+    """Reference grouping: key value by value, then one ``keyed == rep`` scan per key."""
+    values = table.values
+    keyset = ValueKeySet.from_values(values.tolist(), eps)
+    reps = np.asarray(keyset.reps, dtype=np.float64)
+    keyed = np.full(len(values), math.inf)
+    finite = ~np.isinf(values)
+    if finite.any():
+        keyed[finite] = reps[np.searchsorted(reps, values[finite], side="right") - 1]
+    strides = np.asarray(_strides(table.domains), dtype=np.int64)
+    dims = np.asarray(table.domains, dtype=np.int64)
+    entries = []
+    for rep in list(keyset.reps) + ([math.inf] if keyset.has_infinity else []):
+        if math.isinf(rep) and prune_infinite:
+            continue
+        rows = np.nonzero(np.isinf(keyed) if math.isinf(rep) else keyed == rep)[0]
+        flat = ((rows[:, None] // strides) % dims).astype(np.intc).reshape(-1)
+        buf = array("i")
+        buf.frombytes(flat.tobytes())
+        parts = kernels.compile_sorted(buf, len(rows), len(table.domains), table.domains)
+        entries.append((rep, Dafsa._from_parts(table.domains, parts)))
+    return entries
+
+
+class TestDenseGrouping:
+    """One stable argsort groups rows exactly as the per-key scan did."""
+
+    def test_matches_per_key_scan(self, rng):
+        eps = 1e-10
+        # an epsilon chain (neighbours within eps, ends beyond it), exact
+        # duplicates, infinity and zero
+        pool = [0.0, 1.0, 1.0 + 0.6e-10, 1.0 + 1.2e-10, 1.0 + 1.8e-10, 2.0, 2.0 + 1e-13,
+                5.5, math.inf]
+        for trial in range(80):
+            dims = tuple(rng.choice([1, 2, 3, 4]) for _ in range(rng.randrange(0, 5)))
+            size = math.prod(dims)
+            values = np.asarray([rng.choice(pool[: rng.randrange(1, len(pool) + 1)])
+                                 for _ in range(size)])
+            t = TabularFactor(tuple(range(len(dims))), dims, values)
+            for prune in (False, True):
+                want = scan_from_table(t, eps, prune)
+                got = DafsaFactor.from_table(t, eps, prune_infinite=prune).entries
+                assert [v for v, _ in got] == [v for v, _ in want]
+                for (_, a), (_, b) in zip(got, want):
+                    assert (a.t_off, a.t_sym, a.t_dst, a.acc) == (b.t_off, b.t_sym, b.t_dst, b.acc)
 
 
 class TestValidation:

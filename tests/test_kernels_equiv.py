@@ -4,6 +4,7 @@ The compiled module is optional; everything here is skipped when the
 extension did not build.
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -116,7 +117,8 @@ class TestBackendSelection:
         code = "import dafbe; print(dafbe.BACKEND)"
         out = subprocess.run(
             [sys.executable, "-c", code],
-            env={"PATH": "/usr/bin:/bin", "DAFBE_KERNELS": "python"},
+            env={"PATH": "/usr/bin:/bin", "DAFBE_KERNELS": "python",
+                 "PYTHONPATH": os.environ.get("PYTHONPATH", "")},
             capture_output=True, text=True,
         )
         assert out.stdout.strip() == "python"

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from dafbe.errors import FactorError
@@ -39,6 +41,36 @@ class TestClustering:
     def test_iteration_order(self):
         ks = ValueKeySet.from_values([math.inf, 2.0, 1.0])
         assert list(ks) == [1.0, 2.0, math.inf]
+
+
+class TestArrayInput:
+    """An ndarray is keyed over its distinct values, with the same result."""
+
+    def test_matches_value_by_value_scan(self):
+        rng = random.Random(7)
+        pool = [0.0, 1e-10, 1.5e-10, 2.4e-10, 3.0, 3.0 + 1e-11, 7.25, math.inf]
+        for _ in range(200):
+            values = [rng.choice(pool) for _ in range(rng.randrange(0, 12))]
+            for eps in (0.0, 1e-10):
+                a = ValueKeySet.from_values(np.asarray(values, dtype=np.float64), eps)
+                b = ValueKeySet.from_values(values, eps)
+                assert (a.reps, a.has_infinity) == (b.reps, b.has_infinity)
+
+    def test_first_of_equal_values_is_kept(self):
+        # 0.0 == -0.0: the representative is whichever comes first, as in
+        # the value-by-value scan; large inputs make an unstable sort show
+        rng = random.Random(11)
+        for _ in range(20):
+            values = [rng.choice([0.0, -0.0, 1.0]) for _ in range(1000)]
+            rep = ValueKeySet.from_values(np.asarray(values)).reps[0]
+            want = ValueKeySet.from_values(values).reps[0]
+            assert math.copysign(1.0, rep) == math.copysign(1.0, want)
+
+    def test_rejects_nan_and_negative_infinity(self):
+        with pytest.raises(FactorError):
+            ValueKeySet.from_values(np.array([1.0, math.nan, math.inf]))
+        with pytest.raises(FactorError):
+            ValueKeySet.from_values(np.array([-math.inf, 1.0]))
 
 
 class TestKeyLookup:
@@ -86,3 +118,7 @@ class TestRedundancy:
 
     def test_with_infinities(self):
         assert redundancy([math.inf, math.inf, 1.0, 1.0]) == 0.5
+
+    def test_total_counts_cells_the_values_stand_for(self):
+        assert redundancy(np.array([1.0, 2.0]), total=8) == 1.0 - 2 / 8
+        assert redundancy(np.array([]), total=0) == 0.0
