@@ -10,6 +10,12 @@ breadth-first from the start (edges in symbol order, wildcard first), and
 every complete literal fan onto one successor collapsed to a wildcard
 edge.  Minimal deterministic leveled automata are unique per language, so
 ``==`` is both structural and language equality.
+
+Every edge runs from level l to level l + 1, so a breadth-first numbering
+gives each level one contiguous id range: level 0 is ``[0, 1)`` and the
+level after ``[a, b)`` is ``[b, 1 + max destination of a..b-1)``.
+``insert_wildcard_level`` relies on this to splice a level in by shifting
+ids instead of rebuilding and minimizing.
 """
 
 from __future__ import annotations
@@ -261,35 +267,37 @@ class Dafsa:
     def insert_wildcard_level(self, pos: int, k: int) -> "Dafsa":
         """Add a fresh ignored variable at position ``pos`` (domain size k).
 
-        Every old level-``pos`` state gets a wildcard predecessor, so the
-        new automaton accepts exactly the old strings with any value
-        spliced in at ``pos``.
+        Every old level-``pos`` state gets a wildcard predecessor, its
+        prime, so the new automaton accepts exactly the old strings with
+        any value spliced in at ``pos``.  Level ``pos`` holds the ids
+        ``[a, b)``; the primes take those ids in the same order and every
+        old id from ``a`` on moves up by ``b - a``.  Edges into level
+        ``pos`` then reach the primes unchanged, and the result is
+        minimal and canonically numbered with no merge pass.
         """
         if not 0 <= pos <= self.length:
             raise AutomatonError(f"insert position {pos} outside 0..{self.length}")
         if k < 1:
             raise AutomatonError(f"domain size {k} < 1")
-        n = self.state_count
-        lev = self.state_levels()
-        prime = {}
-        edges = []
-        accepting = list(self.acc)
-        nxt = n
-        for s in range(n):
-            if lev[s] == pos:
-                prime[s] = nxt
-                edges.append((nxt, WILDCARD, s))
-                nxt += 1
-        for s in range(n):
-            for j in range(self.t_off[s], self.t_off[s + 1]):
-                d = self.t_dst[j]
-                edges.append((s, self.t_sym[j], prime.get(d, d)))
-        start = prime.get(self.start, self.start) if pos == 0 else self.start
         new_domains = self.domains[:pos] + (k,) + self.domains[pos:]
-        t_off, t_sym, t_dst, acc = _flat_from_edges(nxt, edges, accepting)
-        return Dafsa._from_parts(
-            new_domains, kernels.minimize(nxt, t_off, t_sym, t_dst, acc, start, new_domains)
-        )
+        if self.is_empty():
+            return Dafsa.empty(new_domains)
+        t_off, t_sym, t_dst = self.t_off, self.t_sym, self.t_dst
+        a, b = 0, 1
+        for _ in range(pos):
+            a, b = b, max(t_dst[t_off[a] : t_off[b]]) + 1
+        shift = (b - a).__add__
+        e = t_off[a]
+        off = t_off[: a + 1]
+        off.extend(range(e + 1, e + b - a + 1))
+        off.extend(map(shift, t_off[a + 1 :]))
+        sym = t_sym[:e]
+        sym.extend([WILDCARD] * (b - a))
+        sym.extend(t_sym[e:])
+        dst = t_dst[:e]
+        dst.extend(range(b, 2 * b - a))
+        dst.extend(map(shift, t_dst[e:]))
+        return Dafsa(new_domains, off, sym, dst, array("i", map(shift, self.acc)))
 
     def remove_level(self, pos: int) -> tuple:
         """Drop position ``pos``, keeping a string iff some value there led
@@ -341,6 +349,15 @@ class Dafsa:
         for a in self.acc:
             if lev[a] != L:
                 raise AutomatonError(f"accepting state {a} not at level {L}")
+        # canonical numbering: a BFS in id order, edges in symbol order,
+        # meets every state exactly when the ids run out in sequence
+        seen = 1
+        for s in range(n):
+            for d in self.t_dst[off[s] : off[s + 1]]:
+                if d == seen:
+                    seen += 1
+                elif d > seen:
+                    raise AutomatonError(f"state {d} not numbered breadth-first")
 
     def to_debug_text(self) -> str:
         """One 'level src symbol dst' line per edge, '*' for the wildcard."""

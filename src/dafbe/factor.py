@@ -388,8 +388,9 @@ class DafsaFactor:
             raise FactorError("scope and domains length mismatch")
         if list(scope) != sorted(set(scope)):
             raise FactorError(f"target scope {scope} must be sorted and duplicate-free")
-        missing = [i for i, v in enumerate(scope) if v not in set(self.scope)]
-        if set(self.scope) - set(scope):
+        have = set(self.scope)
+        missing = [i for i, v in enumerate(scope) if v not in have]
+        if have - set(scope):
             raise FactorError("target scope must contain the factor scope")
         entries = []
         for val, dafsa in self.entries:
@@ -464,13 +465,16 @@ def project(f: DafsaFactor, var: int, op: str, eps: float = DEFAULT_EPS):
 
     if op == "max":
         shrunk.reverse()  # largest value first; inf cannot occur in max mode
+    # the best entry keeps everything; the union of the last one is never read
     kept = []
-    prec = Dafsa.empty(domains)
-    for val, dafsa in shrunk:
-        remainder = dafsa.difference(prec)
+    prec = None
+    last = len(shrunk) - 1
+    for i, (val, dafsa) in enumerate(shrunk):
+        remainder = dafsa if prec is None else dafsa.difference(prec)
         if remainder.is_empty():
             continue
         kept.append((val, remainder))
-        prec = prec.union(dafsa)
+        if i < last:
+            prec = dafsa if prec is None else prec.union(dafsa)
     kept.sort(key=lambda e: e[0])
     return DafsaFactor(scope, domains, tuple(kept)), growth

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from array import array
 
 import pytest
 
@@ -208,7 +209,40 @@ def _rand_nfa(rng, dom):
     return nfa, members
 
 
+def naive_insert(a, pos, k):
+    """Reference lift: a wildcard prime before every level-``pos`` state,
+    in-edges redirected to it, canonicalized by a full minimize."""
+    n = a.state_count
+    lev = a.state_levels()
+    prime = {s: n + i for i, s in enumerate(s for s in range(n) if lev[s] == pos)}
+    edges = [(p, WILDCARD, s) for s, p in prime.items()]
+    for s in range(n):
+        for j in range(a.t_off[s], a.t_off[s + 1]):
+            d = a.t_dst[j]
+            edges.append((s, a.t_sym[j], prime.get(d, d)))
+    domains = a.domains[:pos] + (k,) + a.domains[pos:]
+    start = prime.get(a.start, a.start)
+    return Dafsa.from_transitions(domains, n + len(prime), edges, a.acc, start=start)
+
+
 class TestLevelSurgery:
+    def test_insert_matches_naive_lift(self):
+        rng = random.Random(7)
+        cases = [(Dafsa.empty(()), 0), (Dafsa.universal(()), 0), (Dafsa.empty((2, 3)), 1)]
+        for trial in range(2400):
+            dom = tuple(rng.randrange(1, 4) for _ in range(rng.randrange(0, 5)))
+            a = rand_dafsa(rng, dom, max_strings=rng.choice([0, 1, 12, 40]))
+            cases.append((a, rng.choice([0, len(dom), rng.randrange(len(dom) + 1)])))
+        for a, pos in cases:
+            k = rng.choice([1, 2, 3])
+            b = a.insert_wildcard_level(pos, k)
+            assert b == naive_insert(a, pos, k)
+            b.check_invariants()
+            pos2 = rng.randrange(b.length + 1)
+            c = b.insert_wildcard_level(pos2, 2)
+            assert c == naive_insert(b, pos2, 2)
+            c.check_invariants()
+
     def test_insert_wildcard_semantics(self, rng):
         for trial in range(100):
             dom = rng.choice(DOMS)
@@ -246,6 +280,16 @@ class TestLevelSurgery:
             a.insert_wildcard_level(3, 2)
         with pytest.raises(AutomatonError):
             a.remove_level(2)
+
+
+class TestInvariants:
+    def test_rejects_non_bfs_numbering(self):
+        # universal((2, 2)) with ids 1 and 2 swapped: 0 -*-> 2 -*-> 1
+        a = Dafsa((2, 2), array("i", [0, 1, 1, 2]), array("i", [WILDCARD] * 2),
+                  array("i", [2, 1]), array("i", [1]))
+        assert a.accepts((0, 1))
+        with pytest.raises(AutomatonError, match="breadth-first"):
+            a.check_invariants()
 
 
 class TestDebugText:

@@ -188,6 +188,17 @@ class TestAddLevels:
             assert "0 0 * " in text  # level 0 reads the new variable 0
             assert [ln.split()[2] for ln in text.splitlines() if ln[0] == "1"] == ["*"]
 
+    def test_interleaved_inserts(self):
+        rng = random.Random(3)
+        base = DafsaFactor.from_table(rand_table(rng, (1, 4, 5), (2, 3, 2), with_inf=True))
+        scope, domains = (0, 1, 2, 3, 4, 5, 6), (2, 2, 3, 1, 3, 2, 2)
+        f = base.add_levels(scope, domains)
+        assert f.scope == scope
+        for _, d in f.entries:
+            d.check_invariants()
+        for a in assignments(domains):
+            assert f.value_at(a) == base.value_at(a)
+
     def test_must_be_superset(self):
         with pytest.raises(FactorError):
             demo_factor().add_levels((0, 1), (2, 2))
