@@ -32,11 +32,43 @@ WILDCARD = -1
 ENUMERATE_CAP = 1_000_000
 
 
-def _flat_from_edges(n, edges, accepting):
-    """edges: iterable of (src, sym, dst). Returns CSR parts, syms sorted."""
+def _flat_from_edges(domains, n, edges, accepting, start):
+    """edges: iterable of (src, sym, dst). Returns CSR parts, syms sorted.
+
+    Raises AutomatonError for a state id outside ``range(n)`` (edge ends,
+    accepting ids, ``start``), for a symbol that is neither a wildcard nor
+    a value of its level's domain, and for an edge past the last level.
+    A state's level is its breadth-first depth from ``start``, as the
+    kernels count it; edges of states ``start`` cannot reach are not
+    checked against a domain.
+    """
+    if not 0 <= start < n:
+        raise AutomatonError(f"start state {start} outside 0..{n - 1}")
     per = [[] for _ in range(n)]
     for src, sym, dst in edges:
+        if not (0 <= src < n and 0 <= dst < n):
+            raise AutomatonError(f"edge {src}->{dst} names a state outside 0..{n - 1}")
         per[src].append((sym, dst))
+    for a in accepting:
+        if not 0 <= a < n:
+            raise AutomatonError(f"accepting state {a} outside 0..{n - 1}")
+    level = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            lv = level[s]
+            for sym, dst in per[s]:
+                if lv >= len(domains):
+                    raise AutomatonError(f"state {s}: edges beyond last level {len(domains)}")
+                if sym != WILDCARD and not 0 <= sym < domains[lv]:
+                    raise AutomatonError(
+                        f"state {s}: symbol {sym} outside domain {domains[lv]} at level {lv}"
+                    )
+                if dst not in level:
+                    level[dst] = lv + 1
+                    nxt.append(dst)
+        frontier = nxt
     t_off = array("i", [0])
     t_sym = array("i")
     t_dst = array("i")
@@ -109,7 +141,7 @@ class Dafsa:
         minimal or canonically numbered.
         """
         domains = tuple(domains)
-        t_off, t_sym, t_dst, acc = _flat_from_edges(n_states, edges, accepting)
+        t_off, t_sym, t_dst, acc = _flat_from_edges(domains, n_states, edges, accepting, start)
         for s in range(n_states):
             lo, hi = t_off[s], t_off[s + 1]
             syms = t_sym[lo:hi].tolist()
@@ -389,8 +421,9 @@ class Nfa:
 
     @classmethod
     def from_transitions(cls, domains, n_states, edges, accepting, start=0) -> "Nfa":
-        t_off, t_sym, t_dst, acc = _flat_from_edges(n_states, edges, accepting)
-        return cls(tuple(domains), n_states, t_off, t_sym, t_dst, acc, start)
+        domains = tuple(domains)
+        t_off, t_sym, t_dst, acc = _flat_from_edges(domains, n_states, edges, accepting, start)
+        return cls(domains, n_states, t_off, t_sym, t_dst, acc, start)
 
     def determinize(self) -> tuple:
         """Subset construction; returns (dafsa, raw_dfa_states)."""

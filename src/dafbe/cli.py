@@ -53,7 +53,7 @@ class RunConfig:
     time_limit: float = 7200.0
     engine: str = "dafsa"
     fmt: str = "human"  # human | json-lines
-    prune_infinite: bool | None = None
+    prune_infinite: bool = True
     timings: bool = False
 
     def __post_init__(self):
@@ -94,7 +94,7 @@ def _tolerance_ok(task: Task, a: float, b: float) -> bool:
     if math.isinf(a) or math.isinf(b):
         return a == b
     if task is Task.MAP:
-        return math.isclose(a, b, rel_tol=1e-6, abs_tol=1e-12)
+        return math.isclose(a, b, rel_tol=1e-6)
     return abs(a - b) <= 1e-9
 
 
@@ -171,7 +171,7 @@ def cmd_solve(cfg: RunConfig, out) -> int:
         if rec is None:
             try:
                 ordering = _ordering_for(model, cfg)  # excluded from solve time
-                red = [f.redundancy(cfg.eps) for f in model.factors]
+                red = [f.redundancy(cfg.eps) for f in model.cost_factors()]
                 extra, result, disagree = _solve_one(model, ordering, cfg)
                 rec = formats.result_record(
                     path, result, cfg.engine, redundancy_per_factor=red,
@@ -206,7 +206,7 @@ def cmd_stats(cfg: RunConfig, out, csv_fmt: bool) -> int:
             worst = max(worst, 1)
             continue
         ordering = _ordering_for(model, cfg)
-        red = [f.redundancy(cfg.eps) for f in model.factors]
+        red = [f.redundancy(cfg.eps) for f in model.cost_factors()]
         arities = [len(f.scope) for f in model.factors]
         rows.append({
             "file": str(path),
@@ -253,7 +253,9 @@ def build_parser() -> _Parser:
         p.add_argument("--dialect", choices=("auto", "uai", "wcsp"), default="auto",
                        help="input format; auto picks .wcsp by extension, UAI otherwise")
         p.add_argument("--epsilon", type=float, default=None,
-                       help=f"value-keying tolerance (default {DEFAULT_EPS}, env {EPS_ENV_VAR})")
+                       help=f"value-keying tolerance, absolute on costs: for MAP, on -log p, "
+                            f"so relative on probabilities (default {DEFAULT_EPS}, "
+                            f"env {EPS_ENV_VAR})")
         p.add_argument("--ordering", choices=("min-fill", "weighted-min-fill", "file"),
                        default="min-fill")
         p.add_argument("--ordering-file", default=None,
@@ -267,9 +269,11 @@ def build_parser() -> _Parser:
     solve.add_argument("--timings", action="store_true",
                        help="include wall time in json-lines records (breaks byte determinism)")
     prune = solve.add_mutually_exclusive_group()
-    prune.add_argument("--prune-infinity", dest="prune", action="store_true", default=None,
-                       help="drop infeasible rows from factor entries (WCSP default)")
-    prune.add_argument("--no-prune-infinity", dest="prune", action="store_false")
+    prune.add_argument("--prune-infinity", dest="prune", action="store_true", default=True,
+                       help="drop infinite-cost rows (WCSP hard rows, MAP zeros) from factor "
+                            "entries (default)")
+    prune.add_argument("--no-prune-infinity", dest="prune", action="store_false",
+                       help="keep infinite-cost rows as an entry; same answer")
 
     stats = sub.add_parser("stats", help="redundancy / width / arity report")
     add_common(stats)
@@ -290,7 +294,7 @@ def main(argv=None) -> int:
             time_limit=getattr(args, "time_limit", 7200.0),
             engine=getattr(args, "engine", "dafsa"),
             fmt=getattr(args, "fmt", "human"),
-            prune_infinite=getattr(args, "prune", None),
+            prune_infinite=getattr(args, "prune", True),
             timings=getattr(args, "timings", False),
         )
         if args.command == "stats":

@@ -16,10 +16,14 @@ oracles and tests read it), ``present_values`` (the values of at least
 one cell) and ``cells`` (what ``DafsaFactor.from_table`` and the WCSP
 writer consume).
 
+The solver runs ``combine(..., "sum")`` and ``project(..., "min")``
+only: MAP potentials reach it as costs -log p (see
+``GraphicalModel.cost_factors``), so entry values are costs for both
+tasks and the keying epsilon is an absolute tolerance on costs.
 ``math.inf`` marks hard-infeasible assignments.  It is absorbing under
-sum-combination, never beats a finite value under min-projection, and is
-rejected outright in product mode (probability factors have no use for
-it, and inf * 0 is not a number).
+sum-combination and never beats a finite value under min-projection.
+The product/max pair stays as a library operation on probability
+factors; there inf * 0 is not a number and raises ``FactorError``.
 """
 
 from __future__ import annotations
@@ -228,16 +232,6 @@ def _keyed(keyset: ValueKeySet, values: np.ndarray) -> np.ndarray:
     return keyed
 
 
-def _combine_values(op, va, vb):
-    if op == "sum":
-        return va + vb
-    # product: inf is rejected at model level for MAP, but stay safe on
-    # direct factor calls where 0 * inf would otherwise produce NaN
-    if math.isinf(va) or math.isinf(vb):
-        return math.inf
-    return va * vb
-
-
 @dataclasses.dataclass(frozen=True)
 class DafsaFactor:
     """Factor stored as (value, automaton) entries, sorted by value.
@@ -421,7 +415,7 @@ def combine(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float = DEFAULT_EPS)
     b = f2.add_levels(scope, domains)
 
     pair_values = [
-        [_combine_values(op, va, vb) for vb, _ in b.entries] for va, _ in a.entries
+        [va + vb if op == "sum" else va * vb for vb, _ in b.entries] for va, _ in a.entries
     ]
     keyset = ValueKeySet.from_values((v for row in pair_values for v in row), eps)
     acc = {}

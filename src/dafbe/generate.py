@@ -42,8 +42,6 @@ def random_micro_model(rng: random.Random, task: Task, hard: bool | None = None)
         dims = tuple(domains[v] for v in scope)
         size = math.prod(dims)
         if task is Task.MAP:
-            # probabilities bounded away from 0 keep products well above
-            # the keying epsilon even at 12 factors
             values = [0.5 + 0.5 * rng.random() for _ in range(size)]
             if hard:
                 for i in range(size):

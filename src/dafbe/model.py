@@ -1,10 +1,14 @@
 """Graphical models, elimination orderings, and the automaton-based solver.
 
 A model is variables 0..n-1 with finite domains, a bag of dense or
-sparse table factors, and a task: MAP (maximize the product) or WCSP
-(minimize the sum, with math.inf as hard infeasibility).  ``bucket_elimination`` solves
-it exactly by eliminating variables along an ordering, doing all factor
-work on value-keyed automata.
+sparse table factors, and a task: MAP (maximize the product of
+nonnegative potentials) or WCSP (minimize the sum, with math.inf as hard
+infeasibility).  ``bucket_elimination`` solves both as min-sum: MAP
+potentials p enter the solver as costs -log p (0 becomes inf), so the
+optimum is exp(-cost) and the keying epsilon is an absolute tolerance on
+costs, that is, a relative tolerance on probabilities.  It eliminates
+variables along an ordering, doing all factor work on value-keyed
+automata.
 """
 
 from __future__ import annotations
@@ -23,25 +27,22 @@ from .keying import DEFAULT_EPS
 
 
 class Task(enum.Enum):
-    """MAP: product/max over probabilities. WCSP: sum/min over costs."""
+    """MAP: product/max over probabilities. WCSP: sum/min over costs.
 
-    MAP = ("product", "max")
-    WCSP = ("sum", "min")
+    ``identity``, ``combine`` and ``better`` are the task's own semantics,
+    used to evaluate assignments and by the oracles; the automaton solver
+    works on costs for both tasks (``GraphicalModel.cost_factors``).
+    """
 
-    @property
-    def combine_op(self) -> str:
-        return self.value[0]
-
-    @property
-    def project_op(self) -> str:
-        return self.value[1]
+    MAP = enum.auto()
+    WCSP = enum.auto()
 
     @property
     def identity(self) -> float:
         return 1.0 if self is Task.MAP else 0.0
 
     def combine(self, a: float, b: float) -> float:
-        return factor_ops._combine_values(self.combine_op, a, b)
+        return a * b if self is Task.MAP else a + b
 
     def better(self, a: float, b: float) -> bool:
         """True if a strictly beats b."""
@@ -72,8 +73,10 @@ class GraphicalModel:
                     raise ModelError(
                         f"factor domain {k} for variable {var} != model domain {domains[var]}"
                     )
-            if self.task is Task.MAP and np.isinf(f.present_values()).any():
-                raise ModelError("MAP factors cannot contain infinity")
+            if self.task is Task.MAP:
+                values = f.present_values()
+                if np.isinf(values).any() or (values < 0).any():
+                    raise ModelError("MAP factors must be finite and nonnegative")
 
     def primal_graph(self) -> list:
         """Adjacency sets: co-scoped variables are neighbors."""
@@ -85,12 +88,35 @@ class GraphicalModel:
                     adj[v].add(u)
         return adj
 
+    def cost_factors(self) -> tuple:
+        """The factors as the costs ``bucket_elimination`` minimizes.
+
+        WCSP factors are costs already.  A MAP potential p becomes -log p,
+        with 0 becoming inf, so the maximal product is the exp(-cost) of
+        the minimal sum.
+        """
+        if self.task is Task.WCSP:
+            return self.factors
+        return tuple(_neg_log_factor(f) for f in self.factors)
+
     def evaluate(self, assignment) -> float:
         """Task-combine of all factors at a full assignment."""
         out = self.task.identity
         for f in self.factors:
             out = self.task.combine(out, f.value_of(assignment))
         return out
+
+
+def _neg_log(values: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return 0.0 - np.log(values)  # 0.0 - keeps -log 1 at +0.0
+
+
+def _neg_log_factor(f: TabularFactor | SparseFactor) -> TabularFactor | SparseFactor:
+    if isinstance(f, TabularFactor):
+        return TabularFactor(f.scope, f.domains, _neg_log(f.values))
+    costs = _neg_log(np.array([f.default, *f.exceptions.values()])).tolist()
+    return SparseFactor(f.scope, f.domains, costs[0], dict(zip(f.exceptions, costs[1:])))
 
 
 def min_fill_ordering(model: GraphicalModel, weighted: bool = False) -> tuple:
@@ -197,26 +223,30 @@ def bucket_elimination(
     model: GraphicalModel,
     ordering=None,
     eps: float = DEFAULT_EPS,
-    prune_infinite: bool | None = None,
+    prune_infinite: bool = True,
     time_limit: float | None = None,
 ) -> SolverResult:
-    """Exact solve by bucket elimination over value-keyed automata.
+    """Exact solve by min-sum bucket elimination over value-keyed automata.
 
-    Factors live in the bucket of their latest-in-ordering scope variable.
+    The solver minimizes the sum of ``model.cost_factors()``.  Factors
+    live in the bucket of their latest-in-ordering scope variable.
     Buckets are processed last to first: combine everything in the bucket,
     project the bucket variable out, send the message to the bucket of its
     latest remaining variable (scalars fold straight into the optimum).
     A forward pass then rebuilds an optimal assignment by trying each
     value of each variable against its bucket's functions, lowest value
-    winning ties.  ``prune_infinite`` defaults to the task convention:
-    drop infinity rows for WCSP, keep (forbid) them for MAP.
+    winning ties.  ``prune_infinite`` drops infinite-cost rows from the
+    entries instead of keeping them as an inf entry; the answer is the
+    same either way.
+
+    A WCSP with no finite-cost assignment is ``"infeasible"``.  A MAP
+    model reports the probability exp(-cost); when every assignment has
+    probability 0 that is 0.0 at the all-zeros assignment, as brute force
+    reports it.
     """
     t0 = time.monotonic()
     deadline = Deadline(time_limit)
     ordering = min_fill_ordering(model) if ordering is None else check_ordering(model, ordering)
-    if prune_infinite is None:
-        prune_infinite = model.task is Task.WCSP
-    task = model.task
     stats = SolveStats(induced_width=induced_width(model, ordering))
     pos_of = {v: i for i, v in enumerate(ordering)}
     n = model.n_vars
@@ -229,7 +259,7 @@ def bucket_elimination(
     live_states = 0
     peak = 0
     buckets = [[] for _ in range(n)]
-    optimum = task.identity
+    optimum = 0.0
     infeasible = False
 
     def place(f: DafsaFactor):
@@ -239,13 +269,13 @@ def bucket_elimination(
             infeasible = True
             return
         if not f.scope:
-            optimum = task.combine(optimum, f.entries[0][0])
+            optimum += f.entries[0][0]
             return
         live_states += f.total_states
         peak = max(peak, live_states)
         buckets[max(pos_of[v] for v in f.scope)].append(f)
 
-    for tab in model.factors:
+    for tab in model.cost_factors():
         place(DafsaFactor.from_table(tab, eps, prune_infinite=prune_infinite))
         if infeasible:
             break
@@ -261,12 +291,12 @@ def bucket_elimination(
             transient = 0  # states of the current fold intermediate
             for f in bucket[1:]:
                 deadline.check()
-                combined = factor_ops.combine(combined, f, task.combine_op, eps)
+                combined = factor_ops.combine(combined, f, "sum", eps)
                 transient = combined.total_states
                 peak = max(peak, live_states + transient)
             note_factor(combined)
             deadline.check()
-            message, growth = factor_ops.project(combined, ordering[p], task.project_op, eps)
+            message, growth = factor_ops.project(combined, ordering[p], "min", eps)
             stats.growth_samples.extend(growth)
             stats.messages += 1
             peak = max(peak, live_states + transient + message.total_states)
@@ -274,30 +304,33 @@ def bucket_elimination(
             if infeasible:
                 break
 
-    if infeasible or (task is Task.WCSP and math.isinf(optimum)):
-        stats.peak_live_states = peak
-        stats.wall_time = time.monotonic() - t0
-        return SolverResult(task, "infeasible", math.inf, None, ordering, stats)
-
-    assignment = [0] * n
-    for p in range(n):
-        deadline.check()
-        var = ordering[p]
-        best_v = 0
-        best_score = None
-        for v in range(model.domains[var]):
-            assignment[var] = v
-            score = task.identity
-            for f in buckets[p]:
-                fv = f.value_at(assignment)
-                if fv is None:
-                    fv = math.inf  # pruned row: only reachable in WCSP mode
-                score = task.combine(score, fv)
-            if best_score is None or task.better(score, best_score):
-                best_score = score
-                best_v = v
-        assignment[var] = best_v
+    assignment = None
+    if not (infeasible or math.isinf(optimum)):
+        assignment = [0] * n
+        for p in range(n):
+            deadline.check()
+            var = ordering[p]
+            best_v = 0
+            best_score = None
+            for v in range(model.domains[var]):
+                assignment[var] = v
+                score = 0.0
+                for f in buckets[p]:
+                    fv = f.value_at(assignment)
+                    score += math.inf if fv is None else fv  # None: a pruned row
+                if best_score is None or score < best_score:
+                    best_score = score
+                    best_v = v
+            assignment[var] = best_v
+        assignment = tuple(assignment)
 
     stats.peak_live_states = peak
     stats.wall_time = time.monotonic() - t0
-    return SolverResult(task, "optimal", optimum, tuple(assignment), ordering, stats)
+    task = model.task
+    if assignment is None:
+        if task is Task.MAP:  # every assignment has probability 0
+            return SolverResult(task, "optimal", 0.0, (0,) * n, ordering, stats)
+        return SolverResult(task, "infeasible", math.inf, None, ordering, stats)
+    if task is Task.MAP:
+        optimum = math.exp(-optimum)
+    return SolverResult(task, "optimal", optimum, assignment, ordering, stats)

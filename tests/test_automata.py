@@ -60,6 +60,22 @@ class TestConstruction:
         with pytest.raises(AutomatonError):
             Dafsa.from_transitions((2,), 3, [(0, 0, 1), (0, WILDCARD, 2)], [1])
 
+    @pytest.mark.parametrize(
+        "cls, n_states, edges, accepting, start",
+        [
+            (Dafsa, 2, [(0, 0, 7)], [1], 0),  # destination out of range
+            (Dafsa, 2, [(0, 0, 1), (5, 0, 1)], [1], 0),  # source out of range
+            (Dafsa, 2, [(0, 0, 1)], [9], 0),  # accepting id out of range
+            (Dafsa, 2, [(0, 5, 1)], [1], 0),  # symbol outside the level's domain
+            (Nfa, 2, [(0, 0, 7)], [1], 0),  # destination out of range
+            (Dafsa, 2, [(0, 0, 1)], [1], 3),  # start out of range
+        ],
+        ids=["dst", "src", "accepting", "symbol", "nfa-dst", "start"],
+    )
+    def test_from_transitions_rejects_malformed_input(self, cls, n_states, edges, accepting, start):
+        with pytest.raises(AutomatonError):
+            cls.from_transitions((2,), n_states, edges, accepting, start=start)
+
     def test_zero_length_domains(self):
         a = Dafsa.from_strings((), [()])
         assert a.count_strings() == 1 and a.accepts(())

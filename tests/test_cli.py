@@ -76,6 +76,25 @@ class TestExitCodes:
         assert rec["status"] == "disagreement"
         assert any("brute" in line for line in rec["disagreement"])
 
+    def test_tiny_map_optima_compare_relatively(self, capsys, monkeypatch, tmp_path):
+        # optimum 2e-14: an oracle claiming ten times that is off by a
+        # factor of ten, even though the two differ by less than 1e-12
+        tiny = tmp_path / "tiny.uai"
+        tiny.write_text("MARKOV\n1\n2\n1\n1 0\n\n2\n1e-14 2e-14\n", encoding="ascii")
+
+        def liar(model, budget=None):
+            return SolverResult(model.task, "optimal", 2e-13, (0,), (0,), SolveStats())
+
+        monkeypatch.setattr(cli.oracle, "brute_force", liar)
+        code, out, _ = run(capsys, "solve", "--engine", "check-all",
+                           "--format", "json-lines", str(tiny))
+        assert code == 2
+        (rec,) = json_records(out)
+        assert rec["status"] == "disagreement"
+        assert rec["engines"]["dafsa"]["optimum"] == pytest.approx(2e-14, rel=1e-9)
+        assert rec["engines"]["tabular"]["optimum"] == pytest.approx(2e-14, rel=1e-9)
+        assert all(line.startswith("brute") for line in rec["disagreement"])
+
     def test_internal_error_exit_code(self, capsys, monkeypatch):
         def boom(*a, **kw):
             raise RuntimeError("kernel panic")
@@ -222,6 +241,16 @@ class TestStats:
         assert first["n_vars"] == 3 and first["n_factors"] == 3
         assert first["induced_width"] >= 1
         assert len(first["redundancy_per_factor"]) == 3
+
+    def test_map_redundancy_uses_the_solver_keys(self, capsys, tmp_path):
+        # keyed on -log p, 1e-12 and 2e-12 are two values, as the solver
+        # keeps them: 3 keys over 4 cells
+        uai = tmp_path / "small.uai"
+        uai.write_text("MARKOV\n1\n4\n1\n1 0\n\n4\n1e-12 2e-12 1e-12 0.5\n", encoding="ascii")
+        _, out, _ = run(capsys, "stats", str(uai))
+        assert json.loads(out)["instances"][0]["redundancy_per_factor"] == [0.25]
+        _, out, _ = run(capsys, "solve", "--format", "json-lines", str(uai))
+        assert json_records(out)[0]["stats"]["redundancy_per_factor"] == [0.25]
 
     def test_json_report_deterministic(self, capsys):
         _, a, _ = run(capsys, "stats", QUEENS)

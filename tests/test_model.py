@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dafbe.errors import ModelError, TimeLimit
-from dafbe.factor import TabularFactor
+from dafbe.factor import SparseFactor, TabularFactor
 from dafbe.model import (
     GraphicalModel,
     Task,
@@ -47,6 +47,23 @@ class TestGraphicalModel:
             GraphicalModel(1, (2,), (t,), Task.MAP)
         GraphicalModel(1, (2,), (t,), Task.WCSP)  # fine as a hard constraint
 
+    def test_map_rejects_negative_values(self):
+        t = table_from_feed((0,), (2,), lambda a: -0.5 if a[0] else 1.0)
+        with pytest.raises(ModelError):
+            GraphicalModel(1, (2,), (t,), Task.MAP)
+
+    def test_cost_factors(self):
+        dense = table_from_feed((0,), (3,), lambda a: [0.0, 1.0, 0.25][a[0]])
+        sparse = SparseFactor((0, 1), (3, 2), 0.5, {(2, 1): 0.0})
+        m = GraphicalModel(2, (3, 2), (dense, sparse), Task.MAP)
+        dense_cost, sparse_cost = m.cost_factors()
+        assert dense_cost.values.tolist() == [math.inf, 0.0, math.log(4.0)]
+        assert math.copysign(1.0, dense_cost.values[1]) == 1.0  # -log 1 is +0.0
+        assert sparse_cost.default == math.log(2.0)
+        assert sparse_cost.exceptions == {(2, 1): math.inf}
+        w = GraphicalModel(2, (3, 2), (dense, sparse), Task.WCSP)
+        assert w.cost_factors() == w.factors
+
     def test_primal_graph(self):
         m = chain_model(4)
         adj = m.primal_graph()
@@ -60,8 +77,6 @@ class TestGraphicalModel:
 
 class TestTask:
     def test_ops(self):
-        assert Task.MAP.combine_op == "product" and Task.MAP.project_op == "max"
-        assert Task.WCSP.combine_op == "sum" and Task.WCSP.project_op == "min"
         assert Task.MAP.combine(2.0, 3.0) == 6.0
         assert Task.WCSP.combine(2.0, 3.0) == 5.0
         assert Task.MAP.better(3.0, 2.0) and Task.WCSP.better(2.0, 3.0)
