@@ -23,6 +23,12 @@ Kernels return ``(t_off, t_sym, t_dst, acc)`` with start state 0.  Inputs
 must be leveled (every path from the start to an accepting state has the
 same length and level i edges only read variable i's symbols); only
 ``determinize`` and ``remove_level`` accept nondeterministic transitions.
+
+``product`` builds its result minimal: it expands state pairs depth first
+and looks each result state up in a unique table once its children are
+known, so only the breadth-first renumbering follows.  ``determinize``
+and ``remove_level`` build first and merge equal states afterwards
+(``_minimize_struct``), as ``minimize`` does.
 """
 
 from array import array
@@ -39,23 +45,20 @@ def _renumber(esym, edst, final, root):
     """Canonical BFS renumbering.  Per-state edges must be symbol-sorted."""
     old2new = {root: 0}
     order = [root]
-    head = 0
-    while head < len(order):
-        s = order[head]
-        head += 1
+    for s in order:  # grows while it is walked: a breadth-first queue
         for d in edst[s]:
             if d not in old2new:
                 old2new[d] = len(order)
                 order.append(d)
-    t_off = array("i", [0])
-    t_sym = array("i")
-    t_dst = array("i")
+    off = [0]
+    sym = []
+    dst = []
     for s in order:
-        t_sym.extend(esym[s])
-        t_dst.extend(old2new[d] for d in edst[s])
-        t_off.append(len(t_sym))
-    acc = array("i", sorted(old2new[s] for s in range(len(final)) if final[s] and s in old2new))
-    return t_off, t_sym, t_dst, acc
+        sym += esym[s]
+        dst += map(old2new.__getitem__, edst[s])
+        off.append(len(sym))
+    acc = sorted(old2new[s] for s, f in enumerate(final) if f and s in old2new)
+    return array("i", off), array("i", sym), array("i", dst), array("i", acc)
 
 
 def _levels(n, edst, root):
@@ -246,102 +249,126 @@ def product(
     """Lockstep pair construction: 0 = intersect, 1 = union, 2 = difference.
 
     A missing state on one side is tracked as the dead id -1, so union and
-    difference can keep walking the side that is still alive.
+    difference can keep walking the side that is still alive.  Pairs are
+    expanded depth first on an explicit stack, so automaton length is not
+    bounded by the recursion limit.  Once a pair's children are built, its
+    edges drop children with an empty language, a complete literal fan
+    onto one child becomes a wildcard, and the state is looked up in a
+    unique table keyed by (level, symbols, destinations): equal right
+    languages share one state, so the result is minimal as built (the
+    "apply with a unique table" of Bryant, IEEE TC 35(8), 1986) and only
+    the breadth-first renumbering is left.
     """
     L = len(domains)
     DEAD = -1
     acca_set = set(acca)
     accb_set = set(accb)
 
-    pair2id = {(starta, startb): 0}
-    ppa = [starta]
-    ppb = [startb]
-    e_sym = []
-    e_dst = []
-    final = []
+    # result states in the order they are built, children first; state 0
+    # is the accepting sink, unreachable (and dropped) if nothing accepts
+    esym = [[]]
+    edst = [[]]
+    unique = {}
+    built = {}  # (pa, pb) -> result state, DEAD for an empty language
 
-    def child(da, db):
-        key = (da, db)
-        cid = pair2id.get(key)
-        if cid is None:
-            cid = len(ppa)
-            pair2id[key] = cid
-            ppa.append(da)
-            ppb.append(db)
-        return cid
-
-    def live(da, db):
-        if mode == 0:
+    if mode == 0:
+        def live(da, db):
             return da != DEAD and db != DEAD
-        if mode == 1:
+
+        def accepts(da, db):
+            return da in acca_set and db in accb_set
+    elif mode == 1:
+        def live(da, db):
             return da != DEAD or db != DEAD
-        return da != DEAD
 
-    i = 0
-    lv = 0
-    level_end = 1  # pair ids are discovered level by level
-    while i < len(ppa):
-        if i == level_end:
-            lv += 1
-            level_end = len(ppa)
-        pa = ppa[i]
-        pb = ppb[i]
-        if lv == L:
-            fa = pa != DEAD and pa in acca_set
-            fb = pb != DEAD and pb in accb_set
-            if mode == 0:
-                f = fa and fb
-            elif mode == 1:
-                f = fa or fb
-            else:
-                f = fa and not fb
-            e_sym.append([])
-            e_dst.append([])
-            final.append(f)
-            i += 1
+        def accepts(da, db):
+            return da in acca_set or db in accb_set
+    else:
+        def live(da, db):
+            return da != DEAD
+
+        def accepts(da, db):
+            return da in acca_set and db not in accb_set
+
+    def decode(off, sym, dst, s):
+        """(wildcard destination or DEAD, {literal: destination})."""
+        lo, hi = off[s], off[s + 1]
+        if hi > lo and sym[lo] == WILDCARD:
+            return dst[lo], {}
+        return DEAD, dict(zip(sym[lo:hi], dst[lo:hi]))
+
+    dec_a = {DEAD: (DEAD, {})}
+    dec_b = {DEAD: (DEAD, {})}
+
+    # a frame is (pair, level, None) until its children are pushed above
+    # it, then (pair, level, [(symbol, child pair), ...]) until it is built
+    root = (starta, startb)
+    stack = [(root, 0, None)]
+    while stack:
+        pair, lv, kids = stack.pop()
+        if kids is None:
+            if pair in built:
+                continue
+            pa, pb = pair
+            if lv == L:
+                built[pair] = 0 if accepts(pa, pb) else DEAD
+                continue
+            if pa not in dec_a:
+                dec_a[pa] = decode(offa, syma, dsta, pa)
+            if pb not in dec_b:
+                dec_b[pb] = decode(offb, symb, dstb, pb)
+            awild, amap = dec_a[pa]
+            bwild, bmap = dec_b[pb]
+            kids = []
+            if amap or bmap:
+                explicit = sorted(amap.keys() | bmap.keys()) if bmap else list(amap)
+                for v in explicit:
+                    child = (amap.get(v, awild), bmap.get(v, bwild))
+                    if live(*child):
+                        kids.append((v, child))
+                k = domains[lv]
+                if len(explicit) < k and live(awild, bwild):
+                    # symbols neither side names follow both wildcards
+                    child = (awild, bwild)
+                    seen = set(explicit)
+                    kids.extend((v, child) for v in range(k) if v not in seen)
+                    kids.sort()
+            elif live(awild, bwild):
+                kids.append((WILDCARD, (awild, bwild)))
+            stack.append((pair, lv, kids))
+            nl = lv + 1
+            for _, child in kids:
+                if child not in built:
+                    stack.append((child, nl, None))
             continue
-        k = domains[lv]
-        amap = {}
-        awild = DEAD
-        if pa != DEAD:
-            for j in range(offa[pa], offa[pa + 1]):
-                s = syma[j]
-                if s == WILDCARD:
-                    awild = dsta[j]
-                else:
-                    amap[s] = dsta[j]
-        bmap = {}
-        bwild = DEAD
-        if pb != DEAD:
-            for j in range(offb[pb], offb[pb + 1]):
-                s = symb[j]
-                if s == WILDCARD:
-                    bwild = dstb[j]
-                else:
-                    bmap[s] = dstb[j]
-        explicit = sorted(set(amap) | set(bmap))
-        out = []
-        for v in explicit:
-            da = amap.get(v, awild)
-            db = bmap.get(v, bwild)
-            if live(da, db):
-                out.append((v, child(da, db)))
-        if len(explicit) < k and live(awild, bwild):
-            cid = child(awild, bwild)
-            if not explicit:
-                out.append((WILDCARD, cid))
-            else:
-                seen = set(explicit)
-                for v in range(k):
-                    if v not in seen:
-                        out.append((v, cid))
-        out.sort()
-        e_sym.append([v for v, _ in out])
-        e_dst.append([d for _, d in out])
-        final.append(False)
-        i += 1
 
-    return _minimize_struct(len(ppa), e_sym, e_dst, final, 0, domains)
+        syms = []
+        dsts = []
+        for v, child in kids:
+            d = built[child]
+            if d != DEAD:
+                syms.append(v)
+                dsts.append(d)
+        if not syms:
+            built[pair] = DEAD
+            continue
+        if len(syms) == domains[lv] and min(dsts) == max(dsts):
+            syms = [WILDCARD]
+            dsts = dsts[:1]
+        sig = (lv, tuple(syms), tuple(dsts))
+        sid = unique.get(sig)
+        if sid is None:
+            sid = unique[sig] = len(esym)
+            esym.append(syms)
+            edst.append(dsts)
+        built[pair] = sid
+
+    root_id = built[root]
+    if root_id == DEAD:
+        return _empty_parts()
+    final = [False] * len(esym)
+    final[0] = True
+    return _renumber(esym, edst, final, root_id)
 
 
 def determinize(n, t_off, t_sym, t_dst, acc, start, domains):

@@ -15,7 +15,15 @@ Every edge runs from level l to level l + 1, so a breadth-first numbering
 gives each level one contiguous id range: level 0 is ``[0, 1)`` and the
 level after ``[a, b)`` is ``[b, 1 + max destination of a..b-1)``.
 ``insert_wildcard_level`` relies on this to splice a level in by shifting
-ids instead of rebuilding and minimizing.
+ids instead of rebuilding and minimizing, and ``remove_level`` to splice
+out a level whose every state has one wildcard edge, the exact inverse;
+any other level goes to the kernel.
+
+Where an operand's shape fixes the answer, set operations return without
+a kernel call: A & U = A, A | U = U, A - U = empty, and an empty operand
+gives A & 0 = 0, A | 0 = A, A - 0 = A, 0 - B = 0.  Being canonical, the
+returned operand is exactly what the kernel would have built.  The
+universal automaton is recognized in O(L): ``is_universal``.
 """
 
 from __future__ import annotations
@@ -275,8 +283,17 @@ class Dafsa:
         if self.domains != other.domains:
             raise AutomatonError(f"domain mismatch: {self.domains} vs {other.domains}")
 
+    def is_universal(self) -> bool:
+        """True iff every string is accepted, read off the shape in O(L).
+
+        A nonempty canonical automaton has at least one edge per level, so
+        exactly ``length`` edges, all of them wildcards, is the universal
+        chain and nothing else.
+        """
+        L = self.length
+        return len(self.acc) == 1 and len(self.t_sym) == L and self.t_sym.count(WILDCARD) == L
+
     def _product(self, other, mode):
-        self._check_same_domains(other)
         parts = kernels.product(
             mode,
             self.state_count, self.t_off, self.t_sym, self.t_dst, self.acc, self.start,
@@ -286,12 +303,27 @@ class Dafsa:
         return Dafsa._from_parts(self.domains, parts)
 
     def intersect(self, other: "Dafsa") -> "Dafsa":
+        self._check_same_domains(other)
+        if self.is_empty() or other.is_universal():
+            return self
+        if other.is_empty() or self.is_universal():
+            return other
         return self._product(other, 0)
 
     def union(self, other: "Dafsa") -> "Dafsa":
+        self._check_same_domains(other)
+        if self.is_empty() or other.is_universal():
+            return other
+        if other.is_empty() or self.is_universal():
+            return self
         return self._product(other, 1)
 
     def difference(self, other: "Dafsa") -> "Dafsa":
+        self._check_same_domains(other)
+        if self.is_empty() or other.is_empty():
+            return self
+        if other.is_universal():
+            return Dafsa.empty(self.domains)
         return self._product(other, 2)
 
     # -- level surgery -------------------------------------------------------
@@ -339,12 +371,48 @@ class Dafsa:
         """
         if not 0 <= pos < self.length:
             raise AutomatonError(f"remove position {pos} outside 0..{self.length - 1}")
+        new_domains = self.domains[:pos] + self.domains[pos + 1 :]
+        if not self.is_empty():
+            spliced = self._splice_wildcard_level(pos, new_domains)
+            if spliced is not None:
+                n = spliced.state_count
+                return spliced, n, n
         t_off, t_sym, t_dst, acc, nfa_states, raw_states = kernels.remove_level(
             self.state_count, self.t_off, self.t_sym, self.t_dst, self.acc,
             self.start, self.domains, pos,
         )
-        new_domains = self.domains[:pos] + self.domains[pos + 1 :]
         return Dafsa._from_parts(new_domains, (t_off, t_sym, t_dst, acc)), nfa_states, raw_states
+
+    def _splice_wildcard_level(self, pos, new_domains):
+        """``remove_level`` of an all-wildcard level, or None if it is not one.
+
+        The exact inverse of ``insert_wildcard_level``: when each of the w
+        states of level ``pos``, ids ``[a, b)``, has one edge and it is a
+        wildcard, minimality gives them w distinct successors, which BFS
+        numbering puts at ``[b, b + w)`` in the same order.  Dropping the
+        level-``pos`` states and shifting every later id down by w lets
+        the successors take their places, and the result is canonical.
+        Contraction then meets no nondeterminism, so the kernel would count
+        n - w states both before and after determinizing.  Single literal
+        edges do not qualify: two states may reach one successor by
+        different literals, and they would coincide once the level is gone.
+        """
+        t_off, t_sym, t_dst = self.t_off, self.t_sym, self.t_dst
+        a, b = 0, 1
+        for _ in range(pos):
+            a, b = b, max(t_dst[t_off[a] : t_off[b]]) + 1
+        e, f = t_off[a], t_off[b]
+        w = b - a
+        if f - e != w or t_sym[e:f].count(WILDCARD) != w:
+            return None
+        shift = (-w).__add__
+        off = t_off[:a]
+        off.extend(map(shift, t_off[b:]))
+        sym = t_sym[:e]
+        sym.extend(t_sym[f:])
+        dst = t_dst[:e]
+        dst.extend(map(shift, t_dst[f:]))
+        return Dafsa(new_domains, off, sym, dst, array("i", map(shift, self.acc)))
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -288,6 +288,10 @@ def result_record(
     rec["task"] = result.task.name
     rec["status"] = result.status
     rec["optimum"] = None if result.status == "infeasible" else result.optimum
+    if result.task is Task.MAP:
+        # -log of the optimum, finite where the optimum underflows to 0.0
+        cost = result.cost
+        rec["cost"] = None if cost is None or math.isinf(cost) else cost
     rec["assignment"] = None if result.assignment is None else list(result.assignment)
     stats = {
         "induced_width": result.stats.induced_width,
@@ -341,6 +345,8 @@ def record_to_human(rec: dict) -> str:
     lines.append(f"  status: {rec['status']}")
     if rec.get("optimum") is not None:
         lines.append(f"  optimum: {_format_value(rec['optimum'])}")
+    if rec.get("cost") is not None:
+        lines.append(f"  cost: {_format_value(rec['cost'])}")
     if rec.get("assignment") is not None:
         lines.append("  assignment: " + " ".join(map(str, rec["assignment"])))
     for key, val in sorted(rec.get("stats", {}).items()):

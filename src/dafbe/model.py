@@ -119,6 +119,31 @@ def _neg_log_factor(f: TabularFactor | SparseFactor) -> TabularFactor | SparseFa
     return SparseFactor(f.scope, f.domains, costs[0], dict(zip(f.exceptions, costs[1:])))
 
 
+def _adjacency_masks(model: GraphicalModel) -> list:
+    """The primal graph as int bitmasks: bit u of ``adj[v]`` is an edge."""
+    adj = [0] * model.n_vars
+    for f in model.factors:
+        mask = 0
+        for u in f.scope:
+            mask |= 1 << u
+        for u in f.scope:
+            adj[u] |= mask
+    return [m & ~(1 << v) for v, m in enumerate(adj)]
+
+
+def _eliminate(adj: list, v: int) -> int:
+    """Connect v's neighbours into a clique and drop v; returns them."""
+    nb = adj[v]
+    drop = 1 << v
+    m = nb
+    while m:
+        low = m & -m
+        m ^= low
+        a = low.bit_length() - 1
+        adj[a] = (adj[a] | nb) & ~(low | drop)
+    return nb
+
+
 def min_fill_ordering(model: GraphicalModel, weighted: bool = False) -> tuple:
     """Greedy fill-minimizing elimination ordering.
 
@@ -127,30 +152,67 @@ def min_fill_ordering(model: GraphicalModel, weighted: bool = False) -> tuple:
     missing edge by the product of its endpoint domain sizes), ties to the
     lowest id.  Variables are placed back to front, so the solver's
     last-to-first bucket sweep eliminates them in greedy order.
+
+    Adjacency is kept as bitmasks over the remaining variables.  A
+    variable v's fill is half the sum, over its neighbours a, of the
+    weight of v's other neighbours that a is not adjacent to; weights are
+    counted per domain-size group.  Eliminating x only changes the scores
+    of its neighbours and of their neighbours, so only those are rescored.
     """
-    adj = model.primal_graph()
-    remaining = set(range(model.n_vars))
+    adj = _adjacency_masks(model)
+    doms = model.domains
+    by_size = {}
+    for v, k in enumerate(doms):
+        by_size[k] = by_size.get(k, 0) | (1 << v)
+    groups = tuple(by_size.items()) if weighted and len(by_size) > 1 else None
+    # with one domain size k every missing edge weighs k * k: count them
+    scale = doms[0] ** 2 if weighted and doms else 1
+
+    def fill(v):
+        nb = adj[v]
+        total = 0
+        m = nb
+        if groups is None:
+            while m:
+                low = m & -m
+                m ^= low
+                total += (nb & adj[low.bit_length() - 1]).bit_count()
+            deg = nb.bit_count()
+            total = scale * (deg * (deg - 1) - total)
+        else:
+            w_nb = 0
+            for k, g in groups:
+                w_nb += k * (nb & g).bit_count()
+            while m:
+                low = m & -m
+                m ^= low
+                a = low.bit_length() - 1
+                common = nb & adj[a]
+                w = doms[a]
+                for k, g in groups:
+                    w += k * (common & g).bit_count()
+                total += doms[a] * (w_nb - w)
+        return total // 2  # every missing edge was counted from both ends
+
+    score = [fill(v) for v in range(model.n_vars)]
+    remaining = list(range(model.n_vars))
     order = [0] * model.n_vars
     for pos in range(model.n_vars - 1, -1, -1):
-        best_var = -1
-        best_cost = None
-        for v in sorted(remaining):
-            nbrs = [u for u in adj[v] if u in remaining]
-            cost = 0
-            for i, a in enumerate(nbrs):
-                for b in nbrs[i + 1 :]:
-                    if b not in adj[a]:
-                        cost += model.domains[a] * model.domains[b] if weighted else 1
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best_var = v
-        nbrs = [u for u in adj[best_var] if u in remaining]
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
-        remaining.discard(best_var)
-        order[pos] = best_var
+        best = min(remaining, key=score.__getitem__)  # first minimum: lowest id
+        remaining.remove(best)
+        order[pos] = best
+        nb = _eliminate(adj, best)
+        stale = nb
+        m = nb
+        while m:
+            low = m & -m
+            m ^= low
+            stale |= adj[low.bit_length() - 1]
+        while stale:
+            low = stale & -stale
+            stale ^= low
+            v = low.bit_length() - 1
+            score[v] = fill(v)
     return tuple(order)
 
 
@@ -164,17 +226,10 @@ def check_ordering(model: GraphicalModel, ordering) -> tuple:
 def induced_width(model: GraphicalModel, ordering) -> int:
     """Max neighbor count at elimination time, sweeping d last to first."""
     ordering = check_ordering(model, ordering)
-    adj = model.primal_graph()
-    remaining = set(ordering)
+    adj = _adjacency_masks(model)
     width = 0
     for v in reversed(ordering):
-        nbrs = [u for u in adj[v] if u in remaining and u != v]
-        width = max(width, len(nbrs))
-        for i, a in enumerate(nbrs):
-            for b in nbrs[i + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
-        remaining.discard(v)
+        width = max(width, _eliminate(adj, v).bit_count())
     return width
 
 
@@ -211,12 +266,17 @@ class SolveStats:
 
 @dataclasses.dataclass
 class SolverResult:
+    """``cost`` is the minimal sum the solver found (None from the
+    oracles): the optimum itself for WCSP, -log of it for MAP, where it
+    stays finite after ``optimum`` = exp(-cost) has underflowed to 0.0."""
+
     task: Task
     status: str  # "optimal" or "infeasible"
     optimum: float
     assignment: tuple | None
     ordering: tuple
     stats: SolveStats
+    cost: float | None = None
 
 
 def bucket_elimination(
@@ -240,9 +300,10 @@ def bucket_elimination(
     same either way.
 
     A WCSP with no finite-cost assignment is ``"infeasible"``.  A MAP
-    model reports the probability exp(-cost); when every assignment has
-    probability 0 that is 0.0 at the all-zeros assignment, as brute force
-    reports it.
+    model reports the probability exp(-cost), and the cost itself, which
+    stays exact where the probability underflows; when every assignment
+    has probability 0 that is 0.0 (cost inf) at the all-zeros assignment,
+    as brute force reports it.
     """
     t0 = time.monotonic()
     deadline = Deadline(time_limit)
@@ -329,8 +390,9 @@ def bucket_elimination(
     task = model.task
     if assignment is None:
         if task is Task.MAP:  # every assignment has probability 0
-            return SolverResult(task, "optimal", 0.0, (0,) * n, ordering, stats)
-        return SolverResult(task, "infeasible", math.inf, None, ordering, stats)
+            return SolverResult(task, "optimal", 0.0, (0,) * n, ordering, stats, math.inf)
+        return SolverResult(task, "infeasible", math.inf, None, ordering, stats, math.inf)
+    cost = optimum
     if task is Task.MAP:
-        optimum = math.exp(-optimum)
-    return SolverResult(task, "optimal", optimum, assignment, ordering, stats)
+        optimum = math.exp(-cost)
+    return SolverResult(task, "optimal", optimum, assignment, ordering, stats, cost)

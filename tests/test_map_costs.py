@@ -9,6 +9,7 @@ tolerance only, and its assignment must reproduce its optimum.
 """
 
 import importlib.util
+import json
 import math
 import os
 import random
@@ -20,7 +21,7 @@ import pytest
 from dafbe import oracle
 from dafbe.errors import BudgetExceeded
 from dafbe.factor import TabularFactor
-from dafbe.formats import parse_uai
+from dafbe.formats import parse_uai, record_to_json, result_record
 from dafbe.model import GraphicalModel, Task, bucket_elimination, min_fill_ordering
 
 RTOL = 1e-6
@@ -136,3 +137,34 @@ def test_all_zero_model_is_optimal_at_zero(prune):
     want = oracle.brute_force(model)
     assert (got.status, got.optimum, got.assignment) == ("optimal", 0.0, (0, 0, 0))
     assert (want.status, want.optimum, want.assignment) == ("optimal", 0.0, (0, 0, 0))
+
+
+def test_cost_survives_underflow():
+    # a 200-variable chain with potentials 1e-3..4e-3: the optimum is
+    # about 1e-500, below the smallest double, but its cost is not
+    rng = random.Random(1)
+    n = 200
+    factors = tuple(
+        TabularFactor((v, v + 1), (2, 2), np.array([rng.uniform(1e-3, 4e-3) for _ in range(4)]))
+        for v in range(n - 1)
+    )
+    model = GraphicalModel(n, (2,) * n, factors, Task.MAP)
+    result = bucket_elimination(model)
+    assert result.optimum == 0.0
+    want = -sum(math.log(f.value_of(result.assignment)) for f in model.factors)
+    assert 1000 < want < math.inf
+    assert math.isclose(result.cost, want, rel_tol=1e-9)
+    record = result_record("chain.uai", result, "dafsa")
+    assert record["optimum"] == 0.0 and record["cost"] == result.cost
+    assert json.loads(record_to_json(record))["cost"] == result.cost
+
+
+def test_cost_only_in_map_records():
+    wcsp = GraphicalModel(1, (2,), (TabularFactor((0,), (2,), np.array([3.0, 1.0])),), Task.WCSP)
+    result = bucket_elimination(wcsp)
+    assert result.cost == result.optimum == 1.0
+    assert "cost" not in result_record("x.wcsp", result, "dafsa")
+    zero = GraphicalModel(1, (2,), (TabularFactor((0,), (2,), np.zeros(2)),), Task.MAP)
+    record = result_record("zero.uai", bucket_elimination(zero), "dafsa")
+    assert record["optimum"] == 0.0 and record["cost"] is None  # cost inf: no finite cost
+    assert result_record("x.uai", oracle.brute_force(zero), "brute")["cost"] is None

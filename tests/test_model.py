@@ -82,6 +82,50 @@ class TestTask:
         assert Task.MAP.better(3.0, 2.0) and Task.WCSP.better(2.0, 3.0)
 
 
+def reference_min_fill(model, weighted=False):
+    """The set-based min-fill the bitset version replaced, kept verbatim."""
+    adj = model.primal_graph()
+    remaining = set(range(model.n_vars))
+    order = [0] * model.n_vars
+    for pos in range(model.n_vars - 1, -1, -1):
+        best_var = -1
+        best_cost = None
+        for v in sorted(remaining):
+            nbrs = [u for u in adj[v] if u in remaining]
+            cost = 0
+            for i, a in enumerate(nbrs):
+                for b in nbrs[i + 1 :]:
+                    if b not in adj[a]:
+                        cost += model.domains[a] * model.domains[b] if weighted else 1
+            if best_cost is None or cost < best_cost:
+                best_cost = cost
+                best_var = v
+        nbrs = [u for u in adj[best_var] if u in remaining]
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1 :]:
+                adj[a].add(b)
+                adj[b].add(a)
+        remaining.discard(best_var)
+        order[pos] = best_var
+    return tuple(order)
+
+
+def reference_induced_width(model, ordering):
+    """The set-based induced width the bitset version replaced."""
+    adj = model.primal_graph()
+    remaining = set(ordering)
+    width = 0
+    for v in reversed(ordering):
+        nbrs = [u for u in adj[v] if u in remaining and u != v]
+        width = max(width, len(nbrs))
+        for i, a in enumerate(nbrs):
+            for b in nbrs[i + 1 :]:
+                adj[a].add(b)
+                adj[b].add(a)
+        remaining.discard(v)
+    return width
+
+
 class TestOrdering:
     def test_is_permutation(self):
         for seed in range(20):
@@ -118,6 +162,22 @@ class TestOrdering:
             m = micro_model(seed)
             order = min_fill_ordering(m, weighted=True)
             assert sorted(order) == list(range(m.n_vars))
+
+    def test_bitset_ordering_matches_set_reference(self):
+        rng = random.Random(41)
+        for trial in range(200):
+            n = rng.randrange(0, 40)
+            domains = tuple(rng.choice([2, 2, 3, 5]) for _ in range(n))
+            factors = []
+            for _ in range(rng.randrange(0, 2 * n + 1)):
+                scope = tuple(sorted(rng.sample(range(n), rng.randrange(1, min(n, 6) + 1))))
+                dims = tuple(domains[v] for v in scope)
+                factors.append(TabularFactor(scope, dims, np.zeros(math.prod(dims))))
+            m = GraphicalModel(n, domains, tuple(factors), Task.WCSP)
+            for weighted in (False, True):
+                order = min_fill_ordering(m, weighted=weighted)
+                assert order == reference_min_fill(m, weighted), (trial, weighted)
+                assert induced_width(m, order) == reference_induced_width(m, order)
 
     def test_check_ordering_rejects_non_permutation(self):
         m = chain_model(3)
