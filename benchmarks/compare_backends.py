@@ -25,7 +25,7 @@ from array import array
 from dafbe import _kernels_py
 
 try:
-    from dafbe import _kernels_cy
+    from dafbe import _kernels_cc
 except ImportError:
     print("compiled extension not importable; build it first (pip install -e .)")
     sys.exit(1)
@@ -82,11 +82,11 @@ def main():
 
     def workload(name, call):
         t_py, out_py = bench(lambda: call(_kernels_py), args.repeats)
-        t_cy, out_cy = bench(lambda: call(_kernels_cy), args.repeats)
-        if out_py != out_cy:
+        t_cc, out_cc = bench(lambda: call(_kernels_cc), args.repeats)
+        if out_py != out_cc:
             print(f"OUTPUT MISMATCH in {name}; not publishing numbers for broken code")
             sys.exit(2)
-        rows.append((name, t_py, t_cy))
+        rows.append((name, t_py, t_cc))
 
     workload(
         f"compile {len(words_a)} sorted strings (len {length})",
@@ -143,8 +143,8 @@ def main():
 
     width = max(len(r[0]) for r in rows)
     print(f"{'workload'.ljust(width)}  {'python':>10}  {'compiled':>10}  {'speedup':>8}")
-    for name, t_py, t_cy in rows:
-        print(f"{name.ljust(width)}  {t_py:>9.4f}s  {t_cy:>9.4f}s  {t_py / t_cy:>7.1f}x")
+    for name, t_py, t_cc in rows:
+        print(f"{name.ljust(width)}  {t_py:>9.4f}s  {t_cc:>9.4f}s  {t_py / t_cc:>7.1f}x")
 
 
 if __name__ == "__main__":

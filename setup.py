@@ -1,11 +1,12 @@
 """Build hook for the optional compiled kernel extension.
 
-The package is fully functional without the extension: ``dafbe._backend``
-falls back to the pure-Python kernels when ``dafbe._kernels_cy`` is missing.
-Set DAFBE_PURE=1 to skip the compile step entirely.
+``dafbe._kernels_cc`` is built from the one hand-written C++17 file
+``src/dafbe/_kernels_cc.cpp``; a C++17 compiler and the Python headers
+are all it needs.  The package is fully functional without it:
+``dafbe._backend`` falls back to the pure-Python kernels, and a failed
+build only warns.
 """
 
-import os
 import sys
 
 from setuptools import Extension, setup
@@ -30,29 +31,17 @@ class OptionalBuildExt(build_ext):
     @staticmethod
     def _warn(exc):
         print(
-            f"warning: could not build dafbe._kernels_cy ({exc}); "
+            f"warning: could not build dafbe._kernels_cc ({exc}); "
             "falling back to pure-Python kernels",
             file=sys.stderr,
         )
 
 
-def extensions():
-    if os.environ.get("DAFBE_PURE"):
-        return []
-    if not os.path.exists("src/dafbe/_kernels_cy.pyx"):
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("warning: Cython unavailable; building pure-Python dafbe", file=sys.stderr)
-        return []
-    ext = Extension(
-        "dafbe._kernels_cy",
-        ["src/dafbe/_kernels_cy.pyx"],
-        language="c++",
-        extra_compile_args=["-O2"],
-    )
-    return cythonize([ext], language_level="3")
+KERNELS = Extension(
+    "dafbe._kernels_cc",
+    ["src/dafbe/_kernels_cc.cpp"],
+    language="c++",
+    extra_compile_args=["-std=c++17", "-O2"],
+)
 
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(ext_modules=[KERNELS], cmdclass={"build_ext": OptionalBuildExt})

@@ -1,8 +1,10 @@
 """Flat-array kernels for leveled-DAFSA algebra, pure-Python edition.
 
-``_kernels_cy.pyx`` is the compiled twin; ``dafbe._backend`` picks whichever
-imports.  The two editions must agree byte for byte, which is possible
-because every kernel returns the *canonical form* of its result:
+``_kernels_cc.cpp`` is the compiled twin, a hand-written C++17 extension
+with the same names and positional signatures; ``dafbe._backend`` picks
+whichever imports.  The two editions must agree byte for byte on
+well-formed input, which is possible because every kernel returns the
+*canonical form* of its result:
 
 * minimal automaton (for the deterministic leveled case this is unique),
 * every complete literal fan onto a single successor rewritten as one
@@ -23,6 +25,12 @@ Kernels return ``(t_off, t_sym, t_dst, acc)`` with start state 0.  Inputs
 must be leveled (every path from the start to an accepting state has the
 same length and level i edges only read variable i's symbols); only
 ``determinize`` and ``remove_level`` accept nondeterministic transitions.
+
+This edition does not check its inputs.  Malformed arrays (state ids out
+of range, broken offsets, symbols outside their level's domain) give a
+Python exception or a meaningless result, never a crash, and the
+byte-identity contract does not cover them.  The compiled edition checks
+them before it reads them and raises ``AutomatonError``.
 
 ``product`` builds its result minimal: it expands state pairs depth first
 and looks each result state up in a unique table once its children are

@@ -99,8 +99,14 @@ def _tolerance_ok(task: Task, a: float, b: float) -> bool:
 
 
 def _certify(model: GraphicalModel, result) -> bool:
+    """Does the assignment reproduce the optimum?  Compared in cost space
+    when the engine reports a cost: a MAP optimum below the smallest
+    double is 0.0, and every assignment would match it as a product."""
     if result.status != "optimal":
         return True
+    if result.cost is not None:
+        cost = sum(f.value_of(result.assignment) for f in model.cost_factors())
+        return math.isclose(cost, result.cost, rel_tol=1e-9, abs_tol=1e-9)
     return _tolerance_ok(model.task, model.evaluate(result.assignment), result.optimum)
 
 

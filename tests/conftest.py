@@ -1,6 +1,10 @@
 import itertools
 import os
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from dafbe.factor import DafsaFactor, TabularFactor
 from dafbe.model import GraphicalModel, Task
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+SRC_PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "dafbe")
 
 
 def fixture_path(name):
@@ -58,3 +63,37 @@ def micro_model(seed, task=None):
 @pytest.fixture
 def rng():
     return random.Random(0xDAF5A)
+
+
+@pytest.fixture(scope="session")
+def compiled_src(tmp_path_factory):
+    """A copy of ``src/dafbe`` with ``_kernels_cc.cpp`` built into it.
+
+    Returns the directory to put on ``PYTHONPATH``.  The extension is built
+    once per session, into the copy and never into ``src/``, where import
+    (and the benchmark) would pick it up.  Skips without g++ or ``Python.h``.
+    """
+    include = sysconfig.get_paths()["include"]
+    cxx = shutil.which("g++")
+    if cxx is None or not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("building dafbe._kernels_cc needs g++ and Python.h")
+    root = tmp_path_factory.mktemp("compiled_src")
+    package = root / "dafbe"
+    shutil.copytree(SRC_PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    source = package / "_kernels_cc.cpp"
+    target = package / ("_kernels_cc" + sysconfig.get_config_var("EXT_SUFFIX"))
+    proc = subprocess.run(
+        [cxx, "-std=c++17", "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
+        capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        pytest.fail(f"g++ could not build {source}:\n{proc.stderr[-3000:]}")
+    return str(root)
+
+
+def run_python(pythonpath, args, kernels=None):
+    """Run ``python args`` with only ``pythonpath`` on the path, DAFBE_KERNELS set if given."""
+    env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": pythonpath}
+    if kernels is not None:
+        env["DAFBE_KERNELS"] = kernels
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)

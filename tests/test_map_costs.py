@@ -8,6 +8,7 @@ with ``brute_force`` where the joint space fits its budget, by a relative
 tolerance only, and its assignment must reproduce its optimum.
 """
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 from dafbe import oracle
+from dafbe.cli import _certify
 from dafbe.errors import BudgetExceeded
 from dafbe.factor import TabularFactor
 from dafbe.formats import parse_uai, record_to_json, result_record
@@ -139,7 +141,7 @@ def test_all_zero_model_is_optimal_at_zero(prune):
     assert (want.status, want.optimum, want.assignment) == ("optimal", 0.0, (0, 0, 0))
 
 
-def test_cost_survives_underflow():
+def _underflowing_chain():
     # a 200-variable chain with potentials 1e-3..4e-3: the optimum is
     # about 1e-500, below the smallest double, but its cost is not
     rng = random.Random(1)
@@ -148,7 +150,11 @@ def test_cost_survives_underflow():
         TabularFactor((v, v + 1), (2, 2), np.array([rng.uniform(1e-3, 4e-3) for _ in range(4)]))
         for v in range(n - 1)
     )
-    model = GraphicalModel(n, (2,) * n, factors, Task.MAP)
+    return GraphicalModel(n, (2,) * n, factors, Task.MAP)
+
+
+def test_cost_survives_underflow():
+    model = _underflowing_chain()
     result = bucket_elimination(model)
     assert result.optimum == 0.0
     want = -sum(math.log(f.value_of(result.assignment)) for f in model.factors)
@@ -157,6 +163,21 @@ def test_cost_survives_underflow():
     record = result_record("chain.uai", result, "dafsa")
     assert record["optimum"] == 0.0 and record["cost"] == result.cost
     assert json.loads(record_to_json(record))["cost"] == result.cost
+
+
+def test_certification_compares_costs():
+    # every assignment of the chain has probability 0.0 as a double, so
+    # only a comparison of costs tells the optimum from the rest
+    model = _underflowing_chain()
+    result = bucket_elimination(model)
+    assert model.evaluate(result.assignment) == result.optimum == 0.0
+    assert _certify(model, result)
+    flipped = [1 - v for v in result.assignment]  # cost 1212.53 against 1148.07
+    assert not _certify(model, dataclasses.replace(result, assignment=tuple(flipped)))
+    for var in range(model.n_vars):
+        one_flip = list(result.assignment)
+        one_flip[var] = 1 - one_flip[var]  # costs 1148.08 to 1150.51
+        assert not _certify(model, dataclasses.replace(result, assignment=tuple(one_flip)))
 
 
 def test_cost_only_in_map_records():
