@@ -7,10 +7,15 @@
 // array('i').
 //
 // Unlike the Python edition, every kernel checks its inputs before it
-// reads them: CSR shape, state ids, and each reachable state's symbols
-// against the domain of its breadth-first level.  A violation raises
+// reads them: CSR shape, state ids, each reachable state's symbols against
+// the domain of its breadth-first level, and that each of its edges runs
+// to the next level.  A violation raises
 // dafbe.errors.AutomatonError, and running out of memory raises
 // MemoryError, so no input can crash the interpreter.
+//
+// Every kernel builds its result minimal as it goes, with no merge pass:
+// compile_sorted through its register, product and the subset walk behind
+// determinize, minimize and remove_level through a unique table (Unique).
 //
 // Build by hand (setup.py does the same through setuptools):
 //   g++ -std=c++17 -O2 -shared -fPIC -I<Python include dir> _kernels_cc.cpp
@@ -167,69 +172,65 @@ bool complete_fan(const Ints& syms, const Ints& dsts, int k) {
     return std::all_of(dsts.begin(), dsts.end(), [&](int d) { return d == dsts[0]; });
 }
 
-// Merge equivalent states bottom-up; return canonical flat parts.
-//
-// Equivalence signature: (level, accepting, edge list with destinations
-// replaced by their merged ids).  Dead edges are dropped first and
-// complete literal fans collapse to wildcards, as in _kernels_py.
-Parts minimize_struct(const CsrView& g, int n, const Flags& final, int root, const Ints& lev,
-                      const Ints& dom) {
-    const int L = static_cast<int>(dom.size());
-    std::vector<Ints> buckets(L + 1);
-    for (int s = 0; s < n; ++s) {
-        if (lev[s] > L) throw BadInput("state " + str(s) + " lies beyond the last level");
-        if (lev[s] >= 0) buckets[lev[s]].push_back(s);
-    }
-    Flags alive(n, 0);
-    for (int lv = L; lv >= 0; --lv) {
-        for (int s : buckets[lv]) {
-            if (final[s]) {
-                alive[s] = 1;
-                continue;
-            }
-            for (int d : g.dsts(s)) {
-                if (alive[d]) {
-                    alive[s] = 1;
-                    break;
-                }
+// Result states, built children first and interned in a unique table
+// keyed by (level, symbols, destinations), as _kernels_py._Unique: equal
+// right languages share one state, so the result is minimal as built.
+// State 0 is the accepting sink, unreachable (and dropped) if nothing
+// accepts.
+struct Unique {
+    Csr res;
+    UniqueTable table;
+    Ints syms, dsts, sig;
+
+    Unique() { res.off.push_back(0); }
+
+    // The state whose candidate edges are kids [b, e), or DEAD: children
+    // with an empty language are dropped and a complete literal fan onto
+    // one child becomes a wildcard.  state_of maps a kid to its child's
+    // state; kid.v is its symbol.
+    template <class It, class StateOf>
+    int finish(int lv, int k, It b, It e, const StateOf& state_of) {
+        syms.clear();
+        dsts.clear();
+        for (It kid = b; kid != e; ++kid) {
+            const int d = state_of(*kid);
+            if (d != DEAD) {
+                syms.push_back(kid->v);
+                dsts.push_back(d);
             }
         }
-    }
-    Ints rep(n, -1), syms, dsts, sig;
-    UniqueTable sig2id;
-    Csr m;
-    Flags m_final;
-    for (int lv = L; lv >= 0; --lv) {
-        const int k = lv < L ? dom[lv] : 0;
-        for (int s : buckets[lv]) {
-            if (!alive[s]) continue;
-            syms.clear();
-            dsts.clear();
-            Span src_syms = g.syms(s), src_dsts = g.dsts(s);
-            for (size_t j = 0; j < src_syms.size(); ++j) {
-                int d = src_dsts[j];
-                if (!alive[d]) continue;
-                if (rep[d] < 0) throw BadInput("edge " + str(s) + "->" + str(d) + " is not leveled");
-                syms.push_back(src_syms[j]);
-                dsts.push_back(rep[d]);
-            }
-            if (complete_fan(syms, dsts, k)) {
-                syms.assign(1, WILDCARD);
-                dsts.resize(1);
-            }
-            sig.assign({lv, final[s]});
-            sig.insert(sig.end(), syms.begin(), syms.end());
-            sig.insert(sig.end(), dsts.begin(), dsts.end());
-            auto hit = sig2id.try_emplace(sig, m.size());
-            if (hit.second) {
-                m.add_state(syms, dsts);
-                m_final.push_back(final[s]);
-            }
-            rep[s] = hit.first->second;
+        if (syms.empty()) return DEAD;
+        if (complete_fan(syms, dsts, k)) {
+            syms.assign(1, WILDCARD);
+            dsts.resize(1);
         }
+        sig.assign(1, lv);
+        sig.insert(sig.end(), syms.begin(), syms.end());
+        sig.insert(sig.end(), dsts.begin(), dsts.end());
+        const auto hit = table.try_emplace(sig, res.size());
+        if (hit.second) res.add_state(syms, dsts);
+        return hit.first->second;
     }
-    if (rep[root] < 0) return empty_parts();
-    return renumber(m.view(), m.size(), m_final, rep[root]);
+
+    // Canonical flat parts of the automaton rooted at state root.
+    Parts parts(int root) const {
+        if (root == DEAD) return empty_parts();
+        Flags final(res.size(), 0);
+        final[0] = 1;
+        return renumber(res.view(), res.size(), final, root);
+    }
+};
+
+// Calls add(symbol, destination) for each edge of state s.
+template <class Add>
+void each_edge(const CsrView& g, int s, Add& add) {
+    for (int j = g.off[s]; j < g.off[s + 1]; ++j) add(g.sym[j], g.dst[j]);
+}
+
+template <class T>
+void sort_unique(std::vector<T>& v) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
 }
 
 // -- Python boundary ---------------------------------------------------------
@@ -342,6 +343,11 @@ struct Automaton {
                     throw BadInput("state " + str(s) + ": symbol " + str(v) + " outside domain " +
                                    str(dom[lev[s]]) + " at level " + str(lev[s]));
             }
+            for (int d : g.dsts(s)) {
+                if (lev[d] != lev[s] + 1)
+                    throw BadInput("edge " + str(s) + "->" + str(d) + " does not run from level " +
+                                   str(lev[s]) + " to the next");
+            }
         }
     }
 };
@@ -385,18 +391,6 @@ PyObject* pack(const Parts& p, std::initializer_list<long> counts = {}) {
 
 // -- kernels -----------------------------------------------------------------
 
-PyObject* py_minimize(PyObject* args) {
-    int n, start;
-    PyObject *t_off, *t_sym, *t_dst, *acc, *domains;
-    if (!PyArg_ParseTuple(args, "iOOOOiO:minimize", &n, &t_off, &t_sym, &t_dst, &acc, &start,
-                          &domains))
-        throw PyFailure();
-    const Ints dom = parse_domains(domains);
-    Automaton a;
-    a.load(n, t_off, t_sym, t_dst, acc, start, dom);
-    return pack(minimize_struct(a.view(), a.n, a.final, a.start, a.lev, dom));
-}
-
 // Minimal DAFSA of n_strings strictly increasing rows of a flat buffer,
 // by incremental register construction (see _kernels_py.compile_sorted).
 Parts compile_sorted(const IntBuffer& dig, int n_strings, int length, const Ints& dom) {
@@ -410,14 +404,21 @@ Parts compile_sorted(const IntBuffer& dig, int n_strings, int length, const Ints
     UniqueTable reg;
     Ints path{0}, sig;  // path[d] = state at depth d, the final sink excluded
 
-    auto freeze_last = [&]() {  // replace or register the deepest path state
-        const int d = static_cast<int>(path.size()) - 1;
+    // collapse s's complete literal fan, then return its registered twin
+    auto freeze = [&](int s, int depth) {
+        if (complete_fan(g.sym[s], g.dst[s], dom[depth])) {
+            g.sym[s].assign(1, WILDCARD);
+            g.dst[s].resize(1);
+        }
+        sig.assign(1, depth);
+        sig.insert(sig.end(), g.sym[s].begin(), g.sym[s].end());
+        sig.insert(sig.end(), g.dst[s].begin(), g.dst[s].end());
+        return reg.try_emplace(sig, s).first->second;
+    };
+    auto freeze_last = [&]() {
         const int child = path.back();
         path.pop_back();
-        sig.assign(1, d);
-        sig.insert(sig.end(), g.sym[child].begin(), g.sym[child].end());
-        sig.insert(sig.end(), g.dst[child].begin(), g.dst[child].end());
-        g.dst[path.back()].back() = reg.try_emplace(sig, child).first->second;
+        g.dst[path.back()].back() = freeze(child, static_cast<int>(path.size()));
     };
 
     for (Py_ssize_t i = 0; i < n_strings; ++i) {
@@ -442,21 +443,11 @@ Parts compile_sorted(const IntBuffer& dig, int n_strings, int length, const Ints
         }
     }
     while (path.size() > 1) freeze_last();
+    freeze(0, 0);
 
-    // wildcard normal form, then canonical numbering; the register output
-    // is already minimal so no merge pass is needed
-    const int n = static_cast<int>(g.sym.size());
-    const Ints lev = bfs_levels(g, n, 0);
-    for (int s = 0; s < n; ++s) {
-        if (lev[s] < 0 || lev[s] >= length) continue;
-        if (complete_fan(g.sym[s], g.dst[s], dom[lev[s]])) {
-            g.sym[s].assign(1, WILDCARD);
-            g.dst[s].resize(1);
-        }
-    }
-    Flags final(n, 0);
+    Flags final(g.sym.size(), 0);
     final[FINAL] = 1;
-    return renumber(g, n, final, 0);
+    return renumber(g, static_cast<int>(g.sym.size()), final, 0);
 }
 
 PyObject* py_compile_sorted(PyObject* args) {
@@ -513,11 +504,8 @@ Decoded decode(const Automaton& x, int s) {
 
 // Lockstep pair construction: 0 = intersect, 1 = union, 2 = difference.
 //
-// Pairs are expanded depth first on an explicit stack.  Once a pair's
-// children are built, dead children are dropped, a complete fan onto one
-// child becomes a wildcard, and the state is interned in a unique table
-// keyed by (level, symbols, destinations), so the result is minimal as
-// built and only the breadth-first renumbering is left.
+// Pairs are expanded depth first on an explicit stack, and Unique finishes
+// each pair once its children are built, so the result is minimal as built.
 Parts product(int mode, const Automaton& a, const Automaton& b, const Ints& dom) {
     const int L = static_cast<int>(dom.size());
     auto live = [mode](int da, int db) {
@@ -532,14 +520,10 @@ Parts product(int mode, const Automaton& a, const Automaton& b, const Ints& dom)
                static_cast<uint32_t>(db + 1);
     };
 
-    // result states in the order they are built, children first; state 0
-    // is the accepting sink, unreachable (and dropped) if nothing accepts
-    Csr res;
-    res.off.push_back(0);
-    UniqueTable unique;
+    Unique out;
     std::unordered_map<uint64_t, int> built;  // pair -> result state, DEAD if empty
     std::vector<Kid> kids;                    // a stack: frames own nested ranges
-    Ints expl, syms, dsts, sig;
+    Ints expl;
 
     // kbeg < 0 until the pair's children are pushed above it; then its kids
     // are kids[kbeg, kend) until it is built
@@ -604,38 +588,12 @@ Parts product(int mode, const Automaton& a, const Automaton& b, const Ints& dom)
             continue;
         }
 
-        syms.clear();
-        dsts.clear();
-        for (int q = f.kbeg; q < f.kend; ++q) {
-            const int d = built.at(key(kids[q].da, kids[q].db));
-            if (d != DEAD) {
-                syms.push_back(kids[q].v);
-                dsts.push_back(d);
-            }
-        }
+        const int state = out.finish(f.lv, dom[f.lv], kids.begin() + f.kbeg, kids.begin() + f.kend,
+                                     [&](const Kid& q) { return built.at(key(q.da, q.db)); });
         kids.resize(f.kbeg);
-        if (syms.empty()) {
-            built[pair] = DEAD;
-            continue;
-        }
-        if (syms.size() == static_cast<size_t>(dom[f.lv]) &&
-            std::all_of(dsts.begin(), dsts.end(), [&](int d) { return d == dsts[0]; })) {
-            syms.assign(1, WILDCARD);
-            dsts.resize(1);
-        }
-        sig.assign(1, f.lv);
-        sig.insert(sig.end(), syms.begin(), syms.end());
-        sig.insert(sig.end(), dsts.begin(), dsts.end());
-        const auto hit = unique.try_emplace(sig, res.size());
-        if (hit.second) res.add_state(syms, dsts);
-        built[pair] = hit.first->second;
+        built[pair] = state;
     }
-
-    const int root = built[key(a.start, b.start)];
-    if (root == DEAD) return empty_parts();
-    Flags final(res.size(), 0);
-    final[0] = 1;
-    return renumber(res.view(), res.size(), final, root);
+    return out.parts(built[key(a.start, b.start)]);
 }
 
 PyObject* py_product(PyObject* args) {
@@ -652,113 +610,135 @@ PyObject* py_product(PyObject* args) {
     return pack(product(mode, a, b, dom));
 }
 
-// Level-synchronous subset construction for a leveled NFA, then minimize.
-// Sets raw_states to the subset count before minimization.
-Parts determinize(const CsrView& g, const Flags& final, int start, const Ints& dom,
-                  int& raw_states) {
+// One candidate edge of a subset: symbol and child subset.
+struct SubsetKid {
+    int v, sub;
+    bool operator<(const SubsetKid& o) const { return v < o.v; }
+};
+
+// Depth-first subset construction that builds its result minimal, as
+// _kernels_py._walk: subsets are expanded as product expands pairs and
+// finished by Unique.  edges(s, lv, add) calls add(symbol, destination)
+// for each edge of member s on level lv (duplicates and wildcards beside
+// literals allowed), accepting(s) tells whether a member on the last level
+// accepts.  Sets n_subsets to the number of distinct subsets
+// reachable from {start}, including those with an empty language.
+template <class EdgesOf, class Accepting>
+Parts walk(const Ints& dom, int start, const EdgesOf& edges, const Accepting& accepting,
+           int& n_subsets) {
     const int L = static_cast<int>(dom.size());
+    constexpr int UNBUILT = -2;
     Ints soff{0}, smem;  // members of subset i are smem[soff[i], soff[i + 1])
+    Ints built;          // subset -> result state, DEAD if empty, UNBUILT
     UniqueTable sub2id;
-    auto child = [&](const Ints& members) {
-        const auto hit = sub2id.try_emplace(members, static_cast<int>(soff.size()) - 1);
+    auto subset = [&](const Ints& members) {
+        const auto hit = sub2id.try_emplace(members, static_cast<int>(built.size()));
         if (hit.second) {
             smem.insert(smem.end(), members.begin(), members.end());
             soff.push_back(static_cast<int>(smem.size()));
+            built.push_back(UNBUILT);
         }
         return hit.first->second;
     };
-    child(Ints{start});
 
-    Csr dfa;
-    Flags dfinal;
-    Ints wild, expl, members, out_sym, out_dst;
-    std::vector<std::pair<int, int>> lits, out;
-    int lv = 0, level_end = 1;
-    for (int i = 0; i < static_cast<int>(soff.size()) - 1; ++i) {
-        if (i == level_end) {
-            ++lv;
-            level_end = static_cast<int>(soff.size()) - 1;
-        }
-        if (lv == L) {
-            bool f = false;
-            for (int p = soff[i]; p < soff[i + 1] && !f; ++p) f = final[smem[p]];
-            dfa.add_state({}, {});
-            dfinal.push_back(f);
+    Unique out;
+    std::vector<SubsetKid> kids;  // a stack: frames own nested ranges
+    Ints wild, members;
+    std::vector<std::pair<int, int>> lits;
+    // kbeg < 0 until the subset's children are pushed above it; then its
+    // kids are kids[kbeg, kend) until it is built
+    struct Frame {
+        int sub, lv, kbeg, kend;
+    };
+    std::vector<Frame> stack{{subset(Ints{start}), 0, -1, -1}};
+    while (!stack.empty()) {
+        const Frame f = stack.back();
+        stack.pop_back();
+        if (f.kbeg >= 0) {
+            built[f.sub] = out.finish(f.lv, dom[f.lv], kids.begin() + f.kbeg, kids.begin() + f.kend,
+                                      [&](const SubsetKid& q) { return built[q.sub]; });
+            kids.resize(f.kbeg);
             continue;
         }
-        const int k = dom[lv];
+        if (built[f.sub] != UNBUILT) continue;
+        if (f.lv == L) {
+            bool acc = false;
+            for (int p = soff[f.sub]; p < soff[f.sub + 1] && !acc; ++p) acc = accepting(smem[p]);
+            built[f.sub] = acc ? 0 : DEAD;
+            continue;
+        }
         wild.clear();
         lits.clear();
-        for (int p = soff[i]; p < soff[i + 1]; ++p) {
-            const int s = smem[p];
-            Span syms = g.syms(s), dsts = g.dsts(s);
-            for (size_t j = 0; j < syms.size(); ++j) {
-                if (syms[j] == WILDCARD)
-                    wild.push_back(dsts[j]);
-                else
-                    lits.emplace_back(syms[j], dsts[j]);
-            }
-        }
-        std::sort(wild.begin(), wild.end());
-        wild.erase(std::unique(wild.begin(), wild.end()), wild.end());
-        std::sort(lits.begin(), lits.end());
-        lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
+        auto add = [&](int v, int d) {
+            if (v == WILDCARD)
+                wild.push_back(d);
+            else
+                lits.emplace_back(v, d);
+        };
+        for (int p = soff[f.sub]; p < soff[f.sub + 1]; ++p) edges(smem[p], f.lv, add);
+        sort_unique(wild);
+        sort_unique(lits);
 
-        out.clear();
-        expl.clear();
+        const int kbeg = static_cast<int>(kids.size());
         for (size_t q = 0; q < lits.size();) {
             const int v = lits[q].first;
             members.assign(wild.begin(), wild.end());
             for (; q < lits.size() && lits[q].first == v; ++q) members.push_back(lits[q].second);
-            std::sort(members.begin(), members.end());
-            members.erase(std::unique(members.begin(), members.end()), members.end());
-            expl.push_back(v);
-            out.emplace_back(v, child(members));
+            sort_unique(members);
+            kids.push_back({v, subset(members)});
         }
-        if (!wild.empty() && static_cast<int>(expl.size()) < k) {
-            const int cid = child(wild);
-            if (expl.empty()) {
-                out.emplace_back(WILDCARD, cid);
+        const int k = dom[f.lv], kexpl = static_cast<int>(kids.size());
+        if (!wild.empty() && kexpl - kbeg < k) {
+            const int rest = subset(wild);
+            if (kexpl == kbeg) {
+                kids.push_back({WILDCARD, rest});
             } else {
-                size_t scan = 0;
+                // symbols no member names follow the wildcards
+                int scan = kbeg;
                 for (int v = 0; v < k; ++v) {
-                    while (scan < expl.size() && expl[scan] < v) ++scan;
-                    if (scan < expl.size() && expl[scan] == v) continue;
-                    out.emplace_back(v, cid);
+                    while (scan < kexpl && kids[scan].v < v) ++scan;
+                    if (scan < kexpl && kids[scan].v == v) continue;
+                    kids.push_back({v, rest});
                 }
+                std::sort(kids.begin() + kbeg, kids.end());
             }
         }
-        std::sort(out.begin(), out.end());
-        out_sym.clear();
-        out_dst.clear();
-        for (const auto& e : out) {
-            out_sym.push_back(e.first);
-            out_dst.push_back(e.second);
+        const int kend = static_cast<int>(kids.size());
+        stack.push_back({f.sub, f.lv, kbeg, kend});
+        for (int q = kbeg; q < kend; ++q) {
+            if (built[kids[q].sub] == UNBUILT) stack.push_back({kids[q].sub, f.lv + 1, -1, -1});
         }
-        dfa.add_state(out_sym, out_dst);
-        dfinal.push_back(0);
     }
-    raw_states = dfa.size();
-    const Ints lev = bfs_levels(dfa.view(), dfa.size(), 0);
-    return minimize_struct(dfa.view(), dfa.size(), dfinal, 0, lev, dom);
+    n_subsets = static_cast<int>(built.size());
+    return out.parts(built[0]);
 }
 
-PyObject* py_determinize(PyObject* args) {
+// determinize and minimize: the walk over the input's own edges (a DFA is
+// an NFA whose subsets are singletons).
+PyObject* walk_own_edges(PyObject* args, const char* format, bool with_count) {
     int n, start;
     PyObject *t_off, *t_sym, *t_dst, *acc, *domains;
-    if (!PyArg_ParseTuple(args, "iOOOOiO:determinize", &n, &t_off, &t_sym, &t_dst, &acc, &start,
-                          &domains))
+    if (!PyArg_ParseTuple(args, format, &n, &t_off, &t_sym, &t_dst, &acc, &start, &domains))
         throw PyFailure();
     const Ints dom = parse_domains(domains);
     Automaton a;
     a.load(n, t_off, t_sym, t_dst, acc, start, dom);
-    int raw_states = 0;
-    const Parts p = determinize(a.view(), a.final, a.start, dom, raw_states);
-    return pack(p, {raw_states});
+    const CsrView g = a.view();
+    int n_subsets = 0;
+    const Parts p = walk(
+        dom, a.start, [&](int s, int, auto& add) { each_edge(g, s, add); },
+        [&](int s) { return a.final[s] != 0; }, n_subsets);
+    return with_count ? pack(p, {n_subsets}) : pack(p);
 }
 
-// Project out level lvl: each level-lvl state inherits the edges of its
-// successors (an NFA in general), which is then determinized.
+PyObject* py_determinize(PyObject* args) {
+    return walk_own_edges(args, "iOOOOiO:determinize", true);
+}
+
+PyObject* py_minimize(PyObject* args) { return walk_own_edges(args, "iOOOOiO:minimize", false); }
+
+// Project out level lvl: each level-lvl state takes the merged edges of its
+// successors (nondeterministic in general), read by the walk on the fly.
 PyObject* py_remove_level(PyObject* args) {
     int n, start, lvl;
     PyObject *t_off, *t_sym, *t_dst, *acc, *domains;
@@ -772,52 +752,36 @@ PyObject* py_remove_level(PyObject* args) {
     a.load(n, t_off, t_sym, t_dst, acc, start, dom);
     const CsrView g = a.view();
 
-    Ints old2new(n, -1);
-    int kept = 0;
-    for (int s = 0; s < n; ++s) {
-        if (a.lev[s] >= 0 && a.lev[s] != lvl + 1) old2new[s] = kept++;
-    }
-    auto renamed = [&](int s, int d) {
-        if (old2new[d] < 0) throw BadInput("edge " + str(s) + "->" + str(d) + " is not leveled");
-        return old2new[d];
-    };
-    Csr nfa;
-    Flags nfinal;
-    Ints e_sym, e_dst;
-    std::vector<std::pair<int, int>> agg;
-    for (int s = 0; s < n; ++s) {
-        if (old2new[s] < 0) continue;
-        e_sym.clear();
-        e_dst.clear();
-        bool fin = a.final[s];
-        if (a.lev[s] == lvl) {
-            agg.clear();
-            fin = false;
-            for (int t : g.dsts(s)) {
-                fin = fin || a.final[t];
-                Span syms = g.syms(t), dsts = g.dsts(t);
-                for (size_t j = 0; j < syms.size(); ++j) agg.emplace_back(syms[j], renamed(t, dsts[j]));
-            }
-            std::sort(agg.begin(), agg.end());
-            agg.erase(std::unique(agg.begin(), agg.end()), agg.end());
-            for (const auto& e : agg) {
-                e_sym.push_back(e.first);
-                e_dst.push_back(e.second);
-            }
-        } else {
-            Span syms = g.syms(s), dsts = g.dsts(s);
-            e_sym.assign(syms.begin(), syms.end());
-            for (int d : dsts) e_dst.push_back(renamed(s, d));
+    // the contracted edges of a level-lvl state, merged when first read
+    std::vector<std::vector<std::pair<int, int>>> merged(n);
+    Flags done(n, 0);
+    auto edges = [&](int s, int lv, auto& add) {
+        if (lv != lvl) return each_edge(g, s, add);
+        if (!done[s]) {
+            auto keep = [&](int v, int d) { merged[s].emplace_back(v, d); };
+            for (int t : g.dsts(s)) each_edge(g, t, keep);
+            sort_unique(merged[s]);
+            done[s] = 1;
         }
-        nfa.add_state(e_sym, e_dst);
-        nfinal.push_back(fin);
-    }
+        for (const auto& e : merged[s]) add(e.first, e.second);
+    };
+    // on the new last level, contracted states accept through an accepting
+    // successor
+    auto accepting = [&](int s) {
+        if (lvl < L - 1) return a.final[s] != 0;
+        for (int t : g.dsts(s)) {
+            if (a.final[t]) return true;
+        }
+        return false;
+    };
 
+    int nfa_states = 0;
+    for (int s = 0; s < n; ++s) nfa_states += a.lev[s] >= 0 && a.lev[s] != lvl + 1;
     Ints new_dom(dom);
     new_dom.erase(new_dom.begin() + lvl);
-    int raw_states = 0;
-    const Parts p = determinize(nfa.view(), nfinal, old2new[a.start], new_dom, raw_states);
-    return pack(p, {kept, raw_states});
+    int n_subsets = 0;
+    const Parts p = walk(new_dom, a.start, edges, accepting, n_subsets);
+    return pack(p, {nfa_states, n_subsets});
 }
 
 PyObject* py_empty_parts(PyObject*) { return pack(empty_parts()); }
@@ -859,9 +823,15 @@ PyMethodDef methods[] = {
 };
 
 PyModuleDef module_def = {
-    PyModuleDef_HEAD_INIT, "_kernels_cc",
-    "Flat-array kernels for leveled-DAFSA algebra, compiled edition of dafbe._kernels_py.",
-    -1, methods,
+    PyModuleDef_HEAD_INIT,
+    "_kernels_cc",                                                                          // m_name
+    "Flat-array kernels for leveled-DAFSA algebra, compiled edition of dafbe._kernels_py.",  // m_doc
+    -1,                                                                                     // m_size
+    methods,                                                                                // m_methods
+    nullptr,                                                                                // m_slots
+    nullptr,                                                                                // m_traverse
+    nullptr,                                                                                // m_clear
+    nullptr,                                                                                // m_free
 };
 
 }  // namespace

@@ -27,21 +27,25 @@ same length and level i edges only read variable i's symbols); only
 ``determinize`` and ``remove_level`` accept nondeterministic transitions.
 
 This edition does not check its inputs.  Malformed arrays (state ids out
-of range, broken offsets, symbols outside their level's domain) give a
-Python exception or a meaningless result, never a crash, and the
-byte-identity contract does not cover them.  The compiled edition checks
-them before it reads them and raises ``AutomatonError``.
+of range, broken offsets, symbols outside their level's domain, edges
+that do not run to the next level) give a Python exception or a
+meaningless result, never a crash, and the byte-identity contract does
+not cover them.  The compiled edition checks them before it reads them
+and raises ``AutomatonError``.
 
-``product`` builds its result minimal: it expands state pairs depth first
-and looks each result state up in a unique table once its children are
-known, so only the breadth-first renumbering follows.  ``determinize``
-and ``remove_level`` build first and merge equal states afterwards
-(``_minimize_struct``), as ``minimize`` does.
+Every kernel builds its result minimal, with no merge pass afterwards.
+``compile_sorted`` registers each suffix state once it is complete.
+``product`` and the subset walk ``_walk`` expand states depth first and
+intern each one in a unique table (``_Unique``) once its children are
+built.  ``determinize`` walks an NFA, ``minimize`` a DFA (an NFA whose
+subsets are singletons) and ``remove_level`` the input with one level
+contracted on the fly.
 """
 
 from array import array
 
 WILDCARD = -1
+DEAD = -1  # an empty language: a missing state, or a child with no strings
 
 
 def _empty_parts():
@@ -69,104 +73,56 @@ def _renumber(esym, edst, final, root):
     return array("i", off), array("i", sym), array("i", dst), array("i", acc)
 
 
-def _levels(n, edst, root):
-    """BFS levels from root; -1 marks unreachable states."""
-    lev = [-1] * n
-    lev[root] = 0
-    order = [root]
-    head = 0
-    while head < len(order):
-        s = order[head]
-        head += 1
-        nl = lev[s] + 1
-        for d in edst[s]:
-            if lev[d] < 0:
-                lev[d] = nl
-                order.append(d)
-    return lev
+class _Unique:
+    """Result states, built children first and interned in a unique table.
 
-
-def _minimize_struct(n, esym, edst, final, root, domains):
-    """Merge equivalent states bottom-up; return canonical flat parts.
-
-    Equivalence signature: (level, accepting, edge list with destinations
-    replaced by their merged ids).  Dead edges (no path to an accepting
-    state) are dropped first, complete literal fans collapse to wildcards,
-    so minimality and the wildcard normal form come out together.
+    State 0 is the accepting sink, unreachable (and dropped) if nothing
+    accepts.  ``finish`` drops a state's children with an empty language,
+    rewrites a complete literal fan onto one child as a wildcard and looks
+    the state up by (level, symbols, destinations).  Equal right languages
+    thus share one state, so the result is minimal as built (the "apply
+    with a unique table" of Bryant, IEEE TC 35(8), 1986) and only the
+    breadth-first renumbering is left for ``parts``.
     """
-    L = len(domains)
-    lev = _levels(n, edst, root)
-    buckets = [[] for _ in range(L + 1)]
-    for s in range(n):
-        if lev[s] >= 0:
-            buckets[lev[s]].append(s)
 
-    alive = [False] * n
-    for lv in range(L, -1, -1):
-        for s in buckets[lv]:
-            if final[s]:
-                alive[s] = True
-                continue
-            for d in edst[s]:
-                if alive[d]:
-                    alive[s] = True
-                    break
+    def __init__(self):
+        self.esym = [[]]
+        self.edst = [[]]
+        self.table = {}
 
-    rep = [-1] * n
-    sig2id = {}
-    m_esym = []
-    m_edst = []
-    m_final = []
-    for lv in range(L, -1, -1):
-        k = domains[lv] if lv < L else 0
-        for s in buckets[lv]:
-            if not alive[s]:
-                continue
-            syms = []
-            dsts = []
-            src_syms = esym[s]
-            src_dsts = edst[s]
-            for j in range(len(src_syms)):
-                d = src_dsts[j]
-                if alive[d]:
-                    syms.append(src_syms[j])
-                    dsts.append(rep[d])
-            if (
-                len(syms) == k
-                and k > 0
-                and syms[0] == 0
-                and syms[-1] == k - 1
-                and min(dsts) == max(dsts)
-            ):
-                syms = [WILDCARD]
-                dsts = [dsts[0]]
-            sig = (lv, final[s], tuple(syms), tuple(dsts))
-            mid = sig2id.get(sig)
-            if mid is None:
-                mid = len(m_esym)
-                sig2id[sig] = mid
-                m_esym.append(syms)
-                m_edst.append(dsts)
-                m_final.append(final[s])
-            rep[s] = mid
+    def finish(self, lv, k, kids, built):
+        """The state with edges ``kids``, [(symbol, child key), ...], or DEAD.
 
-    if rep[root] < 0:
-        return _empty_parts()
-    return _renumber(m_esym, m_edst, m_final, rep[root])
+        ``built`` maps every child key to its state (or DEAD); ``k`` is the
+        domain size of level ``lv``.
+        """
+        syms = []
+        dsts = []
+        for v, child in kids:
+            d = built[child]
+            if d != DEAD:
+                syms.append(v)
+                dsts.append(d)
+        if not syms:
+            return DEAD
+        if len(syms) == k and min(dsts) == max(dsts):
+            syms = [WILDCARD]
+            dsts = dsts[:1]
+        sig = (lv, tuple(syms), tuple(dsts))
+        sid = self.table.get(sig)
+        if sid is None:
+            sid = self.table[sig] = len(self.esym)
+            self.esym.append(syms)
+            self.edst.append(dsts)
+        return sid
 
-
-def _unpack(n, t_off, t_sym, t_dst, acc):
-    esym = [list(t_sym[t_off[s] : t_off[s + 1]]) for s in range(n)]
-    edst = [list(t_dst[t_off[s] : t_off[s + 1]]) for s in range(n)]
-    final = [False] * n
-    for a in acc:
-        final[a] = True
-    return esym, edst, final
-
-
-def minimize(n, t_off, t_sym, t_dst, acc, start, domains):
-    esym, edst, final = _unpack(n, t_off, t_sym, t_dst, acc)
-    return _minimize_struct(n, esym, edst, final, start, domains)
+    def parts(self, root):
+        """Canonical flat parts of the automaton rooted at state ``root``."""
+        if root == DEAD:
+            return _empty_parts()
+        final = [False] * len(self.esym)
+        final[0] = True
+        return _renumber(self.esym, self.edst, final, root)
 
 
 def compile_sorted(digits, n_strings, length, domains):
@@ -175,7 +131,8 @@ def compile_sorted(digits, n_strings, length, domains):
     ``digits`` is a flat int buffer, row-major ``n_strings x length``, rows
     strictly increasing lexicographically.  Incremental register
     construction: once the input moves past a prefix, the suffix states are
-    frozen and deduplicated against previously registered states.
+    frozen (a complete fan collapsed) and deduplicated against previously
+    registered states; the root is frozen last.
     """
     if length == 0:
         off = array("i", [0, 0])
@@ -189,13 +146,14 @@ def compile_sorted(digits, n_strings, length, domains):
     FINAL = 1  # shared sink for depth == length, never grows edges
     register = {}
 
-    def replace_or_register(s, depth):
-        sig = (depth, tuple(esym[s]), tuple(edst[s]))
-        hit = register.get(sig)
-        if hit is None:
-            register[sig] = s
-            return s
-        return hit
+    def freeze(s, depth):
+        """Collapse s's complete literal fan; return its registered twin."""
+        syms = esym[s]
+        dsts = edst[s]
+        if len(syms) == domains[depth] and min(dsts) == max(dsts):
+            esym[s] = syms = [WILDCARD]
+            edst[s] = dsts = dsts[:1]
+        return register.setdefault((depth, tuple(syms), tuple(dsts)), s)
 
     path = [0]  # path[d] = state at depth d, the final sink excluded
     base = 0
@@ -209,8 +167,7 @@ def compile_sorted(digits, n_strings, length, domains):
         while len(path) - 1 > cpl:
             d = len(path) - 1
             child = path.pop()
-            r = replace_or_register(child, d)
-            edst[path[-1]][-1] = r
+            edst[path[-1]][-1] = freeze(child, d)
         for d in range(cpl, length):
             sym = digits[base + d]
             parent = path[-1]
@@ -227,24 +184,10 @@ def compile_sorted(digits, n_strings, length, domains):
     while len(path) > 1:
         d = len(path) - 1
         child = path.pop()
-        r = replace_or_register(child, d)
-        edst[path[-1]][-1] = r
+        edst[path[-1]][-1] = freeze(child, d)
+    freeze(0, 0)
 
-    # wildcard normal form, then canonical numbering; the register output
-    # is already minimal so no merge pass is needed
-    n = len(esym)
-    lev = _levels(n, edst, 0)
-    for s in range(n):
-        lv = lev[s]
-        if lv < 0 or lv >= length:
-            continue
-        k = domains[lv]
-        syms = esym[s]
-        dsts = edst[s]
-        if len(syms) == k and syms[0] == 0 and syms[-1] == k - 1 and min(dsts) == max(dsts):
-            esym[s] = [WILDCARD]
-            edst[s] = [dsts[0]]
-    final = [s == FINAL for s in range(n)]
+    final = [s == FINAL for s in range(len(esym))]
     return _renumber(esym, edst, final, 0)
 
 
@@ -259,24 +202,13 @@ def product(
     A missing state on one side is tracked as the dead id -1, so union and
     difference can keep walking the side that is still alive.  Pairs are
     expanded depth first on an explicit stack, so automaton length is not
-    bounded by the recursion limit.  Once a pair's children are built, its
-    edges drop children with an empty language, a complete literal fan
-    onto one child becomes a wildcard, and the state is looked up in a
-    unique table keyed by (level, symbols, destinations): equal right
-    languages share one state, so the result is minimal as built (the
-    "apply with a unique table" of Bryant, IEEE TC 35(8), 1986) and only
-    the breadth-first renumbering is left.
+    bounded by the recursion limit, and ``_Unique`` finishes each pair once
+    its children are built, so the result is minimal as built.
     """
     L = len(domains)
-    DEAD = -1
     acca_set = set(acca)
     accb_set = set(accb)
-
-    # result states in the order they are built, children first; state 0
-    # is the accepting sink, unreachable (and dropped) if nothing accepts
-    esym = [[]]
-    edst = [[]]
-    unique = {}
+    out = _Unique()
     built = {}  # (pa, pb) -> result state, DEAD for an empty language
 
     if mode == 0:
@@ -314,197 +246,152 @@ def product(
     stack = [(root, 0, None)]
     while stack:
         pair, lv, kids = stack.pop()
-        if kids is None:
-            if pair in built:
-                continue
-            pa, pb = pair
-            if lv == L:
-                built[pair] = 0 if accepts(pa, pb) else DEAD
-                continue
-            if pa not in dec_a:
-                dec_a[pa] = decode(offa, syma, dsta, pa)
-            if pb not in dec_b:
-                dec_b[pb] = decode(offb, symb, dstb, pb)
-            awild, amap = dec_a[pa]
-            bwild, bmap = dec_b[pb]
-            kids = []
-            if amap or bmap:
-                explicit = sorted(amap.keys() | bmap.keys()) if bmap else list(amap)
-                for v in explicit:
-                    child = (amap.get(v, awild), bmap.get(v, bwild))
-                    if live(*child):
-                        kids.append((v, child))
-                k = domains[lv]
-                if len(explicit) < k and live(awild, bwild):
-                    # symbols neither side names follow both wildcards
-                    child = (awild, bwild)
-                    seen = set(explicit)
-                    kids.extend((v, child) for v in range(k) if v not in seen)
-                    kids.sort()
-            elif live(awild, bwild):
-                kids.append((WILDCARD, (awild, bwild)))
-            stack.append((pair, lv, kids))
-            nl = lv + 1
-            for _, child in kids:
-                if child not in built:
-                    stack.append((child, nl, None))
+        if kids is not None:
+            built[pair] = out.finish(lv, domains[lv], kids, built)
             continue
-
-        syms = []
-        dsts = []
-        for v, child in kids:
-            d = built[child]
-            if d != DEAD:
-                syms.append(v)
-                dsts.append(d)
-        if not syms:
-            built[pair] = DEAD
+        if pair in built:
             continue
-        if len(syms) == domains[lv] and min(dsts) == max(dsts):
-            syms = [WILDCARD]
-            dsts = dsts[:1]
-        sig = (lv, tuple(syms), tuple(dsts))
-        sid = unique.get(sig)
-        if sid is None:
-            sid = unique[sig] = len(esym)
-            esym.append(syms)
-            edst.append(dsts)
-        built[pair] = sid
+        pa, pb = pair
+        if lv == L:
+            built[pair] = 0 if accepts(pa, pb) else DEAD
+            continue
+        if pa not in dec_a:
+            dec_a[pa] = decode(offa, syma, dsta, pa)
+        if pb not in dec_b:
+            dec_b[pb] = decode(offb, symb, dstb, pb)
+        awild, amap = dec_a[pa]
+        bwild, bmap = dec_b[pb]
+        kids = []
+        if amap or bmap:
+            explicit = sorted(amap.keys() | bmap.keys()) if bmap else list(amap)
+            for v in explicit:
+                child = (amap.get(v, awild), bmap.get(v, bwild))
+                if live(*child):
+                    kids.append((v, child))
+            k = domains[lv]
+            if len(explicit) < k and live(awild, bwild):
+                # symbols neither side names follow both wildcards
+                child = (awild, bwild)
+                seen = set(explicit)
+                kids.extend((v, child) for v in range(k) if v not in seen)
+                kids.sort()
+        elif live(awild, bwild):
+            kids.append((WILDCARD, (awild, bwild)))
+        stack.append((pair, lv, kids))
+        nl = lv + 1
+        for _, child in kids:
+            if child not in built:
+                stack.append((child, nl, None))
 
-    root_id = built[root]
-    if root_id == DEAD:
-        return _empty_parts()
-    final = [False] * len(esym)
-    final[0] = True
-    return _renumber(esym, edst, final, root_id)
+    return out.parts(built[root])
+
+
+def _walk(domains, root, edges, accepting):
+    """Depth-first subset construction that builds its result minimal.
+
+    A subset is a sorted tuple of input states, all on one level.
+    ``edges(s, lv)`` gives the (symbol, destination) pairs of member ``s``
+    on level ``lv``, duplicates and wildcards beside literals allowed, and
+    ``accepting(s)`` tells whether a member on the last level accepts.
+    Subsets are expanded as ``product`` expands pairs.  Returns the
+    canonical parts and the dict of every distinct subset reachable from
+    ``root``, including those with an empty language.
+    """
+    L = len(domains)
+    out = _Unique()
+    built = {}  # subset -> result state, DEAD for an empty language
+    stack = [(root, 0, None)]
+    while stack:
+        sub, lv, kids = stack.pop()
+        if kids is not None:
+            built[sub] = out.finish(lv, domains[lv], kids, built)
+            continue
+        if sub in built:
+            continue
+        if lv == L:
+            built[sub] = 0 if any(map(accepting, sub)) else DEAD
+            continue
+        wild = set()
+        expl = {}
+        for s in sub:
+            for v, d in edges(s, lv):
+                if v == WILDCARD:
+                    wild.add(d)
+                elif v in expl:
+                    expl[v].add(d)
+                else:
+                    expl[v] = {d}
+        kids = [(v, tuple(sorted(expl[v] | wild))) for v in sorted(expl)]
+        k = domains[lv]
+        if wild and len(expl) < k:
+            child = tuple(sorted(wild))
+            if expl:
+                kids.extend((v, child) for v in range(k) if v not in expl)
+                kids.sort()
+            else:
+                kids.append((WILDCARD, child))
+        stack.append((sub, lv, kids))
+        nl = lv + 1
+        for _, child in kids:
+            if child not in built:
+                stack.append((child, nl, None))
+    return out.parts(built[root]), built
 
 
 def determinize(n, t_off, t_sym, t_dst, acc, start, domains):
-    """Level-synchronous subset construction for a leveled NFA.
+    """Subset construction for a leveled NFA.
 
     Input states may carry duplicate symbols and wildcards next to
     literals.  Returns (t_off, t_sym, t_dst, acc, raw_states) where
-    raw_states counts subset states before minimization, the honest size
-    of the determinized machine.
+    raw_states counts the distinct subsets visited, the honest size of
+    the determinized machine.
     """
-    L = len(domains)
-    acc_set = set(acc)
-    sub2id = {(start,): 0}
-    subs = [(start,)]
-    e_sym = []
-    e_dst = []
-    final = []
 
-    def child(states):
-        cid = sub2id.get(states)
-        if cid is None:
-            cid = len(subs)
-            sub2id[states] = cid
-            subs.append(states)
-        return cid
+    def edges(s, lv):
+        lo, hi = t_off[s], t_off[s + 1]
+        return zip(t_sym[lo:hi], t_dst[lo:hi])
 
-    i = 0
-    lv = 0
-    level_end = 1
-    while i < len(subs):
-        if i == level_end:
-            lv += 1
-            level_end = len(subs)
-        S = subs[i]
-        if lv == L:
-            f = False
-            for s in S:
-                if s in acc_set:
-                    f = True
-                    break
-            e_sym.append([])
-            e_dst.append([])
-            final.append(f)
-            i += 1
-            continue
-        k = domains[lv]
-        wild = set()
-        expl = {}
-        for s in S:
-            for j in range(t_off[s], t_off[s + 1]):
-                sym = t_sym[j]
-                if sym == WILDCARD:
-                    wild.add(t_dst[j])
-                else:
-                    expl.setdefault(sym, set()).add(t_dst[j])
-        out = []
-        for v in sorted(expl):
-            out.append((v, child(tuple(sorted(expl[v] | wild)))))
-        if wild and len(expl) < k:
-            cid = child(tuple(sorted(wild)))
-            if not expl:
-                out.append((WILDCARD, cid))
-            else:
-                for v in range(k):
-                    if v not in expl:
-                        out.append((v, cid))
-        out.sort()
-        e_sym.append([v for v, _ in out])
-        e_dst.append([d for _, d in out])
-        final.append(False)
-        i += 1
+    parts, subsets = _walk(domains, (start,), edges, set(acc).__contains__)
+    return (*parts, len(subsets))
 
-    raw_states = len(subs)
-    t_off2, t_sym2, t_dst2, acc2 = _minimize_struct(len(subs), e_sym, e_dst, final, 0, domains)
-    return t_off2, t_sym2, t_dst2, acc2, raw_states
+
+def minimize(n, t_off, t_sym, t_dst, acc, start, domains):
+    return determinize(n, t_off, t_sym, t_dst, acc, start, domains)[:4]
 
 
 def remove_level(n, t_off, t_sym, t_dst, acc, start, domains, lvl):
     """Project out level ``lvl``: contract its edges, then determinize.
 
-    Contraction makes each level-``lvl`` state inherit the outgoing edges
-    of all its successors, which in general yields an NFA.  Returns
-    (t_off, t_sym, t_dst, acc, nfa_states, raw_states): the canonical
-    result plus the contracted-NFA state count and the subset-construction
-    state count before minimization.
+    Contraction gives each level-``lvl`` state the merged edges of its
+    successors, which in general is nondeterministic.  The walk reads them
+    on the fly, so no NFA is built.  Returns (t_off, t_sym, t_dst, acc,
+    nfa_states, raw_states): the canonical result, the number of states of
+    the contracted automaton (those reachable, minus level ``lvl + 1``)
+    and the number of distinct subsets visited.
     """
-    L = len(domains)
     acc_set = set(acc)
-    edst_in = [list(t_dst[t_off[s] : t_off[s + 1]]) for s in range(n)]
-    lev = _levels(n, edst_in, start)
+    merged = {}  # level-lvl state -> its contracted edges
 
-    keep = [s for s in range(n) if lev[s] >= 0 and lev[s] != lvl + 1]
-    old2new = {s: i for i, s in enumerate(keep)}
-    e_sym = []
-    e_dst = []
-    final = []
-    for s in keep:
-        if lev[s] == lvl:
-            agg = set()
-            fin = False
-            for j in range(t_off[s], t_off[s + 1]):
-                t = t_dst[j]
-                if t in acc_set:
-                    fin = True
-                for jj in range(t_off[t], t_off[t + 1]):
-                    agg.add((t_sym[jj], old2new[t_dst[jj]]))
-            out = sorted(agg)
-            e_sym.append([v for v, _ in out])
-            e_dst.append([d for _, d in out])
-            final.append(fin)
-        else:
-            e_sym.append(list(t_sym[t_off[s] : t_off[s + 1]]))
-            e_dst.append([old2new[d] for d in edst_in[s]])
-            final.append(s in acc_set)
+    def own(s):
+        lo, hi = t_off[s], t_off[s + 1]
+        return zip(t_sym[lo:hi], t_dst[lo:hi])
 
-    nfa_states = len(keep)
-    new_domains = domains[:lvl] + domains[lvl + 1 :]
+    def edges(s, lv):
+        if lv != lvl:
+            return own(s)
+        e = merged.get(s)
+        if e is None:
+            e = merged[s] = {edge for t in t_dst[t_off[s] : t_off[s + 1]] for edge in own(t)}
+        return e
 
-    # flatten the NFA back to CSR for determinize
-    f_off = array("i", [0])
-    f_sym = array("i")
-    f_dst = array("i")
-    for s in range(nfa_states):
-        f_sym.extend(e_sym[s])
-        f_dst.extend(e_dst[s])
-        f_off.append(len(f_sym))
-    f_acc = array("i", sorted(i for i in range(nfa_states) if final[i]))
-    t_off2, t_sym2, t_dst2, acc2, raw_states = determinize(
-        nfa_states, f_off, f_sym, f_dst, f_acc, old2new[start], new_domains
-    )
-    return t_off2, t_sym2, t_dst2, acc2, nfa_states, raw_states
+    if lvl == len(domains) - 1:
+        # contracted states are the new last level: they accept through
+        # an accepting successor
+        def accepting(s):
+            return any(t in acc_set for t in t_dst[t_off[s] : t_off[s + 1]])
+    else:
+        accepting = acc_set.__contains__
+
+    parts, subsets = _walk(domains[:lvl] + domains[lvl + 1 :], (start,), edges, accepting)
+    nfa_states = len(set().union(*subsets))
+    return (*parts, nfa_states, len(subsets))

@@ -367,7 +367,8 @@ class Dafsa:
         """Drop position ``pos``, keeping a string iff some value there led
         to acceptance.  Contraction can create nondeterminism, so the result
         is re-determinized; returns (dafsa, nfa_states, raw_dfa_states)
-        where raw_dfa_states counts subset states before minimization.
+        where nfa_states counts the states of the contracted automaton and
+        raw_dfa_states the distinct subsets visited.
         """
         if not 0 <= pos < self.length:
             raise AutomatonError(f"remove position {pos} outside 0..{self.length - 1}")
@@ -494,7 +495,8 @@ class Nfa:
         return cls(domains, n_states, t_off, t_sym, t_dst, acc, start)
 
     def determinize(self) -> tuple:
-        """Subset construction; returns (dafsa, raw_dfa_states)."""
+        """Subset construction; returns (dafsa, raw_dfa_states) where
+        raw_dfa_states counts the distinct subsets visited."""
         t_off, t_sym, t_dst, acc, raw_states = kernels.determinize(
             self.n_states, self.t_off, self.t_sym, self.t_dst, self.acc,
             self.start, self.domains,

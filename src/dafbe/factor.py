@@ -431,7 +431,7 @@ def combine(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float = DEFAULT_EPS)
     return DafsaFactor(scope, domains, entries)
 
 
-def project(f: DafsaFactor, var: int, op: str, eps: float = DEFAULT_EPS):
+def project(f: DafsaFactor, var: int, op: str):
     """Eliminate ``var`` by ``op`` over its values.
 
     Every entry drops the variable's level (re-determinizing as needed);

@@ -69,22 +69,20 @@ class _Tokens:
             raise FormatError(f"trailing garbage starting at {tok!r}", line)
 
 
-def _read_scopes(toks, n_vars, n_funcs):
-    scopes = []
-    for i in range(n_funcs):
-        arity = toks.next_int(f"arity of function {i}", minimum=0)
-        raw = []
-        for j in range(arity):
-            v = toks.next_int(f"variable {j} of function {i}")
-            if not 0 <= v < n_vars:
-                raise FormatError(
-                    f"function {i} references variable {v}, model has {n_vars}", toks.last_line
-                )
-            raw.append(v)
-        if len(set(raw)) != len(raw):
-            raise FormatError(f"function {i} repeats a variable", toks.last_line)
-        scopes.append(raw)
-    return scopes
+def _read_scope(toks, n_vars, i):
+    """Function ``i``'s arity and variables: in range and without repeats."""
+    arity = toks.next_int(f"arity of function {i}", minimum=0)
+    scope = []
+    for j in range(arity):
+        v = toks.next_int(f"variable {j} of function {i}")
+        if not 0 <= v < n_vars:
+            raise FormatError(
+                f"function {i} references variable {v}, model has {n_vars}", toks.last_line
+            )
+        scope.append(v)
+    if len(set(scope)) != len(scope):
+        raise FormatError(f"function {i} repeats a variable", toks.last_line)
+    return scope
 
 
 def _sorted_table(raw_scope, domains_of, values):
@@ -106,7 +104,7 @@ def parse_uai(text: str) -> GraphicalModel:
     n_vars = toks.next_int("variable count", minimum=0)
     domains = [toks.next_int(f"domain size of variable {i}", minimum=1) for i in range(n_vars)]
     n_funcs = toks.next_int("function count", minimum=0)
-    scopes = _read_scopes(toks, n_vars, n_funcs)
+    scopes = [_read_scope(toks, n_vars, i) for i in range(n_funcs)]
     factors = []
     for i, raw_scope in enumerate(scopes):
         count = toks.next_int(f"table size of function {i}", minimum=0)
@@ -140,20 +138,10 @@ def parse_wcsp(text: str) -> GraphicalModel:
     domains = [toks.next_int(f"domain size of variable {i}", minimum=1) for i in range(n_vars)]
     factors = []
     for i in range(n_funcs):
-        arity = toks.next_int(f"arity of function {i}", minimum=0)
-        raw_scope = []
-        for j in range(arity):
-            v = toks.next_int(f"variable {j} of function {i}")
-            if not 0 <= v < n_vars:
-                raise FormatError(
-                    f"function {i} references variable {v}, model has {n_vars}", toks.last_line
-                )
-            raw_scope.append(v)
-        if len(set(raw_scope)) != len(raw_scope):
-            raise FormatError(f"function {i} repeats a variable", toks.last_line)
+        raw_scope = _read_scope(toks, n_vars, i)
         default = toks.next_float(f"default cost of function {i}")
         n_exc = toks.next_int(f"exception count of function {i}", minimum=0)
-        perm = sorted(range(arity), key=lambda j: raw_scope[j])
+        perm = sorted(range(len(raw_scope)), key=lambda j: raw_scope[j])
         exceptions = {}
         for e in range(n_exc):
             word = []

@@ -357,7 +357,7 @@ def bucket_elimination(
                 peak = max(peak, live_states + transient)
             note_factor(combined)
             deadline.check()
-            message, growth = factor_ops.project(combined, ordering[p], "min", eps)
+            message, growth = factor_ops.project(combined, ordering[p], "min")
             stats.growth_samples.extend(growth)
             stats.messages += 1
             peak = max(peak, live_states + transient + message.total_states)

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import os
 import random
@@ -5,6 +6,8 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+
+from array import array
 
 import numpy as np
 import pytest
@@ -71,7 +74,9 @@ def compiled_src(tmp_path_factory):
 
     Returns the directory to put on ``PYTHONPATH``.  The extension is built
     once per session, into the copy and never into ``src/``, where import
-    (and the benchmark) would pick it up.  Skips without g++ or ``Python.h``.
+    (and the benchmark) would pick it up.  Warnings are errors, so a
+    non-template helper that a change leaves unused fails the build.  Skips
+    without g++ or ``Python.h``.
     """
     include = sysconfig.get_paths()["include"]
     cxx = shutil.which("g++")
@@ -83,12 +88,56 @@ def compiled_src(tmp_path_factory):
     source = package / "_kernels_cc.cpp"
     target = package / ("_kernels_cc" + sysconfig.get_config_var("EXT_SUFFIX"))
     proc = subprocess.run(
-        [cxx, "-std=c++17", "-O2", "-shared", "-fPIC", f"-I{include}", str(source), "-o", str(target)],
+        [cxx, "-std=c++17", "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+         f"-I{include}", str(source), "-o", str(target)],
         capture_output=True, text=True,
     )
     if proc.returncode != 0:
         pytest.fail(f"g++ could not build {source}:\n{proc.stderr[-3000:]}")
     return str(root)
+
+
+@pytest.fixture(scope="session")
+def compiled_kernels(compiled_src):
+    """The compiled kernel module of ``compiled_src``, loaded once."""
+    name = "dafbe._kernels_cc"
+    path = os.path.join(compiled_src, "dafbe", "_kernels_cc" + sysconfig.get_config_var("EXT_SUFFIX"))
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # the extension registers itself in sys.modules as it loads; take it
+    # out, so that no other import in the session finds this build
+    sys.modules.pop(name, None)
+    return module
+
+
+def rand_nfa_parts(rng, dom):
+    """Random leveled NFA: 1-3 states per level, up to 3 edges per state.
+
+    Returns flat parts ``(n, t_off, t_sym, t_dst, acc, start)``.  Symbols
+    repeat and wildcards sit beside literals; accepting states are a
+    random subset of the last level.
+    """
+    L = len(dom)
+    per = [rng.randrange(1, 4) for _ in range(L + 1)]
+    levels, base = [], 0
+    for c in per:
+        levels.append(list(range(base, base + c)))
+        base += c
+    esym = {s: set() for s in range(base)}
+    for lv in range(L):
+        for s in levels[lv]:
+            for _ in range(rng.randrange(0, 4)):
+                sym = -1 if rng.random() < 0.3 else rng.randrange(dom[lv])
+                esym[s].add((sym, rng.choice(levels[lv + 1])))
+    t_off, t_sym, t_dst = array("i", [0]), array("i"), array("i")
+    for s in range(base):
+        for sym, d in sorted(esym[s]):
+            t_sym.append(sym)
+            t_dst.append(d)
+        t_off.append(len(t_sym))
+    acc = array("i", sorted(rng.sample(levels[L], rng.randrange(0, len(levels[L]) + 1))))
+    return base, t_off, t_sym, t_dst, acc, 0
 
 
 def run_python(pythonpath, args, kernels=None):

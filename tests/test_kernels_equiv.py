@@ -9,33 +9,19 @@ The compiled edition also checks its inputs: malformed arrays raise
 """
 
 import glob
-import importlib.util
 import os
 import random
-import sys
-import sysconfig
 from array import array
 
 import pytest
 
 import dafbe._kernels_py as KP
 from dafbe.automata import Dafsa
+from dafbe.errors import AutomatonError
 
-from conftest import FIXTURES, run_python
+from conftest import FIXTURES, rand_nfa_parts, run_python
 
 DOMS = [(), (1,), (1, 2), (2,), (2, 2), (3, 2), (2, 3, 2), (4, 2, 3), (2, 2, 2, 2)]
-
-
-def _load_compiled(root):
-    name = "dafbe._kernels_cc"
-    path = os.path.join(root, "dafbe", "_kernels_cc" + sysconfig.get_config_var("EXT_SUFFIX"))
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    # the extension registers itself in sys.modules as it loads; take it
-    # out, so that no other import in the session finds this build
-    sys.modules.pop(name, None)
-    return module
 
 
 def flat(parts):
@@ -43,9 +29,9 @@ def flat(parts):
 
 
 @pytest.fixture(scope="module")
-def both(compiled_src):
+def both(compiled_kernels):
     """both(kernel name, *args): runs it in both editions, returns the parts."""
-    kc = _load_compiled(compiled_src)
+    kc = compiled_kernels
 
     def check(name, *args):
         rp = flat(getattr(KP, name)(*args))
@@ -64,29 +50,6 @@ def compile_words(both, words, dom):
 def rand_words(rng, dom):
     n = rng.randrange(0, 14)
     return sorted({tuple(rng.randrange(k) for k in dom) for _ in range(n)})
-
-
-def rand_nfa_parts(rng, dom):
-    L = len(dom)
-    per = [rng.randrange(1, 4) for _ in range(L + 1)]
-    levels, base = [], 0
-    for c in per:
-        levels.append(list(range(base, base + c)))
-        base += c
-    esym = {s: set() for s in range(base)}
-    for lv in range(L):
-        for s in levels[lv]:
-            for _ in range(rng.randrange(0, 4)):
-                sym = -1 if rng.random() < 0.3 else rng.randrange(dom[lv])
-                esym[s].add((sym, rng.choice(levels[lv + 1])))
-    t_off, t_sym, t_dst = array("i", [0]), array("i"), array("i")
-    for s in range(base):
-        for sym, d in sorted(esym[s]):
-            t_sym.append(sym)
-            t_dst.append(d)
-        t_off.append(len(t_sym))
-    acc = array("i", sorted(rng.sample(levels[L], rng.randrange(0, len(levels[L]) + 1))))
-    return base, t_off, t_sym, t_dst, acc, 0
 
 
 class TestFuzz:
@@ -294,6 +257,28 @@ class TestMalformedInput:
         assert not bad, "\n".join(bad)
         named = [line for line in lines if not line.startswith("fuzz")]
         assert all(line.endswith("| ok") for line in named), "\n".join(named)
+
+    def test_unleveled_edges_raise_automaton_error(self, compiled_kernels):
+        # an edge back to the start, and one between two level-1 states,
+        # each on a branch that cannot reach acceptance
+        I = lambda *v: array("i", v)
+        dom = (2, 2)
+        universal = (3, I(0, 1, 2, 2), I(-1, -1), I(1, 2), I(2), 0)
+        cases = [
+            (4, I(0, 2, 3, 4, 4), I(0, 1, 0, 0), I(1, 2, 0, 3), I(3), 0),
+            (4, I(0, 2, 3, 4, 4), I(0, 1, 0, 0), I(1, 2, 2, 3), I(3), 0),
+        ]
+        for bad in cases:
+            calls = [
+                lambda: compiled_kernels.minimize(*bad, dom),
+                lambda: compiled_kernels.determinize(*bad, dom),
+                lambda: compiled_kernels.remove_level(*bad, dom, 0),
+                lambda: compiled_kernels.product(0, *bad, *universal, dom),
+                lambda: compiled_kernels.product(0, *universal, *bad, dom),
+            ]
+            for call in calls:
+                with pytest.raises(AutomatonError, match="does not run from level"):
+                    call()
 
     def test_wrong_buffer_format_is_a_type_error(self, compiled_src):
         code = ("from array import array\n"
