@@ -6,6 +6,12 @@ flat-array inputs, so the numbers compare the implementations, not the
 workloads.  Outputs are also cross-checked byte for byte while we are
 at it; a mismatch aborts the run.
 
+The ``combine_entries`` and ``project_entries`` rows replay every call
+the solver makes on one instance of the benchmark's wcsp-planted corpus
+(``bench/generators.py``, seed 1, instance 0), recorded once with the
+Python edition, so they time the two factor kernels on the solver's own
+inputs.
+
 The end-to-end row re-runs the solver in subprocesses with
 DAFBE_KERNELS forced, because the backend is chosen once at import.
 
@@ -30,7 +36,12 @@ except ImportError:
     print("compiled extension not importable; build it first (pip install -e .)")
     sys.exit(1)
 
+from dafbe import factor, formats
 from dafbe.automata import Dafsa
+from dafbe.model import bucket_elimination
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+from generators import WORKLOADS, corpus  # noqa: E402
 
 
 def flat(d):
@@ -46,6 +57,32 @@ def sorted_digit_buffer(words, length):
     for w in words:
         buf.extend(w)
     return buf
+
+
+def record_factor_calls():
+    """{kernel name: [args, ...]} of one wcsp-planted solve's factor kernels."""
+    calls = {"combine_entries": [], "project_entries": []}
+
+    class Recorder:
+        def __getattr__(self, name):
+            kernel = getattr(_kernels_py, name)
+            if name not in calls:
+                return kernel
+
+            def record(*args):
+                calls[name].append(args)
+                return kernel(*args)
+
+            return record
+
+    _, text = corpus(WORKLOADS["wcsp-planted"], 1)[0]
+    saved = factor.kernels
+    factor.kernels = Recorder()
+    try:
+        bucket_elimination(formats.parse_wcsp(text))
+    finally:
+        factor.kernels = saved
+    return calls
 
 
 def bench(fn, repeats):
@@ -109,6 +146,12 @@ def main():
         workload(
             f"remove level {lvl} (determinize)",
             lambda K, l=lvl: tuple(K.remove_level(*flat(a), domains, l)),
+        )
+
+    for name, recorded in record_factor_calls().items():
+        workload(
+            f"{name}, {len(recorded)} calls of one wcsp-planted solve",
+            lambda K, n=name, r=recorded: [getattr(K, n)(*a) for a in r],
         )
 
     if not args.skip_solve:

@@ -2,20 +2,27 @@
 //
 // A hand-written C++17 twin of ``_kernels_py``: the same kernels under the
 // same names and positional signatures, returning byte-identical canonical
-// parts (see that module for the representation contract).  Arrays are
-// read through the buffer protocol and must have format 'i'; results are
-// array('i').
+// parts (see that module for the representation contract and for the two
+// kernels that take all entries of a factor).  Arrays are read through the
+// buffer protocol and must have format 'i'; results are array('i').
 //
 // Unlike the Python edition, every kernel checks its inputs before it
 // reads them: CSR shape, state ids, each reachable state's symbols against
 // the domain of its breadth-first level, and that each of its edges runs
-// to the next level.  A violation raises
-// dafbe.errors.AutomatonError, and running out of memory raises
+// to the next level, for every automaton and every factor entry; and the
+// lengths of the level flags and labels of combine_entries.  A violation
+// raises dafbe.errors.AutomatonError, and running out of memory raises
 // MemoryError, so no input can crash the interpreter.
 //
-// Every kernel builds its result minimal as it goes, with no merge pass:
-// compile_sorted through its register, product and the subset walk behind
-// determinize, minimize and remove_level through a unique table (Unique).
+// Every kernel builds its result minimal as it goes, with no merge pass.
+// compile_sorted does so through its register.  Every other kernel is one
+// depth-first walk (walk) whose leaves carry a label or none; finishing a
+// node interns one state per label reachable below it in a unique table
+// shared by all labels (Unique), and each label's automaton is read off
+// canonically at the end.  product walks pairs of states; determinize,
+// minimize and remove_level walk subsets of states (Subsets);
+// project_entries walks subsets of all entries side by side and
+// combine_entries pairs of such subsets, one per operand.
 //
 // Build by hand (setup.py does the same through setuptools):
 //   g++ -std=c++17 -O2 -shared -fPIC -I<Python include dir> _kernels_cc.cpp
@@ -38,7 +45,8 @@
 namespace {
 
 constexpr int WILDCARD = -1;
-constexpr int DEAD = -1;  // a missing state on one side of a product
+constexpr int DEAD = -1;  // no state or subset: an empty language
+constexpr int NO_LABEL = -1;
 
 using Ints = std::vector<int>;
 using Flags = std::vector<char>;
@@ -134,13 +142,13 @@ Ints bfs_levels(const G& g, int n, int root) {
     return lev;
 }
 
-// Canonical BFS renumbering from root.  Per-state edges must be symbol-sorted.
+// Canonical BFS renumbering from root, the one state final_state accepting.
+// Per-state edges must be symbol-sorted.  old2new must hold -1 for every
+// state; the entries this call sets are reset before it returns.
 template <class G>
-Parts renumber(const G& g, int n, const Flags& final, int root) {
-    Ints old2new(n, -1), order;
-    order.reserve(n);
+Parts renumber(const G& g, int final_state, int root, Ints& old2new) {
+    Ints order{root};
     old2new[root] = 0;
-    order.push_back(root);
     for (size_t head = 0; head < order.size(); ++head) {
         for (int d : g.dsts(order[head])) {
             if (old2new[d] < 0) {
@@ -158,10 +166,8 @@ Parts renumber(const G& g, int n, const Flags& final, int root) {
         for (int d : g.dsts(s)) p.dst.push_back(old2new[d]);
         p.off.push_back(static_cast<int>(p.sym.size()));
     }
-    for (int s = 0; s < n; ++s) {
-        if (final[s] && old2new[s] >= 0) p.acc.push_back(old2new[s]);
-    }
-    std::sort(p.acc.begin(), p.acc.end());
+    if (old2new[final_state] >= 0) p.acc.push_back(old2new[final_state]);
+    for (int s : order) old2new[s] = -1;
     return p;
 }
 
@@ -174,32 +180,18 @@ bool complete_fan(const Ints& syms, const Ints& dsts, int k) {
 
 // Result states, built children first and interned in a unique table
 // keyed by (level, symbols, destinations), as _kernels_py._Unique: equal
-// right languages share one state, so the result is minimal as built.
-// State 0 is the accepting sink, unreachable (and dropped) if nothing
-// accepts.
+// right languages share one state, whatever their label, so every label's
+// automaton is minimal as built.  State 0 is the accepting sink.
 struct Unique {
     Csr res;
     UniqueTable table;
-    Ints syms, dsts, sig;
+    Ints sig, old2new;
 
     Unique() { res.off.push_back(0); }
 
-    // The state whose candidate edges are kids [b, e), or DEAD: children
-    // with an empty language are dropped and a complete literal fan onto
-    // one child becomes a wildcard.  state_of maps a kid to its child's
-    // state; kid.v is its symbol.
-    template <class It, class StateOf>
-    int finish(int lv, int k, It b, It e, const StateOf& state_of) {
-        syms.clear();
-        dsts.clear();
-        for (It kid = b; kid != e; ++kid) {
-            const int d = state_of(*kid);
-            if (d != DEAD) {
-                syms.push_back(kid->v);
-                dsts.push_back(d);
-            }
-        }
-        if (syms.empty()) return DEAD;
+    // The state with edges syms -> dsts (nonempty, symbol-sorted) on level
+    // lv; a complete literal fan onto one child becomes a wildcard.
+    int intern(int lv, int k, Ints& syms, Ints& dsts) {
         if (complete_fan(syms, dsts, k)) {
             syms.assign(1, WILDCARD);
             dsts.resize(1);
@@ -213,19 +205,12 @@ struct Unique {
     }
 
     // Canonical flat parts of the automaton rooted at state root.
-    Parts parts(int root) const {
+    Parts parts(int root) {
         if (root == DEAD) return empty_parts();
-        Flags final(res.size(), 0);
-        final[0] = 1;
-        return renumber(res.view(), res.size(), final, root);
+        old2new.resize(res.size(), -1);
+        return renumber(res.view(), 0, root, old2new);
     }
 };
-
-// Calls add(symbol, destination) for each edge of state s.
-template <class Add>
-void each_edge(const CsrView& g, int s, Add& add) {
-    for (int j = g.off[s]; j < g.off[s + 1]; ++j) add(g.sym[j], g.dst[j]);
-}
 
 template <class T>
 void sort_unique(std::vector<T>& v) {
@@ -268,26 +253,39 @@ class IntBuffer {
     Py_buffer view_;
 };
 
-Ints parse_domains(PyObject* obj) {
-    PyObject* seq = PySequence_Fast(obj, "domains must be a sequence of ints");
-    if (!seq) throw PyFailure();
-    Ints dom;
-    const Py_ssize_t size = PySequence_Fast_GET_SIZE(seq);
-    for (Py_ssize_t i = 0; i < size; ++i) {
-        long k = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, i));
-        if (k == -1 && PyErr_Occurred()) {
-            Py_DECREF(seq);
-            throw PyFailure();
-        }
-        if (k < 0 || k > INT32_MAX) {
-            Py_DECREF(seq);
-            throw BadInput("domain size " + str(k) + " at level " + str(i) + " is not a size");
-        }
-        dom.push_back(static_cast<int>(k));
+// Owns one reference; a null one means a Python exception is set.
+struct Ref {
+    PyObject* p;
+    explicit Ref(PyObject* obj) : p(obj) {
+        if (!p) throw PyFailure();
     }
-    Py_DECREF(seq);
-    return dom;
+    Ref(const Ref&) = delete;
+    Ref& operator=(const Ref&) = delete;
+    ~Ref() { Py_XDECREF(p); }
+    PyObject* release() {
+        PyObject* obj = p;
+        p = nullptr;
+        return obj;
+    }
+};
+
+// The items of a sequence argument, each an int in [lo, hi].
+Ints parse_ints(PyObject* obj, const char* name, long lo, long hi) {
+    Ref seq(PySequence_Fast(obj, "expected a sequence of ints"));
+    Ints out;
+    const Py_ssize_t size = PySequence_Fast_GET_SIZE(seq.p);
+    for (Py_ssize_t i = 0; i < size; ++i) {
+        long v = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq.p, i));
+        if (v == -1 && PyErr_Occurred()) throw PyFailure();
+        if (v < lo || v > hi)
+            throw BadInput(std::string(name) + " item " + str(i) + " is " + str(v) + ", outside " +
+                           str(lo) + ".." + str(hi));
+        out.push_back(static_cast<int>(v));
+    }
+    return out;
 }
+
+Ints parse_domains(PyObject* obj) { return parse_ints(obj, "domains", 0, INT32_MAX); }
 
 // One automaton argument, (n, t_off, t_sym, t_dst, acc, start), checked
 // against the flat-automaton contract before anything else reads it.
@@ -301,10 +299,31 @@ struct Automaton {
 
     void load(int n_states, PyObject* t_off, PyObject* t_sym, PyObject* t_dst, PyObject* acc,
               int start_state, const Ints& dom) {
+        acquire(t_off, t_sym, t_dst, acc);
+        check(n_states, start_state, dom);
+    }
+
+    // A factor entry: the parts (t_off, t_sym, t_dst, acc), start state 0.
+    void load_entry(PyObject* entry, const Ints& dom) {
+        Ref parts(PySequence_Fast(entry, "an entry must be a sequence of four arrays"));
+        if (PySequence_Fast_GET_SIZE(parts.p) != 4)
+            throw BadInput("an entry has " + str(PySequence_Fast_GET_SIZE(parts.p)) +
+                           " parts, not (t_off, t_sym, t_dst, acc)");
+        PyObject** item = PySequence_Fast_ITEMS(parts.p);
+        acquire(item[0], item[1], item[2], item[3]);
+        if (off_buf.size() > INT32_MAX) throw BadInput("t_off is too long");
+        check(static_cast<int>(off_buf.size()) - 1, 0, dom);
+    }
+
+  private:
+    void acquire(PyObject* t_off, PyObject* t_sym, PyObject* t_dst, PyObject* acc) {
         off_buf.acquire(t_off, "t_off");
         sym_buf.acquire(t_sym, "t_sym");
         dst_buf.acquire(t_dst, "t_dst");
         acc_buf.acquire(acc, "acc");
+    }
+
+    void check(int n_states, int start_state, const Ints& dom) {
         n = n_states;
         start = start_state;
         if (n < 0 || off_buf.size() != static_cast<Py_ssize_t>(n) + 1)
@@ -367,26 +386,189 @@ PyObject* to_array(const Ints& v) {
 
 // (t_off, t_sym, t_dst, acc, *counts) as a tuple of four arrays and ints.
 PyObject* pack(const Parts& p, std::initializer_list<long> counts = {}) {
-    PyObject* out = PyTuple_New(4 + static_cast<Py_ssize_t>(counts.size()));
-    if (!out) throw PyFailure();
+    Ref out(PyTuple_New(4 + static_cast<Py_ssize_t>(counts.size())));
     Py_ssize_t i = 0;
     for (const Ints* part : {&p.off, &p.sym, &p.dst, &p.acc}) {
-        PyObject* item = to_array(*part);
-        if (!item) {
-            Py_DECREF(out);
-            throw PyFailure();
-        }
-        PyTuple_SET_ITEM(out, i++, item);
+        PyTuple_SET_ITEM(out.p, i++, Ref(to_array(*part)).release());
     }
-    for (long c : counts) {
-        PyObject* item = PyLong_FromLong(c);
-        if (!item) {
-            Py_DECREF(out);
-            throw PyFailure();
+    for (long c : counts) PyTuple_SET_ITEM(out.p, i++, Ref(PyLong_FromLong(c)).release());
+    return out.release();
+}
+
+// -- the walk ----------------------------------------------------------------
+
+// One candidate edge of a node: symbol and child node.
+struct Kid {
+    int v, node;
+    bool operator<(const Kid& o) const { return v < o.v; }
+};
+
+// A finished node's state for one label.
+struct Labeled {
+    int label, state;
+};
+
+// What walk built: the unique table and, for every node visited, its
+// (label, state) pairs, labels ascending, at pool[beg[node], end[node]).
+struct Walked {
+    static constexpr int UNBUILT = -1;
+    Unique out;
+    std::vector<Labeled> pool;
+    Ints beg, end;
+
+    bool built(int node) const { return node < static_cast<int>(beg.size()) && beg[node] != UNBUILT; }
+    void set(int node, int b) {
+        if (node >= static_cast<int>(beg.size())) {
+            beg.resize(node + 1, UNBUILT);
+            end.resize(node + 1, UNBUILT);
         }
-        PyTuple_SET_ITEM(out, i++, item);
+        beg[node] = b;
+        end[node] = static_cast<int>(pool.size());
     }
-    return out;
+    int nodes() const { return static_cast<int>(beg.size() - std::count(beg.begin(), beg.end(), UNBUILT)); }
+    // the automaton of label 0 below node, the result of the one-label kernels
+    Parts single(int node) {
+        const bool has = end[node] > beg[node];
+        return out.parts(has ? pool[beg[node]].state : DEAD);
+    }
+};
+
+// The depth-first walk behind every kernel but compile_sorted, as
+// _kernels_py._walk.  Nodes are ints >= 0 that expand hands out:
+// expand(node, lv, kids) appends the node's kids on level lv, symbols
+// ascending and a wildcard only alone; label_of(node) gives the label
+// (>= 0) of a node past the last level, or NO_LABEL.  Nodes are expanded
+// on an explicit stack, and a node is finished once its children are
+// built: for each label found below it, its kids whose child has that
+// label become one interned state.
+template <class Expand, class LabelOf>
+void walk(const Ints& dom, int root, const Expand& expand, const LabelOf& label_of, Walked& w) {
+    const int L = static_cast<int>(dom.size());
+    struct Found {
+        int label, v, state;
+        bool operator<(const Found& o) const { return std::tie(label, v) < std::tie(o.label, o.v); }
+    };
+    std::vector<Kid> kids;  // a stack: frames own nested ranges
+    std::vector<Found> found;
+    Ints syms, dsts;
+    // kbeg < 0 until the node's children are pushed above it; then its
+    // kids are kids[kbeg, kend) until it is built
+    struct Frame {
+        int node, lv, kbeg, kend;
+    };
+    std::vector<Frame> stack{{root, 0, -1, -1}};
+    while (!stack.empty()) {
+        const Frame f = stack.back();
+        stack.pop_back();
+        if (f.kbeg >= 0) {
+            found.clear();
+            for (int q = f.kbeg; q < f.kend; ++q) {
+                const int c = kids[q].node;
+                for (int p = w.beg[c]; p < w.end[c]; ++p)
+                    found.push_back({w.pool[p].label, kids[q].v, w.pool[p].state});
+            }
+            std::sort(found.begin(), found.end());
+            const int b = static_cast<int>(w.pool.size());
+            for (size_t i = 0; i < found.size();) {
+                const int label = found[i].label;
+                syms.clear();
+                dsts.clear();
+                for (; i < found.size() && found[i].label == label; ++i) {
+                    syms.push_back(found[i].v);
+                    dsts.push_back(found[i].state);
+                }
+                w.pool.push_back({label, w.out.intern(f.lv, dom[f.lv], syms, dsts)});
+            }
+            w.set(f.node, b);
+            kids.resize(f.kbeg);
+            continue;
+        }
+        if (w.built(f.node)) continue;
+        if (f.lv == L) {
+            const int b = static_cast<int>(w.pool.size());
+            const int label = label_of(f.node);
+            if (label != NO_LABEL) w.pool.push_back({label, 0});
+            w.set(f.node, b);
+            continue;
+        }
+        const int kbeg = static_cast<int>(kids.size());
+        expand(f.node, f.lv, kids);
+        const int kend = static_cast<int>(kids.size());
+        stack.push_back({f.node, f.lv, kbeg, kend});
+        for (int q = kbeg; q < kend; ++q) {
+            if (!w.built(kids[q].node)) stack.push_back({kids[q].node, f.lv + 1, -1, -1});
+        }
+    }
+}
+
+// Pairs of ids (DEAD allowed), interned as dense node ids.
+struct Pairs {
+    std::unordered_map<uint64_t, int> ids;
+    Ints first, second;
+    int operator()(int a, int b) {
+        const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(a + 1)) << 32) |
+                             static_cast<uint32_t>(b + 1);
+        const auto hit = ids.try_emplace(key, static_cast<int>(first.size()));
+        if (hit.second) {
+            first.push_back(a);
+            second.push_back(b);
+        }
+        return hit.first->second;
+    }
+};
+
+// A node's edges as (wildcard child or DEAD, literal symbols and children).
+struct Decoded {
+    int wild;
+    Span syms, dsts;
+};
+
+constexpr Span NONE{nullptr, nullptr};
+
+// The kids of a pair node, appended to kids: a symbol one side does not
+// name follows that side's wildcard, and a child pair is kept if live
+// says so.  k is the level's domain size.
+template <class Live>
+void merge(int k, const Decoded& a, const Decoded& b, const Live& live, Pairs& pairs,
+           std::vector<Kid>& kids) {
+    const size_t na = a.syms.size(), nb = b.syms.size();
+    if (!na && !nb) {
+        if (live(a.wild, b.wild)) kids.push_back({WILDCARD, pairs(a.wild, b.wild)});
+        return;
+    }
+    const size_t kbeg = kids.size();
+    int named = 0;
+    size_t i = 0, j = 0;
+    while (i < na || j < nb) {
+        int v, da, db;
+        if (j == nb || (i < na && a.syms[i] < b.syms[j])) {
+            v = a.syms[i];
+            da = a.dsts[i++];
+            db = b.wild;
+        } else if (i == na || b.syms[j] < a.syms[i]) {
+            v = b.syms[j];
+            da = a.wild;
+            db = b.dsts[j++];
+        } else {
+            v = a.syms[i];
+            da = a.dsts[i++];
+            db = b.dsts[j++];
+        }
+        ++named;
+        if (live(da, db)) kids.push_back({v, pairs(da, db)});
+    }
+    if (named < k && live(a.wild, b.wild)) {
+        // symbols neither side names follow both wildcards
+        const int rest = pairs(a.wild, b.wild);
+        i = j = 0;
+        for (int v = 0; v < k; ++v) {
+            while (i < na && a.syms[i] < v) ++i;
+            while (j < nb && b.syms[j] < v) ++j;
+            if ((i < na && a.syms[i] == v) || (j < nb && b.syms[j] == v)) continue;
+            kids.push_back({v, rest});
+        }
+        std::sort(kids.begin() + kbeg, kids.end());
+    }
 }
 
 // -- kernels -----------------------------------------------------------------
@@ -445,9 +627,8 @@ Parts compile_sorted(const IntBuffer& dig, int n_strings, int length, const Ints
     while (path.size() > 1) freeze_last();
     freeze(0, 0);
 
-    Flags final(g.sym.size(), 0);
-    final[FINAL] = 1;
-    return renumber(g, static_cast<int>(g.sym.size()), final, 0);
+    Ints old2new(g.sym.size(), -1);
+    return renumber(g, FINAL, 0, old2new);
 }
 
 PyObject* py_compile_sorted(PyObject* args) {
@@ -479,121 +660,35 @@ PyObject* py_compile_sorted(PyObject* args) {
     return pack(compile_sorted(dig, n_strings, length, dom));
 }
 
-// One candidate edge of a product state: symbol and child pair.
-struct Kid {
-    int v, da, db;
-    bool operator<(const Kid& o) const {
-        return std::tie(v, da, db) < std::tie(o.v, o.da, o.db);
-    }
-};
-
-// A state's edges as (wildcard destination or DEAD, literal edges).
-struct Decoded {
-    int wild;
-    Span syms, dsts;
-};
-
 Decoded decode(const Automaton& x, int s) {
-    const Span none{nullptr, nullptr};
-    if (s == DEAD) return {DEAD, none, none};
+    if (s == DEAD) return {DEAD, NONE, NONE};
     const CsrView g = x.view();
     Span syms = g.syms(s), dsts = g.dsts(s);
-    if (syms.size() && syms[0] == WILDCARD) return {dsts[0], none, none};
+    if (syms.size() && syms[0] == WILDCARD) return {dsts[0], NONE, NONE};
     return {DEAD, syms, dsts};
 }
 
 // Lockstep pair construction: 0 = intersect, 1 = union, 2 = difference.
-//
-// Pairs are expanded depth first on an explicit stack, and Unique finishes
-// each pair once its children are built, so the result is minimal as built.
+// The walk over pairs of states, with one label; a missing state on one
+// side is DEAD, so union and difference keep walking the live side.
 Parts product(int mode, const Automaton& a, const Automaton& b, const Ints& dom) {
-    const int L = static_cast<int>(dom.size());
     auto live = [mode](int da, int db) {
         return mode == 0 ? da != DEAD && db != DEAD : mode == 1 ? da != DEAD || db != DEAD : da != DEAD;
     };
-    auto accepts = [&](int da, int db) {
-        const bool fa = da != DEAD && a.final[da], fb = db != DEAD && b.final[db];
-        return mode == 0 ? fa && fb : mode == 1 ? fa || fb : fa && !fb;
+    Pairs pairs;
+    auto expand = [&](int node, int lv, std::vector<Kid>& kids) {
+        const int pa = pairs.first[node], pb = pairs.second[node];
+        merge(dom[lv], decode(a, pa), decode(b, pb), live, pairs, kids);
     };
-    auto key = [](int da, int db) {
-        return (static_cast<uint64_t>(static_cast<uint32_t>(da + 1)) << 32) |
-               static_cast<uint32_t>(db + 1);
+    auto label_of = [&](int node) {
+        const int pa = pairs.first[node], pb = pairs.second[node];
+        const bool fa = pa != DEAD && a.final[pa], fb = pb != DEAD && b.final[pb];
+        return (mode == 0 ? fa && fb : mode == 1 ? fa || fb : fa && !fb) ? 0 : NO_LABEL;
     };
-
-    Unique out;
-    std::unordered_map<uint64_t, int> built;  // pair -> result state, DEAD if empty
-    std::vector<Kid> kids;                    // a stack: frames own nested ranges
-    Ints expl;
-
-    // kbeg < 0 until the pair's children are pushed above it; then its kids
-    // are kids[kbeg, kend) until it is built
-    struct Frame {
-        int pa, pb, lv, kbeg, kend;
-    };
-    std::vector<Frame> stack{{a.start, b.start, 0, -1, -1}};
-    while (!stack.empty()) {
-        const Frame f = stack.back();
-        stack.pop_back();
-        const uint64_t pair = key(f.pa, f.pb);
-        if (f.kbeg < 0) {
-            if (built.count(pair)) continue;
-            if (f.lv == L) {
-                built[pair] = accepts(f.pa, f.pb) ? 0 : DEAD;
-                continue;
-            }
-            const Decoded da = decode(a, f.pa), db = decode(b, f.pb);
-            const int kbeg = static_cast<int>(kids.size());
-            if (da.syms.size() || db.syms.size()) {
-                // merge the two sorted literal lists; a symbol one side does
-                // not name follows that side's wildcard
-                expl.clear();
-                size_t i = 0, j = 0;
-                while (i < da.syms.size() || j < db.syms.size()) {
-                    Kid kid;
-                    if (j == db.syms.size() || (i < da.syms.size() && da.syms[i] < db.syms[j])) {
-                        kid = {da.syms[i], da.dsts[i], db.wild};
-                        ++i;
-                    } else if (i == da.syms.size() || db.syms[j] < da.syms[i]) {
-                        kid = {db.syms[j], da.wild, db.dsts[j]};
-                        ++j;
-                    } else {
-                        kid = {da.syms[i], da.dsts[i], db.dsts[j]};
-                        ++i;
-                        ++j;
-                    }
-                    expl.push_back(kid.v);
-                    if (live(kid.da, kid.db)) kids.push_back(kid);
-                }
-                const int k = dom[f.lv];
-                if (static_cast<int>(expl.size()) < k && live(da.wild, db.wild)) {
-                    // symbols neither side names follow both wildcards
-                    size_t scan = 0;
-                    for (int v = 0; v < k; ++v) {
-                        while (scan < expl.size() && expl[scan] < v) ++scan;
-                        if (scan < expl.size() && expl[scan] == v) continue;
-                        kids.push_back({v, da.wild, db.wild});
-                    }
-                    std::sort(kids.begin() + kbeg, kids.end());
-                }
-            } else if (live(da.wild, db.wild)) {
-                kids.push_back({WILDCARD, da.wild, db.wild});
-            }
-            const int kend = static_cast<int>(kids.size());
-            stack.push_back({f.pa, f.pb, f.lv, kbeg, kend});
-            for (int q = kbeg; q < kend; ++q) {
-                const Kid& kid = kids[q];
-                if (!built.count(key(kid.da, kid.db)))
-                    stack.push_back({kid.da, kid.db, f.lv + 1, -1, -1});
-            }
-            continue;
-        }
-
-        const int state = out.finish(f.lv, dom[f.lv], kids.begin() + f.kbeg, kids.begin() + f.kend,
-                                     [&](const Kid& q) { return built.at(key(q.da, q.db)); });
-        kids.resize(f.kbeg);
-        built[pair] = state;
-    }
-    return out.parts(built[key(a.start, b.start)]);
+    Walked w;
+    const int root = pairs(a.start, b.start);
+    walk(dom, root, expand, label_of, w);
+    return w.single(root);
 }
 
 PyObject* py_product(PyObject* args) {
@@ -610,107 +705,181 @@ PyObject* py_product(PyObject* args) {
     return pack(product(mode, a, b, dom));
 }
 
-// One candidate edge of a subset: symbol and child subset.
-struct SubsetKid {
-    int v, sub;
-    bool operator<(const SubsetKid& o) const { return v < o.v; }
-};
+// Subsets of the states of one or more automata side by side, stepped
+// level by level, as _kernels_py._Subsets.  add puts each automaton's
+// states after the ones before; owner[s] is accepting state s's label.
+// With lvl >= 0 that level is contracted on the fly: a state there takes
+// the merged edges of its successors, and if lvl is the last of the
+// walk's levels it accepts through an accepting successor.
+class Subsets {
+  public:
+    Subsets(int levels, int lvl) : levels_(levels), lvl_(lvl) {}
 
-// Depth-first subset construction that builds its result minimal, as
-// _kernels_py._walk: subsets are expanded as product expands pairs and
-// finished by Unique.  edges(s, lv, add) calls add(symbol, destination)
-// for each edge of member s on level lv (duplicates and wildcards beside
-// literals allowed), accepting(s) tells whether a member on the last level
-// accepts.  Sets n_subsets to the number of distinct subsets
-// reachable from {start}, including those with an empty language.
-template <class EdgesOf, class Accepting>
-Parts walk(const Ints& dom, int start, const EdgesOf& edges, const Accepting& accepting,
-           int& n_subsets) {
-    const int L = static_cast<int>(dom.size());
-    constexpr int UNBUILT = -2;
-    Ints soff{0}, smem;  // members of subset i are smem[soff[i], soff[i + 1])
-    Ints built;          // subset -> result state, DEAD if empty, UNBUILT
-    UniqueTable sub2id;
-    auto subset = [&](const Ints& members) {
-        const auto hit = sub2id.try_emplace(members, static_cast<int>(built.size()));
+    void add(const Automaton& a, int label) {
+        const int base = g_.size();
+        const CsrView v = a.view();
+        for (int s = 0; s < a.n; ++s) {
+            g_.sym.insert(g_.sym.end(), v.syms(s).begin(), v.syms(s).end());
+            for (int d : v.dsts(s)) g_.dst.push_back(base + d);
+            g_.off.push_back(static_cast<int>(g_.sym.size()));
+            owner_.push_back(a.final[s] ? label : NO_LABEL);
+        }
+        roots_.push_back(base + a.start);
+    }
+
+    // the subset of every automaton's start state
+    int root() { return intern(roots_); }
+
+    int intern(const Ints& members) {
+        const auto hit = ids_.try_emplace(members, static_cast<int>(soff_.size()) - 1);
         if (hit.second) {
-            smem.insert(smem.end(), members.begin(), members.end());
-            soff.push_back(static_cast<int>(smem.size()));
-            built.push_back(UNBUILT);
+            smem_.insert(smem_.end(), members.begin(), members.end());
+            soff_.push_back(static_cast<int>(smem_.size()));
         }
         return hit.first->second;
-    };
+    }
 
-    Unique out;
-    std::vector<SubsetKid> kids;  // a stack: frames own nested ranges
-    Ints wild, members;
-    std::vector<std::pair<int, int>> lits;
-    // kbeg < 0 until the subset's children are pushed above it; then its
-    // kids are kids[kbeg, kend) until it is built
-    struct Frame {
-        int sub, lv, kbeg, kend;
-    };
-    std::vector<Frame> stack{{subset(Ints{start}), 0, -1, -1}};
-    while (!stack.empty()) {
-        const Frame f = stack.back();
-        stack.pop_back();
-        if (f.kbeg >= 0) {
-            built[f.sub] = out.finish(f.lv, dom[f.lv], kids.begin() + f.kbeg, kids.begin() + f.kend,
-                                      [&](const SubsetKid& q) { return built[q.sub]; });
-            kids.resize(f.kbeg);
-            continue;
-        }
-        if (built[f.sub] != UNBUILT) continue;
-        if (f.lv == L) {
-            bool acc = false;
-            for (int p = soff[f.sub]; p < soff[f.sub + 1] && !acc; ++p) acc = accepting(smem[p]);
-            built[f.sub] = acc ? 0 : DEAD;
-            continue;
-        }
-        wild.clear();
-        lits.clear();
-        auto add = [&](int v, int d) {
-            if (v == WILDCARD)
-                wild.push_back(d);
-            else
-                lits.emplace_back(v, d);
-        };
-        for (int p = soff[f.sub]; p < soff[f.sub + 1]; ++p) edges(smem[p], f.lv, add);
-        sort_unique(wild);
-        sort_unique(lits);
-
-        const int kbeg = static_cast<int>(kids.size());
-        for (size_t q = 0; q < lits.size();) {
-            const int v = lits[q].first;
-            members.assign(wild.begin(), wild.end());
-            for (; q < lits.size() && lits[q].first == v; ++q) members.push_back(lits[q].second);
-            sort_unique(members);
-            kids.push_back({v, subset(members)});
-        }
-        const int k = dom[f.lv], kexpl = static_cast<int>(kids.size());
-        if (!wild.empty() && kexpl - kbeg < k) {
-            const int rest = subset(wild);
-            if (kexpl == kbeg) {
-                kids.push_back({WILDCARD, rest});
+    // The wildcard child (DEAD if none) of subset sub on level lv; its
+    // literal children, symbols ascending, are appended to syms / dsts,
+    // each taking in the wildcard's members.
+    int step(int sub, int lv, Ints& syms, Ints& dsts) {
+        wild_.clear();
+        lits_.clear();
+        for (int p = soff_[sub]; p < soff_[sub + 1]; ++p) {
+            const int s = smem_[p];
+            if (lv == lvl_) {
+                for (const auto& e : merged(s)) add_edge(e.first, e.second);
             } else {
-                // symbols no member names follow the wildcards
-                int scan = kbeg;
-                for (int v = 0; v < k; ++v) {
-                    while (scan < kexpl && kids[scan].v < v) ++scan;
-                    if (scan < kexpl && kids[scan].v == v) continue;
-                    kids.push_back({v, rest});
-                }
-                std::sort(kids.begin() + kbeg, kids.end());
+                for (int j = g_.off[s]; j < g_.off[s + 1]; ++j) add_edge(g_.sym[j], g_.dst[j]);
             }
         }
-        const int kend = static_cast<int>(kids.size());
-        stack.push_back({f.sub, f.lv, kbeg, kend});
-        for (int q = kbeg; q < kend; ++q) {
-            if (built[kids[q].sub] == UNBUILT) stack.push_back({kids[q].sub, f.lv + 1, -1, -1});
+        sort_unique(wild_);
+        sort_unique(lits_);
+        for (size_t q = 0; q < lits_.size();) {
+            const int v = lits_[q].first;
+            members_.assign(wild_.begin(), wild_.end());
+            for (; q < lits_.size() && lits_[q].first == v; ++q) members_.push_back(lits_[q].second);
+            sort_unique(members_);
+            syms.push_back(v);
+            dsts.push_back(intern(members_));
         }
+        return wild_.empty() ? DEAD : intern(wild_);
     }
-    n_subsets = static_cast<int>(built.size());
-    return out.parts(built[0]);
+
+    // step, memoized per subset, for a subset met in many pairs
+    Decoded decoded(int sub, int lv) {
+        if (sub >= static_cast<int>(memo_wild_.size())) {
+            memo_wild_.resize(sub + 1, UNSTEPPED);
+            memo_beg_.resize(sub + 1);
+            memo_end_.resize(sub + 1);
+        }
+        if (memo_wild_[sub] == UNSTEPPED) {
+            memo_beg_[sub] = static_cast<int>(memo_sym_.size());
+            memo_wild_[sub] = step(sub, lv, memo_sym_, memo_dst_);
+            memo_end_[sub] = static_cast<int>(memo_sym_.size());
+        }
+        const int b = memo_beg_[sub], e = memo_end_[sub];
+        return {memo_wild_[sub], {memo_sym_.data() + b, memo_sym_.data() + e},
+                {memo_dst_.data() + b, memo_dst_.data() + e}};
+    }
+
+    // The label of the first member that accepts, or NO_LABEL.
+    int label(int sub) const {
+        for (int p = soff_[sub]; p < soff_[sub + 1]; ++p) {
+            const int s = smem_[p];
+            if (lvl_ != levels_) {
+                if (owner_[s] != NO_LABEL) return owner_[s];
+                continue;
+            }
+            for (int j = g_.off[s]; j < g_.off[s + 1]; ++j) {
+                if (owner_[g_.dst[j]] != NO_LABEL) return owner_[g_.dst[j]];
+            }
+        }
+        return NO_LABEL;
+    }
+
+    // Distinct members of the subsets the walk built.
+    int members(const Walked& w) const {
+        Flags seen(g_.size(), 0);
+        int count = 0;
+        for (int sub = 0; sub + 1 < static_cast<int>(soff_.size()); ++sub) {
+            if (!w.built(sub)) continue;
+            for (int p = soff_[sub]; p < soff_[sub + 1]; ++p) {
+                if (!seen[smem_[p]]) {
+                    seen[smem_[p]] = 1;
+                    ++count;
+                }
+            }
+        }
+        return count;
+    }
+
+  private:
+    static constexpr int UNSTEPPED = -2;
+
+    void add_edge(int v, int d) {
+        if (v == WILDCARD)
+            wild_.push_back(d);
+        else
+            lits_.emplace_back(v, d);
+    }
+
+    // the contracted edges of a level-lvl state, merged when first read
+    const std::vector<std::pair<int, int>>& merged(int s) {
+        if (merged_.empty()) {
+            merged_.resize(g_.size());
+            done_.assign(g_.size(), 0);
+        }
+        if (!done_[s]) {
+            for (int j = g_.off[s]; j < g_.off[s + 1]; ++j) {
+                const int t = g_.dst[j];
+                for (int q = g_.off[t]; q < g_.off[t + 1]; ++q) merged_[s].emplace_back(g_.sym[q], g_.dst[q]);
+            }
+            sort_unique(merged_[s]);
+            done_[s] = 1;
+        }
+        return merged_[s];
+    }
+
+    int levels_, lvl_;
+    Csr g_;
+    Ints owner_, roots_;
+    UniqueTable ids_;
+    Ints soff_{0}, smem_;
+    std::vector<std::vector<std::pair<int, int>>> merged_;
+    Flags done_;
+    Ints memo_wild_, memo_beg_, memo_end_, memo_sym_, memo_dst_;
+    Ints wild_, members_;
+    std::vector<std::pair<int, int>> lits_;
+};
+
+// The walk over the subsets of subsets, reachable from its root.
+Walked walk_subsets(Subsets& subsets, const Ints& dom, int root) {
+    Ints syms, dsts;
+    auto expand = [&](int sub, int lv, std::vector<Kid>& kids) {
+        syms.clear();
+        dsts.clear();
+        const int wild = subsets.step(sub, lv, syms, dsts);
+        for (size_t q = 0; q < syms.size(); ++q) kids.push_back({syms[q], dsts[q]});
+        const int k = dom[lv], named = static_cast<int>(syms.size());
+        if (wild == DEAD || named >= k) return;
+        if (!named) {
+            kids.push_back({WILDCARD, wild});
+            return;
+        }
+        // symbols no member names follow the wildcards
+        const size_t kbeg = kids.size() - syms.size();
+        size_t scan = 0;
+        for (int v = 0; v < k; ++v) {
+            while (scan < syms.size() && syms[scan] < v) ++scan;
+            if (scan < syms.size() && syms[scan] == v) continue;
+            kids.push_back({v, wild});
+        }
+        std::sort(kids.begin() + kbeg, kids.end());
+    };
+    Walked w;
+    walk(dom, root, expand, [&](int sub) { return subsets.label(sub); }, w);
+    return w;
 }
 
 // determinize and minimize: the walk over the input's own edges (a DFA is
@@ -723,12 +892,12 @@ PyObject* walk_own_edges(PyObject* args, const char* format, bool with_count) {
     const Ints dom = parse_domains(domains);
     Automaton a;
     a.load(n, t_off, t_sym, t_dst, acc, start, dom);
-    const CsrView g = a.view();
-    int n_subsets = 0;
-    const Parts p = walk(
-        dom, a.start, [&](int s, int, auto& add) { each_edge(g, s, add); },
-        [&](int s) { return a.final[s] != 0; }, n_subsets);
-    return with_count ? pack(p, {n_subsets}) : pack(p);
+    Subsets subsets(static_cast<int>(dom.size()), -1);
+    subsets.add(a, 0);
+    const int root = subsets.root();
+    Walked w = walk_subsets(subsets, dom, root);
+    const Parts p = w.single(root);
+    return with_count ? pack(p, {w.nodes()}) : pack(p);
 }
 
 PyObject* py_determinize(PyObject* args) {
@@ -737,8 +906,15 @@ PyObject* py_determinize(PyObject* args) {
 
 PyObject* py_minimize(PyObject* args) { return walk_own_edges(args, "iOOOOiO:minimize", false); }
 
-// Project out level lvl: each level-lvl state takes the merged edges of its
-// successors (nondeterministic in general), read by the walk on the fly.
+Ints without_level(const Ints& dom, int lvl) {
+    const int L = static_cast<int>(dom.size());
+    if (lvl < 0 || lvl >= L) throw BadInput("level " + str(lvl) + " outside 0.." + str(L - 1));
+    Ints out(dom);
+    out.erase(out.begin() + lvl);
+    return out;
+}
+
+// Project out level lvl: the walk with the level contracted on the fly.
 PyObject* py_remove_level(PyObject* args) {
     int n, start, lvl;
     PyObject *t_off, *t_sym, *t_dst, *acc, *domains;
@@ -746,42 +922,102 @@ PyObject* py_remove_level(PyObject* args) {
                           &start, &domains, &lvl))
         throw PyFailure();
     const Ints dom = parse_domains(domains);
-    const int L = static_cast<int>(dom.size());
-    if (lvl < 0 || lvl >= L) throw BadInput("level " + str(lvl) + " outside 0.." + str(L - 1));
+    const Ints new_dom = without_level(dom, lvl);
     Automaton a;
     a.load(n, t_off, t_sym, t_dst, acc, start, dom);
-    const CsrView g = a.view();
+    Subsets subsets(static_cast<int>(new_dom.size()), lvl);
+    subsets.add(a, 0);
+    const int root = subsets.root();
+    Walked w = walk_subsets(subsets, new_dom, root);
+    return pack(w.single(root), {subsets.members(w), w.nodes()});
+}
 
-    // the contracted edges of a level-lvl state, merged when first read
-    std::vector<std::vector<std::pair<int, int>>> merged(n);
-    Flags done(n, 0);
-    auto edges = [&](int s, int lv, auto& add) {
-        if (lv != lvl) return each_edge(g, s, add);
-        if (!done[s]) {
-            auto keep = [&](int v, int d) { merged[s].emplace_back(v, d); };
-            for (int t : g.dsts(s)) each_edge(g, t, keep);
-            sort_unique(merged[s]);
-            done[s] = 1;
-        }
-        for (const auto& e : merged[s]) add(e.first, e.second);
-    };
-    // on the new last level, contracted states accept through an accepting
-    // successor
-    auto accepting = [&](int s) {
-        if (lvl < L - 1) return a.final[s] != 0;
-        for (int t : g.dsts(s)) {
-            if (a.final[t]) return true;
-        }
-        return false;
-    };
+// Each entry of a sequence argument, checked and added to subsets with its
+// index as the label.
+void add_entries(Subsets& subsets, PyObject* entries, const Ints& dom, int& count) {
+    Ref seq(PySequence_Fast(entries, "entries must be a sequence"));
+    const Py_ssize_t size = PySequence_Fast_GET_SIZE(seq.p);
+    if (size > INT32_MAX) throw BadInput("too many entries");
+    count = static_cast<int>(size);
+    for (int i = 0; i < count; ++i) {
+        Automaton a;
+        a.load_entry(PySequence_Fast_GET_ITEM(seq.p, i), dom);
+        subsets.add(a, i);
+    }
+}
 
-    int nfa_states = 0;
-    for (int s = 0; s < n; ++s) nfa_states += a.lev[s] >= 0 && a.lev[s] != lvl + 1;
-    Ints new_dom(dom);
-    new_dom.erase(new_dom.begin() + lvl);
-    int n_subsets = 0;
-    const Parts p = walk(new_dom, a.start, edges, accepting, n_subsets);
-    return pack(p, {nfa_states, n_subsets});
+// [(label, parts), ...] for every label below node, labels ascending.
+PyObject* labeled_parts(Walked& w, int node) {
+    Ref list(PyList_New(0));
+    for (int p = w.beg[node]; p < w.end[node]; ++p) {
+        Ref parts(pack(w.out.parts(w.pool[p].state)));
+        Ref item(Py_BuildValue("(iO)", w.pool[p].label, parts.p));
+        if (PyList_Append(list.p, item.p) < 0) throw PyFailure();
+    }
+    return list.release();
+}
+
+// Remove level lvl from every entry; each string goes to the first entry
+// that reaches it.  Returns ([(index, parts), ...], (nfa_states, raw_states)).
+PyObject* py_project_entries(PyObject* args) {
+    PyObject *entries, *domains;
+    int lvl;
+    if (!PyArg_ParseTuple(args, "OOi:project_entries", &entries, &domains, &lvl)) throw PyFailure();
+    const Ints dom = parse_domains(domains);
+    const Ints new_dom = without_level(dom, lvl);
+    Subsets subsets(static_cast<int>(new_dom.size()), lvl);
+    int count = 0;
+    add_entries(subsets, entries, dom, count);
+    const int root = subsets.root();
+    Walked w = walk_subsets(subsets, new_dom, root);
+    Ref kept(labeled_parts(w, root));
+    return Ref(Py_BuildValue("(O(ii))", kept.p, subsets.members(w), w.nodes())).release();
+}
+
+// Intersect every entry of A with every entry of B over the union domains,
+// a string in entries (i, j) labelled labels[i * |B| + j]: the walk over
+// pairs (A subset, B subset), in step; on a level outside an operand's
+// scope (in_a / in_b false) its subset stays where it is.
+PyObject* py_combine_entries(PyObject* args) {
+    PyObject *a_entries, *b_entries, *domains, *in_a_arg, *in_b_arg, *labels_arg;
+    if (!PyArg_ParseTuple(args, "OOOOOO:combine_entries", &a_entries, &b_entries, &domains,
+                          &in_a_arg, &in_b_arg, &labels_arg))
+        throw PyFailure();
+    const Ints dom = parse_domains(domains);
+    const Ints in_a = parse_ints(in_a_arg, "in_a", 0, 1), in_b = parse_ints(in_b_arg, "in_b", 0, 1);
+    const Ints labels = parse_ints(labels_arg, "labels", 0, INT32_MAX);
+    if (in_a.size() != dom.size() || in_b.size() != dom.size())
+        throw BadInput("in_a has " + str(in_a.size()) + " and in_b " + str(in_b.size()) +
+                       " flags for " + str(dom.size()) + " levels");
+    Ints a_dom, b_dom;
+    for (size_t l = 0; l < dom.size(); ++l) {
+        if (in_a[l]) a_dom.push_back(dom[l]);
+        if (in_b[l]) b_dom.push_back(dom[l]);
+    }
+    Subsets a(static_cast<int>(a_dom.size()), -1), b(static_cast<int>(b_dom.size()), -1);
+    int na = 0, nb = 0;
+    add_entries(a, a_entries, a_dom, na);
+    add_entries(b, b_entries, b_dom, nb);
+    if (labels.size() != static_cast<size_t>(na) * static_cast<size_t>(nb))
+        throw BadInput(str(labels.size()) + " labels for " + str(na) + " x " + str(nb) +
+                       " entry pairs");
+
+    Pairs pairs;
+    auto live = [](int sa, int sb) { return sa != DEAD && sb != DEAD; };
+    auto expand = [&](int node, int lv, std::vector<Kid>& kids) {
+        const int sa = pairs.first[node], sb = pairs.second[node];
+        const Decoded da = in_a[lv] ? a.decoded(sa, lv) : Decoded{sa, NONE, NONE};
+        const Decoded db = in_b[lv] ? b.decoded(sb, lv) : Decoded{sb, NONE, NONE};
+        merge(dom[lv], da, db, live, pairs, kids);
+    };
+    auto label_of = [&](int node) {
+        const int i = a.label(pairs.first[node]), j = b.label(pairs.second[node]);
+        return i == NO_LABEL || j == NO_LABEL ? NO_LABEL : labels[static_cast<size_t>(i) * nb + j];
+    };
+    Walked w;
+    const int root = pairs(a.root(), b.root());
+    walk(dom, root, expand, label_of, w);
+    return labeled_parts(w, root);
 }
 
 PyObject* py_empty_parts(PyObject*) { return pack(empty_parts()); }
@@ -819,6 +1055,10 @@ PyMethodDef methods[] = {
     {"remove_level", guarded<py_remove_level>, METH_VARARGS,
      "remove_level(n, t_off, t_sym, t_dst, acc, start, domains, lvl)"
      " -> parts + (nfa_states, raw_states)"},
+    {"project_entries", guarded<py_project_entries>, METH_VARARGS,
+     "project_entries(entries, domains, lvl) -> ([(index, parts), ...], (nfa_states, raw_states))"},
+    {"combine_entries", guarded<py_combine_entries>, METH_VARARGS,
+     "combine_entries(a_entries, b_entries, domains, in_a, in_b, labels) -> [(label, parts), ...]"},
     {nullptr, nullptr, 0, nullptr},
 };
 

@@ -26,20 +26,45 @@ must be leveled (every path from the start to an accepting state has the
 same length and level i edges only read variable i's symbols); only
 ``determinize`` and ``remove_level`` accept nondeterministic transitions.
 
+Two kernels take every entry of a factor at once.  An entry is the parts
+``(t_off, t_sym, t_dst, acc)`` of a deterministic automaton with start
+state 0, and the entries of one operand are pairwise disjoint:
+
+* ``project_entries(entries, domains, lvl)`` removes level ``lvl`` from
+  every entry and gives each string of the result to the first entry
+  that reaches it, which is the running difference of min-projection.
+  It returns the kept ``(index, parts)`` pairs, indices ascending, and one
+  ``(nfa_states, raw_states)`` sample: the distinct (entry, state) members
+  and the distinct subsets visited.
+* ``combine_entries(a_entries, b_entries, domains, in_a, in_b, labels)``
+  intersects every entry of A with every entry of B over the union
+  ``domains``.  ``in_a[l]`` / ``in_b[l]`` tell whether union level ``l``
+  is one of the operand's own; a level outside an operand's scope leaves
+  it where it is, as a wildcard would.  A string in A's entry ``i`` and
+  B's entry ``j`` gets ``labels[i * len(b_entries) + j]``; the result lists
+  ``(label, parts)`` for every label that gets a string, labels ascending.
+
 This edition does not check its inputs.  Malformed arrays (state ids out
 of range, broken offsets, symbols outside their level's domain, edges
 that do not run to the next level) give a Python exception or a
 meaningless result, never a crash, and the byte-identity contract does
 not cover them.  The compiled edition checks them before it reads them
-and raises ``AutomatonError``.
+and raises ``AutomatonError``; ``Dafsa(...)`` checks them at construction.
 
 Every kernel builds its result minimal, with no merge pass afterwards.
-``compile_sorted`` registers each suffix state once it is complete.
-``product`` and the subset walk ``_walk`` expand states depth first and
-intern each one in a unique table (``_Unique``) once its children are
-built.  ``determinize`` walks an NFA, ``minimize`` a DFA (an NFA whose
-subsets are singletons) and ``remove_level`` the input with one level
-contracted on the fly.
+``compile_sorted`` registers each suffix state once it is complete.  Every
+other kernel is one depth-first walk, ``_walk``, whose leaves carry a
+label or none.  Finishing a node interns one state per label reachable
+below it in a unique table (``_Unique``) that all labels share, so the
+split by label happens in the same pass, and each label's automaton is
+read off canonically at the end.  ``product`` walks pairs of states and
+``determinize``, ``minimize`` and ``remove_level`` subsets of states, all
+with one label.  ``project_entries`` walks subsets of all entries side by
+side, labelled by the lowest accepting entry, and ``combine_entries``
+pairs of such subsets, one per operand.  This is the multi-terminal apply
+of algebraic decision diagrams (Bahar et al., ICCAD 1993), across
+different scopes as in AOMDDs (Mateescu, Dechter & Marinescu, JAIR 33,
+2008).
 """
 
 from array import array
@@ -53,7 +78,7 @@ def _empty_parts():
     return array("i", [0, 0]), array("i"), array("i"), array("i")
 
 
-def _renumber(esym, edst, final, root):
+def _renumber(esym, edst, finals, root):
     """Canonical BFS renumbering.  Per-state edges must be symbol-sorted."""
     old2new = {root: 0}
     order = [root]
@@ -69,60 +94,101 @@ def _renumber(esym, edst, final, root):
         sym += esym[s]
         dst += map(old2new.__getitem__, edst[s])
         off.append(len(sym))
-    acc = sorted(old2new[s] for s, f in enumerate(final) if f and s in old2new)
+    acc = sorted(old2new[s] for s in finals if s in old2new)
     return array("i", off), array("i", sym), array("i", dst), array("i", acc)
 
 
 class _Unique:
     """Result states, built children first and interned in a unique table.
 
-    State 0 is the accepting sink, unreachable (and dropped) if nothing
-    accepts.  ``finish`` drops a state's children with an empty language,
-    rewrites a complete literal fan onto one child as a wildcard and looks
-    the state up by (level, symbols, destinations).  Equal right languages
-    thus share one state, so the result is minimal as built (the "apply
-    with a unique table" of Bryant, IEEE TC 35(8), 1986) and only the
-    breadth-first renumbering is left for ``parts``.
+    State 0 is the accepting sink, shared by every label.  ``finish`` gives
+    a node one state per label reachable below it: the state's edges are
+    the node's kids whose child reaches that label, a complete literal fan
+    onto one child becomes a wildcard, and the state is looked up by
+    (level, symbols, destinations).  Equal right languages thus share one
+    state, whatever their label, so every label's automaton is minimal as
+    built (the "apply with a unique table" of Bryant, IEEE TC 35(8), 1986)
+    and only the breadth-first renumbering is left for ``parts``.
     """
 
     def __init__(self):
-        self.esym = [[]]
-        self.edst = [[]]
+        self.esym = [()]
+        self.edst = [()]
         self.table = {}
 
     def finish(self, lv, k, kids, built):
-        """The state with edges ``kids``, [(symbol, child key), ...], or DEAD.
+        """{label: state} of the node with edges ``kids``, [(symbol, child), ...].
 
-        ``built`` maps every child key to its state (or DEAD); ``k`` is the
+        ``built`` maps every child to its {label: state}; ``k`` is the
         domain size of level ``lv``.
         """
-        syms = []
-        dsts = []
+        per = {}  # label -> (symbols, destinations)
         for v, child in kids:
-            d = built[child]
-            if d != DEAD:
-                syms.append(v)
-                dsts.append(d)
-        if not syms:
-            return DEAD
-        if len(syms) == k and min(dsts) == max(dsts):
-            syms = [WILDCARD]
-            dsts = dsts[:1]
-        sig = (lv, tuple(syms), tuple(dsts))
-        sid = self.table.get(sig)
-        if sid is None:
-            sid = self.table[sig] = len(self.esym)
-            self.esym.append(syms)
-            self.edst.append(dsts)
-        return sid
+            for label, d in built[child].items():
+                edges = per.get(label)
+                if edges is None:
+                    per[label] = ([v], [d])
+                else:
+                    edges[0].append(v)
+                    edges[1].append(d)
+        table = self.table
+        states = {}
+        for label, (syms, dsts) in per.items():
+            if len(syms) == k and min(dsts) == max(dsts):
+                sig = (lv, (WILDCARD,), (dsts[0],))
+            else:
+                sig = (lv, tuple(syms), tuple(dsts))
+            sid = table.get(sig)
+            if sid is None:
+                sid = table[sig] = len(self.esym)
+                self.esym.append(sig[1])
+                self.edst.append(sig[2])
+            states[label] = sid
+        return states
 
     def parts(self, root):
         """Canonical flat parts of the automaton rooted at state ``root``."""
         if root == DEAD:
             return _empty_parts()
-        final = [False] * len(self.esym)
-        final[0] = True
-        return _renumber(self.esym, self.edst, final, root)
+        return _renumber(self.esym, self.edst, (0,), root)
+
+
+def _walk(domains, root, kids_of, label_of):
+    """The depth-first walk behind every kernel but ``compile_sorted``.
+
+    A node is any hashable.  ``kids_of(node, lv)`` lists its (symbol, child)
+    pairs on level ``lv``, symbols ascending and a wildcard only alone;
+    ``label_of(node)`` gives the label of a node past the last level, or
+    None.  Nodes are expanded on an explicit stack, so automaton length is
+    not bounded by the recursion limit, and ``_Unique`` finishes each node
+    once its children are built.  Returns the unique table and the dict
+    {node: {label: state}} of every node visited, including those with an
+    empty language.
+    """
+    L = len(domains)
+    out = _Unique()
+    built = {}
+    # a frame is (node, level, None) until its children are pushed above
+    # it, then (node, level, kids) until it is built
+    stack = [(root, 0, None)]
+    while stack:
+        node, lv, kids = stack.pop()
+        if kids is not None:
+            built[node] = out.finish(lv, domains[lv], kids, built)
+            continue
+        if node in built:
+            continue
+        if lv == L:
+            label = label_of(node)
+            built[node] = {} if label is None else {label: 0}
+            continue
+        kids = kids_of(node, lv)
+        stack.append((node, lv, kids))
+        nl = lv + 1
+        for _, child in kids:
+            if child not in built:
+                stack.append((child, nl, None))
+    return out, built
 
 
 def compile_sorted(digits, n_strings, length, domains):
@@ -187,8 +253,33 @@ def compile_sorted(digits, n_strings, length, domains):
         edst[path[-1]][-1] = freeze(child, d)
     freeze(0, 0)
 
-    final = [s == FINAL for s in range(len(esym))]
-    return _renumber(esym, edst, final, 0)
+    return _renumber(esym, edst, (FINAL,), 0)
+
+
+def _merge(k, a, b, live):
+    """Kids of a pair of nodes, each decoded as (wildcard child, {symbol: child}).
+
+    A symbol one side does not name follows that side's wildcard; a child
+    pair is kept if ``live`` says so.  ``k`` is the level's domain size.
+    """
+    awild, amap = a
+    bwild, bmap = b
+    kids = []
+    if amap or bmap:
+        explicit = sorted(amap.keys() | bmap.keys()) if amap and bmap else list(amap or bmap)
+        for v in explicit:
+            child = (amap.get(v, awild), bmap.get(v, bwild))
+            if live(*child):
+                kids.append((v, child))
+        if len(explicit) < k and live(awild, bwild):
+            # symbols neither side names follow both wildcards
+            child = (awild, bwild)
+            seen = set(explicit)
+            kids.extend((v, child) for v in range(k) if v not in seen)
+            kids.sort()
+    elif live(awild, bwild):
+        kids.append((WILDCARD, (awild, bwild)))
+    return kids
 
 
 def product(
@@ -199,18 +290,12 @@ def product(
 ):
     """Lockstep pair construction: 0 = intersect, 1 = union, 2 = difference.
 
-    A missing state on one side is tracked as the dead id -1, so union and
-    difference can keep walking the side that is still alive.  Pairs are
-    expanded depth first on an explicit stack, so automaton length is not
-    bounded by the recursion limit, and ``_Unique`` finishes each pair once
-    its children are built, so the result is minimal as built.
+    The walk over pairs of states, with one label.  A missing state on one
+    side is tracked as the dead id -1, so union and difference can keep
+    walking the side that is still alive.
     """
-    L = len(domains)
     acca_set = set(acca)
     accb_set = set(accb)
-    out = _Unique()
-    built = {}  # (pa, pb) -> result state, DEAD for an empty language
-
     if mode == 0:
         def live(da, db):
             return da != DEAD and db != DEAD
@@ -230,112 +315,141 @@ def product(
         def accepts(da, db):
             return da in acca_set and db not in accb_set
 
-    def decode(off, sym, dst, s):
-        """(wildcard destination or DEAD, {literal: destination})."""
-        lo, hi = off[s], off[s + 1]
-        if hi > lo and sym[lo] == WILDCARD:
-            return dst[lo], {}
-        return DEAD, dict(zip(sym[lo:hi], dst[lo:hi]))
+    def decoder(off, sym, dst):
+        memo = {DEAD: (DEAD, {})}
 
-    dec_a = {DEAD: (DEAD, {})}
-    dec_b = {DEAD: (DEAD, {})}
+        def decode(s):
+            """(wildcard destination or DEAD, {literal: destination})."""
+            got = memo.get(s)
+            if got is None:
+                lo, hi = off[s], off[s + 1]
+                if hi > lo and sym[lo] == WILDCARD:
+                    got = dst[lo], {}
+                else:
+                    got = DEAD, dict(zip(sym[lo:hi], dst[lo:hi]))
+                memo[s] = got
+            return got
 
-    # a frame is (pair, level, None) until its children are pushed above
-    # it, then (pair, level, [(symbol, child pair), ...]) until it is built
+        return decode
+
+    dec_a = decoder(offa, syma, dsta)
+    dec_b = decoder(offb, symb, dstb)
+
+    def kids_of(pair, lv):
+        return _merge(domains[lv], dec_a(pair[0]), dec_b(pair[1]), live)
+
+    def label_of(pair):
+        return 0 if accepts(*pair) else None
+
     root = (starta, startb)
-    stack = [(root, 0, None)]
-    while stack:
-        pair, lv, kids = stack.pop()
-        if kids is not None:
-            built[pair] = out.finish(lv, domains[lv], kids, built)
-            continue
-        if pair in built:
-            continue
-        pa, pb = pair
-        if lv == L:
-            built[pair] = 0 if accepts(pa, pb) else DEAD
-            continue
-        if pa not in dec_a:
-            dec_a[pa] = decode(offa, syma, dsta, pa)
-        if pb not in dec_b:
-            dec_b[pb] = decode(offb, symb, dstb, pb)
-        awild, amap = dec_a[pa]
-        bwild, bmap = dec_b[pb]
-        kids = []
-        if amap or bmap:
-            explicit = sorted(amap.keys() | bmap.keys()) if bmap else list(amap)
-            for v in explicit:
-                child = (amap.get(v, awild), bmap.get(v, bwild))
-                if live(*child):
-                    kids.append((v, child))
-            k = domains[lv]
-            if len(explicit) < k and live(awild, bwild):
-                # symbols neither side names follow both wildcards
-                child = (awild, bwild)
-                seen = set(explicit)
-                kids.extend((v, child) for v in range(k) if v not in seen)
-                kids.sort()
-        elif live(awild, bwild):
-            kids.append((WILDCARD, (awild, bwild)))
-        stack.append((pair, lv, kids))
-        nl = lv + 1
-        for _, child in kids:
-            if child not in built:
-                stack.append((child, nl, None))
-
-    return out.parts(built[root])
+    out, built = _walk(domains, root, kids_of, label_of)
+    return out.parts(built[root].get(0, DEAD))
 
 
-def _walk(domains, root, edges, accepting):
-    """Depth-first subset construction that builds its result minimal.
+class _Subsets:
+    """Subsets of the states of one automaton, stepped level by level.
 
-    A subset is a sorted tuple of input states, all on one level.
-    ``edges(s, lv)`` gives the (symbol, destination) pairs of member ``s``
-    on level ``lv``, duplicates and wildcards beside literals allowed, and
-    ``accepting(s)`` tells whether a member on the last level accepts.
-    Subsets are expanded as ``product`` expands pairs.  Returns the
-    canonical parts and the dict of every distinct subset reachable from
-    ``root``, including those with an empty language.
+    A subset is a sorted tuple of states, all on one level.  ``owner`` maps
+    each accepting state to its label.  With ``lvl`` >= 0 that level is
+    contracted on the fly: a state there takes the merged edges of its
+    successors (memoized), and if ``lvl`` is the last level of
+    ``domains`` it accepts through an accepting successor.
     """
-    L = len(domains)
-    out = _Unique()
-    built = {}  # subset -> result state, DEAD for an empty language
-    stack = [(root, 0, None)]
-    while stack:
-        sub, lv, kids = stack.pop()
-        if kids is not None:
-            built[sub] = out.finish(lv, domains[lv], kids, built)
-            continue
-        if sub in built:
-            continue
-        if lv == L:
-            built[sub] = 0 if any(map(accepting, sub)) else DEAD
-            continue
+
+    def __init__(self, off, sym, dst, owner, domains, lvl=-1):
+        self.off = off
+        self.sym = sym
+        self.dst = dst
+        self.owner = owner
+        self.domains = domains
+        self.lvl = lvl
+        self.merged = {}  # level-lvl state -> its contracted edges
+
+    def edges(self, s, lv):
+        off, sym, dst = self.off, self.sym, self.dst
+        if lv != self.lvl:
+            lo, hi = off[s], off[s + 1]
+            return zip(sym[lo:hi], dst[lo:hi])
+        e = self.merged.get(s)
+        if e is None:
+            e = self.merged[s] = {edge for t in dst[off[s] : off[s + 1]] for edge in self.edges(t, -1)}
+        return e
+
+    def step(self, sub, lv):
+        """(wildcard child, {symbol: child}) of ``sub`` on level ``lv``.
+
+        Children are sorted tuples, () for none, symbols ascending; a
+        literal's child takes in the wildcard's members.
+        """
         wild = set()
         expl = {}
         for s in sub:
-            for v, d in edges(s, lv):
+            for v, d in self.edges(s, lv):
                 if v == WILDCARD:
                     wild.add(d)
                 elif v in expl:
                     expl[v].add(d)
                 else:
                     expl[v] = {d}
-        kids = [(v, tuple(sorted(expl[v] | wild))) for v in sorted(expl)]
-        k = domains[lv]
+        return tuple(sorted(wild)), {v: tuple(sorted(expl[v] | wild)) for v in sorted(expl)}
+
+    def kids(self, sub, lv):
+        wild, expl = self.step(sub, lv)
+        kids = list(expl.items())
+        k = self.domains[lv]
         if wild and len(expl) < k:
-            child = tuple(sorted(wild))
             if expl:
-                kids.extend((v, child) for v in range(k) if v not in expl)
+                kids.extend((v, wild) for v in range(k) if v not in expl)
                 kids.sort()
             else:
-                kids.append((WILDCARD, child))
-        stack.append((sub, lv, kids))
-        nl = lv + 1
-        for _, child in kids:
-            if child not in built:
-                stack.append((child, nl, None))
-    return out.parts(built[root]), built
+                kids.append((WILDCARD, wild))
+        return kids
+
+    def label(self, sub):
+        """The label of the first member that accepts, or None."""
+        owner = self.owner
+        if self.lvl == len(self.domains):  # contracted last level
+            off, dst = self.off, self.dst
+            sub = [t for s in sub for t in dst[off[s] : off[s + 1]]]
+        for s in sub:
+            label = owner.get(s)
+            if label is not None:
+                return label
+        return None
+
+
+def _side_by_side(entries):
+    """One CSR for several automata: entry i's state s becomes base_i + s.
+
+    Returns (off, sym, dst, roots, owner): the shifted start states, in
+    entry order, and a map from each accepting state to its entry index.
+    """
+    off = array("i", [0])
+    sym = array("i")
+    dst = array("i")
+    roots = []
+    owner = {}
+    for i, (t_off, t_sym, t_dst, acc) in enumerate(entries):
+        base = len(off) - 1
+        roots.append(base)
+        off.extend(map(len(sym).__add__, t_off[1:]))
+        sym.extend(t_sym)
+        dst.extend(map(base.__add__, t_dst))
+        owner.update(dict.fromkeys(map(base.__add__, acc), i))
+    return off, sym, dst, roots, owner
+
+
+def _subset_walk(off, sym, dst, roots, owner, domains, lvl=-1):
+    """Walk the subsets reachable from ``roots`` (see ``_Subsets``).
+
+    ``domains`` are the result's, so level ``lvl`` is already removed from
+    them.  Returns the unique table, the root's {label: state}, the number
+    of distinct members and the number of distinct subsets visited.
+    """
+    subsets = _Subsets(off, sym, dst, owner, domains, lvl)
+    root = tuple(roots)
+    out, built = _walk(domains, root, subsets.kids, subsets.label)
+    return out, built[root], len(set().union(*built)), len(built)
 
 
 def determinize(n, t_off, t_sym, t_dst, acc, start, domains):
@@ -346,13 +460,10 @@ def determinize(n, t_off, t_sym, t_dst, acc, start, domains):
     raw_states counts the distinct subsets visited, the honest size of
     the determinized machine.
     """
-
-    def edges(s, lv):
-        lo, hi = t_off[s], t_off[s + 1]
-        return zip(t_sym[lo:hi], t_dst[lo:hi])
-
-    parts, subsets = _walk(domains, (start,), edges, set(acc).__contains__)
-    return (*parts, len(subsets))
+    out, root, _, raw_states = _subset_walk(
+        t_off, t_sym, t_dst, (start,), dict.fromkeys(acc, 0), domains
+    )
+    return (*out.parts(root.get(0, DEAD)), raw_states)
 
 
 def minimize(n, t_off, t_sym, t_dst, acc, start, domains):
@@ -369,29 +480,67 @@ def remove_level(n, t_off, t_sym, t_dst, acc, start, domains, lvl):
     the contracted automaton (those reachable, minus level ``lvl + 1``)
     and the number of distinct subsets visited.
     """
-    acc_set = set(acc)
-    merged = {}  # level-lvl state -> its contracted edges
+    new_domains = domains[:lvl] + domains[lvl + 1 :]
+    out, root, nfa_states, raw_states = _subset_walk(
+        t_off, t_sym, t_dst, (start,), dict.fromkeys(acc, 0), new_domains, lvl
+    )
+    return (*out.parts(root.get(0, DEAD)), nfa_states, raw_states)
 
-    def own(s):
-        lo, hi = t_off[s], t_off[s + 1]
-        return zip(t_sym[lo:hi], t_dst[lo:hi])
 
-    def edges(s, lv):
-        if lv != lvl:
-            return own(s)
-        e = merged.get(s)
-        if e is None:
-            e = merged[s] = {edge for t in t_dst[t_off[s] : t_off[s + 1]] for edge in own(t)}
-        return e
+def project_entries(entries, domains, lvl):
+    """Remove level ``lvl`` from every entry; each string goes to the first.
 
-    if lvl == len(domains) - 1:
-        # contracted states are the new last level: they accept through
-        # an accepting successor
-        def accepting(s):
-            return any(t in acc_set for t in t_dst[t_off[s] : t_off[s + 1]])
-    else:
-        accepting = acc_set.__contains__
+    The subset walk over all entries side by side, level ``lvl``
+    contracted as in ``remove_level``: a leaf is labelled by the lowest
+    index among its accepting members.  Returns ([(index, parts), ...],
+    (nfa_states, raw_states)).
+    """
+    off, sym, dst, roots, owner = _side_by_side(entries)
+    out, root, nfa_states, raw_states = _subset_walk(
+        off, sym, dst, roots, owner, domains[:lvl] + domains[lvl + 1 :], lvl
+    )
+    kept = [(i, out.parts(root[i])) for i in sorted(root)]
+    return kept, (nfa_states, raw_states)
 
-    parts, subsets = _walk(domains[:lvl] + domains[lvl + 1 :], (start,), edges, accepting)
-    nfa_states = len(set().union(*subsets))
-    return (*parts, nfa_states, len(subsets))
+
+def combine_entries(a_entries, b_entries, domains, in_a, in_b, labels):
+    """Intersect every entry of A with every entry of B, labelled by pair.
+
+    The walk over pairs (A subset, B subset) of the two operands' entries
+    side by side, in step over the union ``domains``; on a level outside
+    an operand's scope its subset stays where it is.  Each subset's step
+    is decoded once, however many pairs it meets.  Returns [(label,
+    parts), ...] for the labels that get a string, labels ascending.
+    """
+    nb = len(b_entries)
+    sides = []
+    for entries, inside in ((a_entries, in_a), (b_entries, in_b)):
+        off, sym, dst, roots, owner = _side_by_side(entries)
+        subsets = _Subsets(off, sym, dst, owner, ())
+        steps = {}
+
+        def decode(sub, lv, subsets=subsets, steps=steps, inside=inside):
+            if not inside[lv]:
+                return sub, {}
+            got = steps.get(sub)
+            if got is None:
+                got = steps[sub] = subsets.step(sub, lv)
+            return got
+
+        sides.append((tuple(roots), decode, subsets.label))
+    (root_a, dec_a, label_a), (root_b, dec_b, label_b) = sides
+
+    def live(sa, sb):
+        return sa and sb
+
+    def kids_of(pair, lv):
+        return _merge(domains[lv], dec_a(pair[0], lv), dec_b(pair[1], lv), live)
+
+    def label_of(pair):
+        i = label_a(pair[0])
+        j = label_b(pair[1])
+        return None if i is None or j is None else labels[i * nb + j]
+
+    root = (root_a, root_b)
+    out, built = _walk(domains, root, kids_of, label_of)
+    return [(label, out.parts(s)) for label, s in sorted(built[root].items())]

@@ -89,9 +89,71 @@ def _flat_from_edges(domains, n, edges, accepting, start):
     return t_off, t_sym, t_dst, array("i", sorted(set(accepting)))
 
 
+def _check_parts(domains, t_off, t_sym, t_dst, acc):
+    """Raise unless the parts meet the flat-automaton contract, start 0.
+
+    The checks of the compiled kernels' ``Automaton::load``: the CSR shape,
+    every state id, and for each state the start reaches, its symbols
+    against the domain of its breadth-first level and that each of its
+    edges runs to the next level.  A part that is not an ``array('i')`` is
+    a TypeError, anything else an AutomatonError.
+    """
+    for name, part in (("t_off", t_off), ("t_sym", t_sym), ("t_dst", t_dst), ("acc", acc)):
+        if not isinstance(part, array) or part.typecode != "i":
+            raise TypeError(f"{name} must be an array('i'), not {type(part).__name__}")
+    n = len(t_off) - 1
+    if n < 1:
+        raise AutomatonError(f"t_off has {len(t_off)} entries, so there is no start state")
+    edges = len(t_sym)
+    if len(t_dst) != edges:
+        raise AutomatonError(f"t_sym has {edges} entries but t_dst {len(t_dst)}")
+    if t_off[0] != 0:
+        raise AutomatonError(f"t_off starts at {t_off[0]}, not 0")
+    for s in range(n):
+        if t_off[s + 1] < t_off[s]:
+            raise AutomatonError(f"t_off decreases at state {s}")
+    if t_off[n] != edges:
+        raise AutomatonError(f"t_off ends at {t_off[n]}, not at {edges} edges")
+    for d in t_dst:
+        if not 0 <= d < n:
+            raise AutomatonError(f"destination {d} outside 0..{n - 1}")
+    for a in acc:
+        if not 0 <= a < n:
+            raise AutomatonError(f"accepting state {a} outside 0..{n - 1}")
+    L = len(domains)
+    lev = [-1] * n
+    lev[0] = 0
+    order = [0]
+    for s in order:  # grows while it is walked: a breadth-first queue
+        for d in t_dst[t_off[s] : t_off[s + 1]]:
+            if lev[d] < 0:
+                lev[d] = lev[s] + 1
+                order.append(d)
+    for s in order:
+        lo, hi = t_off[s], t_off[s + 1]
+        if lo == hi:
+            continue
+        lv = lev[s]
+        if lv >= L:
+            raise AutomatonError(f"state {s}: edges beyond last level {L}")
+        for v in t_sym[lo:hi]:
+            if v != WILDCARD and not 0 <= v < domains[lv]:
+                raise AutomatonError(f"state {s}: symbol {v} outside domain {domains[lv]} at level {lv}")
+        for d in t_dst[lo:hi]:
+            if lev[d] != lv + 1:
+                raise AutomatonError(f"edge {s}->{d} does not run from level {lv} to the next")
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class Dafsa:
-    """Canonical leveled DAFSA. Build via the classmethods, not directly."""
+    """Canonical leveled DAFSA. Build via the classmethods, not directly.
+
+    ``Dafsa(domains, t_off, t_sym, t_dst, acc)`` checks its parts as the
+    compiled kernels do (``_check_parts``) and raises ``AutomatonError`` on
+    malformed ones; it does not canonicalize them.  Parts that kernels and
+    level splices build are trusted and skip the check (``_from_parts``),
+    so the solver pays nothing for it.
+    """
 
     domains: tuple[int, ...]
     t_off: array
@@ -101,12 +163,23 @@ class Dafsa:
 
     start = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "domains", tuple(self.domains))
+        _check_parts(self.domains, self.t_off, self.t_sym, self.t_dst, self.acc)
+
     # -- construction ------------------------------------------------------
 
     @classmethod
     def _from_parts(cls, domains, parts):
+        """Wrap trusted parts ``(t_off, t_sym, t_dst, acc)``, unchecked."""
+        self = object.__new__(cls)
         t_off, t_sym, t_dst, acc = parts
-        return cls(tuple(domains), t_off, t_sym, t_dst, acc)
+        object.__setattr__(self, "domains", tuple(domains))
+        object.__setattr__(self, "t_off", t_off)
+        object.__setattr__(self, "t_sym", t_sym)
+        object.__setattr__(self, "t_dst", t_dst)
+        object.__setattr__(self, "acc", acc)
+        return self
 
     @classmethod
     def empty(cls, domains) -> "Dafsa":
@@ -121,7 +194,7 @@ class Dafsa:
         t_off.append(L)
         t_sym = array("i", [WILDCARD] * L)
         t_dst = array("i", range(1, L + 1))
-        return cls(tuple(domains), t_off, t_sym, t_dst, array("i", [L]))
+        return cls._from_parts(domains, (t_off, t_sym, t_dst, array("i", [L])))
 
     @classmethod
     def from_strings(cls, domains, words: Iterable) -> "Dafsa":
@@ -162,6 +235,11 @@ class Dafsa:
         )
 
     # -- basic queries -----------------------------------------------------
+
+    @property
+    def parts(self) -> tuple:
+        """(t_off, t_sym, t_dst, acc), the form the kernels take."""
+        return self.t_off, self.t_sym, self.t_dst, self.acc
 
     @property
     def length(self) -> int:
@@ -361,7 +439,7 @@ class Dafsa:
         dst = t_dst[:e]
         dst.extend(range(b, 2 * b - a))
         dst.extend(map(shift, t_dst[e:]))
-        return Dafsa(new_domains, off, sym, dst, array("i", map(shift, self.acc)))
+        return Dafsa._from_parts(new_domains, (off, sym, dst, array("i", map(shift, self.acc))))
 
     def remove_level(self, pos: int) -> tuple:
         """Drop position ``pos``, keeping a string iff some value there led
@@ -413,7 +491,7 @@ class Dafsa:
         sym.extend(t_sym[f:])
         dst = t_dst[:e]
         dst.extend(map(shift, t_dst[f:]))
-        return Dafsa(new_domains, off, sym, dst, array("i", map(shift, self.acc)))
+        return Dafsa._from_parts(new_domains, (off, sym, dst, array("i", map(shift, self.acc))))
 
     # -- diagnostics ---------------------------------------------------------
 

@@ -8,7 +8,10 @@ function; its size does not depend on ``prod(domains)``.  A
 ``DafsaFactor`` stores the same function as a list of (value, automaton)
 entries: each distinct (epsilon-keyed) value owns the minimal DAFSA of
 the assignments mapping to it.  Entries are pairwise disjoint and, unless
-infinity rows were pruned, cover the whole assignment space.
+infinity rows were pruned, cover the whole assignment space.  ``combine``
+and ``project`` each make one multi-terminal kernel pass over all entries
+of their operands (``combine_entries``, ``project_entries``), which
+builds every result entry minimal at once.
 
 Both table kinds expose the same read side: ``scope``, ``domains``,
 ``size``, ``value_of``, ``redundancy``, ``values`` (dense, so only the
@@ -23,7 +26,8 @@ tasks and the keying epsilon is an absolute tolerance on costs.
 ``math.inf`` marks hard-infeasible assignments.  It is absorbing under
 sum-combination and never beats a finite value under min-projection.
 The product/max pair stays as a library operation on probability
-factors; there inf * 0 is not a number and raises ``FactorError``.
+factors, on the same two kernels; there inf * 0 is not a number and
+raises ``FactorError``.
 """
 
 from __future__ import annotations
@@ -237,9 +241,9 @@ class DafsaFactor:
     """Factor stored as (value, automaton) entries, sorted by value.
 
     Entry automata share the factor's scope/domains and are pairwise
-    disjoint; infinity, when present, sorts last.  ``remove_level`` output
-    is the one transient place overlaps occur, and ``project`` resolves
-    them before building a factor.
+    disjoint; infinity, when present, sorts last.  Removing a level can
+    make entries overlap; ``project`` gives each assignment to the best
+    entry in the same kernel pass, so no factor ever holds an overlap.
     """
 
     scope: tuple[int, ...]
@@ -395,12 +399,13 @@ class DafsaFactor:
 
 
 def combine(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float = DEFAULT_EPS) -> DafsaFactor:
-    """Pointwise ``op`` over the union scope.
+    """Pointwise ``op`` over the union scope, in one kernel pass.
 
-    Both factors are first aligned to the union scope with wildcard
-    levels; every entry pair contributes its intersection under the
-    epsilon key of ``v1 op v2``, accumulated by union.  Assignments pruned
-    in either input stay pruned.
+    Every entry pair (i, j) is keyed by the epsilon key of ``v_i op v_j``,
+    over the keyset of all pair values.  ``combine_entries`` walks both
+    factors' entries in step over the union scope, a variable outside a
+    factor's scope acting as a wildcard, and gives each assignment the key
+    of its pair.  Assignments pruned in either input stay pruned.
     """
     if op not in COMBINE_OPS:
         raise FactorError(f"combine op must be one of {COMBINE_OPS}, got {op!r}")
@@ -411,36 +416,31 @@ def combine(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float = DEFAULT_EPS)
                 raise FactorError(f"variable {var} has conflicting domains")
     scope = tuple(sorted(kmap))
     domains = tuple(kmap[v] for v in scope)
-    a = f1.add_levels(scope, domains)
-    b = f2.add_levels(scope, domains)
 
     pair_values = [
-        [va + vb if op == "sum" else va * vb for vb, _ in b.entries] for va, _ in a.entries
+        va + vb if op == "sum" else va * vb for va, _ in f1.entries for vb, _ in f2.entries
     ]
-    keyset = ValueKeySet.from_values((v for row in pair_values for v in row), eps)
-    acc = {}
-    for i, (_, da) in enumerate(a.entries):
-        for j, (_, db) in enumerate(b.entries):
-            inter = da.intersect(db)
-            if inter.is_empty():
-                continue
-            key = keyset.key(pair_values[i][j])
-            cur = acc.get(key)
-            acc[key] = inter if cur is None else cur.union(inter)
-    entries = tuple(sorted(acc.items()))
-    return DafsaFactor(scope, domains, entries)
+    keyset = ValueKeySet.from_values(pair_values, eps)
+    keys = list(keyset)
+    index = {key: n for n, key in enumerate(keys)}
+    kept = kernels.combine_entries(
+        [d.parts for _, d in f1.entries], [d.parts for _, d in f2.entries], domains,
+        [var in f1.scope for var in scope], [var in f2.scope for var in scope],
+        [index[keyset.key(v)] for v in pair_values],
+    )
+    return DafsaFactor(scope, domains, tuple((keys[n], Dafsa._from_parts(domains, p)) for n, p in kept))
 
 
 def project(f: DafsaFactor, var: int, op: str):
-    """Eliminate ``var`` by ``op`` over its values.
+    """Eliminate ``var`` by ``op`` over its values, in one kernel pass.
 
-    Every entry drops the variable's level (re-determinizing as needed);
-    overlaps between the shrunk entries are then resolved in favor of the
-    op-preferred value by a running subtraction: entries are visited best
-    value first, each keeps only what no better entry already claimed.
+    ``project_entries`` drops the variable's level from all entries at
+    once, passed best value first, and gives each assignment of the result
+    to the best entry that reaches it.
 
-    Returns ``(factor, growth)`` where growth lists one
-    (nfa_states, raw_dfa_states) sample per processed entry.
+    Returns ``(factor, growth)`` where growth holds the call's one
+    (nfa_states, raw_dfa_states) sample: the distinct (entry, state)
+    members and the distinct subsets the kernel visited.
     """
     if op not in PROJECT_OPS:
         raise FactorError(f"project op must be one of {PROJECT_OPS}, got {op!r}")
@@ -449,26 +449,10 @@ def project(f: DafsaFactor, var: int, op: str):
     pos = f.scope.index(var)
     scope = f.scope[:pos] + f.scope[pos + 1 :]
     domains = f.domains[:pos] + f.domains[pos + 1 :]
-
-    shrunk = []
-    growth = []
-    for val, dafsa in f.entries:
-        small, nfa_states, raw_states = dafsa.remove_level(pos)
-        shrunk.append((val, small))
-        growth.append((nfa_states, raw_states))
-
+    # largest value first for max; inf cannot occur in max mode
+    ranked = f.entries if op == "min" else f.entries[::-1]
+    kept, growth = kernels.project_entries([d.parts for _, d in ranked], f.domains, pos)
+    entries = [(ranked[i][0], Dafsa._from_parts(domains, p)) for i, p in kept]
     if op == "max":
-        shrunk.reverse()  # largest value first; inf cannot occur in max mode
-    # the best entry keeps everything; the union of the last one is never read
-    kept = []
-    prec = None
-    last = len(shrunk) - 1
-    for i, (val, dafsa) in enumerate(shrunk):
-        remainder = dafsa if prec is None else dafsa.difference(prec)
-        if remainder.is_empty():
-            continue
-        kept.append((val, remainder))
-        if i < last:
-            prec = dafsa if prec is None else prec.union(dafsa)
-    kept.sort(key=lambda e: e[0])
-    return DafsaFactor(scope, domains, tuple(kept)), growth
+        entries.reverse()  # kept comes in ranked order
+    return DafsaFactor(scope, domains, tuple(entries)), [growth]

@@ -111,6 +111,30 @@ def compiled_kernels(compiled_src):
     return module
 
 
+def flat(out):
+    """A kernel result with every array turned into a tuple, for comparing."""
+    if isinstance(out, array):
+        return tuple(out)
+    if isinstance(out, (tuple, list)):
+        return tuple(map(flat, out))
+    return out
+
+
+@pytest.fixture(scope="session")
+def both(compiled_kernels):
+    """both(kernel name, *args): runs it in both editions, asserts the
+    results are byte-identical and returns the pure-Python edition's."""
+    import dafbe._kernels_py as KP
+
+    def check(name, *args):
+        rp = getattr(KP, name)(*args)
+        rc = getattr(compiled_kernels, name)(*args)
+        assert flat(rp) == flat(rc), f"{name} diverged: {flat(rp)} vs {flat(rc)}"
+        return rp
+
+    return check
+
+
 def rand_nfa_parts(rng, dom):
     """Random leveled NFA: 1-3 states per level, up to 3 edges per state.
 

@@ -15,31 +15,14 @@ from array import array
 
 import pytest
 
-import dafbe._kernels_py as KP
+from dafbe import generate
 from dafbe.automata import Dafsa
 from dafbe.errors import AutomatonError
+from dafbe.formats import write_wcsp
 
-from conftest import FIXTURES, rand_nfa_parts, run_python
+from conftest import FIXTURES, SRC_PACKAGE, rand_nfa_parts, run_python
 
 DOMS = [(), (1,), (1, 2), (2,), (2, 2), (3, 2), (2, 3, 2), (4, 2, 3), (2, 2, 2, 2)]
-
-
-def flat(parts):
-    return tuple(tuple(x) if isinstance(x, array) else x for x in parts)
-
-
-@pytest.fixture(scope="module")
-def both(compiled_kernels):
-    """both(kernel name, *args): runs it in both editions, returns the parts."""
-    kc = compiled_kernels
-
-    def check(name, *args):
-        rp = flat(getattr(KP, name)(*args))
-        rc = flat(getattr(kc, name)(*args))
-        assert rp == rc, f"{name} diverged: {rp} vs {rc}"
-        return rp
-
-    return check
 
 
 def compile_words(both, words, dom):
@@ -146,51 +129,43 @@ class TestBackendSelection:
         assert outs["python"] == outs["compiled"]
         assert outs["python"].count("\n") == len(inputs)
 
+    def test_solve_output_identical_on_generated_models(self, compiled_src, tmp_path):
+        # wide buckets of many-entry factors, where combine_entries and
+        # project_entries meet many entries per call
+        inputs = []
+        for seed in range(6):
+            path = tmp_path / f"redundant{seed}.wcsp"
+            path.write_text(write_wcsp(generate.high_redundancy_model(random.Random(seed))))
+            inputs.append(str(path))
+        args = ["-m", "dafbe.cli", "solve", "--format", "json-lines", *inputs]
+        outs = {}
+        for backend in ("python", "compiled"):
+            out = run_python(compiled_src, args, backend)
+            assert out.returncode == 0, out.stderr
+            outs[backend] = out.stdout
+        assert outs["python"] == outs["compiled"]
+        assert outs["python"].count("\n") == len(inputs)
 
-# Runs in a child interpreter on the compiled edition, so that a crash
-# shows as a signal instead of killing the test run.  Every case prints
-# one line: "ok" when the call raised AutomatonError (or, in the fuzz,
-# returned normally from input that happened to stay well-formed).
-MALFORMED_SCRIPT = r"""
-import random
-from array import array
 
-import dafbe
-from dafbe._backend import kernels
-from dafbe.automata import Dafsa
-from dafbe.errors import AutomatonError
-
-assert dafbe.BACKEND == "compiled", dafbe.BACKEND
+# Malformed parts (t_off, t_sym, t_dst, acc) over domains D = (2, 2).
+# State 0 has two literal edges and nothing is empty or universal, so no
+# operation on them returns before the kernel.
+MALFORMED_CASES = r"""
 I = lambda *v: array("i", v)
 D = (2, 2)
-good = Dafsa.from_strings(D, [(0, 0), (1, 1)])
-
-# Dafsa(domains, t_off, t_sym, t_dst, acc).  State 0 has two literal
-# edges and nothing is empty or universal, so no operation below returns
-# before the kernel.
 CASES = {
-    "destination past the last state": Dafsa(D, I(0, 2, 3, 3), I(0, 1, 0), I(1, 1, 99), I(2)),
-    "destination far past the last state":
-        Dafsa(D, I(0, 2, 3, 3), I(0, 1, 0), I(1, 1, 1 << 30), I(2)),
-    "negative destination": Dafsa(D, I(0, 2, 3, 3), I(0, 1, 0), I(1, 1, -7), I(2)),
-    "accepting id past the last state": Dafsa(D, I(0, 2, 3, 3), I(0, 1, 0), I(1, 1, 2), I(5)),
-    "negative accepting id": Dafsa(D, I(0, 2, 3, 3), I(0, 1, 0), I(1, 1, 2), I(-1)),
-    "offsets not starting at 0": Dafsa(D, I(1, 2, 3, 3), I(0, 1, 0), I(1, 1, 2), I(2)),
-    "decreasing offsets": Dafsa(D, I(0, 2, 1, 3), I(0, 1, 0), I(1, 1, 2), I(2)),
-    "offsets past the edges": Dafsa(D, I(0, 2, 3, 9), I(0, 1, 0), I(1, 1, 2), I(2)),
-    "t_dst shorter than t_sym": Dafsa(D, I(0, 2, 3, 3), I(0, 1, 0), I(1, 1), I(2)),
-    "symbol outside its domain": Dafsa(D, I(0, 2, 3, 3), I(0, 1, 5), I(1, 1, 2), I(2)),
-    "symbol below the wildcard": Dafsa(D, I(0, 2, 3, 3), I(0, 1, -2), I(1, 1, 2), I(2)),
-    "edges beyond the last level": Dafsa(D, I(0, 2, 3, 4), I(0, 1, 0, 0), I(1, 1, 2, 0), I(2)),
-}
-OPS = {
-    "intersect": lambda d: d.intersect(good),
-    "union": lambda d: d.union(good),
-    "difference": lambda d: d.difference(good),
-    "intersect, second operand": lambda d: good.intersect(d),
-    "union, second operand": lambda d: good.union(d),
-    "difference, second operand": lambda d: good.difference(d),
-    "remove_level": lambda d: d.remove_level(0),
+    "destination past the last state": (I(0, 2, 3, 3), I(0, 1, 0), I(1, 1, 99), I(2)),
+    "destination far past the last state": (I(0, 2, 3, 3), I(0, 1, 0), I(1, 1, 1 << 30), I(2)),
+    "negative destination": (I(0, 2, 3, 3), I(0, 1, 0), I(1, 1, -7), I(2)),
+    "accepting id past the last state": (I(0, 2, 3, 3), I(0, 1, 0), I(1, 1, 2), I(5)),
+    "negative accepting id": (I(0, 2, 3, 3), I(0, 1, 0), I(1, 1, 2), I(-1)),
+    "offsets not starting at 0": (I(1, 2, 3, 3), I(0, 1, 0), I(1, 1, 2), I(2)),
+    "decreasing offsets": (I(0, 2, 1, 3), I(0, 1, 0), I(1, 1, 2), I(2)),
+    "offsets past the edges": (I(0, 2, 3, 9), I(0, 1, 0), I(1, 1, 2), I(2)),
+    "t_dst shorter than t_sym": (I(0, 2, 3, 3), I(0, 1, 0), I(1, 1), I(2)),
+    "symbol outside its domain": (I(0, 2, 3, 3), I(0, 1, 5), I(1, 1, 2), I(2)),
+    "symbol below the wildcard": (I(0, 2, 3, 3), I(0, 1, -2), I(1, 1, 2), I(2)),
+    "edges beyond the last level": (I(0, 2, 3, 4), I(0, 1, 0, 0), I(1, 1, 2, 0), I(2)),
 }
 
 
@@ -202,13 +177,49 @@ def outcome(fn, *args):
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
     return "no error"
+"""
 
+# Runs in a child interpreter on the compiled edition, so that a crash
+# shows as a signal instead of killing the test run.  Every case prints
+# one line: "ok" when the call raised AutomatonError (or, in the fuzz,
+# returned normally from input that happened to stay well-formed).
+# ``Dafsa(...)`` rejects the malformed parts itself, so they are wrapped
+# unchecked here to reach the kernels.
+MALFORMED_SCRIPT = r"""
+import random
+from array import array
 
-for case, bad in CASES.items():
+import dafbe
+from dafbe._backend import kernels
+from dafbe.automata import Dafsa
+from dafbe.errors import AutomatonError
+
+assert dafbe.BACKEND == "compiled", dafbe.BACKEND
+""" + MALFORMED_CASES + r"""
+good = Dafsa.from_strings(D, [(0, 0), (1, 1)])
+BOTH = [1, 1]
+OPS = {
+    "intersect": lambda d: d.intersect(good),
+    "union": lambda d: d.union(good),
+    "difference": lambda d: d.difference(good),
+    "intersect, second operand": lambda d: good.intersect(d),
+    "union, second operand": lambda d: good.union(d),
+    "difference, second operand": lambda d: good.difference(d),
+    "remove_level": lambda d: d.remove_level(0),
+    "project_entries": lambda d: kernels.project_entries([good.parts, d.parts], D, 0),
+    "combine_entries, A entry":
+        lambda d: kernels.combine_entries([good.parts, d.parts], [good.parts], D, BOTH, BOTH, [0, 1]),
+    "combine_entries, B entry":
+        lambda d: kernels.combine_entries([good.parts], [good.parts, d.parts], D, BOTH, BOTH, [0, 1]),
+}
+
+for case, parts in CASES.items():
+    bad = Dafsa._from_parts(D, parts)
     for op, fn in OPS.items():
         print(case, "|", op, "|", outcome(fn, bad))
 
 flat = (good.state_count, good.t_off, good.t_sym, good.t_dst, good.acc, 0)
+one = [good.parts]
 DIRECT = {
     "t_off longer than n + 1": (kernels.minimize, flat[0] - 1, *flat[1:], D),
     "start past the last state": (kernels.determinize, *flat[:5], flat[0], D),
@@ -217,6 +228,16 @@ DIRECT = {
     "short compile_sorted buffer": (kernels.compile_sorted, I(0, 1, 1), 2, 2, D),
     "unsorted compile_sorted rows": (kernels.compile_sorted, I(1, 1, 0, 0), 2, 2, D),
     "compile_sorted digit outside its domain": (kernels.compile_sorted, I(0, 3), 1, 2, D),
+    "project level past the last": (kernels.project_entries, one, D, 2),
+    "entry of three parts": (kernels.project_entries, [good.parts[:3]], D, 0),
+    "entry with no states": (kernels.project_entries, [(I(), I(), I(), I())], D, 0),
+    "labels too short": (kernels.combine_entries, one, one, D, BOTH, BOTH, []),
+    "labels too long": (kernels.combine_entries, one, one, D, BOTH, BOTH, [0, 0]),
+    "negative label": (kernels.combine_entries, one, one, D, BOTH, BOTH, [-1]),
+    "in_a too short": (kernels.combine_entries, one, one, D, [1], BOTH, [0]),
+    "in_b too long": (kernels.combine_entries, one, one, D, BOTH, [1, 1, 1], [0]),
+    "in_a flag of 2": (kernels.combine_entries, one, one, D, [2, 1], BOTH, [0]),
+    "in_a leaving the entry one level short": (kernels.combine_entries, one, one, D, [1, 0], BOTH, [0]),
 }
 for case, (fn, *args) in DIRECT.items():
     print(case, "| direct |", outcome(fn, *args))
@@ -237,6 +258,7 @@ for trial in range(400):
     other = Dafsa.from_strings(dom, sorted(words)[:1])
     ob = (other.state_count, other.t_off, other.t_sym, other.t_dst, other.acc, 0)
     args = (n, *parts, 0)
+    every = [1] * L
     print(f"fuzz {trial} | product |", outcome(
         lambda: [kernels.product(m, *args, *ob, dom) for m in (0, 1, 2)]
         + [kernels.product(m, *ob, *args, dom) for m in (0, 1, 2)]))
@@ -244,6 +266,25 @@ for trial in range(400):
     print(f"fuzz {trial} | determinize |", outcome(kernels.determinize, *args, dom))
     print(f"fuzz {trial} | remove_level |",
           outcome(lambda: [kernels.remove_level(*args, dom, lv) for lv in range(L)]))
+    print(f"fuzz {trial} | project_entries |",
+          outcome(lambda: [kernels.project_entries([other.parts, parts], dom, lv) for lv in range(L)]))
+    print(f"fuzz {trial} | combine_entries |", outcome(
+        lambda: [kernels.combine_entries([parts], [other.parts], dom, every, every, [0]),
+                 kernels.combine_entries([other.parts], [parts], dom, every, every, [0])]))
+"""
+
+# Each malformed case through the public constructor, on the Python edition.
+PYTHON_CONSTRUCTOR_SCRIPT = r"""
+from array import array
+
+import dafbe
+from dafbe.automata import Dafsa
+from dafbe.errors import AutomatonError
+
+assert dafbe.BACKEND == "python", dafbe.BACKEND
+""" + MALFORMED_CASES + r"""
+for case, parts in CASES.items():
+    print(case, "|", outcome(Dafsa, D, *parts))
 """
 
 
@@ -252,11 +293,18 @@ class TestMalformedInput:
         out = run_python(compiled_src, ["-c", MALFORMED_SCRIPT])
         assert out.returncode == 0, f"exit {out.returncode}: {out.stderr[-2000:]}"
         lines = out.stdout.splitlines()
-        assert len(lines) == 12 * 7 + 7 + 400 * 4
+        assert len(lines) == 12 * 10 + 17 + 400 * 6
         bad = [line for line in lines if not line.endswith(("| ok", "| no error"))]
         assert not bad, "\n".join(bad)
         named = [line for line in lines if not line.startswith("fuzz")]
         assert all(line.endswith("| ok") for line in named), "\n".join(named)
+
+    def test_python_constructor_raises_automaton_error(self):
+        out = run_python(os.path.dirname(SRC_PACKAGE), ["-c", PYTHON_CONSTRUCTOR_SCRIPT], "python")
+        assert out.returncode == 0, out.stderr[-2000:]
+        lines = out.stdout.splitlines()
+        assert len(lines) == 12
+        assert all(line.endswith("| ok") for line in lines), "\n".join(lines)
 
     def test_unleveled_edges_raise_automaton_error(self, compiled_kernels):
         # an edge back to the start, and one between two level-1 states,
