@@ -6,11 +6,13 @@ flat-array inputs, so the numbers compare the implementations, not the
 workloads.  Outputs are also cross-checked byte for byte while we are
 at it; a mismatch aborts the run.
 
-The ``combine_entries`` and ``project_entries`` rows replay every call
-the solver makes on one instance of the benchmark's wcsp-planted corpus
-(``bench/generators.py``, seed 1, instance 0), recorded once with the
-Python edition, so they time the two factor kernels on the solver's own
-inputs.
+The ``combine_entries``, fused ``combine_entries`` and
+``project_entries`` rows replay every call the solver makes on one
+instance of the benchmark's wcsp-planted corpus (``bench/generators.py``,
+seed 1, instance 0), recorded once with the Python edition, so they time
+the factor kernels on the solver's own inputs.  A fused call is a
+``combine_entries`` call that removes a level (``lvl >= 0``): a bucket's
+last combine and its projection in one walk.
 
 The end-to-end row re-runs the solver in subprocesses with
 DAFBE_KERNELS forced, because the backend is chosen once at import.
@@ -60,8 +62,9 @@ def sorted_digit_buffer(words, length):
 
 
 def record_factor_calls():
-    """{kernel name: [args, ...]} of one wcsp-planted solve's factor kernels."""
-    calls = {"combine_entries": [], "project_entries": []}
+    """{row name: (kernel name, [args, ...])} of one wcsp-planted solve's factor kernels."""
+    calls = {row: (row.split(",")[0], []) for row in
+             ("combine_entries", "combine_entries, fused", "project_entries")}
 
     class Recorder:
         def __getattr__(self, name):
@@ -70,7 +73,8 @@ def record_factor_calls():
                 return kernel
 
             def record(*args):
-                calls[name].append(args)
+                fused = name == "combine_entries" and len(args) > 6 and args[6] >= 0
+                calls[name + ", fused" if fused else name][1].append(args)
                 return kernel(*args)
 
             return record
@@ -148,9 +152,9 @@ def main():
             lambda K, l=lvl: tuple(K.remove_level(*flat(a), domains, l)),
         )
 
-    for name, recorded in record_factor_calls().items():
+    for row, (name, recorded) in record_factor_calls().items():
         workload(
-            f"{name}, {len(recorded)} calls of one wcsp-planted solve",
+            f"{row}, {len(recorded)} calls of one wcsp-planted solve",
             lambda K, n=name, r=recorded: [getattr(K, n)(*a) for a in r],
         )
 

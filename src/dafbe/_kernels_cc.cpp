@@ -10,7 +10,8 @@
 // reads them: CSR shape, state ids, each reachable state's symbols against
 // the domain of its breadth-first level, and that each of its edges runs
 // to the next level, for every automaton and every factor entry; and the
-// lengths of the level flags and labels of combine_entries.  A violation
+// lengths of the level flags and labels of combine_entries and the level
+// it removes.  A violation
 // raises dafbe.errors.AutomatonError, and running out of memory raises
 // MemoryError, so no input can crash the interpreter.
 //
@@ -22,7 +23,11 @@
 // canonically at the end.  product walks pairs of states; determinize,
 // minimize and remove_level walk subsets of states (Subsets);
 // project_entries walks subsets of all entries side by side and
-// combine_entries pairs of such subsets, one per operand.
+// combine_entries pairs of such subsets, one per operand (PairWalk).  With
+// lvl >= 0 combine_entries removes that union level in the same walk: a
+// node below it is an interned set of pairs (sets of pair ids, as Subsets
+// interns sets of states), stepped member by member, and a leaf takes the
+// lowest label of its pairs, so a bucket's combined factor is never built.
 //
 // Build by hand (setup.py does the same through setuptools):
 //   g++ -std=c++17 -O2 -shared -fPIC -I<Python include dir> _kernels_cc.cpp
@@ -766,8 +771,10 @@ class Subsets {
         return wild_.empty() ? DEAD : intern(wild_);
     }
 
-    // step, memoized per subset, for a subset met in many pairs
+    // step, memoized per subset, for a subset met in many pairs; DEAD
+    // stands for the subset of no entries
     Decoded decoded(int sub, int lv) {
+        if (sub == DEAD) return {DEAD, NONE, NONE};
         if (sub >= static_cast<int>(memo_wild_.size())) {
             memo_wild_.resize(sub + 1, UNSTEPPED);
             memo_beg_.resize(sub + 1);
@@ -785,6 +792,7 @@ class Subsets {
 
     // The label of the first member that accepts, or NO_LABEL.
     int label(int sub) const {
+        if (sub == DEAD) return NO_LABEL;
         for (int p = soff_[sub]; p < soff_[sub + 1]; ++p) {
             const int s = smem_[p];
             if (lvl_ != levels_) {
@@ -853,6 +861,27 @@ class Subsets {
     std::vector<std::pair<int, int>> lits_;
 };
 
+// After a node's literal kids at kids[kbeg, end), symbols ascending, the
+// kids of the symbols they do not name on a level of domain size k: all
+// to the wildcard child wild (DEAD if none), as one wildcard kid when no
+// literal is named.
+void add_wildcard_kids(int k, int wild, size_t kbeg, std::vector<Kid>& kids) {
+    const size_t kend = kids.size();
+    const int named = static_cast<int>(kend - kbeg);
+    if (wild == DEAD || named >= k) return;
+    if (!named) {
+        kids.push_back({WILDCARD, wild});
+        return;
+    }
+    size_t scan = kbeg;
+    for (int v = 0; v < k; ++v) {
+        while (scan < kend && kids[scan].v < v) ++scan;
+        if (scan < kend && kids[scan].v == v) continue;
+        kids.push_back({v, wild});
+    }
+    std::sort(kids.begin() + kbeg, kids.end());
+}
+
 // The walk over the subsets of subsets, reachable from its root.
 Walked walk_subsets(Subsets& subsets, const Ints& dom, int root) {
     Ints syms, dsts;
@@ -860,22 +889,9 @@ Walked walk_subsets(Subsets& subsets, const Ints& dom, int root) {
         syms.clear();
         dsts.clear();
         const int wild = subsets.step(sub, lv, syms, dsts);
+        const size_t kbeg = kids.size();
         for (size_t q = 0; q < syms.size(); ++q) kids.push_back({syms[q], dsts[q]});
-        const int k = dom[lv], named = static_cast<int>(syms.size());
-        if (wild == DEAD || named >= k) return;
-        if (!named) {
-            kids.push_back({WILDCARD, wild});
-            return;
-        }
-        // symbols no member names follow the wildcards
-        const size_t kbeg = kids.size() - syms.size();
-        size_t scan = 0;
-        for (int v = 0; v < k; ++v) {
-            while (scan < syms.size() && syms[scan] < v) ++scan;
-            if (scan < syms.size() && syms[scan] == v) continue;
-            kids.push_back({v, wild});
-        }
-        std::sort(kids.begin() + kbeg, kids.end());
+        add_wildcard_kids(dom[lv], wild, kbeg, kids);
     };
     Walked w;
     walk(dom, root, expand, [&](int sub) { return subsets.label(sub); }, w);
@@ -974,14 +990,163 @@ PyObject* py_project_entries(PyObject* args) {
     return Ref(Py_BuildValue("(O(ii))", kept.p, subsets.members(w), w.nodes())).release();
 }
 
+bool both_live(int sa, int sb) { return sa != DEAD && sb != DEAD; }
+
+// The walk of combine_entries over pairs (A subset, B subset) of the two
+// operands' entries, in step over the union levels; on a level outside an
+// operand's scope (in_a / in_b false) its subset stays where it is.  With
+// lvl >= 0 union level lvl is removed on the fly, as in
+// _kernels_py.combine_entries.  The nodes of that fused walk are pairs p,
+// as node 2p, and interned sorted sets s of pair ids, as node 2s + 1: a
+// node below the removed level is the set of pairs its values lead to,
+// and a set of one pair is that pair.
+class PairWalk {
+  public:
+    PairWalk(Subsets& a, Subsets& b, const Ints& dom, const Ints& in_a, const Ints& in_b,
+             const Ints& labels, int nb, int lvl)
+        : a_(a), b_(b), dom_(dom), in_a_(in_a), in_b_(in_b), labels_(labels), nb_(nb), lvl_(lvl) {
+        node_of({});  // set 0, node 1: no pairs, a dead child
+    }
+
+    int pair(int sa, int sb) { return pairs_(sa, sb); }
+    int pairs() const { return static_cast<int>(pairs_.first.size()); }
+
+    // The kids of pair p on union level lv, children as pair ids.
+    void pair_kids(int p, int lv, std::vector<Kid>& kids) {
+        const int sa = pairs_.first[p], sb = pairs_.second[p];
+        const Decoded da = in_a_[lv] ? a_.decoded(sa, lv) : Decoded{sa, NONE, NONE};
+        const Decoded db = in_b_[lv] ? b_.decoded(sb, lv) : Decoded{sb, NONE, NONE};
+        merge(dom_[lv], da, db, both_live, pairs_, kids);
+    }
+
+    int pair_label(int p) const {
+        const int i = a_.label(pairs_.first[p]), j = b_.label(pairs_.second[p]);
+        return i == NO_LABEL || j == NO_LABEL ? NO_LABEL : labels_[static_cast<size_t>(i) * nb_ + j];
+    }
+
+    // The fused walk's root node for root pair p.
+    int root(int p) { return lvl_ == 0 ? contract(p) : 2 * p; }
+
+    // The kids of a fused node on result level lv.
+    void expand(int node, int lv, std::vector<Kid>& kids) {
+        if (lv < lvl_) {  // a pair above the removed level
+            const size_t kbeg = kids.size();
+            pair_kids(node / 2, lv, kids);
+            size_t keep = kbeg;
+            for (size_t q = kbeg; q < kids.size(); ++q) {
+                const int child = lv == lvl_ - 1 ? contract(kids[q].node) : 2 * kids[q].node;
+                if (child != NO_PAIRS) kids[keep++] = {kids[q].v, child};
+            }
+            kids.resize(keep);
+            return;
+        }
+        ++lv;  // the union level
+        if (node % 2 == 0) {
+            const int p = node / 2;
+            step(p, lv);
+            for (int q = sbeg_[p]; q < send_[p]; ++q) kids.push_back({stepped_[q].v, 2 * stepped_[q].node});
+            return;
+        }
+        // a set: its members' kids, grouped by symbol
+        wild_.clear();
+        lits_.clear();
+        const int s = node / 2;
+        for (int m = soff_[s]; m < soff_[s + 1]; ++m) {
+            const int p = smem_[m];
+            step(p, lv);
+            for (int q = sbeg_[p]; q < send_[p]; ++q) {
+                if (stepped_[q].v == WILDCARD)
+                    wild_.push_back(stepped_[q].node);
+                else
+                    lits_.emplace_back(stepped_[q].v, stepped_[q].node);
+            }
+        }
+        sort_unique(wild_);
+        sort_unique(lits_);
+        const size_t kbeg = kids.size();
+        for (size_t q = 0; q < lits_.size();) {
+            const int v = lits_[q].first;
+            members_.assign(wild_.begin(), wild_.end());
+            for (; q < lits_.size() && lits_[q].first == v; ++q) members_.push_back(lits_[q].second);
+            sort_unique(members_);
+            kids.push_back({v, node_of(members_)});
+        }
+        add_wildcard_kids(dom_[lv], wild_.empty() ? DEAD : node_of(wild_), kbeg, kids);
+    }
+
+    // The lowest label among a fused leaf's pairs, or NO_LABEL.
+    int label(int node) const {
+        if (node % 2 == 0) return pair_label(node / 2);
+        int best = NO_LABEL;
+        for (int m = soff_[node / 2]; m < soff_[node / 2 + 1]; ++m) {
+            const int l = pair_label(smem_[m]);
+            if (l != NO_LABEL && (best == NO_LABEL || l < best)) best = l;
+        }
+        return best;
+    }
+
+  private:
+    static constexpr int UNSET = -2;
+    static constexpr int NO_PAIRS = 1;  // the node of the empty set
+
+    int node_of(const Ints& members) {
+        if (members.size() == 1) return 2 * members[0];
+        const auto hit = sets_.try_emplace(members, static_cast<int>(soff_.size()) - 1);
+        if (hit.second) {
+            smem_.insert(smem_.end(), members.begin(), members.end());
+            soff_.push_back(static_cast<int>(smem_.size()));
+        }
+        return 2 * hit.first->second + 1;
+    }
+
+    // Pair p's kids on union level lv below the removed level, memoized.
+    void step(int p, int lv) {
+        if (p >= static_cast<int>(sbeg_.size())) {
+            sbeg_.resize(p + 1, UNSET);
+            send_.resize(p + 1, UNSET);
+        }
+        if (sbeg_[p] != UNSET) return;
+        const int b = static_cast<int>(stepped_.size());
+        pair_kids(p, lv, stepped_);
+        sbeg_[p] = b;
+        send_[p] = static_cast<int>(stepped_.size());
+    }
+
+    // The node of the children of pair p on the removed level, memoized.
+    int contract(int p) {
+        if (p >= static_cast<int>(contracted_.size())) contracted_.resize(p + 1, UNSET);
+        if (contracted_[p] == UNSET) {
+            scratch_.clear();
+            pair_kids(p, lvl_, scratch_);
+            children_.clear();
+            for (const Kid& kid : scratch_) children_.push_back(kid.node);
+            sort_unique(children_);
+            contracted_[p] = node_of(children_);
+        }
+        return contracted_[p];
+    }
+
+    Subsets &a_, &b_;
+    const Ints &dom_, &in_a_, &in_b_, &labels_;
+    const int nb_, lvl_;
+    Pairs pairs_;
+    UniqueTable sets_;
+    Ints soff_{0}, smem_;
+    std::vector<Kid> stepped_, scratch_;
+    Ints sbeg_, send_, contracted_;
+    Ints wild_, members_, children_;
+    std::vector<std::pair<int, int>> lits_;
+};
+
 // Intersect every entry of A with every entry of B over the union domains,
-// a string in entries (i, j) labelled labels[i * |B| + j]: the walk over
-// pairs (A subset, B subset), in step; on a level outside an operand's
-// scope (in_a / in_b false) its subset stays where it is.
+// a string in entries (i, j) labelled labels[i * |B| + j]; with lvl >= 0,
+// remove union level lvl on the fly, a leaf taking the lowest label of its
+// pairs.  Returns ([(label, parts), ...], (pairs, nodes)).
 PyObject* py_combine_entries(PyObject* args) {
     PyObject *a_entries, *b_entries, *domains, *in_a_arg, *in_b_arg, *labels_arg;
-    if (!PyArg_ParseTuple(args, "OOOOOO:combine_entries", &a_entries, &b_entries, &domains,
-                          &in_a_arg, &in_b_arg, &labels_arg))
+    int lvl = -1;
+    if (!PyArg_ParseTuple(args, "OOOOOO|i:combine_entries", &a_entries, &b_entries, &domains,
+                          &in_a_arg, &in_b_arg, &labels_arg, &lvl))
         throw PyFailure();
     const Ints dom = parse_domains(domains);
     const Ints in_a = parse_ints(in_a_arg, "in_a", 0, 1), in_b = parse_ints(in_b_arg, "in_b", 0, 1);
@@ -989,6 +1154,8 @@ PyObject* py_combine_entries(PyObject* args) {
     if (in_a.size() != dom.size() || in_b.size() != dom.size())
         throw BadInput("in_a has " + str(in_a.size()) + " and in_b " + str(in_b.size()) +
                        " flags for " + str(dom.size()) + " levels");
+    if (lvl < -1 || lvl >= static_cast<int>(dom.size()))
+        throw BadInput("level " + str(lvl) + " outside -1.." + str(static_cast<long>(dom.size()) - 1));
     Ints a_dom, b_dom;
     for (size_t l = 0; l < dom.size(); ++l) {
         if (in_a[l]) a_dom.push_back(dom[l]);
@@ -1002,22 +1169,20 @@ PyObject* py_combine_entries(PyObject* args) {
         throw BadInput(str(labels.size()) + " labels for " + str(na) + " x " + str(nb) +
                        " entry pairs");
 
-    Pairs pairs;
-    auto live = [](int sa, int sb) { return sa != DEAD && sb != DEAD; };
-    auto expand = [&](int node, int lv, std::vector<Kid>& kids) {
-        const int sa = pairs.first[node], sb = pairs.second[node];
-        const Decoded da = in_a[lv] ? a.decoded(sa, lv) : Decoded{sa, NONE, NONE};
-        const Decoded db = in_b[lv] ? b.decoded(sb, lv) : Decoded{sb, NONE, NONE};
-        merge(dom[lv], da, db, live, pairs, kids);
-    };
-    auto label_of = [&](int node) {
-        const int i = a.label(pairs.first[node]), j = b.label(pairs.second[node]);
-        return i == NO_LABEL || j == NO_LABEL ? NO_LABEL : labels[static_cast<size_t>(i) * nb + j];
-    };
+    PairWalk pw(a, b, dom, in_a, in_b, labels, nb, lvl);
+    const int root_pair = pw.pair(na ? a.root() : DEAD, nb ? b.root() : DEAD);
+    const int root = lvl == -1 ? root_pair : pw.root(root_pair);
     Walked w;
-    const int root = pairs(a.root(), b.root());
-    walk(dom, root, expand, label_of, w);
-    return labeled_parts(w, root);
+    if (lvl == -1) {
+        walk(dom, root, [&](int p, int lv, std::vector<Kid>& kids) { pw.pair_kids(p, lv, kids); },
+             [&](int p) { return pw.pair_label(p); }, w);
+    } else {
+        walk(without_level(dom, lvl), root,
+             [&](int node, int lv, std::vector<Kid>& kids) { pw.expand(node, lv, kids); },
+             [&](int node) { return pw.label(node); }, w);
+    }
+    Ref kept(labeled_parts(w, root));
+    return Ref(Py_BuildValue("(O(ii))", kept.p, pw.pairs(), w.nodes())).release();
 }
 
 PyObject* py_empty_parts(PyObject*) { return pack(empty_parts()); }
@@ -1058,7 +1223,8 @@ PyMethodDef methods[] = {
     {"project_entries", guarded<py_project_entries>, METH_VARARGS,
      "project_entries(entries, domains, lvl) -> ([(index, parts), ...], (nfa_states, raw_states))"},
     {"combine_entries", guarded<py_combine_entries>, METH_VARARGS,
-     "combine_entries(a_entries, b_entries, domains, in_a, in_b, labels) -> [(label, parts), ...]"},
+     "combine_entries(a_entries, b_entries, domains, in_a, in_b, labels, lvl=-1)"
+     " -> ([(label, parts), ...], (pairs, nodes))"},
     {nullptr, nullptr, 0, nullptr},
 };
 

@@ -36,13 +36,19 @@ state 0, and the entries of one operand are pairwise disjoint:
   It returns the kept ``(index, parts)`` pairs, indices ascending, and one
   ``(nfa_states, raw_states)`` sample: the distinct (entry, state) members
   and the distinct subsets visited.
-* ``combine_entries(a_entries, b_entries, domains, in_a, in_b, labels)``
-  intersects every entry of A with every entry of B over the union
-  ``domains``.  ``in_a[l]`` / ``in_b[l]`` tell whether union level ``l``
-  is one of the operand's own; a level outside an operand's scope leaves
-  it where it is, as a wildcard would.  A string in A's entry ``i`` and
-  B's entry ``j`` gets ``labels[i * len(b_entries) + j]``; the result lists
-  ``(label, parts)`` for every label that gets a string, labels ascending.
+* ``combine_entries(a_entries, b_entries, domains, in_a, in_b, labels,
+  lvl=-1)`` intersects every entry of A with every entry of B over the
+  union ``domains``.  ``in_a[l]`` / ``in_b[l]`` tell whether union level
+  ``l`` is one of the operand's own; a level outside an operand's scope
+  leaves it where it is, as a wildcard would.  A string in A's entry
+  ``i`` and B's entry ``j`` gets ``labels[i * len(b_entries) + j]``.  With
+  ``lvl`` >= 0 union level ``lvl`` is removed in the same walk, and each
+  string of the result takes the lowest label among its extensions: with
+  labels ranked best first that is min-projection of the combined
+  function, which is never built.  It returns the ``(label, parts)`` of
+  every label that gets a string, labels ascending, and one ``(pairs,
+  nodes)`` sample: the distinct (A subset, B subset) pairs and the
+  distinct nodes visited.
 
 This edition does not check its inputs.  Malformed arrays (state ids out
 of range, broken offsets, symbols outside their level's domain, edges
@@ -61,10 +67,12 @@ read off canonically at the end.  ``product`` walks pairs of states and
 ``determinize``, ``minimize`` and ``remove_level`` subsets of states, all
 with one label.  ``project_entries`` walks subsets of all entries side by
 side, labelled by the lowest accepting entry, and ``combine_entries``
-pairs of such subsets, one per operand.  This is the multi-terminal apply
-of algebraic decision diagrams (Bahar et al., ICCAD 1993), across
-different scopes as in AOMDDs (Mateescu, Dechter & Marinescu, JAIR 33,
-2008).
+pairs of such subsets, one per operand, and below a removed level sets of
+such pairs.  This is the multi-terminal apply of algebraic decision
+diagrams (Bahar et al., ICCAD 1993), across different scopes as in AOMDDs
+(Mateescu, Dechter & Marinescu, JAIR 33, 2008); removing a level in the
+same walk is the relational product of symbolic model checking (Burch et
+al., LICS 1990) in min-sum form.
 """
 
 from array import array
@@ -346,6 +354,23 @@ def product(
     return out.parts(built[root].get(0, DEAD))
 
 
+def _kids(expl, wild, k):
+    """(symbol, child) kids of a node on a level of domain size ``k``.
+
+    ``expl`` maps literals to children, symbols ascending; the symbols it
+    does not name follow the wildcard child ``wild`` (falsy if none), as
+    one wildcard edge when ``expl`` is empty.
+    """
+    kids = list(expl.items())
+    if wild and len(expl) < k:
+        if expl:
+            kids.extend((v, wild) for v in range(k) if v not in expl)
+            kids.sort()
+        else:
+            kids.append((WILDCARD, wild))
+    return kids
+
+
 class _Subsets:
     """Subsets of the states of one automaton, stepped level by level.
 
@@ -395,15 +420,7 @@ class _Subsets:
 
     def kids(self, sub, lv):
         wild, expl = self.step(sub, lv)
-        kids = list(expl.items())
-        k = self.domains[lv]
-        if wild and len(expl) < k:
-            if expl:
-                kids.extend((v, wild) for v in range(k) if v not in expl)
-                kids.sort()
-            else:
-                kids.append((WILDCARD, wild))
-        return kids
+        return _kids(expl, wild, self.domains[lv])
 
     def label(self, sub):
         """The label of the first member that accepts, or None."""
@@ -503,14 +520,24 @@ def project_entries(entries, domains, lvl):
     return kept, (nfa_states, raw_states)
 
 
-def combine_entries(a_entries, b_entries, domains, in_a, in_b, labels):
+def combine_entries(a_entries, b_entries, domains, in_a, in_b, labels, lvl=-1):
     """Intersect every entry of A with every entry of B, labelled by pair.
 
     The walk over pairs (A subset, B subset) of the two operands' entries
     side by side, in step over the union ``domains``; on a level outside
     an operand's scope its subset stays where it is.  Each subset's step
-    is decoded once, however many pairs it meets.  Returns [(label,
-    parts), ...] for the labels that get a string, labels ascending.
+    is decoded once, however many pairs it meets.
+
+    With ``lvl`` >= 0, union level ``lvl`` is removed on the fly, which is
+    min-projection of the combined function without building it.  A node
+    below the removed level is the set of pairs that the level's values
+    lead to (one pair stays a plain pair node).  Stepping a set steps each
+    member pair, memoized per pair, and groups the children by symbol,
+    wildcards as in ``_Subsets.kids`` (``_kids``); a leaf takes the lowest
+    label among its member pairs.
+
+    Returns ([(label, parts), ...], (pairs, nodes)): the labels that get a
+    string, ascending, and the distinct pairs and distinct nodes visited.
     """
     nb = len(b_entries)
     sides = []
@@ -533,14 +560,83 @@ def combine_entries(a_entries, b_entries, domains, in_a, in_b, labels):
     def live(sa, sb):
         return sa and sb
 
-    def kids_of(pair, lv):
+    def pair_kids(pair, lv):
         return _merge(domains[lv], dec_a(pair[0], lv), dec_b(pair[1], lv), live)
 
-    def label_of(pair):
+    def pair_label(pair):
         i = label_a(pair[0])
         j = label_b(pair[1])
         return None if i is None or j is None else labels[i * nb + j]
 
     root = (root_a, root_b)
-    out, built = _walk(domains, root, kids_of, label_of)
-    return [(label, out.parts(s)) for label, s in sorted(built[root].items())]
+    if lvl < 0:
+        out, built = _walk(domains, root, pair_kids, pair_label)
+        pairs = len(built)
+    else:
+        out, root, built, pairs = _fused_walk(domains, root, pair_kids, pair_label, lvl)
+    kept = [(label, out.parts(s)) for label, s in sorted(built[root].items())]
+    return kept, (pairs, len(built))
+
+
+def _fused_walk(domains, root, pair_kids, pair_label, lvl):
+    """The walk over pairs with union level ``lvl`` removed on the fly.
+
+    ``pair_kids(pair, lv)`` and ``pair_label(pair)`` are the pair walk's.
+    A node above level ``lvl`` is a pair; a node below it is a frozenset
+    of two or more pairs, or a lone pair.  Returns the unique table, the
+    root node, {node: {label: state}} and the number of distinct pairs.
+    """
+    stepped = {}  # pair below the removed level -> its kids
+    contracted = {}  # pair on the removed level -> the node of its children
+
+    def step(pair, lv):
+        got = stepped.get(pair)
+        if got is None:
+            got = stepped[pair] = pair_kids(pair, lv)
+        return got
+
+    def node_of(pairs):
+        return next(iter(pairs)) if len(pairs) == 1 else frozenset(pairs)
+
+    def contract(pair):
+        got = contracted.get(pair)
+        if got is None:
+            got = contracted[pair] = node_of({child for _, child in pair_kids(pair, lvl)})
+        return got
+
+    def kids_of(node, lv):
+        if lv < lvl:  # a pair above the removed level
+            kids = pair_kids(node, lv)
+            if lv == lvl - 1:
+                kids = [(v, c) for v, c in ((v, contract(child)) for v, child in kids) if c]
+            return kids
+        lv += 1  # the union level
+        if type(node) is not frozenset:
+            return step(node, lv)
+        wild = set()
+        expl = {}
+        for pair in node:
+            for v, child in step(pair, lv):
+                if v == WILDCARD:
+                    wild.add(child)
+                elif v in expl:
+                    expl[v].add(child)
+                else:
+                    expl[v] = {child}
+        expl = {v: node_of(expl[v] | wild) for v in sorted(expl)}
+        return _kids(expl, wild and node_of(wild), domains[lv])
+
+    def label_of(node):
+        labels = map(pair_label, node if type(node) is frozenset else (node,))
+        return min((label for label in labels if label is not None), default=None)
+
+    if lvl == 0:
+        root = contract(root)
+    out, built = _walk(domains[:lvl] + domains[lvl + 1 :], root, kids_of, label_of)
+    pairs = set(contracted)
+    for node in built:
+        if type(node) is frozenset:
+            pairs.update(node)
+        else:
+            pairs.add(node)
+    return out, root, built, len(pairs)

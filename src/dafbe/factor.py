@@ -11,7 +11,10 @@ the assignments mapping to it.  Entries are pairwise disjoint and, unless
 infinity rows were pruned, cover the whole assignment space.  ``combine``
 and ``project`` each make one multi-terminal kernel pass over all entries
 of their operands (``combine_entries``, ``project_entries``), which
-builds every result entry minimal at once.
+builds every result entry minimal at once.  ``project(f, var, op,
+other=g)`` eliminates ``var`` from the combination of ``f`` and ``g`` in
+one ``combine_entries`` pass that removes the level as it walks, so the
+combined factor is never built.
 
 Both table kinds expose the same read side: ``scope``, ``domains``,
 ``size``, ``value_of``, ``redundancy``, ``values`` (dense, so only the
@@ -46,6 +49,7 @@ from .keying import redundancy as _value_redundancy
 
 COMBINE_OPS = ("product", "sum")
 PROJECT_OPS = ("max", "min")
+PARTNER = {"max": "product", "min": "sum"}  # the combine op each projection pairs with
 
 
 def _strides(domains):
@@ -398,14 +402,13 @@ class DafsaFactor:
         return DafsaFactor(scope, domains, tuple(entries))
 
 
-def combine(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float = DEFAULT_EPS) -> DafsaFactor:
-    """Pointwise ``op`` over the union scope, in one kernel pass.
+def _combine_call(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float):
+    """(scope, domains, keys, operands, labels) of ``f1 op f2``.
 
-    Every entry pair (i, j) is keyed by the epsilon key of ``v_i op v_j``,
-    over the keyset of all pair values.  ``combine_entries`` walks both
-    factors' entries in step over the union scope, a variable outside a
-    factor's scope acting as a wildcard, and gives each assignment the key
-    of its pair.  Assignments pruned in either input stay pruned.
+    ``operands`` are the ``combine_entries`` arguments before the labels:
+    entries, union domains and level flags.  Every entry pair (i, j) is
+    keyed by the epsilon key of ``v_i op v_j``, over the keyset of all
+    pair values, and labelled by that key's index in the sorted ``keys``.
     """
     if op not in COMBINE_OPS:
         raise FactorError(f"combine op must be one of {COMBINE_OPS}, got {op!r}")
@@ -423,36 +426,68 @@ def combine(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float = DEFAULT_EPS)
     keyset = ValueKeySet.from_values(pair_values, eps)
     keys = list(keyset)
     index = {key: n for n, key in enumerate(keys)}
-    kept = kernels.combine_entries(
+    operands = (
         [d.parts for _, d in f1.entries], [d.parts for _, d in f2.entries], domains,
         [var in f1.scope for var in scope], [var in f2.scope for var in scope],
-        [index[keyset.key(v)] for v in pair_values],
     )
+    return scope, domains, keys, operands, [index[keyset.key(v)] for v in pair_values]
+
+
+def combine(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float = DEFAULT_EPS) -> DafsaFactor:
+    """Pointwise ``op`` over the union scope, in one kernel pass.
+
+    ``combine_entries`` walks both factors' entries in step over the union
+    scope, a variable outside a factor's scope acting as a wildcard, and
+    gives each assignment the key of its entry pair.  Assignments pruned
+    in either input stay pruned.
+    """
+    scope, domains, keys, operands, labels = _combine_call(f1, f2, op, eps)
+    kept, _ = kernels.combine_entries(*operands, labels, -1)
     return DafsaFactor(scope, domains, tuple((keys[n], Dafsa._from_parts(domains, p)) for n, p in kept))
 
 
-def project(f: DafsaFactor, var: int, op: str):
+def project(f: DafsaFactor, var: int, op: str, other: DafsaFactor | None = None,
+            eps: float = DEFAULT_EPS):
     """Eliminate ``var`` by ``op`` over its values, in one kernel pass.
 
     ``project_entries`` drops the variable's level from all entries at
     once, passed best value first, and gives each assignment of the result
     to the best entry that reaches it.
 
+    Given ``other``, it eliminates ``var`` from ``combine(f, other)``, by
+    the op's semiring partner (sum for min, product for max) under that
+    combine's keyset, without building the combined factor:
+    ``combine_entries`` removes the level on the fly, with the labels
+    ranked best first, and the entries are byte-identical to projecting
+    the combined factor.
+
     Returns ``(factor, growth)`` where growth holds the call's one
-    (nfa_states, raw_dfa_states) sample: the distinct (entry, state)
-    members and the distinct subsets the kernel visited.
+    sample: the distinct (entry, state) members and the distinct subsets
+    ``project_entries`` visited, or the distinct (A subset, B subset)
+    pairs and the distinct nodes the fused walk visited.
     """
     if op not in PROJECT_OPS:
         raise FactorError(f"project op must be one of {PROJECT_OPS}, got {op!r}")
-    if var not in f.scope:
-        raise FactorError(f"variable {var} not in scope {f.scope}")
-    pos = f.scope.index(var)
-    scope = f.scope[:pos] + f.scope[pos + 1 :]
-    domains = f.domains[:pos] + f.domains[pos + 1 :]
-    # largest value first for max; inf cannot occur in max mode
-    ranked = f.entries if op == "min" else f.entries[::-1]
-    kept, growth = kernels.project_entries([d.parts for _, d in ranked], f.domains, pos)
-    entries = [(ranked[i][0], Dafsa._from_parts(domains, p)) for i, p in kept]
+    if other is None:
+        scope, domains = f.scope, f.domains
+    else:
+        scope, domains, keys, operands, labels = _combine_call(f, other, PARTNER[op], eps)
+    if var not in scope:
+        raise FactorError(f"variable {var} not in scope {scope}")
+    pos = scope.index(var)
+    # ranked: the values best first, largest first for max, where inf cannot occur
+    if other is None:
+        entries = f.entries if op == "min" else f.entries[::-1]
+        ranked = [v for v, _ in entries]
+        kept, growth = kernels.project_entries([d.parts for _, d in entries], domains, pos)
+    else:
+        ranked = keys if op == "min" else keys[::-1]
+        if op == "max":
+            labels = [len(keys) - 1 - n for n in labels]
+        kept, growth = kernels.combine_entries(*operands, labels, pos)
+    scope = scope[:pos] + scope[pos + 1 :]
+    domains = domains[:pos] + domains[pos + 1 :]
+    entries = [(ranked[n], Dafsa._from_parts(domains, p)) for n, p in kept]
     if op == "max":
         entries.reverse()  # kept comes in ranked order
     return DafsaFactor(scope, domains, tuple(entries)), [growth]

@@ -290,9 +290,12 @@ def bucket_elimination(
 
     The solver minimizes the sum of ``model.cost_factors()``.  Factors
     live in the bucket of their latest-in-ordering scope variable.
-    Buckets are processed last to first: combine everything in the bucket,
-    project the bucket variable out, send the message to the bucket of its
-    latest remaining variable (scalars fold straight into the optimum).
+    Buckets are processed last to first: combine all but the bucket's last
+    factor, then project the bucket variable out of their sum with the
+    last one in one fused kernel walk, so the bucket's combined factor is
+    never built (a one-factor bucket is projected alone); send the
+    message to the bucket of its latest remaining variable (scalars fold
+    straight into the optimum).  Each bucket records one growth sample.
     A forward pass then rebuilds an optimal assignment by trying each
     value of each variable against its bucket's functions, lowest value
     winning ties.  ``prune_infinite`` drops infinite-cost rows from the
@@ -350,14 +353,15 @@ def bucket_elimination(
             stats.buckets_processed += 1
             combined = bucket[0]
             transient = 0  # states of the current fold intermediate
-            for f in bucket[1:]:
+            for f in bucket[1:-1]:
                 deadline.check()
                 combined = factor_ops.combine(combined, f, "sum", eps)
                 transient = combined.total_states
                 peak = max(peak, live_states + transient)
             note_factor(combined)
             deadline.check()
-            message, growth = factor_ops.project(combined, ordering[p], "min")
+            other = bucket[-1] if len(bucket) > 1 else None
+            message, growth = factor_ops.project(combined, ordering[p], "min", other, eps)
             stats.growth_samples.extend(growth)
             stats.messages += 1
             peak = max(peak, live_states + transient + message.total_states)

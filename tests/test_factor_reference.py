@@ -5,9 +5,11 @@ kernel pass over all entries.  The references below are the loops they
 replaced, kept here the way ``test_model.py`` keeps its set-based
 ordering: ``combine`` intersected every entry pair and unioned the pieces
 key by key, ``project`` removed the level from each entry and resolved
-overlaps by a running difference, best value first.  Entries must come
-out byte-identical, and every kernel call goes through the ``both``
-fixture, so the compiled edition must agree with the Python one on each.
+overlaps by a running difference, best value first.  The fused step,
+``project(f, var, op, other=g)``, is checked against projecting
+``combine(f, g, partner)``.  Entries must come out byte-identical, and
+every kernel call goes through the ``both`` fixture, so the compiled
+edition must agree with the Python one on each.
 """
 
 import math
@@ -19,7 +21,7 @@ import pytest
 import dafbe.factor as factor_mod
 from dafbe.automata import Dafsa
 from dafbe.errors import FactorError
-from dafbe.factor import DafsaFactor, SparseFactor, combine, project
+from dafbe.factor import PARTNER, DafsaFactor, SparseFactor, combine, project
 from dafbe.keying import DEFAULT_EPS, ValueKeySet
 
 from conftest import flat
@@ -167,6 +169,72 @@ class TestAgainstPairLoops:
         assert got.entries == () and len(growth) == 1
 
 
+def fused_and_unfused(f, g, var, op):
+    """Entry bytes of the fused step and of projecting the combined factor."""
+    got, growth = project(f, var, op, other=g)
+    want, _ = project(combine(f, g, PARTNER[op]), var, op)
+    assert len(growth) == 1 and min(growth[0]) >= 1, growth
+    return entry_bytes(got), entry_bytes(want)
+
+
+class TestFusedStep:
+    def test_random_pairs(self, through_both):
+        rng = random.Random(20261019)
+        seen = set()
+        # both ops meet every scope relation 60 times, the variable drawn
+        # from f's scope only, g's only or both, as the scopes allow
+        for trial in range(480):
+            op = ("min", "max")[trial % 2]
+            kind = ("any", "disjoint", "nested", "equal")[trial // 2 % 4]
+            doms = [rng.randrange(1, 4) for _ in range(VARS)]
+            s1 = rand_scope(rng, "any")
+            s2 = rand_scope(rng, kind, s1)
+            f = rand_factor(rng, s1, doms, op == "max")
+            g = rand_factor(rng, s2, doms, op == "max")
+            where = {
+                "f only": [v for v in s1 if v not in s2],
+                "g only": [v for v in s2 if v not in s1],
+                "both": [v for v in s1 if v in s2],
+            }
+            wanted = ("f only", "g only", "both")[trial // 8 % 3]
+            if not where[wanted]:
+                wanted = rng.choice([w for w, vs in where.items() if vs])
+            var = rng.choice(where[wanted])
+            got, want = fused_and_unfused(f, g, var, op)
+            assert got == want, (trial, op, kind, wanted)
+            seen.add((op, kind, wanted))
+        relations = {(k, w) for _, k, w in seen}
+        assert {w for _, w in relations} == {"f only", "g only", "both"}
+        assert {k for k, _ in relations} == {"any", "disjoint", "nested", "equal"}
+        assert {op for op, _, _ in seen} == {"min", "max"}
+
+    def test_constant_and_infinite_operands(self, through_both):
+        # a universal entry on either side, inf rows kept or pruned
+        hard = SparseFactor((0, 1), (2, 3), 1.0, {(0, 0): math.inf, (1, 2): 0.0, (1, 1): math.inf})
+        const = SparseFactor((1, 2), (3, 2), 2.5, {})
+        for prune in (False, True):
+            f = DafsaFactor.from_table(hard, prune_infinite=prune)
+            g = DafsaFactor.from_table(const)
+            for a, b in ((f, g), (g, f), (f, f), (g, g)):
+                for var in sorted(set(a.scope) | set(b.scope)):
+                    got, want = fused_and_unfused(a, b, var, "min")
+                    assert got == want, (prune, a.scope, b.scope, var)
+
+    def test_empty_operand(self, through_both):
+        empty = DafsaFactor((0, 1), (2, 3), ())
+        full = DafsaFactor.from_table(SparseFactor((1,), (3,), 1.0, {}))
+        for a, b in ((empty, full), (full, empty), (empty, empty)):
+            for var in (0, 1):
+                if var in a.scope or var in b.scope:
+                    got, want = fused_and_unfused(a, b, var, "min")
+                    assert got == want and got[2] == ()
+
+    def test_variable_outside_both_scopes(self):
+        f = DafsaFactor.from_table(SparseFactor((0,), (2,), 1.0, {}))
+        with pytest.raises(FactorError):
+            project(f, 3, "min", other=f)
+
+
 class TestDeep:
     # 1,500 levels, past the recursion limit, through each kernel
     L = 1500
@@ -193,3 +261,14 @@ class TestDeep:
         for var in (0, self.L // 2, self.L - 1):
             got, _ = project(f, var, "min")
             assert entry_bytes(got) == entry_bytes(reference_project(f, var, "min"))
+
+    def test_fused_step(self, through_both):
+        rng = random.Random(1502)
+        f1 = self.deep_factor(rng, tuple(range(self.L)), 8, [0.0, 1.0, 2.0])
+        f2 = self.deep_factor(rng, tuple(range(0, self.L, 2)), 8, [0.0, 0.5])
+        combined = combine(f1, f2, "sum")
+        # the first and last levels, in both scopes or in f1's only
+        for var in (0, 1, self.L - 1):
+            got, growth = project(f1, var, "min", other=f2)
+            assert entry_bytes(got) == entry_bytes(project(combined, var, "min")[0]), var
+            assert len(growth) == 1

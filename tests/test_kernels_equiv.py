@@ -238,13 +238,17 @@ DIRECT = {
     "in_b too long": (kernels.combine_entries, one, one, D, BOTH, [1, 1, 1], [0]),
     "in_a flag of 2": (kernels.combine_entries, one, one, D, [2, 1], BOTH, [0]),
     "in_a leaving the entry one level short": (kernels.combine_entries, one, one, D, [1, 0], BOTH, [0]),
+    "fused level below -1": (kernels.combine_entries, one, one, D, BOTH, BOTH, [0], -2),
+    "fused level past the last": (kernels.combine_entries, one, one, D, BOTH, BOTH, [0], len(D)),
 }
 for case, (fn, *args) in DIRECT.items():
     print(case, "| direct |", outcome(fn, *args))
 
 # random corruption of well-formed parts: each call must raise
-# AutomatonError or return
+# AutomatonError or return; the fused level comes from a second stream,
+# so the corruptions stay what they were
 rng = random.Random(20261018)
+lvl_rng = random.Random(20261019)
 for trial in range(400):
     L = rng.randrange(1, 4)
     dom = tuple(rng.randrange(1, 4) for _ in range(L))
@@ -271,6 +275,10 @@ for trial in range(400):
     print(f"fuzz {trial} | combine_entries |", outcome(
         lambda: [kernels.combine_entries([parts], [other.parts], dom, every, every, [0]),
                  kernels.combine_entries([other.parts], [parts], dom, every, every, [0])]))
+    lvl = lvl_rng.randrange(-2, L + 1)
+    print(f"fuzz {trial} | combine_entries, level {lvl} |", outcome(
+        lambda: [kernels.combine_entries([parts], [other.parts], dom, every, every, [0], lvl),
+                 kernels.combine_entries([other.parts], [parts], dom, every, every, [0], lvl)]))
 """
 
 # Each malformed case through the public constructor, on the Python edition.
@@ -293,7 +301,7 @@ class TestMalformedInput:
         out = run_python(compiled_src, ["-c", MALFORMED_SCRIPT])
         assert out.returncode == 0, f"exit {out.returncode}: {out.stderr[-2000:]}"
         lines = out.stdout.splitlines()
-        assert len(lines) == 12 * 10 + 17 + 400 * 6
+        assert len(lines) == 12 * 10 + 19 + 400 * 7
         bad = [line for line in lines if not line.endswith(("| ok", "| no error"))]
         assert not bad, "\n".join(bad)
         named = [line for line in lines if not line.startswith("fuzz")]

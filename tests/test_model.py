@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import dafbe.factor as factor_mod
 from dafbe.errors import ModelError, TimeLimit
 from dafbe.factor import SparseFactor, TabularFactor
 from dafbe.model import (
@@ -250,6 +251,39 @@ class TestBucketElimination:
         assert s.peak_live_states >= s.max_automaton_states
         assert all(nfa >= 1 and raw >= 1 for nfa, raw in s.growth_samples)
         assert s.wall_time >= 0.0
+
+    def test_one_growth_sample_per_bucket(self, monkeypatch):
+        # along the ordering 0..4 the buckets of 4, 3, 2, 1 and 0 hold 3,
+        # 2, 1, 2 and 1 factors: one projection per one-factor bucket and
+        # one fused step per other bucket, each recording one sample
+        feed = lambda a: float((3 * a[0] + sum(a)) % 4)
+        scopes = [(3, 4), (2, 4), (4,), (1, 3), (0, 1)]
+        m = GraphicalModel(5, (2,) * 5, tuple(table_from_feed(sc, (2,) * len(sc), feed)
+                                              for sc in scopes), Task.WCSP)
+        sizes = []
+        combines = 0
+        combine, project = factor_mod.combine, factor_mod.project
+
+        def counting_combine(*args):
+            nonlocal combines
+            combines += 1
+            return combine(*args)
+
+        def counting_project(f, var, op, other=None, *args):
+            nonlocal combines
+            sizes.append(combines + (1 if other is None else 2))
+            combines = 0
+            return project(f, var, op, other, *args)
+
+        monkeypatch.setattr(factor_mod, "combine", counting_combine)
+        monkeypatch.setattr(factor_mod, "project", counting_project)
+        r = bucket_elimination(m, (0, 1, 2, 3, 4))
+        assert sizes == [3, 2, 1, 2, 1]
+        s = r.stats
+        assert len(s.growth_samples) == s.messages == len(sizes)
+        assert all(nfa > 0 and raw > 0 for nfa, raw in s.growth_samples)
+        assert s.peak_live_states >= s.max_automaton_states
+        assert r.optimum == brute_force(m).optimum
 
     def test_growth_average(self):
         m = micro_model(4)
