@@ -16,6 +16,9 @@ last combine and its projection in one walk.
 
 The end-to-end row re-runs the solver in subprocesses with
 DAFBE_KERNELS forced, because the backend is chosen once at import.
+The two cold-start rows time whole fresh interpreters the same way: the
+median wall time of 9 runs of ``import dafbe.cli`` and of 9 one-process
+``dafbe solve`` runs of ``tests/fixtures/hand.wcsp``, launch to exit.
 
 Usage:
     python3 benchmarks/compare_backends.py [--repeats N] [--skip-solve]
@@ -25,6 +28,7 @@ import argparse
 import itertools
 import os
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -42,8 +46,12 @@ from dafbe import factor, formats
 from dafbe.automata import Dafsa
 from dafbe.model import bucket_elimination
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
 from generators import WORKLOADS, corpus  # noqa: E402
+
+COLD_RUNS = 9
+HAND_WCSP = os.path.join(ROOT, "tests", "fixtures", "hand.wcsp")
 
 
 def flat(d):
@@ -87,6 +95,17 @@ def record_factor_calls():
     finally:
         factor.kernels = saved
     return calls
+
+
+def cold_start(argv, backend):
+    """Median wall time of ``COLD_RUNS`` fresh interpreters running ``argv``."""
+    env = {**os.environ, "DAFBE_KERNELS": backend}
+    times = []
+    for _ in range(COLD_RUNS):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=True)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def bench(fn, repeats):
@@ -187,6 +206,12 @@ def main():
             print("OUTPUT MISMATCH in end-to-end solve")
             sys.exit(2)
         rows.append(("end-to-end solve (w*~13, n=30)", times["python"], times["compiled"]))
+        for name, argv in (
+            ("import dafbe.cli", ["-c", "import dafbe.cli"]),
+            ("dafbe solve hand.wcsp", ["-m", "dafbe.cli", "solve", HAND_WCSP]),
+        ):
+            rows.append((f"cold start: {name}, median of {COLD_RUNS}",
+                         cold_start(argv, "python"), cold_start(argv, "compiled")))
 
     width = max(len(r[0]) for r in rows)
     print(f"{'workload'.ljust(width)}  {'python':>10}  {'compiled':>10}  {'speedup':>8}")

@@ -19,8 +19,16 @@ combined factor is never built.
 Both table kinds expose the same read side: ``scope``, ``domains``,
 ``size``, ``value_of``, ``redundancy``, ``values`` (dense, so only the
 oracles and tests read it), ``present_values`` (the values of at least
-one cell) and ``cells`` (what ``DafsaFactor.from_table`` and the WCSP
-writer consume).
+one cell), ``cells`` (what the WCSP writer consumes) and ``rows_by_key``
+(the listed cells grouped by value key, what ``DafsaFactor.from_table``
+compiles).  The dense kind is numpy through and through:
+``present_values`` is its table and ``cells`` gives an assignment matrix
+and the table, and it groups with one stable argsort.  The sparse kind is
+pure Python, so a WCSP solve never imports numpy: ``present_values`` is a
+list, ``cells`` gives the sorted exception tuples and a list of their
+values, and it groups in one pass over its exceptions.  Only ``values``
+and ``to_table`` load numpy.  Both kinds store -0.0 as +0.0, so the two
+paths key zero alike.
 
 The solver runs ``combine(..., "sum")`` and ``project(..., "min")``
 only: MAP potentials reach it as costs -log p (see
@@ -36,16 +44,19 @@ raises ``FactorError``.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from array import array
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._backend import kernels
 from .automata import Dafsa
 from .errors import FactorError
 from .keying import DEFAULT_EPS, ValueKeySet
 from .keying import redundancy as _value_redundancy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 COMBINE_OPS = ("product", "sum")
 PROJECT_OPS = ("max", "min")
@@ -95,7 +106,11 @@ class TabularFactor:
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "domains", domains)
         _check_scope(scope, domains)
+        import numpy as np
+
         values = np.asarray(self.values, dtype=np.float64).reshape(-1)
+        if np.signbit(values[values == 0.0]).any():
+            values = values + 0.0  # -0.0 as +0.0, on a copy: the caller's array is not ours
         object.__setattr__(self, "values", values)
         expected = math.prod(domains)
         if len(values) != expected:
@@ -128,11 +143,41 @@ class TabularFactor:
         ``digits`` is an ``size x len(scope)`` intc matrix of assignments;
         there is no default, every cell is listed.
         """
+        import numpy as np
+
         rank = np.arange(self.size, dtype=np.int64)
         digits = np.empty((self.size, len(self.domains)), dtype=np.intc)
         for j, (stride, k) in enumerate(zip(_strides(self.domains), self.domains)):
             digits[:, j] = rank // stride % k
         return digits, self.values, None
+
+    def rows_by_key(self, keyset: ValueKeySet):
+        """({key: rows}, None, None): every row grouped by its value's key.
+
+        ``keyset`` must be built on this table's values.  One stable
+        argsort over the keys keeps each group in rank order, which is
+        lexicographic, so each group compiles directly.  There is no
+        default (see ``SparseFactor.rows_by_key``).
+        """
+        import numpy as np
+
+        values = self.values
+        reps = np.asarray(keyset.reps, dtype=np.float64)
+        keyed = np.full(len(values), math.inf)
+        finite = ~np.isinf(values)
+        if finite.any():  # a member keys to the largest representative at or below it
+            keyed[finite] = reps[np.searchsorted(reps, values[finite], side="right") - 1]
+        order = np.argsort(keyed, kind="stable")
+        keyed = keyed[order]
+        bounds = [0, *(np.flatnonzero(keyed[1:] != keyed[:-1]) + 1).tolist(), len(keyed)]
+        digits = self.cells()[0]
+        groups = {}
+        for a, b in zip(bounds, bounds[1:]):
+            if b > a:
+                buf = array("i")
+                buf.frombytes(digits[order[a:b]].tobytes())  # intc is the C int of 'i'
+                groups[float(keyed[a])] = (buf, b - a)
+        return groups, None, None
 
     def redundancy(self, eps: float = DEFAULT_EPS) -> float:
         """1 - distinct/total over epsilon-keyed table values."""
@@ -160,7 +205,7 @@ class SparseFactor:
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "domains", domains)
         _check_scope(scope, domains)
-        default = float(self.default)
+        default = float(self.default) + 0.0  # -0.0 as +0.0
         _check_value(default)
         object.__setattr__(self, "default", default)
         exceptions = {}
@@ -168,7 +213,7 @@ class SparseFactor:
             word = tuple(int(d) for d in word)
             if len(word) != len(domains) or not all(0 <= d < k for d, k in zip(word, domains)):
                 raise FactorError(f"exception {word} is not an assignment of domains {domains}")
-            v = float(v)
+            v = float(v) + 0.0
             _check_value(v)
             exceptions[word] = v
         object.__setattr__(self, "exceptions", exceptions)
@@ -188,10 +233,13 @@ class SparseFactor:
 
     def to_table(self) -> TabularFactor:
         """The dense table; allocates ``size`` cells."""
+        import numpy as np
+
+        words = np.asarray(list(self.exceptions), dtype=np.int64)
+        words = words.reshape(len(self.exceptions), len(self.domains))  # also for no exceptions
+        ranks = words @ np.asarray(_strides(self.domains), dtype=np.int64)
         values = np.full(self.size, self.default)
-        digits, exc_values, _ = self.cells()
-        strides = np.asarray(_strides(self.domains), dtype=np.int64)
-        values[digits.astype(np.int64) @ strides] = exc_values
+        values[ranks] = list(self.exceptions.values())
         return TabularFactor(self.scope, self.domains, values)
 
     def value_of(self, assignment) -> float:
@@ -202,42 +250,54 @@ class SparseFactor:
                 raise FactorError(f"value {v} outside domain of variable {var}")
         return self.exceptions.get(word, self.default)
 
-    def present_values(self) -> np.ndarray:
+    def present_values(self) -> list:
         values = list(self.exceptions.values())
         if self.default_covers:
             values.append(self.default)
-        return np.asarray(values, dtype=np.float64)
+        return values
 
     def cells(self):
-        """(digits, values, default): the exceptions, lexicographically sorted.
+        """(words, values, default): the exceptions, lexicographically sorted.
 
-        ``default`` is None when every cell is an exception.
+        ``words`` are the exception tuples and ``values`` a list of their
+        values; ``default`` is None when every cell is an exception.
         """
         words = sorted(self.exceptions)
-        digits = np.asarray(words, dtype=np.intc).reshape(len(words), len(self.domains))
-        values = np.asarray([self.exceptions[w] for w in words], dtype=np.float64)
-        return digits, values, self.default if self.default_covers else None
+        values = [self.exceptions[w] for w in words]
+        return words, values, self.default if self.default_covers else None
+
+    def rows_by_key(self, keyset: ValueKeySet):
+        """({key: rows}, default key, every listed row): exceptions grouped by key.
+
+        ``keyset`` must be built on ``present_values``.  One pass over the
+        sorted exceptions keeps each group lexicographically sorted.  The
+        default key is None when the default covers no cell; the cells it
+        covers are the universal language minus every listed row.
+        """
+        words, values, default = self.cells()
+        key = keyset.key
+        groups = {}
+        for w, v in zip(words, values):
+            groups.setdefault(key(v), []).append(w)
+        groups = {k: _word_rows(ws) for k, ws in groups.items()}
+        if default is None:
+            return groups, None, None
+        return groups, key(default), _word_rows(words)
 
     def redundancy(self, eps: float = DEFAULT_EPS) -> float:
         """1 - distinct/total over epsilon-keyed cell values, from counts."""
         return _value_redundancy(self.present_values(), eps, total=self.size)
 
 
+def _word_rows(words) -> tuple:
+    """(flat ``array('i')``, count) of a list of words."""
+    return array("i", itertools.chain.from_iterable(words)), len(words)
+
+
 def _compile_rows(domains, rows) -> Dafsa:
-    """Minimal DAFSA of the rows of an intc matrix, strictly increasing."""
-    buf = array("i")
-    buf.frombytes(np.ascontiguousarray(rows, dtype=np.intc).tobytes())
-    return Dafsa._from_parts(domains, kernels.compile_sorted(buf, len(rows), len(domains), domains))
-
-
-def _keyed(keyset: ValueKeySet, values: np.ndarray) -> np.ndarray:
-    """Representative of every value (values must come from the keyset's population)."""
-    reps = np.asarray(keyset.reps, dtype=np.float64)
-    keyed = np.full(len(values), math.inf)
-    finite = ~np.isinf(values)
-    if finite.any():
-        keyed[finite] = reps[np.searchsorted(reps, values[finite], side="right") - 1]
-    return keyed
+    """Minimal DAFSA of ``rows``, a (flat ``array('i')``, count) of strictly increasing words."""
+    buf, n = rows
+    return Dafsa._from_parts(domains, kernels.compile_sorted(buf, n, len(domains), domains))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -287,34 +347,28 @@ class DafsaFactor:
     ) -> "DafsaFactor":
         """Group epsilon-equal cells and compile each group to a DAFSA.
 
-        ``table`` is a ``TabularFactor`` or a ``SparseFactor``.  Listed
-        cells are grouped by key with one stable sort, so each group stays
-        lexicographically sorted and compiles directly.  The cells a
-        sparse default covers are the universal language minus every
-        exception; they join the entry their value keys to.  Minimal
-        leveled DAFSAs are canonical, so the result is the same as
-        compiling the dense table.  With ``prune_infinite`` the infinity
-        rows are simply not represented; ``value_at`` then returns None
-        for them.
+        ``table`` is a ``TabularFactor`` or a ``SparseFactor``; its
+        ``rows_by_key`` groups the listed cells by key, each group
+        lexicographically sorted so it compiles directly (numpy for a
+        dense table, pure Python for a sparse one).  The cells a sparse
+        default covers are the universal language minus every exception;
+        they join the entry their value keys to.  Minimal leveled DAFSAs
+        are canonical, so the result is the same as compiling the dense
+        table.  With ``prune_infinite`` the infinity rows are simply not
+        represented; ``value_at`` then returns None for them.
         """
         domains = table.domains
-        digits, values, default = table.cells()
         keyset = ValueKeySet.from_values(table.present_values(), eps)
-        keyed = _keyed(keyset, values)
-        order = np.argsort(keyed, kind="stable")
-        keyed = keyed[order]
-        bounds = [0, *(np.flatnonzero(keyed[1:] != keyed[:-1]) + 1).tolist(), len(keyed)]
-        groups = {float(keyed[a]): order[a:b] for a, b in zip(bounds, bounds[1:]) if b > a}
-        default_key = None if default is None else _keyed(keyset, np.array([default]))[0]
+        groups, default_key, listed = table.rows_by_key(keyset)
 
         entries = []
         for rep in keyset:
             if math.isinf(rep) and prune_infinite:
                 continue
             rows = groups.get(rep)
-            dafsa = None if rows is None else _compile_rows(domains, digits[rows])
+            dafsa = None if rows is None else _compile_rows(domains, rows)
             if rep == default_key:
-                rest = Dafsa.universal(domains).difference(_compile_rows(domains, digits))
+                rest = Dafsa.universal(domains).difference(_compile_rows(domains, listed))
                 dafsa = rest if dafsa is None else dafsa.union(rest)
             entries.append((rep, dafsa))
         return cls(table.scope, domains, tuple(entries))
@@ -326,6 +380,8 @@ class DafsaFactor:
         (possible only on hand-assembled factors), the smallest value wins,
         matching min semantics.
         """
+        import numpy as np
+
         domains = self.domains
         total = math.prod(domains)
         values = np.full(total, float(default))

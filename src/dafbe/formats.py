@@ -14,8 +14,6 @@ import json
 import math
 from collections import Counter
 
-import numpy as np
-
 from .errors import FormatError
 from .model import GraphicalModel, SolverResult, Task
 from .factor import SparseFactor, TabularFactor
@@ -87,6 +85,8 @@ def _read_scope(toks, n_vars, i):
 
 def _sorted_table(raw_scope, domains_of, values):
     """Permute a last-variable-fastest table onto the sorted scope."""
+    import numpy as np
+
     scope = sorted(raw_scope)
     dims = [domains_of(v) for v in raw_scope]
     cube = np.asarray(values, dtype=np.float64).reshape(dims)
@@ -214,9 +214,11 @@ def write_wcsp(model: GraphicalModel, name: str = "instance") -> str:
     """
     if model.task is not Task.WCSP:
         raise FormatError("write_wcsp needs a WCSP model")
+    import numpy as np
+
     finite_max = 0.0
     for f in model.factors:
-        present = f.present_values()
+        present = np.asarray(f.present_values(), dtype=np.float64)
         finite = present[np.isfinite(present)]
         if len(finite):
             finite_max = max(finite_max, float(finite.max()))
@@ -232,6 +234,7 @@ def write_wcsp(model: GraphicalModel, name: str = "instance") -> str:
     ]
     for f in model.factors:
         digits, values, default = f.cells()
+        values = np.asarray(values, dtype=np.float64)
         counts = Counter(values.tolist())
         if default is not None:
             counts[default] += f.size - len(values)
@@ -247,7 +250,7 @@ def write_wcsp(model: GraphicalModel, name: str = "instance") -> str:
             )
         )
         for idx in exceptions:
-            lines.append(" ".join([str(d) for d in digits[idx].tolist()] + [fmt(values[idx])]))
+            lines.append(" ".join([*map(str, digits[idx]), fmt(values[idx])]))
     return "\n".join(lines) + "\n"
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
-
 from .model import GraphicalModel, Task, min_fill_ordering, induced_width
 from .factor import TabularFactor
 
@@ -27,6 +25,8 @@ def random_micro_model(rng: random.Random, task: Task, hard: bool | None = None)
     WCSP); None picks randomly.  The joint space stays within the
     brute-force budget.
     """
+    import numpy as np
+
     if hard is None:
         hard = rng.random() < 0.5
     while True:
@@ -71,6 +71,8 @@ def high_redundancy_model(
     for the defaults), and the sparse tables keep every automaton small no
     matter how wide the elimination gets.
     """
+    import numpy as np
+
     factors = []
     for _ in range(n_factors):
         scope = tuple(sorted(rng.sample(range(n_vars), arity)))

@@ -12,9 +12,8 @@ values never open a cluster, so the scan only needs the distinct ones.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
-
-import numpy as np
 
 from .errors import FactorError
 
@@ -37,11 +36,14 @@ class ValueKeySet:
     def from_values(cls, values, eps: float = DEFAULT_EPS) -> "ValueKeySet":
         """Cluster ``values``; finite representatives come out sorted.
 
-        An ndarray is reduced to its distinct values by ``np.unique``
-        before the scan; any other iterable is scanned value by value.
+        An ndarray (a dense table's cells) is reduced to its distinct
+        values by ``np.unique`` before the scan; any other iterable is
+        scanned value by value in pure Python.  Telling the two apart
+        never imports numpy: an ndarray exists only once numpy is loaded.
         """
-        if isinstance(values, np.ndarray):
-            finite, has_inf = _distinct_finite(values)
+        np = ndarray_numpy(values)
+        if np is not None:
+            finite, has_inf = _distinct_finite(np, values)
         else:
             has_inf = False
             finite = []
@@ -99,7 +101,17 @@ class ValueKeySet:
         return f"ValueKeySet(eps={self.eps}, reps={list(self.reps)}{inf})"
 
 
-def _distinct_finite(values: np.ndarray):
+def ndarray_numpy(values):
+    """The numpy module if ``values`` is an ndarray, else None.
+
+    Looks numpy up in ``sys.modules`` instead of importing it, so pure
+    Python input never loads it.
+    """
+    np = sys.modules.get("numpy")
+    return np if np is not None and isinstance(values, np.ndarray) else None
+
+
+def _distinct_finite(np, values):
     """(sorted distinct finite values as floats, whether inf occurs).
 
     ``return_index`` makes ``np.unique`` sort stably, so among equal
@@ -120,9 +132,11 @@ def redundancy(values, eps: float = DEFAULT_EPS, total: int | None = None) -> fl
 
     ``total`` is the number of cells the values stand for, by default
     ``len(values)``; a caller passing only the values that occur in a
-    larger table gives the table's size.
+    larger table gives the table's size.  An ndarray is keyed as it is,
+    through ``np.unique``; any other iterable is listed and keyed in pure
+    Python, without importing numpy.
     """
-    if not isinstance(values, np.ndarray):
+    if ndarray_numpy(values) is None:
         values = list(values)
     if total is None:
         total = len(values)

@@ -18,12 +18,10 @@ import enum
 import math
 import time
 
-import numpy as np
-
 from . import factor as factor_ops
 from .errors import ModelError, TimeLimit
 from .factor import DafsaFactor, SparseFactor, TabularFactor
-from .keying import DEFAULT_EPS
+from .keying import DEFAULT_EPS, ndarray_numpy
 
 
 class Task(enum.Enum):
@@ -73,10 +71,8 @@ class GraphicalModel:
                     raise ModelError(
                         f"factor domain {k} for variable {var} != model domain {domains[var]}"
                     )
-            if self.task is Task.MAP:
-                values = f.present_values()
-                if np.isinf(values).any() or (values < 0).any():
-                    raise ModelError("MAP factors must be finite and nonnegative")
+            if self.task is Task.MAP and not _finite_nonnegative(f.present_values()):
+                raise ModelError("MAP factors must be finite and nonnegative")
 
     def primal_graph(self) -> list:
         """Adjacency sets: co-scoped variables are neighbors."""
@@ -107,7 +103,17 @@ class GraphicalModel:
         return out
 
 
-def _neg_log(values: np.ndarray) -> np.ndarray:
+def _finite_nonnegative(values) -> bool:
+    """No value is negative or infinite (NaN never reaches a factor)."""
+    np = ndarray_numpy(values)
+    if np is not None:
+        return not (np.isinf(values).any() or (values < 0).any())
+    return all(0.0 <= v < math.inf for v in values)
+
+
+def _neg_log(values):
+    import numpy as np
+
     with np.errstate(divide="ignore"):
         return 0.0 - np.log(values)  # 0.0 - keeps -log 1 at +0.0
 
@@ -115,7 +121,7 @@ def _neg_log(values: np.ndarray) -> np.ndarray:
 def _neg_log_factor(f: TabularFactor | SparseFactor) -> TabularFactor | SparseFactor:
     if isinstance(f, TabularFactor):
         return TabularFactor(f.scope, f.domains, _neg_log(f.values))
-    costs = _neg_log(np.array([f.default, *f.exceptions.values()])).tolist()
+    costs = _neg_log([f.default, *f.exceptions.values()]).tolist()
     return SparseFactor(f.scope, f.domains, costs[0], dict(zip(f.exceptions, costs[1:])))
 
 

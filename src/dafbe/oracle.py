@@ -2,7 +2,9 @@
 
 Both solvers work straight on numpy tables and share nothing with the
 automaton pipeline beyond the model types, so agreement between the three
-engines is meaningful evidence.  Both refuse oversized instances instead
+engines is meaningful evidence.  numpy is imported on the first oracle
+call, not with this module, so a solve that never runs an oracle never
+loads it.  Both refuse oversized instances instead
 of degrading, checking their budgets before densifying a sparse factor
 or allocating a table; ``tabular_be`` additionally reports its peak table
 cells, the dense-memory baseline the automaton solver is measured against.
@@ -13,8 +15,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BudgetExceeded, ModelError, TimeLimit
 from .model import (
@@ -26,6 +27,9 @@ from .model import (
     induced_width,
     min_fill_ordering,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_MAX_ASSIGNMENTS = 10**6
 DEFAULT_MAX_CELLS = 10**7
@@ -46,6 +50,8 @@ def _joint_table(model: GraphicalModel, budget: OracleBudget) -> np.ndarray:
     total = math.prod(model.domains) if model.n_vars else 1
     if total > budget.max_assignments:
         raise BudgetExceeded(f"{total} assignments exceed budget {budget.max_assignments}")
+    import numpy as np
+
     joint = np.full(tuple(model.domains), model.task.identity)
     for f in model.factors:
         shape = [1] * model.n_vars
@@ -63,6 +69,8 @@ def _joint_table(model: GraphicalModel, budget: OracleBudget) -> np.ndarray:
 
 def brute_force(model: GraphicalModel, budget: OracleBudget = OracleBudget()) -> SolverResult:
     """Enumerate every assignment; ties go to the lowest-lex assignment."""
+    import numpy as np
+
     t0 = time.monotonic()
     joint = _joint_table(model, budget)
     flat = joint.reshape(-1)
@@ -101,6 +109,8 @@ def tabular_be(
     max/min.  Tracks the peak number of simultaneously live table cells,
     counting bucket contents kept for assignment recovery.
     """
+    import numpy as np
+
     t0 = time.monotonic()
     expires = None if time_limit is None else t0 + time_limit
     ordering = min_fill_ordering(model) if ordering is None else check_ordering(model, ordering)

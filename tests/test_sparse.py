@@ -71,7 +71,8 @@ def random_model_text(rng):
 
 
 def entry_bytes(factor):
-    return [(v, d.domains, d.t_off.tobytes(), d.t_sym.tobytes(), d.t_dst.tobytes(),
+    # repr tells -0.0 from 0.0, which compare equal
+    return [(repr(v), d.domains, d.t_off.tobytes(), d.t_sym.tobytes(), d.t_dst.tobytes(),
              d.acc.tobytes()) for v, d in factor.entries]
 
 
@@ -90,6 +91,8 @@ FIXED_CASES = [
     # domains above 2 and near-duplicate costs within epsilon
     ([4, 3, 2], [([2, 0, 1], 1.0, [((1, 3, 2), 1.0 + 4e-11), ((0, 2, 1), 1.0 + 1.2e-10),
                                     ((1, 1, 1), 3.0 + 1e-12)])]),
+    # a -0.0 default beside a 0.0 exception: zero keys as +0.0 on both paths
+    ([2, 2], [([0, 1], -0.0, [((1, 1), 0.0)])]),
 ]
 
 
@@ -150,6 +153,13 @@ class TestSparseCompile:
                 want = DafsaFactor.from_table(dense, prune_infinite=prune)
                 assert entry_bytes(got) == entry_bytes(want), (domains, functions)
                 assert round(f.redundancy(), 12) == round(dense.redundancy(), 12)
+
+    def test_negative_zero_is_stored_as_zero(self):
+        sparse = SparseFactor((0, 1), (2, 2), -0.0, {(1, 1): 0.0, (0, 1): -0.0})
+        dense = TabularFactor((0,), (2,), np.array([-0.0, 1.0]))
+        signs = [sparse.default, *sparse.exceptions.values(), *sparse.to_table().values,
+                 *dense.values]
+        assert all(math.copysign(1.0, v) == 1.0 for v in signs)
 
     def test_redundancy_counts_the_default_cells(self):
         f = SparseFactor(tuple(range(40)), (2,) * 40, 5.0, {(0,) * 40: 1.0, (1,) * 40: 5.0})
