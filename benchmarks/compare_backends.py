@@ -6,13 +6,17 @@ flat-array inputs, so the numbers compare the implementations, not the
 workloads.  Outputs are also cross-checked byte for byte while we are
 at it; a mismatch aborts the run.
 
-The ``combine_entries``, fused ``combine_entries`` and
+The ``join``, ``combine_entries``, fused ``combine_entries`` and
 ``project_entries`` rows replay every call the solver makes on one
 instance of the benchmark's wcsp-planted corpus (``bench/generators.py``,
 seed 1, instance 0), recorded once with the Python edition, so they time
-the factor kernels on the solver's own inputs.  A fused call is a
+the factor kernels on the solver's own inputs.  ``join`` reads each input
+factor's entries into the shared form; a fused call is a
 ``combine_entries`` call that removes a level (``lvl >= 0``): a bucket's
-last combine and its projection in one walk.
+last combine and its projection in one walk.  The solver never calls
+``split``; its row splits every shared form those calls returned back
+into entries, as ``DafsaFactor.entries`` does on demand.  Every row's
+outputs are compared between the editions byte for byte.
 
 The end-to-end row re-runs the solver in subprocesses with
 DAFBE_KERNELS forced, because the backend is chosen once at import.
@@ -58,6 +62,13 @@ def flat(d):
     return (d.state_count, d.t_off, d.t_sym, d.t_dst, d.acc, d.start)
 
 
+def plain(out):
+    """A kernel output with every array, list and tuple as a tuple."""
+    if isinstance(out, (array, tuple, list)):
+        return tuple(map(plain, out))
+    return out
+
+
 def rand_words(rng, domains, n):
     return sorted({tuple(rng.randrange(k) for k in domains) for _ in range(n)})
 
@@ -69,10 +80,19 @@ def sorted_digit_buffer(words, length):
     return buf
 
 
+def without(domains, lvl):
+    return domains if lvl < 0 else domains[:lvl] + domains[lvl + 1 :]
+
+
 def record_factor_calls():
-    """{row name: (kernel name, [args, ...])} of one wcsp-planted solve's factor kernels."""
-    calls = {row: (row.split(",")[0], []) for row in
-             ("combine_entries", "combine_entries, fused", "project_entries")}
+    """{row name: (kernel name, [args, ...])} of one wcsp-planted solve's factor kernels.
+
+    The ``split`` row's calls are (shared, domains) of every shared form
+    the other calls returned.
+    """
+    rows = ("join", "combine_entries", "combine_entries, fused", "project_entries", "split")
+    calls = {row: (row.split(",")[0], []) for row in rows}
+    splits = calls["split"][1]
 
     class Recorder:
         def __getattr__(self, name):
@@ -81,9 +101,20 @@ def record_factor_calls():
                 return kernel
 
             def record(*args):
-                fused = name == "combine_entries" and len(args) > 6 and args[6] >= 0
-                calls[name + ", fused" if fused else name][1].append(args)
-                return kernel(*args)
+                out = kernel(*args)
+                row = name
+                if name == "join":
+                    domains = args[1]
+                elif name == "project_entries":
+                    domains = without(args[1], args[2])
+                else:
+                    lvl = args[6] if len(args) > 6 else -1
+                    domains = without(args[2], lvl)
+                    if lvl >= 0:
+                        row = "combine_entries, fused"
+                calls[row][1].append(args)
+                splits.append((out[0], domains))
+                return out
 
             return record
 
@@ -143,7 +174,7 @@ def main():
     def workload(name, call):
         t_py, out_py = bench(lambda: call(_kernels_py), args.repeats)
         t_cc, out_cc = bench(lambda: call(_kernels_cc), args.repeats)
-        if out_py != out_cc:
+        if plain(out_py) != plain(out_cc):
             print(f"OUTPUT MISMATCH in {name}; not publishing numbers for broken code")
             sys.exit(2)
         rows.append((name, t_py, t_cc))

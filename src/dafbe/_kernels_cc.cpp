@@ -2,32 +2,39 @@
 //
 // A hand-written C++17 twin of ``_kernels_py``: the same kernels under the
 // same names and positional signatures, returning byte-identical canonical
-// parts (see that module for the representation contract and for the two
-// kernels that take all entries of a factor).  Arrays are read through the
-// buffer protocol and must have format 'i'; results are array('i').
+// parts (see that module for the representation contract, for a factor's
+// shared multi-terminal form and for the four kernels that work on it).
+// Arrays are read through the buffer protocol and must have format 'i';
+// results are array('i').
 //
 // Unlike the Python edition, every kernel checks its inputs before it
 // reads them: CSR shape, state ids, each reachable state's symbols against
 // the domain of its breadth-first level, and that each of its edges runs
-// to the next level, for every automaton and every factor entry; and the
-// lengths of the level flags and labels of combine_entries and the level
-// it removes.  A violation
-// raises dafbe.errors.AutomatonError, and running out of memory raises
-// MemoryError, so no input can crash the interpreter.
+// to the next level, for every automaton, entry and shared form (Graph);
+// the accepting ids of an automaton or entry (Automaton); a shared form's
+// terms, one per state, a label or -1, terminals without edges on the
+// last level and no other leaf but an empty function's root (Diagram);
+// and the lengths of the level flags and labels of combine_entries and
+// the level it removes.  A violation raises dafbe.errors.AutomatonError,
+// and running out of memory raises MemoryError, so no input can crash the
+// interpreter.
 //
 // Every kernel builds its result minimal as it goes, with no merge pass.
 // compile_sorted does so through its register.  Every other kernel is one
-// depth-first walk (walk) whose leaves carry a label or none; finishing a
-// node interns one state per label reachable below it in a unique table
-// shared by all labels (Unique), and each label's automaton is read off
+// depth-first walk (walk) whose leaves carry a label or none; it finishes
+// each node once its children are built, through one of two finishers:
+// SharedWalked interns one state per node and builds a shared form,
+// Walked interns one state per label below the node in a unique table
+// shared by all labels (Unique), so each label's automaton is read off
 // canonically at the end.  product walks pairs of states; determinize,
-// minimize and remove_level walk subsets of states (Subsets);
-// project_entries walks subsets of all entries side by side and
-// combine_entries pairs of such subsets, one per operand (PairWalk).  With
-// lvl >= 0 combine_entries removes that union level in the same walk: a
-// node below it is an interned set of pairs (sets of pair ids, as Subsets
-// interns sets of states), stepped member by member, and a leaf takes the
-// lowest label of its pairs, so a bucket's combined factor is never built.
+// minimize and remove_level walk subsets of states (Subsets); join walks
+// subsets of entries side by side and split a shared form's own states;
+// project_entries walks subsets of one shared form and combine_entries
+// pairs of states, one per operand (PairWalk).  With lvl >= 0
+// combine_entries removes that union level in the same walk: a node below
+// it is an interned set of pairs (sets of pair ids, as Subsets interns
+// sets of states), stepped member by member, and a leaf takes the lowest
+// label of its pairs, so a bucket's combined factor is never built.
 //
 // Build by hand (setup.py does the same through setuptools):
 //   g++ -std=c++17 -O2 -shared -fPIC -I<Python include dir> _kernels_cc.cpp
@@ -147,12 +154,13 @@ Ints bfs_levels(const G& g, int n, int root) {
     return lev;
 }
 
-// Canonical BFS renumbering from root, the one state final_state accepting.
-// Per-state edges must be symbol-sorted.  old2new must hold -1 for every
-// state; the entries this call sets are reset before it returns.
+// Canonical BFS renumbering from root into p.off / p.sym / p.dst; order
+// gets the old ids in their new order.  Per-state edges must be
+// symbol-sorted.  old2new must hold -1 for every state; the caller reads
+// the entries this call sets, then resets them (reset).
 template <class G>
-Parts renumber(const G& g, int final_state, int root, Ints& old2new) {
-    Ints order{root};
+void renumber(const G& g, int root, Ints& old2new, Ints& order, Parts& p) {
+    order.assign(1, root);
     old2new[root] = 0;
     for (size_t head = 0; head < order.size(); ++head) {
         for (int d : g.dsts(order[head])) {
@@ -162,7 +170,6 @@ Parts renumber(const G& g, int final_state, int root, Ints& old2new) {
             }
         }
     }
-    Parts p;
     p.off.reserve(order.size() + 1);
     p.off.push_back(0);
     for (int s : order) {
@@ -171,8 +178,21 @@ Parts renumber(const G& g, int final_state, int root, Ints& old2new) {
         for (int d : g.dsts(s)) p.dst.push_back(old2new[d]);
         p.off.push_back(static_cast<int>(p.sym.size()));
     }
-    if (old2new[final_state] >= 0) p.acc.push_back(old2new[final_state]);
+}
+
+void reset(Ints& old2new, const Ints& order) {
     for (int s : order) old2new[s] = -1;
+}
+
+// The canonical parts from root of an automaton whose one accepting state
+// is final_state; old2new as for renumber.
+template <class G>
+Parts accepting_parts(const G& g, int final_state, int root, Ints& old2new) {
+    Ints order;
+    Parts p;
+    renumber(g, root, old2new, order, p);
+    if (old2new[final_state] >= 0) p.acc.push_back(old2new[final_state]);
+    reset(old2new, order);
     return p;
 }
 
@@ -184,15 +204,18 @@ bool complete_fan(const Ints& syms, const Ints& dsts, int k) {
 }
 
 // Result states, built children first and interned in a unique table
-// keyed by (level, symbols, destinations), as _kernels_py._Unique: equal
-// right languages share one state, whatever their label, so every label's
-// automaton is minimal as built.  State 0 is the accepting sink.
+// keyed by (level, symbols, destinations), as in _kernels_py: equal right
+// languages share one state.  Leaves, which have no edges, are added
+// apart from the table.
 struct Unique {
     Csr res;
     UniqueTable table;
-    Ints sig, old2new;
+    Ints sig;
 
-    Unique() { res.off.push_back(0); }
+    int add_leaf() {
+        res.off.push_back(res.off.back());
+        return res.size() - 1;
+    }
 
     // The state with edges syms -> dsts (nonempty, symbol-sorted) on level
     // lv; a complete literal fan onto one child becomes a wildcard.
@@ -207,13 +230,6 @@ struct Unique {
         const auto hit = table.try_emplace(sig, res.size());
         if (hit.second) res.add_state(syms, dsts);
         return hit.first->second;
-    }
-
-    // Canonical flat parts of the automaton rooted at state root.
-    Parts parts(int root) {
-        if (root == DEAD) return empty_parts();
-        old2new.resize(res.size(), -1);
-        return renumber(res.view(), 0, root, old2new);
     }
 };
 
@@ -292,42 +308,33 @@ Ints parse_ints(PyObject* obj, const char* name, long lo, long hi) {
 
 Ints parse_domains(PyObject* obj) { return parse_ints(obj, "domains", 0, INT32_MAX); }
 
-// One automaton argument, (n, t_off, t_sym, t_dst, acc, start), checked
-// against the flat-automaton contract before anything else reads it.
-struct Automaton {
-    IntBuffer off_buf, sym_buf, dst_buf, acc_buf;
+// Borrowed CSR arrays (t_off, t_sym, t_dst), checked against the
+// flat-automaton contract before anything else reads them.
+struct Graph {
+    IntBuffer off_buf, sym_buf, dst_buf;
     int n = 0, start = 0;
-    Ints lev;     // breadth-first level from start, -1 if unreachable
-    Flags final;  // accepting flags
+    Ints lev;  // breadth-first level from start, -1 if unreachable
 
     CsrView view() const { return {off_buf.data(), sym_buf.data(), dst_buf.data()}; }
 
-    void load(int n_states, PyObject* t_off, PyObject* t_sym, PyObject* t_dst, PyObject* acc,
-              int start_state, const Ints& dom) {
-        acquire(t_off, t_sym, t_dst, acc);
-        check(n_states, start_state, dom);
-    }
-
-    // A factor entry: the parts (t_off, t_sym, t_dst, acc), start state 0.
-    void load_entry(PyObject* entry, const Ints& dom) {
-        Ref parts(PySequence_Fast(entry, "an entry must be a sequence of four arrays"));
-        if (PySequence_Fast_GET_SIZE(parts.p) != 4)
-            throw BadInput("an entry has " + str(PySequence_Fast_GET_SIZE(parts.p)) +
-                           " parts, not (t_off, t_sym, t_dst, acc)");
-        PyObject** item = PySequence_Fast_ITEMS(parts.p);
-        acquire(item[0], item[1], item[2], item[3]);
-        if (off_buf.size() > INT32_MAX) throw BadInput("t_off is too long");
-        check(static_cast<int>(off_buf.size()) - 1, 0, dom);
-    }
-
-  private:
-    void acquire(PyObject* t_off, PyObject* t_sym, PyObject* t_dst, PyObject* acc) {
+  protected:
+    void acquire(PyObject* t_off, PyObject* t_sym, PyObject* t_dst) {
         off_buf.acquire(t_off, "t_off");
         sym_buf.acquire(t_sym, "t_sym");
         dst_buf.acquire(t_dst, "t_dst");
-        acc_buf.acquire(acc, "acc");
     }
 
+    // The items of seq, a parts argument as a fast sequence: four arrays.
+    static PyObject** items(const Ref& seq, const char* what, const char* names) {
+        if (PySequence_Fast_GET_SIZE(seq.p) != 4)
+            throw BadInput(std::string(what) + " has " + str(PySequence_Fast_GET_SIZE(seq.p)) +
+                           " parts, not " + names);
+        return PySequence_Fast_ITEMS(seq.p);
+    }
+
+    // The CSR shape, the state ids, and for each state start reaches, its
+    // symbols against the domain of its level and that its edges run to
+    // the next level.
     void check(int n_states, int start_state, const Ints& dom) {
         n = n_states;
         start = start_state;
@@ -346,12 +353,6 @@ struct Automaton {
         for (Py_ssize_t j = 0; j < edges; ++j) {
             if (dst_buf[j] < 0 || dst_buf[j] >= n)
                 throw BadInput("destination " + str(dst_buf[j]) + " outside 0.." + str(n - 1));
-        }
-        final.assign(n, 0);
-        for (Py_ssize_t q = 0; q < acc_buf.size(); ++q) {
-            if (acc_buf[q] < 0 || acc_buf[q] >= n)
-                throw BadInput("accepting state " + str(acc_buf[q]) + " outside 0.." + str(n - 1));
-            final[acc_buf[q]] = 1;
         }
         if (start < 0 || start >= n)
             throw BadInput("start state " + str(start) + " outside 0.." + str(n - 1));
@@ -374,6 +375,95 @@ struct Automaton {
             }
         }
     }
+
+    // check, for parts rooted at state 0 whose t_off gives the state count
+    void check_rooted(const Ints& dom) {
+        if (off_buf.size() > INT32_MAX) throw BadInput("t_off is too long");
+        check(static_cast<int>(off_buf.size()) - 1, 0, dom);
+    }
+};
+
+// One automaton argument, (n, t_off, t_sym, t_dst, acc, start) or an
+// entry's parts (t_off, t_sym, t_dst, acc) with start 0.
+struct Automaton : Graph {
+    IntBuffer acc_buf;
+    Flags final;  // accepting flags
+
+    void load(int n_states, PyObject* t_off, PyObject* t_sym, PyObject* t_dst, PyObject* acc,
+              int start_state, const Ints& dom) {
+        acquire(t_off, t_sym, t_dst);
+        acc_buf.acquire(acc, "acc");
+        check(n_states, start_state, dom);
+        check_acc();
+    }
+
+    void load_entry(PyObject* entry, const Ints& dom) {
+        Ref seq(PySequence_Fast(entry, "an entry must be a sequence of four arrays"));
+        PyObject** item = items(seq, "an entry", "(t_off, t_sym, t_dst, acc)");
+        acquire(item[0], item[1], item[2]);
+        acc_buf.acquire(item[3], "acc");
+        check_rooted(dom);
+        check_acc();
+    }
+
+    // the label of each state: label if accepting, else NO_LABEL
+    Ints owners(int label) const {
+        Ints out(n, NO_LABEL);
+        for (int s = 0; s < n; ++s) {
+            if (final[s]) out[s] = label;
+        }
+        return out;
+    }
+
+  private:
+    void check_acc() {
+        final.assign(n, 0);
+        for (Py_ssize_t q = 0; q < acc_buf.size(); ++q) {
+            if (acc_buf[q] < 0 || acc_buf[q] >= n)
+                throw BadInput("accepting state " + str(acc_buf[q]) + " outside 0.." + str(n - 1));
+            final[acc_buf[q]] = 1;
+        }
+    }
+};
+
+// A factor's shared form (t_off, t_sym, t_dst, term), rooted at state 0.
+// Beyond the automaton checks: term holds a label (>= 0) or -1 for each
+// state; a terminal the root reaches sits on the last level, so it has no
+// edges; no other state the root reaches lacks edges, except the root of
+// the empty function.
+struct Diagram : Graph {
+    IntBuffer term_buf;
+    long labels = 0;  // one more than the largest label
+
+    int term(int s) const { return term_buf[s]; }
+
+    void load(PyObject* shared, const Ints& dom) {
+        Ref seq(PySequence_Fast(shared, "a shared form must be a sequence of four arrays"));
+        PyObject** item = items(seq, "a shared form", "(t_off, t_sym, t_dst, term)");
+        acquire(item[0], item[1], item[2]);
+        term_buf.acquire(item[3], "term");
+        check_rooted(dom);
+        if (term_buf.size() != n)
+            throw BadInput("term has " + str(term_buf.size()) + " entries for " + str(n) + " states");
+        const CsrView g = view();
+        const int L = static_cast<int>(dom.size());
+        for (int s = 0; s < n; ++s) {
+            const int t = term_buf[s];
+            const bool leaf = g.off[s] == g.off[s + 1];
+            if (t < -1) throw BadInput("state " + str(s) + ": label " + str(t) + " below -1");
+            if (t >= 0) {  // with edges, it is off the last level or has edges beyond it
+                if (lev[s] >= 0 && lev[s] != L)
+                    throw BadInput("terminal state " + str(s) + " on level " + str(lev[s]) +
+                                   ", not on the last level " + str(L));
+                labels = std::max(labels, static_cast<long>(t) + 1);
+            } else if (leaf && lev[s] >= 0 && s != 0) {
+                throw BadInput("state " + str(s) + " has no edges and no label");
+            }
+        }
+    }
+
+    // the label of each state, NO_LABEL for non-terminals
+    Ints owners() const { return Ints(term_buf.data(), term_buf.data() + n); }
 };
 
 PyObject* to_array(const Ints& v) {
@@ -413,15 +503,69 @@ struct Labeled {
     int label, state;
 };
 
-// What walk built: the unique table and, for every node visited, its
-// (label, state) pairs, labels ascending, at pool[beg[node], end[node]).
+// The per-label finisher, as _kernels_py._Unique: each node gets one
+// state per label found below it, its (label, state) pairs kept at
+// pool[beg[node], end[node]), labels ascending.  One unique table serves
+// every label, so every label's automaton is minimal as built.  State 0
+// is the accepting sink.
 struct Walked {
     static constexpr int UNBUILT = -1;
     Unique out;
     std::vector<Labeled> pool;
     Ints beg, end;
 
+    Walked() { out.add_leaf(); }
+
     bool built(int node) const { return node < static_cast<int>(beg.size()) && beg[node] != UNBUILT; }
+    int nodes() const { return static_cast<int>(beg.size() - std::count(beg.begin(), beg.end(), UNBUILT)); }
+
+    void leaf(int node, int label) {
+        const int b = static_cast<int>(pool.size());
+        if (label != NO_LABEL) pool.push_back({label, 0});
+        set(node, b);
+    }
+
+    // for each label found below kids[kbeg, kend), the kids whose child
+    // has that label become one interned state
+    void finish(int node, int lv, int k, const std::vector<Kid>& kids, int kbeg, int kend) {
+        found_.clear();
+        for (int q = kbeg; q < kend; ++q) {
+            const int c = kids[q].node;
+            for (int p = beg[c]; p < end[c]; ++p) found_.push_back({pool[p].label, kids[q].v, pool[p].state});
+        }
+        std::sort(found_.begin(), found_.end());
+        const int b = static_cast<int>(pool.size());
+        for (size_t i = 0; i < found_.size();) {
+            const int label = found_[i].label;
+            syms_.clear();
+            dsts_.clear();
+            for (; i < found_.size() && found_[i].label == label; ++i) {
+                syms_.push_back(found_[i].v);
+                dsts_.push_back(found_[i].state);
+            }
+            pool.push_back({label, out.intern(lv, k, syms_, dsts_)});
+        }
+        set(node, b);
+    }
+
+    // Canonical flat parts of the automaton rooted at state root.
+    Parts parts(int root) {
+        if (root == DEAD) return empty_parts();
+        old2new_.resize(out.res.size(), -1);
+        return accepting_parts(out.res.view(), 0, root, old2new_);
+    }
+
+    // the automaton of label 0 below node, the result of the one-label kernels
+    Parts single(int node) { return parts(end[node] > beg[node] ? pool[beg[node]].state : DEAD); }
+
+  private:
+    struct Found {
+        int label, v, state;
+        bool operator<(const Found& o) const { return std::tie(label, v) < std::tie(o.label, o.v); }
+    };
+    std::vector<Found> found_;
+    Ints syms_, dsts_, old2new_;
+
     void set(int node, int b) {
         if (node >= static_cast<int>(beg.size())) {
             beg.resize(node + 1, UNBUILT);
@@ -430,11 +574,77 @@ struct Walked {
         beg[node] = b;
         end[node] = static_cast<int>(pool.size());
     }
-    int nodes() const { return static_cast<int>(beg.size() - std::count(beg.begin(), beg.end(), UNBUILT)); }
-    // the automaton of label 0 below node, the result of the one-label kernels
-    Parts single(int node) {
-        const bool has = end[node] > beg[node];
-        return out.parts(has ? pool[beg[node]].state : DEAD);
+};
+
+// The shared finisher, as _kernels_py._Shared: each node gets one state,
+// or DEAD if it has no string.  A node past the last level becomes the
+// terminal of its label, one per label; any other node keeps its kids
+// whose child is not DEAD and is interned.
+struct SharedWalked {
+    static constexpr int UNBUILT = -2;
+    Unique out;
+    Ints state;                              // per node
+    std::unordered_map<int, int> terminals;  // label -> state
+
+    bool built(int node) const { return node < static_cast<int>(state.size()) && state[node] != UNBUILT; }
+    int nodes() const { return static_cast<int>(state.size() - std::count(state.begin(), state.end(), UNBUILT)); }
+
+    void leaf(int node, int label) {
+        int s = DEAD;
+        if (label != NO_LABEL) {
+            const auto hit = terminals.try_emplace(label, 0);
+            if (hit.second) hit.first->second = out.add_leaf();
+            s = hit.first->second;
+        }
+        set(node, s);
+    }
+
+    void finish(int node, int lv, int k, const std::vector<Kid>& kids, int kbeg, int kend) {
+        syms_.clear();
+        dsts_.clear();
+        for (int q = kbeg; q < kend; ++q) {
+            const int d = state[kids[q].node];
+            if (d == DEAD) continue;
+            syms_.push_back(kids[q].v);
+            dsts_.push_back(d);
+        }
+        set(node, syms_.empty() ? DEAD : out.intern(lv, k, syms_, dsts_));
+    }
+
+    // (parts, labels) of the shared form below node: term renumbers each
+    // terminal's label into labels, ascending
+    PyObject* result(int node) const {
+        const int root = state[node];
+        Parts p{{0, 0}, {}, {}, {-1}};
+        Ints labels;
+        if (root != DEAD) {
+            p = Parts{};
+            Ints old2new(out.res.size(), -1), order;
+            renumber(out.res.view(), root, old2new, order, p);
+            std::vector<std::pair<int, int>> found;  // (label, new id)
+            for (const auto& t : terminals) {
+                if (old2new[t.second] >= 0) found.emplace_back(t.first, old2new[t.second]);
+            }
+            std::sort(found.begin(), found.end());
+            p.acc.assign(order.size(), -1);
+            for (size_t r = 0; r < found.size(); ++r) {
+                p.acc[found[r].second] = static_cast<int>(r);
+                labels.push_back(found[r].first);
+            }
+        }
+        Ref parts(pack(p));
+        Ref list(PyList_New(static_cast<Py_ssize_t>(labels.size())));
+        for (size_t r = 0; r < labels.size(); ++r)
+            PyList_SET_ITEM(list.p, static_cast<Py_ssize_t>(r), Ref(PyLong_FromLong(labels[r])).release());
+        return Ref(PyTuple_Pack(2, parts.p, list.p)).release();
+    }
+
+  private:
+    Ints syms_, dsts_;
+
+    void set(int node, int s) {
+        if (node >= static_cast<int>(state.size())) state.resize(node + 1, UNBUILT);
+        state[node] = s;
     }
 };
 
@@ -443,19 +653,12 @@ struct Walked {
 // expand(node, lv, kids) appends the node's kids on level lv, symbols
 // ascending and a wildcard only alone; label_of(node) gives the label
 // (>= 0) of a node past the last level, or NO_LABEL.  Nodes are expanded
-// on an explicit stack, and a node is finished once its children are
-// built: for each label found below it, its kids whose child has that
-// label become one interned state.
-template <class Expand, class LabelOf>
-void walk(const Ints& dom, int root, const Expand& expand, const LabelOf& label_of, Walked& w) {
+// on an explicit stack, and the finisher w builds a node once its
+// children are built (Walked or SharedWalked).
+template <class Finisher, class Expand, class LabelOf>
+void walk(const Ints& dom, int root, const Expand& expand, const LabelOf& label_of, Finisher& w) {
     const int L = static_cast<int>(dom.size());
-    struct Found {
-        int label, v, state;
-        bool operator<(const Found& o) const { return std::tie(label, v) < std::tie(o.label, o.v); }
-    };
     std::vector<Kid> kids;  // a stack: frames own nested ranges
-    std::vector<Found> found;
-    Ints syms, dsts;
     // kbeg < 0 until the node's children are pushed above it; then its
     // kids are kids[kbeg, kend) until it is built
     struct Frame {
@@ -466,34 +669,13 @@ void walk(const Ints& dom, int root, const Expand& expand, const LabelOf& label_
         const Frame f = stack.back();
         stack.pop_back();
         if (f.kbeg >= 0) {
-            found.clear();
-            for (int q = f.kbeg; q < f.kend; ++q) {
-                const int c = kids[q].node;
-                for (int p = w.beg[c]; p < w.end[c]; ++p)
-                    found.push_back({w.pool[p].label, kids[q].v, w.pool[p].state});
-            }
-            std::sort(found.begin(), found.end());
-            const int b = static_cast<int>(w.pool.size());
-            for (size_t i = 0; i < found.size();) {
-                const int label = found[i].label;
-                syms.clear();
-                dsts.clear();
-                for (; i < found.size() && found[i].label == label; ++i) {
-                    syms.push_back(found[i].v);
-                    dsts.push_back(found[i].state);
-                }
-                w.pool.push_back({label, w.out.intern(f.lv, dom[f.lv], syms, dsts)});
-            }
-            w.set(f.node, b);
+            w.finish(f.node, f.lv, dom[f.lv], kids, f.kbeg, f.kend);
             kids.resize(f.kbeg);
             continue;
         }
         if (w.built(f.node)) continue;
         if (f.lv == L) {
-            const int b = static_cast<int>(w.pool.size());
-            const int label = label_of(f.node);
-            if (label != NO_LABEL) w.pool.push_back({label, 0});
-            w.set(f.node, b);
+            w.leaf(f.node, label_of(f.node));
             continue;
         }
         const int kbeg = static_cast<int>(kids.size());
@@ -505,6 +687,7 @@ void walk(const Ints& dom, int root, const Expand& expand, const LabelOf& label_
         }
     }
 }
+
 
 // Pairs of ids (DEAD allowed), interned as dense node ids.
 struct Pairs {
@@ -633,7 +816,7 @@ Parts compile_sorted(const IntBuffer& dig, int n_strings, int length, const Ints
     freeze(0, 0);
 
     Ints old2new(g.sym.size(), -1);
-    return renumber(g, FINAL, 0, old2new);
+    return accepting_parts(g, FINAL, 0, old2new);
 }
 
 PyObject* py_compile_sorted(PyObject* args) {
@@ -665,9 +848,9 @@ PyObject* py_compile_sorted(PyObject* args) {
     return pack(compile_sorted(dig, n_strings, length, dom));
 }
 
-Decoded decode(const Automaton& x, int s) {
+
+Decoded decode(const CsrView& g, int s) {
     if (s == DEAD) return {DEAD, NONE, NONE};
-    const CsrView g = x.view();
     Span syms = g.syms(s), dsts = g.dsts(s);
     if (syms.size() && syms[0] == WILDCARD) return {dsts[0], NONE, NONE};
     return {DEAD, syms, dsts};
@@ -681,9 +864,9 @@ Parts product(int mode, const Automaton& a, const Automaton& b, const Ints& dom)
         return mode == 0 ? da != DEAD && db != DEAD : mode == 1 ? da != DEAD || db != DEAD : da != DEAD;
     };
     Pairs pairs;
+    const CsrView ga = a.view(), gb = b.view();
     auto expand = [&](int node, int lv, std::vector<Kid>& kids) {
-        const int pa = pairs.first[node], pb = pairs.second[node];
-        merge(dom[lv], decode(a, pa), decode(b, pb), live, pairs, kids);
+        merge(dom[lv], decode(ga, pairs.first[node]), decode(gb, pairs.second[node]), live, pairs, kids);
     };
     auto label_of = [&](int node) {
         const int pa = pairs.first[node], pb = pairs.second[node];
@@ -712,24 +895,25 @@ PyObject* py_product(PyObject* args) {
 
 // Subsets of the states of one or more automata side by side, stepped
 // level by level, as _kernels_py._Subsets.  add puts each automaton's
-// states after the ones before; owner[s] is accepting state s's label.
-// With lvl >= 0 that level is contracted on the fly: a state there takes
-// the merged edges of its successors, and if lvl is the last of the
+// states after the ones before, owner[s] the label of state s or
+// NO_LABEL; a subset past the last level takes its members' lowest
+// label.  With lvl >= 0 that level is contracted on the fly: a state there
+// takes the merged edges of its successors, and if lvl is the last of the
 // walk's levels it accepts through an accepting successor.
 class Subsets {
   public:
     Subsets(int levels, int lvl) : levels_(levels), lvl_(lvl) {}
 
-    void add(const Automaton& a, int label) {
+    // an automaton g of n states from start, owners[s] the label of state s
+    void add(const CsrView& g, int n, int start, const Ints& owners) {
         const int base = g_.size();
-        const CsrView v = a.view();
-        for (int s = 0; s < a.n; ++s) {
-            g_.sym.insert(g_.sym.end(), v.syms(s).begin(), v.syms(s).end());
-            for (int d : v.dsts(s)) g_.dst.push_back(base + d);
+        for (int s = 0; s < n; ++s) {
+            g_.sym.insert(g_.sym.end(), g.syms(s).begin(), g.syms(s).end());
+            for (int d : g.dsts(s)) g_.dst.push_back(base + d);
             g_.off.push_back(static_cast<int>(g_.sym.size()));
-            owner_.push_back(a.final[s] ? label : NO_LABEL);
         }
-        roots_.push_back(base + a.start);
+        owner_.insert(owner_.end(), owners.begin(), owners.end());
+        roots_.push_back(base + start);
     }
 
     // the subset of every automaton's start state
@@ -771,43 +955,26 @@ class Subsets {
         return wild_.empty() ? DEAD : intern(wild_);
     }
 
-    // step, memoized per subset, for a subset met in many pairs; DEAD
-    // stands for the subset of no entries
-    Decoded decoded(int sub, int lv) {
-        if (sub == DEAD) return {DEAD, NONE, NONE};
-        if (sub >= static_cast<int>(memo_wild_.size())) {
-            memo_wild_.resize(sub + 1, UNSTEPPED);
-            memo_beg_.resize(sub + 1);
-            memo_end_.resize(sub + 1);
-        }
-        if (memo_wild_[sub] == UNSTEPPED) {
-            memo_beg_[sub] = static_cast<int>(memo_sym_.size());
-            memo_wild_[sub] = step(sub, lv, memo_sym_, memo_dst_);
-            memo_end_[sub] = static_cast<int>(memo_sym_.size());
-        }
-        const int b = memo_beg_[sub], e = memo_end_[sub];
-        return {memo_wild_[sub], {memo_sym_.data() + b, memo_sym_.data() + e},
-                {memo_dst_.data() + b, memo_dst_.data() + e}};
-    }
-
-    // The label of the first member that accepts, or NO_LABEL.
+    // The lowest label among the members that accept, or NO_LABEL.
     int label(int sub) const {
-        if (sub == DEAD) return NO_LABEL;
+        int best = NO_LABEL;
+        auto take = [&](int s) {
+            if (owner_[s] != NO_LABEL && (best == NO_LABEL || owner_[s] < best)) best = owner_[s];
+        };
         for (int p = soff_[sub]; p < soff_[sub + 1]; ++p) {
             const int s = smem_[p];
             if (lvl_ != levels_) {
-                if (owner_[s] != NO_LABEL) return owner_[s];
+                take(s);
                 continue;
             }
-            for (int j = g_.off[s]; j < g_.off[s + 1]; ++j) {
-                if (owner_[g_.dst[j]] != NO_LABEL) return owner_[g_.dst[j]];
-            }
+            for (int j = g_.off[s]; j < g_.off[s + 1]; ++j) take(g_.dst[j]);
         }
-        return NO_LABEL;
+        return best;
     }
 
-    // Distinct members of the subsets the walk built.
-    int members(const Walked& w) const {
+    // Distinct members of the subsets the walk w built.
+    template <class Finisher>
+    int members(const Finisher& w) const {
         Flags seen(g_.size(), 0);
         int count = 0;
         for (int sub = 0; sub + 1 < static_cast<int>(soff_.size()); ++sub) {
@@ -823,8 +990,6 @@ class Subsets {
     }
 
   private:
-    static constexpr int UNSTEPPED = -2;
-
     void add_edge(int v, int d) {
         if (v == WILDCARD)
             wild_.push_back(d);
@@ -856,7 +1021,6 @@ class Subsets {
     Ints soff_{0}, smem_;
     std::vector<std::vector<std::pair<int, int>>> merged_;
     Flags done_;
-    Ints memo_wild_, memo_beg_, memo_end_, memo_sym_, memo_dst_;
     Ints wild_, members_;
     std::vector<std::pair<int, int>> lits_;
 };
@@ -882,8 +1046,9 @@ void add_wildcard_kids(int k, int wild, size_t kbeg, std::vector<Kid>& kids) {
     std::sort(kids.begin() + kbeg, kids.end());
 }
 
-// The walk over the subsets of subsets, reachable from its root.
-Walked walk_subsets(Subsets& subsets, const Ints& dom, int root) {
+// The walk over the subsets of subsets reachable from its root, into w.
+template <class Finisher>
+void walk_subsets(Subsets& subsets, const Ints& dom, int root, Finisher& w) {
     Ints syms, dsts;
     auto expand = [&](int sub, int lv, std::vector<Kid>& kids) {
         syms.clear();
@@ -893,9 +1058,7 @@ Walked walk_subsets(Subsets& subsets, const Ints& dom, int root) {
         for (size_t q = 0; q < syms.size(); ++q) kids.push_back({syms[q], dsts[q]});
         add_wildcard_kids(dom[lv], wild, kbeg, kids);
     };
-    Walked w;
     walk(dom, root, expand, [&](int sub) { return subsets.label(sub); }, w);
-    return w;
 }
 
 // determinize and minimize: the walk over the input's own edges (a DFA is
@@ -909,9 +1072,10 @@ PyObject* walk_own_edges(PyObject* args, const char* format, bool with_count) {
     Automaton a;
     a.load(n, t_off, t_sym, t_dst, acc, start, dom);
     Subsets subsets(static_cast<int>(dom.size()), -1);
-    subsets.add(a, 0);
+    subsets.add(a.view(), a.n, a.start, a.owners(0));
     const int root = subsets.root();
-    Walked w = walk_subsets(subsets, dom, root);
+    Walked w;
+    walk_subsets(subsets, dom, root, w);
     const Parts p = w.single(root);
     return with_count ? pack(p, {w.nodes()}) : pack(p);
 }
@@ -942,69 +1106,95 @@ PyObject* py_remove_level(PyObject* args) {
     Automaton a;
     a.load(n, t_off, t_sym, t_dst, acc, start, dom);
     Subsets subsets(static_cast<int>(new_dom.size()), lvl);
-    subsets.add(a, 0);
+    subsets.add(a.view(), a.n, a.start, a.owners(0));
     const int root = subsets.root();
-    Walked w = walk_subsets(subsets, new_dom, root);
+    Walked w;
+    walk_subsets(subsets, new_dom, root, w);
     return pack(w.single(root), {subsets.members(w), w.nodes()});
 }
 
-// Each entry of a sequence argument, checked and added to subsets with its
-// index as the label.
-void add_entries(Subsets& subsets, PyObject* entries, const Ints& dom, int& count) {
+// The shared form of per-label automata, entry i labelled i: the subset
+// walk over all entries side by side, a leaf taking the lowest label among
+// its accepting members.  Returns (shared, labels).
+PyObject* py_join(PyObject* args) {
+    PyObject *entries, *domains;
+    if (!PyArg_ParseTuple(args, "OO:join", &entries, &domains)) throw PyFailure();
+    const Ints dom = parse_domains(domains);
     Ref seq(PySequence_Fast(entries, "entries must be a sequence"));
-    const Py_ssize_t size = PySequence_Fast_GET_SIZE(seq.p);
-    if (size > INT32_MAX) throw BadInput("too many entries");
-    count = static_cast<int>(size);
+    const Py_ssize_t count = PySequence_Fast_GET_SIZE(seq.p);
+    if (count > INT32_MAX) throw BadInput("too many entries");
+    Subsets subsets(static_cast<int>(dom.size()), -1);
     for (int i = 0; i < count; ++i) {
         Automaton a;
         a.load_entry(PySequence_Fast_GET_ITEM(seq.p, i), dom);
-        subsets.add(a, i);
+        subsets.add(a.view(), a.n, 0, a.owners(i));
     }
+    const int root = subsets.root();
+    SharedWalked w;
+    walk_subsets(subsets, dom, root, w);
+    return w.result(root);
 }
 
-// [(label, parts), ...] for every label below node, labels ascending.
-PyObject* labeled_parts(Walked& w, int node) {
+// [(label, parts), ...]: the automaton of each label of a shared form,
+// labels ascending, from the walk over its own states.
+PyObject* py_split(PyObject* args) {
+    PyObject *shared, *domains;
+    if (!PyArg_ParseTuple(args, "OO:split", &shared, &domains)) throw PyFailure();
+    const Ints dom = parse_domains(domains);
+    Diagram d;
+    d.load(shared, dom);
+    const CsrView g = d.view();
+    auto expand = [&](int s, int, std::vector<Kid>& kids) {
+        for (int j = g.off[s]; j < g.off[s + 1]; ++j) kids.push_back({g.sym[j], g.dst[j]});
+    };
+    Walked w;
+    walk(dom, 0, expand, [&](int s) { return d.term(s) >= 0 ? d.term(s) : NO_LABEL; }, w);
     Ref list(PyList_New(0));
-    for (int p = w.beg[node]; p < w.end[node]; ++p) {
-        Ref parts(pack(w.out.parts(w.pool[p].state)));
+    for (int p = w.beg[0]; p < w.end[0]; ++p) {
+        Ref parts(pack(w.parts(w.pool[p].state)));
         Ref item(Py_BuildValue("(iO)", w.pool[p].label, parts.p));
         if (PyList_Append(list.p, item.p) < 0) throw PyFailure();
     }
     return list.release();
 }
 
-// Remove level lvl from every entry; each string goes to the first entry
-// that reaches it.  Returns ([(index, parts), ...], (nfa_states, raw_states)).
+// Remove level lvl from a shared form; each string takes the lowest label
+// it reaches.  Returns (shared, labels, (states, subsets)).
 PyObject* py_project_entries(PyObject* args) {
-    PyObject *entries, *domains;
+    PyObject *shared, *domains;
     int lvl;
-    if (!PyArg_ParseTuple(args, "OOi:project_entries", &entries, &domains, &lvl)) throw PyFailure();
+    if (!PyArg_ParseTuple(args, "OOi:project_entries", &shared, &domains, &lvl)) throw PyFailure();
     const Ints dom = parse_domains(domains);
     const Ints new_dom = without_level(dom, lvl);
+    Diagram d;
+    d.load(shared, dom);
     Subsets subsets(static_cast<int>(new_dom.size()), lvl);
-    int count = 0;
-    add_entries(subsets, entries, dom, count);
+    subsets.add(d.view(), d.n, 0, d.owners());
     const int root = subsets.root();
-    Walked w = walk_subsets(subsets, new_dom, root);
-    Ref kept(labeled_parts(w, root));
-    return Ref(Py_BuildValue("(O(ii))", kept.p, subsets.members(w), w.nodes())).release();
+    SharedWalked w;
+    walk_subsets(subsets, new_dom, root, w);
+    Ref result(w.result(root));
+    return Ref(Py_BuildValue("(OO(ii))", PyTuple_GET_ITEM(result.p, 0), PyTuple_GET_ITEM(result.p, 1),
+                             subsets.members(w), w.nodes()))
+        .release();
 }
 
 bool both_live(int sa, int sb) { return sa != DEAD && sb != DEAD; }
 
-// The walk of combine_entries over pairs (A subset, B subset) of the two
-// operands' entries, in step over the union levels; on a level outside an
-// operand's scope (in_a / in_b false) its subset stays where it is.  With
-// lvl >= 0 union level lvl is removed on the fly, as in
+// The walk of combine_entries over pairs (A state, B state) of the two
+// operands' shared forms, in step over the union levels; on a level
+// outside an operand's scope (in_a / in_b false) its state stays where it
+// is.  With lvl >= 0 union level lvl is removed on the fly, as in
 // _kernels_py.combine_entries.  The nodes of that fused walk are pairs p,
 // as node 2p, and interned sorted sets s of pair ids, as node 2s + 1: a
 // node below the removed level is the set of pairs its values lead to,
 // and a set of one pair is that pair.
 class PairWalk {
   public:
-    PairWalk(Subsets& a, Subsets& b, const Ints& dom, const Ints& in_a, const Ints& in_b,
-             const Ints& labels, int nb, int lvl)
-        : a_(a), b_(b), dom_(dom), in_a_(in_a), in_b_(in_b), labels_(labels), nb_(nb), lvl_(lvl) {
+    PairWalk(const Diagram& a, const Diagram& b, const Ints& dom, const Ints& in_a, const Ints& in_b,
+             const Ints& labels, int lvl)
+        : a_(a), b_(b), ga_(a.view()), gb_(b.view()), dom_(dom), in_a_(in_a), in_b_(in_b),
+          labels_(labels), nb_(b.labels), lvl_(lvl) {
         node_of({});  // set 0, node 1: no pairs, a dead child
     }
 
@@ -1014,14 +1204,14 @@ class PairWalk {
     // The kids of pair p on union level lv, children as pair ids.
     void pair_kids(int p, int lv, std::vector<Kid>& kids) {
         const int sa = pairs_.first[p], sb = pairs_.second[p];
-        const Decoded da = in_a_[lv] ? a_.decoded(sa, lv) : Decoded{sa, NONE, NONE};
-        const Decoded db = in_b_[lv] ? b_.decoded(sb, lv) : Decoded{sb, NONE, NONE};
+        const Decoded da = in_a_[lv] ? decode(ga_, sa) : Decoded{sa, NONE, NONE};
+        const Decoded db = in_b_[lv] ? decode(gb_, sb) : Decoded{sb, NONE, NONE};
         merge(dom_[lv], da, db, both_live, pairs_, kids);
     }
 
     int pair_label(int p) const {
-        const int i = a_.label(pairs_.first[p]), j = b_.label(pairs_.second[p]);
-        return i == NO_LABEL || j == NO_LABEL ? NO_LABEL : labels_[static_cast<size_t>(i) * nb_ + j];
+        const int i = a_.term(pairs_.first[p]), j = b_.term(pairs_.second[p]);
+        return i < 0 || j < 0 ? NO_LABEL : labels_[static_cast<size_t>(i) * nb_ + j];
     }
 
     // The fused walk's root node for root pair p.
@@ -1126,9 +1316,11 @@ class PairWalk {
         return contracted_[p];
     }
 
-    Subsets &a_, &b_;
+    const Diagram &a_, &b_;
+    const CsrView ga_, gb_;
     const Ints &dom_, &in_a_, &in_b_, &labels_;
-    const int nb_, lvl_;
+    const long nb_;
+    const int lvl_;
     Pairs pairs_;
     UniqueTable sets_;
     Ints soff_{0}, smem_;
@@ -1138,15 +1330,15 @@ class PairWalk {
     std::vector<std::pair<int, int>> lits_;
 };
 
-// Intersect every entry of A with every entry of B over the union domains,
-// a string in entries (i, j) labelled labels[i * |B| + j]; with lvl >= 0,
-// remove union level lvl on the fly, a leaf taking the lowest label of its
-// pairs.  Returns ([(label, parts), ...], (pairs, nodes)).
+// Walk the shared forms of A and B in step over the union domains, a
+// string at labels (i, j) labelled labels[i * nb + j]; with lvl >= 0,
+// remove union level lvl on the fly, a leaf taking the lowest label of
+// its pairs.  Returns (shared, labels, (pairs, nodes)).
 PyObject* py_combine_entries(PyObject* args) {
-    PyObject *a_entries, *b_entries, *domains, *in_a_arg, *in_b_arg, *labels_arg;
+    PyObject *a_arg, *b_arg, *domains, *in_a_arg, *in_b_arg, *labels_arg;
     int lvl = -1;
-    if (!PyArg_ParseTuple(args, "OOOOOO|i:combine_entries", &a_entries, &b_entries, &domains,
-                          &in_a_arg, &in_b_arg, &labels_arg, &lvl))
+    if (!PyArg_ParseTuple(args, "OOOOOO|i:combine_entries", &a_arg, &b_arg, &domains, &in_a_arg,
+                          &in_b_arg, &labels_arg, &lvl))
         throw PyFailure();
     const Ints dom = parse_domains(domains);
     const Ints in_a = parse_ints(in_a_arg, "in_a", 0, 1), in_b = parse_ints(in_b_arg, "in_b", 0, 1);
@@ -1161,18 +1353,17 @@ PyObject* py_combine_entries(PyObject* args) {
         if (in_a[l]) a_dom.push_back(dom[l]);
         if (in_b[l]) b_dom.push_back(dom[l]);
     }
-    Subsets a(static_cast<int>(a_dom.size()), -1), b(static_cast<int>(b_dom.size()), -1);
-    int na = 0, nb = 0;
-    add_entries(a, a_entries, a_dom, na);
-    add_entries(b, b_entries, b_dom, nb);
-    if (labels.size() != static_cast<size_t>(na) * static_cast<size_t>(nb))
-        throw BadInput(str(labels.size()) + " labels for " + str(na) + " x " + str(nb) +
-                       " entry pairs");
+    Diagram a, b;
+    a.load(a_arg, a_dom);
+    b.load(b_arg, b_dom);
+    if (labels.size() != static_cast<size_t>(a.labels) * static_cast<size_t>(b.labels))
+        throw BadInput(str(labels.size()) + " labels for " + str(a.labels) + " x " + str(b.labels) +
+                       " label pairs");
 
-    PairWalk pw(a, b, dom, in_a, in_b, labels, nb, lvl);
-    const int root_pair = pw.pair(na ? a.root() : DEAD, nb ? b.root() : DEAD);
+    PairWalk pw(a, b, dom, in_a, in_b, labels, lvl);
+    const int root_pair = pw.pair(0, 0);
     const int root = lvl == -1 ? root_pair : pw.root(root_pair);
-    Walked w;
+    SharedWalked w;
     if (lvl == -1) {
         walk(dom, root, [&](int p, int lv, std::vector<Kid>& kids) { pw.pair_kids(p, lv, kids); },
              [&](int p) { return pw.pair_label(p); }, w);
@@ -1181,8 +1372,10 @@ PyObject* py_combine_entries(PyObject* args) {
              [&](int node, int lv, std::vector<Kid>& kids) { pw.expand(node, lv, kids); },
              [&](int node) { return pw.label(node); }, w);
     }
-    Ref kept(labeled_parts(w, root));
-    return Ref(Py_BuildValue("(O(ii))", kept.p, pw.pairs(), w.nodes())).release();
+    Ref result(w.result(root));
+    return Ref(Py_BuildValue("(OO(ii))", PyTuple_GET_ITEM(result.p, 0), PyTuple_GET_ITEM(result.p, 1),
+                             pw.pairs(), w.nodes()))
+        .release();
 }
 
 PyObject* py_empty_parts(PyObject*) { return pack(empty_parts()); }
@@ -1205,6 +1398,7 @@ PyObject* guarded(PyObject*, PyObject* args) {
     return nullptr;
 }
 
+
 PyMethodDef methods[] = {
     {"_empty_parts", guarded<py_empty_parts>, METH_NOARGS,
      "_empty_parts() -> canonical empty language: a lone non-accepting start state"},
@@ -1220,11 +1414,13 @@ PyMethodDef methods[] = {
     {"remove_level", guarded<py_remove_level>, METH_VARARGS,
      "remove_level(n, t_off, t_sym, t_dst, acc, start, domains, lvl)"
      " -> parts + (nfa_states, raw_states)"},
+    {"join", guarded<py_join>, METH_VARARGS, "join(entries, domains) -> (shared, labels)"},
+    {"split", guarded<py_split>, METH_VARARGS, "split(shared, domains) -> [(label, parts), ...]"},
     {"project_entries", guarded<py_project_entries>, METH_VARARGS,
-     "project_entries(entries, domains, lvl) -> ([(index, parts), ...], (nfa_states, raw_states))"},
+     "project_entries(shared, domains, lvl) -> (shared, labels, (states, subsets))"},
     {"combine_entries", guarded<py_combine_entries>, METH_VARARGS,
-     "combine_entries(a_entries, b_entries, domains, in_a, in_b, labels, lvl=-1)"
-     " -> ([(label, parts), ...], (pairs, nodes))"},
+     "combine_entries(a, b, domains, in_a, in_b, labels, lvl=-1)"
+     " -> (shared, labels, (pairs, nodes))"},
     {nullptr, nullptr, 0, nullptr},
 };
 

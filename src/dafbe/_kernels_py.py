@@ -26,59 +26,77 @@ must be leveled (every path from the start to an accepting state has the
 same length and level i edges only read variable i's symbols); only
 ``determinize`` and ``remove_level`` accept nondeterministic transitions.
 
-Two kernels take every entry of a factor at once.  An entry is the parts
-``(t_off, t_sym, t_dst, acc)`` of a deterministic automaton with start
-state 0, and the entries of one operand are pairwise disjoint:
+A factor is one *shared* multi-terminal automaton, the parts ``(t_off,
+t_sym, t_dst, term)`` rooted at state 0.  ``term[s]`` is the label of
+terminal state ``s`` (an index into the factor's sorted values) and -1
+for every other state.  It is canonical like a single automaton: minimal,
+so equal right languages share one state whatever labels they reach,
+with exactly one terminal per label and no state whose language is
+empty; complete fans collapsed; states numbered breadth-first from the
+root, so the terminals come last.  The empty function is a lone root
+with ``term`` -1.  Four kernels work on it:
 
-* ``project_entries(entries, domains, lvl)`` removes level ``lvl`` from
-  every entry and gives each string of the result to the first entry
-  that reaches it, which is the running difference of min-projection.
-  It returns the kept ``(index, parts)`` pairs, indices ascending, and one
-  ``(nfa_states, raw_states)`` sample: the distinct (entry, state) members
-  and the distinct subsets visited.
-* ``combine_entries(a_entries, b_entries, domains, in_a, in_b, labels,
-  lvl=-1)`` intersects every entry of A with every entry of B over the
-  union ``domains``.  ``in_a[l]`` / ``in_b[l]`` tell whether union level
-  ``l`` is one of the operand's own; a level outside an operand's scope
-  leaves it where it is, as a wildcard would.  A string in A's entry
-  ``i`` and B's entry ``j`` gets ``labels[i * len(b_entries) + j]``.  With
-  ``lvl`` >= 0 union level ``lvl`` is removed in the same walk, and each
-  string of the result takes the lowest label among its extensions: with
+* ``join(entries, domains)`` reads per-label automata (each an
+  ``(t_off, t_sym, t_dst, acc)``, entry ``i`` labelled ``i``) into the
+  shared form; a string in several entries takes the lowest label.
+* ``split(shared, domains)`` gives back the ``(label, parts)`` of every
+  label, labels ascending, each part the canonical automaton of that
+  label's strings.
+* ``project_entries(shared, domains, lvl)`` removes level ``lvl``; each
+  string of the result takes the lowest label among its extensions,
+  which is min-projection when labels rank values best first.
+* ``combine_entries(a, b, domains, in_a, in_b, labels, lvl=-1)`` walks
+  the two operands in step over the union ``domains``.  ``in_a[l]`` /
+  ``in_b[l]`` tell whether union level ``l`` is one of the operand's own;
+  a level outside an operand's scope leaves it where it is, as a
+  wildcard would.  A string at A's label ``i`` and B's label ``j`` gets
+  ``labels[i * nb + j]``, where ``nb`` is one more than B's largest
+  label.  With ``lvl`` >= 0 union level ``lvl`` is removed in the same
+  walk, each string taking the lowest label among its extensions: with
   labels ranked best first that is min-projection of the combined
-  function, which is never built.  It returns the ``(label, parts)`` of
-  every label that gets a string, labels ascending, and one ``(pairs,
-  nodes)`` sample: the distinct (A subset, B subset) pairs and the
-  distinct nodes visited.
+  function, which is never built.
+
+The last two return ``(shared, labels, sample)``: the result, its term
+renumbered into the ascending list ``labels`` of the input labels that
+got a string, and one growth sample.  ``project_entries`` samples the
+distinct states and the distinct subsets its walk visited,
+``combine_entries`` the distinct (A state, B state) pairs and the
+distinct nodes.  ``join`` returns ``(shared, labels)`` alike.
 
 This edition does not check its inputs.  Malformed arrays (state ids out
 of range, broken offsets, symbols outside their level's domain, edges
-that do not run to the next level) give a Python exception or a
-meaningless result, never a crash, and the byte-identity contract does
-not cover them.  The compiled edition checks them before it reads them
-and raises ``AutomatonError``; ``Dafsa(...)`` checks them at construction.
+that do not run to the next level, misplaced terminals) give a Python
+exception or a meaningless result, never a crash, and the byte-identity
+contract does not cover them.  The compiled edition checks them before
+it reads them and raises ``AutomatonError``; ``Dafsa(...)`` checks them
+at construction.
 
 Every kernel builds its result minimal, with no merge pass afterwards.
 ``compile_sorted`` registers each suffix state once it is complete.  Every
 other kernel is one depth-first walk, ``_walk``, whose leaves carry a
-label or none.  Finishing a node interns one state per label reachable
-below it in a unique table (``_Unique``) that all labels share, so the
-split by label happens in the same pass, and each label's automaton is
-read off canonically at the end.  ``product`` walks pairs of states and
-``determinize``, ``minimize`` and ``remove_level`` subsets of states, all
-with one label.  ``project_entries`` walks subsets of all entries side by
-side, labelled by the lowest accepting entry, and ``combine_entries``
-pairs of such subsets, one per operand, and below a removed level sets of
-such pairs.  This is the multi-terminal apply of algebraic decision
-diagrams (Bahar et al., ICCAD 1993), across different scopes as in AOMDDs
-(Mateescu, Dechter & Marinescu, JAIR 33, 2008); removing a level in the
-same walk is the relational product of symbolic model checking (Burch et
-al., LICS 1990) in min-sum form.
+label or none, and which finishes each node once its children are built.
+It takes one of two finishers.  ``_Shared`` interns one state per node,
+keyed by (level, symbols, destinations), and builds the shared form.
+``_Unique`` interns one state per label reachable below the node, in one
+table for all labels, so it splits by label in the same pass; each
+label's automaton is read off canonically at the end.  ``product`` walks
+pairs of states and ``determinize``, ``minimize`` and ``remove_level``
+subsets of states, all with one label.  ``split`` walks the shared
+form's own states and ``join`` subsets of entries side by side.
+``project_entries`` walks subsets of one shared automaton and
+``combine_entries`` pairs of states, one per operand, and below a removed
+level sets of such pairs.  This is the multi-terminal apply of algebraic
+decision diagrams (Bahar et al., ICCAD 1993) on shared diagrams, across
+different scopes as in AOMDDs (Mateescu, Dechter & Marinescu, JAIR 33,
+2008); removing a level in the same walk is the relational product of
+symbolic model checking (Burch et al., LICS 1990) in min-sum form.
 """
 
 from array import array
 
 WILDCARD = -1
 DEAD = -1  # an empty language: a missing state, or a child with no strings
+NO_EDGES = {}  # the literal edges of a state that has none; never mutated
 
 
 def _empty_parts():
@@ -86,8 +104,12 @@ def _empty_parts():
     return array("i", [0, 0]), array("i"), array("i"), array("i")
 
 
-def _renumber(esym, edst, finals, root):
-    """Canonical BFS renumbering.  Per-state edges must be symbol-sorted."""
+def _renumber(esym, edst, root):
+    """Breadth-first order and canonical CSR from ``root``.
+
+    Per-state edges must be symbol-sorted.  Returns ({old id: new id},
+    (t_off, t_sym, t_dst)).
+    """
     old2new = {root: 0}
     order = [root]
     for s in order:  # grows while it is walked: a breadth-first queue
@@ -102,12 +124,19 @@ def _renumber(esym, edst, finals, root):
         sym += esym[s]
         dst += map(old2new.__getitem__, edst[s])
         off.append(len(sym))
-    acc = sorted(old2new[s] for s in finals if s in old2new)
-    return array("i", off), array("i", sym), array("i", dst), array("i", acc)
+    return old2new, (array("i", off), array("i", sym), array("i", dst))
+
+
+def _collapse(lv, k, syms, dsts):
+    """The unique-table key of a state: a complete literal fan onto one
+    child becomes a wildcard."""
+    if len(syms) == k and min(dsts) == max(dsts):
+        return lv, (WILDCARD,), (dsts[0],)
+    return lv, tuple(syms), tuple(dsts)
 
 
 class _Unique:
-    """Result states, built children first and interned in a unique table.
+    """The per-label finisher: one result state per label below a node.
 
     State 0 is the accepting sink, shared by every label.  ``finish`` gives
     a node one state per label reachable below it: the state's edges are
@@ -123,6 +152,11 @@ class _Unique:
         self.esym = [()]
         self.edst = [()]
         self.table = {}
+
+    @staticmethod
+    def leaf(label):
+        """{label: state} of a node past the last level."""
+        return {} if label is None else {label: 0}
 
     def finish(self, lv, k, kids, built):
         """{label: state} of the node with edges ``kids``, [(symbol, child), ...].
@@ -142,10 +176,7 @@ class _Unique:
         table = self.table
         states = {}
         for label, (syms, dsts) in per.items():
-            if len(syms) == k and min(dsts) == max(dsts):
-                sig = (lv, (WILDCARD,), (dsts[0],))
-            else:
-                sig = (lv, tuple(syms), tuple(dsts))
+            sig = _collapse(lv, k, syms, dsts)
             sid = table.get(sig)
             if sid is None:
                 sid = table[sig] = len(self.esym)
@@ -158,23 +189,82 @@ class _Unique:
         """Canonical flat parts of the automaton rooted at state ``root``."""
         if root == DEAD:
             return _empty_parts()
-        return _renumber(self.esym, self.edst, (0,), root)
+        old2new, csr = _renumber(self.esym, self.edst, root)
+        return (*csr, array("i", [old2new[0]]))  # every state reaches the sink
 
 
-def _walk(domains, root, kids_of, label_of):
+class _Shared:
+    """The shared finisher: one result state per node, DEAD if it has no string.
+
+    A node past the last level becomes the terminal of its label, one per
+    label.  Any other node keeps its kids whose child is not DEAD, a
+    complete literal fan onto one child becomes a wildcard, and the state
+    is looked up by (level, symbols, destinations), so the result is the
+    minimal shared form as built.
+    """
+
+    def __init__(self):
+        self.esym = []
+        self.edst = []
+        self.table = {}
+        self.terminals = {}  # label -> state
+
+    def leaf(self, label):
+        if label is None:
+            return DEAD
+        sid = self.terminals.get(label)
+        if sid is None:
+            sid = self.terminals[label] = len(self.esym)
+            self.esym.append(())
+            self.edst.append(())
+        return sid
+
+    def finish(self, lv, k, kids, built):
+        syms = []
+        dsts = []
+        for v, child in kids:
+            d = built[child]
+            if d != DEAD:
+                syms.append(v)
+                dsts.append(d)
+        if not syms:
+            return DEAD
+        sig = _collapse(lv, k, syms, dsts)
+        sid = self.table.get(sig)
+        if sid is None:
+            sid = self.table[sig] = len(self.esym)
+            self.esym.append(sig[1])
+            self.edst.append(sig[2])
+        return sid
+
+    def parts(self, root):
+        """(shared parts rooted at ``root``, ascending labels of its terminals).
+
+        The term of each terminal is its label's index in that list.
+        """
+        if root == DEAD:
+            return (array("i", [0, 0]), array("i"), array("i"), array("i", [-1])), []
+        old2new, csr = _renumber(self.esym, self.edst, root)
+        found = sorted((label, old2new[s]) for label, s in self.terminals.items() if s in old2new)
+        term = array("i", [-1]) * len(old2new)
+        for rank, (_, s) in enumerate(found):
+            term[s] = rank
+        return (*csr, term), [label for label, _ in found]
+
+
+def _walk(domains, root, kids_of, label_of, out):
     """The depth-first walk behind every kernel but ``compile_sorted``.
 
     A node is any hashable.  ``kids_of(node, lv)`` lists its (symbol, child)
     pairs on level ``lv``, symbols ascending and a wildcard only alone;
     ``label_of(node)`` gives the label of a node past the last level, or
     None.  Nodes are expanded on an explicit stack, so automaton length is
-    not bounded by the recursion limit, and ``_Unique`` finishes each node
-    once its children are built.  Returns the unique table and the dict
-    {node: {label: state}} of every node visited, including those with an
-    empty language.
+    not bounded by the recursion limit, and the finisher ``out`` builds
+    each node once its children are built (``out.leaf`` past the last
+    level, ``out.finish`` above it).  Returns {node: what ``out`` built}
+    for every node visited, including those with an empty language.
     """
     L = len(domains)
-    out = _Unique()
     built = {}
     # a frame is (node, level, None) until its children are pushed above
     # it, then (node, level, kids) until it is built
@@ -187,8 +277,7 @@ def _walk(domains, root, kids_of, label_of):
         if node in built:
             continue
         if lv == L:
-            label = label_of(node)
-            built[node] = {} if label is None else {label: 0}
+            built[node] = out.leaf(label_of(node))
             continue
         kids = kids_of(node, lv)
         stack.append((node, lv, kids))
@@ -196,7 +285,7 @@ def _walk(domains, root, kids_of, label_of):
         for _, child in kids:
             if child not in built:
                 stack.append((child, nl, None))
-    return out, built
+    return built
 
 
 def compile_sorted(digits, n_strings, length, domains):
@@ -222,12 +311,9 @@ def compile_sorted(digits, n_strings, length, domains):
 
     def freeze(s, depth):
         """Collapse s's complete literal fan; return its registered twin."""
-        syms = esym[s]
-        dsts = edst[s]
-        if len(syms) == domains[depth] and min(dsts) == max(dsts):
-            esym[s] = syms = [WILDCARD]
-            edst[s] = dsts = dsts[:1]
-        return register.setdefault((depth, tuple(syms), tuple(dsts)), s)
+        sig = _collapse(depth, domains[depth], esym[s], edst[s])
+        esym[s], edst[s] = sig[1], sig[2]
+        return register.setdefault(sig, s)
 
     path = [0]  # path[d] = state at depth d, the final sink excluded
     base = 0
@@ -261,7 +347,27 @@ def compile_sorted(digits, n_strings, length, domains):
         edst[path[-1]][-1] = freeze(child, d)
     freeze(0, 0)
 
-    return _renumber(esym, edst, (FINAL,), 0)
+    old2new, csr = _renumber(esym, edst, 0)
+    return (*csr, array("i", [old2new[FINAL]]))
+
+
+def _decoder(off, sym, dst):
+    """decode(s): (wildcard destination or DEAD, {literal: destination}) of
+    state ``s``, memoized; DEAD decodes to no edges."""
+    memo = {DEAD: (DEAD, NO_EDGES)}
+
+    def decode(s):
+        got = memo.get(s)
+        if got is None:
+            lo, hi = off[s], off[s + 1]
+            if hi > lo and sym[lo] == WILDCARD:
+                got = dst[lo], NO_EDGES
+            else:
+                got = DEAD, dict(zip(sym[lo:hi], dst[lo:hi]))
+            memo[s] = got
+        return got
+
+    return decode
 
 
 def _merge(k, a, b, live):
@@ -323,25 +429,8 @@ def product(
         def accepts(da, db):
             return da in acca_set and db not in accb_set
 
-    def decoder(off, sym, dst):
-        memo = {DEAD: (DEAD, {})}
-
-        def decode(s):
-            """(wildcard destination or DEAD, {literal: destination})."""
-            got = memo.get(s)
-            if got is None:
-                lo, hi = off[s], off[s + 1]
-                if hi > lo and sym[lo] == WILDCARD:
-                    got = dst[lo], {}
-                else:
-                    got = DEAD, dict(zip(sym[lo:hi], dst[lo:hi]))
-                memo[s] = got
-            return got
-
-        return decode
-
-    dec_a = decoder(offa, syma, dsta)
-    dec_b = decoder(offb, symb, dstb)
+    dec_a = _decoder(offa, syma, dsta)
+    dec_b = _decoder(offb, symb, dstb)
 
     def kids_of(pair, lv):
         return _merge(domains[lv], dec_a(pair[0]), dec_b(pair[1]), live)
@@ -350,7 +439,8 @@ def product(
         return 0 if accepts(*pair) else None
 
     root = (starta, startb)
-    out, built = _walk(domains, root, kids_of, label_of)
+    out = _Unique()
+    built = _walk(domains, root, kids_of, label_of, out)
     return out.parts(built[root].get(0, DEAD))
 
 
@@ -375,9 +465,10 @@ class _Subsets:
     """Subsets of the states of one automaton, stepped level by level.
 
     A subset is a sorted tuple of states, all on one level.  ``owner`` maps
-    each accepting state to its label.  With ``lvl`` >= 0 that level is
-    contracted on the fly: a state there takes the merged edges of its
-    successors (memoized), and if ``lvl`` is the last level of
+    each accepting state to its label, and a subset past the last level
+    takes the lowest label among its members.  With ``lvl`` >= 0 that
+    level is contracted on the fly: a state there takes the merged edges
+    of its successors (memoized), and if ``lvl`` is the last level of
     ``domains`` it accepts through an accepting successor.
     """
 
@@ -400,12 +491,9 @@ class _Subsets:
             e = self.merged[s] = {edge for t in dst[off[s] : off[s + 1]] for edge in self.edges(t, -1)}
         return e
 
-    def step(self, sub, lv):
-        """(wildcard child, {symbol: child}) of ``sub`` on level ``lv``.
-
-        Children are sorted tuples, () for none, symbols ascending; a
-        literal's child takes in the wildcard's members.
-        """
+    def kids(self, sub, lv):
+        """Kids of ``sub`` on level ``lv``: a literal's child takes in the
+        wildcard's members; children are sorted tuples."""
         wild = set()
         expl = {}
         for s in sub:
@@ -416,57 +504,29 @@ class _Subsets:
                     expl[v].add(d)
                 else:
                     expl[v] = {d}
-        return tuple(sorted(wild)), {v: tuple(sorted(expl[v] | wild)) for v in sorted(expl)}
-
-    def kids(self, sub, lv):
-        wild, expl = self.step(sub, lv)
-        return _kids(expl, wild, self.domains[lv])
+        expl = {v: tuple(sorted(expl[v] | wild)) for v in sorted(expl)}
+        return _kids(expl, tuple(sorted(wild)), self.domains[lv])
 
     def label(self, sub):
-        """The label of the first member that accepts, or None."""
+        """The lowest label among the members that accept, or None."""
         owner = self.owner
         if self.lvl == len(self.domains):  # contracted last level
             off, dst = self.off, self.dst
             sub = [t for s in sub for t in dst[off[s] : off[s + 1]]]
-        for s in sub:
-            label = owner.get(s)
-            if label is not None:
-                return label
-        return None
+        return min((owner[s] for s in sub if s in owner), default=None)
 
 
-def _side_by_side(entries):
-    """One CSR for several automata: entry i's state s becomes base_i + s.
-
-    Returns (off, sym, dst, roots, owner): the shifted start states, in
-    entry order, and a map from each accepting state to its entry index.
-    """
-    off = array("i", [0])
-    sym = array("i")
-    dst = array("i")
-    roots = []
-    owner = {}
-    for i, (t_off, t_sym, t_dst, acc) in enumerate(entries):
-        base = len(off) - 1
-        roots.append(base)
-        off.extend(map(len(sym).__add__, t_off[1:]))
-        sym.extend(t_sym)
-        dst.extend(map(base.__add__, t_dst))
-        owner.update(dict.fromkeys(map(base.__add__, acc), i))
-    return off, sym, dst, roots, owner
-
-
-def _subset_walk(off, sym, dst, roots, owner, domains, lvl=-1):
+def _subset_walk(off, sym, dst, roots, owner, domains, lvl, out):
     """Walk the subsets reachable from ``roots`` (see ``_Subsets``).
 
     ``domains`` are the result's, so level ``lvl`` is already removed from
-    them.  Returns the unique table, the root's {label: state}, the number
-    of distinct members and the number of distinct subsets visited.
+    them.  Returns what ``out`` built for the root, the number of distinct
+    members and the number of distinct subsets visited.
     """
     subsets = _Subsets(off, sym, dst, owner, domains, lvl)
     root = tuple(roots)
-    out, built = _walk(domains, root, subsets.kids, subsets.label)
-    return out, built[root], len(set().union(*built)), len(built)
+    built = _walk(domains, root, subsets.kids, subsets.label, out)
+    return built[root], len(set().union(*built)), len(built)
 
 
 def determinize(n, t_off, t_sym, t_dst, acc, start, domains):
@@ -477,8 +537,9 @@ def determinize(n, t_off, t_sym, t_dst, acc, start, domains):
     raw_states counts the distinct subsets visited, the honest size of
     the determinized machine.
     """
-    out, root, _, raw_states = _subset_walk(
-        t_off, t_sym, t_dst, (start,), dict.fromkeys(acc, 0), domains
+    out = _Unique()
+    root, _, raw_states = _subset_walk(
+        t_off, t_sym, t_dst, (start,), dict.fromkeys(acc, 0), domains, -1, out
     )
     return (*out.parts(root.get(0, DEAD)), raw_states)
 
@@ -497,36 +558,78 @@ def remove_level(n, t_off, t_sym, t_dst, acc, start, domains, lvl):
     the contracted automaton (those reachable, minus level ``lvl + 1``)
     and the number of distinct subsets visited.
     """
-    new_domains = domains[:lvl] + domains[lvl + 1 :]
-    out, root, nfa_states, raw_states = _subset_walk(
-        t_off, t_sym, t_dst, (start,), dict.fromkeys(acc, 0), new_domains, lvl
+    out = _Unique()
+    root, nfa_states, raw_states = _subset_walk(
+        t_off, t_sym, t_dst, (start,), dict.fromkeys(acc, 0),
+        domains[:lvl] + domains[lvl + 1 :], lvl, out,
     )
     return (*out.parts(root.get(0, DEAD)), nfa_states, raw_states)
 
 
-def project_entries(entries, domains, lvl):
-    """Remove level ``lvl`` from every entry; each string goes to the first.
+def join(entries, domains):
+    """The shared form of per-label automata, entry ``i`` labelled ``i``.
 
-    The subset walk over all entries side by side, level ``lvl``
-    contracted as in ``remove_level``: a leaf is labelled by the lowest
-    index among its accepting members.  Returns ([(index, parts), ...],
-    (nfa_states, raw_states)).
+    The subset walk over all entries side by side, entry ``i``'s state
+    ``s`` renamed ``base_i + s``; a leaf takes the lowest label among its
+    accepting members.  Returns (shared, labels).
     """
-    off, sym, dst, roots, owner = _side_by_side(entries)
-    out, root, nfa_states, raw_states = _subset_walk(
-        off, sym, dst, roots, owner, domains[:lvl] + domains[lvl + 1 :], lvl
+    off = array("i", [0])
+    sym = array("i")
+    dst = array("i")
+    roots = []
+    owner = {}
+    for i, (t_off, t_sym, t_dst, acc) in enumerate(entries):
+        base = len(off) - 1
+        roots.append(base)
+        off.extend(map(len(sym).__add__, t_off[1:]))
+        sym.extend(t_sym)
+        dst.extend(map(base.__add__, t_dst))
+        owner.update(dict.fromkeys(map(base.__add__, acc), i))
+    out = _Shared()
+    root, _, _ = _subset_walk(off, sym, dst, roots, owner, domains, -1, out)
+    return out.parts(root)
+
+
+def split(shared, domains):
+    """[(label, parts), ...]: the automaton of each label, labels ascending.
+
+    The walk over the shared form's own states with the per-label
+    finisher, which re-minimizes each label's part of the diagram.
+    """
+    off, sym, dst, term = shared
+
+    def kids_of(s, lv):
+        lo, hi = off[s], off[s + 1]
+        return list(zip(sym[lo:hi], dst[lo:hi]))
+
+    def label_of(s):
+        return term[s] if term[s] >= 0 else None
+
+    out = _Unique()
+    built = _walk(domains, 0, kids_of, label_of, out)
+    return [(label, out.parts(s)) for label, s in sorted(built[0].items())]
+
+
+def project_entries(shared, domains, lvl):
+    """Remove level ``lvl``; each string takes the lowest label it reaches.
+
+    The subset walk over the shared form with level ``lvl`` contracted, as
+    in ``remove_level``.  Returns (shared, labels, (states, subsets)).
+    """
+    off, sym, dst, term = shared
+    owner = {s: t for s, t in enumerate(term) if t >= 0}
+    out = _Shared()
+    root, states, subsets = _subset_walk(
+        off, sym, dst, (0,), owner, domains[:lvl] + domains[lvl + 1 :], lvl, out
     )
-    kept = [(i, out.parts(root[i])) for i in sorted(root)]
-    return kept, (nfa_states, raw_states)
+    return (*out.parts(root), (states, subsets))
 
 
-def combine_entries(a_entries, b_entries, domains, in_a, in_b, labels, lvl=-1):
-    """Intersect every entry of A with every entry of B, labelled by pair.
+def combine_entries(a, b, domains, in_a, in_b, labels, lvl=-1):
+    """Walk A and B in step over the union levels, labelled by label pair.
 
-    The walk over pairs (A subset, B subset) of the two operands' entries
-    side by side, in step over the union ``domains``; on a level outside
-    an operand's scope its subset stays where it is.  Each subset's step
-    is decoded once, however many pairs it meets.
+    A node is a pair (A state, B state); on a level outside an operand's
+    scope its state stays where it is.
 
     With ``lvl`` >= 0, union level ``lvl`` is removed on the fly, which is
     min-projection of the combined function without building it.  A node
@@ -536,55 +639,49 @@ def combine_entries(a_entries, b_entries, domains, in_a, in_b, labels, lvl=-1):
     wildcards as in ``_Subsets.kids`` (``_kids``); a leaf takes the lowest
     label among its member pairs.
 
-    Returns ([(label, parts), ...], (pairs, nodes)): the labels that get a
-    string, ascending, and the distinct pairs and distinct nodes visited.
+    Returns (shared, labels, (pairs, nodes)): the distinct pairs and the
+    distinct nodes visited.
     """
-    nb = len(b_entries)
-    sides = []
-    for entries, inside in ((a_entries, in_a), (b_entries, in_b)):
-        off, sym, dst, roots, owner = _side_by_side(entries)
-        subsets = _Subsets(off, sym, dst, owner, ())
-        steps = {}
-
-        def decode(sub, lv, subsets=subsets, steps=steps, inside=inside):
-            if not inside[lv]:
-                return sub, {}
-            got = steps.get(sub)
-            if got is None:
-                got = steps[sub] = subsets.step(sub, lv)
-            return got
-
-        sides.append((tuple(roots), decode, subsets.label))
-    (root_a, dec_a, label_a), (root_b, dec_b, label_b) = sides
+    term_a = a[3]
+    term_b = b[3]
+    nb = max(term_b, default=-1) + 1
+    dec_a = _decoder(*a[:3])
+    dec_b = _decoder(*b[:3])
 
     def live(sa, sb):
-        return sa and sb
+        return sa != DEAD and sb != DEAD
 
     def pair_kids(pair, lv):
-        return _merge(domains[lv], dec_a(pair[0], lv), dec_b(pair[1], lv), live)
+        sa, sb = pair
+        return _merge(
+            domains[lv],
+            dec_a(sa) if in_a[lv] else (sa, NO_EDGES),
+            dec_b(sb) if in_b[lv] else (sb, NO_EDGES),
+            live,
+        )
 
     def pair_label(pair):
-        i = label_a(pair[0])
-        j = label_b(pair[1])
-        return None if i is None or j is None else labels[i * nb + j]
+        i = term_a[pair[0]]
+        j = term_b[pair[1]]
+        return None if i < 0 or j < 0 else labels[i * nb + j]
 
-    root = (root_a, root_b)
+    root = (0, 0)
+    out = _Shared()
     if lvl < 0:
-        out, built = _walk(domains, root, pair_kids, pair_label)
+        built = _walk(domains, root, pair_kids, pair_label, out)
         pairs = len(built)
     else:
-        out, root, built, pairs = _fused_walk(domains, root, pair_kids, pair_label, lvl)
-    kept = [(label, out.parts(s)) for label, s in sorted(built[root].items())]
-    return kept, (pairs, len(built))
+        root, built, pairs = _fused_walk(domains, root, pair_kids, pair_label, lvl, out)
+    return (*out.parts(built[root]), (pairs, len(built)))
 
 
-def _fused_walk(domains, root, pair_kids, pair_label, lvl):
+def _fused_walk(domains, root, pair_kids, pair_label, lvl, out):
     """The walk over pairs with union level ``lvl`` removed on the fly.
 
     ``pair_kids(pair, lv)`` and ``pair_label(pair)`` are the pair walk's.
     A node above level ``lvl`` is a pair; a node below it is a frozenset
-    of two or more pairs, or a lone pair.  Returns the unique table, the
-    root node, {node: {label: state}} and the number of distinct pairs.
+    of two or more pairs, or a lone pair.  Returns the root node, {node:
+    what ``out`` built} and the number of distinct pairs.
     """
     stepped = {}  # pair below the removed level -> its kids
     contracted = {}  # pair on the removed level -> the node of its children
@@ -632,11 +729,11 @@ def _fused_walk(domains, root, pair_kids, pair_label, lvl):
 
     if lvl == 0:
         root = contract(root)
-    out, built = _walk(domains[:lvl] + domains[lvl + 1 :], root, kids_of, label_of)
+    built = _walk(domains[:lvl] + domains[lvl + 1 :], root, kids_of, label_of, out)
     pairs = set(contracted)
     for node in built:
         if type(node) is frozenset:
             pairs.update(node)
         else:
             pairs.add(node)
-    return out, root, built, len(pairs)
+    return root, built, len(pairs)

@@ -287,9 +287,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+_parser = None  # built on the first main call, then reused
+
+
 def main(argv=None) -> int:
+    global _parser
     try:
-        args = build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         eps = args.epsilon if args.epsilon is not None else _default_eps()
         cfg = RunConfig(
             inputs=list(args.inputs),

@@ -8,13 +8,24 @@ function; its size does not depend on ``prod(domains)``.  A
 ``DafsaFactor`` stores the same function as a list of (value, automaton)
 entries: each distinct (epsilon-keyed) value owns the minimal DAFSA of
 the assignments mapping to it.  Entries are pairwise disjoint and, unless
-infinity rows were pruned, cover the whole assignment space.  ``combine``
-and ``project`` each make one multi-terminal kernel pass over all entries
-of their operands (``combine_entries``, ``project_entries``), which
-builds every result entry minimal at once.  ``project(f, var, op,
+infinity rows were pruned, cover the whole assignment space.
+
+Entries are the public, paper form.  Between kernel calls a factor is
+its sorted values, ``keys``, and one shared multi-terminal automaton,
+``shared`` = ``(t_off, t_sym, t_dst, term)`` rooted at state 0, where
+``term[s]`` is the index into ``keys`` of terminal state ``s`` and -1
+elsewhere.  The shared form is canonical: minimal across values (equal
+right languages share a state, one terminal per value), complete fans
+collapsed, states numbered breadth-first, so the terminals come last;
+the empty function is a lone root with term -1.  The ``join`` kernel
+reads entries into it and ``split`` reads them back off, byte-identical,
+each on first demand.  ``combine`` and ``project`` each make one kernel
+pass over shared forms (``combine_entries``, ``project_entries``) and
+return one, so the solver never builds entries.  ``project(f, var, op,
 other=g)`` eliminates ``var`` from the combination of ``f`` and ``g`` in
 one ``combine_entries`` pass that removes the level as it walks, so the
-combined factor is never built.
+combined factor is never built.  ``value_at`` is one path down the
+shared automaton.
 
 Both table kinds expose the same read side: ``scope``, ``domains``,
 ``size``, ``value_of``, ``redundancy``, ``values`` (dense, so only the
@@ -47,11 +58,12 @@ import dataclasses
 import itertools
 import math
 from array import array
+from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from ._backend import kernels
-from .automata import Dafsa
-from .errors import FactorError
+from .automata import WILDCARD, Dafsa
+from .errors import AutomatonError, FactorError
 from .keying import DEFAULT_EPS, ValueKeySet
 from .keying import redundancy as _value_redundancy
 
@@ -300,7 +312,6 @@ def _compile_rows(domains, rows) -> Dafsa:
     return Dafsa._from_parts(domains, kernels.compile_sorted(buf, n, len(domains), domains))
 
 
-@dataclasses.dataclass(frozen=True)
 class DafsaFactor:
     """Factor stored as (value, automaton) entries, sorted by value.
 
@@ -308,19 +319,23 @@ class DafsaFactor:
     disjoint; infinity, when present, sorts last.  Removing a level can
     make entries overlap; ``project`` gives each assignment to the best
     entry in the same kernel pass, so no factor ever holds an overlap.
+
+    ``DafsaFactor(scope, domains, entries)`` is the public, paper form.
+    Between kernel calls the factor is ``keys``, its sorted values, and
+    ``shared``, one multi-terminal automaton whose terminal labels index
+    ``keys`` (see ``_kernels_py``).  Each form is read off the other on
+    demand (``join``, ``split``) and kept, so the solver, which reads only
+    ``keys`` and ``shared``, never builds the entries of the factors it
+    makes.  Given overlapping entries, ``keys`` and ``shared`` give each
+    assignment to the first entry that has it.
     """
 
-    scope: tuple[int, ...]
-    domains: tuple[int, ...]
-    entries: tuple
+    __slots__ = ("scope", "domains", "_entries", "_keys", "_shared")
 
-    def __post_init__(self):
-        scope = tuple(self.scope)
-        domains = tuple(self.domains)
-        entries = tuple((float(v), d) for v, d in self.entries)
-        object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "domains", domains)
-        object.__setattr__(self, "entries", entries)
+    def __init__(self, scope, domains, entries):
+        scope = tuple(scope)
+        domains = tuple(domains)
+        entries = tuple((float(v), d) for v, d in entries)
         _check_scope(scope, domains)
         prev = None
         for v, dafsa in entries:
@@ -335,6 +350,62 @@ class DafsaFactor:
                 raise FactorError(f"entry automaton domains {dafsa.domains} != factor domains {domains}")
             if dafsa.is_empty():
                 raise FactorError("empty entry automaton")
+        self.scope = scope
+        self.domains = domains
+        self._entries = entries
+        self._keys = None
+        self._shared = None
+
+    @classmethod
+    def _from_shared(cls, scope, domains, keys, shared) -> "DafsaFactor":
+        """Wrap trusted kernel output: ``shared`` parts labelled into ``keys``."""
+        self = object.__new__(cls)
+        self.scope = scope
+        self.domains = domains
+        self._entries = None
+        self._keys = keys
+        self._shared = shared
+        return self
+
+    def __eq__(self, other):
+        if not isinstance(other, DafsaFactor):
+            return NotImplemented
+        return (self.scope, self.domains, self.entries) == (other.scope, other.domains, other.entries)
+
+    def __repr__(self):
+        return f"DafsaFactor(scope={self.scope}, domains={self.domains}, keys={self.keys})"
+
+    # -- the two forms -------------------------------------------------------
+
+    @property
+    def entries(self) -> tuple:
+        """((value, Dafsa), ...), values ascending; split off ``shared`` on demand."""
+        if self._entries is None:
+            domains = self.domains
+            self._entries = tuple(
+                (self._keys[label], Dafsa._from_parts(domains, parts))
+                for label, parts in kernels.split(self._shared, domains)
+            )
+        return self._entries
+
+    def _join(self):
+        parts, labels = kernels.join([d.parts for _, d in self._entries], self.domains)
+        self._shared = parts
+        self._keys = tuple(self._entries[n][0] for n in labels)
+
+    @property
+    def keys(self) -> tuple:
+        """The values of ``shared``'s labels, ascending."""
+        if self._keys is None:
+            self._join()
+        return self._keys
+
+    @property
+    def shared(self) -> tuple:
+        """(t_off, t_sym, t_dst, term): the whole factor as one automaton."""
+        if self._shared is None:
+            self._join()
+        return self._shared
 
     # -- construction ------------------------------------------------------
 
@@ -395,19 +466,37 @@ class DafsaFactor:
 
     @property
     def entry_count(self) -> int:
-        return len(self.entries)
+        return len(self.keys)
 
     @property
     def total_states(self) -> int:
-        return sum(d.state_count for _, d in self.entries)
+        """States of the shared automaton, which the solver keeps."""
+        return len(self.shared[0]) - 1
 
     def value_at(self, assignment):
-        """Entry value covering the full model assignment, None if pruned."""
-        word = tuple(assignment[v] for v in self.scope)
-        for v, dafsa in self.entries:
-            if dafsa.accepts(word):
-                return v
-        return None
+        """Value covering the full model assignment, None if pruned.
+
+        One path down the shared automaton.
+        """
+        t_off, t_sym, t_dst, term = self.shared
+        s = 0
+        for var, k in zip(self.scope, self.domains):
+            v = assignment[var]
+            if not 0 <= v < k:
+                raise AutomatonError(f"symbol {v} outside domain {k} of variable {var}")
+            lo = t_off[s]
+            hi = t_off[s + 1]
+            if lo == hi:  # the root of the empty function
+                return None
+            if t_sym[lo] == WILDCARD:
+                s = t_dst[lo]
+                continue
+            j = bisect_left(t_sym, v, lo, hi)
+            if j == hi or t_sym[j] != v:
+                return None
+            s = t_dst[j]
+        label = term[s]
+        return None if label < 0 else self.keys[label]
 
     def covered_count(self) -> int:
         return sum(d.count_strings() for _, d in self.entries)
@@ -462,9 +551,10 @@ def _combine_call(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float):
     """(scope, domains, keys, operands, labels) of ``f1 op f2``.
 
     ``operands`` are the ``combine_entries`` arguments before the labels:
-    entries, union domains and level flags.  Every entry pair (i, j) is
-    keyed by the epsilon key of ``v_i op v_j``, over the keyset of all
-    pair values, and labelled by that key's index in the sorted ``keys``.
+    the shared forms, union domains and level flags.  Every label pair
+    (i, j) is keyed by the epsilon key of ``v_i op v_j``, over the keyset
+    of all pair values, and labelled by that key's index in the sorted
+    ``keys``.
     """
     if op not in COMBINE_OPS:
         raise FactorError(f"combine op must be one of {COMBINE_OPS}, got {op!r}")
@@ -476,14 +566,12 @@ def _combine_call(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float):
     scope = tuple(sorted(kmap))
     domains = tuple(kmap[v] for v in scope)
 
-    pair_values = [
-        va + vb if op == "sum" else va * vb for va, _ in f1.entries for vb, _ in f2.entries
-    ]
+    pair_values = [va + vb if op == "sum" else va * vb for va in f1.keys for vb in f2.keys]
     keyset = ValueKeySet.from_values(pair_values, eps)
     keys = list(keyset)
     index = {key: n for n, key in enumerate(keys)}
     operands = (
-        [d.parts for _, d in f1.entries], [d.parts for _, d in f2.entries], domains,
+        f1.shared, f2.shared, domains,
         [var in f1.scope for var in scope], [var in f2.scope for var in scope],
     )
     return scope, domains, keys, operands, [index[keyset.key(v)] for v in pair_values]
@@ -492,58 +580,65 @@ def _combine_call(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float):
 def combine(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float = DEFAULT_EPS) -> DafsaFactor:
     """Pointwise ``op`` over the union scope, in one kernel pass.
 
-    ``combine_entries`` walks both factors' entries in step over the union
-    scope, a variable outside a factor's scope acting as a wildcard, and
-    gives each assignment the key of its entry pair.  Assignments pruned
-    in either input stay pruned.
+    ``combine_entries`` walks both factors' shared automata in step over
+    the union scope, a variable outside a factor's scope acting as a
+    wildcard, and gives each assignment the key of its label pair.
+    Assignments pruned in either input stay pruned.
     """
     scope, domains, keys, operands, labels = _combine_call(f1, f2, op, eps)
-    kept, _ = kernels.combine_entries(*operands, labels, -1)
-    return DafsaFactor(scope, domains, tuple((keys[n], Dafsa._from_parts(domains, p)) for n, p in kept))
+    shared, kept, _ = kernels.combine_entries(*operands, labels, -1)
+    return DafsaFactor._from_shared(scope, domains, tuple(keys[n] for n in kept), shared)
+
+
+def _reverse_labels(shared, count):
+    """``shared`` with label ``n`` renamed ``count - 1 - n``."""
+    t_off, t_sym, t_dst, term = shared
+    last = count - 1
+    return t_off, t_sym, t_dst, array("i", [t if t < 0 else last - t for t in term])
 
 
 def project(f: DafsaFactor, var: int, op: str, other: DafsaFactor | None = None,
             eps: float = DEFAULT_EPS):
     """Eliminate ``var`` by ``op`` over its values, in one kernel pass.
 
-    ``project_entries`` drops the variable's level from all entries at
-    once, passed best value first, and gives each assignment of the result
-    to the best entry that reaches it.
+    ``project_entries`` drops the variable's level from the shared
+    automaton, its labels ranked best value first, and gives each
+    assignment of the result the best label that reaches it.
 
     Given ``other``, it eliminates ``var`` from ``combine(f, other)``, by
     the op's semiring partner (sum for min, product for max) under that
     combine's keyset, without building the combined factor:
     ``combine_entries`` removes the level on the fly, with the labels
-    ranked best first, and the entries are byte-identical to projecting
-    the combined factor.
+    ranked best first, and the result is the same as projecting the
+    combined factor.
 
     Returns ``(factor, growth)`` where growth holds the call's one
-    sample: the distinct (entry, state) members and the distinct subsets
-    ``project_entries`` visited, or the distinct (A subset, B subset)
-    pairs and the distinct nodes the fused walk visited.
+    sample: the distinct states and the distinct subsets
+    ``project_entries`` visited, or the distinct (A state, B state) pairs
+    and the distinct nodes the fused walk visited.
     """
     if op not in PROJECT_OPS:
         raise FactorError(f"project op must be one of {PROJECT_OPS}, got {op!r}")
     if other is None:
-        scope, domains = f.scope, f.domains
+        scope, domains, keys = f.scope, f.domains, f.keys
     else:
         scope, domains, keys, operands, labels = _combine_call(f, other, PARTNER[op], eps)
     if var not in scope:
         raise FactorError(f"variable {var} not in scope {scope}")
     pos = scope.index(var)
     # ranked: the values best first, largest first for max, where inf cannot occur
+    ranked = keys if op == "min" else keys[::-1]
     if other is None:
-        entries = f.entries if op == "min" else f.entries[::-1]
-        ranked = [v for v, _ in entries]
-        kept, growth = kernels.project_entries([d.parts for _, d in entries], domains, pos)
+        shared = f.shared if op == "min" else _reverse_labels(f.shared, len(keys))
+        shared, kept, growth = kernels.project_entries(shared, domains, pos)
     else:
-        ranked = keys if op == "min" else keys[::-1]
         if op == "max":
             labels = [len(keys) - 1 - n for n in labels]
-        kept, growth = kernels.combine_entries(*operands, labels, pos)
+        shared, kept, growth = kernels.combine_entries(*operands, labels, pos)
+    keys = tuple(ranked[n] for n in kept)
+    if op == "max":  # kept comes in ranked order
+        keys = keys[::-1]
+        shared = _reverse_labels(shared, len(keys))
     scope = scope[:pos] + scope[pos + 1 :]
     domains = domains[:pos] + domains[pos + 1 :]
-    entries = [(ranked[n], Dafsa._from_parts(domains, p)) for n, p in kept]
-    if op == "max":
-        entries.reverse()  # kept comes in ranked order
-    return DafsaFactor(scope, domains, tuple(entries)), [growth]
+    return DafsaFactor._from_shared(scope, domains, keys, shared), [growth]

@@ -323,8 +323,7 @@ def bucket_elimination(
 
     def note_factor(f: DafsaFactor):
         stats.max_entry_count = max(stats.max_entry_count, f.entry_count)
-        for _, d in f.entries:
-            stats.max_automaton_states = max(stats.max_automaton_states, d.state_count)
+        stats.max_automaton_states = max(stats.max_automaton_states, f.total_states)
 
     live_states = 0
     peak = 0
@@ -335,11 +334,11 @@ def bucket_elimination(
     def place(f: DafsaFactor):
         nonlocal live_states, peak, optimum, infeasible
         note_factor(f)
-        if not f.entries:
+        if not f.keys:
             infeasible = True
             return
         if not f.scope:
-            optimum += f.entries[0][0]
+            optimum += f.keys[0]
             return
         live_states += f.total_states
         peak = max(peak, live_states)

@@ -165,8 +165,14 @@ def rand_nfa_parts(rng, dom):
 
 
 def run_python(pythonpath, args, kernels=None):
-    """Run ``python args`` with only ``pythonpath`` on the path, DAFBE_KERNELS set if given."""
+    """Run ``python args`` with only ``pythonpath`` on the path, DAFBE_KERNELS set if given.
+
+    ``PYTHONDONTWRITEBYTECODE`` passes through when it is set, so a test
+    run that asks for no bytecode cache leaves none in the checkout.
+    """
     env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": pythonpath}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     if kernels is not None:
         env["DAFBE_KERNELS"] = kernels
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)

@@ -9,6 +9,7 @@ The compiled edition also checks its inputs: malformed arrays raise
 """
 
 import glob
+import itertools
 import os
 import random
 from array import array
@@ -20,7 +21,7 @@ from dafbe.automata import Dafsa
 from dafbe.errors import AutomatonError
 from dafbe.formats import write_wcsp
 
-from conftest import FIXTURES, SRC_PACKAGE, rand_nfa_parts, run_python
+from conftest import FIXTURES, SRC_PACKAGE, flat, rand_nfa_parts, run_python
 
 DOMS = [(), (1,), (1, 2), (2,), (2, 2), (3, 2), (2, 3, 2), (4, 2, 3), (2, 2, 2, 2)]
 
@@ -76,6 +77,58 @@ class TestFuzz:
                 both("product", mode, *ops[0], *ops[1], dom)
             for lvl in range(len(dom)):
                 both("remove_level", *ops[0], dom, lvl)
+
+
+def rand_labelled_entries(rng, dom):
+    """Entry parts of a random function on ``dom``: each word gets one of
+    up to four labels, or none; a label with no word is left out."""
+    n_labels = rng.randrange(1, 5)
+    roll = rng.random()
+    by_label = [[] for _ in range(n_labels)]
+    for word in itertools.product(*(range(k) for k in dom)):
+        if roll < 0.15:  # a constant function, one universal entry
+            by_label[0].append(word)
+        elif rng.random() < 0.8:
+            by_label[rng.randrange(n_labels)].append(word)
+    return [Dafsa.from_strings(dom, words).parts for words in by_label if words]
+
+
+class TestSharedForm:
+    def test_join_split_project_combine_byte_identical(self, both):
+        rng = random.Random(20261101)
+        for trial in range(200):
+            dom = rng.choice(DOMS)
+            entries = rand_labelled_entries(rng, dom)
+            shared, labels = both("join", entries, dom)
+            assert labels == list(range(len(entries)))
+            assert flat(both("split", shared, dom)) == flat(list(enumerate(entries)))
+            for lvl in range(len(dom)):
+                both("project_entries", shared, dom, lvl)
+            # a second operand on a random part of the scope
+            in_b = [rng.random() < 0.6 for _ in dom]
+            dom_b = tuple(k for k, inside in zip(dom, in_b) if inside)
+            other, other_labels = both("join", rand_labelled_entries(rng, dom_b), dom_b)
+            na, nb = len(labels), len(other_labels)
+            in_a = [True] * len(dom)
+            pair_labels = [rng.randrange(6) for _ in range(na * nb)]
+            swapped = [pair_labels[i * nb + j] for j in range(nb) for i in range(na)]
+            for lvl in range(-1, len(dom)):
+                both("combine_entries", shared, other, dom, in_a, in_b, pair_labels, lvl)
+                both("combine_entries", other, shared, dom, in_b, in_a, swapped, lvl)
+
+    def test_empty_and_scalar_functions(self, both):
+        for dom in ((), (2,), (2, 3)):
+            empty, labels = both("join", [], dom)
+            assert labels == [] and flat(empty) == ((0, 0), (), (), (-1,))
+            assert both("split", empty, dom) == []
+            for lvl in range(len(dom)):
+                assert flat(both("project_entries", empty, dom, lvl)[:2]) == (flat(empty), ())
+        scalar, labels = both("join", [Dafsa.universal(()).parts], ())
+        assert flat(scalar) == ((0, 0), (), (), (0,)) and labels == [0]
+        full, _ = both("join", [Dafsa.universal((2, 3)).parts], (2, 3))
+        for lvl in (-1, 0, 1):
+            got = both("combine_entries", scalar, full, (2, 3), [0, 0], [1, 1], [5], lvl)
+            assert got[1] == [5]
 
 
 class TestRegressions:
@@ -197,29 +250,39 @@ from dafbe.errors import AutomatonError
 assert dafbe.BACKEND == "compiled", dafbe.BACKEND
 """ + MALFORMED_CASES + r"""
 good = Dafsa.from_strings(D, [(0, 0), (1, 1)])
+one = kernels.join([good.parts], D)[0]  # its shared form: one label
 BOTH = [1, 1]
+# each case's parts read as a shared form take the term below: state 2
+# is the one terminal, except where the case breaks acc, whose shared
+# twin breaks term instead
+TERMS = {
+    "accepting id past the last state": I(-1, -1, 0, 0),
+    "negative accepting id": I(-1, -1, -2),
+}
 OPS = {
-    "intersect": lambda d: d.intersect(good),
-    "union": lambda d: d.union(good),
-    "difference": lambda d: d.difference(good),
-    "intersect, second operand": lambda d: good.intersect(d),
-    "union, second operand": lambda d: good.union(d),
-    "difference, second operand": lambda d: good.difference(d),
-    "remove_level": lambda d: d.remove_level(0),
-    "project_entries": lambda d: kernels.project_entries([good.parts, d.parts], D, 0),
-    "combine_entries, A entry":
-        lambda d: kernels.combine_entries([good.parts, d.parts], [good.parts], D, BOTH, BOTH, [0, 1]),
-    "combine_entries, B entry":
-        lambda d: kernels.combine_entries([good.parts], [good.parts, d.parts], D, BOTH, BOTH, [0, 1]),
+    "intersect": lambda d, sh: d.intersect(good),
+    "union": lambda d, sh: d.union(good),
+    "difference": lambda d, sh: d.difference(good),
+    "intersect, second operand": lambda d, sh: good.intersect(d),
+    "union, second operand": lambda d, sh: good.union(d),
+    "difference, second operand": lambda d, sh: good.difference(d),
+    "remove_level": lambda d, sh: d.remove_level(0),
+    "join": lambda d, sh: kernels.join([good.parts, d.parts], D),
+    "split": lambda d, sh: kernels.split(sh, D),
+    "project_entries": lambda d, sh: kernels.project_entries(sh, D, 0),
+    "combine_entries, A side": lambda d, sh: kernels.combine_entries(sh, one, D, BOTH, BOTH, [0]),
+    "combine_entries, B side": lambda d, sh: kernels.combine_entries(one, sh, D, BOTH, BOTH, [0]),
 }
 
 for case, parts in CASES.items():
     bad = Dafsa._from_parts(D, parts)
+    sh = (*parts[:3], TERMS.get(case, I(-1, -1, 0)))
     for op, fn in OPS.items():
-        print(case, "|", op, "|", outcome(fn, bad))
+        print(case, "|", op, "|", outcome(fn, bad, sh))
 
 flat = (good.state_count, good.t_off, good.t_sym, good.t_dst, good.acc, 0)
-one = [good.parts]
+# shared forms over D: the root, two level-1 states, and terminals 3 and 4
+edges = (I(0, 2, 3, 4, 4, 4), I(0, 1, 0, 1), I(1, 2, 3, 4))
 DIRECT = {
     "t_off longer than n + 1": (kernels.minimize, flat[0] - 1, *flat[1:], D),
     "start past the last state": (kernels.determinize, *flat[:5], flat[0], D),
@@ -229,8 +292,10 @@ DIRECT = {
     "unsorted compile_sorted rows": (kernels.compile_sorted, I(1, 1, 0, 0), 2, 2, D),
     "compile_sorted digit outside its domain": (kernels.compile_sorted, I(0, 3), 1, 2, D),
     "project level past the last": (kernels.project_entries, one, D, 2),
-    "entry of three parts": (kernels.project_entries, [good.parts[:3]], D, 0),
-    "entry with no states": (kernels.project_entries, [(I(), I(), I(), I())], D, 0),
+    "entry of three parts": (kernels.join, [good.parts[:3]], D),
+    "entry with no states": (kernels.join, [(I(), I(), I(), I())], D),
+    "shared form of three parts": (kernels.project_entries, one[:3], D, 0),
+    "shared form with no states": (kernels.split, (I(), I(), I(), I()), D),
     "labels too short": (kernels.combine_entries, one, one, D, BOTH, BOTH, []),
     "labels too long": (kernels.combine_entries, one, one, D, BOTH, BOTH, [0, 0]),
     "negative label": (kernels.combine_entries, one, one, D, BOTH, BOTH, [-1]),
@@ -240,15 +305,27 @@ DIRECT = {
     "in_a leaving the entry one level short": (kernels.combine_entries, one, one, D, [1, 0], BOTH, [0]),
     "fused level below -1": (kernels.combine_entries, one, one, D, BOTH, BOTH, [0], -2),
     "fused level past the last": (kernels.combine_entries, one, one, D, BOTH, BOTH, [0], len(D)),
+    "term shorter than the states": (kernels.split, (*edges, I(-1, -1, -1, 0)), D),
+    "term longer than the states": (kernels.split, (*edges, I(-1, -1, -1, 0, 1, 1)), D),
+    "label below -1": (kernels.project_entries, (*edges, I(-1, -3, -1, 0, 1)), D, 0),
+    "terminal with edges": (kernels.split, (I(0, 2, 3, 4, 5, 5), I(0, 1, 0, 1, 0), I(1, 2, 3, 4, 4),
+                                            I(-1, -1, -1, 0, 1)), D),
+    "terminal off the last level":
+        (kernels.split, (I(0, 2, 2, 3, 3), I(0, 1, 0), I(1, 2, 3), I(-1, 0, -1, 1)), D),
+    "non-terminal leaf": (kernels.project_entries, (*edges, I(-1, -1, -1, 0, -1)), D, 1),
+    "wrong labels length for two labels": (kernels.combine_entries, (*edges, I(-1, -1, -1, 0, 1)),
+                                           one, D, BOTH, BOTH, [0]),
 }
 for case, (fn, *args) in DIRECT.items():
     print(case, "| direct |", outcome(fn, *args))
 
 # random corruption of well-formed parts: each call must raise
-# AutomatonError or return; the fused level comes from a second stream,
-# so the corruptions stay what they were
+# AutomatonError or return; the fused level comes from a second stream
+# and the shared forms' corruption from a third, so the corruptions of
+# the automata stay what they were
 rng = random.Random(20261018)
 lvl_rng = random.Random(20261019)
+shared_rng = random.Random(20261020)
 for trial in range(400):
     L = rng.randrange(1, 4)
     dom = tuple(rng.randrange(1, 4) for _ in range(L))
@@ -270,15 +347,22 @@ for trial in range(400):
     print(f"fuzz {trial} | determinize |", outcome(kernels.determinize, *args, dom))
     print(f"fuzz {trial} | remove_level |",
           outcome(lambda: [kernels.remove_level(*args, dom, lv) for lv in range(L)]))
-    print(f"fuzz {trial} | project_entries |",
-          outcome(lambda: [kernels.project_entries([other.parts, parts], dom, lv) for lv in range(L)]))
+    print(f"fuzz {trial} | join |", outcome(kernels.join, [other.parts, parts], dom))
+    # the base's shared form, broken the same way from a third stream
+    sh = [array("i", a) for a in kernels.join([base.parts], dom)[0]]
+    for _ in range(shared_rng.randrange(1, 4)):
+        part = shared_rng.choice(sh)
+        part[shared_rng.randrange(len(part))] = shared_rng.randrange(-3, len(base.t_off) + 3)
+    osh = kernels.join([other.parts], dom)[0]
+    print(f"fuzz {trial} | split and project_entries |", outcome(
+        lambda: [kernels.split(sh, dom)] + [kernels.project_entries(sh, dom, lv) for lv in range(L)]))
     print(f"fuzz {trial} | combine_entries |", outcome(
-        lambda: [kernels.combine_entries([parts], [other.parts], dom, every, every, [0]),
-                 kernels.combine_entries([other.parts], [parts], dom, every, every, [0])]))
+        lambda: [kernels.combine_entries(sh, osh, dom, every, every, [0]),
+                 kernels.combine_entries(osh, sh, dom, every, every, [0])]))
     lvl = lvl_rng.randrange(-2, L + 1)
     print(f"fuzz {trial} | combine_entries, level {lvl} |", outcome(
-        lambda: [kernels.combine_entries([parts], [other.parts], dom, every, every, [0], lvl),
-                 kernels.combine_entries([other.parts], [parts], dom, every, every, [0], lvl)]))
+        lambda: [kernels.combine_entries(sh, osh, dom, every, every, [0], lvl),
+                 kernels.combine_entries(osh, sh, dom, every, every, [0], lvl)]))
 """
 
 # Each malformed case through the public constructor, on the Python edition.
@@ -301,7 +385,7 @@ class TestMalformedInput:
         out = run_python(compiled_src, ["-c", MALFORMED_SCRIPT])
         assert out.returncode == 0, f"exit {out.returncode}: {out.stderr[-2000:]}"
         lines = out.stdout.splitlines()
-        assert len(lines) == 12 * 10 + 19 + 400 * 7
+        assert len(lines) == 12 * 12 + 28 + 400 * 8
         bad = [line for line in lines if not line.endswith(("| ok", "| no error"))]
         assert not bad, "\n".join(bad)
         named = [line for line in lines if not line.startswith("fuzz")]
