@@ -6,17 +6,21 @@ flat-array inputs, so the numbers compare the implementations, not the
 workloads.  Outputs are also cross-checked byte for byte while we are
 at it; a mismatch aborts the run.
 
-The ``join``, ``combine_entries``, fused ``combine_entries`` and
-``project_entries`` rows replay every call the solver makes on one
+The ``compile_sorted``, ``combine_entries``, fused ``combine_entries``
+and ``project_entries`` rows replay every call the solver makes on one
 instance of the benchmark's wcsp-planted corpus (``bench/generators.py``,
 seed 1, instance 0), recorded once with the Python edition, so they time
-the factor kernels on the solver's own inputs.  ``join`` reads each input
-factor's entries into the shared form; a fused call is a
+the factor kernels on the solver's own inputs.  ``compile_sorted``
+compiles each input table, its rows labelled by value and pruned rows
+labelled -1, straight into the shared form; a fused call is a
 ``combine_entries`` call that removes a level (``lvl >= 0``): a bucket's
-last combine and its projection in one walk.  The solver never calls
-``split``; its row splits every shared form those calls returned back
-into entries, as ``DafsaFactor.entries`` does on demand.  Every row's
-outputs are compared between the editions byte for byte.
+last combine and its projection in one walk.  The solver calls neither
+``split`` nor ``join``.  The ``split`` row splits every shared form those
+calls returned back into entries, as ``DafsaFactor.entries`` does on
+demand, and the ``join`` row joins the entries of each compiled table
+back into its shared form, as the public ``DafsaFactor(scope, domains,
+entries)`` constructor does.  Every row's outputs are compared between
+the editions byte for byte.
 
 The end-to-end row re-runs the solver in subprocesses with
 DAFBE_KERNELS forced, because the backend is chosen once at import.
@@ -88,9 +92,11 @@ def record_factor_calls():
     """{row name: (kernel name, [args, ...])} of one wcsp-planted solve's factor kernels.
 
     The ``split`` row's calls are (shared, domains) of every shared form
-    the other calls returned.
+    the other calls returned, and the ``join`` row's calls are (entries,
+    domains) of every table ``compile_sorted`` compiled.
     """
-    rows = ("join", "combine_entries", "combine_entries, fused", "project_entries", "split")
+    rows = ("compile_sorted", "join", "combine_entries", "combine_entries, fused",
+            "project_entries", "split")
     calls = {row: (row.split(",")[0], []) for row in rows}
     splits = calls["split"][1]
 
@@ -103,8 +109,10 @@ def record_factor_calls():
             def record(*args):
                 out = kernel(*args)
                 row = name
-                if name == "join":
-                    domains = args[1]
+                if name == "compile_sorted":
+                    domains = args[3]
+                    entries = [parts for _, parts in _kernels_py.split(out[0], domains)]
+                    calls["join"][1].append((entries, domains))
                 elif name == "project_entries":
                     domains = without(args[1], args[2])
                 else:
@@ -179,13 +187,14 @@ def main():
             sys.exit(2)
         rows.append((name, t_py, t_cc))
 
+    # one label and no default, as Dafsa.from_strings compiles
     workload(
         f"compile {len(words_a)} sorted strings (len {length})",
-        lambda K: tuple(K.compile_sorted(buf_a, len(words_a), length, domains)),
+        lambda K: K.compile_sorted(buf_a, len(words_a), length, domains, array("i", [0]) * len(words_a), -1),
     )
     workload(
         "compile 2^14 binary strings",
-        lambda K: tuple(K.compile_sorted(full_buf, len(full), 14, (2,) * 14)),
+        lambda K: K.compile_sorted(full_buf, len(full), 14, (2,) * 14, array("i", [0]) * len(full), -1),
     )
     for mode, label in ((0, "intersect"), (1, "union"), (2, "difference")):
         workload(

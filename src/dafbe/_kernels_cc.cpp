@@ -3,8 +3,8 @@
 // A hand-written C++17 twin of ``_kernels_py``: the same kernels under the
 // same names and positional signatures, returning byte-identical canonical
 // parts (see that module for the representation contract, for a factor's
-// shared multi-terminal form and for the four kernels that work on it).
-// Arrays are read through the buffer protocol and must have format 'i';
+// shared multi-terminal form and for the five kernels that build or read
+// it).  Arrays are read through the buffer protocol and must have format 'i';
 // results are array('i').
 //
 // Unlike the Python edition, every kernel checks its inputs before it
@@ -14,27 +14,29 @@
 // the accepting ids of an automaton or entry (Automaton); a shared form's
 // terms, one per state, a label or -1, terminals without edges on the
 // last level and no other leaf but an empty function's root (Diagram);
-// and the lengths of the level flags and labels of combine_entries and
-// the level it removes.  A violation raises dafbe.errors.AutomatonError,
-// and running out of memory raises MemoryError, so no input can crash the
-// interpreter.
+// the lengths of the level flags and labels of combine_entries and the
+// level it removes; and the rows of compile_sorted, their symbols and
+// order, one label per row and the default, each a label or -1.  A
+// violation raises dafbe.errors.AutomatonError, and running out of memory
+// raises MemoryError, so no input can crash the interpreter.
 //
-// Every kernel builds its result minimal as it goes, with no merge pass.
-// compile_sorted does so through its register.  Every other kernel is one
-// depth-first walk (walk) whose leaves carry a label or none; it finishes
-// each node once its children are built, through one of two finishers:
-// SharedWalked interns one state per node and builds a shared form,
-// Walked interns one state per label below the node in a unique table
-// shared by all labels (Unique), so each label's automaton is read off
-// canonically at the end.  product walks pairs of states; determinize,
-// minimize and remove_level walk subsets of states (Subsets); join walks
-// subsets of entries side by side and split a shared form's own states;
-// project_entries walks subsets of one shared form and combine_entries
-// pairs of states, one per operand (PairWalk).  With lvl >= 0
-// combine_entries removes that union level in the same walk: a node below
-// it is an interned set of pairs (sets of pair ids, as Subsets interns
-// sets of states), stepped member by member, and a leaf takes the lowest
-// label of its pairs, so a bucket's combined factor is never built.
+// Every kernel builds its result minimal as it goes, with no merge pass:
+// each is one depth-first walk (walk) whose leaves carry a label or none,
+// and which finishes each node once its children are built, through one
+// of two finishers: SharedWalked interns one state per node and builds a
+// shared form, Walked interns one state per label below the node in a
+// unique table shared by all labels (Unique), so each label's automaton
+// is read off canonically at the end.  compile_sorted walks the trie of
+// its rows, runs of rows that share a prefix; product walks pairs of
+// states; determinize, minimize and remove_level walk subsets of states
+// (Subsets); join walks subsets of entries side by side and split a
+// shared form's own states; project_entries walks subsets of one shared
+// form and combine_entries pairs of states, one per operand (PairWalk).
+// With lvl >= 0 combine_entries removes that union level in the same
+// walk: a node below it is an interned set of pairs (sets of pair ids, as
+// Subsets interns sets of states), stepped member by member, and a leaf
+// takes the lowest label of its pairs, so a bucket's combined factor is
+// never built.
 //
 // Build by hand (setup.py does the same through setuptools):
 //   g++ -std=c++17 -O2 -shared -fPIC -I<Python include dir> _kernels_cc.cpp
@@ -122,13 +124,6 @@ struct Csr {
     CsrView view() const { return {off.data(), sym.data(), dst.data()}; }
 };
 
-// Per-state edge lists that may still grow, for compile_sorted.
-struct Lists {
-    std::vector<Ints> sym, dst;
-    Span syms(int s) const { return {sym[s].data(), sym[s].data() + sym[s].size()}; }
-    Span dsts(int s) const { return {dst[s].data(), dst[s].data() + dst[s].size()}; }
-};
-
 // Flat result parts: (t_off, t_sym, t_dst, acc) with start state 0.
 struct Parts {
     Ints off, sym, dst, acc;
@@ -182,18 +177,6 @@ void renumber(const G& g, int root, Ints& old2new, Ints& order, Parts& p) {
 
 void reset(Ints& old2new, const Ints& order) {
     for (int s : order) old2new[s] = -1;
-}
-
-// The canonical parts from root of an automaton whose one accepting state
-// is final_state; old2new as for renumber.
-template <class G>
-Parts accepting_parts(const G& g, int final_state, int root, Ints& old2new) {
-    Ints order;
-    Parts p;
-    renumber(g, root, old2new, order, p);
-    if (old2new[final_state] >= 0) p.acc.push_back(old2new[final_state]);
-    reset(old2new, order);
-    return p;
 }
 
 // A complete literal fan (symbols 0..k-1) onto one successor.
@@ -552,7 +535,12 @@ struct Walked {
     Parts parts(int root) {
         if (root == DEAD) return empty_parts();
         old2new_.resize(out.res.size(), -1);
-        return accepting_parts(out.res.view(), 0, root, old2new_);
+        Ints order;
+        Parts p;
+        renumber(out.res.view(), root, old2new_, order, p);
+        p.acc.push_back(old2new_[0]);  // every state reaches the sink
+        reset(old2new_, order);
+        return p;
     }
 
     // the automaton of label 0 below node, the result of the one-label kernels
@@ -648,13 +636,12 @@ struct SharedWalked {
     }
 };
 
-// The depth-first walk behind every kernel but compile_sorted, as
-// _kernels_py._walk.  Nodes are ints >= 0 that expand hands out:
-// expand(node, lv, kids) appends the node's kids on level lv, symbols
-// ascending and a wildcard only alone; label_of(node) gives the label
-// (>= 0) of a node past the last level, or NO_LABEL.  Nodes are expanded
-// on an explicit stack, and the finisher w builds a node once its
-// children are built (Walked or SharedWalked).
+// The depth-first walk behind every kernel, as _kernels_py._walk.  Nodes
+// are ints >= 0 that expand hands out: expand(node, lv, kids) appends the
+// node's kids on level lv, symbols ascending and a wildcard only alone;
+// label_of(node) gives the label (>= 0) of a node past the last level, or
+// NO_LABEL.  Nodes are expanded on an explicit stack, and the finisher w
+// builds a node once its children are built (Walked or SharedWalked).
 template <class Finisher, class Expand, class LabelOf>
 void walk(const Ints& dom, int root, const Expand& expand, const LabelOf& label_of, Finisher& w) {
     const int L = static_cast<int>(dom.size());
@@ -760,94 +747,6 @@ void merge(int k, const Decoded& a, const Decoded& b, const Live& live, Pairs& p
 }
 
 // -- kernels -----------------------------------------------------------------
-
-// Minimal DAFSA of n_strings strictly increasing rows of a flat buffer,
-// by incremental register construction (see _kernels_py.compile_sorted).
-Parts compile_sorted(const IntBuffer& dig, int n_strings, int length, const Ints& dom) {
-    if (length == 0) return {{0, 0}, {}, {}, n_strings ? Ints{0} : Ints{}};
-    if (n_strings == 0) return empty_parts();
-
-    Lists g;
-    g.sym.resize(2);
-    g.dst.resize(2);
-    const int FINAL = 1;  // shared sink for depth == length, never grows edges
-    UniqueTable reg;
-    Ints path{0}, sig;  // path[d] = state at depth d, the final sink excluded
-
-    // collapse s's complete literal fan, then return its registered twin
-    auto freeze = [&](int s, int depth) {
-        if (complete_fan(g.sym[s], g.dst[s], dom[depth])) {
-            g.sym[s].assign(1, WILDCARD);
-            g.dst[s].resize(1);
-        }
-        sig.assign(1, depth);
-        sig.insert(sig.end(), g.sym[s].begin(), g.sym[s].end());
-        sig.insert(sig.end(), g.dst[s].begin(), g.dst[s].end());
-        return reg.try_emplace(sig, s).first->second;
-    };
-    auto freeze_last = [&]() {
-        const int child = path.back();
-        path.pop_back();
-        g.dst[path.back()].back() = freeze(child, static_cast<int>(path.size()));
-    };
-
-    for (Py_ssize_t i = 0; i < n_strings; ++i) {
-        const Py_ssize_t base = i * length;
-        int cpl = 0;
-        if (i) {
-            while (cpl < length && dig[base - length + cpl] == dig[base + cpl]) ++cpl;
-        }
-        while (static_cast<int>(path.size()) - 1 > cpl) freeze_last();
-        for (int d = cpl; d < length; ++d) {
-            const int parent = path.back();
-            g.sym[parent].push_back(dig[base + d]);
-            if (d == length - 1) {
-                g.dst[parent].push_back(FINAL);
-            } else {
-                const int t = static_cast<int>(g.sym.size());
-                g.sym.emplace_back();
-                g.dst.emplace_back();
-                g.dst[parent].push_back(t);
-                path.push_back(t);
-            }
-        }
-    }
-    while (path.size() > 1) freeze_last();
-    freeze(0, 0);
-
-    Ints old2new(g.sym.size(), -1);
-    return accepting_parts(g, FINAL, 0, old2new);
-}
-
-PyObject* py_compile_sorted(PyObject* args) {
-    PyObject *digits, *domains;
-    int n_strings, length;
-    if (!PyArg_ParseTuple(args, "OiiO:compile_sorted", &digits, &n_strings, &length, &domains))
-        throw PyFailure();
-    IntBuffer dig;
-    dig.acquire(digits, "digits");
-    const Ints dom = parse_domains(domains);
-    if (n_strings < 0 || length < 0)
-        throw BadInput("negative string count or length: " + str(n_strings) + ", " + str(length));
-    if (static_cast<Py_ssize_t>(dom.size()) != length)
-        throw BadInput(str(dom.size()) + " domains for strings of length " + str(length));
-    if (dig.size() != static_cast<Py_ssize_t>(n_strings) * length)
-        throw BadInput("digits holds " + str(dig.size()) + " ints, expected " + str(n_strings) +
-                       " x " + str(length));
-    for (Py_ssize_t i = 0; i < n_strings; ++i) {
-        const Py_ssize_t base = i * length;
-        for (int d = 0; d < length; ++d) {
-            if (dig[base + d] < 0 || dig[base + d] >= dom[d])
-                throw BadInput("string " + str(i) + ": symbol " + str(dig[base + d]) +
-                               " outside domain " + str(dom[d]) + " at position " + str(d));
-        }
-        if (i && !std::lexicographical_compare(dig.data() + base - length, dig.data() + base,
-                                               dig.data() + base, dig.data() + base + length))
-            throw BadInput("string " + str(i) + " does not follow its predecessor in order");
-    }
-    return pack(compile_sorted(dig, n_strings, length, dom));
-}
-
 
 Decoded decode(const CsrView& g, int s) {
     if (s == DEAD) return {DEAD, NONE, NONE};
@@ -1112,6 +1011,75 @@ PyObject* py_remove_level(PyObject* args) {
     walk_subsets(subsets, new_dom, root, w);
     return pack(w.single(root), {subsets.members(w), w.nodes()});
 }
+
+// The shared form of n_strings labelled rows of a flat buffer, strictly
+// increasing, and of dflt on every string no row names: the walk over the
+// trie of the rows, as _kernels_py.compile_sorted.  Node d <= length is the
+// default node of depth d; every other node is a run of the rows that
+// share a prefix, [lo[node], hi[node]).  The trie is a tree, so a run is
+// reached from one parent only and is numbered as it is found.
+PyObject* compile_sorted(const IntBuffer& dig, int n_strings, int length, const Ints& dom,
+                         const IntBuffer& labels, int dflt) {
+    Ints lo(length + 1, 0), hi(length + 1, 0);
+    auto run = [&](int first, int last) {
+        lo.push_back(first);
+        hi.push_back(last);
+        return static_cast<int>(lo.size()) - 1;
+    };
+    auto expand = [&](int node, int lv, std::vector<Kid>& kids) {
+        const size_t kbeg = kids.size();
+        for (int i = lo[node]; i < hi[node];) {
+            const int v = dig[static_cast<Py_ssize_t>(i) * length + lv];
+            int j = i + 1;
+            while (j < hi[node] && dig[static_cast<Py_ssize_t>(j) * length + lv] == v) ++j;
+            kids.push_back({v, run(i, j)});
+            i = j;
+        }
+        add_wildcard_kids(dom[lv], dflt == NO_LABEL ? DEAD : lv + 1, kbeg, kids);
+    };
+    auto label_of = [&](int node) { return lo[node] < hi[node] ? labels[lo[node]] : dflt; };
+    const int root = n_strings ? run(0, n_strings) : 0;
+    SharedWalked w;
+    walk(dom, root, expand, label_of, w);
+    return w.result(root);
+}
+
+PyObject* py_compile_sorted(PyObject* args) {
+    PyObject *digits, *domains, *labels_arg;
+    int n_strings, length, dflt;
+    if (!PyArg_ParseTuple(args, "OiiOOi:compile_sorted", &digits, &n_strings, &length, &domains,
+                          &labels_arg, &dflt))
+        throw PyFailure();
+    IntBuffer dig, labels;
+    dig.acquire(digits, "digits");
+    labels.acquire(labels_arg, "labels");
+    const Ints dom = parse_domains(domains);
+    if (n_strings < 0 || length < 0)
+        throw BadInput("negative string count or length: " + str(n_strings) + ", " + str(length));
+    if (static_cast<Py_ssize_t>(dom.size()) != length)
+        throw BadInput(str(dom.size()) + " domains for strings of length " + str(length));
+    if (dig.size() != static_cast<Py_ssize_t>(n_strings) * length)
+        throw BadInput("digits holds " + str(dig.size()) + " ints, expected " + str(n_strings) +
+                       " x " + str(length));
+    if (labels.size() != n_strings)
+        throw BadInput("labels holds " + str(labels.size()) + " ints for " + str(n_strings) + " strings");
+    if (dflt < NO_LABEL) throw BadInput("default label " + str(dflt) + " below -1");
+    for (Py_ssize_t i = 0; i < n_strings; ++i) {
+        const Py_ssize_t base = i * length;
+        for (int d = 0; d < length; ++d) {
+            if (dig[base + d] < 0 || dig[base + d] >= dom[d])
+                throw BadInput("string " + str(i) + ": symbol " + str(dig[base + d]) +
+                               " outside domain " + str(dom[d]) + " at position " + str(d));
+        }
+        if (i && !std::lexicographical_compare(dig.data() + base - length, dig.data() + base,
+                                               dig.data() + base, dig.data() + base + length))
+            throw BadInput("string " + str(i) + " does not follow its predecessor in order");
+        if (labels[i] < NO_LABEL)
+            throw BadInput("string " + str(i) + ": label " + str(labels[i]) + " below -1");
+    }
+    return compile_sorted(dig, n_strings, length, dom, labels, dflt);
+}
+
 
 // The shared form of per-label automata, entry i labelled i: the subset
 // walk over all entries side by side, a leaf taking the lowest label among
@@ -1405,7 +1373,7 @@ PyMethodDef methods[] = {
     {"minimize", guarded<py_minimize>, METH_VARARGS,
      "minimize(n, t_off, t_sym, t_dst, acc, start, domains) -> parts"},
     {"compile_sorted", guarded<py_compile_sorted>, METH_VARARGS,
-     "compile_sorted(digits, n_strings, length, domains) -> parts"},
+     "compile_sorted(digits, n_strings, length, domains, labels, default) -> (shared, labels)"},
     {"product", guarded<py_product>, METH_VARARGS,
      "product(mode, n_a, ..., start_a, n_b, ..., start_b, domains) -> parts;"
      " mode 0 = intersect, 1 = union, 2 = difference"},

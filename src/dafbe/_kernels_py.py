@@ -21,10 +21,12 @@ Flat automaton form, shared with the compiled edition:
     acc     array('i'), sorted accepting state ids
     start   start state id
 
-Kernels return ``(t_off, t_sym, t_dst, acc)`` with start state 0.  Inputs
-must be leveled (every path from the start to an accepting state has the
-same length and level i edges only read variable i's symbols); only
-``determinize`` and ``remove_level`` accept nondeterministic transitions.
+The single-automaton kernels (``product``, ``determinize``, ``minimize``,
+``remove_level``) return ``(t_off, t_sym, t_dst, acc)`` with start state
+0.  Inputs must be leveled (every path from the start to an accepting
+state has the same length and level i edges only read variable i's
+symbols); only ``determinize`` and ``remove_level`` accept
+nondeterministic transitions.
 
 A factor is one *shared* multi-terminal automaton, the parts ``(t_off,
 t_sym, t_dst, term)`` rooted at state 0.  ``term[s]`` is the label of
@@ -34,8 +36,15 @@ so equal right languages share one state whatever labels they reach,
 with exactly one terminal per label and no state whose language is
 empty; complete fans collapsed; states numbered breadth-first from the
 root, so the terminals come last.  The empty function is a lone root
-with ``term`` -1.  Four kernels work on it:
+with ``term`` -1.  Five kernels build or read it:
 
+* ``compile_sorted(digits, n_strings, length, domains, labels, default)``
+  compiles a table: ``n_strings`` strictly increasing rows of a flat
+  buffer, row ``i`` labelled ``labels[i]``, and ``default`` on every
+  string no row names; a label of -1 leaves its strings out.  With one
+  label and no default it gives a set of strings as one automaton,
+  ``Dafsa.from_strings``: a one-label shared form has the same bytes as
+  the canonical automaton, its terminal the accepting state.
 * ``join(entries, domains)`` reads per-label automata (each an
   ``(t_off, t_sym, t_dst, acc)``, entry ``i`` labelled ``i``) into the
   shared form; a string in several entries takes the lowest label.
@@ -61,7 +70,8 @@ renumbered into the ascending list ``labels`` of the input labels that
 got a string, and one growth sample.  ``project_entries`` samples the
 distinct states and the distinct subsets its walk visited,
 ``combine_entries`` the distinct (A state, B state) pairs and the
-distinct nodes.  ``join`` returns ``(shared, labels)`` alike.
+distinct nodes.  ``compile_sorted`` and ``join`` return ``(shared,
+labels)`` alike.
 
 This edition does not check its inputs.  Malformed arrays (state ids out
 of range, broken offsets, symbols outside their level's domain, edges
@@ -71,28 +81,30 @@ contract does not cover them.  The compiled edition checks them before
 it reads them and raises ``AutomatonError``; ``Dafsa(...)`` checks them
 at construction.
 
-Every kernel builds its result minimal, with no merge pass afterwards.
-``compile_sorted`` registers each suffix state once it is complete.  Every
-other kernel is one depth-first walk, ``_walk``, whose leaves carry a
-label or none, and which finishes each node once its children are built.
-It takes one of two finishers.  ``_Shared`` interns one state per node,
-keyed by (level, symbols, destinations), and builds the shared form.
-``_Unique`` interns one state per label reachable below the node, in one
-table for all labels, so it splits by label in the same pass; each
-label's automaton is read off canonically at the end.  ``product`` walks
-pairs of states and ``determinize``, ``minimize`` and ``remove_level``
-subsets of states, all with one label.  ``split`` walks the shared
-form's own states and ``join`` subsets of entries side by side.
-``project_entries`` walks subsets of one shared automaton and
-``combine_entries`` pairs of states, one per operand, and below a removed
-level sets of such pairs.  This is the multi-terminal apply of algebraic
-decision diagrams (Bahar et al., ICCAD 1993) on shared diagrams, across
-different scopes as in AOMDDs (Mateescu, Dechter & Marinescu, JAIR 33,
-2008); removing a level in the same walk is the relational product of
-symbolic model checking (Burch et al., LICS 1990) in min-sum form.
+Every kernel builds its result minimal, with no merge pass afterwards:
+each is one depth-first walk, ``_walk``, whose leaves carry a label or
+none, and which finishes each node once its children are built.  It takes
+one of two finishers.  ``_Shared`` interns one state per node, keyed by
+(level, symbols, destinations), and builds the shared form.  ``_Unique``
+interns one state per label reachable below the node, in one table for all
+labels, so it splits by label in the same pass; each label's automaton is
+read off canonically at the end.  ``compile_sorted`` walks the trie of its
+rows, runs of rows that share a prefix, bottom-up through the unique table
+as multi-terminal decision diagrams are built.  ``product`` walks pairs of
+states and ``determinize``, ``minimize`` and ``remove_level`` subsets of
+states, all with one label.  ``split`` walks the shared form's own states
+and ``join`` subsets of entries side by side.  ``project_entries`` walks
+subsets of one shared automaton and ``combine_entries`` pairs of states,
+one per operand, and below a removed level sets of such pairs.  This is
+the multi-terminal apply of algebraic decision diagrams (Bahar et al.,
+ICCAD 1993) on shared diagrams, across different scopes as in AOMDDs
+(Mateescu, Dechter & Marinescu, JAIR 33, 2008); removing a level in the
+same walk is the relational product of symbolic model checking (Burch et
+al., LICS 1990) in min-sum form.
 """
 
 from array import array
+from bisect import bisect_right
 
 WILDCARD = -1
 DEAD = -1  # an empty language: a missing state, or a child with no strings
@@ -253,7 +265,7 @@ class _Shared:
 
 
 def _walk(domains, root, kids_of, label_of, out):
-    """The depth-first walk behind every kernel but ``compile_sorted``.
+    """The depth-first walk behind every kernel.
 
     A node is any hashable.  ``kids_of(node, lv)`` lists its (symbol, child)
     pairs on level ``lv``, symbols ascending and a wildcard only alone;
@@ -286,69 +298,6 @@ def _walk(domains, root, kids_of, label_of, out):
             if child not in built:
                 stack.append((child, nl, None))
     return built
-
-
-def compile_sorted(digits, n_strings, length, domains):
-    """Build the minimal DAFSA for ``n_strings`` fixed-length strings.
-
-    ``digits`` is a flat int buffer, row-major ``n_strings x length``, rows
-    strictly increasing lexicographically.  Incremental register
-    construction: once the input moves past a prefix, the suffix states are
-    frozen (a complete fan collapsed) and deduplicated against previously
-    registered states; the root is frozen last.
-    """
-    if length == 0:
-        off = array("i", [0, 0])
-        acc = array("i", [0] if n_strings else [])
-        return off, array("i"), array("i"), acc
-    if n_strings == 0:
-        return _empty_parts()
-
-    esym = [[], []]
-    edst = [[], []]
-    FINAL = 1  # shared sink for depth == length, never grows edges
-    register = {}
-
-    def freeze(s, depth):
-        """Collapse s's complete literal fan; return its registered twin."""
-        sig = _collapse(depth, domains[depth], esym[s], edst[s])
-        esym[s], edst[s] = sig[1], sig[2]
-        return register.setdefault(sig, s)
-
-    path = [0]  # path[d] = state at depth d, the final sink excluded
-    base = 0
-    for i in range(n_strings):
-        base = i * length
-        cpl = 0
-        if i:
-            pbase = base - length
-            while cpl < length and digits[pbase + cpl] == digits[base + cpl]:
-                cpl += 1
-        while len(path) - 1 > cpl:
-            d = len(path) - 1
-            child = path.pop()
-            edst[path[-1]][-1] = freeze(child, d)
-        for d in range(cpl, length):
-            sym = digits[base + d]
-            parent = path[-1]
-            if d == length - 1:
-                esym[parent].append(sym)
-                edst[parent].append(FINAL)
-            else:
-                t = len(esym)
-                esym.append([])
-                edst.append([])
-                esym[parent].append(sym)
-                edst[parent].append(t)
-                path.append(t)
-    while len(path) > 1:
-        d = len(path) - 1
-        child = path.pop()
-        edst[path[-1]][-1] = freeze(child, d)
-    freeze(0, 0)
-
-    old2new, csr = _renumber(esym, edst, 0)
-    return (*csr, array("i", [old2new[FINAL]]))
 
 
 def _decoder(off, sym, dst):
@@ -564,6 +513,45 @@ def remove_level(n, t_off, t_sym, t_dst, acc, start, domains, lvl):
         domains[:lvl] + domains[lvl + 1 :], lvl, out,
     )
     return (*out.parts(root.get(0, DEAD)), nfa_states, raw_states)
+
+
+def compile_sorted(digits, n_strings, length, domains, labels, default):
+    """The shared form of labelled rows, ``default`` on every other string.
+
+    ``digits`` is a flat int buffer, row-major ``n_strings x length``, rows
+    strictly increasing lexicographically; row ``i`` is labelled
+    ``labels[i]`` and a string no row names ``default``.  A label of -1
+    leaves its strings out.  The walk over the trie of the rows: a node
+    is a run ``(depth, first row, end row)`` of the rows that share their
+    first ``depth`` digits, so a run on the last level is one row.  The
+    symbols no row of a run names lead to the default node of the next
+    depth, the empty run ``(depth, 0, 0)``, which ends in ``default``; with
+    ``default`` -1 they lead nowhere.  A run whose rows are all labelled
+    -1 builds DEAD, so its symbol gets no edge and no default.  Returns
+    (shared, labels) as ``join``.
+    """
+    columns = [digits[d::length] for d in range(length)]
+
+    def kids_of(run, lv):
+        _, lo, hi = run
+        col = columns[lv]
+        nl = lv + 1
+        expl = {}
+        while lo < hi:
+            end = bisect_right(col, col[lo], lo, hi)
+            expl[col[lo]] = (nl, lo, end)
+            lo = end
+        return _kids(expl, default >= 0 and (nl, 0, 0), domains[lv])
+
+    def label_of(run):
+        _, lo, hi = run
+        label = labels[lo] if lo < hi else default
+        return None if label < 0 else label
+
+    root = (0, 0, n_strings)
+    out = _Shared()
+    built = _walk(domains, root, kids_of, label_of, out)
+    return out.parts(built[root])
 
 
 def join(entries, domains):

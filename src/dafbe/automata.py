@@ -211,7 +211,12 @@ class Dafsa:
         digits = array("i")
         for w in uniq:
             digits.extend(w)
-        return cls._from_parts(domains, kernels.compile_sorted(digits, len(uniq), L, domains))
+        labels = array("i", [0]) * len(uniq)
+        (t_off, t_sym, t_dst, term), _ = kernels.compile_sorted(digits, len(uniq), L, domains, labels, -1)
+        # one label: the shared form is the canonical automaton, and its
+        # one terminal, if any, is the last state
+        acc = array("i", [len(term) - 1] if term[-1] >= 0 else [])
+        return cls._from_parts(domains, (t_off, t_sym, t_dst, acc))
 
     @classmethod
     def from_transitions(cls, domains, n_states, edges, accepting, start=0) -> "Dafsa":

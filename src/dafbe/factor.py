@@ -17,29 +17,31 @@ its sorted values, ``keys``, and one shared multi-terminal automaton,
 elsewhere.  The shared form is canonical: minimal across values (equal
 right languages share a state, one terminal per value), complete fans
 collapsed, states numbered breadth-first, so the terminals come last;
-the empty function is a lone root with term -1.  The ``join`` kernel
-reads entries into it and ``split`` reads them back off, byte-identical,
-each on first demand.  ``combine`` and ``project`` each make one kernel
-pass over shared forms (``combine_entries``, ``project_entries``) and
-return one, so the solver never builds entries.  ``project(f, var, op,
-other=g)`` eliminates ``var`` from the combination of ``f`` and ``g`` in
-one ``combine_entries`` pass that removes the level as it walks, so the
-combined factor is never built.  ``value_at`` is one path down the
-shared automaton.
+the empty function is a lone root with term -1.  ``from_table`` compiles
+a table straight into it in one ``compile_sorted`` walk, each listed
+cell labelled by its value's key, and keeps no entries.  The ``join``
+kernel reads entries into it and ``split`` reads them back off,
+byte-identical, each on first demand.  ``combine`` and ``project`` each
+make one kernel pass over shared forms (``combine_entries``,
+``project_entries``) and return one, so the solver never builds entries.
+``project(f, var, op, other=g)`` eliminates ``var`` from the combination
+of ``f`` and ``g`` in one ``combine_entries`` pass that removes the
+level as it walks, so the combined factor is never built.  ``value_at``
+is one path down the shared automaton.
 
 Both table kinds expose the same read side: ``scope``, ``domains``,
 ``size``, ``value_of``, ``redundancy``, ``values`` (dense, so only the
 oracles and tests read it), ``present_values`` (the values of at least
-one cell), ``cells`` (what the WCSP writer consumes) and ``rows_by_key``
-(the listed cells grouped by value key, what ``DafsaFactor.from_table``
-compiles).  The dense kind is numpy through and through:
-``present_values`` is its table and ``cells`` gives an assignment matrix
-and the table, and it groups with one stable argsort.  The sparse kind is
-pure Python, so a WCSP solve never imports numpy: ``present_values`` is a
-list, ``cells`` gives the sorted exception tuples and a list of their
-values, and it groups in one pass over its exceptions.  Only ``values``
-and ``to_table`` load numpy.  Both kinds store -0.0 as +0.0, so the two
-paths key zero alike.
+one cell), ``cells`` (what the WCSP writer consumes) and
+``labelled_rows`` (the listed cells, each labelled by the index of its
+value's key, what ``DafsaFactor.from_table`` compiles).  The dense kind
+is numpy through and through: ``present_values`` is its table, ``cells``
+gives an assignment matrix and the table, and it labels with one
+``searchsorted``.  The sparse kind is pure Python, so a WCSP solve never
+imports numpy: ``present_values`` is a list, ``cells`` gives the sorted
+exception tuples and a list of their values, and it labels in one pass
+over its exceptions.  Only ``values`` and ``to_table`` load numpy.  Both
+kinds store -0.0 as +0.0, so the two paths key zero alike.
 
 The solver runs ``combine(..., "sum")`` and ``project(..., "min")``
 only: MAP potentials reach it as costs -log p (see
@@ -163,33 +165,28 @@ class TabularFactor:
             digits[:, j] = rank // stride % k
         return digits, self.values, None
 
-    def rows_by_key(self, keyset: ValueKeySet):
-        """({key: rows}, None, None): every row grouped by its value's key.
+    def labelled_rows(self, keyset: ValueKeySet, prune_infinite: bool):
+        """(digits, rows, labels, -1): every row, labelled by its key's index.
 
-        ``keyset`` must be built on this table's values.  One stable
-        argsort over the keys keeps each group in rank order, which is
-        lexicographic, so each group compiles directly.  There is no
-        default (see ``SparseFactor.rows_by_key``).
+        ``keyset`` must be built on this table's values; a value keys to
+        the largest representative at or below it, and infinity, which
+        sorts last, to -1 with ``prune_infinite``.  ``digits`` and
+        ``labels`` are ``array('i')`` in rank order, which is
+        lexicographic.  There is no default: every cell is a row.
         """
         import numpy as np
 
         values = self.values
         reps = np.asarray(keyset.reps, dtype=np.float64)
-        keyed = np.full(len(values), math.inf)
+        labels = np.full(len(values), -1 if prune_infinite else len(reps), dtype=np.intc)
         finite = ~np.isinf(values)
-        if finite.any():  # a member keys to the largest representative at or below it
-            keyed[finite] = reps[np.searchsorted(reps, values[finite], side="right") - 1]
-        order = np.argsort(keyed, kind="stable")
-        keyed = keyed[order]
-        bounds = [0, *(np.flatnonzero(keyed[1:] != keyed[:-1]) + 1).tolist(), len(keyed)]
-        digits = self.cells()[0]
-        groups = {}
-        for a, b in zip(bounds, bounds[1:]):
-            if b > a:
-                buf = array("i")
-                buf.frombytes(digits[order[a:b]].tobytes())  # intc is the C int of 'i'
-                groups[float(keyed[a])] = (buf, b - a)
-        return groups, None, None
+        if finite.any():
+            labels[finite] = np.searchsorted(reps, values[finite], side="right") - 1
+        digits = array("i")
+        digits.frombytes(self.cells()[0].tobytes())  # intc is the C int of 'i'
+        out = array("i")
+        out.frombytes(labels.tobytes())
+        return digits, self.size, out, -1
 
     def redundancy(self, eps: float = DEFAULT_EPS) -> float:
         """1 - distinct/total over epsilon-keyed table values."""
@@ -278,38 +275,27 @@ class SparseFactor:
         values = [self.exceptions[w] for w in words]
         return words, values, self.default if self.default_covers else None
 
-    def rows_by_key(self, keyset: ValueKeySet):
-        """({key: rows}, default key, every listed row): exceptions grouped by key.
+    def labelled_rows(self, keyset: ValueKeySet, prune_infinite: bool):
+        """(digits, rows, labels, default): the exceptions, labelled by key index.
 
-        ``keyset`` must be built on ``present_values``.  One pass over the
-        sorted exceptions keeps each group lexicographically sorted.  The
-        default key is None when the default covers no cell; the cells it
-        covers are the universal language minus every listed row.
+        ``keyset`` must be built on ``present_values``; infinity, which
+        sorts last, is labelled -1 with ``prune_infinite``.  One pass over
+        the sorted exceptions gives ``digits`` and ``labels`` as
+        ``array('i')``.  ``default`` is the label of every other cell, -1
+        when the default covers none.
         """
         words, values, default = self.cells()
+        index = {rep: n for n, rep in enumerate(keyset)}
+        if prune_infinite:
+            index[math.inf] = -1
         key = keyset.key
-        groups = {}
-        for w, v in zip(words, values):
-            groups.setdefault(key(v), []).append(w)
-        groups = {k: _word_rows(ws) for k, ws in groups.items()}
-        if default is None:
-            return groups, None, None
-        return groups, key(default), _word_rows(words)
+        digits = array("i", itertools.chain.from_iterable(words))
+        labels = array("i", [index[key(v)] for v in values])
+        return digits, len(words), labels, -1 if default is None else index[key(default)]
 
     def redundancy(self, eps: float = DEFAULT_EPS) -> float:
         """1 - distinct/total over epsilon-keyed cell values, from counts."""
         return _value_redundancy(self.present_values(), eps, total=self.size)
-
-
-def _word_rows(words) -> tuple:
-    """(flat ``array('i')``, count) of a list of words."""
-    return array("i", itertools.chain.from_iterable(words)), len(words)
-
-
-def _compile_rows(domains, rows) -> Dafsa:
-    """Minimal DAFSA of ``rows``, a (flat ``array('i')``, count) of strictly increasing words."""
-    buf, n = rows
-    return Dafsa._from_parts(domains, kernels.compile_sorted(buf, n, len(domains), domains))
 
 
 class DafsaFactor:
@@ -324,9 +310,10 @@ class DafsaFactor:
     Between kernel calls the factor is ``keys``, its sorted values, and
     ``shared``, one multi-terminal automaton whose terminal labels index
     ``keys`` (see ``_kernels_py``).  Each form is read off the other on
-    demand (``join``, ``split``) and kept, so the solver, which reads only
-    ``keys`` and ``shared``, never builds the entries of the factors it
-    makes.  Given overlapping entries, ``keys`` and ``shared`` give each
+    demand (``join``, ``split``) and kept.  A factor from ``from_table``
+    or a kernel starts in the shared form and keeps no entries, so the
+    solver, which reads only ``keys`` and ``shared``, never builds any.
+    Given overlapping entries, ``keys`` and ``shared`` give each
     assignment to the first entry that has it.
     """
 
@@ -416,33 +403,23 @@ class DafsaFactor:
         eps: float = DEFAULT_EPS,
         prune_infinite: bool = False,
     ) -> "DafsaFactor":
-        """Group epsilon-equal cells and compile each group to a DAFSA.
+        """Key each cell's value and compile the table in one kernel call.
 
         ``table`` is a ``TabularFactor`` or a ``SparseFactor``; its
-        ``rows_by_key`` groups the listed cells by key, each group
-        lexicographically sorted so it compiles directly (numpy for a
-        dense table, pure Python for a sparse one).  The cells a sparse
-        default covers are the universal language minus every exception;
-        they join the entry their value keys to.  Minimal leveled DAFSAs
-        are canonical, so the result is the same as compiling the dense
-        table.  With ``prune_infinite`` the infinity rows are simply not
-        represented; ``value_at`` then returns None for them.
+        ``labelled_rows`` labels each listed cell by the index of its
+        value's key (numpy for a dense table, pure Python for a sparse
+        one), and ``compile_sorted`` builds the shared form straight from
+        them, a sparse default's label on every other cell.  The result
+        keeps no entries; ``entries`` splits them off on demand.  With
+        ``prune_infinite`` the infinity rows are simply not represented;
+        ``value_at`` then returns None for them.
         """
         domains = table.domains
         keyset = ValueKeySet.from_values(table.present_values(), eps)
-        groups, default_key, listed = table.rows_by_key(keyset)
-
-        entries = []
-        for rep in keyset:
-            if math.isinf(rep) and prune_infinite:
-                continue
-            rows = groups.get(rep)
-            dafsa = None if rows is None else _compile_rows(domains, rows)
-            if rep == default_key:
-                rest = Dafsa.universal(domains).difference(_compile_rows(domains, listed))
-                dafsa = rest if dafsa is None else dafsa.union(rest)
-            entries.append((rep, dafsa))
-        return cls(table.scope, domains, tuple(entries))
+        keys = tuple(keyset)
+        digits, n, labels, default = table.labelled_rows(keyset, prune_infinite)
+        shared, kept = kernels.compile_sorted(digits, n, len(domains), domains, labels, default)
+        return cls._from_shared(table.scope, domains, tuple(keys[n] for n in kept), shared)
 
     def to_table(self, default: float = math.inf) -> TabularFactor:
         """Expand back to a dense table; uncovered rows get ``default``.

@@ -117,8 +117,13 @@ def scan_from_table(table, eps, prune_infinite):
         flat = ((rows[:, None] // strides) % dims).astype(np.intc).reshape(-1)
         buf = array("i")
         buf.frombytes(flat.tobytes())
-        parts = kernels.compile_sorted(buf, len(rows), len(table.domains), table.domains)
-        entries.append((rep, Dafsa._from_parts(table.domains, parts)))
+        # the rows of one key, compiled with one label: the term of the
+        # shared form marks the accepting state
+        (t_off, t_sym, t_dst, term), _ = kernels.compile_sorted(
+            buf, len(rows), len(table.domains), table.domains, array("i", [0]) * len(rows), -1
+        )
+        acc = array("i", [s for s, t in enumerate(term) if t >= 0])
+        entries.append((rep, Dafsa._from_parts(table.domains, (t_off, t_sym, t_dst, acc))))
     return entries
 
 

@@ -27,8 +27,12 @@ DOMS = [(), (1,), (1, 2), (2,), (2, 2), (3, 2), (2, 3, 2), (4, 2, 3), (2, 2, 2, 
 
 
 def compile_words(both, words, dom):
+    """The canonical automaton of ``words``: their shared form with one
+    label, whose term marks the accepting state."""
     buf = array("i", [v for w in words for v in w])
-    return both("compile_sorted", buf, len(words), len(dom), dom)
+    labels = array("i", [0]) * len(words)
+    (t_off, t_sym, t_dst, term), _ = both("compile_sorted", buf, len(words), len(dom), dom, labels, -1)
+    return t_off, t_sym, t_dst, array("i", [s for s, t in enumerate(term) if t >= 0])
 
 
 def rand_words(rng, dom):
@@ -288,9 +292,13 @@ DIRECT = {
     "start past the last state": (kernels.determinize, *flat[:5], flat[0], D),
     "level to remove past the last": (kernels.remove_level, *flat, D, 2),
     "product mode 3": (kernels.product, 3, *flat, *flat, D),
-    "short compile_sorted buffer": (kernels.compile_sorted, I(0, 1, 1), 2, 2, D),
-    "unsorted compile_sorted rows": (kernels.compile_sorted, I(1, 1, 0, 0), 2, 2, D),
-    "compile_sorted digit outside its domain": (kernels.compile_sorted, I(0, 3), 1, 2, D),
+    "short compile_sorted buffer": (kernels.compile_sorted, I(0, 1, 1), 2, 2, D, I(0, 0), -1),
+    "unsorted compile_sorted rows": (kernels.compile_sorted, I(1, 1, 0, 0), 2, 2, D, I(0, 0), -1),
+    "compile_sorted digit outside its domain": (kernels.compile_sorted, I(0, 3), 1, 2, D, I(0), -1),
+    "compile_sorted labels too short": (kernels.compile_sorted, I(0, 0, 1, 1), 2, 2, D, I(0), -1),
+    "compile_sorted labels too long": (kernels.compile_sorted, I(0, 0, 1, 1), 2, 2, D, I(0, 1, 2), -1),
+    "compile_sorted label below -1": (kernels.compile_sorted, I(0, 0, 1, 1), 2, 2, D, I(0, -2), -1),
+    "compile_sorted default below -1": (kernels.compile_sorted, I(0, 0, 1, 1), 2, 2, D, I(0, 1), -2),
     "project level past the last": (kernels.project_entries, one, D, 2),
     "entry of three parts": (kernels.join, [good.parts[:3]], D),
     "entry with no states": (kernels.join, [(I(), I(), I(), I())], D),
@@ -385,7 +393,7 @@ class TestMalformedInput:
         out = run_python(compiled_src, ["-c", MALFORMED_SCRIPT])
         assert out.returncode == 0, f"exit {out.returncode}: {out.stderr[-2000:]}"
         lines = out.stdout.splitlines()
-        assert len(lines) == 12 * 12 + 28 + 400 * 8
+        assert len(lines) == 12 * 12 + 32 + 400 * 8
         bad = [line for line in lines if not line.endswith(("| ok", "| no error"))]
         assert not bad, "\n".join(bad)
         named = [line for line in lines if not line.startswith("fuzz")]

@@ -12,7 +12,10 @@ small domains where every string can be enumerated:
   breadth-first numbering);
 * ``raw_states`` equals a naive breadth-first count of the subsets
   reachable from the start, and ``nfa_states`` a count of the contracted
-  automaton's states.
+  automaton's states;
+* a labelled ``compile_sorted`` leads each string to its row's label, or
+  else to the default, and is byte-identical to the ``join`` of one
+  canonical automaton per label.
 """
 
 import itertools
@@ -244,3 +247,50 @@ class TestAgainstReference:
         contracted, _ = contract(edge_lists(flat(d)), d.acc, d.start, lvl)
         assert nfa_states == len(contracted)
         assert raw_states == reachable_subsets(contracted, d.start, new_dom)
+
+
+def reached_label(shared, labels, word):
+    """The label ``word`` reaches in a shared form, None if it reaches no terminal."""
+    t_off, t_sym, t_dst, term = shared
+    s = 0
+    for v in word:
+        lo, hi = t_off[s], t_off[s + 1]
+        for j in range(lo, hi):
+            if t_sym[j] in (v, WILDCARD):
+                s = t_dst[j]
+                break
+        else:
+            return None
+    return labels[term[s]] if term[s] >= 0 else None
+
+
+class TestLabelledCompile:
+    def test_against_per_label_compiles(self, kernels):
+        rng = random.Random(20261105)
+        for trial in range(300):
+            dom = tuple(rng.randrange(1, 4) for _ in range(rng.randrange(0, 6)))
+            words = list(itertools.product(*(range(k) for k in dom)))
+            rows = sorted(rng.sample(words, rng.randrange(0, len(words) + 1)))
+            row_labels = [rng.randrange(-1, 4) for _ in rows]
+            default = rng.randrange(-1, 4)
+            digits = array("i", [v for w in rows for v in w])
+            shared, labels = kernels.compile_sorted(
+                digits, len(rows), len(dom), dom, array("i", row_labels), default
+            )
+
+            want = dict(zip(rows, row_labels))
+            by_label = {}
+            for word in words:
+                label = want.get(word, default)
+                assert reached_label(shared, labels, word) == (None if label < 0 else label)
+                if label >= 0:
+                    by_label.setdefault(label, []).append(word)
+
+            # the old path: one automaton per label, then one join
+            present = sorted(by_label)
+            entries = [Dafsa.from_strings(dom, by_label[label]).parts for label in present]
+            for label, parts in zip(present, entries):
+                assert tuple(map(tuple, parts)) == canonical_parts(set(by_label[label]), dom)
+            joined, order = kernels.join(entries, dom)
+            assert tuple(map(tuple, shared)) == tuple(map(tuple, joined)), trial
+            assert list(labels) == [present[n] for n in order]

@@ -2,7 +2,9 @@
 
 The solver reads only ``keys`` and ``shared`` of the factors it builds,
 so with the ``split`` kernel made to fail it must still solve everything
-and give the same answers.  The ``entries`` read off a kernel result on
+and give the same answers.  ``from_table`` compiles each table straight
+into the shared form, so the solve path also runs without ``product``
+and ``join``.  The ``entries`` read off a kernel result on
 demand must equal what ``from_table`` compiles from the dense table of
 the same function.
 """
@@ -16,9 +18,9 @@ import random
 import numpy as np
 
 import dafbe.factor as factor_mod
-from dafbe import formats
+from dafbe import formats, generate
 from dafbe.factor import PARTNER, DafsaFactor, TabularFactor, combine, project
-from dafbe.model import bucket_elimination
+from dafbe.model import Task, bucket_elimination
 from dafbe.oracle import brute_force
 
 from conftest import FIXTURES, flat, micro_model
@@ -44,6 +46,24 @@ def test_solve_never_splits_a_factor(monkeypatch):
         oracle = brute_force(model)
         assert status == oracle.status
         assert math.isclose(optimum, oracle.optimum, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def test_solve_runs_on_three_kernels(monkeypatch):
+    # compile_sorted, combine_entries and project_entries: no set algebra
+    # (product), no join of entries and no split
+    models = [formats.parse_path(p) for p in sorted(glob.glob(os.path.join(FIXTURES, "*")))]
+    models += [micro_model(seed, Task.WCSP) for seed in range(20)]
+    # generated WCSP files: their functions parse as a default plus exceptions
+    models += [formats.parse_wcsp(formats.write_wcsp(generate.high_redundancy_model(random.Random(seed))))
+               for seed in range(3)]
+    want = answers(models)
+
+    for name in ("product", "join", "split"):
+        def refuse(*args, name=name):
+            raise AssertionError(f"the solve called {name}")
+
+        monkeypatch.setattr(factor_mod.kernels, name, refuse)
+    assert answers(models) == want
 
 
 def entry_bytes(f):
