@@ -28,6 +28,10 @@ The two cold-start rows time whole fresh interpreters the same way: the
 median wall time of 9 runs of ``import dafbe.cli`` and of 9 one-process
 ``dafbe solve`` runs of ``tests/fixtures/hand.wcsp``, launch to exit.
 
+Within every row the two editions' runs alternate (python, compiled,
+python, compiled, ...), so host drift during a row reaches both alike
+instead of skewing one edition's runs.
+
 Usage:
     python3 benchmarks/compare_backends.py [--repeats N] [--skip-solve]
 """
@@ -136,25 +140,26 @@ def record_factor_calls():
     return calls
 
 
-def cold_start(argv, backend):
-    """Median wall time of ``COLD_RUNS`` fresh interpreters running ``argv``."""
-    env = {**os.environ, "DAFBE_KERNELS": backend}
-    times = []
-    for _ in range(COLD_RUNS):
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=True)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-
-def bench(fn, repeats):
-    best = float("inf")
-    out = None
+def interleaved(fns, repeats):
+    """[[(seconds, output), ...] per function]: ``repeats`` runs of each, alternating."""
+    runs = [[] for _ in fns]
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+        for fn, out in zip(fns, runs):
+            t0 = time.perf_counter()
+            got = fn()
+            out.append((time.perf_counter() - t0, got))
+    return runs
+
+
+def cold_start(argv):
+    """Median wall time of ``COLD_RUNS`` fresh interpreters running ``argv``, per edition."""
+
+    def launch(backend):
+        env = {**os.environ, "DAFBE_KERNELS": backend}
+        return lambda: subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=True)
+
+    runs = interleaved([launch("python"), launch("compiled")], COLD_RUNS)
+    return [statistics.median(t for t, _ in r) for r in runs]
 
 
 def main():
@@ -180,12 +185,11 @@ def main():
     rows = []
 
     def workload(name, call):
-        t_py, out_py = bench(lambda: call(_kernels_py), args.repeats)
-        t_cc, out_cc = bench(lambda: call(_kernels_cc), args.repeats)
-        if plain(out_py) != plain(out_cc):
+        py, cc = interleaved([lambda: call(_kernels_py), lambda: call(_kernels_cc)], args.repeats)
+        if plain(py[-1][1]) != plain(cc[-1][1]):
             print(f"OUTPUT MISMATCH in {name}; not publishing numbers for broken code")
             sys.exit(2)
-        rows.append((name, t_py, t_cc))
+        rows.append((name, min(t for t, _ in py), min(t for t, _ in cc)))
 
     # one label and no default, as Dafsa.from_strings compiles
     workload(
@@ -228,30 +232,31 @@ def main():
             "r = bucket_elimination(m)\n"
             "print(BACKEND, time.perf_counter() - t0, r.optimum)\n"
         )
-        times = {}
-        opts = {}
-        for backend in ("python", "compiled"):
-            best = float("inf")
-            for _ in range(max(1, args.repeats // 2)):
+
+        def solve(backend):
+            def run():
                 out = subprocess.run(
                     [sys.executable, "-c", probe],
                     capture_output=True, text=True, check=True,
                     env={**os.environ, "DAFBE_KERNELS": backend},
                 ).stdout.split()
                 assert out[0] == backend, out
-                best = min(best, float(out[1]))
-                opts[backend] = out[2]
-            times[backend] = best
-        if opts["python"] != opts["compiled"]:
+                return float(out[1]), out[2]
+
+            return run
+
+        # the probe's own solve time, not the subprocess's wall time
+        py, cc = interleaved([solve("python"), solve("compiled")], max(1, args.repeats // 2))
+        if py[-1][1][1] != cc[-1][1][1]:
             print("OUTPUT MISMATCH in end-to-end solve")
             sys.exit(2)
-        rows.append(("end-to-end solve (w*~13, n=30)", times["python"], times["compiled"]))
+        rows.append(("end-to-end solve (w*~13, n=30)",
+                     min(t for _, (t, _) in py), min(t for _, (t, _) in cc)))
         for name, argv in (
             ("import dafbe.cli", ["-c", "import dafbe.cli"]),
             ("dafbe solve hand.wcsp", ["-m", "dafbe.cli", "solve", HAND_WCSP]),
         ):
-            rows.append((f"cold start: {name}, median of {COLD_RUNS}",
-                         cold_start(argv, "python"), cold_start(argv, "compiled")))
+            rows.append((f"cold start: {name}, median of {COLD_RUNS}", *cold_start(argv)))
 
     width = max(len(r[0]) for r in rows)
     print(f"{'workload'.ljust(width)}  {'python':>10}  {'compiled':>10}  {'speedup':>8}")

@@ -11,13 +11,10 @@ every complete literal fan onto one successor collapsed to a wildcard
 edge.  Minimal deterministic leveled automata are unique per language, so
 ``==`` is both structural and language equality.
 
-Every edge runs from level l to level l + 1, so a breadth-first numbering
-gives each level one contiguous id range: level 0 is ``[0, 1)`` and the
-level after ``[a, b)`` is ``[b, 1 + max destination of a..b-1)``.
-``insert_wildcard_level`` relies on this to splice a level in by shifting
-ids instead of rebuilding and minimizing, and ``remove_level`` to splice
-out a level whose every state has one wildcard edge, the exact inverse;
-any other level goes to the kernel.
+A canonical automaton has at most one accepting state, the last one, so
+it is also the one-label shared form of ``_kernels_py``, that state's
+term 0: ``from_strings`` and ``insert_wildcard_level`` build it through
+the factor kernels this way.
 
 Where an operand's shape fixes the answer, set operations return without
 a kernel call: A & U = A, A | U = U, A - U = empty, and an empty operand
@@ -40,63 +37,61 @@ WILDCARD = -1
 ENUMERATE_CAP = 1_000_000
 
 
-def _flat_from_edges(domains, n, edges, accepting, start):
-    """edges: iterable of (src, sym, dst). Returns CSR parts, syms sorted.
+# the shared form of a constant function: a lone root, terminal with label 0
+SCALAR = (array("i", [0, 0]), array("i"), array("i"), array("i", [0]))
 
-    Raises AutomatonError for a state id outside ``range(n)`` (edge ends,
-    accepting ids, ``start``), for a symbol that is neither a wildcard nor
-    a value of its level's domain, and for an edge past the last level.
-    A state's level is its breadth-first depth from ``start``, as the
-    kernels count it; edges of states ``start`` cannot reach are not
-    checked against a domain.
+
+def _levels(t_off, t_dst, start):
+    """Breadth-first level of every state from ``start``, -1 if unreached."""
+    lev = [-1] * (len(t_off) - 1)
+    lev[start] = 0
+    order = [start]
+    for s in order:  # grows while it is walked: a breadth-first queue
+        nl = lev[s] + 1
+        for d in t_dst[t_off[s] : t_off[s + 1]]:
+            if lev[d] < 0:
+                lev[d] = nl
+                order.append(d)
+    return lev
+
+
+def _flat_from_edges(domains, n, edges, accepting, start):
+    """edges: iterable of (src, sym, dst). Returns checked CSR parts, syms sorted.
+
+    Raises AutomatonError for a source id outside ``range(n)``, an id or
+    symbol that does not fit a C int, and whatever ``_check_parts``
+    rejects.
     """
-    if not 0 <= start < n:
-        raise AutomatonError(f"start state {start} outside 0..{n - 1}")
     per = [[] for _ in range(n)]
     for src, sym, dst in edges:
-        if not (0 <= src < n and 0 <= dst < n):
-            raise AutomatonError(f"edge {src}->{dst} names a state outside 0..{n - 1}")
+        if not 0 <= src < n:
+            raise AutomatonError(f"edge {src}->{dst} starts outside 0..{n - 1}")
         per[src].append((sym, dst))
-    for a in accepting:
-        if not 0 <= a < n:
-            raise AutomatonError(f"accepting state {a} outside 0..{n - 1}")
-    level = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            lv = level[s]
-            for sym, dst in per[s]:
-                if lv >= len(domains):
-                    raise AutomatonError(f"state {s}: edges beyond last level {len(domains)}")
-                if sym != WILDCARD and not 0 <= sym < domains[lv]:
-                    raise AutomatonError(
-                        f"state {s}: symbol {sym} outside domain {domains[lv]} at level {lv}"
-                    )
-                if dst not in level:
-                    level[dst] = lv + 1
-                    nxt.append(dst)
-        frontier = nxt
     t_off = array("i", [0])
     t_sym = array("i")
     t_dst = array("i")
-    for s in range(n):
-        per[s].sort()
-        for sym, dst in per[s]:
-            t_sym.append(sym)
-            t_dst.append(dst)
-        t_off.append(len(t_sym))
-    return t_off, t_sym, t_dst, array("i", sorted(set(accepting)))
+    try:
+        for out in per:
+            out.sort()
+            for sym, dst in out:
+                t_sym.append(sym)
+                t_dst.append(dst)
+            t_off.append(len(t_sym))
+        acc = array("i", sorted(set(accepting)))
+    except OverflowError as err:
+        raise AutomatonError(f"state id or symbol out of range: {err}") from None
+    _check_parts(domains, t_off, t_sym, t_dst, acc, start)
+    return t_off, t_sym, t_dst, acc
 
 
-def _check_parts(domains, t_off, t_sym, t_dst, acc):
-    """Raise unless the parts meet the flat-automaton contract, start 0.
+def _check_parts(domains, t_off, t_sym, t_dst, acc, start=0):
+    """Raise unless the parts meet the flat-automaton contract; return levels.
 
     The checks of the compiled kernels' ``Automaton::load``: the CSR shape,
-    every state id, and for each state the start reaches, its symbols
+    every state id, and for each state ``start`` reaches, its symbols
     against the domain of its breadth-first level and that each of its
     edges runs to the next level.  A part that is not an ``array('i')`` is
-    a TypeError, anything else an AutomatonError.
+    a TypeError, anything else an AutomatonError.  Returns ``_levels``.
     """
     for name, part in (("t_off", t_off), ("t_sym", t_sym), ("t_dst", t_dst), ("acc", acc)):
         if not isinstance(part, array) or part.typecode != "i":
@@ -120,20 +115,14 @@ def _check_parts(domains, t_off, t_sym, t_dst, acc):
     for a in acc:
         if not 0 <= a < n:
             raise AutomatonError(f"accepting state {a} outside 0..{n - 1}")
+    if not 0 <= start < n:
+        raise AutomatonError(f"start state {start} outside 0..{n - 1}")
     L = len(domains)
-    lev = [-1] * n
-    lev[0] = 0
-    order = [0]
-    for s in order:  # grows while it is walked: a breadth-first queue
-        for d in t_dst[t_off[s] : t_off[s + 1]]:
-            if lev[d] < 0:
-                lev[d] = lev[s] + 1
-                order.append(d)
-    for s in order:
+    lev = _levels(t_off, t_dst, start)
+    for s, lv in enumerate(lev):
         lo, hi = t_off[s], t_off[s + 1]
-        if lo == hi:
+        if lv < 0 or lo == hi:
             continue
-        lv = lev[s]
         if lv >= L:
             raise AutomatonError(f"state {s}: edges beyond last level {L}")
         for v in t_sym[lo:hi]:
@@ -142,6 +131,7 @@ def _check_parts(domains, t_off, t_sym, t_dst, acc):
         for d in t_dst[lo:hi]:
             if lev[d] != lv + 1:
                 raise AutomatonError(f"edge {s}->{d} does not run from level {lv} to the next")
+    return lev
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -150,9 +140,9 @@ class Dafsa:
 
     ``Dafsa(domains, t_off, t_sym, t_dst, acc)`` checks its parts as the
     compiled kernels do (``_check_parts``) and raises ``AutomatonError`` on
-    malformed ones; it does not canonicalize them.  Parts that kernels and
-    level splices build are trusted and skip the check (``_from_parts``),
-    so the solver pays nothing for it.
+    malformed ones; it does not canonicalize them.  Parts that kernels
+    build are trusted and skip the check (``_from_parts``), so the solver
+    pays nothing for it.
     """
 
     domains: tuple[int, ...]
@@ -180,6 +170,20 @@ class Dafsa:
         object.__setattr__(self, "t_dst", t_dst)
         object.__setattr__(self, "acc", acc)
         return self
+
+    @classmethod
+    def _from_one_label(cls, domains, shared):
+        """Read a one-label shared form: its terminal, if any, is the last state."""
+        t_off, t_sym, t_dst, term = shared
+        acc = array("i", [len(term) - 1] if term[-1] >= 0 else [])
+        return cls._from_parts(domains, (t_off, t_sym, t_dst, acc))
+
+    def _one_label(self):
+        """The shared form with the accepting state, the last, labelled 0."""
+        term = array("i", [-1]) * self.state_count
+        for a in self.acc:
+            term[a] = 0
+        return self.t_off, self.t_sym, self.t_dst, term
 
     @classmethod
     def empty(cls, domains) -> "Dafsa":
@@ -212,19 +216,19 @@ class Dafsa:
         for w in uniq:
             digits.extend(w)
         labels = array("i", [0]) * len(uniq)
-        (t_off, t_sym, t_dst, term), _ = kernels.compile_sorted(digits, len(uniq), L, domains, labels, -1)
-        # one label: the shared form is the canonical automaton, and its
-        # one terminal, if any, is the last state
-        acc = array("i", [len(term) - 1] if term[-1] >= 0 else [])
-        return cls._from_parts(domains, (t_off, t_sym, t_dst, acc))
+        shared, _ = kernels.compile_sorted(digits, len(uniq), L, domains, labels, -1)
+        return cls._from_one_label(domains, shared)
 
     @classmethod
     def from_transitions(cls, domains, n_states, edges, accepting, start=0) -> "Dafsa":
         """Build from explicit deterministic transitions, then canonicalize.
 
-        The input must already be leveled and deterministic (at most one
-        edge per symbol per state, wildcard exclusive); it need not be
-        minimal or canonically numbered.
+        The input must be deterministic (at most one edge per symbol per
+        state, wildcard exclusive); it need not be minimal or canonically
+        numbered.  Leveledness is checked, not assumed: the parts are
+        checked from ``start`` as ``Dafsa(...)`` checks its own, so an edge
+        that skips a level or runs back, as in a cycle, raises
+        ``AutomatonError``.
         """
         domains = tuple(domains)
         t_off, t_sym, t_dst, acc = _flat_from_edges(domains, n_states, edges, accepting, start)
@@ -298,21 +302,7 @@ class Dafsa:
 
     def state_levels(self) -> list:
         """BFS level of every state (canonical numbering has no orphans)."""
-        n = self.state_count
-        lev = [-1] * n
-        lev[self.start] = 0
-        order = [self.start]
-        head = 0
-        while head < len(order):
-            s = order[head]
-            head += 1
-            nl = lev[s] + 1
-            for j in range(self.t_off[s], self.t_off[s + 1]):
-                d = self.t_dst[j]
-                if lev[d] < 0:
-                    lev[d] = nl
-                    order.append(d)
-        return lev
+        return _levels(self.t_off, self.t_dst, self.start)
 
     def count_strings(self) -> int:
         """Exact accepted-string count (arbitrary precision)."""
@@ -414,37 +404,23 @@ class Dafsa:
     def insert_wildcard_level(self, pos: int, k: int) -> "Dafsa":
         """Add a fresh ignored variable at position ``pos`` (domain size k).
 
-        Every old level-``pos`` state gets a wildcard predecessor, its
-        prime, so the new automaton accepts exactly the old strings with
-        any value spliced in at ``pos``.  Level ``pos`` holds the ids
-        ``[a, b)``; the primes take those ids in the same order and every
-        old id from ``a`` on moves up by ``b - a``.  Edges into level
-        ``pos`` then reach the primes unchanged, and the result is
-        minimal and canonically numbered with no merge pass.
+        The new automaton accepts exactly the old strings with any value
+        spliced in at ``pos``: one ``combine_entries`` walk of the one-label
+        form with the constant ``SCALAR``, in which level ``pos`` is outside
+        the automaton's scope and so reads as a wildcard.
         """
         if not 0 <= pos <= self.length:
             raise AutomatonError(f"insert position {pos} outside 0..{self.length}")
         if k < 1:
             raise AutomatonError(f"domain size {k} < 1")
         new_domains = self.domains[:pos] + (k,) + self.domains[pos:]
-        if self.is_empty():
-            return Dafsa.empty(new_domains)
-        t_off, t_sym, t_dst = self.t_off, self.t_sym, self.t_dst
-        a, b = 0, 1
-        for _ in range(pos):
-            a, b = b, max(t_dst[t_off[a] : t_off[b]]) + 1
-        shift = (b - a).__add__
-        e = t_off[a]
-        off = t_off[: a + 1]
-        off.extend(range(e + 1, e + b - a + 1))
-        off.extend(map(shift, t_off[a + 1 :]))
-        sym = t_sym[:e]
-        sym.extend([WILDCARD] * (b - a))
-        sym.extend(t_sym[e:])
-        dst = t_dst[:e]
-        dst.extend(range(b, 2 * b - a))
-        dst.extend(map(shift, t_dst[e:]))
-        return Dafsa._from_parts(new_domains, (off, sym, dst, array("i", map(shift, self.acc))))
+        in_self = [True] * len(new_domains)
+        in_self[pos] = False
+        shared, _, _ = kernels.combine_entries(
+            self._one_label(), SCALAR, new_domains, in_self, [False] * len(new_domains),
+            [0] * len(self.acc),
+        )
+        return Dafsa._from_one_label(new_domains, shared)
 
     def remove_level(self, pos: int) -> tuple:
         """Drop position ``pos``, keeping a string iff some value there led
@@ -456,92 +432,37 @@ class Dafsa:
         if not 0 <= pos < self.length:
             raise AutomatonError(f"remove position {pos} outside 0..{self.length - 1}")
         new_domains = self.domains[:pos] + self.domains[pos + 1 :]
-        if not self.is_empty():
-            spliced = self._splice_wildcard_level(pos, new_domains)
-            if spliced is not None:
-                n = spliced.state_count
-                return spliced, n, n
         t_off, t_sym, t_dst, acc, nfa_states, raw_states = kernels.remove_level(
             self.state_count, self.t_off, self.t_sym, self.t_dst, self.acc,
             self.start, self.domains, pos,
         )
         return Dafsa._from_parts(new_domains, (t_off, t_sym, t_dst, acc)), nfa_states, raw_states
 
-    def _splice_wildcard_level(self, pos, new_domains):
-        """``remove_level`` of an all-wildcard level, or None if it is not one.
-
-        The exact inverse of ``insert_wildcard_level``: when each of the w
-        states of level ``pos``, ids ``[a, b)``, has one edge and it is a
-        wildcard, minimality gives them w distinct successors, which BFS
-        numbering puts at ``[b, b + w)`` in the same order.  Dropping the
-        level-``pos`` states and shifting every later id down by w lets
-        the successors take their places, and the result is canonical.
-        Contraction then meets no nondeterminism, so the kernel would count
-        n - w states both before and after determinizing.  Single literal
-        edges do not qualify: two states may reach one successor by
-        different literals, and they would coincide once the level is gone.
-        """
-        t_off, t_sym, t_dst = self.t_off, self.t_sym, self.t_dst
-        a, b = 0, 1
-        for _ in range(pos):
-            a, b = b, max(t_dst[t_off[a] : t_off[b]]) + 1
-        e, f = t_off[a], t_off[b]
-        w = b - a
-        if f - e != w or t_sym[e:f].count(WILDCARD) != w:
-            return None
-        shift = (-w).__add__
-        off = t_off[:a]
-        off.extend(map(shift, t_off[b:]))
-        sym = t_sym[:e]
-        sym.extend(t_sym[f:])
-        dst = t_dst[:e]
-        dst.extend(map(shift, t_dst[f:]))
-        return Dafsa._from_parts(new_domains, (off, sym, dst, array("i", map(shift, self.acc))))
-
     # -- diagnostics ---------------------------------------------------------
 
     def check_invariants(self):
-        """Raise AutomatonError on any structural violation. For tests."""
-        n = self.state_count
-        if n == 0:
-            raise AutomatonError("no states")
-        off = self.t_off
-        if off[0] != 0 or off[-1] != len(self.t_sym) or len(self.t_sym) != len(self.t_dst):
-            raise AutomatonError("bad CSR arrays")
-        lev = self.state_levels()
-        L = self.length
-        for s in range(n):
-            if lev[s] < 0 and n > 1:
+        """Raise AutomatonError unless the parts are well formed and canonical. For tests."""
+        off, sym = self.t_off, self.t_sym
+        lev = _check_parts(self.domains, off, sym, self.t_dst, self.acc)
+        for s in range(self.state_count):
+            if lev[s] < 0:
                 raise AutomatonError(f"state {s} unreachable")
-            lo, hi = off[s], off[s + 1]
-            if hi < lo:
-                raise AutomatonError("offsets not monotone")
-            syms = self.t_sym[lo:hi].tolist()
-            if syms != sorted(syms) or len(set(syms)) != len(syms):
+            syms = sym[off[s] : off[s + 1]].tolist()
+            if syms != sorted(set(syms)):
                 raise AutomatonError(f"state {s}: symbols not sorted-unique")
             if WILDCARD in syms and len(syms) > 1:
                 raise AutomatonError(f"state {s}: wildcard next to literals")
-            if hi > lo and lev[s] >= L:
-                raise AutomatonError(f"state {s}: edges beyond last level")
-            for j in range(lo, hi):
-                if self.t_sym[j] != WILDCARD and not 0 <= self.t_sym[j] < self.domains[lev[s]]:
-                    raise AutomatonError(f"state {s}: symbol {self.t_sym[j]} out of domain")
-                if not 0 <= self.t_dst[j] < n:
-                    raise AutomatonError(f"state {s}: destination out of range")
-                if lev[self.t_dst[j]] != lev[s] + 1:
-                    raise AutomatonError(f"edge {s}->{self.t_dst[j]} skips levels")
         for a in self.acc:
-            if lev[a] != L:
-                raise AutomatonError(f"accepting state {a} not at level {L}")
+            if lev[a] != self.length:
+                raise AutomatonError(f"accepting state {a} not at level {self.length}")
         # canonical numbering: a BFS in id order, edges in symbol order,
         # meets every state exactly when the ids run out in sequence
         seen = 1
-        for s in range(n):
-            for d in self.t_dst[off[s] : off[s + 1]]:
-                if d == seen:
-                    seen += 1
-                elif d > seen:
-                    raise AutomatonError(f"state {d} not numbered breadth-first")
+        for d in self.t_dst:
+            if d == seen:
+                seen += 1
+            elif d > seen:
+                raise AutomatonError(f"state {d} not numbered breadth-first")
 
     def to_debug_text(self) -> str:
         """One 'level src symbol dst' line per edge, '*' for the wildcard."""

@@ -64,7 +64,7 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from ._backend import kernels
-from .automata import WILDCARD, Dafsa
+from .automata import SCALAR, WILDCARD, Dafsa
 from .errors import AutomatonError, FactorError
 from .keying import DEFAULT_EPS, ValueKeySet
 from .keying import redundancy as _value_redundancy
@@ -503,25 +503,26 @@ class DafsaFactor:
     def add_levels(self, scope, domains) -> "DafsaFactor":
         """Extend to a superset scope by inserting wildcard levels.
 
-        The new variables are unconstrained: every entry automaton gets a
-        wildcard edge at each inserted position, so values are unchanged.
+        The new variables are unconstrained, so values are unchanged: one
+        ``combine_entries`` walk of ``shared`` with the constant ``SCALAR``
+        over the target scope, in which the new levels are outside the
+        factor's scope.  The target domains of the factor's own variables
+        must be its domains.
         """
         scope = tuple(scope)
         domains = tuple(domains)
-        if len(scope) != len(domains):
-            raise FactorError("scope and domains length mismatch")
-        if list(scope) != sorted(set(scope)):
-            raise FactorError(f"target scope {scope} must be sorted and duplicate-free")
-        have = set(self.scope)
-        missing = [i for i, v in enumerate(scope) if v not in have]
-        if have - set(scope):
+        _check_scope(scope, domains)
+        have = dict(zip(self.scope, self.domains))
+        if not have.keys() <= set(scope):
             raise FactorError("target scope must contain the factor scope")
-        entries = []
-        for val, dafsa in self.entries:
-            for pos in missing:
-                dafsa = dafsa.insert_wildcard_level(pos, domains[pos])
-            entries.append((val, dafsa))
-        return DafsaFactor(scope, domains, tuple(entries))
+        if any(have.get(var, k) != k for var, k in zip(scope, domains)):
+            raise FactorError(f"target domains {domains} differ from {self.domains} at the factor scope")
+        keys = self.keys
+        shared, kept, _ = kernels.combine_entries(
+            self.shared, SCALAR, domains, [var in have for var in scope], [False] * len(scope),
+            range(len(keys)),
+        )
+        return DafsaFactor._from_shared(scope, domains, tuple(keys[n] for n in kept), shared)
 
 
 def _combine_call(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float):

@@ -61,20 +61,25 @@ class TestConstruction:
             Dafsa.from_transitions((2,), 3, [(0, 0, 1), (0, WILDCARD, 2)], [1])
 
     @pytest.mark.parametrize(
-        "cls, n_states, edges, accepting, start",
+        "cls, domains, n_states, edges, accepting, start",
         [
-            (Dafsa, 2, [(0, 0, 7)], [1], 0),  # destination out of range
-            (Dafsa, 2, [(0, 0, 1), (5, 0, 1)], [1], 0),  # source out of range
-            (Dafsa, 2, [(0, 0, 1)], [9], 0),  # accepting id out of range
-            (Dafsa, 2, [(0, 5, 1)], [1], 0),  # symbol outside the level's domain
-            (Nfa, 2, [(0, 0, 7)], [1], 0),  # destination out of range
-            (Dafsa, 2, [(0, 0, 1)], [1], 3),  # start out of range
+            (Dafsa, (2,), 2, [(0, 0, 7)], [1], 0),  # destination out of range
+            (Dafsa, (2,), 2, [(0, 0, 1), (5, 0, 1)], [1], 0),  # source out of range
+            (Dafsa, (2,), 2, [(0, 0, 1)], [9], 0),  # accepting id out of range
+            (Dafsa, (2,), 2, [(0, 5, 1)], [1], 0),  # symbol outside the level's domain
+            (Nfa, (2,), 2, [(0, 0, 7)], [1], 0),  # destination out of range
+            (Dafsa, (2,), 2, [(0, 0, 1)], [1], 3),  # start out of range
+            (Dafsa, (2, 2), 3, [(0, 0, 1), (0, 1, 2), (1, 0, 2)], [2], 0),  # 1->2 stays on level 1
+            (Nfa, (2, 2), 3, [(0, 0, 1), (0, 1, 2), (1, 0, 2)], [2], 0),
+            (Dafsa, (2, 2), 2, [(0, 0, 1), (1, 0, 0)], [1], 0),  # back to the start
+            (Nfa, (2, 2), 2, [(0, 0, 1), (1, 0, 0)], [1], 0),
         ],
-        ids=["dst", "src", "accepting", "symbol", "nfa-dst", "start"],
+        ids=["dst", "src", "accepting", "symbol", "nfa-dst", "start",
+             "non-leveled", "nfa-non-leveled", "cycle", "nfa-cycle"],
     )
-    def test_from_transitions_rejects_malformed_input(self, cls, n_states, edges, accepting, start):
+    def test_from_transitions_rejects_malformed_input(self, cls, domains, n_states, edges, accepting, start):
         with pytest.raises(AutomatonError):
-            cls.from_transitions((2,), n_states, edges, accepting, start=start)
+            cls.from_transitions(domains, n_states, edges, accepting, start=start)
 
     def test_zero_length_domains(self):
         a = Dafsa.from_strings((), [()])

@@ -208,6 +208,13 @@ class TestAddLevels:
         with pytest.raises(FactorError):
             demo_factor().add_levels((0, 1), (2, 2))
 
+    def test_domains_must_match_at_the_factor_scope(self):
+        base = DafsaFactor.from_table(table_from_feed((2, 3), (2, 2), lambda a: float(a[0])))
+        with pytest.raises(FactorError):
+            base.add_levels((0, 1, 2, 3), (3, 2, 3, 2))
+        with pytest.raises(FactorError):
+            base.add_levels((0, 1, 2, 3), (3, 2, 2, 3))
+
 
 class TestCombine:
     def test_golden_probe(self):

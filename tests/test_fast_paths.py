@@ -1,8 +1,8 @@
 """Shape fast paths of ``Dafsa`` and the unique-table ``product`` kernel.
 
-Set operations with an empty or universal operand, and ``remove_level``
-of an all-wildcard level, skip the kernels.  Each must give exactly the
-parts (and, for ``remove_level``, the counts) the kernel would give.
+Set operations with an empty or universal operand skip the kernels and
+must give exactly the parts the kernel would give.  ``remove_level``
+always runs the kernel, an all-wildcard level included.
 """
 
 import random
@@ -119,21 +119,21 @@ class TestIdentities:
 class TestSplice:
     def test_splice_matches_the_kernel(self, counted):
         rng = random.Random(13)
-        total = spliced = 0
+        total = 0
         for trial in range(1500):
             dom = rand_domains(rng)
             a = rand_automaton(rng, dom)
             for pos in range(len(dom)):
                 before = counted["remove_level"]
                 got = a.remove_level(pos)
-                spliced += counted["remove_level"] == before
+                assert counted["remove_level"] == before + 1, (a, pos)
                 want, nfa_states, raw_states = kernel_remove_level(a, pos)
                 assert parts(got[0]) == parts(want), (a, pos)
                 assert got[0].domains == want.domains
                 assert got[1:] == (nfa_states, raw_states), (a, pos)
                 got[0].check_invariants()
                 total += 1
-        assert total > 2500 and spliced > total // 4
+        assert total > 2500
 
     def test_literal_levels_go_to_the_kernel(self, counted):
         # every level-1 state has one literal edge, into one shared successor
