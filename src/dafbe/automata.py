@@ -55,12 +55,12 @@ def _levels(t_off, t_dst, start):
     return lev
 
 
-def _flat_from_edges(domains, n, edges, accepting, start):
-    """edges: iterable of (src, sym, dst). Returns checked CSR parts, syms sorted.
+def _flat_from_edges(n, edges, accepting):
+    """edges: iterable of (src, sym, dst). Returns CSR parts, syms sorted,
+    for the caller to check with ``_check_parts``.
 
-    Raises AutomatonError for a source id outside ``range(n)``, an id or
-    symbol that does not fit a C int, and whatever ``_check_parts``
-    rejects.
+    Raises AutomatonError for a source id outside ``range(n)`` and an id
+    or symbol that does not fit a C int.
     """
     per = [[] for _ in range(n)]
     for src, sym, dst in edges:
@@ -80,7 +80,6 @@ def _flat_from_edges(domains, n, edges, accepting, start):
         acc = array("i", sorted(set(accepting)))
     except OverflowError as err:
         raise AutomatonError(f"state id or symbol out of range: {err}") from None
-    _check_parts(domains, t_off, t_sym, t_dst, acc, start)
     return t_off, t_sym, t_dst, acc
 
 
@@ -231,7 +230,8 @@ class Dafsa:
         ``AutomatonError``.
         """
         domains = tuple(domains)
-        t_off, t_sym, t_dst, acc = _flat_from_edges(domains, n_states, edges, accepting, start)
+        t_off, t_sym, t_dst, acc = _flat_from_edges(n_states, edges, accepting)
+        _check_parts(domains, t_off, t_sym, t_dst, acc, start)
         for s in range(n_states):
             lo, hi = t_off[s], t_off[s + 1]
             syms = t_sym[lo:hi].tolist()
@@ -481,7 +481,9 @@ class Nfa:
     """Leveled nondeterministic automaton, the input side of determinize.
 
     States may repeat symbols and mix wildcards with literals; paths must
-    still be leveled (all accepted strings the same length).
+    still be leveled (all accepted strings the same length).  The parts
+    are checked from ``start`` at construction, as ``Dafsa``'s are, and
+    ``n_states`` must be their state count.
     """
 
     domains: tuple[int, ...]
@@ -492,11 +494,15 @@ class Nfa:
     acc: array
     start: int = 0
 
+    def __post_init__(self):
+        object.__setattr__(self, "domains", tuple(self.domains))
+        _check_parts(self.domains, self.t_off, self.t_sym, self.t_dst, self.acc, self.start)
+        if self.n_states != len(self.t_off) - 1:
+            raise AutomatonError(f"n_states is {self.n_states}, but t_off has {len(self.t_off) - 1}")
+
     @classmethod
     def from_transitions(cls, domains, n_states, edges, accepting, start=0) -> "Nfa":
-        domains = tuple(domains)
-        t_off, t_sym, t_dst, acc = _flat_from_edges(domains, n_states, edges, accepting, start)
-        return cls(domains, n_states, t_off, t_sym, t_dst, acc, start)
+        return cls(domains, n_states, *_flat_from_edges(n_states, edges, accepting), start)
 
     def determinize(self) -> tuple:
         """Subset construction; returns (dafsa, raw_dfa_states) where

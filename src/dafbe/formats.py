@@ -269,8 +269,11 @@ def result_record(
     error: str | None = None,
     extra=None,
     timings: bool = False,
+    ordering_s: float | None = None,
 ) -> dict:
-    """Flat, deterministic record for one instance run."""
+    """Flat record for one instance run, deterministic unless ``timings``
+    adds ``wall_time_s`` and, when given, ``ordering_s``: the time the
+    ordering took, which ``wall_time_s`` does not count."""
     rec = {"file": str(path), "engine": engine}
     if error is not None:
         rec["status"] = "error"
@@ -307,6 +310,8 @@ def result_record(
         )
     if timings:
         stats["wall_time_s"] = result.stats.wall_time
+        if ordering_s is not None:
+            stats["ordering_s"] = ordering_s
     rec["stats"] = stats
     if extra:
         rec.update(extra)

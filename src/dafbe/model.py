@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import operator
 import time
 
 from . import factor as factor_ops
@@ -160,70 +161,104 @@ def min_fill_ordering(model: GraphicalModel, weighted: bool = False) -> tuple:
     last-to-first bucket sweep eliminates them in greedy order.
 
     Adjacency is kept as bitmasks over the remaining variables.  A
-    variable v's fill is half the sum, over its neighbours a, of the
-    weight of v's other neighbours that a is not adjacent to; weights are
-    counted per domain-size group.  Eliminating x only changes the scores
-    of its neighbours and of their neighbours, so only those are rescored.
+    variable's score is the weight of the missing pairs among its
+    neighbours, where a pair {a, b} weighs w(a) w(b): w is the domain
+    size in weighted mode and 1 otherwise.  One domain size k would weigh
+    every pair k * k, which ranks alike, so then pairs are just counted.
+    The weight of a vertex set is one popcount per domain-size group.
+
+    Scores are computed once, then updated by the change each
+    elimination makes.  Eliminating x, with neighbours N, adds the fill
+    edges F: the pairs of N that are not adjacent.  Then
+    - every variable but x adjacent to both ends of a fill edge {a, b}
+      loses that pair's weight w(a) w(b);
+    - every a in N loses its missing pairs through x, w(x) w(O), where O
+      is a's neighbours outside N and x.  For each new neighbour b (a
+      member of N that a was not adjacent to) it gains w(b) w(O - adj b),
+      the pairs b misses in O; the pairs within N are all present after.
+    No other score changes.  Two shortcuts are exact.  When x is
+    simplicial (score 0), F is empty and only the through-x term is left.
+    When x is also adjacent to every remaining variable, the rest is a
+    clique, every score stays 0, and the tie rule places the rest in
+    ascending id order.  The updates are integer arithmetic on the very
+    scores rescoring from scratch gives, so the minima, their ties and
+    the ordering are unchanged.
     """
     adj = _adjacency_masks(model)
+    n = model.n_vars
     doms = model.domains
     by_size = {}
     for v, k in enumerate(doms):
         by_size[k] = by_size.get(k, 0) | (1 << v)
-    groups = tuple(by_size.items()) if weighted and len(by_size) > 1 else None
-    # with one domain size k every missing edge weighs k * k: count them
-    scale = doms[0] ** 2 if weighted and doms else 1
+    if weighted and len(by_size) > 1:
+        groups = tuple(by_size.items())
+        omega = doms
 
-    def fill(v):
-        nb = adj[v]
+        def weight(mask):
+            return sum(k * (mask & g).bit_count() for k, g in groups)
+    else:
+        omega = (1,) * n
+        weight = int.bit_count
+
+    score = [0] * n
+    for v, nb in enumerate(adj):
         total = 0
-        m = nb
-        if groups is None:
-            while m:
-                low = m & -m
-                m ^= low
-                total += (nb & adj[low.bit_length() - 1]).bit_count()
-            deg = nb.bit_count()
-            total = scale * (deg * (deg - 1) - total)
-        else:
-            w_nb = 0
-            for k, g in groups:
-                w_nb += k * (nb & g).bit_count()
-            while m:
-                low = m & -m
-                m ^= low
-                a = low.bit_length() - 1
-                common = nb & adj[a]
-                w = doms[a]
-                for k, g in groups:
-                    w += k * (common & g).bit_count()
-                total += doms[a] * (w_nb - w)
-        return total // 2  # every missing edge was counted from both ends
-
-    score = [fill(v) for v in range(model.n_vars)]
-    remaining = list(range(model.n_vars))
-    order = [0] * model.n_vars
-    for pos in range(model.n_vars - 1, -1, -1):
-        best = min(remaining, key=score.__getitem__)  # first minimum: lowest id
-        remaining.remove(best)
-        order[pos] = best
-        nb = _eliminate(adj, best)
-        stale = nb
         m = nb
         while m:
             low = m & -m
             m ^= low
-            stale |= adj[low.bit_length() - 1]
-        while stale:
-            low = stale & -stale
-            stale ^= low
-            v = low.bit_length() - 1
-            score[v] = fill(v)
+            a = low.bit_length() - 1
+            total += omega[a] * weight(nb & ~(adj[a] | low))
+        score[v] = total // 2  # every missing pair was counted from both ends
+
+    remaining = list(range(n))
+    order = [0] * n
+    for pos in range(n - 1, -1, -1):
+        x = min(remaining, key=score.__getitem__)  # first minimum: lowest id
+        nb = adj[x]
+        simplicial = score[x] == 0
+        if simplicial and nb.bit_count() == pos:  # next to all pos others: a clique
+            order[: pos + 1] = reversed(remaining)
+            break
+        remaining.remove(x)
+        order[pos] = x
+        xbit = 1 << x
+        w_x = omega[x]
+        m = nb
+        while m:
+            low = m & -m
+            m ^= low
+            a = low.bit_length() - 1
+            adj_a = adj[a]
+            outside = adj_a & ~(nb | xbit)
+            delta = -w_x * weight(outside)
+            if not simplicial:
+                new = nb & ~(adj_a | low)
+                while new:
+                    lb = new & -new
+                    new ^= lb
+                    b = lb.bit_length() - 1
+                    adj_b = adj[b]
+                    delta += omega[b] * weight(outside & ~adj_b)
+                    if b > a:  # fill edge {a, b}
+                        w_ab = omega[a] * omega[b]
+                        common = adj_a & adj_b  # x among them: its score is done
+                        while common:
+                            lc = common & -common
+                            common ^= lc
+                            score[lc.bit_length() - 1] -= w_ab
+            score[a] += delta
+        _eliminate(adj, x)
     return tuple(order)
 
 
 def check_ordering(model: GraphicalModel, ordering) -> tuple:
-    ordering = tuple(ordering)
+    """The ordering as a tuple of ints, if it is a permutation of the
+    variables; integer-like entries (numpy integers) are converted."""
+    try:
+        ordering = tuple(map(operator.index, ordering))
+    except TypeError:
+        raise ModelError("ordering must be a sequence of integer variable ids") from None
     if sorted(ordering) != list(range(model.n_vars)):
         raise ModelError(f"ordering must be a permutation of 0..{model.n_vars - 1}")
     return ordering

@@ -9,13 +9,33 @@ import pytest
 from dafbe.automata import Dafsa, Nfa, WILDCARD
 from dafbe.errors import AutomatonError, EnumerationLimit
 
-from conftest import rand_dafsa, rand_word
+from conftest import rand_dafsa, rand_word, run_python
 
 DOMS = [(2,), (2, 2), (3, 2), (2, 3, 2), (4, 2, 3), (2, 2, 2, 2)]
 
 
 def lang(a):
     return set(map(tuple, a.enumerate_strings()))
+
+
+# (domains, n_states, t_off, t_sym, t_dst, acc) for the Nfa constructor
+MALFORMED_NFA_PARTS = [
+    ((2, 2), 3, (0, 2, 3, 3), (0, 1, 0), (1, 2, 2), (2,)),  # edge 1->2 stays on level 1
+    ((2, 2), 5, (0, 2, 3, 3), (0, 1, 0), (1, 2, 2), (2,)),  # the same with 5 states claimed
+    ((2, 2), 3, (0, 2, 3, 3), (0, 1, 0), (1, 2, 7), (2,)),  # destination 7 of 3 states
+    ((2,), 4, (0, 2, 2, 2), (0, 1), (1, 2), (1, 2)),  # sound parts of 3 states, 4 claimed
+]
+NFA_PARTS_SCRIPT = f"""
+from array import array
+from dafbe.automata import Nfa
+from dafbe.errors import AutomatonError
+for domains, n_states, *parts in {MALFORMED_NFA_PARTS!r}:
+    try:
+        Nfa(domains, n_states, *(array("i", p) for p in parts)).determinize()
+        print("accepted")
+    except AutomatonError:
+        print("AutomatonError")
+"""
 
 
 class TestConstruction:
@@ -80,6 +100,12 @@ class TestConstruction:
     def test_from_transitions_rejects_malformed_input(self, cls, domains, n_states, edges, accepting, start):
         with pytest.raises(AutomatonError):
             cls.from_transitions(domains, n_states, edges, accepting, start=start)
+
+    @pytest.mark.parametrize("backend", ["python", "compiled"])
+    def test_nfa_constructor_checks_its_parts(self, compiled_src, backend):
+        out = run_python(compiled_src, ["-c", NFA_PARTS_SCRIPT], backend)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["AutomatonError"] * len(MALFORMED_NFA_PARTS)
 
     def test_zero_length_domains(self):
         a = Dafsa.from_strings((), [()])

@@ -147,15 +147,28 @@ class TestDeterminism:
         _, second, _ = run(capsys, *argv)
         assert first == second
         assert all("wall_time" not in line for line in first.splitlines())
+        assert all("ordering_s" not in line for line in first.splitlines())
 
     def test_timings_flag_adds_wall_time(self, capsys):
         _, out, _ = run(capsys, "solve", "--format", "json-lines", "--timings", HAND)
         (rec,) = json_records(out)
         assert rec["stats"]["wall_time_s"] >= 0.0
 
+    @pytest.mark.parametrize("ordering", ["min-fill", "weighted-min-fill"])
+    def test_timings_flag_adds_ordering_time(self, capsys, ordering):
+        argv = ["solve", "--format", "json-lines", "--ordering", ordering, HAND]
+        _, out, _ = run(capsys, *argv)
+        (untimed,) = json_records(out)
+        assert "ordering_s" not in untimed["stats"]
+        _, out, _ = run(capsys, *argv[:-1], "--timings", HAND)
+        (timed,) = json_records(out)
+        assert 0.0 <= timed["stats"]["ordering_s"] < 60.0
+        del timed["stats"]["ordering_s"], timed["stats"]["wall_time_s"]
+        assert timed == untimed
+
     def test_human_format_includes_wall_time(self, capsys):
         _, out, _ = run(capsys, "solve", HAND)
-        assert "wall_time_s:" in out
+        assert "wall_time_s:" in out and "ordering_s:" in out
 
     def test_subprocess_byte_identity(self):
         cmd = [sys.executable, "-m", "dafbe.cli", "solve", "--format", "json-lines",

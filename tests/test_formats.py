@@ -221,6 +221,11 @@ class TestResultRecords:
         res = self.solve_hand()
         rec = result_record("hand.wcsp", res, engine="dafsa", timings=True)
         assert rec["stats"]["wall_time_s"] >= 0.0
+        assert "ordering_s" not in rec["stats"]
+        rec = result_record("hand.wcsp", res, engine="dafsa", timings=True, ordering_s=0.25)
+        assert rec["stats"]["ordering_s"] == 0.25
+        rec = result_record("hand.wcsp", res, engine="dafsa", ordering_s=0.25)
+        assert "ordering_s" not in rec["stats"] and "wall_time_s" not in rec["stats"]
 
     def test_error_record(self):
         rec = result_record("missing.uai", None, engine="dafsa", error="no such file")

@@ -18,9 +18,10 @@ from dafbe.model import (
     induced_width,
     min_fill_ordering,
 )
-from dafbe.oracle import brute_force
+from dafbe.formats import parse_path
+from dafbe.oracle import brute_force, tabular_be
 
-from conftest import micro_model, table_from_feed
+from conftest import fixture_path, micro_model, table_from_feed
 
 
 def chain_model(n, task=Task.WCSP):
@@ -81,6 +82,16 @@ class TestTask:
         assert Task.MAP.combine(2.0, 3.0) == 6.0
         assert Task.WCSP.combine(2.0, 3.0) == 5.0
         assert Task.MAP.better(3.0, 2.0) and Task.WCSP.better(2.0, 3.0)
+
+
+def scoped_model(domains, scopes):
+    """An all-zero WCSP over ``domains`` with one factor per scope."""
+    factors = []
+    for scope in scopes:
+        scope = tuple(sorted(scope))
+        dims = tuple(domains[v] for v in scope)
+        factors.append(SparseFactor(scope, dims, 0.0, {}))
+    return GraphicalModel(len(domains), domains, tuple(factors), Task.WCSP)
 
 
 def reference_min_fill(model, weighted=False):
@@ -180,12 +191,61 @@ class TestOrdering:
                 assert order == reference_min_fill(m, weighted), (trial, weighted)
                 assert induced_width(m, order) == reference_induced_width(m, order)
 
+    def test_dense_graphs_match_reference(self):
+        # shaped like the wcsp-high-width benchmark: arity-8 scopes over
+        # 30-48 variables, so the fill edges are large and the tail of
+        # the ordering is a clique; odd trials mix domain sizes
+        rng = random.Random(14)
+        for trial in range(20):
+            n = rng.randrange(30, 49)
+            domains = tuple(rng.choice([2, 3, 5]) if trial % 2 else 2 for _ in range(n))
+            scopes = [rng.sample(range(n), 8) for _ in range(rng.randrange(20, 36))]
+            m = scoped_model(domains, scopes)
+            for weighted in (False, True):
+                order = min_fill_ordering(m, weighted)
+                assert order == reference_min_fill(m, weighted), (trial, weighted)
+
+    @pytest.mark.parametrize(
+        "domains, scopes",
+        [
+            ((), []),
+            ((3,), []),
+            ((3,), [(0,)]),
+            ((2, 3), []),
+            ((2, 3), [(0, 1)]),
+            ((3, 2, 5, 2, 3), [(0, 1, 2, 3, 4)]),  # complete, one scope
+            ((2, 5, 3, 2), [(a, b) for a in range(4) for b in range(a + 1, 4)]),  # complete, pairs
+            ((2, 3, 2, 5, 2, 3, 2), [(1, 2), (2, 4), (1, 4, 5)]),  # 0, 3 and 6 isolated
+            ((2, 3, 5, 2), [(0,), (2,), (3,)]),  # every variable isolated
+            ((2, 3, 5, 3, 2, 5), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)]),  # a cycle
+        ],
+        ids=["n0", "n1", "n1-unary", "n2", "n2-edge", "complete", "complete-pairs",
+             "isolated", "all-isolated", "cycle"],
+    )
+    def test_small_graphs_match_reference(self, domains, scopes):
+        m = scoped_model(domains, scopes)
+        for weighted in (False, True):
+            assert min_fill_ordering(m, weighted) == reference_min_fill(m, weighted), weighted
+
     def test_check_ordering_rejects_non_permutation(self):
         m = chain_model(3)
         with pytest.raises(ModelError):
             check_ordering(m, (0, 1))
         with pytest.raises(ModelError):
             check_ordering(m, (0, 1, 1))
+
+    def test_ordering_entries_must_be_integers(self):
+        m = parse_path(fixture_path("hand.wcsp"))
+        good = tuple(range(m.n_vars))
+        bad = (0, 1.0, *good[2:])
+        for call in (check_ordering, induced_width, bucket_elimination, tabular_be):
+            with pytest.raises(ModelError, match="integer variable ids"):
+                call(m, bad)
+        # integer-like entries are taken as ints
+        ordering = check_ordering(m, np.arange(m.n_vars))
+        assert ordering == good and all(type(v) is int for v in ordering)
+        assert bucket_elimination(m, np.arange(m.n_vars)).ordering == good
+        assert tabular_be(m, np.arange(m.n_vars)).ordering == good
 
 
 class TestBucketElimination:
