@@ -27,7 +27,8 @@ make one kernel pass over shared forms (``combine_entries``,
 ``project(f, var, op, other=g)`` eliminates ``var`` from the combination
 of ``f`` and ``g`` in one ``combine_entries`` pass that removes the
 level as it walks, so the combined factor is never built.  ``value_at``
-is one path down the shared automaton.
+is one path down the shared automaton.  ``on_support`` drops the levels
+of the variables a factor ignores, without a kernel call.
 
 Both table kinds expose the same read side: ``scope``, ``domains``,
 ``size``, ``value_of``, ``redundancy``, ``values`` (dense, so only the
@@ -523,6 +524,64 @@ class DafsaFactor:
             range(len(keys)),
         )
         return DafsaFactor._from_shared(scope, domains, tuple(keys[n] for n in kept), shared)
+
+    def on_support(self) -> "DafsaFactor":
+        """This factor over the variables it depends on; ``self`` if it ignores none.
+
+        A variable is ignored exactly when every state on its level of the
+        canonical shared form is a lone wildcard edge.  States are numbered
+        breadth-first, so level ``l`` is the id run from ``first[l]`` up to
+        ``first[l + 1]``, the first child of its first state, and a level
+        is idle when it has one edge per state, all of them wildcards.
+        Lone-wildcard states on one level have distinct children (else they
+        would be one state), and every state below is some state's child, so
+        an idle level's states lead one to one, in order, to the next
+        level's.  Sending each edge into an idle level on to the state below
+        its run of idle levels therefore merges no states, makes no complete
+        fan and keeps the breadth-first order: the splice drops the idle
+        levels' states and edges and moves every remaining id and offset
+        down by the number of idle states above it.  The result is
+        canonical, the same bytes as projecting each ignored variable out,
+        with the same ``keys``.  A constant, one chain of wildcards, becomes
+        ``SCALAR`` over no variables; the empty function is returned as it
+        is.
+        """
+        t_off, t_sym, t_dst, term = self.shared
+        if WILDCARD not in t_sym:
+            return self
+        if len(t_sym) == len(self.scope) == t_sym.count(WILDCARD):  # one wildcard chain
+            return DafsaFactor._from_shared((), (), self.keys, SCALAR)
+        first = [0]  # the first state of each level, then of the terminals
+        idle = []
+        lo = 0
+        for _ in self.scope:
+            e_lo = t_off[lo]
+            hi = t_dst[e_lo]
+            e_hi = t_off[hi]
+            first.append(hi)
+            idle.append(e_hi - e_lo == hi - lo and t_sym[e_lo:e_hi].count(WILDCARD) == hi - lo)
+            lo = hi
+        if True not in idle:
+            return self
+        off = array("i", [0])
+        sym = array("i")
+        dst = array("i")
+        removed = 0  # idle states on the levels above, one edge each
+        for is_idle, lo, hi in zip(idle, first, first[1:]):
+            if is_idle:
+                removed += hi - lo
+                continue
+            shift = (-removed).__add__
+            off.extend(map(shift, t_off[lo + 1 : hi + 1]))
+            sym += t_sym[t_off[lo] : t_off[hi]]
+            dst.extend(map(shift, t_dst[t_off[lo] : t_off[hi]]))
+        lo = first[-1]
+        off.extend(map((-removed).__add__, t_off[lo + 1 :]))
+        return DafsaFactor._from_shared(
+            tuple(var for var, is_idle in zip(self.scope, idle) if not is_idle),
+            tuple(k for k, is_idle in zip(self.domains, idle) if not is_idle),
+            self.keys, (off, sym, dst, array("i", [-1]) * (lo - removed) + term[lo:]),
+        )
 
 
 def _combine_call(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float):

@@ -329,19 +329,21 @@ def bucket_elimination(
 ) -> SolverResult:
     """Exact solve by min-sum bucket elimination over value-keyed automata.
 
-    The solver minimizes the sum of ``model.cost_factors()``.  Factors
-    live in the bucket of their latest-in-ordering scope variable.
-    Buckets are processed last to first: combine all but the bucket's last
-    factor, then project the bucket variable out of their sum with the
-    last one in one fused kernel walk, so the bucket's combined factor is
-    never built (a one-factor bucket is projected alone); send the
-    message to the bucket of its latest remaining variable (scalars fold
-    straight into the optimum).  Each bucket records one growth sample.
-    A forward pass then rebuilds an optimal assignment by trying each
-    value of each variable against its bucket's functions, lowest value
-    winning ties.  ``prune_infinite`` drops infinite-cost rows from the
-    entries instead of keeping them as an inf entry; the answer is the
-    same either way.
+    The solver minimizes the sum of ``model.cost_factors()``.  Every
+    input factor and every message is first cut down to the variables it
+    depends on (``DafsaFactor.on_support``), so it lives in the bucket of
+    the latest-in-ordering variable it depends on, and a constant folds
+    straight into the optimum.  Buckets are processed last to first:
+    combine all but the bucket's last factor, then project the bucket
+    variable out of their sum with the last one in one fused kernel walk,
+    so the bucket's combined factor is never built (a one-factor bucket is
+    projected alone), and place the message.  A bucket that receives no
+    factor is skipped; every other bucket records one growth sample.  A
+    forward pass then rebuilds an optimal assignment by trying each value
+    of each variable against its bucket's functions, lowest value winning
+    ties, so a variable whose bucket is empty takes 0.  ``prune_infinite``
+    drops infinite-cost rows from the entries instead of keeping them as
+    an inf entry; the answer is the same either way.
 
     A WCSP with no finite-cost assignment is ``"infeasible"``.  A MAP
     model reports the probability exp(-cost), and the cost itself, which
@@ -368,6 +370,7 @@ def bucket_elimination(
 
     def place(f: DafsaFactor):
         nonlocal live_states, peak, optimum, infeasible
+        f = f.on_support()
         note_factor(f)
         if not f.keys:
             infeasible = True

@@ -54,6 +54,19 @@ def table_from_feed(scope, domains, feed):
     return TabularFactor(scope=tuple(scope), domains=tuple(domains), values=vals)
 
 
+def ignoring_table(scope, domains, support, draw):
+    """A dense table over ``scope`` whose values read only the variables
+    in ``support``: ``draw()`` gives the value of each of their assignments."""
+    at = {}
+    values = []
+    for word in itertools.product(*(range(k) for k in domains)):
+        key = tuple(v for var, v in zip(scope, word) if var in support)
+        if key not in at:
+            at[key] = draw()
+        values.append(at[key])
+    return TabularFactor(tuple(scope), tuple(domains), np.array(values, dtype=float))
+
+
 def micro_model(seed, task=None):
     from dafbe.generate import random_micro_model
 

@@ -9,7 +9,7 @@ import pytest
 
 import dafbe.factor as factor_mod
 from dafbe.errors import ModelError, TimeLimit
-from dafbe.factor import SparseFactor, TabularFactor
+from dafbe.factor import DafsaFactor, SparseFactor, TabularFactor
 from dafbe.model import (
     GraphicalModel,
     Task,
@@ -21,7 +21,7 @@ from dafbe.model import (
 from dafbe.formats import parse_path
 from dafbe.oracle import brute_force, tabular_be
 
-from conftest import fixture_path, micro_model, table_from_feed
+from conftest import fixture_path, ignoring_table, micro_model, table_from_feed
 
 
 def chain_model(n, task=Task.WCSP):
@@ -248,6 +248,25 @@ class TestOrdering:
         assert tabular_be(m, np.arange(m.n_vars)).ordering == good
 
 
+def ignoring_model(rng, task):
+    """A micro model whose tables each read a random part of their scope,
+    hard cells (inf costs, zero probabilities) included."""
+    n = rng.randint(1, 6)
+    domains = tuple(rng.randint(1, 3) for _ in range(n))
+    if task is Task.MAP:
+        def draw():
+            return 0.0 if rng.random() < 0.1 else rng.choice([0.25, 0.5, 1.0, rng.random()])
+    else:
+        def draw():
+            return math.inf if rng.random() < 0.1 else float(rng.randint(0, 4))
+    factors = []
+    for _ in range(rng.randint(1, 6)):
+        scope = tuple(sorted(rng.sample(range(n), rng.randint(1, min(4, n)))))
+        support = {var for var in scope if rng.random() < 0.5}
+        factors.append(ignoring_table(scope, tuple(domains[v] for v in scope), support, draw))
+    return GraphicalModel(n, domains, tuple(factors), task)
+
+
 class TestBucketElimination:
     def test_hand_computed_chain(self):
         m = chain_model(3)
@@ -312,11 +331,10 @@ class TestBucketElimination:
         assert all(nfa >= 1 and raw >= 1 for nfa, raw in s.growth_samples)
         assert s.wall_time >= 0.0
 
-    def test_one_growth_sample_per_bucket(self, monkeypatch):
-        # along the ordering 0..4 the buckets of 4, 3, 2, 1 and 0 hold 3,
-        # 2, 1, 2 and 1 factors: one projection per one-factor bucket and
-        # one fused step per other bucket, each recording one sample
-        feed = lambda a: float((3 * a[0] + sum(a)) % 4)
+    @staticmethod
+    def bucket_sizes(monkeypatch, feed):
+        """(factors in each processed bucket, last bucket first, the result)
+        of the model of ``feed`` on five binary variables, along 0..4."""
         scopes = [(3, 4), (2, 4), (4,), (1, 3), (0, 1)]
         m = GraphicalModel(5, (2,) * 5, tuple(table_from_feed(sc, (2,) * len(sc), feed)
                                               for sc in scopes), Task.WCSP)
@@ -335,15 +353,69 @@ class TestBucketElimination:
             combines = 0
             return project(f, var, op, other, *args)
 
-        monkeypatch.setattr(factor_mod, "combine", counting_combine)
-        monkeypatch.setattr(factor_mod, "project", counting_project)
-        r = bucket_elimination(m, (0, 1, 2, 3, 4))
-        assert sizes == [3, 2, 1, 2, 1]
+        with monkeypatch.context() as patch:
+            patch.setattr(factor_mod, "combine", counting_combine)
+            patch.setattr(factor_mod, "project", counting_project)
+            r = bucket_elimination(m, (0, 1, 2, 3, 4))
         s = r.stats
-        assert len(s.growth_samples) == s.messages == len(sizes)
+        assert len(s.growth_samples) == s.messages == s.buckets_processed == len(sizes)
         assert all(nfa > 0 and raw > 0 for nfa, raw in s.growth_samples)
         assert s.peak_live_states >= s.max_automaton_states
         assert r.optimum == brute_force(m).optimum
+        assert m.evaluate(r.assignment) == r.optimum
+        return sizes, r
+
+    def test_one_growth_sample_per_bucket(self, monkeypatch):
+        # every cell of every table has its own value and every message
+        # depends on all its variables, so the buckets of 4, 3, 2, 1 and
+        # 0 hold 3, 2, 1, 2 and 1 factors: one projection per one-factor
+        # bucket and one fused step per other bucket, each recording one
+        # sample
+        sizes, r = self.bucket_sizes(monkeypatch, lambda a: float(1 + sum(v * 3**i for i, v in enumerate(a))))
+        assert sizes == [3, 2, 1, 2, 1]
+        assert r.optimum == 5.0
+        # (3 a0 + a0 + a1) % 4 = a1: each binary table reads only its later
+        # variable and the unary one on 4 is the constant 0, so on their
+        # supports the buckets of 4, 3 and 1 hold 2, 1 and 1 factors, those
+        # of 2 and 0 none, and every message is a constant
+        sizes, r = self.bucket_sizes(monkeypatch, lambda a: float((3 * a[0] + sum(a)) % 4))
+        assert sizes == [2, 1, 1]
+        assert r.optimum == 0.0 and r.assignment == (0,) * 5
+
+    def test_tables_that_ignore_part_of_their_scope(self, monkeypatch):
+        splices = 0
+        on_support = DafsaFactor.on_support
+
+        def counting(f):
+            nonlocal splices
+            g = on_support(f)
+            splices += g is not f
+            return g
+
+        monkeypatch.setattr(DafsaFactor, "on_support", counting)
+        rng = random.Random(15)
+        for trial in range(1000):
+            m = ignoring_model(rng, (Task.MAP, Task.WCSP)[trial % 2])
+            want = brute_force(m)
+            for prune in (True, False):
+                r = bucket_elimination(m, prune_infinite=prune)
+                assert r.status == want.status, (trial, prune)
+                assert math.isclose(r.optimum, want.optimum, rel_tol=1e-9), (trial, prune)
+                if r.assignment is not None:
+                    assert math.isclose(m.evaluate(r.assignment), r.optimum, rel_tol=1e-9), (trial, prune)
+        assert splices > 2000
+
+    def test_constant_message_folds_into_the_optimum(self):
+        # min over x1 of (x0 xor x1) + 1 is 1 whatever x0 is, and the
+        # unary table on 2 has minimum 1: both messages are constants, so
+        # bucket 0 receives no factor and x0 takes 0
+        xor = table_from_feed((0, 1), (2, 2), lambda a: float(a[0] ^ a[1]) + 1)
+        unary = table_from_feed((2,), (2,), lambda a: 3.0 - 2 * a[0])
+        m = GraphicalModel(3, (2, 2, 2), (xor, unary), Task.WCSP)
+        r = bucket_elimination(m, (0, 1, 2))
+        assert r.optimum == 2.0 and r.assignment == (0, 0, 1)
+        s = r.stats
+        assert s.messages == s.buckets_processed == len(s.growth_samples) == 2
 
     def test_growth_average(self):
         m = micro_model(4)

@@ -6,7 +6,8 @@ and give the same answers.  ``from_table`` compiles each table straight
 into the shared form, so the solve path also runs without ``product``
 and ``join``.  The ``entries`` read off a kernel result on
 demand must equal what ``from_table`` compiles from the dense table of
-the same function.
+the same function.  The states of each level of a kernel result are one
+run of ids, which ``DafsaFactor.on_support`` relies on.
 """
 
 import glob
@@ -14,11 +15,13 @@ import itertools
 import math
 import os
 import random
+from array import array
 
 import numpy as np
 
 import dafbe.factor as factor_mod
 from dafbe import formats, generate
+from dafbe.automata import _levels
 from dafbe.factor import PARTNER, DafsaFactor, TabularFactor, combine, project
 from dafbe.model import Task, bucket_elimination
 from dafbe.oracle import brute_force
@@ -118,3 +121,52 @@ class TestEntriesMatchDenseReference:
                 want = dense(got.scope, got.domains, best)
                 assert entry_bytes(got) == entry_bytes(
                     DafsaFactor.from_table(want, prune_infinite=prune)), (trial, op, other is None)
+
+
+def assert_levels_are_runs(shared, length):
+    """Each level's states are one id run, level ``l + 1`` starting at the
+    first child of level ``l``'s first state: what ``on_support`` reads
+    the levels by."""
+    t_off, t_sym, t_dst, term = shared
+    lev = _levels(t_off, t_dst, 0)
+    assert lev == sorted(lev) and lev[0] == 0 and -1 not in lev, lev
+    if not t_sym:  # a lone root: the empty function or a scalar
+        assert len(lev) == 1
+        return
+    assert lev[-1] == length
+    first = 0
+    for lv in range(length):
+        nxt = t_dst[t_off[first]]
+        assert lev[nxt] == lv + 1 and lev[nxt - 1] == lv, (lv, lev)
+        first = nxt
+
+
+def rand_rows(rng, dom):
+    """Random ``compile_sorted`` arguments: sorted rows, labels 0-3 or -1
+    (left out), and a default label, -1 or 0-3."""
+    words = sorted({tuple(rng.randrange(k) for k in dom) for _ in range(rng.randrange(0, 12))})
+    digits = array("i", [v for w in words for v in w])
+    labels = array("i", [rng.randrange(-1, 4) for _ in words])
+    return digits, len(words), len(dom), dom, labels, rng.randrange(-1, 4)
+
+
+def test_levels_are_id_runs(both):
+    rng = random.Random(20261115)
+    doms = [(), (1,), (2,), (1, 3), (3, 1, 2), (2, 2, 2), (4, 2, 3), (2, 1, 2, 3), (2, 2, 2, 2, 2)]
+    for trial in range(300):
+        dom = rng.choice(doms)
+        shared, labels = both("compile_sorted", *rand_rows(rng, dom))
+        assert_levels_are_runs(shared, len(dom))
+        for lvl in range(len(dom)):
+            got, _, _ = both("project_entries", shared, dom, lvl)
+            assert_levels_are_runs(got, len(dom) - 1)
+        # a second operand on a random part of the scope
+        in_b = [rng.random() < 0.6 for _ in dom]
+        dom_b = tuple(k for k, inside in zip(dom, in_b) if inside)
+        other, other_labels = both("compile_sorted", *rand_rows(rng, dom_b))
+        pairs = len(labels) * len(other_labels)
+        pair_labels = [rng.randrange(5) for _ in range(pairs)]
+        for lvl in range(-1, len(dom)):
+            got, _, _ = both("combine_entries", shared, other, dom, [True] * len(dom), in_b,
+                             pair_labels, lvl)
+            assert_levels_are_runs(got, len(dom) - (lvl >= 0))
