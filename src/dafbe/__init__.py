@@ -1,9 +1,10 @@
 """dafbe: exact MAP / weighted-CSP solving by bucket elimination over
 automaton-compressed factors.
 
-Factor tables are stored as one minimal leveled DAFSA per distinct value;
-combine and project then run on automata instead of dense tables, which
-pays off whenever tables repeat values a lot.
+A factor is stored as its sorted distinct values and one minimal leveled
+automaton shared by all of them, whose terminals carry the value each
+string maps to; combine and project then run on automata instead of
+dense tables, which pays off whenever tables repeat values a lot.
 """
 
 from ._backend import BACKEND

@@ -20,23 +20,23 @@
 // violation raises dafbe.errors.AutomatonError, and running out of memory
 // raises MemoryError, so no input can crash the interpreter.
 //
-// Every kernel builds its result minimal as it goes, with no merge pass:
-// each is one depth-first walk (walk) whose leaves carry a label or none,
-// and which finishes each node once its children are built, through one
-// of two finishers: SharedWalked interns one state per node and builds a
-// shared form, Walked interns one state per label below the node in a
-// unique table shared by all labels (Unique), so each label's automaton
-// is read off canonically at the end.  compile_sorted walks the trie of
-// its rows, runs of rows that share a prefix; product walks pairs of
-// states; determinize, minimize and remove_level walk subsets of states
-// (Subsets); join walks subsets of entries side by side and split a
-// shared form's own states; project_entries walks subsets of one shared
-// form and combine_entries pairs of states, one per operand (PairWalk).
-// With lvl >= 0 combine_entries removes that union level in the same
-// walk: a node below it is an interned set of pairs (sets of pair ids, as
-// Subsets interns sets of states), stepped member by member, and a leaf
-// takes the lowest label of its pairs, so a bucket's combined factor is
-// never built.
+// Every kernel builds its result minimal as it goes, with no merge pass.
+// Each but split is one depth-first walk (walk) whose leaves carry a label
+// or none, and which finishes each node once its children are built
+// through SharedWalked: one state per node, interned in a unique table
+// (Unique), builds a shared form.  compile_sorted walks the trie of its
+// rows, runs of rows that share a prefix; product walks pairs of states;
+// determinize, minimize and remove_level walk subsets of states
+// (Subsets), all with one label, and read their one terminal as the
+// accepting state (SharedWalked::single); join walks subsets of entries
+// side by side; project_entries walks subsets of one shared form and
+// combine_entries pairs of states, one per operand (PairWalk).  split
+// makes one backward pass over a shared form's states instead, interning
+// one state per label each state reaches in one Unique.  With lvl >= 0
+// combine_entries removes that union level in the same walk: a node below
+// it is an interned set of pairs (sets of pair ids, as Subsets interns
+// sets of states), stepped member by member, and a leaf takes the lowest
+// label of its pairs, so a bucket's combined factor is never built.
 //
 // Build by hand (setup.py does the same through setuptools):
 //   g++ -std=c++17 -O2 -shared -fPIC -I<Python include dir> _kernels_cc.cpp
@@ -129,11 +129,11 @@ struct Parts {
     Ints off, sym, dst, acc;
 };
 
-Parts empty_parts() { return {{0, 0}, {}, {}, {}}; }
-
+// The breadth-first level of each state from root (-1 if unreachable)
+// into lev, and the states root reaches, in breadth-first order, into order.
 template <class G>
-Ints bfs_levels(const G& g, int n, int root) {
-    Ints lev(n, -1), order;
+void bfs_levels(const G& g, int n, int root, Ints& lev, Ints& order) {
+    lev.assign(n, -1);
     order.reserve(n);
     lev[root] = 0;
     order.push_back(root);
@@ -146,7 +146,6 @@ Ints bfs_levels(const G& g, int n, int root) {
             }
         }
     }
-    return lev;
 }
 
 // Canonical BFS renumbering from root into p.off / p.sym / p.dst; order
@@ -296,7 +295,8 @@ Ints parse_domains(PyObject* obj) { return parse_ints(obj, "domains", 0, INT32_M
 struct Graph {
     IntBuffer off_buf, sym_buf, dst_buf;
     int n = 0, start = 0;
-    Ints lev;  // breadth-first level from start, -1 if unreachable
+    Ints lev;    // breadth-first level from start, -1 if unreachable
+    Ints order;  // the states start reaches, in breadth-first order
 
     CsrView view() const { return {off_buf.data(), sym_buf.data(), dst_buf.data()}; }
 
@@ -340,7 +340,7 @@ struct Graph {
         if (start < 0 || start >= n)
             throw BadInput("start state " + str(start) + " outside 0.." + str(n - 1));
         const CsrView g = view();
-        lev = bfs_levels(g, n, start);
+        bfs_levels(g, n, start, lev, order);
         const int L = static_cast<int>(dom.size());
         for (int s = 0; s < n; ++s) {
             if (lev[s] < 0 || g.off[s] == g.off[s + 1]) continue;
@@ -481,89 +481,6 @@ struct Kid {
     bool operator<(const Kid& o) const { return v < o.v; }
 };
 
-// A finished node's state for one label.
-struct Labeled {
-    int label, state;
-};
-
-// The per-label finisher, as _kernels_py._Unique: each node gets one
-// state per label found below it, its (label, state) pairs kept at
-// pool[beg[node], end[node]), labels ascending.  One unique table serves
-// every label, so every label's automaton is minimal as built.  State 0
-// is the accepting sink.
-struct Walked {
-    static constexpr int UNBUILT = -1;
-    Unique out;
-    std::vector<Labeled> pool;
-    Ints beg, end;
-
-    Walked() { out.add_leaf(); }
-
-    bool built(int node) const { return node < static_cast<int>(beg.size()) && beg[node] != UNBUILT; }
-    int nodes() const { return static_cast<int>(beg.size() - std::count(beg.begin(), beg.end(), UNBUILT)); }
-
-    void leaf(int node, int label) {
-        const int b = static_cast<int>(pool.size());
-        if (label != NO_LABEL) pool.push_back({label, 0});
-        set(node, b);
-    }
-
-    // for each label found below kids[kbeg, kend), the kids whose child
-    // has that label become one interned state
-    void finish(int node, int lv, int k, const std::vector<Kid>& kids, int kbeg, int kend) {
-        found_.clear();
-        for (int q = kbeg; q < kend; ++q) {
-            const int c = kids[q].node;
-            for (int p = beg[c]; p < end[c]; ++p) found_.push_back({pool[p].label, kids[q].v, pool[p].state});
-        }
-        std::sort(found_.begin(), found_.end());
-        const int b = static_cast<int>(pool.size());
-        for (size_t i = 0; i < found_.size();) {
-            const int label = found_[i].label;
-            syms_.clear();
-            dsts_.clear();
-            for (; i < found_.size() && found_[i].label == label; ++i) {
-                syms_.push_back(found_[i].v);
-                dsts_.push_back(found_[i].state);
-            }
-            pool.push_back({label, out.intern(lv, k, syms_, dsts_)});
-        }
-        set(node, b);
-    }
-
-    // Canonical flat parts of the automaton rooted at state root.
-    Parts parts(int root) {
-        if (root == DEAD) return empty_parts();
-        old2new_.resize(out.res.size(), -1);
-        Ints order;
-        Parts p;
-        renumber(out.res.view(), root, old2new_, order, p);
-        p.acc.push_back(old2new_[0]);  // every state reaches the sink
-        reset(old2new_, order);
-        return p;
-    }
-
-    // the automaton of label 0 below node, the result of the one-label kernels
-    Parts single(int node) { return parts(end[node] > beg[node] ? pool[beg[node]].state : DEAD); }
-
-  private:
-    struct Found {
-        int label, v, state;
-        bool operator<(const Found& o) const { return std::tie(label, v) < std::tie(o.label, o.v); }
-    };
-    std::vector<Found> found_;
-    Ints syms_, dsts_, old2new_;
-
-    void set(int node, int b) {
-        if (node >= static_cast<int>(beg.size())) {
-            beg.resize(node + 1, UNBUILT);
-            end.resize(node + 1, UNBUILT);
-        }
-        beg[node] = b;
-        end[node] = static_cast<int>(pool.size());
-    }
-};
-
 // The shared finisher, as _kernels_py._Shared: each node gets one state,
 // or DEAD if it has no string.  A node past the last level becomes the
 // terminal of its label, one per label; any other node keeps its kids
@@ -599,28 +516,40 @@ struct SharedWalked {
         set(node, syms_.empty() ? DEAD : out.intern(lv, k, syms_, dsts_));
     }
 
-    // (parts, labels) of the shared form below node: term renumbers each
-    // terminal's label into labels, ascending
-    PyObject* result(int node) const {
+    // The shared form below node, its term in p.acc: term renumbers each
+    // terminal's label into labels, ascending.
+    Parts parts(int node, Ints& labels) const {
         const int root = state[node];
-        Parts p{{0, 0}, {}, {}, {-1}};
-        Ints labels;
-        if (root != DEAD) {
-            p = Parts{};
-            Ints old2new(out.res.size(), -1), order;
-            renumber(out.res.view(), root, old2new, order, p);
-            std::vector<std::pair<int, int>> found;  // (label, new id)
-            for (const auto& t : terminals) {
-                if (old2new[t.second] >= 0) found.emplace_back(t.first, old2new[t.second]);
-            }
-            std::sort(found.begin(), found.end());
-            p.acc.assign(order.size(), -1);
-            for (size_t r = 0; r < found.size(); ++r) {
-                p.acc[found[r].second] = static_cast<int>(r);
-                labels.push_back(found[r].first);
-            }
+        if (root == DEAD) return {{0, 0}, {}, {}, {-1}};
+        Parts p;
+        Ints old2new(out.res.size(), -1), order;
+        renumber(out.res.view(), root, old2new, order, p);
+        std::vector<std::pair<int, int>> found;  // (label, new id)
+        for (const auto& t : terminals) {
+            if (old2new[t.second] >= 0) found.emplace_back(t.first, old2new[t.second]);
         }
-        Ref parts(pack(p));
+        std::sort(found.begin(), found.end());
+        p.acc.assign(order.size(), -1);
+        for (size_t r = 0; r < found.size(); ++r) {
+            p.acc[found[r].second] = static_cast<int>(r);
+            labels.push_back(found[r].first);
+        }
+        return p;
+    }
+
+    // The automaton below node when every leaf has label 0: its terminal,
+    // if any, is the last state and accepts.  The one-label kernels' result.
+    Parts single(int node) const {
+        Ints labels;
+        Parts p = parts(node, labels);
+        p.acc = labels.empty() ? Ints{} : Ints{static_cast<int>(p.acc.size()) - 1};
+        return p;
+    }
+
+    // (parts, labels) of the shared form below node, as Python objects
+    PyObject* result(int node) const {
+        Ints labels;
+        Ref parts(pack(this->parts(node, labels)));
         Ref list(PyList_New(static_cast<Py_ssize_t>(labels.size())));
         for (size_t r = 0; r < labels.size(); ++r)
             PyList_SET_ITEM(list.p, static_cast<Py_ssize_t>(r), Ref(PyLong_FromLong(labels[r])).release());
@@ -641,9 +570,9 @@ struct SharedWalked {
 // node's kids on level lv, symbols ascending and a wildcard only alone;
 // label_of(node) gives the label (>= 0) of a node past the last level, or
 // NO_LABEL.  Nodes are expanded on an explicit stack, and the finisher w
-// builds a node once its children are built (Walked or SharedWalked).
-template <class Finisher, class Expand, class LabelOf>
-void walk(const Ints& dom, int root, const Expand& expand, const LabelOf& label_of, Finisher& w) {
+// builds a node once its children are built (SharedWalked).
+template <class Expand, class LabelOf>
+void walk(const Ints& dom, int root, const Expand& expand, const LabelOf& label_of, SharedWalked& w) {
     const int L = static_cast<int>(dom.size());
     std::vector<Kid> kids;  // a stack: frames own nested ranges
     // kbeg < 0 until the node's children are pushed above it; then its
@@ -772,7 +701,7 @@ Parts product(int mode, const Automaton& a, const Automaton& b, const Ints& dom)
         const bool fa = pa != DEAD && a.final[pa], fb = pb != DEAD && b.final[pb];
         return (mode == 0 ? fa && fb : mode == 1 ? fa || fb : fa && !fb) ? 0 : NO_LABEL;
     };
-    Walked w;
+    SharedWalked w;
     const int root = pairs(a.start, b.start);
     walk(dom, root, expand, label_of, w);
     return w.single(root);
@@ -872,8 +801,7 @@ class Subsets {
     }
 
     // Distinct members of the subsets the walk w built.
-    template <class Finisher>
-    int members(const Finisher& w) const {
+    int members(const SharedWalked& w) const {
         Flags seen(g_.size(), 0);
         int count = 0;
         for (int sub = 0; sub + 1 < static_cast<int>(soff_.size()); ++sub) {
@@ -946,8 +874,7 @@ void add_wildcard_kids(int k, int wild, size_t kbeg, std::vector<Kid>& kids) {
 }
 
 // The walk over the subsets of subsets reachable from its root, into w.
-template <class Finisher>
-void walk_subsets(Subsets& subsets, const Ints& dom, int root, Finisher& w) {
+void walk_subsets(Subsets& subsets, const Ints& dom, int root, SharedWalked& w) {
     Ints syms, dsts;
     auto expand = [&](int sub, int lv, std::vector<Kid>& kids) {
         syms.clear();
@@ -973,7 +900,7 @@ PyObject* walk_own_edges(PyObject* args, const char* format, bool with_count) {
     Subsets subsets(static_cast<int>(dom.size()), -1);
     subsets.add(a.view(), a.n, a.start, a.owners(0));
     const int root = subsets.root();
-    Walked w;
+    SharedWalked w;
     walk_subsets(subsets, dom, root, w);
     const Parts p = w.single(root);
     return with_count ? pack(p, {w.nodes()}) : pack(p);
@@ -1007,7 +934,7 @@ PyObject* py_remove_level(PyObject* args) {
     Subsets subsets(static_cast<int>(new_dom.size()), lvl);
     subsets.add(a.view(), a.n, a.start, a.owners(0));
     const int root = subsets.root();
-    Walked w;
+    SharedWalked w;
     walk_subsets(subsets, new_dom, root, w);
     return pack(w.single(root), {subsets.members(w), w.nodes()});
 }
@@ -1104,7 +1031,10 @@ PyObject* py_join(PyObject* args) {
 }
 
 // [(label, parts), ...]: the automaton of each label of a shared form,
-// labels ascending, from the walk over its own states.
+// labels ascending, as _kernels_py.split: one backward pass over the
+// states the root reaches, deepest level first, each getting one state per
+// label it reaches, interned in one unique table for all labels.  The
+// terminals share one sink, which accepts in every label's automaton.
 PyObject* py_split(PyObject* args) {
     PyObject *shared, *domains;
     if (!PyArg_ParseTuple(args, "OO:split", &shared, &domains)) throw PyFailure();
@@ -1112,15 +1042,47 @@ PyObject* py_split(PyObject* args) {
     Diagram d;
     d.load(shared, dom);
     const CsrView g = d.view();
-    auto expand = [&](int s, int, std::vector<Kid>& kids) {
-        for (int j = g.off[s]; j < g.off[s + 1]; ++j) kids.push_back({g.sym[j], g.dst[j]});
-    };
-    Walked w;
-    walk(dom, 0, expand, [&](int s) { return d.term(s) >= 0 ? d.term(s) : NO_LABEL; }, w);
+    Unique u;
+    const int sink = u.add_leaf();
+    // state s's (label, result state) pairs are pool[beg[s], end[s]), labels ascending
+    std::vector<std::pair<int, int>> pool;
+    Ints beg(d.n), end(d.n), syms, dsts;
+    std::vector<std::tuple<int, int, int>> found;  // (label, symbol, child's state)
+    for (auto it = d.order.rbegin(); it != d.order.rend(); ++it) {
+        const int s = *it, lv = d.lev[s];
+        beg[s] = static_cast<int>(pool.size());
+        if (lv == static_cast<int>(dom.size())) {
+            if (d.term(s) >= 0) pool.emplace_back(d.term(s), sink);
+        } else {
+            found.clear();
+            for (int j = g.off[s]; j < g.off[s + 1]; ++j) {
+                const int c = g.dst[j];
+                for (int p = beg[c]; p < end[c]; ++p)
+                    found.emplace_back(pool[p].first, g.sym[j], pool[p].second);
+            }
+            std::sort(found.begin(), found.end());
+            for (size_t i = 0; i < found.size();) {
+                const int label = std::get<0>(found[i]);
+                syms.clear();
+                dsts.clear();
+                for (; i < found.size() && std::get<0>(found[i]) == label; ++i) {
+                    syms.push_back(std::get<1>(found[i]));
+                    dsts.push_back(std::get<2>(found[i]));
+                }
+                pool.emplace_back(label, u.intern(lv, dom[lv], syms, dsts));
+            }
+        }
+        end[s] = static_cast<int>(pool.size());
+    }
     Ref list(PyList_New(0));
-    for (int p = w.beg[0]; p < w.end[0]; ++p) {
-        Ref parts(pack(w.parts(w.pool[p].state)));
-        Ref item(Py_BuildValue("(iO)", w.pool[p].label, parts.p));
+    Ints old2new(u.res.size(), -1), order;
+    for (int p = beg[0]; p < end[0]; ++p) {
+        Parts parts;
+        renumber(u.res.view(), pool[p].second, old2new, order, parts);
+        parts.acc.push_back(old2new[sink]);
+        reset(old2new, order);
+        Ref packed(pack(parts));
+        Ref item(Py_BuildValue("(iO)", pool[p].first, packed.p));
         if (PyList_Append(list.p, item.p) < 0) throw PyFailure();
     }
     return list.release();
@@ -1346,8 +1308,6 @@ PyObject* py_combine_entries(PyObject* args) {
         .release();
 }
 
-PyObject* py_empty_parts(PyObject*) { return pack(empty_parts()); }
-
 // Every kernel entry point: C++ exceptions become Python exceptions here.
 template <PyObject* (*Kernel)(PyObject*)>
 PyObject* guarded(PyObject*, PyObject* args) {
@@ -1368,8 +1328,6 @@ PyObject* guarded(PyObject*, PyObject* args) {
 
 
 PyMethodDef methods[] = {
-    {"_empty_parts", guarded<py_empty_parts>, METH_NOARGS,
-     "_empty_parts() -> canonical empty language: a lone non-accepting start state"},
     {"minimize", guarded<py_minimize>, METH_VARARGS,
      "minimize(n, t_off, t_sym, t_dst, acc, start, domains) -> parts"},
     {"compile_sorted", guarded<py_compile_sorted>, METH_VARARGS,

@@ -81,23 +81,24 @@ contract does not cover them.  The compiled edition checks them before
 it reads them and raises ``AutomatonError``; ``Dafsa(...)`` checks them
 at construction.
 
-Every kernel builds its result minimal, with no merge pass afterwards:
-each is one depth-first walk, ``_walk``, whose leaves carry a label or
-none, and which finishes each node once its children are built.  It takes
-one of two finishers.  ``_Shared`` interns one state per node, keyed by
-(level, symbols, destinations), and builds the shared form.  ``_Unique``
-interns one state per label reachable below the node, in one table for all
-labels, so it splits by label in the same pass; each label's automaton is
-read off canonically at the end.  ``compile_sorted`` walks the trie of its
-rows, runs of rows that share a prefix, bottom-up through the unique table
-as multi-terminal decision diagrams are built.  ``product`` walks pairs of
-states and ``determinize``, ``minimize`` and ``remove_level`` subsets of
-states, all with one label.  ``split`` walks the shared form's own states
-and ``join`` subsets of entries side by side.  ``project_entries`` walks
-subsets of one shared automaton and ``combine_entries`` pairs of states,
-one per operand, and below a removed level sets of such pairs.  This is
-the multi-terminal apply of algebraic decision diagrams (Bahar et al.,
-ICCAD 1993) on shared diagrams, across different scopes as in AOMDDs
+Every kernel builds its result minimal, with no merge pass afterwards.
+Each but ``split`` is one depth-first walk, ``_walk``, whose leaves carry
+a label or none, and which finishes each node once its children are
+built.  Its finisher, ``_Shared``, interns one state per node, keyed by
+(level, symbols, destinations), and builds the shared form: the
+unique-table apply of Bryant (IEEE TC 35(8), 1986).  ``compile_sorted``
+walks the trie of its rows, runs of rows that share a prefix, bottom-up
+through the unique table as multi-terminal decision diagrams are built.
+``product`` walks pairs of states and ``determinize``, ``minimize`` and
+``remove_level`` subsets of states, all with one label; each reads its
+one terminal as the accepting state (``_accepting``).  ``join`` walks
+subsets of entries side by side.  ``split`` makes one backward pass over
+the shared form's states instead, interning one state per label each
+state reaches in the unique table of a ``_Shared``.  ``project_entries``
+walks subsets of one shared automaton and ``combine_entries`` pairs of
+states, one per operand, and below a removed level sets of such pairs.
+This is the multi-terminal apply of algebraic decision diagrams (Bahar et
+al., ICCAD 1993) on shared diagrams, across different scopes as in AOMDDs
 (Mateescu, Dechter & Marinescu, JAIR 33, 2008); removing a level in the
 same walk is the relational product of symbolic model checking (Burch et
 al., LICS 1990) in min-sum form.
@@ -109,11 +110,6 @@ from bisect import bisect_right
 WILDCARD = -1
 DEAD = -1  # an empty language: a missing state, or a child with no strings
 NO_EDGES = {}  # the literal edges of a state that has none; never mutated
-
-
-def _empty_parts():
-    # canonical empty language: a lone non-accepting start state
-    return array("i", [0, 0]), array("i"), array("i"), array("i")
 
 
 def _renumber(esym, edst, root):
@@ -145,64 +141,6 @@ def _collapse(lv, k, syms, dsts):
     if len(syms) == k and min(dsts) == max(dsts):
         return lv, (WILDCARD,), (dsts[0],)
     return lv, tuple(syms), tuple(dsts)
-
-
-class _Unique:
-    """The per-label finisher: one result state per label below a node.
-
-    State 0 is the accepting sink, shared by every label.  ``finish`` gives
-    a node one state per label reachable below it: the state's edges are
-    the node's kids whose child reaches that label, a complete literal fan
-    onto one child becomes a wildcard, and the state is looked up by
-    (level, symbols, destinations).  Equal right languages thus share one
-    state, whatever their label, so every label's automaton is minimal as
-    built (the "apply with a unique table" of Bryant, IEEE TC 35(8), 1986)
-    and only the breadth-first renumbering is left for ``parts``.
-    """
-
-    def __init__(self):
-        self.esym = [()]
-        self.edst = [()]
-        self.table = {}
-
-    @staticmethod
-    def leaf(label):
-        """{label: state} of a node past the last level."""
-        return {} if label is None else {label: 0}
-
-    def finish(self, lv, k, kids, built):
-        """{label: state} of the node with edges ``kids``, [(symbol, child), ...].
-
-        ``built`` maps every child to its {label: state}; ``k`` is the
-        domain size of level ``lv``.
-        """
-        per = {}  # label -> (symbols, destinations)
-        for v, child in kids:
-            for label, d in built[child].items():
-                edges = per.get(label)
-                if edges is None:
-                    per[label] = ([v], [d])
-                else:
-                    edges[0].append(v)
-                    edges[1].append(d)
-        table = self.table
-        states = {}
-        for label, (syms, dsts) in per.items():
-            sig = _collapse(lv, k, syms, dsts)
-            sid = table.get(sig)
-            if sid is None:
-                sid = table[sig] = len(self.esym)
-                self.esym.append(sig[1])
-                self.edst.append(sig[2])
-            states[label] = sid
-        return states
-
-    def parts(self, root):
-        """Canonical flat parts of the automaton rooted at state ``root``."""
-        if root == DEAD:
-            return _empty_parts()
-        old2new, csr = _renumber(self.esym, self.edst, root)
-        return (*csr, array("i", [old2new[0]]))  # every state reaches the sink
 
 
 class _Shared:
@@ -262,6 +200,13 @@ class _Shared:
         for rank, (_, s) in enumerate(found):
             term[s] = rank
         return (*csr, term), [label for label, _ in found]
+
+
+def _accepting(out, root):
+    """The automaton ``out`` built below ``root`` with one label: its
+    terminal, if any, is the last state and accepts."""
+    (t_off, t_sym, t_dst, term), _ = out.parts(root)
+    return t_off, t_sym, t_dst, array("i", [len(term) - 1] if term[-1] >= 0 else [])
 
 
 def _walk(domains, root, kids_of, label_of, out):
@@ -388,9 +333,9 @@ def product(
         return 0 if accepts(*pair) else None
 
     root = (starta, startb)
-    out = _Unique()
+    out = _Shared()
     built = _walk(domains, root, kids_of, label_of, out)
-    return out.parts(built[root].get(0, DEAD))
+    return _accepting(out, built[root])
 
 
 def _kids(expl, wild, k):
@@ -486,11 +431,11 @@ def determinize(n, t_off, t_sym, t_dst, acc, start, domains):
     raw_states counts the distinct subsets visited, the honest size of
     the determinized machine.
     """
-    out = _Unique()
+    out = _Shared()
     root, _, raw_states = _subset_walk(
         t_off, t_sym, t_dst, (start,), dict.fromkeys(acc, 0), domains, -1, out
     )
-    return (*out.parts(root.get(0, DEAD)), raw_states)
+    return (*_accepting(out, root), raw_states)
 
 
 def minimize(n, t_off, t_sym, t_dst, acc, start, domains):
@@ -507,12 +452,12 @@ def remove_level(n, t_off, t_sym, t_dst, acc, start, domains, lvl):
     the contracted automaton (those reachable, minus level ``lvl + 1``)
     and the number of distinct subsets visited.
     """
-    out = _Unique()
+    out = _Shared()
     root, nfa_states, raw_states = _subset_walk(
         t_off, t_sym, t_dst, (start,), dict.fromkeys(acc, 0),
         domains[:lvl] + domains[lvl + 1 :], lvl, out,
     )
-    return (*out.parts(root.get(0, DEAD)), nfa_states, raw_states)
+    return (*_accepting(out, root), nfa_states, raw_states)
 
 
 def compile_sorted(digits, n_strings, length, domains, labels, default):
@@ -581,21 +526,47 @@ def join(entries, domains):
 def split(shared, domains):
     """[(label, parts), ...]: the automaton of each label, labels ascending.
 
-    The walk over the shared form's own states with the per-label
-    finisher, which re-minimizes each label's part of the diagram.
+    One backward pass over the states the root reaches, deepest level
+    first.  Each state gets one result state per label it reaches: the
+    edges to its children's states for that label, interned in the unique
+    table of a ``_Shared``, so equal right languages share one state,
+    whatever their label.  The terminals share one sink, which accepts in
+    every label's automaton.
     """
     off, sym, dst, term = shared
-
-    def kids_of(s, lv):
-        lo, hi = off[s], off[s + 1]
-        return list(zip(sym[lo:hi], dst[lo:hi]))
-
-    def label_of(s):
-        return term[s] if term[s] >= 0 else None
-
-    out = _Unique()
-    built = _walk(domains, 0, kids_of, label_of, out)
-    return [(label, out.parts(s)) for label, s in sorted(built[0].items())]
+    layers = [[0]]  # the states the root reaches, level by level
+    for _ in domains:
+        layers.append(list(dict.fromkeys(d for s in layers[-1] for d in dst[off[s] : off[s + 1]])))
+    out = _Shared()
+    sink = out.leaf(0)
+    table, esym, edst = out.table, out.esym, out.edst
+    # state -> {label: result state}
+    built = {s: {term[s]: sink} if term[s] >= 0 else {} for s in layers[-1]}
+    for lv in reversed(range(len(domains))):
+        for s in layers[lv]:
+            per = {}  # label -> (symbols, destinations)
+            for j in range(off[s], off[s + 1]):
+                for label, d in built[dst[j]].items():
+                    edges = per.get(label)
+                    if edges is None:
+                        per[label] = ([sym[j]], [d])
+                    else:
+                        edges[0].append(sym[j])
+                        edges[1].append(d)
+            states = built[s] = {}
+            for label, (syms, dsts) in per.items():
+                sig = _collapse(lv, domains[lv], syms, dsts)
+                sid = table.get(sig)
+                if sid is None:
+                    sid = table[sig] = len(esym)
+                    esym.append(sig[1])
+                    edst.append(sig[2])
+                states[label] = sid
+    result = []
+    for label, root in sorted(built[0].items()):
+        old2new, csr = _renumber(esym, edst, root)
+        result.append((label, (*csr, array("i", [old2new[sink]]))))
+    return result
 
 
 def project_entries(shared, domains, lvl):

@@ -186,8 +186,8 @@ class Dafsa:
 
     @classmethod
     def empty(cls, domains) -> "Dafsa":
-        """The empty language over the given domains."""
-        return cls._from_parts(domains, kernels._empty_parts())
+        """The empty language over the given domains: a lone non-accepting start state."""
+        return cls._from_parts(domains, (array("i", [0, 0]), array("i"), array("i"), array("i")))
 
     @classmethod
     def universal(cls, domains) -> "Dafsa":

@@ -19,7 +19,7 @@ import time
 
 from . import formats, oracle
 from ._backend import BACKEND
-from .errors import BudgetExceeded, DafbeError, FormatError, TimeLimit
+from .errors import BudgetExceeded, DafbeError, FormatError, ModelError, TimeLimit
 from .keying import DEFAULT_EPS
 from .model import (
     GraphicalModel,
@@ -83,10 +83,15 @@ def _default_eps():
 
 
 def _ordering_for(model: GraphicalModel, cfg: RunConfig):
+    """The elimination ordering; an unreadable ordering file, a token that
+    is not an integer or a non-permutation is a UsageError."""
     if cfg.ordering == "file":
-        with open(cfg.ordering_file, "r", encoding="ascii") as fh:
-            order = [int(tok) for tok in fh.read().split()]
-        return check_ordering(model, order)
+        try:
+            with open(cfg.ordering_file, "r", encoding="ascii") as fh:
+                order = [int(tok) for tok in fh.read().split()]
+            return check_ordering(model, order)
+        except (OSError, ValueError, ModelError) as exc:
+            raise UsageError(f"ordering file {cfg.ordering_file}: {exc}") from None
     return min_fill_ordering(model, weighted=cfg.ordering == "weighted-min-fill")
 
 
@@ -168,10 +173,7 @@ def cmd_solve(cfg: RunConfig, out) -> int:
         rec = None
         try:
             model = formats.parse_path(path, cfg.dialect)
-        except FormatError as exc:
-            rec = formats.result_record(path, None, cfg.engine, error=str(exc))
-            worst = max(worst, 1)
-        except OSError as exc:
+        except (FormatError, OSError) as exc:
             rec = formats.result_record(path, None, cfg.engine, error=str(exc))
             worst = max(worst, 1)
         if rec is None:
@@ -210,11 +212,11 @@ def cmd_stats(cfg: RunConfig, out, csv_fmt: bool) -> int:
     for path in cfg.inputs:
         try:
             model = formats.parse_path(path, cfg.dialect)
-        except (FormatError, OSError) as exc:
+            ordering = _ordering_for(model, cfg)
+        except (FormatError, UsageError, OSError) as exc:
             rows.append({"file": str(path), "error": str(exc)})
             worst = max(worst, 1)
             continue
-        ordering = _ordering_for(model, cfg)
         red = [f.redundancy(cfg.eps) for f in model.cost_factors()]
         arities = [len(f.scope) for f in model.factors]
         rows.append({
@@ -316,10 +318,7 @@ def main(argv=None) -> int:
         if args.command == "stats":
             return cmd_stats(cfg, sys.stdout, csv_fmt=args.fmt == "csv")
         return cmd_solve(cfg, sys.stdout)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
+    except (UsageError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

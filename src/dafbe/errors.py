@@ -37,7 +37,3 @@ class BudgetExceeded(DafbeError):
 
 class TimeLimit(DafbeError):
     """Cooperative wall-clock limit hit mid-solve."""
-
-
-class EngineDisagreement(DafbeError):
-    """Two engines returned different optima or an invalid certificate."""

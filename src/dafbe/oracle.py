@@ -92,10 +92,6 @@ def brute_force(model: GraphicalModel, budget: OracleBudget = OracleBudget()) ->
     return SolverResult(model.task, "optimal", optimum, assignment, tuple(range(model.n_vars)), stats)
 
 
-def _axes_of(scope, scope_pos):
-    return [scope_pos[v] for v in scope]
-
-
 def tabular_be(
     model: GraphicalModel,
     ordering=None,

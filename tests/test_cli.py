@@ -199,6 +199,25 @@ class TestOrderingAndConfig:
         (rec,) = json_records(out)
         assert rec["status"] == "error"
 
+    @pytest.mark.parametrize("command", ["solve", "stats"])
+    @pytest.mark.parametrize("content, problem", [
+        (None, "No such file"),
+        ("2 zero 1\n", "invalid literal for int()"),
+        ("0 0 1\n", "must be a permutation of 0..2"),
+    ], ids=["missing", "non-integer", "non-permutation"])
+    def test_bad_ordering_file_is_usage_error(self, capsys, tmp_path, command, content, problem):
+        order = tmp_path / "order.txt"
+        if content is not None:
+            order.write_text(content, encoding="ascii")
+        fmt = "json-lines" if command == "solve" else "json"
+        code, out, err = run(capsys, command, "--ordering", "file", "--ordering-file", str(order),
+                             "--format", fmt, HAND)
+        assert code == 1 and "internal error" not in err
+        (rec,) = json_records(out) if command == "solve" else json.loads(out)["instances"]
+        assert rec["error"].startswith(f"ordering file {order}: ") and problem in rec["error"]
+        if command == "solve":
+            assert rec["status"] == "error"
+
     def test_ordering_file_requires_single_input(self, capsys, tmp_path):
         order = tmp_path / "order.txt"
         order.write_text("0 1 2\n", encoding="ascii")

@@ -3,8 +3,9 @@
 The compiled edition is the one hand-written ``_kernels_cc.cpp``, built
 by the session fixture ``compiled_src`` into a temporary copy of the
 package (never into ``src/``, where import would then pick it up) and
-loaded from there; without g++ or ``Python.h`` everything here is skipped.
-The compiled edition also checks its inputs: malformed arrays raise
+loaded from there; without g++ or ``Python.h`` every test that needs it
+is skipped, and only the Python-edition check of ``split`` runs.  The
+compiled edition also checks its inputs: malformed arrays raise
 ``AutomatonError`` instead of crashing the interpreter.
 """
 
@@ -133,6 +134,76 @@ class TestSharedForm:
         for lvl in (-1, 0, 1):
             got = both("combine_entries", scalar, full, (2, 3), [0, 0], [1, 1], [5], lvl)
             assert got[1] == [5]
+
+
+def strings_by_label(shared, dom):
+    """[(label, strings), ...] of a shared form, read by brute force from
+    its root: only the labels the root reaches, ascending."""
+    off, sym, dst, term = shared
+    found = {}
+
+    def visit(s, prefix):
+        if len(prefix) == len(dom):
+            if term[s] >= 0:
+                found.setdefault(term[s], []).append(prefix)
+            return
+        for j in range(off[s], off[s + 1]):
+            for v in range(dom[len(prefix)]) if sym[j] == -1 else (sym[j],):
+                visit(dst[j], prefix + (v,))
+
+    visit(0, ())
+    return [(label, sorted(found[label])) for label in sorted(found)]
+
+
+def gapped_forms(kernel, rng):
+    """Shared forms that ``split`` can get wrong, each with its domains:
+    the empty function, zero-level constants, labels with gaps, and a
+    terminal the root does not reach, which the compiled edition accepts."""
+    I = lambda *v: array("i", v)  # noqa: E731
+    yield (2,), (I(0, 0), I(), I(), I(-1))
+    yield (), (I(0, 0), I(), I(), I(-1))
+    yield (), (I(0, 0), I(), I(), I(2))
+    # labels 0 and 3 reach the root; 1 and 5 label states it does not reach
+    yield (2, 2), (I(0, 2, 3, 4, 4, 4, 4, 4), I(0, 1, -1, 1), I(1, 2, 3, 4), I(-1, -1, -1, 0, 3, 1, 5))
+    for trial in range(150):
+        dom = rng.choice(DOMS)
+        words = [w for w in itertools.product(*(range(k) for k in dom)) if rng.random() < 0.6]
+        buf = array("i", [v for w in words for v in w])
+        labels = array("i", [rng.randrange(-1, 4) for _ in words])
+        (t_off, t_sym, t_dst, term), _ = kernel(
+            "compile_sorted", buf, len(words), len(dom), dom, labels, rng.choice((-1, 0, 2))
+        )
+        gaps = sorted(rng.sample(range(12), 6))
+        term = array("i", [gaps[t] if t >= 0 else -1 for t in term])
+        t_off = array("i", t_off)
+        if rng.random() < 0.5:  # a terminal the root does not reach
+            t_off.append(t_off[-1])
+            term.append(rng.choice(gaps))
+        yield dom, (t_off, t_sym, t_dst, term)
+
+
+def check_split(kernel, dom, shared):
+    got = kernel("split", shared, dom)
+    want = [(label, compile_words(kernel, words, dom)) for label, words in strings_by_label(shared, dom)]
+    assert flat(got) == flat(want), (dom, flat(shared))
+
+
+class TestSplit:
+    # split lists the labels the root reaches, ascending, each with the
+    # canonical automaton of its strings; it used to pass every other test
+    # while it listed an unreachable label with an empty automaton
+    def test_byte_identical_and_per_label_canonical(self, both):
+        for dom, shared in gapped_forms(both, random.Random(20261018)):
+            check_split(both, dom, shared)
+
+    def test_python_edition(self):
+        import dafbe._kernels_py as KP
+
+        def kernel(name, *args):
+            return getattr(KP, name)(*args)
+
+        for dom, shared in gapped_forms(kernel, random.Random(20261019)):
+            check_split(kernel, dom, shared)
 
 
 class TestRegressions:
