@@ -14,7 +14,12 @@ the factor kernels on the solver's own inputs.  ``compile_sorted``
 compiles each input table, its rows labelled by value and pruned rows
 labelled -1, straight into the shared form; a fused call is a
 ``combine_entries`` call that removes a level (``lvl >= 0``): a bucket's
-last combine and its projection in one walk.  The solver calls neither
+last combine and its projection in one walk.  The solver names variables
+by elimination position, so every fused and ``project_entries`` call it
+makes removes the last level.  The two "level 0" rows replay the same
+calls removing level 0 instead, so the general contracting walk (set
+nodes below the removed level, subsets of states), which the library
+still runs, stays timed and cross-checked.  The solver calls neither
 ``split`` nor ``join``.  The ``split`` row splits every shared form those
 calls returned back into entries, as ``DafsaFactor.entries`` does on
 demand, and the ``join`` row joins the entries of each compiled table
@@ -97,7 +102,8 @@ def record_factor_calls():
 
     The ``split`` row's calls are (shared, domains) of every shared form
     the other calls returned, and the ``join`` row's calls are (entries,
-    domains) of every table ``compile_sorted`` compiled.
+    domains) of every table ``compile_sorted`` compiled.  The two "level
+    0" rows are the fused and ``project_entries`` calls with ``lvl`` 0.
     """
     rows = ("compile_sorted", "join", "combine_entries", "combine_entries, fused",
             "project_entries", "split")
@@ -137,6 +143,9 @@ def record_factor_calls():
         bucket_elimination(formats.parse_wcsp(text))
     finally:
         factor.kernels = saved
+    for row in ("combine_entries, fused", "project_entries"):
+        name, recorded = calls[row]
+        calls[f"{row}, level 0"] = (name, [(*args[:-1], 0) for args in recorded])
     return calls
 
 

@@ -53,7 +53,9 @@ with ``term`` -1.  Five kernels build or read it:
   label's strings.
 * ``project_entries(shared, domains, lvl)`` removes level ``lvl``; each
   string of the result takes the lowest label among its extensions,
-  which is min-projection when labels rank values best first.
+  which is min-projection when labels rank values best first.  The
+  solver names variables by elimination position, so it removes only
+  last levels.
 * ``combine_entries(a, b, domains, in_a, in_b, labels, lvl=-1)`` walks
   the two operands in step over the union ``domains``.  ``in_a[l]`` /
   ``in_b[l]`` tell whether union level ``l`` is one of the operand's own;
@@ -95,7 +97,8 @@ one terminal as the accepting state (``_accepting``).  ``join`` walks
 subsets of entries side by side.  ``split`` makes one backward pass over
 the shared form's states instead, interning one state per label each
 state reaches in the unique table of a ``_Shared``.  ``project_entries``
-walks subsets of one shared automaton and ``combine_entries`` pairs of
+walks the states of one shared automaton to remove its last level, and
+subsets of them to remove any other, and ``combine_entries`` pairs of
 states, one per operand, and below a removed level sets of such pairs.
 This is the multi-terminal apply of algebraic decision diagrams (Bahar et
 al., ICCAD 1993) on shared diagrams, across different scopes as in AOMDDs
@@ -572,12 +575,28 @@ def split(shared, domains):
 def project_entries(shared, domains, lvl):
     """Remove level ``lvl``; each string takes the lowest label it reaches.
 
-    The subset walk over the shared form with level ``lvl`` contracted, as
-    in ``remove_level``.  Returns (shared, labels, (states, subsets)).
+    The solver names variables by elimination position, so it removes
+    only the last level.  That needs no subsets: the input is
+    deterministic, so the walk steps single states, and a state on the
+    last level that is left takes the lowest label among its successors.
+    Any other level is removed by the subset walk over the shared form
+    with level ``lvl`` contracted, as in ``remove_level``.  Returns
+    (shared, labels, (states, subsets)); on the last level every subset
+    is one state, so both count the states walked.
     """
     off, sym, dst, term = shared
-    owner = {s: t for s, t in enumerate(term) if t >= 0}
     out = _Shared()
+    if lvl == len(domains) - 1:
+        def kids_of(s, lv):
+            lo, hi = off[s], off[s + 1]
+            return list(zip(sym[lo:hi], dst[lo:hi]))
+
+        def label_of(s):
+            return min(map(term.__getitem__, dst[off[s] : off[s + 1]]), default=None)
+
+        built = _walk(domains[:lvl], 0, kids_of, label_of, out)
+        return (*out.parts(built[0]), (len(built), len(built)))
+    owner = {s: t for s, t in enumerate(term) if t >= 0}
     root, states, subsets = _subset_walk(
         off, sym, dst, (0,), owner, domains[:lvl] + domains[lvl + 1 :], lvl, out
     )

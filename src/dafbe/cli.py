@@ -65,6 +65,8 @@ class RunConfig:
             raise UsageError("epsilon must be > 0")
         if self.ordering == "file" and not self.ordering_file:
             raise UsageError("--ordering file requires --ordering-file")
+        if self.ordering_file and self.ordering != "file":
+            raise UsageError("--ordering-file requires --ordering file")
         if self.ordering_file and len(self.inputs) != 1:
             raise UsageError("--ordering-file only works with a single input")
 

@@ -35,14 +35,17 @@ Both table kinds expose the same read side: ``scope``, ``domains``,
 oracles and tests read it), ``present_values`` (the values of at least
 one cell), ``cells`` (what the WCSP writer consumes) and
 ``labelled_rows`` (the listed cells, each labelled by the index of its
-value's key, what ``DafsaFactor.from_table`` compiles).  The dense kind
-is numpy through and through: ``present_values`` is its table, ``cells``
-gives an assignment matrix and the table, and it labels with one
-``searchsorted``.  The sparse kind is pure Python, so a WCSP solve never
+value's key, what ``DafsaFactor.from_table`` compiles), and both give
+``renamed`` (the same function over renamed variables, what the solver
+compiles).  The dense kind is numpy through and through:
+``present_values`` is its table, ``cells`` gives an assignment matrix
+and the table, it labels with one ``searchsorted`` and renames with one
+transpose.  The sparse kind is pure Python, so a WCSP solve never
 imports numpy: ``present_values`` is a list, ``cells`` gives the sorted
-exception tuples and a list of their values, and it labels in one pass
-over its exceptions.  Only ``values`` and ``to_table`` load numpy.  Both
-kinds store -0.0 as +0.0, so the two paths key zero alike.
+exception tuples and a list of their values, it labels in one pass over
+its exceptions and renames by permuting them.  Only ``values`` and
+``to_table`` load numpy.  Both kinds store -0.0 as +0.0, so the two paths
+key zero alike.
 
 The solver runs ``combine(..., "sum")`` and ``project(..., "min")``
 only: MAP potentials reach it as costs -log p (see
@@ -60,6 +63,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from array import array
 from bisect import bisect_left
 from typing import TYPE_CHECKING
@@ -93,6 +97,27 @@ def _check_scope(scope, domains):
         raise FactorError("scope and domains length mismatch")
     if any(k < 1 for k in domains):
         raise FactorError("domain sizes must be >= 1")
+
+
+def _renaming(scope, domains, names):
+    """(scope, domains, perm) over the variables ``names[v]``, ``v`` in ``scope``.
+
+    The new scope is ascending; ``perm`` lists the old scope positions in
+    its order, and is None when the order is kept.
+    """
+    new = [names[v] for v in scope]
+    perm = sorted(range(len(new)), key=new.__getitem__)
+    if perm == list(range(len(new))):
+        return tuple(new), domains, None
+    return tuple(new[i] for i in perm), tuple(domains[i] for i in perm), perm
+
+
+def _trusted(cls, **fields):
+    """A frozen table of ``fields`` already checked, without checking them again."""
+    self = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(self, name, value)
+    return self
 
 
 def _check_value(v):
@@ -188,6 +213,18 @@ class TabularFactor:
         out = array("i")
         out.frombytes(labels.tobytes())
         return digits, self.size, out, -1
+
+    def renamed(self, names) -> TabularFactor:
+        """This function over the variables ``names[v]``, ``v`` in ``scope``.
+
+        The new scope is sorted, so the table is transposed to match, in
+        one numpy transpose and copy; with the order kept it is shared.
+        """
+        scope, domains, perm = _renaming(self.scope, self.domains, names)
+        values = self.values
+        if perm is not None:
+            values = values.reshape(self.domains).transpose(perm).reshape(-1)
+        return _trusted(TabularFactor, scope=scope, domains=domains, values=values)
 
     def redundancy(self, eps: float = DEFAULT_EPS) -> float:
         """1 - distinct/total over epsilon-keyed table values."""
@@ -293,6 +330,20 @@ class SparseFactor:
         digits = array("i", itertools.chain.from_iterable(words))
         labels = array("i", [index[key(v)] for v in values])
         return digits, len(words), labels, -1 if default is None else index[key(default)]
+
+    def renamed(self, names) -> SparseFactor:
+        """This function over the variables ``names[v]``, ``v`` in ``scope``.
+
+        The new scope is sorted, so each exception tuple is permuted to
+        match; with the order kept the exceptions are shared.
+        """
+        scope, domains, perm = _renaming(self.scope, self.domains, names)
+        exceptions = self.exceptions
+        if perm is not None:
+            pick = operator.itemgetter(*perm)  # two or more positions: it gives tuples
+            exceptions = {pick(word): v for word, v in exceptions.items()}
+        return _trusted(SparseFactor, scope=scope, domains=domains, default=self.default,
+                        exceptions=exceptions)
 
     def redundancy(self, eps: float = DEFAULT_EPS) -> float:
         """1 - distinct/total over epsilon-keyed cell values, from counts."""

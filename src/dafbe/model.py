@@ -329,21 +329,27 @@ def bucket_elimination(
 ) -> SolverResult:
     """Exact solve by min-sum bucket elimination over value-keyed automata.
 
-    The solver minimizes the sum of ``model.cost_factors()``.  Every
+    The solver minimizes the sum of ``model.cost_factors()``.  It names
+    each variable by its position in the ordering before it compiles the
+    tables (``renamed``), so every scope sorts by elimination position
+    and a factor's last level is the variable eliminated first.  Every
     input factor and every message is first cut down to the variables it
     depends on (``DafsaFactor.on_support``), so it lives in the bucket of
-    the latest-in-ordering variable it depends on, and a constant folds
-    straight into the optimum.  Buckets are processed last to first:
-    combine all but the bucket's last factor, then project the bucket
-    variable out of their sum with the last one in one fused kernel walk,
-    so the bucket's combined factor is never built (a one-factor bucket is
-    projected alone), and place the message.  A bucket that receives no
-    factor is skipped; every other bucket records one growth sample.  A
-    forward pass then rebuilds an optimal assignment by trying each value
-    of each variable against its bucket's functions, lowest value winning
-    ties, so a variable whose bucket is empty takes 0.  ``prune_infinite``
-    drops infinite-cost rows from the entries instead of keeping them as
-    an inf entry; the answer is the same either way.
+    its last scope variable, and a constant folds straight into the
+    optimum.  Buckets are processed last to first: combine all but the
+    bucket's last factor, then project the bucket variable out of their
+    sum with the last one in one fused kernel walk, so the bucket's
+    combined factor is never built (a one-factor bucket is projected
+    alone), and place the message.  The bucket variable is the last level
+    of every factor in its bucket, so the solver only ever removes last
+    levels.  A bucket that receives no factor is skipped; every other
+    bucket records one growth sample.  A forward pass then rebuilds an
+    optimal assignment by trying each value of each variable against its
+    bucket's functions, lowest value winning ties, so a variable whose
+    bucket is empty takes 0, and maps it back to the model's variable
+    ids.  ``prune_infinite`` drops infinite-cost rows from the entries
+    instead of keeping them as an inf entry; the answer is the same
+    either way.
 
     A WCSP with no finite-cost assignment is ``"infeasible"``.  A MAP
     model reports the probability exp(-cost), and the cost itself, which
@@ -355,8 +361,11 @@ def bucket_elimination(
     deadline = Deadline(time_limit)
     ordering = min_fill_ordering(model) if ordering is None else check_ordering(model, ordering)
     stats = SolveStats(induced_width=induced_width(model, ordering))
-    pos_of = {v: i for i, v in enumerate(ordering)}
     n = model.n_vars
+    position = [0] * n  # variable id -> its name inside the solver
+    for p, var in enumerate(ordering):
+        position[var] = p
+    domains = [model.domains[var] for var in ordering]
 
     def note_factor(f: DafsaFactor):
         stats.max_entry_count = max(stats.max_entry_count, f.entry_count)
@@ -380,10 +389,10 @@ def bucket_elimination(
             return
         live_states += f.total_states
         peak = max(peak, live_states)
-        buckets[max(pos_of[v] for v in f.scope)].append(f)
+        buckets[f.scope[-1]].append(f)
 
     for tab in model.cost_factors():
-        place(DafsaFactor.from_table(tab, eps, prune_infinite=prune_infinite))
+        place(DafsaFactor.from_table(tab.renamed(position), eps, prune_infinite=prune_infinite))
         if infeasible:
             break
 
@@ -404,7 +413,7 @@ def bucket_elimination(
             note_factor(combined)
             deadline.check()
             other = bucket[-1] if len(bucket) > 1 else None
-            message, growth = factor_ops.project(combined, ordering[p], "min", other, eps)
+            message, growth = factor_ops.project(combined, p, "min", other, eps)
             stats.growth_samples.extend(growth)
             stats.messages += 1
             peak = max(peak, live_states + transient + message.total_states)
@@ -414,14 +423,13 @@ def bucket_elimination(
 
     assignment = None
     if not (infeasible or math.isinf(optimum)):
-        assignment = [0] * n
+        assignment = [0] * n  # by position
         for p in range(n):
             deadline.check()
-            var = ordering[p]
             best_v = 0
             best_score = None
-            for v in range(model.domains[var]):
-                assignment[var] = v
+            for v in range(domains[p]):
+                assignment[p] = v
                 score = 0.0
                 for f in buckets[p]:
                     fv = f.value_at(assignment)
@@ -429,8 +437,8 @@ def bucket_elimination(
                 if best_score is None or score < best_score:
                     best_score = score
                     best_v = v
-            assignment[var] = best_v
-        assignment = tuple(assignment)
+            assignment[p] = best_v
+        assignment = tuple(assignment[p] for p in position)
 
     stats.peak_live_states = peak
     stats.wall_time = time.monotonic() - t0

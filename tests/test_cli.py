@@ -225,6 +225,13 @@ class TestOrderingAndConfig:
                            "--ordering-file", str(order), HAND, QUEENS)
         assert code == 1 and "single input" in err
 
+    @pytest.mark.parametrize("command", ["solve", "stats"])
+    def test_ordering_file_requires_ordering_file_mode(self, capsys, command):
+        # the file is never opened: naming one without --ordering file
+        # would otherwise solve along min-fill without a word
+        code, out, err = run(capsys, command, "--ordering-file", "/nonexistent/x.txt", HAND)
+        assert code == 1 and out == "" and "--ordering-file requires --ordering file" in err
+
     def test_weighted_ordering_accepted(self, capsys):
         code, out, _ = run(capsys, "solve", "--ordering", "weighted-min-fill",
                            "--format", "json-lines", QUEENS)

@@ -262,6 +262,17 @@ class TestDeep:
             got, _ = project(f, var, "min")
             assert entry_bytes(got) == entry_bytes(reference_project(f, var, "min"))
 
+    def test_project_last_level(self, through_both):
+        # the level the solver removes: the walk steps single states, so
+        # the sample counts every state above the last level, once as
+        # states and once as subsets
+        rng = random.Random(1503)
+        f = self.deep_factor(rng, tuple(range(self.L)), 12, [0.0, 0.5, 1.0, 2.0])
+        got, growth = project(f, self.L - 1, "min")
+        assert entry_bytes(got) == entry_bytes(reference_project(f, self.L - 1, "min"))
+        above = f.total_states - len(f.keys)  # the terminals, one per value, come last
+        assert growth == [(above, above)] and above > self.L
+
     def test_fused_step(self, through_both):
         rng = random.Random(1502)
         f1 = self.deep_factor(rng, tuple(range(self.L)), 8, [0.0, 1.0, 2.0])

@@ -121,6 +121,21 @@ class TestSharedForm:
                 both("combine_entries", shared, other, dom, in_a, in_b, pair_labels, lvl)
                 both("combine_entries", other, shared, dom, in_b, in_a, swapped, lvl)
 
+    def test_project_last_level_byte_identical(self, both):
+        # the only level the solver removes: a walk over single states in
+        # the Python edition, the subset walk in the compiled one; tables
+        # with pruned rows (label -1), empty functions, one level and
+        # wildcard levels from a covering default, domains 1-3
+        rng = random.Random(20261107)
+        for trial in range(400):
+            dom = tuple(rng.randrange(1, 4) for _ in range(rng.randrange(1, 5)))
+            words = rand_words(rng, dom)
+            digits = array("i", [v for w in words for v in w])
+            labels = array("i", [rng.randrange(-1, 4) for _ in words])
+            default = rng.choice((-1, -1, rng.randrange(4)))
+            shared, _ = both("compile_sorted", digits, len(words), len(dom), dom, labels, default)
+            both("project_entries", shared, dom, len(dom) - 1)
+
     def test_empty_and_scalar_functions(self, both):
         for dom in ((), (2,), (2, 3)):
             empty, labels = both("join", [], dom)

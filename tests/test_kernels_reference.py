@@ -15,7 +15,12 @@ small domains where every string can be enumerated:
   automaton's states;
 * a labelled ``compile_sorted`` leads each string to its row's label, or
   else to the default, and is byte-identical to the ``join`` of one
-  canonical automaton per label.
+  canonical automaton per label;
+* ``project_entries`` on the last level, the only level the solver
+  removes, equals the canonical shared form of the function read off
+  ``split`` by brute force, each shortened string taking the lowest
+  label among its extensions, and samples the states above the last
+  level twice.
 """
 
 import itertools
@@ -116,6 +121,44 @@ def canonical_parts(lang, dom):
                 dst.append(ids[kid])
         off.append(len(sym))
     return tuple(off), tuple(sym), tuple(dst), (ids[frozenset([()])],)
+
+
+def canonical_shared(func, dom):
+    """(parts, labels) of the canonical shared form of ``func``, {string: label}.
+
+    One state per (level, right language), a right language being the
+    set of (suffix, label) pairs; a complete fan onto one state is a
+    wildcard, states are numbered breadth-first and a terminal's term is
+    the rank of its label among ``labels``, the labels ascending.
+    """
+    labels = sorted(set(func.values()))
+    if not func:
+        return ((0, 0), (), (), (-1,)), labels
+    rank = {label: n for n, label in enumerate(labels)}
+    L = len(dom)
+    root = frozenset(func.items())
+    ids = {root: 0}
+    order = [root]
+    off, sym, dst, term = [0], [], [], []
+    for rest in order:  # a breadth-first queue
+        lv = L - len(next(iter(rest))[0])
+        if lv < L:
+            kids = [frozenset((w[1:], label) for w, label in rest if w[0] == v) for v in range(dom[lv])]
+            out = [(v, kid) for v, kid in enumerate(kids) if kid]
+            if len(out) == dom[lv] and len(set(kids)) == 1:
+                out = [(WILDCARD, kids[0])]
+            for v, kid in out:
+                if kid not in ids:
+                    ids[kid] = len(order)
+                    order.append(kid)
+                sym.append(v)
+                dst.append(ids[kid])
+            term.append(-1)
+        else:
+            ((_, label),) = rest
+            term.append(rank[label])
+        off.append(len(sym))
+    return (tuple(off), tuple(sym), tuple(dst), tuple(term)), labels
 
 
 def levels(edges, start):
@@ -293,3 +336,40 @@ class TestLabelledCompile:
             joined, order = kernels.join(entries, dom)
             assert tuple(map(tuple, shared)) == tuple(map(tuple, joined)), trial
             assert list(labels) == [present[n] for n in order]
+
+
+def last_level_reference(kernels, shared, dom):
+    """(parts, labels, sample) ``project_entries`` must give on the last level.
+
+    The function is read off ``split`` by brute force, each string cut
+    short by its last symbol and taking the lowest label among its
+    extensions.  The sample is the states above the last level, twice.
+    """
+    func = {}
+    for label, (t_off, t_sym, t_dst, acc) in kernels.split(shared, dom):
+        edges = edge_lists((len(t_off) - 1, t_off, t_sym, t_dst))
+        for word in language(edges, acc, 0, dom):
+            func[word[:-1]] = min(func.get(word[:-1], label), label)
+    parts, labels = canonical_shared(func, dom[:-1])
+    lev = levels(edge_lists((len(shared[0]) - 1, *shared[:3])), 0)
+    above = sum(lv < len(dom) for lv in lev.values())
+    return parts, labels, (above, above)
+
+
+class TestProjectLastLevel:
+    def test_against_split_reference(self, kernels):
+        # compiled tables: pruned rows (label -1), empty functions, one
+        # level, wildcard levels from a covering default, domains 1-3
+        rng = random.Random(20261106)
+        shapes = [(1,), (2,), (3,), (1, 2), (2, 1), (3, 3), (2, 1, 3), (1, 1, 2), (3, 2, 2), (2, 3, 1, 2)]
+        for trial in range(400):
+            dom = rng.choice(shapes)
+            words = list(itertools.product(*(range(k) for k in dom)))
+            rows = sorted(rng.sample(words, rng.randrange(0, len(words) + 1)))
+            row_labels = [rng.randrange(-1, 4) for _ in rows]
+            default = rng.choice((-1, -1, rng.randrange(4)))
+            digits = array("i", [v for w in rows for v in w])
+            shared, _ = kernels.compile_sorted(digits, len(rows), len(dom), dom, array("i", row_labels), default)
+            parts, labels, sample = kernels.project_entries(shared, dom, len(dom) - 1)
+            want = last_level_reference(kernels, shared, dom)
+            assert (tuple(map(tuple, parts)), list(labels), tuple(sample)) == want, trial

@@ -267,6 +267,88 @@ def ignoring_model(rng, task):
     return GraphicalModel(n, domains, tuple(factors), task)
 
 
+def shuffled_model(rng, task):
+    """A random model with domain sizes 1-4: sparse WCSP tables with hard
+    rows, or dense MAP tables with zeros, unary and zero-scope ones among them."""
+    n = rng.randint(2, 6)
+    domains = tuple(rng.randint(1, 4) for _ in range(n))
+    factors = []
+    for _ in range(rng.randint(1, 6)):
+        scope = tuple(sorted(rng.sample(range(n), min(n, rng.choice((0, 1, 1, 2, 3, 4))))))
+        doms = tuple(domains[v] for v in scope)
+        cells = list(itertools.product(*(range(k) for k in doms)))
+        if task is Task.WCSP:
+            exceptions = {word: math.inf if rng.random() < 0.15 else float(rng.randint(0, 5))
+                          for word in rng.sample(cells, rng.randint(0, len(cells)))}
+            factors.append(SparseFactor(scope, doms, float(rng.randint(0, 3)), exceptions))
+        else:
+            values = [0.0 if rng.random() < 0.1 else rng.choice([0.25, 0.5, 1.0, rng.random()])
+                      for _ in cells]
+            factors.append(TabularFactor(scope, doms, np.array(values)))
+    return GraphicalModel(n, domains, tuple(factors), task)
+
+
+def shuffled_ordering(rng, n):
+    """A random ordering of ``n`` >= 2 variables that is not 0..n-1."""
+    while True:
+        ordering = tuple(rng.sample(range(n), n))
+        if ordering != tuple(range(n)):
+            return ordering
+
+
+class TestRenaming:
+    # the solver names each variable by its position in the ordering
+
+    def test_renamed_tables_keep_their_values(self):
+        rng = random.Random(16)
+        for trial in range(200):
+            m = shuffled_model(rng, (Task.MAP, Task.WCSP)[trial % 2])
+            names = shuffled_ordering(rng, m.n_vars)
+            for f in m.factors:
+                g = f.renamed(names)
+                assert type(g) is type(f) and list(g.scope) == sorted(names[v] for v in f.scope)
+                assert g.domains == tuple(m.domains[names.index(v)] for v in g.scope)
+                for word in itertools.product(*(range(k) for k in m.domains)):
+                    moved = [0] * m.n_vars
+                    for var, v in enumerate(word):
+                        moved[names[var]] = v
+                    assert g.value_of(moved) == f.value_of(word), (trial, f.scope, names)
+
+    def test_random_models_and_orderings(self):
+        rng = random.Random(17)
+        for trial in range(300):
+            m = shuffled_model(rng, (Task.MAP, Task.WCSP)[trial % 2])
+            ordering = shuffled_ordering(rng, m.n_vars)
+            want = brute_force(m)
+            r = bucket_elimination(m, ordering)
+            assert r.status == want.status, trial
+            assert r.ordering == ordering
+            assert r.stats.induced_width == induced_width(m, ordering)
+            if want.status == "optimal":
+                assert math.isclose(r.optimum, want.optimum, rel_tol=1e-9), trial
+                assert math.isclose(m.evaluate(r.assignment), r.optimum, rel_tol=1e-9), trial
+
+    def test_every_projection_removes_the_last_variable(self, monkeypatch):
+        # the bucket variable is the deepest level of every factor in its
+        # bucket, so the kernels only ever remove last levels
+        project = factor_mod.project
+        calls = 0
+
+        def checking_project(f, var, op, other=None, *args):
+            nonlocal calls
+            calls += 1
+            union = set(f.scope) | set(() if other is None else other.scope)
+            assert var == max(union), (var, f.scope, other and other.scope)
+            return project(f, var, op, other, *args)
+
+        monkeypatch.setattr(factor_mod, "project", checking_project)
+        rng = random.Random(18)
+        for trial in range(200):
+            m = shuffled_model(rng, (Task.MAP, Task.WCSP)[trial % 2])
+            bucket_elimination(m, shuffled_ordering(rng, m.n_vars))
+        assert calls > 300
+
+
 class TestBucketElimination:
     def test_hand_computed_chain(self):
         m = chain_model(3)
