@@ -13,13 +13,13 @@ seed 1, instance 0), recorded once with the Python edition, so they time
 the factor kernels on the solver's own inputs.  ``compile_sorted``
 compiles each input table, its rows labelled by value and pruned rows
 labelled -1, straight into the shared form; a fused call is a
-``combine_entries`` call that removes a level (``lvl >= 0``): a bucket's
+``combine_entries`` call that folds the last level (``fold``): a bucket's
 last combine and its projection in one walk.  The solver names variables
 by elimination position, so every fused and ``project_entries`` call it
-makes removes the last level.  The two "level 0" rows replay the same
-calls removing level 0 instead, so the general contracting walk (set
-nodes below the removed level, subsets of states), which the library
-still runs, stays timed and cross-checked.  The solver calls neither
+makes removes the last level.  The "project_entries, level 0" row
+replays the ``project_entries`` calls removing level 0 instead, so the
+subset walk over contracted states, which the library still runs for any
+level but the last, stays timed and cross-checked.  The solver calls neither
 ``split`` nor ``join``.  The ``split`` row splits every shared form those
 calls returned back into entries, as ``DafsaFactor.entries`` does on
 demand, and the ``join`` row joins the entries of each compiled table
@@ -93,17 +93,13 @@ def sorted_digit_buffer(words, length):
     return buf
 
 
-def without(domains, lvl):
-    return domains if lvl < 0 else domains[:lvl] + domains[lvl + 1 :]
-
-
 def record_factor_calls():
     """{row name: (kernel name, [args, ...])} of one wcsp-planted solve's factor kernels.
 
     The ``split`` row's calls are (shared, domains) of every shared form
     the other calls returned, and the ``join`` row's calls are (entries,
-    domains) of every table ``compile_sorted`` compiled.  The two "level
-    0" rows are the fused and ``project_entries`` calls with ``lvl`` 0.
+    domains) of every table ``compile_sorted`` compiled.  The "level 0"
+    row is the ``project_entries`` calls with ``lvl`` 0.
     """
     rows = ("compile_sorted", "join", "combine_entries", "combine_entries, fused",
             "project_entries", "split")
@@ -124,12 +120,12 @@ def record_factor_calls():
                     entries = [parts for _, parts in _kernels_py.split(out[0], domains)]
                     calls["join"][1].append((entries, domains))
                 elif name == "project_entries":
-                    domains = without(args[1], args[2])
+                    domains = args[1][:-1]  # the solver removes only last levels
+                elif len(args) > 6:  # project's fold
+                    domains = args[2][:-1]
+                    row = "combine_entries, fused"
                 else:
-                    lvl = args[6] if len(args) > 6 else -1
-                    domains = without(args[2], lvl)
-                    if lvl >= 0:
-                        row = "combine_entries, fused"
+                    domains = args[2]
                 calls[row][1].append(args)
                 splits.append((out[0], domains))
                 return out
@@ -143,9 +139,8 @@ def record_factor_calls():
         bucket_elimination(formats.parse_wcsp(text))
     finally:
         factor.kernels = saved
-    for row in ("combine_entries, fused", "project_entries"):
-        name, recorded = calls[row]
-        calls[f"{row}, level 0"] = (name, [(*args[:-1], 0) for args in recorded])
+    calls["project_entries, level 0"] = ("project_entries",
+                                         [(*args[:-1], 0) for args in calls["project_entries"][1]])
     return calls
 
 

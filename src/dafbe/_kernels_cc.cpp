@@ -14,9 +14,9 @@
 // the accepting ids of an automaton or entry (Automaton); a shared form's
 // terms, one per state, a label or -1, terminals without edges on the
 // last level and no other leaf but an empty function's root (Diagram);
-// the lengths of the level flags and labels of combine_entries and the
-// level it removes; and the rows of compile_sorted, their symbols and
-// order, one label per row and the default, each a label or -1.  A
+// the lengths of the level flags and labels of combine_entries, and that
+// it has a level to fold; and the rows of compile_sorted, their symbols
+// and order, one label per row and the default, each a label or -1.  A
 // violation raises dafbe.errors.AutomatonError, and running out of memory
 // raises MemoryError, so no input can crash the interpreter.
 //
@@ -29,14 +29,14 @@
 // determinize, minimize and remove_level walk subsets of states
 // (Subsets), all with one label, and read their one terminal as the
 // accepting state (SharedWalked::single); join walks subsets of entries
-// side by side; project_entries walks subsets of one shared form and
-// combine_entries pairs of states, one per operand (PairWalk).  split
-// makes one backward pass over a shared form's states instead, interning
-// one state per label each state reaches in one Unique.  With lvl >= 0
-// combine_entries removes that union level in the same walk: a node below
-// it is an interned set of pairs (sets of pair ids, as Subsets interns
-// sets of states), stepped member by member, and a leaf takes the lowest
-// label of its pairs, so a bucket's combined factor is never built.
+// side by side; project_entries walks the states of one shared form to
+// remove its last level, and subsets of them to remove any other; and
+// combine_entries walks pairs of states, one per operand.  split makes one
+// backward pass over a shared form's states instead, interning one state
+// per label each state reaches in one Unique.  To fold, combine_entries
+// removes the last union level in the same walk: a pair on it is a leaf
+// that takes the lowest label among its children, so a bucket's combined
+// factor is never built and no set of pairs ever forms.
 //
 // Build by hand (setup.py does the same through setuptools):
 //   g++ -std=c++17 -O2 -shared -fPIC -I<Python include dir> _kernels_cc.cpp
@@ -214,6 +214,11 @@ struct Unique {
         return hit.first->second;
     }
 };
+
+// The lower of two labels, NO_LABEL counting as none.
+int lowest(int best, int label) {
+    return label != NO_LABEL && (best == NO_LABEL || label < best) ? label : best;
+}
 
 template <class T>
 void sort_unique(std::vector<T>& v) {
@@ -630,14 +635,14 @@ struct Decoded {
 constexpr Span NONE{nullptr, nullptr};
 
 // The kids of a pair node, appended to kids: a symbol one side does not
-// name follows that side's wildcard, and a child pair is kept if live
-// says so.  k is the level's domain size.
-template <class Live>
-void merge(int k, const Decoded& a, const Decoded& b, const Live& live, Pairs& pairs,
+// name follows that side's wildcard, and a child pair (da, db) is kept if
+// live says so, as the node pair(da, db).  k is the level's domain size.
+template <class Live, class Pair>
+void merge(int k, const Decoded& a, const Decoded& b, const Live& live, Pair& pair,
            std::vector<Kid>& kids) {
     const size_t na = a.syms.size(), nb = b.syms.size();
     if (!na && !nb) {
-        if (live(a.wild, b.wild)) kids.push_back({WILDCARD, pairs(a.wild, b.wild)});
+        if (live(a.wild, b.wild)) kids.push_back({WILDCARD, pair(a.wild, b.wild)});
         return;
     }
     const size_t kbeg = kids.size();
@@ -659,11 +664,11 @@ void merge(int k, const Decoded& a, const Decoded& b, const Live& live, Pairs& p
             db = b.dsts[j++];
         }
         ++named;
-        if (live(da, db)) kids.push_back({v, pairs(da, db)});
+        if (live(da, db)) kids.push_back({v, pair(da, db)});
     }
     if (named < k && live(a.wild, b.wild)) {
         // symbols neither side names follow both wildcards
-        const int rest = pairs(a.wild, b.wild);
+        const int rest = pair(a.wild, b.wild);
         i = j = 0;
         for (int v = 0; v < k; ++v) {
             while (i < na && a.syms[i] < v) ++i;
@@ -786,16 +791,13 @@ class Subsets {
     // The lowest label among the members that accept, or NO_LABEL.
     int label(int sub) const {
         int best = NO_LABEL;
-        auto take = [&](int s) {
-            if (owner_[s] != NO_LABEL && (best == NO_LABEL || owner_[s] < best)) best = owner_[s];
-        };
         for (int p = soff_[sub]; p < soff_[sub + 1]; ++p) {
             const int s = smem_[p];
             if (lvl_ != levels_) {
-                take(s);
+                best = lowest(best, owner_[s]);
                 continue;
             }
-            for (int j = g_.off[s]; j < g_.off[s + 1]; ++j) take(g_.dst[j]);
+            for (int j = g_.off[s]; j < g_.off[s + 1]; ++j) best = lowest(best, owner_[g_.dst[j]]);
         }
         return best;
     }
@@ -1088,8 +1090,20 @@ PyObject* py_split(PyObject* args) {
     return list.release();
 }
 
+// (shared, labels, sample) of a walk that built root into w.
+PyObject* with_sample(const SharedWalked& w, int root, int first, int second) {
+    Ref result(w.result(root));
+    return Ref(Py_BuildValue("(OO(ii))", PyTuple_GET_ITEM(result.p, 0), PyTuple_GET_ITEM(result.p, 1),
+                             first, second))
+        .release();
+}
+
 // Remove level lvl from a shared form; each string takes the lowest label
-// it reaches.  Returns (shared, labels, (states, subsets)).
+// it reaches.  The last level needs no subsets, as in _kernels_py: the
+// walk steps single states, and a state on the last level that is left
+// takes the lowest label among its successors.  Any other level is
+// removed by the subset walk with the level contracted.  Returns (shared,
+// labels, (states, subsets)); on the last level both count the states.
 PyObject* py_project_entries(PyObject* args) {
     PyObject *shared, *domains;
     int lvl;
@@ -1098,177 +1112,40 @@ PyObject* py_project_entries(PyObject* args) {
     const Ints new_dom = without_level(dom, lvl);
     Diagram d;
     d.load(shared, dom);
+    SharedWalked w;
+    if (lvl == static_cast<int>(new_dom.size())) {
+        const CsrView g = d.view();
+        auto expand = [&](int s, int, std::vector<Kid>& kids) {
+            for (int j = g.off[s]; j < g.off[s + 1]; ++j) kids.push_back({g.sym[j], g.dst[j]});
+        };
+        auto label_of = [&](int s) {
+            int best = NO_LABEL;
+            for (int t : g.dsts(s)) best = lowest(best, d.term(t));
+            return best;
+        };
+        walk(new_dom, 0, expand, label_of, w);
+        return with_sample(w, 0, w.nodes(), w.nodes());
+    }
     Subsets subsets(static_cast<int>(new_dom.size()), lvl);
     subsets.add(d.view(), d.n, 0, d.owners());
     const int root = subsets.root();
-    SharedWalked w;
     walk_subsets(subsets, new_dom, root, w);
-    Ref result(w.result(root));
-    return Ref(Py_BuildValue("(OO(ii))", PyTuple_GET_ITEM(result.p, 0), PyTuple_GET_ITEM(result.p, 1),
-                             subsets.members(w), w.nodes()))
-        .release();
+    return with_sample(w, root, subsets.members(w), w.nodes());
 }
 
 bool both_live(int sa, int sb) { return sa != DEAD && sb != DEAD; }
 
-// The walk of combine_entries over pairs (A state, B state) of the two
-// operands' shared forms, in step over the union levels; on a level
-// outside an operand's scope (in_a / in_b false) its state stays where it
-// is.  With lvl >= 0 union level lvl is removed on the fly, as in
-// _kernels_py.combine_entries.  The nodes of that fused walk are pairs p,
-// as node 2p, and interned sorted sets s of pair ids, as node 2s + 1: a
-// node below the removed level is the set of pairs its values lead to,
-// and a set of one pair is that pair.
-class PairWalk {
-  public:
-    PairWalk(const Diagram& a, const Diagram& b, const Ints& dom, const Ints& in_a, const Ints& in_b,
-             const Ints& labels, int lvl)
-        : a_(a), b_(b), ga_(a.view()), gb_(b.view()), dom_(dom), in_a_(in_a), in_b_(in_b),
-          labels_(labels), nb_(b.labels), lvl_(lvl) {
-        node_of({});  // set 0, node 1: no pairs, a dead child
-    }
-
-    int pair(int sa, int sb) { return pairs_(sa, sb); }
-    int pairs() const { return static_cast<int>(pairs_.first.size()); }
-
-    // The kids of pair p on union level lv, children as pair ids.
-    void pair_kids(int p, int lv, std::vector<Kid>& kids) {
-        const int sa = pairs_.first[p], sb = pairs_.second[p];
-        const Decoded da = in_a_[lv] ? decode(ga_, sa) : Decoded{sa, NONE, NONE};
-        const Decoded db = in_b_[lv] ? decode(gb_, sb) : Decoded{sb, NONE, NONE};
-        merge(dom_[lv], da, db, both_live, pairs_, kids);
-    }
-
-    int pair_label(int p) const {
-        const int i = a_.term(pairs_.first[p]), j = b_.term(pairs_.second[p]);
-        return i < 0 || j < 0 ? NO_LABEL : labels_[static_cast<size_t>(i) * nb_ + j];
-    }
-
-    // The fused walk's root node for root pair p.
-    int root(int p) { return lvl_ == 0 ? contract(p) : 2 * p; }
-
-    // The kids of a fused node on result level lv.
-    void expand(int node, int lv, std::vector<Kid>& kids) {
-        if (lv < lvl_) {  // a pair above the removed level
-            const size_t kbeg = kids.size();
-            pair_kids(node / 2, lv, kids);
-            size_t keep = kbeg;
-            for (size_t q = kbeg; q < kids.size(); ++q) {
-                const int child = lv == lvl_ - 1 ? contract(kids[q].node) : 2 * kids[q].node;
-                if (child != NO_PAIRS) kids[keep++] = {kids[q].v, child};
-            }
-            kids.resize(keep);
-            return;
-        }
-        ++lv;  // the union level
-        if (node % 2 == 0) {
-            const int p = node / 2;
-            step(p, lv);
-            for (int q = sbeg_[p]; q < send_[p]; ++q) kids.push_back({stepped_[q].v, 2 * stepped_[q].node});
-            return;
-        }
-        // a set: its members' kids, grouped by symbol
-        wild_.clear();
-        lits_.clear();
-        const int s = node / 2;
-        for (int m = soff_[s]; m < soff_[s + 1]; ++m) {
-            const int p = smem_[m];
-            step(p, lv);
-            for (int q = sbeg_[p]; q < send_[p]; ++q) {
-                if (stepped_[q].v == WILDCARD)
-                    wild_.push_back(stepped_[q].node);
-                else
-                    lits_.emplace_back(stepped_[q].v, stepped_[q].node);
-            }
-        }
-        sort_unique(wild_);
-        sort_unique(lits_);
-        const size_t kbeg = kids.size();
-        for (size_t q = 0; q < lits_.size();) {
-            const int v = lits_[q].first;
-            members_.assign(wild_.begin(), wild_.end());
-            for (; q < lits_.size() && lits_[q].first == v; ++q) members_.push_back(lits_[q].second);
-            sort_unique(members_);
-            kids.push_back({v, node_of(members_)});
-        }
-        add_wildcard_kids(dom_[lv], wild_.empty() ? DEAD : node_of(wild_), kbeg, kids);
-    }
-
-    // The lowest label among a fused leaf's pairs, or NO_LABEL.
-    int label(int node) const {
-        if (node % 2 == 0) return pair_label(node / 2);
-        int best = NO_LABEL;
-        for (int m = soff_[node / 2]; m < soff_[node / 2 + 1]; ++m) {
-            const int l = pair_label(smem_[m]);
-            if (l != NO_LABEL && (best == NO_LABEL || l < best)) best = l;
-        }
-        return best;
-    }
-
-  private:
-    static constexpr int UNSET = -2;
-    static constexpr int NO_PAIRS = 1;  // the node of the empty set
-
-    int node_of(const Ints& members) {
-        if (members.size() == 1) return 2 * members[0];
-        const auto hit = sets_.try_emplace(members, static_cast<int>(soff_.size()) - 1);
-        if (hit.second) {
-            smem_.insert(smem_.end(), members.begin(), members.end());
-            soff_.push_back(static_cast<int>(smem_.size()));
-        }
-        return 2 * hit.first->second + 1;
-    }
-
-    // Pair p's kids on union level lv below the removed level, memoized.
-    void step(int p, int lv) {
-        if (p >= static_cast<int>(sbeg_.size())) {
-            sbeg_.resize(p + 1, UNSET);
-            send_.resize(p + 1, UNSET);
-        }
-        if (sbeg_[p] != UNSET) return;
-        const int b = static_cast<int>(stepped_.size());
-        pair_kids(p, lv, stepped_);
-        sbeg_[p] = b;
-        send_[p] = static_cast<int>(stepped_.size());
-    }
-
-    // The node of the children of pair p on the removed level, memoized.
-    int contract(int p) {
-        if (p >= static_cast<int>(contracted_.size())) contracted_.resize(p + 1, UNSET);
-        if (contracted_[p] == UNSET) {
-            scratch_.clear();
-            pair_kids(p, lvl_, scratch_);
-            children_.clear();
-            for (const Kid& kid : scratch_) children_.push_back(kid.node);
-            sort_unique(children_);
-            contracted_[p] = node_of(children_);
-        }
-        return contracted_[p];
-    }
-
-    const Diagram &a_, &b_;
-    const CsrView ga_, gb_;
-    const Ints &dom_, &in_a_, &in_b_, &labels_;
-    const long nb_;
-    const int lvl_;
-    Pairs pairs_;
-    UniqueTable sets_;
-    Ints soff_{0}, smem_;
-    std::vector<Kid> stepped_, scratch_;
-    Ints sbeg_, send_, contracted_;
-    Ints wild_, members_, children_;
-    std::vector<std::pair<int, int>> lits_;
-};
-
-// Walk the shared forms of A and B in step over the union domains, a
-// string at labels (i, j) labelled labels[i * nb + j]; with lvl >= 0,
-// remove union level lvl on the fly, a leaf taking the lowest label of
-// its pairs.  Returns (shared, labels, (pairs, nodes)).
+// Walk the shared forms of A and B in step over the union domains, a node
+// a pair (A state, B state) and a string at labels (i, j) labelled
+// labels[i * nb + j]; on a level outside an operand's scope (in_a / in_b
+// false) its state stays where it is.  With fold, the last union level is
+// removed in the same walk: a pair on it is a leaf, labelled by the lowest
+// label among its children.  Returns (shared, labels, (pairs, pairs)).
 PyObject* py_combine_entries(PyObject* args) {
     PyObject *a_arg, *b_arg, *domains, *in_a_arg, *in_b_arg, *labels_arg;
-    int lvl = -1;
-    if (!PyArg_ParseTuple(args, "OOOOOO|i:combine_entries", &a_arg, &b_arg, &domains, &in_a_arg,
-                          &in_b_arg, &labels_arg, &lvl))
+    int fold = 0;
+    if (!PyArg_ParseTuple(args, "OOOOOO|p:combine_entries", &a_arg, &b_arg, &domains, &in_a_arg,
+                          &in_b_arg, &labels_arg, &fold))
         throw PyFailure();
     const Ints dom = parse_domains(domains);
     const Ints in_a = parse_ints(in_a_arg, "in_a", 0, 1), in_b = parse_ints(in_b_arg, "in_b", 0, 1);
@@ -1276,8 +1153,7 @@ PyObject* py_combine_entries(PyObject* args) {
     if (in_a.size() != dom.size() || in_b.size() != dom.size())
         throw BadInput("in_a has " + str(in_a.size()) + " and in_b " + str(in_b.size()) +
                        " flags for " + str(dom.size()) + " levels");
-    if (lvl < -1 || lvl >= static_cast<int>(dom.size()))
-        throw BadInput("level " + str(lvl) + " outside -1.." + str(static_cast<long>(dom.size()) - 1));
+    if (fold && dom.empty()) throw BadInput("fold over no levels");
     Ints a_dom, b_dom;
     for (size_t l = 0; l < dom.size(); ++l) {
         if (in_a[l]) a_dom.push_back(dom[l]);
@@ -1290,22 +1166,36 @@ PyObject* py_combine_entries(PyObject* args) {
         throw BadInput(str(labels.size()) + " labels for " + str(a.labels) + " x " + str(b.labels) +
                        " label pairs");
 
-    PairWalk pw(a, b, dom, in_a, in_b, labels, lvl);
-    const int root_pair = pw.pair(0, 0);
-    const int root = lvl == -1 ? root_pair : pw.root(root_pair);
+    const CsrView ga = a.view(), gb = b.view();
+    // the kids of pair (sa, sb) on union level lv, child pairs as pair(da, db)
+    auto pair_kids = [&](int sa, int sb, int lv, auto& pair, std::vector<Kid>& kids) {
+        const Decoded da = in_a[lv] ? decode(ga, sa) : Decoded{sa, NONE, NONE};
+        const Decoded db = in_b[lv] ? decode(gb, sb) : Decoded{sb, NONE, NONE};
+        merge(dom[lv], da, db, both_live, pair, kids);
+    };
+    auto pair_label = [&](int sa, int sb) {
+        const int i = a.term(sa), j = b.term(sb);
+        return i < 0 || j < 0 ? NO_LABEL : labels[static_cast<size_t>(i) * b.labels + j];
+    };
+    Pairs pairs;
+    const Ints walked(dom.begin(), dom.end() - fold);
+    const int last = static_cast<int>(walked.size());  // the folded level
+    std::vector<Kid> children;  // a folded leaf's, each as its label
+    auto expand = [&](int p, int lv, std::vector<Kid>& kids) {
+        pair_kids(pairs.first[p], pairs.second[p], lv, pairs, kids);
+    };
+    auto label_of = [&](int p) {
+        if (!fold) return pair_label(pairs.first[p], pairs.second[p]);
+        children.clear();
+        pair_kids(pairs.first[p], pairs.second[p], last, pair_label, children);
+        int best = NO_LABEL;
+        for (const Kid& kid : children) best = lowest(best, kid.node);
+        return best;
+    };
+    const int root = pairs(0, 0);
     SharedWalked w;
-    if (lvl == -1) {
-        walk(dom, root, [&](int p, int lv, std::vector<Kid>& kids) { pw.pair_kids(p, lv, kids); },
-             [&](int p) { return pw.pair_label(p); }, w);
-    } else {
-        walk(without_level(dom, lvl), root,
-             [&](int node, int lv, std::vector<Kid>& kids) { pw.expand(node, lv, kids); },
-             [&](int node) { return pw.label(node); }, w);
-    }
-    Ref result(w.result(root));
-    return Ref(Py_BuildValue("(OO(ii))", PyTuple_GET_ITEM(result.p, 0), PyTuple_GET_ITEM(result.p, 1),
-                             pw.pairs(), w.nodes()))
-        .release();
+    walk(walked, root, expand, label_of, w);
+    return with_sample(w, root, w.nodes(), w.nodes());
 }
 
 // Every kernel entry point: C++ exceptions become Python exceptions here.
@@ -1345,8 +1235,8 @@ PyMethodDef methods[] = {
     {"project_entries", guarded<py_project_entries>, METH_VARARGS,
      "project_entries(shared, domains, lvl) -> (shared, labels, (states, subsets))"},
     {"combine_entries", guarded<py_combine_entries>, METH_VARARGS,
-     "combine_entries(a, b, domains, in_a, in_b, labels, lvl=-1)"
-     " -> (shared, labels, (pairs, nodes))"},
+     "combine_entries(a, b, domains, in_a, in_b, labels, fold=False)"
+     " -> (shared, labels, (pairs, pairs)); fold removes the last level"},
     {nullptr, nullptr, 0, nullptr},
 };
 

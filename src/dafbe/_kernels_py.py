@@ -56,24 +56,26 @@ with ``term`` -1.  Five kernels build or read it:
   which is min-projection when labels rank values best first.  The
   solver names variables by elimination position, so it removes only
   last levels.
-* ``combine_entries(a, b, domains, in_a, in_b, labels, lvl=-1)`` walks
-  the two operands in step over the union ``domains``.  ``in_a[l]`` /
-  ``in_b[l]`` tell whether union level ``l`` is one of the operand's own;
-  a level outside an operand's scope leaves it where it is, as a
-  wildcard would.  A string at A's label ``i`` and B's label ``j`` gets
-  ``labels[i * nb + j]``, where ``nb`` is one more than B's largest
-  label.  With ``lvl`` >= 0 union level ``lvl`` is removed in the same
-  walk, each string taking the lowest label among its extensions: with
-  labels ranked best first that is min-projection of the combined
-  function, which is never built.
+* ``combine_entries(a, b, domains, in_a, in_b, labels, fold=False)``
+  walks the two operands in step over the union ``domains``.
+  ``in_a[l]`` / ``in_b[l]`` tell whether union level ``l`` is one of the
+  operand's own; a level outside an operand's scope leaves it where it
+  is, as a wildcard would.  A string at A's label ``i`` and B's label
+  ``j`` gets ``labels[i * nb + j]``, where ``nb`` is one more than B's
+  largest label.  With ``fold`` the last union level is removed in the
+  same walk, each string taking the lowest label among its extensions:
+  with labels ranked best first that is min-projection of the combined
+  function, which is never built.  It folds only the last level, the
+  only one the solver removes.
 
 The last two return ``(shared, labels, sample)``: the result, its term
 renumbered into the ascending list ``labels`` of the input labels that
 got a string, and one growth sample.  ``project_entries`` samples the
-distinct states and the distinct subsets its walk visited,
-``combine_entries`` the distinct (A state, B state) pairs and the
-distinct nodes.  ``compile_sorted`` and ``join`` return ``(shared,
-labels)`` alike.
+distinct states and the distinct subsets its walk visited, and
+``combine_entries`` the distinct (A state, B state) pairs it walked,
+twice.  On the last level no subset forms, so each sample the solver
+takes has two equal counts.  ``compile_sorted`` and ``join`` return
+``(shared, labels)`` alike.
 
 This edition does not check its inputs.  Malformed arrays (state ids out
 of range, broken offsets, symbols outside their level's domain, edges
@@ -99,12 +101,14 @@ the shared form's states instead, interning one state per label each
 state reaches in the unique table of a ``_Shared``.  ``project_entries``
 walks the states of one shared automaton to remove its last level, and
 subsets of them to remove any other, and ``combine_entries`` pairs of
-states, one per operand, and below a removed level sets of such pairs.
-This is the multi-terminal apply of algebraic decision diagrams (Bahar et
-al., ICCAD 1993) on shared diagrams, across different scopes as in AOMDDs
-(Mateescu, Dechter & Marinescu, JAIR 33, 2008); removing a level in the
-same walk is the relational product of symbolic model checking (Burch et
-al., LICS 1990) in min-sum form.
+states, one per operand; to fold, a pair on the last level is a leaf
+that reads its children's labels.  This is the multi-terminal apply of
+algebraic decision diagrams (Bahar et al., ICCAD 1993) on shared
+diagrams, across different scopes as in AOMDDs (Mateescu, Dechter &
+Marinescu, JAIR 33, 2008); folding the last level in the same walk is
+the relational product of symbolic model checking (Burch et al., LICS
+1990) in min-sum form, for a quantified variable that comes last, so no
+set of pairs ever forms.
 """
 
 from array import array
@@ -603,22 +607,17 @@ def project_entries(shared, domains, lvl):
     return (*out.parts(root), (states, subsets))
 
 
-def combine_entries(a, b, domains, in_a, in_b, labels, lvl=-1):
+def combine_entries(a, b, domains, in_a, in_b, labels, fold=False):
     """Walk A and B in step over the union levels, labelled by label pair.
 
     A node is a pair (A state, B state); on a level outside an operand's
-    scope its state stays where it is.
+    scope its state stays where it is.  With ``fold`` the last union level
+    is removed in the same walk: a pair on it is a leaf, and takes the
+    lowest label among its children, which is min-projection of the
+    combined function without building it.
 
-    With ``lvl`` >= 0, union level ``lvl`` is removed on the fly, which is
-    min-projection of the combined function without building it.  A node
-    below the removed level is the set of pairs that the level's values
-    lead to (one pair stays a plain pair node).  Stepping a set steps each
-    member pair, memoized per pair, and groups the children by symbol,
-    wildcards as in ``_Subsets.kids`` (``_kids``); a leaf takes the lowest
-    label among its member pairs.
-
-    Returns (shared, labels, (pairs, nodes)): the distinct pairs and the
-    distinct nodes visited.
+    Returns (shared, labels, (pairs, pairs)): the distinct pairs walked,
+    twice.
     """
     term_a = a[3]
     term_b = b[3]
@@ -643,75 +642,12 @@ def combine_entries(a, b, domains, in_a, in_b, labels, lvl=-1):
         j = term_b[pair[1]]
         return None if i < 0 or j < 0 else labels[i * nb + j]
 
-    root = (0, 0)
+    walked = domains[:-1] if fold else domains
+
+    def folded_label(pair):  # a pair on the last union level, len(walked)
+        found = (pair_label(child) for _, child in pair_kids(pair, len(walked)))
+        return min((label for label in found if label is not None), default=None)
+
     out = _Shared()
-    if lvl < 0:
-        built = _walk(domains, root, pair_kids, pair_label, out)
-        pairs = len(built)
-    else:
-        root, built, pairs = _fused_walk(domains, root, pair_kids, pair_label, lvl, out)
-    return (*out.parts(built[root]), (pairs, len(built)))
-
-
-def _fused_walk(domains, root, pair_kids, pair_label, lvl, out):
-    """The walk over pairs with union level ``lvl`` removed on the fly.
-
-    ``pair_kids(pair, lv)`` and ``pair_label(pair)`` are the pair walk's.
-    A node above level ``lvl`` is a pair; a node below it is a frozenset
-    of two or more pairs, or a lone pair.  Returns the root node, {node:
-    what ``out`` built} and the number of distinct pairs.
-    """
-    stepped = {}  # pair below the removed level -> its kids
-    contracted = {}  # pair on the removed level -> the node of its children
-
-    def step(pair, lv):
-        got = stepped.get(pair)
-        if got is None:
-            got = stepped[pair] = pair_kids(pair, lv)
-        return got
-
-    def node_of(pairs):
-        return next(iter(pairs)) if len(pairs) == 1 else frozenset(pairs)
-
-    def contract(pair):
-        got = contracted.get(pair)
-        if got is None:
-            got = contracted[pair] = node_of({child for _, child in pair_kids(pair, lvl)})
-        return got
-
-    def kids_of(node, lv):
-        if lv < lvl:  # a pair above the removed level
-            kids = pair_kids(node, lv)
-            if lv == lvl - 1:
-                kids = [(v, c) for v, c in ((v, contract(child)) for v, child in kids) if c]
-            return kids
-        lv += 1  # the union level
-        if type(node) is not frozenset:
-            return step(node, lv)
-        wild = set()
-        expl = {}
-        for pair in node:
-            for v, child in step(pair, lv):
-                if v == WILDCARD:
-                    wild.add(child)
-                elif v in expl:
-                    expl[v].add(child)
-                else:
-                    expl[v] = {child}
-        expl = {v: node_of(expl[v] | wild) for v in sorted(expl)}
-        return _kids(expl, wild and node_of(wild), domains[lv])
-
-    def label_of(node):
-        labels = map(pair_label, node if type(node) is frozenset else (node,))
-        return min((label for label in labels if label is not None), default=None)
-
-    if lvl == 0:
-        root = contract(root)
-    built = _walk(domains[:lvl] + domains[lvl + 1 :], root, kids_of, label_of, out)
-    pairs = set(contracted)
-    for node in built:
-        if type(node) is frozenset:
-            pairs.update(node)
-        else:
-            pairs.add(node)
-    return root, built, len(pairs)
+    built = _walk(walked, (0, 0), pair_kids, folded_label if fold else pair_label, out)
+    return (*out.parts(built[(0, 0)]), (len(built), len(built)))

@@ -63,6 +63,8 @@ class RunConfig:
             raise UsageError(f"engine must be one of {ENGINES}")
         if not self.eps > 0:
             raise UsageError("epsilon must be > 0")
+        if not self.time_limit > 0:  # NaN too; inf means no limit
+            raise UsageError("time limit must be > 0")
         if self.ordering == "file" and not self.ordering_file:
             raise UsageError("--ordering file requires --ordering-file")
         if self.ordering_file and self.ordering != "file":

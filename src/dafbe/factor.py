@@ -25,8 +25,11 @@ byte-identical, each on first demand.  ``combine`` and ``project`` each
 make one kernel pass over shared forms (``combine_entries``,
 ``project_entries``) and return one, so the solver never builds entries.
 ``project(f, var, op, other=g)`` eliminates ``var`` from the combination
-of ``f`` and ``g`` in one ``combine_entries`` pass that removes the
-level as it walks, so the combined factor is never built.  ``value_at``
+of ``f`` and ``g``.  When ``var`` is the last variable of their union
+scope, as it always is in the solver, that is one ``combine_entries``
+pass that folds the last level as it walks, so the combined factor is
+never built; any other ``var`` is projected out of ``combine(f, g)``.
+The solver's growth samples therefore have two equal counts.  ``value_at``
 is one path down the shared automaton.  ``on_support`` drops the levels
 of the variables a factor ignores, without a kernel call.
 
@@ -674,7 +677,7 @@ def combine(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float = DEFAULT_EPS)
     Assignments pruned in either input stay pruned.
     """
     scope, domains, keys, operands, labels = _combine_call(f1, f2, op, eps)
-    shared, kept, _ = kernels.combine_entries(*operands, labels, -1)
+    shared, kept, _ = kernels.combine_entries(*operands, labels)
     return DafsaFactor._from_shared(scope, domains, tuple(keys[n] for n in kept), shared)
 
 
@@ -695,18 +698,20 @@ def project(f: DafsaFactor, var: int, op: str, other: DafsaFactor | None = None,
 
     Given ``other``, it eliminates ``var`` from ``combine(f, other)``, by
     the op's semiring partner (sum for min, product for max) under that
-    combine's keyset, without building the combined factor:
-    ``combine_entries`` removes the level on the fly, with the labels
-    ranked best first, and the result is the same as projecting the
-    combined factor.
+    combine's keyset.  When ``var`` is the last variable of the union
+    scope, ``combine_entries`` folds its level on the fly, with the labels
+    ranked best first, so the combined factor is never built; any other
+    ``var`` is projected out of the combined factor.
 
     Returns ``(factor, growth)`` where growth holds the call's one
     sample: the distinct states and the distinct subsets
     ``project_entries`` visited, or the distinct (A state, B state) pairs
-    and the distinct nodes the fused walk visited.
+    the fold walked, twice.
     """
     if op not in PROJECT_OPS:
         raise FactorError(f"project op must be one of {PROJECT_OPS}, got {op!r}")
+    if other is not None and var != max(f.scope + other.scope, default=None):
+        return project(combine(f, other, PARTNER[op], eps), var, op)
     if other is None:
         scope, domains, keys = f.scope, f.domains, f.keys
     else:
@@ -722,7 +727,7 @@ def project(f: DafsaFactor, var: int, op: str, other: DafsaFactor | None = None,
     else:
         if op == "max":
             labels = [len(keys) - 1 - n for n in labels]
-        shared, kept, growth = kernels.combine_entries(*operands, labels, pos)
+        shared, kept, growth = kernels.combine_entries(*operands, labels, True)
     keys = tuple(ranked[n] for n in kept)
     if op == "max":  # kept comes in ranked order
         keys = keys[::-1]

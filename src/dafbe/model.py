@@ -298,7 +298,12 @@ class SolveStats:
 
     @property
     def growth_average(self):
-        """Mean determinization growth (raw subset states / NFA states)."""
+        """Mean determinization growth (raw subset states / NFA states).
+
+        The solver removes only last levels, where no subset or set of
+        pairs forms, so each of its samples has two equal counts and a
+        solve with any sample reads 1.0.
+        """
         ratios = [raw / nfa for nfa, raw in self.growth_samples if nfa > 0]
         if not ratios:
             return None

@@ -239,6 +239,16 @@ class TestOrderingAndConfig:
         (rec,) = json_records(out)
         assert rec["optimum"] == 0.0
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "0"])
+    def test_time_limit_not_positive_is_usage_error(self, capsys, value):
+        # NaN compares false with every deadline, so it used to solve with no limit
+        code, out, err = run(capsys, "solve", "--time-limit", value, HAND)
+        assert code == 1 and out == "" and "time limit" in err
+
+    def test_infinite_time_limit_solves(self, capsys):
+        code, out, _ = run(capsys, "solve", "--time-limit", "inf", "--format", "json-lines", HAND)
+        assert code == 0 and json_records(out)[0]["optimum"] == 1.0
+
     def test_epsilon_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.EPS_ENV_VAR, "1e-9")
         code, out, _ = run(capsys, "solve", "--format", "json-lines", HAND)

@@ -278,8 +278,12 @@ class TestDeep:
         f1 = self.deep_factor(rng, tuple(range(self.L)), 8, [0.0, 1.0, 2.0])
         f2 = self.deep_factor(rng, tuple(range(0, self.L, 2)), 8, [0.0, 0.5])
         combined = combine(f1, f2, "sum")
-        # the first and last levels, in both scopes or in f1's only
+        # the first and last levels, in both scopes or in f1's only; only
+        # the last is folded, and the fold forms no set of pairs, so its
+        # sample counts the pairs it walked twice
         for var in (0, 1, self.L - 1):
             got, growth = project(f1, var, "min", other=f2)
             assert entry_bytes(got) == entry_bytes(project(combined, var, "min")[0]), var
             assert len(growth) == 1
+        (pairs, nodes), = growth
+        assert pairs == nodes > self.L, growth

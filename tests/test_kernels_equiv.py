@@ -117,13 +117,12 @@ class TestSharedForm:
             in_a = [True] * len(dom)
             pair_labels = [rng.randrange(6) for _ in range(na * nb)]
             swapped = [pair_labels[i * nb + j] for j in range(nb) for i in range(na)]
-            for lvl in range(-1, len(dom)):
-                both("combine_entries", shared, other, dom, in_a, in_b, pair_labels, lvl)
-                both("combine_entries", other, shared, dom, in_b, in_a, swapped, lvl)
+            for fold in (False, True) if dom else (False,):
+                both("combine_entries", shared, other, dom, in_a, in_b, pair_labels, fold)
+                both("combine_entries", other, shared, dom, in_b, in_a, swapped, fold)
 
     def test_project_last_level_byte_identical(self, both):
-        # the only level the solver removes: a walk over single states in
-        # the Python edition, the subset walk in the compiled one; tables
+        # the only level the solver removes: a walk over single states; tables
         # with pruned rows (label -1), empty functions, one level and
         # wildcard levels from a covering default, domains 1-3
         rng = random.Random(20261107)
@@ -146,8 +145,8 @@ class TestSharedForm:
         scalar, labels = both("join", [Dafsa.universal(()).parts], ())
         assert flat(scalar) == ((0, 0), (), (), (0,)) and labels == [0]
         full, _ = both("join", [Dafsa.universal((2, 3)).parts], (2, 3))
-        for lvl in (-1, 0, 1):
-            got = both("combine_entries", scalar, full, (2, 3), [0, 0], [1, 1], [5], lvl)
+        for fold in (False, True):
+            got = both("combine_entries", scalar, full, (2, 3), [0, 0], [1, 1], [5], fold)
             assert got[1] == [5]
 
 
@@ -371,6 +370,7 @@ for case, parts in CASES.items():
         print(case, "|", op, "|", outcome(fn, bad, sh))
 
 flat = (good.state_count, good.t_off, good.t_sym, good.t_dst, good.acc, 0)
+scalar = (I(0, 0), I(), I(), I(0))  # the constant over no levels
 # shared forms over D: the root, two level-1 states, and terminals 3 and 4
 edges = (I(0, 2, 3, 4, 4, 4), I(0, 1, 0, 1), I(1, 2, 3, 4))
 DIRECT = {
@@ -397,8 +397,7 @@ DIRECT = {
     "in_b too long": (kernels.combine_entries, one, one, D, BOTH, [1, 1, 1], [0]),
     "in_a flag of 2": (kernels.combine_entries, one, one, D, [2, 1], BOTH, [0]),
     "in_a leaving the entry one level short": (kernels.combine_entries, one, one, D, [1, 0], BOTH, [0]),
-    "fused level below -1": (kernels.combine_entries, one, one, D, BOTH, BOTH, [0], -2),
-    "fused level past the last": (kernels.combine_entries, one, one, D, BOTH, BOTH, [0], len(D)),
+    "fold over no levels": (kernels.combine_entries, scalar, scalar, (), [], [], [0], True),
     "term shorter than the states": (kernels.split, (*edges, I(-1, -1, -1, 0)), D),
     "term longer than the states": (kernels.split, (*edges, I(-1, -1, -1, 0, 1, 1)), D),
     "label below -1": (kernels.project_entries, (*edges, I(-1, -3, -1, 0, 1)), D, 0),
@@ -414,11 +413,9 @@ for case, (fn, *args) in DIRECT.items():
     print(case, "| direct |", outcome(fn, *args))
 
 # random corruption of well-formed parts: each call must raise
-# AutomatonError or return; the fused level comes from a second stream
-# and the shared forms' corruption from a third, so the corruptions of
-# the automata stay what they were
+# AutomatonError or return; the shared forms' corruption comes from a
+# second stream, so the corruptions of the automata stay what they were
 rng = random.Random(20261018)
-lvl_rng = random.Random(20261019)
 shared_rng = random.Random(20261020)
 for trial in range(400):
     L = rng.randrange(1, 4)
@@ -453,10 +450,9 @@ for trial in range(400):
     print(f"fuzz {trial} | combine_entries |", outcome(
         lambda: [kernels.combine_entries(sh, osh, dom, every, every, [0]),
                  kernels.combine_entries(osh, sh, dom, every, every, [0])]))
-    lvl = lvl_rng.randrange(-2, L + 1)
-    print(f"fuzz {trial} | combine_entries, level {lvl} |", outcome(
-        lambda: [kernels.combine_entries(sh, osh, dom, every, every, [0], lvl),
-                 kernels.combine_entries(osh, sh, dom, every, every, [0], lvl)]))
+    print(f"fuzz {trial} | combine_entries, folded |", outcome(
+        lambda: [kernels.combine_entries(sh, osh, dom, every, every, [0], True),
+                 kernels.combine_entries(osh, sh, dom, every, every, [0], True)]))
 """
 
 # Each malformed case through the public constructor, on the Python edition.
@@ -479,7 +475,7 @@ class TestMalformedInput:
         out = run_python(compiled_src, ["-c", MALFORMED_SCRIPT])
         assert out.returncode == 0, f"exit {out.returncode}: {out.stderr[-2000:]}"
         lines = out.stdout.splitlines()
-        assert len(lines) == 12 * 12 + 32 + 400 * 8
+        assert len(lines) == 12 * 12 + 31 + 400 * 8
         bad = [line for line in lines if not line.endswith(("| ok", "| no error"))]
         assert not bad, "\n".join(bad)
         named = [line for line in lines if not line.startswith("fuzz")]

@@ -166,7 +166,7 @@ def test_levels_are_id_runs(both):
         other, other_labels = both("compile_sorted", *rand_rows(rng, dom_b))
         pairs = len(labels) * len(other_labels)
         pair_labels = [rng.randrange(5) for _ in range(pairs)]
-        for lvl in range(-1, len(dom)):
+        for fold in (False, True) if dom else (False,):
             got, _, _ = both("combine_entries", shared, other, dom, [True] * len(dom), in_b,
-                             pair_labels, lvl)
-            assert_levels_are_runs(got, len(dom) - (lvl >= 0))
+                             pair_labels, fold)
+            assert_levels_are_runs(got, len(dom) - fold)
