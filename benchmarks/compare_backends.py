@@ -7,12 +7,13 @@ workloads.  Outputs are also cross-checked byte for byte while we are
 at it; a mismatch aborts the run.
 
 The ``compile_sorted``, ``combine_entries``, fused ``combine_entries``
-and ``project_entries`` rows replay every call the solver makes on one
-instance of the benchmark's wcsp-planted corpus (``bench/generators.py``,
-seed 1, instance 0), recorded once with the Python edition, so they time
-the factor kernels on the solver's own inputs.  ``compile_sorted``
-compiles each input table, its rows labelled by value and pruned rows
-labelled -1, straight into the shared form; a fused call is a
+and ``project_entries`` rows replay every call the solver makes on the
+whole seed-1 corpus of the benchmark's wcsp-planted workload
+(``bench/generators.py``), recorded once with the Python edition, so they
+time the factor kernels on the solver's own inputs, hundreds of calls a
+row, so that host drift does not swamp a row.  ``compile_sorted``
+compiles each input table, its rows labelled by value and its ``inf``
+rows labelled -1, straight into the shared form; a fused call is a
 ``combine_entries`` call that folds the last level (``fold``): a bucket's
 last combine and its projection in one walk.  The solver names variables
 by elimination position, so every fused and ``project_entries`` call it
@@ -94,7 +95,7 @@ def sorted_digit_buffer(words, length):
 
 
 def record_factor_calls():
-    """{row name: (kernel name, [args, ...])} of one wcsp-planted solve's factor kernels.
+    """{row name: (kernel name, [args, ...])} of the seed-1 wcsp-planted solves' factor kernels.
 
     The ``split`` row's calls are (shared, domains) of every shared form
     the other calls returned, and the ``join`` row's calls are (entries,
@@ -132,11 +133,11 @@ def record_factor_calls():
 
             return record
 
-    _, text = corpus(WORKLOADS["wcsp-planted"], 1)[0]
     saved = factor.kernels
     factor.kernels = Recorder()
     try:
-        bucket_elimination(formats.parse_wcsp(text))
+        for _, text in corpus(WORKLOADS["wcsp-planted"], 1):
+            bucket_elimination(formats.parse_wcsp(text))
     finally:
         factor.kernels = saved
     calls["project_entries, level 0"] = ("project_entries",
@@ -221,7 +222,7 @@ def main():
 
     for row, (name, recorded) in record_factor_calls().items():
         workload(
-            f"{row}, {len(recorded)} calls of one wcsp-planted solve",
+            f"{row}, {len(recorded)} calls of the wcsp-planted corpus",
             lambda K, n=name, r=recorded: [getattr(K, n)(*a) for a in r],
         )
 

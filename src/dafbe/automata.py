@@ -16,11 +16,9 @@ it is also the one-label shared form of ``_kernels_py``, that state's
 term 0: ``from_strings`` and ``insert_wildcard_level`` build it through
 the factor kernels this way.
 
-Where an operand's shape fixes the answer, set operations return without
-a kernel call: A & U = A, A | U = U, A - U = empty, and an empty operand
-gives A & 0 = 0, A | 0 = A, A - 0 = A, 0 - B = 0.  Being canonical, the
-returned operand is exactly what the kernel would have built.  The
-universal automaton is recognized in O(L): ``is_universal``.
+Every set operation is one ``product`` kernel call, an empty or
+universal operand included: the kernel returns the same canonical parts
+for those as for any other operand.
 """
 
 from __future__ import annotations
@@ -352,21 +350,9 @@ class Dafsa:
 
     # -- set algebra ---------------------------------------------------------
 
-    def _check_same_domains(self, other):
+    def _product(self, other, mode):
         if self.domains != other.domains:
             raise AutomatonError(f"domain mismatch: {self.domains} vs {other.domains}")
-
-    def is_universal(self) -> bool:
-        """True iff every string is accepted, read off the shape in O(L).
-
-        A nonempty canonical automaton has at least one edge per level, so
-        exactly ``length`` edges, all of them wildcards, is the universal
-        chain and nothing else.
-        """
-        L = self.length
-        return len(self.acc) == 1 and len(self.t_sym) == L and self.t_sym.count(WILDCARD) == L
-
-    def _product(self, other, mode):
         parts = kernels.product(
             mode,
             self.state_count, self.t_off, self.t_sym, self.t_dst, self.acc, self.start,
@@ -376,27 +362,12 @@ class Dafsa:
         return Dafsa._from_parts(self.domains, parts)
 
     def intersect(self, other: "Dafsa") -> "Dafsa":
-        self._check_same_domains(other)
-        if self.is_empty() or other.is_universal():
-            return self
-        if other.is_empty() or self.is_universal():
-            return other
         return self._product(other, 0)
 
     def union(self, other: "Dafsa") -> "Dafsa":
-        self._check_same_domains(other)
-        if self.is_empty() or other.is_universal():
-            return other
-        if other.is_empty() or self.is_universal():
-            return self
         return self._product(other, 1)
 
     def difference(self, other: "Dafsa") -> "Dafsa":
-        self._check_same_domains(other)
-        if self.is_empty() or other.is_empty():
-            return self
-        if other.is_universal():
-            return Dafsa.empty(self.domains)
         return self._product(other, 2)
 
     # -- level surgery -------------------------------------------------------

@@ -53,7 +53,6 @@ class RunConfig:
     time_limit: float = 7200.0
     engine: str = "dafsa"
     fmt: str = "human"  # human | json-lines
-    prune_infinite: bool = True
     timings: bool = False
 
     def __post_init__(self):
@@ -122,10 +121,7 @@ def _certify(model: GraphicalModel, result) -> bool:
 def _solve_one(model: GraphicalModel, ordering, cfg: RunConfig):
     """Returns (record-extra dict, result or None, disagreement flag)."""
     if cfg.engine == "dafsa":
-        result = bucket_elimination(
-            model, ordering, eps=cfg.eps, prune_infinite=cfg.prune_infinite,
-            time_limit=cfg.time_limit,
-        )
+        result = bucket_elimination(model, ordering, eps=cfg.eps, time_limit=cfg.time_limit)
         return {}, result, False
     if cfg.engine == "tabular":
         result = oracle.tabular_be(model, ordering, time_limit=cfg.time_limit)
@@ -136,10 +132,7 @@ def _solve_one(model: GraphicalModel, ordering, cfg: RunConfig):
 
     # check-all: run every engine that fits its budget and compare
     results = {}
-    results["dafsa"] = bucket_elimination(
-        model, ordering, eps=cfg.eps, prune_infinite=cfg.prune_infinite,
-        time_limit=cfg.time_limit,
-    )
+    results["dafsa"] = bucket_elimination(model, ordering, eps=cfg.eps, time_limit=cfg.time_limit)
     skipped = []
     try:
         results["tabular"] = oracle.tabular_be(model, ordering, time_limit=cfg.time_limit)
@@ -284,12 +277,6 @@ def build_parser() -> _Parser:
     solve.add_argument("--timings", action="store_true",
                        help="include wall and ordering time in json-lines records "
                             "(breaks byte determinism)")
-    prune = solve.add_mutually_exclusive_group()
-    prune.add_argument("--prune-infinity", dest="prune", action="store_true", default=True,
-                       help="drop infinite-cost rows (WCSP hard rows, MAP zeros) from factor "
-                            "entries (default)")
-    prune.add_argument("--no-prune-infinity", dest="prune", action="store_false",
-                       help="keep infinite-cost rows as an entry; same answer")
 
     stats = sub.add_parser("stats", help="redundancy / width / arity report")
     add_common(stats)
@@ -316,7 +303,6 @@ def main(argv=None) -> int:
             time_limit=getattr(args, "time_limit", 7200.0),
             engine=getattr(args, "engine", "dafsa"),
             fmt=getattr(args, "fmt", "human"),
-            prune_infinite=getattr(args, "prune", True),
             timings=getattr(args, "timings", False),
         )
         if args.command == "stats":

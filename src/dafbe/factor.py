@@ -7,8 +7,10 @@ default value plus exception tuples, the way WCSP files state a
 function; its size does not depend on ``prod(domains)``.  A
 ``DafsaFactor`` stores the same function as a list of (value, automaton)
 entries: each distinct (epsilon-keyed) value owns the minimal DAFSA of
-the assignments mapping to it.  Entries are pairwise disjoint and, unless
-infinity rows were pruned, cover the whole assignment space.
+the assignments mapping to it.  Entries are pairwise disjoint and cover
+every assignment of finite value; ``from_table`` leaves the infinite-value
+cells out, so ``value_at`` returns None and ``to_table`` fills ``inf``
+back in there.
 
 Entries are the public, paper form.  Between kernel calls a factor is
 its sorted values, ``keys``, and one shared multi-terminal automaton,
@@ -55,10 +57,12 @@ only: MAP potentials reach it as costs -log p (see
 ``GraphicalModel.cost_factors``), so entry values are costs for both
 tasks and the keying epsilon is an absolute tolerance on costs.
 ``math.inf`` marks hard-infeasible assignments.  It is absorbing under
-sum-combination and never beats a finite value under min-projection.
-The product/max pair stays as a library operation on probability
-factors, on the same two kernels; there inf * 0 is not a number and
-raises ``FactorError``.
+sum-combination and never beats a finite value under min-projection, so
+those two ops treat a cell no entry covers as ``inf`` for free.  The
+product/max pair stays as a library operation on probability factors,
+on the same two kernels; it first gives each operand's uncovered cells
+an explicit ``inf`` entry, so max keeps ``inf`` and inf * 0, not a
+number, raises ``FactorError``.
 """
 
 from __future__ import annotations
@@ -194,20 +198,20 @@ class TabularFactor:
             digits[:, j] = rank // stride % k
         return digits, self.values, None
 
-    def labelled_rows(self, keyset: ValueKeySet, prune_infinite: bool):
+    def labelled_rows(self, keyset: ValueKeySet):
         """(digits, rows, labels, -1): every row, labelled by its key's index.
 
         ``keyset`` must be built on this table's values; a value keys to
-        the largest representative at or below it, and infinity, which
-        sorts last, to -1 with ``prune_infinite``.  ``digits`` and
-        ``labels`` are ``array('i')`` in rank order, which is
-        lexicographic.  There is no default: every cell is a row.
+        the largest representative at or below it, and infinity to -1,
+        left out.  ``digits`` and ``labels`` are ``array('i')`` in rank
+        order, which is lexicographic.  There is no default: every cell is
+        a row.
         """
         import numpy as np
 
         values = self.values
         reps = np.asarray(keyset.reps, dtype=np.float64)
-        labels = np.full(len(values), -1 if prune_infinite else len(reps), dtype=np.intc)
+        labels = np.full(len(values), -1, dtype=np.intc)
         finite = ~np.isinf(values)
         if finite.any():
             labels[finite] = np.searchsorted(reps, values[finite], side="right") - 1
@@ -316,19 +320,17 @@ class SparseFactor:
         values = [self.exceptions[w] for w in words]
         return words, values, self.default if self.default_covers else None
 
-    def labelled_rows(self, keyset: ValueKeySet, prune_infinite: bool):
+    def labelled_rows(self, keyset: ValueKeySet):
         """(digits, rows, labels, default): the exceptions, labelled by key index.
 
-        ``keyset`` must be built on ``present_values``; infinity, which
-        sorts last, is labelled -1 with ``prune_infinite``.  One pass over
-        the sorted exceptions gives ``digits`` and ``labels`` as
-        ``array('i')``.  ``default`` is the label of every other cell, -1
-        when the default covers none.
+        ``keyset`` must be built on ``present_values``; infinity is
+        labelled -1, left out.  One pass over the sorted exceptions gives
+        ``digits`` and ``labels`` as ``array('i')``.  ``default`` is the
+        label of every other cell, -1 when it is infinite or covers none.
         """
         words, values, default = self.cells()
         index = {rep: n for n, rep in enumerate(keyset)}
-        if prune_infinite:
-            index[math.inf] = -1
+        index[math.inf] = -1
         key = keyset.key
         digits = array("i", itertools.chain.from_iterable(words))
         labels = array("i", [index[key(v)] for v in values])
@@ -452,12 +454,8 @@ class DafsaFactor:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_table(
-        cls,
-        table: TabularFactor | SparseFactor,
-        eps: float = DEFAULT_EPS,
-        prune_infinite: bool = False,
-    ) -> "DafsaFactor":
+    def from_table(cls, table: TabularFactor | SparseFactor,
+                   eps: float = DEFAULT_EPS) -> "DafsaFactor":
         """Key each cell's value and compile the table in one kernel call.
 
         ``table`` is a ``TabularFactor`` or a ``SparseFactor``; its
@@ -465,14 +463,15 @@ class DafsaFactor:
         value's key (numpy for a dense table, pure Python for a sparse
         one), and ``compile_sorted`` builds the shared form straight from
         them, a sparse default's label on every other cell.  The result
-        keeps no entries; ``entries`` splits them off on demand.  With
-        ``prune_infinite`` the infinity rows are simply not represented;
-        ``value_at`` then returns None for them.
+        keeps no entries; ``entries`` splits them off on demand.  The
+        infinite-value cells are left out: their language is the complement
+        of the finite entries, so ``value_at`` returns None and ``to_table``
+        gives ``inf`` for them.
         """
         domains = table.domains
         keyset = ValueKeySet.from_values(table.present_values(), eps)
         keys = tuple(keyset)
-        digits, n, labels, default = table.labelled_rows(keyset, prune_infinite)
+        digits, n, labels, default = table.labelled_rows(keyset)
         shared, kept = kernels.compile_sorted(digits, n, len(domains), domains, labels, default)
         return cls._from_shared(table.scope, domains, tuple(keys[n] for n in kept), shared)
 
@@ -506,7 +505,7 @@ class DafsaFactor:
         return len(self.shared[0]) - 1
 
     def value_at(self, assignment):
-        """Value covering the full model assignment, None if pruned.
+        """Value covering the full model assignment, None where no entry covers it.
 
         One path down the shared automaton.
         """
@@ -638,6 +637,17 @@ class DafsaFactor:
         )
 
 
+def _with_inf_entry(f: DafsaFactor) -> DafsaFactor:
+    """``f`` with the cells no finite entry covers as one ``inf`` entry."""
+    finite = tuple(e for e in f.entries if e[0] < math.inf)
+    rest = Dafsa.universal(f.domains)
+    for _, d in finite:
+        rest = rest.difference(d)
+    if rest.is_empty():
+        return f
+    return DafsaFactor(f.scope, f.domains, finite + ((math.inf, rest),))
+
+
 def _combine_call(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float):
     """(scope, domains, keys, operands, labels) of ``f1 op f2``.
 
@@ -649,6 +659,8 @@ def _combine_call(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float):
     """
     if op not in COMBINE_OPS:
         raise FactorError(f"combine op must be one of {COMBINE_OPS}, got {op!r}")
+    if op == "product":
+        f1, f2 = _with_inf_entry(f1), _with_inf_entry(f2)
     kmap = {}
     for f in (f1, f2):
         for var, k in zip(f.scope, f.domains):
@@ -674,7 +686,8 @@ def combine(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float = DEFAULT_EPS)
     ``combine_entries`` walks both factors' shared automata in step over
     the union scope, a variable outside a factor's scope acting as a
     wildcard, and gives each assignment the key of its label pair.
-    Assignments pruned in either input stay pruned.
+    Under sum, assignments left out of either input stay out; product
+    reads them as ``inf`` (``_with_inf_entry``).
     """
     scope, domains, keys, operands, labels = _combine_call(f1, f2, op, eps)
     shared, kept, _ = kernels.combine_entries(*operands, labels)
@@ -713,13 +726,14 @@ def project(f: DafsaFactor, var: int, op: str, other: DafsaFactor | None = None,
     if other is not None and var != max(f.scope + other.scope, default=None):
         return project(combine(f, other, PARTNER[op], eps), var, op)
     if other is None:
+        f = _with_inf_entry(f) if op == "max" else f
         scope, domains, keys = f.scope, f.domains, f.keys
     else:
         scope, domains, keys, operands, labels = _combine_call(f, other, PARTNER[op], eps)
     if var not in scope:
         raise FactorError(f"variable {var} not in scope {scope}")
     pos = scope.index(var)
-    # ranked: the values best first, largest first for max, where inf cannot occur
+    # ranked: the values best first, largest first (so inf first) for max
     ranked = keys if op == "min" else keys[::-1]
     if other is None:
         shared = f.shared if op == "min" else _reverse_labels(f.shared, len(keys))

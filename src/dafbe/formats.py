@@ -83,18 +83,6 @@ def _read_scope(toks, n_vars, i):
     return scope
 
 
-def _sorted_table(raw_scope, domains_of, values):
-    """Permute a last-variable-fastest table onto the sorted scope."""
-    import numpy as np
-
-    scope = sorted(raw_scope)
-    dims = [domains_of(v) for v in raw_scope]
-    cube = np.asarray(values, dtype=np.float64).reshape(dims)
-    perm = sorted(range(len(raw_scope)), key=lambda i: raw_scope[i])
-    cube = np.transpose(cube, perm) if raw_scope else cube
-    return TabularFactor(tuple(scope), tuple(domains_of(v) for v in scope), cube.reshape(-1))
-
-
 def parse_uai(text: str) -> GraphicalModel:
     """UAI MARKOV network as a MAP model (tables multiplied, maximized)."""
     toks = _Tokens(text)
@@ -117,7 +105,8 @@ def parse_uai(text: str) -> GraphicalModel:
         for j, v in enumerate(values):
             if math.isinf(v) or v < 0:
                 raise FormatError(f"function {i} value {j} not a finite nonnegative number", toks.last_line)
-        factors.append(_sorted_table(raw_scope, lambda v: domains[v], values))
+        dims = tuple(domains[v] for v in raw_scope)
+        factors.append(TabularFactor(tuple(range(len(dims))), dims, values).renamed(raw_scope))
     toks.expect_end()
     return GraphicalModel(n_vars, tuple(domains), tuple(factors), Task.MAP)
 
@@ -126,8 +115,8 @@ def parse_wcsp(text: str) -> GraphicalModel:
     """WCSP format as a WCSP model; costs >= the upper bound become inf.
 
     Each function stays a ``SparseFactor``: its default plus the
-    exception tuples, reordered to the sorted scope.  A tuple listed
-    twice keeps its last cost.
+    exception tuples, built in file order and then ``renamed`` onto the
+    sorted scope.  A tuple listed twice keeps its last cost.
     """
     toks = _Tokens(text)
     toks.next("problem name")
@@ -141,7 +130,6 @@ def parse_wcsp(text: str) -> GraphicalModel:
         raw_scope = _read_scope(toks, n_vars, i)
         default = toks.next_float(f"default cost of function {i}")
         n_exc = toks.next_int(f"exception count of function {i}", minimum=0)
-        perm = sorted(range(len(raw_scope)), key=lambda j: raw_scope[j])
         exceptions = {}
         for e in range(n_exc):
             word = []
@@ -155,16 +143,16 @@ def parse_wcsp(text: str) -> GraphicalModel:
                     )
                 word.append(val)
             cost = toks.next_float(f"cost of exception {e} of function {i}")
-            exceptions[tuple(word[j] for j in perm)] = cost
-        scope = tuple(raw_scope[j] for j in perm)
-        dims = tuple(domains[v] for v in scope)
+            exceptions[tuple(word)] = cost
+        dims = tuple(domains[v] for v in raw_scope)
         resolved = list(exceptions.values())
         if len(exceptions) < math.prod(dims):
             resolved.append(default)
         if any(c < 0 for c in resolved):
             raise FormatError(f"function {i} has a negative cost", toks.last_line)
         capped = {word: _cap(c, upper) for word, c in exceptions.items()}
-        factors.append(SparseFactor(scope, dims, _cap(default, upper), capped))
+        factors.append(SparseFactor(tuple(range(len(dims))), dims, _cap(default, upper), capped)
+                       .renamed(raw_scope))
     toks.expect_end()
     return GraphicalModel(n_vars, tuple(domains), tuple(factors), Task.WCSP)
 
@@ -174,9 +162,17 @@ def _cap(cost, upper):
 
 
 def parse_path(path: str, dialect: str = "auto") -> GraphicalModel:
-    """Parse a file as ``uai`` or ``wcsp``; ``auto`` picks wcsp for a .wcsp name."""
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+    """Parse a file as ``uai`` or ``wcsp``; ``auto`` picks wcsp for a .wcsp name.
+
+    A byte outside ASCII is a ``FormatError`` on its line.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("ascii") + "?").splitlines())
+        raise FormatError(f"non-ASCII byte {data[exc.start]:#04x}", line) from None
     if dialect == "wcsp" or (dialect == "auto" and str(path).endswith(".wcsp")):
         return parse_wcsp(text)
     return parse_uai(text)

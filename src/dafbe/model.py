@@ -329,7 +329,6 @@ def bucket_elimination(
     model: GraphicalModel,
     ordering=None,
     eps: float = DEFAULT_EPS,
-    prune_infinite: bool = True,
     time_limit: float | None = None,
 ) -> SolverResult:
     """Exact solve by min-sum bucket elimination over value-keyed automata.
@@ -352,9 +351,9 @@ def bucket_elimination(
     optimal assignment by trying each value of each variable against its
     bucket's functions, lowest value winning ties, so a variable whose
     bucket is empty takes 0, and maps it back to the model's variable
-    ids.  ``prune_infinite`` drops infinite-cost rows from the entries
-    instead of keeping them as an inf entry; the answer is the same
-    either way.
+    ids.  Infinite-cost rows are left out of every factor
+    (``DafsaFactor.from_table``), so an assignment no entry covers
+    scores inf.
 
     A WCSP with no finite-cost assignment is ``"infeasible"``.  A MAP
     model reports the probability exp(-cost), and the cost itself, which
@@ -397,7 +396,7 @@ def bucket_elimination(
         buckets[f.scope[-1]].append(f)
 
     for tab in model.cost_factors():
-        place(DafsaFactor.from_table(tab.renamed(position), eps, prune_infinite=prune_infinite))
+        place(DafsaFactor.from_table(tab.renamed(position), eps))
         if infeasible:
             break
 
@@ -438,7 +437,7 @@ def bucket_elimination(
                 score = 0.0
                 for f in buckets[p]:
                     fv = f.value_at(assignment)
-                    score += math.inf if fv is None else fv  # None: a pruned row
+                    score += math.inf if fv is None else fv  # None: an infinite-cost row
                 if best_score is None or score < best_score:
                     best_score = score
                     best_v = v

@@ -53,6 +53,21 @@ class TestExitCodes:
         (rec,) = json_records(out)
         assert rec["status"] == "error" and "line 2" in rec["error"]
 
+    def test_non_ascii_byte_is_a_parse_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.wcsp"
+        bad.write_bytes(open(HAND, "rb").read() + "# caf\u00e9\n".encode("utf-8"))
+        lines = bad.read_bytes().count(b"\n")
+        code, out, _ = run(capsys, "solve", "--format", "json-lines", str(bad), HAND)
+        assert code == 1
+        recs = json_records(out)
+        assert recs[0]["status"] == "error" and f"line {lines}:" in recs[0]["error"]
+        assert recs[1]["status"] == "optimal" and recs[1]["optimum"] == 1.0
+        code, out, _ = run(capsys, "stats", str(bad), HAND)
+        assert code == 1
+        doc = json.loads(out)
+        assert f"line {lines}:" in doc["instances"][0]["error"]
+        assert doc["aggregate"]["instances"] == 1
+
     def test_bad_instance_does_not_stop_the_rest(self, capsys, tmp_path):
         bad = tmp_path / "bad.uai"
         bad.write_text("garbage\n", encoding="ascii")
@@ -273,10 +288,10 @@ class TestOrderingAndConfig:
         assert code == 0 and json_records(out)[0]["task"] == "WCSP"
 
     def test_prune_toggle(self, capsys):
+        # infinite costs are always left out; there is no switch to set
         for flag in ("--prune-infinity", "--no-prune-infinity"):
-            code, out, _ = run(capsys, "solve", flag, "--format", "json-lines", QUEENS)
-            assert code == 0
-            assert json_records(out)[0]["optimum"] == 0.0
+            code, out, err = run(capsys, "solve", flag, "--format", "json-lines", QUEENS)
+            assert code == 1 and out == "" and flag in err
 
 
 class TestStats:

@@ -11,7 +11,7 @@ import pytest
 from dafbe._backend import kernels
 from dafbe.automata import Dafsa
 from dafbe.errors import FactorError
-from dafbe.factor import DafsaFactor, TabularFactor, _strides, combine, project
+from dafbe.factor import DafsaFactor, SparseFactor, TabularFactor, _strides, combine, project
 from dafbe.keying import ValueKeySet
 
 from conftest import demo_factor, demo_table, table_from_feed
@@ -82,15 +82,24 @@ class TestFromTable:
             assert np.array_equal(back.values, t.values)
 
     def test_prune_infinite(self):
-        t = table_from_feed((0,), (3,), lambda a: math.inf if a[0] == 1 else float(a[0]))
-        f = DafsaFactor.from_table(t, prune_infinite=True)
-        assert f.entry_count == 2
-        assert f.value_at((1,)) is None
-        assert f.value_at((2,)) == 2.0
-        f.check_partition(covering=False)
-        with pytest.raises(FactorError):
-            f.check_partition(covering=True)
-        assert f.to_table().values[1] == math.inf  # default refills the hole
+        # from_table leaves infinite cells out, for both table kinds and a
+        # sparse default of inf: no inf key, value_at None, and to_table
+        # fills inf back in
+        dense = TabularFactor((0, 1), (2, 2), np.array([math.inf, 2.0, 0.0, math.inf]))
+        for t in (
+            dense,
+            SparseFactor((0, 1), (2, 2), math.inf, {(0, 1): 2.0, (1, 0): 0.0}),
+            SparseFactor((0, 1), (2, 2), 2.0, {(0, 0): math.inf, (1, 0): 0.0, (1, 1): math.inf}),
+        ):
+            f = DafsaFactor.from_table(t)
+            assert f.keys == (0.0, 2.0)
+            assert [v for v, _ in f.entries] == [0.0, 2.0]
+            assert f.value_at((0, 0)) is None and f.value_at((1, 1)) is None
+            assert f.value_at((0, 1)) == 2.0 and f.value_at((1, 0)) == 0.0
+            f.check_partition(covering=False)
+            with pytest.raises(FactorError):
+                f.check_partition(covering=True)
+            assert np.array_equal(f.to_table().values, dense.values)  # inf refills the holes
 
     def test_epsilon_grouping(self):
         t = TabularFactor((0,), (2,), np.array([1.0, 1.0 + 1e-12]))
@@ -98,8 +107,9 @@ class TestFromTable:
         assert DafsaFactor.from_table(t, eps=0.0).entry_count == 2
 
 
-def scan_from_table(table, eps, prune_infinite):
-    """Reference grouping: key value by value, then one ``keyed == rep`` scan per key."""
+def scan_from_table(table, eps):
+    """Reference grouping: key value by value, then one ``keyed == rep`` scan per
+    finite key; the infinite rows get no entry."""
     values = table.values
     keyset = ValueKeySet.from_values(values.tolist(), eps)
     reps = np.asarray(keyset.reps, dtype=np.float64)
@@ -110,10 +120,8 @@ def scan_from_table(table, eps, prune_infinite):
     strides = np.asarray(_strides(table.domains), dtype=np.int64)
     dims = np.asarray(table.domains, dtype=np.int64)
     entries = []
-    for rep in list(keyset.reps) + ([math.inf] if keyset.has_infinity else []):
-        if math.isinf(rep) and prune_infinite:
-            continue
-        rows = np.nonzero(np.isinf(keyed) if math.isinf(rep) else keyed == rep)[0]
+    for rep in keyset.reps:
+        rows = np.nonzero(keyed == rep)[0]
         flat = ((rows[:, None] // strides) % dims).astype(np.intc).reshape(-1)
         buf = array("i")
         buf.frombytes(flat.tobytes())
@@ -142,12 +150,11 @@ class TestDenseGrouping:
             values = np.asarray([rng.choice(pool[: rng.randrange(1, len(pool) + 1)])
                                  for _ in range(size)])
             t = TabularFactor(tuple(range(len(dims))), dims, values)
-            for prune in (False, True):
-                want = scan_from_table(t, eps, prune)
-                got = DafsaFactor.from_table(t, eps, prune_infinite=prune).entries
-                assert [v for v, _ in got] == [v for v, _ in want]
-                for (_, a), (_, b) in zip(got, want):
-                    assert (a.t_off, a.t_sym, a.t_dst, a.acc) == (b.t_off, b.t_sym, b.t_dst, b.acc)
+            want = scan_from_table(t, eps)
+            got = DafsaFactor.from_table(t, eps).entries
+            assert [v for v, _ in got] == [v for v, _ in want]
+            for (_, a), (_, b) in zip(got, want):
+                assert (a.t_off, a.t_sym, a.t_dst, a.acc) == (b.t_off, b.t_sym, b.t_dst, b.acc)
 
 
 class TestValidation:
@@ -238,11 +245,7 @@ class TestCombine:
             doms = {v: rng.choice([2, 3]) for v in set(s1) | set(s2)}
             t1 = rand_table(rng, s1, tuple(doms[v] for v in s1), with_inf=op == "sum")
             t2 = rand_table(rng, s2, tuple(doms[v] for v in s2), with_inf=op == "sum")
-            f = combine(
-                DafsaFactor.from_table(t1, prune_infinite=True),
-                DafsaFactor.from_table(t2, prune_infinite=True),
-                op,
-            )
+            f = combine(DafsaFactor.from_table(t1), DafsaFactor.from_table(t2), op)
             f.check_partition(covering=False)
             for a in assignments(tuple(doms[v] for v in f.scope)):
                 full = {v: a[i] for i, v in enumerate(f.scope)}
@@ -273,7 +276,7 @@ class TestProject:
             dims = tuple(rng.choice([2, 3]) for _ in range(rng.randrange(2, 4)))
             scope = tuple(range(len(dims)))
             t = rand_table(rng, scope, dims, with_inf=op == "min")
-            f = DafsaFactor.from_table(t, prune_infinite=op == "min")
+            f = DafsaFactor.from_table(t)
             var = rng.choice(scope)
             g, growth = project(f, var, op)
             assert len(growth) == 1

@@ -22,6 +22,7 @@ import dafbe.factor as factor_mod
 from dafbe.automata import Dafsa
 from dafbe.errors import FactorError
 from dafbe.factor import PARTNER, DafsaFactor, SparseFactor, combine, project
+from dafbe.factor import _with_inf_entry as with_inf_entry
 from dafbe.keying import DEFAULT_EPS, ValueKeySet
 
 from conftest import flat
@@ -108,8 +109,9 @@ def rand_scope(rng, kind, other=None):
 
 
 def rand_factor(rng, scope, doms, probabilities):
-    """Random factor: redundant values, some inf rows (pruned or kept),
-    now and then a constant table, whose one entry is universal."""
+    """Random factor: redundant values, some inf rows (left out, or half
+    the time an inf entry), now and then a constant table, whose one
+    entry is universal."""
     domains = tuple(doms[v] for v in scope)
     palette = [0.0, 0.25, 0.5, 1.0] if probabilities else [0.0, 1.0, 2.5, 4.0]
     roll = rng.random()
@@ -123,7 +125,8 @@ def rand_factor(rng, scope, doms, probabilities):
         word = tuple(rng.randrange(k) for k in domains)
         exceptions[word] = math.inf if with_inf and rng.random() < 0.3 else rng.choice(palette)
     table = SparseFactor(scope, domains, rng.choice(palette), exceptions)
-    return DafsaFactor.from_table(table, prune_infinite=rng.random() < 0.5)
+    f = DafsaFactor.from_table(table)
+    return with_inf_entry(f) if rng.random() < 0.5 else f
 
 
 KINDS = ["any", "disjoint", "nested", "equal", "empty"]
@@ -154,11 +157,26 @@ class TestAgainstPairLoops:
             assert entry_bytes(got) == entry_bytes(want), (trial, op, kind)
 
     def test_inf_times_zero_still_raises(self, through_both):
-        f1 = DafsaFactor.from_table(SparseFactor((0,), (2,), 0.0, {(1,): math.inf}))
+        # from_table leaves inf out; the entries constructor still takes it
+        f1 = DafsaFactor((0,), (2,), ((0.0, Dafsa.from_strings((2,), [(0,)])),
+                                      (math.inf, Dafsa.from_strings((2,), [(1,)]))))
         f2 = DafsaFactor.from_table(SparseFactor((1,), (2,), 0.0, {(0,): 1.0}))
         for fn in (combine, reference_combine):
             with pytest.raises(FactorError):
                 fn(f1, f2, "product")
+
+    def test_left_out_cells_are_inf_under_max_and_product(self, through_both):
+        # from_table leaves the inf cell out; max and product still read it as inf
+        f = DafsaFactor.from_table(SparseFactor((0,), (2,), 1.0, {(0,): math.inf}))
+        g, _ = project(f, 0, "max")
+        assert g.keys == (math.inf,) and g.value_at((0,)) == math.inf
+        one = DafsaFactor.from_table(SparseFactor((1,), (2,), 1.0, {}))
+        assert combine(f, one, "product").value_at((0, 1)) == math.inf
+        zero = DafsaFactor.from_table(SparseFactor((1,), (2,), 0.0, {}))
+        with pytest.raises(FactorError):
+            combine(f, zero, "product")
+        with pytest.raises(FactorError):
+            project(f, 1, "max", other=zero)
 
     def test_empty_factors(self, through_both):
         empty = DafsaFactor((0, 1), (2, 3), ())
@@ -209,16 +227,15 @@ class TestFusedStep:
         assert {op for op, _, _ in seen} == {"min", "max"}
 
     def test_constant_and_infinite_operands(self, through_both):
-        # a universal entry on either side, inf rows kept or pruned
-        hard = SparseFactor((0, 1), (2, 3), 1.0, {(0, 0): math.inf, (1, 2): 0.0, (1, 1): math.inf})
-        const = SparseFactor((1, 2), (3, 2), 2.5, {})
-        for prune in (False, True):
-            f = DafsaFactor.from_table(hard, prune_infinite=prune)
-            g = DafsaFactor.from_table(const)
+        # a universal entry on either side, inf rows left out or an inf entry
+        hard = DafsaFactor.from_table(
+            SparseFactor((0, 1), (2, 3), 1.0, {(0, 0): math.inf, (1, 2): 0.0, (1, 1): math.inf}))
+        g = DafsaFactor.from_table(SparseFactor((1, 2), (3, 2), 2.5, {}))
+        for f in (hard, with_inf_entry(hard)):
             for a, b in ((f, g), (g, f), (f, f), (g, g)):
                 for var in sorted(set(a.scope) | set(b.scope)):
                     got, want = fused_and_unfused(a, b, var, "min")
-                    assert got == want, (prune, a.scope, b.scope, var)
+                    assert got == want, (f.keys, a.scope, b.scope, var)
 
     def test_empty_operand(self, through_both):
         empty = DafsaFactor((0, 1), (2, 3), ())

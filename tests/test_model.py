@@ -391,15 +391,6 @@ class TestBucketElimination:
         r = bucket_elimination(m)
         assert r.optimum == 2.0 and m.evaluate(r.assignment) == 2.0
 
-    def test_prune_toggle_same_answer(self):
-        for seed in (1, 7, 11):
-            m = micro_model(seed, Task.WCSP)
-            a = bucket_elimination(m, prune_infinite=True)
-            b = bucket_elimination(m, prune_infinite=False)
-            assert a.status == b.status
-            if a.status == "optimal":
-                assert a.optimum == pytest.approx(b.optimum, abs=1e-9)
-
     def test_stats_populated(self):
         m = micro_model(2)
         r = bucket_elimination(m)
@@ -479,12 +470,11 @@ class TestBucketElimination:
         for trial in range(1000):
             m = ignoring_model(rng, (Task.MAP, Task.WCSP)[trial % 2])
             want = brute_force(m)
-            for prune in (True, False):
-                r = bucket_elimination(m, prune_infinite=prune)
-                assert r.status == want.status, (trial, prune)
-                assert math.isclose(r.optimum, want.optimum, rel_tol=1e-9), (trial, prune)
-                if r.assignment is not None:
-                    assert math.isclose(m.evaluate(r.assignment), r.optimum, rel_tol=1e-9), (trial, prune)
+            r = bucket_elimination(m)
+            assert r.status == want.status, trial
+            assert math.isclose(r.optimum, want.optimum, rel_tol=1e-9), trial
+            if r.assignment is not None:
+                assert math.isclose(m.evaluate(r.assignment), r.optimum, rel_tol=1e-9), trial
         assert splices > 2000
 
     def test_constant_message_folds_into_the_optimum(self):

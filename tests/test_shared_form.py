@@ -85,7 +85,7 @@ def dense(scope, domains, value_of):
 
 
 def at(f, assignment):
-    """``f``'s value, inf where a row is pruned."""
+    """``f``'s value, inf where ``f`` leaves the row out."""
     v = f.value_at(assignment)
     return math.inf if v is None else v
 
@@ -100,15 +100,12 @@ class TestEntriesMatchDenseReference:
             doms = [rng.randrange(1, 4) for _ in range(VARS)]
             s1 = rand_scope(rng, "any")
             s2 = rand_scope(rng, ("any", "disjoint", "nested", "equal")[trial // 2 % 4], s1)
-            # both operands pruned alike, so that the reference prunes as they do
-            prune = op == "min" and rng.random() < 0.5
-            f, g = (DafsaFactor.from_table(rand_factor(rng, s, doms, op == "max").to_table(),
-                                           prune_infinite=prune) for s in (s1, s2))
+            f, g = (DafsaFactor.from_table(rand_factor(rng, s, doms, op == "max").to_table())
+                    for s in (s1, s2))
             fn = ops[combine_op]
             both = combine(f, g, combine_op)
             want = dense(both.scope, both.domains, lambda a: fn(at(f, a), at(g, a)))
-            assert entry_bytes(both) == entry_bytes(
-                DafsaFactor.from_table(want, prune_infinite=prune)), (trial, "combine")
+            assert entry_bytes(both) == entry_bytes(DafsaFactor.from_table(want)), (trial, "combine")
 
             pick = min if op == "min" else max
             var = rng.choice(s1)
@@ -120,7 +117,7 @@ class TestEntriesMatchDenseReference:
 
                 want = dense(got.scope, got.domains, best)
                 assert entry_bytes(got) == entry_bytes(
-                    DafsaFactor.from_table(want, prune_infinite=prune)), (trial, op, other is None)
+                    DafsaFactor.from_table(want)), (trial, op, other is None)
 
 
 def assert_levels_are_runs(shared, length):

@@ -144,13 +144,12 @@ class TestParse:
 
 
 class TestSparseCompile:
-    @pytest.mark.parametrize("prune", [False, True])
-    def test_entries_match_dense_compile(self, prune):
+    def test_entries_match_dense_compile(self):
         for domains, functions in model_cases():
             for f in parse_wcsp(wcsp_text(domains, functions)).factors:
                 dense = f.to_table()
-                got = DafsaFactor.from_table(f, prune_infinite=prune)
-                want = DafsaFactor.from_table(dense, prune_infinite=prune)
+                got = DafsaFactor.from_table(f)
+                want = DafsaFactor.from_table(dense)
                 assert entry_bytes(got) == entry_bytes(want), (domains, functions)
                 assert round(f.redundancy(), 12) == round(dense.redundancy(), 12)
 

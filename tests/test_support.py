@@ -19,6 +19,7 @@ import dafbe._kernels_py as kernels_py
 import dafbe.factor as factor_mod
 from dafbe.automata import WILDCARD, _levels
 from dafbe.factor import DafsaFactor, SparseFactor, project
+from dafbe.factor import _with_inf_entry as with_inf_entry
 
 from conftest import flat, ignoring_table
 
@@ -81,10 +82,9 @@ class TestAgainstProjection:
             domains = tuple(rng.randrange(1, 5) for _ in scope)
             support = {var for var in scope if rng.random() < 0.5}
             palette = palettes[trial % 3]
-            prune = rng.random() < 0.5
             table = ignoring_table(scope, domains, support, lambda: rng.choice(palette))
-            f = DafsaFactor.from_table(table, prune_infinite=prune)
-            if not f.keys:  # every row pruned
+            f = DafsaFactor.from_table(table)
+            if not f.keys:  # every row infinite
                 assert f.on_support() is f
                 continue
             g = check_splice(f)
@@ -107,15 +107,15 @@ class TestAgainstProjection:
                         ("dropped none", "varying"), ("dropped none", "constant")}
 
     def test_pruned_rows_keep_their_level(self, edition):
-        # the values ignore variable 1, but its pruned rows are a partial
-        # fan, so it stays; variable 0 goes
+        # the values ignore variable 1, but its left-out inf rows are a
+        # partial fan, so it stays; variable 0 goes
         table = SparseFactor((0, 1, 2), (2, 3, 2), 1.0, {(a, 2, c): math.inf for a in (0, 1) for c in (0, 1)})
-        f = DafsaFactor.from_table(table, prune_infinite=True)
+        f = DafsaFactor.from_table(table)
         g = check_splice(f)
         assert g.scope == (1,) and g.keys == (1.0,)
         assert g.value_at({1: 0}) == 1.0 and g.value_at({1: 2}) is None
-        kept = DafsaFactor.from_table(table)  # inf as a value: variable 1 is in the support
-        assert check_splice(kept).scope == (1,)
+        kept = with_inf_entry(f)  # inf as a value: variable 1 is in the support
+        assert kept.keys == (1.0, math.inf) and check_splice(kept).scope == (1,)
 
     def test_constants(self, edition):
         for scope, domains in (((0,), (3,)), ((1, 4), (1, 2)), ((0, 2, 3, 5), (2, 3, 1, 4))):
@@ -138,8 +138,8 @@ class TestAgainstProjection:
     def test_empty_function(self, edition):
         empty = DafsaFactor((0, 1), (2, 3), ())
         assert empty.on_support() is empty
-        pruned = DafsaFactor.from_table(SparseFactor((0, 1), (2, 3), math.inf, {}), prune_infinite=True)
-        assert pruned.keys == () and pruned.on_support() is pruned
+        infinite = DafsaFactor.from_table(SparseFactor((0, 1), (2, 3), math.inf, {}))
+        assert infinite.keys == () and infinite.on_support() is infinite
 
     def test_runs_of_idle_levels(self, edition):
         # idle levels first, last, and in runs between kept ones
