@@ -72,10 +72,6 @@ COLD_RUNS = 9
 HAND_WCSP = os.path.join(ROOT, "tests", "fixtures", "hand.wcsp")
 
 
-def flat(d):
-    return (d.state_count, d.t_off, d.t_sym, d.t_dst, d.acc, d.start)
-
-
 def plain(out):
     """A kernel output with every array, list and tuple as a tuple."""
     if isinstance(out, (array, tuple, list)):
@@ -208,16 +204,16 @@ def main():
     for mode, label in ((0, "intersect"), (1, "union"), (2, "difference")):
         workload(
             f"{label} 4k x 4k automata",
-            lambda K, m=mode: tuple(K.product(m, *flat(a), *flat(b), domains)),
+            lambda K, m=mode: K.product(m, a.parts, b.parts, domains),
         )
     workload(
         "minimize (already minimal)",
-        lambda K: tuple(K.minimize(*flat(a), domains)),
+        lambda K: K.minimize(a.parts, 0, domains),
     )
     for lvl in (0, length // 2, length - 1):
         workload(
             f"remove level {lvl} (determinize)",
-            lambda K, l=lvl: tuple(K.remove_level(*flat(a), domains, l)),
+            lambda K, l=lvl: K.remove_level(a.parts, domains, l),
         )
 
     for row, (name, recorded) in record_factor_calls().items():

@@ -2,10 +2,15 @@
 //
 // A hand-written C++17 twin of ``_kernels_py``: the same kernels under the
 // same names and positional signatures, returning byte-identical canonical
-// parts (see that module for the representation contract, for a factor's
-// shared multi-terminal form and for the five kernels that build or read
-// it).  Arrays are read through the buffer protocol and must have format 'i';
-// results are array('i').
+// results (see that module for the representation contract).  One shape
+// goes in: an automaton is its parts (t_off, t_sym, t_dst, acc) and a
+// factor its shared form (t_off, t_sym, t_dst, term), both rooted at state
+// 0, except for the start that determinize and minimize take.  One shape
+// comes out: every kernel but split returns a shared form and its labels,
+// the four one-label kernels (product, determinize, minimize,
+// remove_level) with label 0 only, so that its one terminal, if any, is the
+// accepting state.  Arrays are read through the buffer protocol and must
+// have format 'i'; results are array('i').
 //
 // Unlike the Python edition, every kernel checks its inputs before it
 // reads them: CSR shape, state ids, each reachable state's symbols against
@@ -27,8 +32,7 @@
 // (Unique), builds a shared form.  compile_sorted walks the trie of its
 // rows, runs of rows that share a prefix; product walks pairs of states;
 // determinize, minimize and remove_level walk subsets of states
-// (Subsets), all with one label, and read their one terminal as the
-// accepting state (SharedWalked::single); join walks subsets of entries
+// (Subsets), all with one label; join walks subsets of entries
 // side by side; project_entries walks the states of one shared form to
 // remove its last level, and subsets of them to remove any other; and
 // combine_entries walks pairs of states, one per operand.  split makes one
@@ -124,7 +128,7 @@ struct Csr {
     CsrView view() const { return {off.data(), sym.data(), dst.data()}; }
 };
 
-// Flat result parts: (t_off, t_sym, t_dst, acc) with start state 0.
+// Flat result parts: (t_off, t_sym, t_dst, acc or term), rooted at state 0.
 struct Parts {
     Ints off, sym, dst, acc;
 };
@@ -323,12 +327,12 @@ struct Graph {
     // The CSR shape, the state ids, and for each state start reaches, its
     // symbols against the domain of its level and that its edges run to
     // the next level.
-    void check(int n_states, int start_state, const Ints& dom) {
-        n = n_states;
+    void check(const Ints& dom, int start_state = 0) {
+        if (off_buf.size() < 2)
+            throw BadInput("t_off has " + str(off_buf.size()) + " entries, so there is no start state");
+        if (off_buf.size() > INT32_MAX) throw BadInput("t_off is too long");
+        n = static_cast<int>(off_buf.size()) - 1;
         start = start_state;
-        if (n < 0 || off_buf.size() != static_cast<Py_ssize_t>(n) + 1)
-            throw BadInput("t_off has " + str(off_buf.size()) + " entries, expected n + 1 = " +
-                           str(static_cast<long>(n) + 1));
         const Py_ssize_t edges = sym_buf.size();
         if (dst_buf.size() != edges)
             throw BadInput("t_sym has " + str(edges) + " entries but t_dst " + str(dst_buf.size()));
@@ -363,34 +367,19 @@ struct Graph {
             }
         }
     }
-
-    // check, for parts rooted at state 0 whose t_off gives the state count
-    void check_rooted(const Ints& dom) {
-        if (off_buf.size() > INT32_MAX) throw BadInput("t_off is too long");
-        check(static_cast<int>(off_buf.size()) - 1, 0, dom);
-    }
 };
 
-// One automaton argument, (n, t_off, t_sym, t_dst, acc, start) or an
-// entry's parts (t_off, t_sym, t_dst, acc) with start 0.
+// One automaton argument, its parts (t_off, t_sym, t_dst, acc), from start.
 struct Automaton : Graph {
     IntBuffer acc_buf;
     Flags final;  // accepting flags
 
-    void load(int n_states, PyObject* t_off, PyObject* t_sym, PyObject* t_dst, PyObject* acc,
-              int start_state, const Ints& dom) {
-        acquire(t_off, t_sym, t_dst);
-        acc_buf.acquire(acc, "acc");
-        check(n_states, start_state, dom);
-        check_acc();
-    }
-
-    void load_entry(PyObject* entry, const Ints& dom) {
-        Ref seq(PySequence_Fast(entry, "an entry must be a sequence of four arrays"));
-        PyObject** item = items(seq, "an entry", "(t_off, t_sym, t_dst, acc)");
+    void load(PyObject* parts, const Ints& dom, int start_state = 0) {
+        Ref seq(PySequence_Fast(parts, "an automaton must be a sequence of four arrays"));
+        PyObject** item = items(seq, "an automaton", "(t_off, t_sym, t_dst, acc)");
         acquire(item[0], item[1], item[2]);
         acc_buf.acquire(item[3], "acc");
-        check_rooted(dom);
+        check(dom, start_state);
         check_acc();
     }
 
@@ -430,7 +419,7 @@ struct Diagram : Graph {
         PyObject** item = items(seq, "a shared form", "(t_off, t_sym, t_dst, term)");
         acquire(item[0], item[1], item[2]);
         term_buf.acquire(item[3], "term");
-        check_rooted(dom);
+        check(dom);
         if (term_buf.size() != n)
             throw BadInput("term has " + str(term_buf.size()) + " entries for " + str(n) + " states");
         const CsrView g = view();
@@ -467,14 +456,13 @@ PyObject* to_array(const Ints& v) {
     return out;
 }
 
-// (t_off, t_sym, t_dst, acc, *counts) as a tuple of four arrays and ints.
-PyObject* pack(const Parts& p, std::initializer_list<long> counts = {}) {
-    Ref out(PyTuple_New(4 + static_cast<Py_ssize_t>(counts.size())));
+// (t_off, t_sym, t_dst, acc) as a tuple of four arrays.
+PyObject* pack(const Parts& p) {
+    Ref out(PyTuple_New(4));
     Py_ssize_t i = 0;
     for (const Ints* part : {&p.off, &p.sym, &p.dst, &p.acc}) {
         PyTuple_SET_ITEM(out.p, i++, Ref(to_array(*part)).release());
     }
-    for (long c : counts) PyTuple_SET_ITEM(out.p, i++, Ref(PyLong_FromLong(c)).release());
     return out.release();
 }
 
@@ -539,15 +527,6 @@ struct SharedWalked {
             p.acc[found[r].second] = static_cast<int>(r);
             labels.push_back(found[r].first);
         }
-        return p;
-    }
-
-    // The automaton below node when every leaf has label 0: its terminal,
-    // if any, is the last state and accepts.  The one-label kernels' result.
-    Parts single(int node) const {
-        Ints labels;
-        Parts p = parts(node, labels);
-        p.acc = labels.empty() ? Ints{} : Ints{static_cast<int>(p.acc.size()) - 1};
         return p;
     }
 
@@ -692,7 +671,7 @@ Decoded decode(const CsrView& g, int s) {
 // Lockstep pair construction: 0 = intersect, 1 = union, 2 = difference.
 // The walk over pairs of states, with one label; a missing state on one
 // side is DEAD, so union and difference keep walking the live side.
-Parts product(int mode, const Automaton& a, const Automaton& b, const Ints& dom) {
+PyObject* product(int mode, const Automaton& a, const Automaton& b, const Ints& dom) {
     auto live = [mode](int da, int db) {
         return mode == 0 ? da != DEAD && db != DEAD : mode == 1 ? da != DEAD || db != DEAD : da != DEAD;
     };
@@ -707,23 +686,21 @@ Parts product(int mode, const Automaton& a, const Automaton& b, const Ints& dom)
         return (mode == 0 ? fa && fb : mode == 1 ? fa || fb : fa && !fb) ? 0 : NO_LABEL;
     };
     SharedWalked w;
-    const int root = pairs(a.start, b.start);
+    const int root = pairs(0, 0);
     walk(dom, root, expand, label_of, w);
-    return w.single(root);
+    return w.result(root);
 }
 
 PyObject* py_product(PyObject* args) {
-    int mode, na, starta, nb, startb;
-    PyObject *offa, *syma, *dsta, *acca, *offb, *symb, *dstb, *accb, *domains;
-    if (!PyArg_ParseTuple(args, "iiOOOOiiOOOOiO:product", &mode, &na, &offa, &syma, &dsta, &acca,
-                          &starta, &nb, &offb, &symb, &dstb, &accb, &startb, &domains))
-        throw PyFailure();
+    int mode;
+    PyObject *a_arg, *b_arg, *domains;
+    if (!PyArg_ParseTuple(args, "iOOO:product", &mode, &a_arg, &b_arg, &domains)) throw PyFailure();
     if (mode < 0 || mode > 2) throw BadInput("product mode " + str(mode) + " is not 0, 1 or 2");
     const Ints dom = parse_domains(domains);
     Automaton a, b;
-    a.load(na, offa, syma, dsta, acca, starta, dom);
-    b.load(nb, offb, symb, dstb, accb, startb, dom);
-    return pack(product(mode, a, b, dom));
+    a.load(a_arg, dom);
+    b.load(b_arg, dom);
+    return product(mode, a, b, dom);
 }
 
 // Subsets of the states of one or more automata side by side, stepped
@@ -889,30 +866,36 @@ void walk_subsets(Subsets& subsets, const Ints& dom, int root, SharedWalked& w) 
     walk(dom, root, expand, [&](int sub) { return subsets.label(sub); }, w);
 }
 
+// (shared, labels, sample) of a walk that built root into w, sample
+// built by Py_BuildValue from format and the counts.
+template <class... Counts>
+PyObject* with_sample(const SharedWalked& w, int root, const char* format, Counts... counts) {
+    Ref result(w.result(root));
+    return Ref(Py_BuildValue(format, PyTuple_GET_ITEM(result.p, 0), PyTuple_GET_ITEM(result.p, 1),
+                             counts...))
+        .release();
+}
+
 // determinize and minimize: the walk over the input's own edges (a DFA is
 // an NFA whose subsets are singletons).
 PyObject* walk_own_edges(PyObject* args, const char* format, bool with_count) {
-    int n, start;
-    PyObject *t_off, *t_sym, *t_dst, *acc, *domains;
-    if (!PyArg_ParseTuple(args, format, &n, &t_off, &t_sym, &t_dst, &acc, &start, &domains))
-        throw PyFailure();
+    int start;
+    PyObject *a_arg, *domains;
+    if (!PyArg_ParseTuple(args, format, &a_arg, &start, &domains)) throw PyFailure();
     const Ints dom = parse_domains(domains);
     Automaton a;
-    a.load(n, t_off, t_sym, t_dst, acc, start, dom);
+    a.load(a_arg, dom, start);
     Subsets subsets(static_cast<int>(dom.size()), -1);
     subsets.add(a.view(), a.n, a.start, a.owners(0));
     const int root = subsets.root();
     SharedWalked w;
     walk_subsets(subsets, dom, root, w);
-    const Parts p = w.single(root);
-    return with_count ? pack(p, {w.nodes()}) : pack(p);
+    return with_count ? with_sample(w, root, "(OOi)", w.nodes()) : w.result(root);
 }
 
-PyObject* py_determinize(PyObject* args) {
-    return walk_own_edges(args, "iOOOOiO:determinize", true);
-}
+PyObject* py_determinize(PyObject* args) { return walk_own_edges(args, "OiO:determinize", true); }
 
-PyObject* py_minimize(PyObject* args) { return walk_own_edges(args, "iOOOOiO:minimize", false); }
+PyObject* py_minimize(PyObject* args) { return walk_own_edges(args, "OiO:minimize", false); }
 
 Ints without_level(const Ints& dom, int lvl) {
     const int L = static_cast<int>(dom.size());
@@ -924,21 +907,19 @@ Ints without_level(const Ints& dom, int lvl) {
 
 // Project out level lvl: the walk with the level contracted on the fly.
 PyObject* py_remove_level(PyObject* args) {
-    int n, start, lvl;
-    PyObject *t_off, *t_sym, *t_dst, *acc, *domains;
-    if (!PyArg_ParseTuple(args, "iOOOOiOi:remove_level", &n, &t_off, &t_sym, &t_dst, &acc,
-                          &start, &domains, &lvl))
-        throw PyFailure();
+    int lvl;
+    PyObject *a_arg, *domains;
+    if (!PyArg_ParseTuple(args, "OOi:remove_level", &a_arg, &domains, &lvl)) throw PyFailure();
     const Ints dom = parse_domains(domains);
     const Ints new_dom = without_level(dom, lvl);
     Automaton a;
-    a.load(n, t_off, t_sym, t_dst, acc, start, dom);
+    a.load(a_arg, dom);
     Subsets subsets(static_cast<int>(new_dom.size()), lvl);
     subsets.add(a.view(), a.n, a.start, a.owners(0));
     const int root = subsets.root();
     SharedWalked w;
     walk_subsets(subsets, new_dom, root, w);
-    return pack(w.single(root), {subsets.members(w), w.nodes()});
+    return with_sample(w, root, "(OO(ii))", subsets.members(w), w.nodes());
 }
 
 // The shared form of n_strings labelled rows of a flat buffer, strictly
@@ -1023,7 +1004,7 @@ PyObject* py_join(PyObject* args) {
     Subsets subsets(static_cast<int>(dom.size()), -1);
     for (int i = 0; i < count; ++i) {
         Automaton a;
-        a.load_entry(PySequence_Fast_GET_ITEM(seq.p, i), dom);
+        a.load(PySequence_Fast_GET_ITEM(seq.p, i), dom);
         subsets.add(a.view(), a.n, 0, a.owners(i));
     }
     const int root = subsets.root();
@@ -1090,14 +1071,6 @@ PyObject* py_split(PyObject* args) {
     return list.release();
 }
 
-// (shared, labels, sample) of a walk that built root into w.
-PyObject* with_sample(const SharedWalked& w, int root, int first, int second) {
-    Ref result(w.result(root));
-    return Ref(Py_BuildValue("(OO(ii))", PyTuple_GET_ITEM(result.p, 0), PyTuple_GET_ITEM(result.p, 1),
-                             first, second))
-        .release();
-}
-
 // Remove level lvl from a shared form; each string takes the lowest label
 // it reaches.  The last level needs no subsets, as in _kernels_py: the
 // walk steps single states, and a state on the last level that is left
@@ -1124,13 +1097,13 @@ PyObject* py_project_entries(PyObject* args) {
             return best;
         };
         walk(new_dom, 0, expand, label_of, w);
-        return with_sample(w, 0, w.nodes(), w.nodes());
+        return with_sample(w, 0, "(OO(ii))", w.nodes(), w.nodes());
     }
     Subsets subsets(static_cast<int>(new_dom.size()), lvl);
     subsets.add(d.view(), d.n, 0, d.owners());
     const int root = subsets.root();
     walk_subsets(subsets, new_dom, root, w);
-    return with_sample(w, root, subsets.members(w), w.nodes());
+    return with_sample(w, root, "(OO(ii))", subsets.members(w), w.nodes());
 }
 
 bool both_live(int sa, int sb) { return sa != DEAD && sb != DEAD; }
@@ -1195,7 +1168,7 @@ PyObject* py_combine_entries(PyObject* args) {
     const int root = pairs(0, 0);
     SharedWalked w;
     walk(walked, root, expand, label_of, w);
-    return with_sample(w, root, w.nodes(), w.nodes());
+    return with_sample(w, root, "(OO(ii))", w.nodes(), w.nodes());
 }
 
 // Every kernel entry point: C++ exceptions become Python exceptions here.
@@ -1218,18 +1191,15 @@ PyObject* guarded(PyObject*, PyObject* args) {
 
 
 PyMethodDef methods[] = {
-    {"minimize", guarded<py_minimize>, METH_VARARGS,
-     "minimize(n, t_off, t_sym, t_dst, acc, start, domains) -> parts"},
+    {"minimize", guarded<py_minimize>, METH_VARARGS, "minimize(a, start, domains) -> (shared, labels)"},
     {"compile_sorted", guarded<py_compile_sorted>, METH_VARARGS,
      "compile_sorted(digits, n_strings, length, domains, labels, default) -> (shared, labels)"},
     {"product", guarded<py_product>, METH_VARARGS,
-     "product(mode, n_a, ..., start_a, n_b, ..., start_b, domains) -> parts;"
-     " mode 0 = intersect, 1 = union, 2 = difference"},
+     "product(mode, a, b, domains) -> (shared, labels); mode 0 = intersect, 1 = union, 2 = difference"},
     {"determinize", guarded<py_determinize>, METH_VARARGS,
-     "determinize(n, t_off, t_sym, t_dst, acc, start, domains) -> parts + (raw_states,)"},
+     "determinize(a, start, domains) -> (shared, labels, raw_states)"},
     {"remove_level", guarded<py_remove_level>, METH_VARARGS,
-     "remove_level(n, t_off, t_sym, t_dst, acc, start, domains, lvl)"
-     " -> parts + (nfa_states, raw_states)"},
+     "remove_level(a, domains, lvl) -> (shared, labels, (nfa_states, raw_states))"},
     {"join", guarded<py_join>, METH_VARARGS, "join(entries, domains) -> (shared, labels)"},
     {"split", guarded<py_split>, METH_VARARGS, "split(shared, domains) -> [(label, parts), ...]"},
     {"project_entries", guarded<py_project_entries>, METH_VARARGS,

@@ -12,21 +12,21 @@ well-formed input, which is possible because every kernel returns the
 * states numbered in breadth-first order from the start state, edges
   visited in symbol order (wildcard first).
 
-Flat automaton form, shared with the compiled edition:
+Every argument and result automaton is given by its *parts*, four
+``array('i')`` rooted at state 0:
 
-    n       number of states, ids 0..n-1
-    t_off   array('i') of length n+1, CSR offsets into t_sym / t_dst
-    t_sym   array('i'), per-state symbols sorted ascending, -1 = wildcard
-    t_dst   array('i'), destination ids parallel to t_sym
-    acc     array('i'), sorted accepting state ids
-    start   start state id
+    t_off   CSR offsets into t_sym / t_dst, one more than the states
+    t_sym   per-state symbols sorted ascending, -1 = wildcard
+    t_dst   destination ids parallel to t_sym
+    acc     sorted accepting state ids, or in a shared form ``term``
 
-The single-automaton kernels (``product``, ``determinize``, ``minimize``,
-``remove_level``) return ``(t_off, t_sym, t_dst, acc)`` with start state
-0.  Inputs must be leveled (every path from the start to an accepting
-state has the same length and level i edges only read variable i's
-symbols); only ``determinize`` and ``remove_level`` accept
-nondeterministic transitions.
+An automaton argument (``a``, ``b``, an entry of ``join``) is ``(t_off,
+t_sym, t_dst, acc)``, ``Dafsa.parts``.  It must be leveled: every path
+from the start to an accepting state has the same length and level i
+edges only read variable i's symbols.  Its start is state 0, except that
+``determinize`` and ``minimize`` take a ``start``, and only
+``determinize`` and ``remove_level`` accept nondeterministic
+transitions.
 
 A factor is one *shared* multi-terminal automaton, the parts ``(t_off,
 t_sym, t_dst, term)`` rooted at state 0.  ``term[s]`` is the label of
@@ -36,7 +36,24 @@ so equal right languages share one state whatever labels they reach,
 with exactly one terminal per label and no state whose language is
 empty; complete fans collapsed; states numbered breadth-first from the
 root, so the terminals come last.  The empty function is a lone root
-with ``term`` -1.  Five kernels build or read it:
+with ``term`` -1.  Every kernel but ``split`` returns one.
+
+Four kernels build a set of strings, every string labelled 0.  Their
+shared form has the same bytes as the canonical automaton, its one
+terminal, if any, the last state and the accepting one
+(``Dafsa._from_one_label``).  Each returns ``(shared, labels)``,
+``labels`` being ``[0]``, or ``[]`` for the empty set, and
+``determinize`` and ``remove_level`` add their counts:
+
+* ``product(mode, a, b, domains)`` -> ``(shared, labels)``, the
+  intersection (mode 0), union (1) or difference (2) of ``a`` and ``b``;
+* ``determinize(a, start, domains)`` -> ``(shared, labels,
+  raw_states)``;
+* ``minimize(a, start, domains)`` -> ``(shared, labels)``;
+* ``remove_level(a, domains, lvl)`` -> ``(shared, labels, (nfa_states,
+  raw_states))``, with level ``lvl`` removed.
+
+Five kernels build or read a factor's shared form:
 
 * ``compile_sorted(digits, n_strings, length, domains, labels, default)``
   compiles a table: ``n_strings`` strictly increasing rows of a flat
@@ -94,8 +111,7 @@ unique-table apply of Bryant (IEEE TC 35(8), 1986).  ``compile_sorted``
 walks the trie of its rows, runs of rows that share a prefix, bottom-up
 through the unique table as multi-terminal decision diagrams are built.
 ``product`` walks pairs of states and ``determinize``, ``minimize`` and
-``remove_level`` subsets of states, all with one label; each reads its
-one terminal as the accepting state (``_accepting``).  ``join`` walks
+``remove_level`` subsets of states, all with one label.  ``join`` walks
 subsets of entries side by side.  ``split`` makes one backward pass over
 the shared form's states instead, interning one state per label each
 state reaches in the unique table of a ``_Shared``.  ``project_entries``
@@ -209,13 +225,6 @@ class _Shared:
         return (*csr, term), [label for label, _ in found]
 
 
-def _accepting(out, root):
-    """The automaton ``out`` built below ``root`` with one label: its
-    terminal, if any, is the last state and accepts."""
-    (t_off, t_sym, t_dst, term), _ = out.parts(root)
-    return t_off, t_sym, t_dst, array("i", [len(term) - 1] if term[-1] >= 0 else [])
-
-
 def _walk(domains, root, kids_of, label_of, out):
     """The depth-first walk behind every kernel.
 
@@ -297,20 +306,15 @@ def _merge(k, a, b, live):
     return kids
 
 
-def product(
-    mode,
-    na, offa, syma, dsta, acca, starta,
-    nb, offb, symb, dstb, accb, startb,
-    domains,
-):
+def product(mode, a, b, domains):
     """Lockstep pair construction: 0 = intersect, 1 = union, 2 = difference.
 
     The walk over pairs of states, with one label.  A missing state on one
     side is tracked as the dead id -1, so union and difference can keep
     walking the side that is still alive.
     """
-    acca_set = set(acca)
-    accb_set = set(accb)
+    acca_set = set(a[3])
+    accb_set = set(b[3])
     if mode == 0:
         def live(da, db):
             return da != DEAD and db != DEAD
@@ -330,8 +334,8 @@ def product(
         def accepts(da, db):
             return da in acca_set and db not in accb_set
 
-    dec_a = _decoder(offa, syma, dsta)
-    dec_b = _decoder(offb, symb, dstb)
+    dec_a = _decoder(*a[:3])
+    dec_b = _decoder(*b[:3])
 
     def kids_of(pair, lv):
         return _merge(domains[lv], dec_a(pair[0]), dec_b(pair[1]), live)
@@ -339,10 +343,9 @@ def product(
     def label_of(pair):
         return 0 if accepts(*pair) else None
 
-    root = (starta, startb)
     out = _Shared()
-    built = _walk(domains, root, kids_of, label_of, out)
-    return _accepting(out, built[root])
+    built = _walk(domains, (0, 0), kids_of, label_of, out)
+    return out.parts(built[(0, 0)])
 
 
 def _kids(expl, wild, k):
@@ -430,41 +433,38 @@ def _subset_walk(off, sym, dst, roots, owner, domains, lvl, out):
     return built[root], len(set().union(*built)), len(built)
 
 
-def determinize(n, t_off, t_sym, t_dst, acc, start, domains):
+def determinize(a, start, domains):
     """Subset construction for a leveled NFA.
 
     Input states may carry duplicate symbols and wildcards next to
-    literals.  Returns (t_off, t_sym, t_dst, acc, raw_states) where
-    raw_states counts the distinct subsets visited, the honest size of
-    the determinized machine.
+    literals.  Returns (shared, labels, raw_states) where raw_states
+    counts the distinct subsets visited, the honest size of the
+    determinized machine.
     """
     out = _Shared()
-    root, _, raw_states = _subset_walk(
-        t_off, t_sym, t_dst, (start,), dict.fromkeys(acc, 0), domains, -1, out
-    )
-    return (*_accepting(out, root), raw_states)
+    root, _, raw_states = _subset_walk(*a[:3], (start,), dict.fromkeys(a[3], 0), domains, -1, out)
+    return (*out.parts(root), raw_states)
 
 
-def minimize(n, t_off, t_sym, t_dst, acc, start, domains):
-    return determinize(n, t_off, t_sym, t_dst, acc, start, domains)[:4]
+def minimize(a, start, domains):
+    return determinize(a, start, domains)[:2]
 
 
-def remove_level(n, t_off, t_sym, t_dst, acc, start, domains, lvl):
+def remove_level(a, domains, lvl):
     """Project out level ``lvl``: contract its edges, then determinize.
 
     Contraction gives each level-``lvl`` state the merged edges of its
     successors, which in general is nondeterministic.  The walk reads them
-    on the fly, so no NFA is built.  Returns (t_off, t_sym, t_dst, acc,
-    nfa_states, raw_states): the canonical result, the number of states of
-    the contracted automaton (those reachable, minus level ``lvl + 1``)
-    and the number of distinct subsets visited.
+    on the fly, so no NFA is built.  Returns (shared, labels, (nfa_states,
+    raw_states)): the canonical result, the number of states of the
+    contracted automaton (those reachable, minus level ``lvl + 1``) and
+    the number of distinct subsets visited.
     """
     out = _Shared()
     root, nfa_states, raw_states = _subset_walk(
-        t_off, t_sym, t_dst, (start,), dict.fromkeys(acc, 0),
-        domains[:lvl] + domains[lvl + 1 :], lvl, out,
+        *a[:3], (0,), dict.fromkeys(a[3], 0), domains[:lvl] + domains[lvl + 1 :], lvl, out
     )
-    return (*_accepting(out, root), nfa_states, raw_states)
+    return (*out.parts(root), (nfa_states, raw_states))
 
 
 def compile_sorted(digits, n_strings, length, domains, labels, default):

@@ -13,8 +13,8 @@ edge.  Minimal deterministic leveled automata are unique per language, so
 
 A canonical automaton has at most one accepting state, the last one, so
 it is also the one-label shared form of ``_kernels_py``, that state's
-term 0: ``from_strings`` and ``insert_wildcard_level`` build it through
-the factor kernels this way.
+term 0: every kernel that builds a ``Dafsa`` returns it this way
+(``_from_one_label``), and ``insert_wildcard_level`` also passes it in.
 
 Every set operation is one ``product`` kernel call, an empty or
 universal operand included: the kernel returns the same canonical parts
@@ -237,9 +237,8 @@ class Dafsa:
                 raise AutomatonError(f"state {s}: duplicate symbol")
             if WILDCARD in syms and len(syms) > 1:
                 raise AutomatonError(f"state {s}: wildcard next to literals")
-        return cls._from_parts(
-            domains, kernels.minimize(n_states, t_off, t_sym, t_dst, acc, start, domains)
-        )
+        shared, _ = kernels.minimize((t_off, t_sym, t_dst, acc), start, domains)
+        return cls._from_one_label(domains, shared)
 
     # -- basic queries -----------------------------------------------------
 
@@ -353,13 +352,8 @@ class Dafsa:
     def _product(self, other, mode):
         if self.domains != other.domains:
             raise AutomatonError(f"domain mismatch: {self.domains} vs {other.domains}")
-        parts = kernels.product(
-            mode,
-            self.state_count, self.t_off, self.t_sym, self.t_dst, self.acc, self.start,
-            other.state_count, other.t_off, other.t_sym, other.t_dst, other.acc, other.start,
-            self.domains,
-        )
-        return Dafsa._from_parts(self.domains, parts)
+        shared, _ = kernels.product(mode, self.parts, other.parts, self.domains)
+        return Dafsa._from_one_label(self.domains, shared)
 
     def intersect(self, other: "Dafsa") -> "Dafsa":
         return self._product(other, 0)
@@ -403,11 +397,8 @@ class Dafsa:
         if not 0 <= pos < self.length:
             raise AutomatonError(f"remove position {pos} outside 0..{self.length - 1}")
         new_domains = self.domains[:pos] + self.domains[pos + 1 :]
-        t_off, t_sym, t_dst, acc, nfa_states, raw_states = kernels.remove_level(
-            self.state_count, self.t_off, self.t_sym, self.t_dst, self.acc,
-            self.start, self.domains, pos,
-        )
-        return Dafsa._from_parts(new_domains, (t_off, t_sym, t_dst, acc)), nfa_states, raw_states
+        shared, _, (nfa_states, raw_states) = kernels.remove_level(self.parts, self.domains, pos)
+        return Dafsa._from_one_label(new_domains, shared), nfa_states, raw_states
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -478,11 +469,10 @@ class Nfa:
     def determinize(self) -> tuple:
         """Subset construction; returns (dafsa, raw_dfa_states) where
         raw_dfa_states counts the distinct subsets visited."""
-        t_off, t_sym, t_dst, acc, raw_states = kernels.determinize(
-            self.n_states, self.t_off, self.t_sym, self.t_dst, self.acc,
-            self.start, self.domains,
+        shared, _, raw_states = kernels.determinize(
+            (self.t_off, self.t_sym, self.t_dst, self.acc), self.start, self.domains
         )
-        return Dafsa._from_parts(self.domains, (t_off, t_sym, t_dst, acc)), raw_states
+        return Dafsa._from_one_label(self.domains, shared), raw_states
 
 
 __all__ = ["Dafsa", "Nfa", "WILDCARD", "ENUMERATE_CAP", "BACKEND"]

@@ -60,8 +60,8 @@ class RunConfig:
             raise UsageError("no input files given")
         if self.engine not in ENGINES:
             raise UsageError(f"engine must be one of {ENGINES}")
-        if not self.eps > 0:
-            raise UsageError("epsilon must be > 0")
+        if not 0 < self.eps < math.inf:  # NaN too
+            raise UsageError("epsilon must be finite and > 0")
         if not self.time_limit > 0:  # NaN too; inf means no limit
             raise UsageError("time limit must be > 0")
         if self.ordering == "file" and not self.ordering_file:
@@ -80,8 +80,8 @@ def _default_eps():
         val = float(raw)
     except ValueError:
         raise UsageError(f"{EPS_ENV_VAR} is not a number: {raw!r}") from None
-    if not val > 0:
-        raise UsageError(f"{EPS_ENV_VAR} must be > 0")
+    if not 0 < val < math.inf:
+        raise UsageError(f"{EPS_ENV_VAR} must be finite and > 0")
     return val
 
 

@@ -638,14 +638,19 @@ class DafsaFactor:
 
 
 def _with_inf_entry(f: DafsaFactor) -> DafsaFactor:
-    """``f`` with the cells no finite entry covers as one ``inf`` entry."""
-    finite = tuple(e for e in f.entries if e[0] < math.inf)
-    rest = Dafsa.universal(f.domains)
-    for _, d in finite:
-        rest = rest.difference(d)
-    if rest.is_empty():
+    """``f`` with the cells no finite entry covers as one ``inf`` entry.
+
+    One ``join`` of the finite entries and a universal one last: a cell
+    takes the lowest label that holds it, so ``inf`` gets just the cells
+    no finite entry covers.
+    """
+    finite = [e for e in f.entries if e[0] < math.inf]
+    values = [v for v, _ in finite] + [math.inf]
+    parts = [d.parts for _, d in finite] + [Dafsa.universal(f.domains).parts]
+    shared, labels = kernels.join(parts, f.domains)
+    if labels[-1] < len(finite):
         return f
-    return DafsaFactor(f.scope, f.domains, finite + ((math.inf, rest),))
+    return DafsaFactor._from_shared(f.scope, f.domains, tuple(values[n] for n in labels), shared)
 
 
 def _combine_call(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float):

@@ -151,9 +151,9 @@ def both(compiled_kernels):
 def rand_nfa_parts(rng, dom):
     """Random leveled NFA: 1-3 states per level, up to 3 edges per state.
 
-    Returns flat parts ``(n, t_off, t_sym, t_dst, acc, start)``.  Symbols
-    repeat and wildcards sit beside literals; accepting states are a
-    random subset of the last level.
+    Returns ``(parts, start)``, parts ``(t_off, t_sym, t_dst, acc)``.
+    Symbols repeat and wildcards sit beside literals; accepting states are
+    a random subset of the last level.
     """
     L = len(dom)
     per = [rng.randrange(1, 4) for _ in range(L + 1)]
@@ -174,7 +174,7 @@ def rand_nfa_parts(rng, dom):
             t_dst.append(d)
         t_off.append(len(t_sym))
     acc = array("i", sorted(rng.sample(levels[L], rng.randrange(0, len(levels[L]) + 1))))
-    return base, t_off, t_sym, t_dst, acc, 0
+    return (t_off, t_sym, t_dst, acc), 0
 
 
 def run_python(pythonpath, args, kernels=None):

@@ -269,11 +269,17 @@ class TestOrderingAndConfig:
         code, out, _ = run(capsys, "solve", "--format", "json-lines", HAND)
         assert code == 0 and json_records(out)[0]["optimum"] == 1.0
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "0"])
+    @pytest.mark.parametrize("value", ["abc", "-1", "0", "inf"])
     def test_epsilon_env_invalid(self, capsys, monkeypatch, value):
         monkeypatch.setenv(cli.EPS_ENV_VAR, value)
         code, _, err = run(capsys, "solve", HAND)
         assert code == 1 and cli.EPS_ENV_VAR in err
+
+    def test_infinite_epsilon_is_usage_error(self, capsys):
+        # it used to pass the check and fail every file as an internal error
+        for command in ("solve", "stats"):
+            code, out, err = run(capsys, command, "--epsilon", "inf", HAND)
+            assert code == 1 and out == "" and "epsilon must be finite" in err, (command, err)
 
     def test_epsilon_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.EPS_ENV_VAR, "not-a-number")

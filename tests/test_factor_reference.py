@@ -19,6 +19,7 @@ import sys
 import pytest
 
 import dafbe.factor as factor_mod
+from dafbe._backend import kernels as backend_kernels
 from dafbe.automata import Dafsa
 from dafbe.errors import FactorError
 from dafbe.factor import PARTNER, DafsaFactor, SparseFactor, combine, project
@@ -69,6 +70,17 @@ def reference_project(f, var, op):
     return DafsaFactor(scope, domains, tuple(kept))
 
 
+def reference_with_inf_entry(f):
+    """The cells no finite entry covers, by one ``difference`` per entry."""
+    finite = tuple(e for e in f.entries if e[0] < math.inf)
+    rest = Dafsa.universal(f.domains)
+    for _, d in finite:
+        rest = rest.difference(d)
+    if rest.is_empty():
+        return f
+    return DafsaFactor(f.scope, f.domains, finite + ((math.inf, rest),))
+
+
 def entry_bytes(f):
     return f.scope, f.domains, tuple((v, flat(d.parts)) for v, d in f.entries)
 
@@ -87,6 +99,9 @@ def through_both(both, monkeypatch):
 
         def project_entries(self, *args):
             return both("project_entries", *args)
+
+        def join(self, *args):
+            return both("join", *args)
 
     monkeypatch.setattr(factor_mod, "kernels", Both())
 
@@ -185,6 +200,34 @@ class TestAgainstPairLoops:
             assert entry_bytes(combine(a, b, "sum")) == entry_bytes(reference_combine(a, b, "sum"))
         got, growth = project(empty, 1, "min")
         assert got.entries == () and len(growth) == 1
+
+
+class TestInfEntry:
+    def test_one_join_against_the_difference_loop(self, through_both, monkeypatch):
+        # inf rows left out or already an inf entry, constants and empty
+        # scopes: the same keys and shared bytes, with no set algebra
+        products = []
+        original = backend_kernels.product
+
+        def counted(*args):
+            products.append(args)
+            return original(*args)
+
+        rng = random.Random(20261021)
+        added = 0
+        for trial in range(300):
+            doms = [rng.randrange(1, 4) for _ in range(VARS)]
+            f = rand_factor(rng, rand_scope(rng, rng.choice(("any", "empty"))), doms, False)
+            want = reference_with_inf_entry(f)
+            with monkeypatch.context() as patch:
+                patch.setattr(backend_kernels, "product", counted)
+                got = with_inf_entry(f)
+            assert products == [], trial
+            assert (got is f) == (want is f), trial
+            assert got.keys == want.keys and flat(got.shared) == flat(want.shared), trial
+            assert entry_bytes(got) == entry_bytes(want), trial
+            added += got is not f
+        assert 0 < added < 300, added  # both branches ran
 
 
 def fused_and_unfused(f, g, var, op):

@@ -21,20 +21,13 @@ def parts(a):
 
 
 def kernel_product(a, b, mode):
-    out = kernels.product(
-        mode,
-        a.state_count, a.t_off, a.t_sym, a.t_dst, a.acc, a.start,
-        b.state_count, b.t_off, b.t_sym, b.t_dst, b.acc, b.start,
-        a.domains,
-    )
-    return Dafsa._from_parts(a.domains, out)
+    shared, _ = kernels.product(mode, a.parts, b.parts, a.domains)
+    return Dafsa._from_one_label(a.domains, shared)
 
 
 def kernel_remove_level(a, pos):
-    *out, nfa_states, raw_states = kernels.remove_level(
-        a.state_count, a.t_off, a.t_sym, a.t_dst, a.acc, a.start, a.domains, pos,
-    )
-    return Dafsa._from_parts(a.domains[:pos] + a.domains[pos + 1 :], out), nfa_states, raw_states
+    shared, _, (nfa_states, raw_states) = kernels.remove_level(a.parts, a.domains, pos)
+    return Dafsa._from_one_label(a.domains[:pos] + a.domains[pos + 1 :], shared), nfa_states, raw_states
 
 
 def rand_domains(rng):

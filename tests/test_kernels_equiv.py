@@ -41,6 +41,23 @@ def rand_words(rng, dom):
     return sorted({tuple(rng.randrange(k) for k in dom) for _ in range(n)})
 
 
+def one_label(both, dom, name, *args):
+    """Run a one-label kernel through ``both``, its result over ``dom``.
+
+    Its shared form must be valid in both editions' ``split``, the compiled
+    one checking it as it loads it, and hold one label, 0, whose automaton
+    is the form read as one automaton (``Dafsa._from_one_label``), or no
+    label when the result is empty.
+    """
+    result = both(name, *args)
+    shared, labels = result[:2]
+    d = Dafsa._from_one_label(dom, shared)
+    want = [] if d.is_empty() else [(0, d.parts)]
+    assert labels == [label for label, _ in want]
+    assert flat(both("split", shared, dom)) == flat(want), (name, dom, flat(shared))
+    return result
+
+
 class TestFuzz:
     def test_all_kernels_byte_identical(self, both):
         rng = random.Random(20260815)
@@ -48,14 +65,12 @@ class TestFuzz:
             dom = rng.choice(DOMS)
             a = compile_words(both, rand_words(rng, dom), dom)
             b = compile_words(both, rand_words(rng, dom), dom)
-            na = (len(a[0]) - 1, *map(lambda t: array("i", t), a), 0)
-            nb = (len(b[0]) - 1, *map(lambda t: array("i", t), b), 0)
             for mode in (0, 1, 2):
-                both("product", mode, *na, *nb, dom)
-            both("minimize", *na, dom)
+                one_label(both, dom, "product", mode, a, b, dom)
+            one_label(both, dom, "minimize", a, 0, dom)
             for lvl in range(len(dom)):
-                both("remove_level", *na, dom, lvl)
-            both("determinize", *rand_nfa_parts(rng, dom), dom)
+                one_label(both, dom[:lvl] + dom[lvl + 1 :], "remove_level", a, dom, lvl)
+            one_label(both, dom, "determinize", *rand_nfa_parts(rng, dom), dom)
 
     def test_wildcard_levels_and_universal_operands(self, both):
         # the shapes the solver feeds the kernels: lifted factors with
@@ -77,11 +92,11 @@ class TestFuzz:
                     for pos in range(len(dom)):
                         if pos not in keep:
                             d = d.insert_wildcard_level(pos, dom[pos])
-                ops.append((d.state_count, d.t_off, d.t_sym, d.t_dst, d.acc, d.start))
+                ops.append(d.parts)
             for mode in (0, 1, 2):
-                both("product", mode, *ops[0], *ops[1], dom)
+                one_label(both, dom, "product", mode, *ops, dom)
             for lvl in range(len(dom)):
-                both("remove_level", *ops[0], dom, lvl)
+                one_label(both, dom[:lvl] + dom[lvl + 1 :], "remove_level", ops[0], dom, lvl)
 
 
 def rand_labelled_entries(rng, dom):
@@ -224,27 +239,26 @@ class TestRegressions:
     # the compiled determinize once marked every subset non-accepting at
     # -O1 and above; these inputs reproduced it
     def test_single_literal_edge(self, both):
-        both("determinize", 2, array("i", [0, 1, 1]), array("i", [0]),
-             array("i", [1]), array("i", [1]), 0, (1,))
+        both("determinize", (array("i", [0, 1, 1]), array("i", [0]),
+                             array("i", [1]), array("i", [1])), 0, (1,))
 
     def test_single_wildcard_edge(self, both):
-        both("determinize", 2, array("i", [0, 1, 1]), array("i", [-1]),
-             array("i", [1]), array("i", [1]), 0, (1,))
+        both("determinize", (array("i", [0, 1, 1]), array("i", [-1]),
+                             array("i", [1]), array("i", [1])), 0, (1,))
 
     def test_wildcard_beside_literal_member(self, both):
-        both("determinize", 3, array("i", [0, 2, 2, 2]), array("i", [-1, 0]),
-             array("i", [1, 2]), array("i", [1, 2]), 0, (1,))
+        both("determinize", (array("i", [0, 2, 2, 2]), array("i", [-1, 0]),
+                             array("i", [1, 2]), array("i", [1, 2])), 0, (1,))
 
     def test_branching_merge(self, both):
-        both("determinize", 8, array("i", [0, 3, 3, 3, 6, 6, 6, 6, 6]),
-             array("i", [-1, 0, 0, -1, 0, 1]), array("i", [4, 2, 3, 5, 5, 7]),
-             array("i", [7]), 0, (1, 2))
+        both("determinize", (array("i", [0, 3, 3, 3, 6, 6, 6, 6, 6]),
+                             array("i", [-1, 0, 0, -1, 0, 1]), array("i", [4, 2, 3, 5, 5, 7]),
+                             array("i", [7])), 0, (1, 2))
 
     def test_remove_level_shares_core(self, both):
-        args = (3, array("i", [0, 1, 2, 2]), array("i", [0, -1]),
-                array("i", [1, 2]), array("i", [2]), 0, (2, 2))
-        both("remove_level", *args, 0)
-        both("remove_level", *args, 1)
+        a = (array("i", [0, 1, 2, 2]), array("i", [0, -1]), array("i", [1, 2]), array("i", [2]))
+        both("remove_level", a, (2, 2), 0)
+        both("remove_level", a, (2, 2), 1)
 
 
 class TestBackendSelection:
@@ -369,15 +383,14 @@ for case, parts in CASES.items():
     for op, fn in OPS.items():
         print(case, "|", op, "|", outcome(fn, bad, sh))
 
-flat = (good.state_count, good.t_off, good.t_sym, good.t_dst, good.acc, 0)
 scalar = (I(0, 0), I(), I(), I(0))  # the constant over no levels
 # shared forms over D: the root, two level-1 states, and terminals 3 and 4
 edges = (I(0, 2, 3, 4, 4, 4), I(0, 1, 0, 1), I(1, 2, 3, 4))
 DIRECT = {
-    "t_off longer than n + 1": (kernels.minimize, flat[0] - 1, *flat[1:], D),
-    "start past the last state": (kernels.determinize, *flat[:5], flat[0], D),
-    "level to remove past the last": (kernels.remove_level, *flat, D, 2),
-    "product mode 3": (kernels.product, 3, *flat, *flat, D),
+    "automaton of three parts": (kernels.product, 0, good.parts[:3], good.parts, D),
+    "start past the last state": (kernels.determinize, good.parts, good.state_count, D),
+    "level to remove past the last": (kernels.remove_level, good.parts, D, 2),
+    "product mode 3": (kernels.product, 3, good.parts, good.parts, D),
     "short compile_sorted buffer": (kernels.compile_sorted, I(0, 1, 1), 2, 2, D, I(0, 0), -1),
     "unsorted compile_sorted rows": (kernels.compile_sorted, I(1, 1, 0, 0), 2, 2, D, I(0, 0), -1),
     "compile_sorted digit outside its domain": (kernels.compile_sorted, I(0, 3), 1, 2, D, I(0), -1),
@@ -426,18 +439,16 @@ for trial in range(400):
     for _ in range(rng.randrange(1, 4)):
         part = rng.choice([p for p in parts if p])
         part[rng.randrange(len(part))] = rng.randrange(-3, len(base.t_off) + 3)
-    n = len(parts[0]) - 1
     other = Dafsa.from_strings(dom, sorted(words)[:1])
-    ob = (other.state_count, other.t_off, other.t_sym, other.t_dst, other.acc, 0)
-    args = (n, *parts, 0)
+    ob = other.parts
     every = [1] * L
     print(f"fuzz {trial} | product |", outcome(
-        lambda: [kernels.product(m, *args, *ob, dom) for m in (0, 1, 2)]
-        + [kernels.product(m, *ob, *args, dom) for m in (0, 1, 2)]))
-    print(f"fuzz {trial} | minimize |", outcome(kernels.minimize, *args, dom))
-    print(f"fuzz {trial} | determinize |", outcome(kernels.determinize, *args, dom))
+        lambda: [kernels.product(m, parts, ob, dom) for m in (0, 1, 2)]
+        + [kernels.product(m, ob, parts, dom) for m in (0, 1, 2)]))
+    print(f"fuzz {trial} | minimize |", outcome(kernels.minimize, parts, 0, dom))
+    print(f"fuzz {trial} | determinize |", outcome(kernels.determinize, parts, 0, dom))
     print(f"fuzz {trial} | remove_level |",
-          outcome(lambda: [kernels.remove_level(*args, dom, lv) for lv in range(L)]))
+          outcome(lambda: [kernels.remove_level(parts, dom, lv) for lv in range(L)]))
     print(f"fuzz {trial} | join |", outcome(kernels.join, [other.parts, parts], dom))
     # the base's shared form, broken the same way from a third stream
     sh = [array("i", a) for a in kernels.join([base.parts], dom)[0]]
@@ -493,30 +504,31 @@ class TestMalformedInput:
         # each on a branch that cannot reach acceptance
         I = lambda *v: array("i", v)
         dom = (2, 2)
-        universal = (3, I(0, 1, 2, 2), I(-1, -1), I(1, 2), I(2), 0)
+        universal = (I(0, 1, 2, 2), I(-1, -1), I(1, 2), I(2))
         cases = [
-            (4, I(0, 2, 3, 4, 4), I(0, 1, 0, 0), I(1, 2, 0, 3), I(3), 0),
-            (4, I(0, 2, 3, 4, 4), I(0, 1, 0, 0), I(1, 2, 2, 3), I(3), 0),
+            (I(0, 2, 3, 4, 4), I(0, 1, 0, 0), I(1, 2, 0, 3), I(3)),
+            (I(0, 2, 3, 4, 4), I(0, 1, 0, 0), I(1, 2, 2, 3), I(3)),
         ]
         for bad in cases:
             calls = [
-                lambda: compiled_kernels.minimize(*bad, dom),
-                lambda: compiled_kernels.determinize(*bad, dom),
-                lambda: compiled_kernels.remove_level(*bad, dom, 0),
-                lambda: compiled_kernels.product(0, *bad, *universal, dom),
-                lambda: compiled_kernels.product(0, *universal, *bad, dom),
+                lambda: compiled_kernels.minimize(bad, 0, dom),
+                lambda: compiled_kernels.determinize(bad, 0, dom),
+                lambda: compiled_kernels.remove_level(bad, dom, 0),
+                lambda: compiled_kernels.product(0, bad, universal, dom),
+                lambda: compiled_kernels.product(0, universal, bad, dom),
             ]
             for call in calls:
                 with pytest.raises(AutomatonError, match="does not run from level"):
                     call()
 
     def test_wrong_buffer_format_is_a_type_error(self, compiled_src):
+        # a well-formed call but for t_off's item format, 'l' instead of 'i'
         code = ("from array import array\n"
                 "from dafbe._backend import kernels\n"
                 "try:\n"
-                "    kernels.minimize(1, array('l', [0, 0]), array('i'), array('i'), array('i'), 0, ())\n"
+                "    kernels.minimize((array('l', [0, 0]), array('i'), array('i'), array('i')), 0, ())\n"
                 "except TypeError as exc:\n"
                 "    print('TypeError', exc)\n")
         out = run_python(compiled_src, ["-c", code], "compiled")
         assert out.returncode == 0, out.stderr
-        assert out.stdout.startswith("TypeError")
+        assert out.stdout.startswith("TypeError t_off must be an array('i')"), out.stdout

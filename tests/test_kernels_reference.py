@@ -49,13 +49,10 @@ def kernels(request):
 # -- brute-force reference ---------------------------------------------------
 
 
-def flat(d):
-    return d.state_count, d.t_off, d.t_sym, d.t_dst, d.acc, d.start
-
-
 def edge_lists(parts):
-    n, t_off, t_sym, t_dst = parts[:4]
-    return [list(zip(t_sym[t_off[s] : t_off[s + 1]], t_dst[t_off[s] : t_off[s + 1]])) for s in range(n)]
+    t_off, t_sym, t_dst = parts[:3]
+    return [list(zip(t_sym[t_off[s] : t_off[s + 1]], t_dst[t_off[s] : t_off[s + 1]]))
+            for s in range(len(t_off) - 1)]
 
 
 def language(edges, acc, start, dom):
@@ -192,8 +189,19 @@ def contract(edges, acc, start, lvl):
     return out, final
 
 
-def check_result(parts, lang, dom):
-    parts = tuple(tuple(p) for p in parts)
+def accepting_parts(shared, labels):
+    """The automaton of a one-label kernel's result: its terminals accept.
+
+    The shared form must hold label 0 alone, or no label when empty.
+    """
+    t_off, t_sym, t_dst, term = shared
+    acc = [s for s, t in enumerate(term) if t >= 0]
+    assert set(term) <= {-1, 0} and labels == ([0] if acc else [])
+    return t_off, t_sym, t_dst, acc
+
+
+def check_result(result, lang, dom):
+    parts = tuple(tuple(p) for p in accepting_parts(*result[:2]))
     d = Dafsa(tuple(dom), *(array("i", p) for p in parts))
     d.check_invariants()
     assert set(d.enumerate_strings()) == lang
@@ -203,7 +211,8 @@ def check_result(parts, lang, dom):
 
 def rand_dfa_parts(rng, dom):
     """Random leveled DFA that is not minimal: split states, complete
-    literal fans onto one successor, states with no way to acceptance."""
+    literal fans onto one successor, states with no way to acceptance.
+    Returns its parts ``(t_off, t_sym, t_dst, acc)``, rooted at state 0."""
     L = len(dom)
     per = [1] + [rng.randrange(1, 5) for _ in range(L)]
     levels_, base = [], 0
@@ -228,7 +237,7 @@ def rand_dfa_parts(rng, dom):
                 t_dst.append(d)
             t_off.append(len(t_sym))
     acc = array("i", sorted(rng.sample(levels_[L], rng.randrange(0, len(levels_[L]) + 1))))
-    return base, t_off, t_sym, t_dst, acc, 0
+    return t_off, t_sym, t_dst, acc
 
 
 # -- tests -------------------------------------------------------------------
@@ -239,19 +248,19 @@ class TestAgainstReference:
         rng = random.Random(20261101)
         for trial in range(200):
             dom = rng.choice(DOMS)
-            nfa = rand_nfa_parts(rng, dom)
+            nfa, start = rand_nfa_parts(rng, dom)
             edges = edge_lists(nfa)
-            *parts, raw_states = kernels.determinize(*nfa, dom)
-            check_result(parts, language(edges, nfa[4], nfa[5], dom), dom)
-            assert raw_states == reachable_subsets(edges, nfa[5], dom)
+            result = kernels.determinize(nfa, start, dom)
+            check_result(result, language(edges, nfa[3], start, dom), dom)
+            assert result[2] == reachable_subsets(edges, start, dom)
 
     def test_minimize(self, kernels):
         rng = random.Random(20261102)
         for trial in range(200):
             dom = rng.choice(DOMS)
             dfa = rand_dfa_parts(rng, dom)
-            parts = kernels.minimize(*dfa, dom)
-            check_result(parts, language(edge_lists(dfa), dfa[4], dfa[5], dom), dom)
+            result = kernels.minimize(dfa, 0, dom)
+            check_result(result, language(edge_lists(dfa), dfa[3], 0, dom), dom)
 
     def test_remove_every_level(self, kernels):
         rng = random.Random(20261103)
@@ -259,18 +268,19 @@ class TestAgainstReference:
             dom = rng.choice([d for d in DOMS if d])
             if rng.random() < 0.5:
                 words = {tuple(rng.randrange(k) for k in dom) for _ in range(rng.randrange(0, 14))}
-                src = flat(Dafsa.from_strings(dom, sorted(words)))
+                src = Dafsa.from_strings(dom, sorted(words)).parts
             else:
                 src = rand_dfa_parts(rng, dom)
             edges = edge_lists(src)
-            lang = language(edges, src[4], src[5], dom)
+            lang = language(edges, src[3], 0, dom)
             for lvl in range(len(dom)):
                 new_dom = dom[:lvl] + dom[lvl + 1 :]
-                *parts, nfa_states, raw_states = kernels.remove_level(*src, dom, lvl)
-                check_result(parts, {w[:lvl] + w[lvl + 1 :] for w in lang}, new_dom)
-                contracted, _ = contract(edges, src[4], src[5], lvl)
+                result = kernels.remove_level(src, dom, lvl)
+                check_result(result, {w[:lvl] + w[lvl + 1 :] for w in lang}, new_dom)
+                contracted, _ = contract(edges, src[3], 0, lvl)
+                nfa_states, raw_states = result[2]
                 assert nfa_states == len(contracted)
-                assert raw_states == reachable_subsets(contracted, src[5], new_dom)
+                assert raw_states == reachable_subsets(contracted, 0, new_dom)
 
     def test_deep_remove_level_runs_past_the_recursion_limit(self, kernels):
         L = 1500
@@ -281,12 +291,10 @@ class TestAgainstReference:
         d = Dafsa.from_strings(dom, words)
         lvl = L // 2
         new_dom = dom[:lvl] + dom[lvl + 1 :]
-        *parts, nfa_states, raw_states = kernels.remove_level(*flat(d), dom, lvl)
+        shared, labels, (nfa_states, raw_states) = kernels.remove_level(d.parts, dom, lvl)
         expected = Dafsa.from_strings(new_dom, {w[:lvl] + w[lvl + 1 :] for w in words})
-        assert tuple(map(tuple, parts)) == tuple(
-            map(tuple, (expected.t_off, expected.t_sym, expected.t_dst, expected.acc))
-        )
-        contracted, _ = contract(edge_lists(flat(d)), d.acc, d.start, lvl)
+        assert tuple(map(tuple, accepting_parts(shared, labels))) == tuple(map(tuple, expected.parts))
+        contracted, _ = contract(edge_lists(d.parts), d.acc, d.start, lvl)
         assert nfa_states == len(contracted)
         assert raw_states == reachable_subsets(contracted, d.start, new_dom)
 
@@ -347,11 +355,11 @@ def last_level_reference(kernels, shared, dom):
     """
     func = {}
     for label, (t_off, t_sym, t_dst, acc) in kernels.split(shared, dom):
-        edges = edge_lists((len(t_off) - 1, t_off, t_sym, t_dst))
+        edges = edge_lists((t_off, t_sym, t_dst))
         for word in language(edges, acc, 0, dom):
             func[word[:-1]] = min(func.get(word[:-1], label), label)
     parts, labels = canonical_shared(func, dom[:-1])
-    lev = levels(edge_lists((len(shared[0]) - 1, *shared[:3])), 0)
+    lev = levels(edge_lists(shared), 0)
     above = sum(lv < len(dom) for lv in lev.values())
     return parts, labels, (above, above)
 
