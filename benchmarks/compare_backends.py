@@ -8,10 +8,11 @@ at it; a mismatch aborts the run.
 
 The ``compile_sorted``, ``combine_entries``, fused ``combine_entries``
 and ``project_entries`` rows replay every call the solver makes on the
-whole seed-1 corpus of the benchmark's wcsp-planted workload
-(``bench/generators.py``), recorded once with the Python edition, so they
-time the factor kernels on the solver's own inputs, hundreds of calls a
-row, so that host drift does not swamp a row.  ``compile_sorted``
+whole seed-1 corpus of one of the benchmark's workloads
+(``bench/generators.py``; ``--workload``, wcsp-planted by default),
+recorded once with the Python edition, so they time the factor kernels
+on the solver's own inputs, hundreds of calls a row, so that host drift
+does not swamp a row.  ``compile_sorted``
 compiles each input table, its rows labelled by value and its ``inf``
 rows labelled -1, straight into the shared form; a fused call is a
 ``combine_entries`` call that folds the last level (``fold``): a bucket's
@@ -39,7 +40,7 @@ python, compiled, ...), so host drift during a row reaches both alike
 instead of skewing one edition's runs.
 
 Usage:
-    python3 benchmarks/compare_backends.py [--repeats N] [--skip-solve]
+    python3 benchmarks/compare_backends.py [--repeats N] [--skip-solve] [--workload NAME]
 """
 
 import argparse
@@ -90,8 +91,9 @@ def sorted_digit_buffer(words, length):
     return buf
 
 
-def record_factor_calls():
-    """{row name: (kernel name, [args, ...])} of the seed-1 wcsp-planted solves' factor kernels.
+def record_factor_calls(workload):
+    """{row name: (kernel name, [args, ...])} of the factor kernels of the
+    solves of ``workload``'s seed-1 corpus.
 
     The ``split`` row's calls are (shared, domains) of every shared form
     the other calls returned, and the ``join`` row's calls are (entries,
@@ -132,8 +134,9 @@ def record_factor_calls():
     saved = factor.kernels
     factor.kernels = Recorder()
     try:
-        for _, text in corpus(WORKLOADS["wcsp-planted"], 1):
-            bucket_elimination(formats.parse_wcsp(text))
+        parse = {".wcsp": formats.parse_wcsp, ".uai": formats.parse_uai}[WORKLOADS[workload].suffix]
+        for _, text in corpus(WORKLOADS[workload], 1):
+            bucket_elimination(parse(text))
     finally:
         factor.kernels = saved
     calls["project_entries, level 0"] = ("project_entries",
@@ -169,6 +172,8 @@ def main():
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--skip-solve", action="store_true",
                     help="kernel microbenchmarks only, no subprocess solve")
+    ap.add_argument("--workload", choices=sorted(WORKLOADS), default="wcsp-planted",
+                    help="the benchmark workload whose seed-1 solves the factor-kernel rows replay")
     args = ap.parse_args()
     rng = random.Random(args.seed)
 
@@ -216,9 +221,9 @@ def main():
             lambda K, l=lvl: K.remove_level(a.parts, domains, l),
         )
 
-    for row, (name, recorded) in record_factor_calls().items():
+    for row, (name, recorded) in record_factor_calls(args.workload).items():
         workload(
-            f"{row}, {len(recorded)} calls of the wcsp-planted corpus",
+            f"{row}, {len(recorded)} calls of the {args.workload} corpus",
             lambda K, n=name, r=recorded: [getattr(K, n)(*a) for a in r],
         )
 

@@ -90,9 +90,10 @@ renumbered into the ascending list ``labels`` of the input labels that
 got a string, and one growth sample.  ``project_entries`` samples the
 distinct states and the distinct subsets its walk visited, and
 ``combine_entries`` the distinct (A state, B state) pairs it walked,
-twice.  On the last level no subset forms, so each sample the solver
-takes has two equal counts.  ``compile_sorted`` and ``join`` return
-``(shared, labels)`` alike.
+twice; a pair that stays where it is across levels neither operand
+reads is one pair.  On the last level no subset forms, so each sample
+the solver takes has two equal counts.  ``compile_sorted`` and ``join``
+return ``(shared, labels)`` alike.
 
 This edition does not check its inputs.  Malformed arrays (state ids out
 of range, broken offsets, symbols outside their level's domain, edges
@@ -103,11 +104,19 @@ it reads them and raises ``AutomatonError``; ``Dafsa(...)`` checks them
 at construction.
 
 Every kernel builds its result minimal, with no merge pass afterwards.
-Each but ``split`` is one depth-first walk, ``_walk``, whose leaves carry
-a label or none, and which finishes each node once its children are
-built.  Its finisher, ``_Shared``, interns one state per node, keyed by
-(level, symbols, destinations), and builds the shared form: the
-unique-table apply of Bryant (IEEE TC 35(8), 1986).  ``compile_sorted``
+Each but ``split`` is one walk, ``_walk``, level by level: it expands
+all nodes of a level at once, down to the leaves, which carry a label
+or none, and its finisher, ``_Shared``, then builds one level per pass,
+bottom-up, interning one state per node keyed by (level, symbols,
+destinations).  That builds the shared form: the unique-table apply of
+Bryant (IEEE TC 35(8), 1986), one level per step as in breadth-first
+BDD packages (Ochi, Yasuoka & Yajima, ICCAD 1993), since a Python call
+costs more than a node's own work.  ``combine_entries``,
+``project_entries`` on the last level and ``compile_sorted`` expand a
+level in one loop of their own; the other kernels give each node's kids
+through the adapter ``_by_node``.  The compiled edition walks
+depth-first; both intern the same states and renumber breadth-first, so
+their results are byte-identical.  ``compile_sorted``
 walks the trie of its rows, runs of rows that share a prefix, bottom-up
 through the unique table as multi-terminal decision diagrams are built.
 ``product`` walks pairs of states and ``determinize``, ``minimize`` and
@@ -133,6 +142,7 @@ from bisect import bisect_right
 WILDCARD = -1
 DEAD = -1  # an empty language: a missing state, or a child with no strings
 NO_EDGES = {}  # the literal edges of a state that has none; never mutated
+ONLY_WILDCARD = (WILDCARD,)  # the symbols of a state with one wildcard edge
 
 
 def _renumber(esym, edst, root):
@@ -192,23 +202,31 @@ class _Shared:
             self.edst.append(())
         return sid
 
-    def finish(self, lv, k, kids, built):
-        syms = []
-        dsts = []
-        for v, child in kids:
-            d = built[child]
-            if d != DEAD:
-                syms.append(v)
-                dsts.append(d)
-        if not syms:
-            return DEAD
-        sig = _collapse(lv, k, syms, dsts)
-        sid = self.table.get(sig)
-        if sid is None:
-            sid = self.table[sig] = len(self.esym)
-            self.esym.append(sig[1])
-            self.edst.append(sig[2])
-        return sid
+    def finish(self, lv, k, rows, below):
+        """The states of level ``lv``'s nodes from their (symbols, children),
+        children as indices into ``below``, the next level's states."""
+        table, esym, edst = self.table, self.esym, self.edst
+        at = below.__getitem__
+        states = []
+        for syms, kids in rows:
+            dsts = tuple(map(at, kids))
+            if DEAD in dsts:
+                syms = [v for v, d in zip(syms, dsts) if d != DEAD]
+                dsts = tuple(d for d in dsts if d != DEAD)
+            if not dsts:
+                states.append(DEAD)
+                continue
+            if len(dsts) == k and dsts.count(dsts[0]) == k:  # _collapse, inlined for speed
+                sig = lv, ONLY_WILDCARD, dsts[:1]
+            else:
+                sig = lv, tuple(syms), dsts
+            sid = table.get(sig)
+            if sid is None:
+                sid = table[sig] = len(esym)
+                esym.append(sig[1])
+                edst.append(sig[2])
+            states.append(sid)
+        return states
 
     def parts(self, root):
         """(shared parts rooted at ``root``, ascending labels of its terminals).
@@ -225,40 +243,51 @@ class _Shared:
         return (*csr, term), [label for label, _ in found]
 
 
-def _walk(domains, root, kids_of, label_of, out):
-    """The depth-first walk behind every kernel.
+def _walk(domains, root, expand, labels_of, out):
+    """The level-by-level walk behind every kernel but ``split``.
 
-    A node is any hashable.  ``kids_of(node, lv)`` lists its (symbol, child)
-    pairs on level ``lv``, symbols ascending and a wildcard only alone;
-    ``label_of(node)`` gives the label of a node past the last level, or
-    None.  Nodes are expanded on an explicit stack, so automaton length is
-    not bounded by the recursion limit, and the finisher ``out`` builds
-    each node once its children are built (``out.leaf`` past the last
-    level, ``out.finish`` above it).  Returns {node: what ``out`` built}
-    for every node visited, including those with an empty language.
+    A node is any hashable.  ``expand(lv, nodes)`` takes the list of level
+    ``lv``'s nodes and returns ``(symbols, kids, below)``: per node its
+    symbols, ascending and a wildcard only alone, and its children as
+    indices into ``below``, the next level's nodes, each listed once.
+    ``labels_of(nodes)`` gives the label of each node past the last level,
+    or None.  The walk expands one level at a time from ``root``; then the
+    finisher ``out`` builds one level per pass, bottom-up (``out.leaf``
+    past the last level, ``out.finish`` above it).  Returns (what ``out``
+    built for ``root``, the node list of every level).
     """
-    L = len(domains)
-    built = {}
-    # a frame is (node, level, None) until its children are pushed above
-    # it, then (node, level, kids) until it is built
-    stack = [(root, 0, None)]
-    while stack:
-        node, lv, kids = stack.pop()
-        if kids is not None:
-            built[node] = out.finish(lv, domains[lv], kids, built)
-            continue
-        if node in built:
-            continue
-        if lv == L:
-            built[node] = out.leaf(label_of(node))
-            continue
-        kids = kids_of(node, lv)
-        stack.append((node, lv, kids))
-        nl = lv + 1
-        for _, child in kids:
-            if child not in built:
-                stack.append((child, nl, None))
-    return built
+    levels = [[root]]
+    rows = []
+    for lv in range(len(domains)):
+        syms, kids, below = expand(lv, levels[-1])
+        rows.append((syms, kids))
+        levels.append(below)
+    built = [out.leaf(label) for label in labels_of(levels[-1])]
+    for lv in reversed(range(len(domains))):
+        built = out.finish(lv, domains[lv], zip(*rows[lv]), built)
+    return built[0], levels
+
+
+def _by_node(kids_of, label_of):
+    """(expand, labels_of) for ``_walk`` from per-node functions:
+    ``kids_of(node, lv)`` lists a node's (symbol, child) pairs on level
+    ``lv``, and ``label_of(node)`` gives a leaf's label or None."""
+
+    def expand(lv, nodes):
+        index = {}
+        at = index.setdefault
+        syms = []
+        kids = []
+        for node in nodes:
+            pairs = kids_of(node, lv)
+            syms.append([v for v, _ in pairs])
+            kids.append([at(child, len(index)) for _, child in pairs])
+        return syms, kids, list(index)
+
+    def labels_of(nodes):
+        return map(label_of, nodes)
+
+    return expand, labels_of
 
 
 def _decoder(off, sym, dst):
@@ -278,6 +307,12 @@ def _decoder(off, sym, dst):
         return got
 
     return decode
+
+
+def _edges(parts):
+    """[(symbols, destinations)] of every state of ``parts``, as tuples."""
+    off, sym, dst = parts[0], parts[1].tolist(), parts[2].tolist()
+    return [(tuple(sym[lo:hi]), tuple(dst[lo:hi])) for lo, hi in zip(off, off[1:])]
 
 
 def _merge(k, a, b, live):
@@ -344,8 +379,8 @@ def product(mode, a, b, domains):
         return 0 if accepts(*pair) else None
 
     out = _Shared()
-    built = _walk(domains, (0, 0), kids_of, label_of, out)
-    return out.parts(built[(0, 0)])
+    root, _ = _walk(domains, (0, 0), *_by_node(kids_of, label_of), out)
+    return out.parts(root)
 
 
 def _kids(expl, wild, k):
@@ -428,9 +463,8 @@ def _subset_walk(off, sym, dst, roots, owner, domains, lvl, out):
     members and the number of distinct subsets visited.
     """
     subsets = _Subsets(off, sym, dst, owner, domains, lvl)
-    root = tuple(roots)
-    built = _walk(domains, root, subsets.kids, subsets.label, out)
-    return built[root], len(set().union(*built)), len(built)
+    root, levels = _walk(domains, tuple(roots), *_by_node(subsets.kids, subsets.label), out)
+    return root, len({s for level in levels for sub in level for s in sub}), sum(map(len, levels))
 
 
 def determinize(a, start, domains):
@@ -474,36 +508,47 @@ def compile_sorted(digits, n_strings, length, domains, labels, default):
     strictly increasing lexicographically; row ``i`` is labelled
     ``labels[i]`` and a string no row names ``default``.  A label of -1
     leaves its strings out.  The walk over the trie of the rows: a node
-    is a run ``(depth, first row, end row)`` of the rows that share their
-    first ``depth`` digits, so a run on the last level is one row.  The
-    symbols no row of a run names lead to the default node of the next
-    depth, the empty run ``(depth, 0, 0)``, which ends in ``default``; with
-    ``default`` -1 they lead nowhere.  A run whose rows are all labelled
-    -1 builds DEAD, so its symbol gets no edge and no default.  Returns
-    (shared, labels) as ``join``.
+    is a run ``(first row, end row)`` of the rows that share their digits
+    above its level, so a run on the last level is one row.  The runs of
+    a level are disjoint, so the level's expansion lists each child once
+    without looking it up.  The symbols no row of a run names lead to the
+    default node of the next level, the empty run ``(0, 0)``, which ends
+    in ``default``; with ``default`` -1 they lead nowhere.  A run whose
+    rows are all labelled -1 builds DEAD, so its symbol gets no edge and
+    no default.  Returns (shared, labels) as ``join``.
     """
     columns = [digits[d::length] for d in range(length)]
 
-    def kids_of(run, lv):
-        _, lo, hi = run
+    def expand(lv, runs):
         col = columns[lv]
-        nl = lv + 1
-        expl = {}
-        while lo < hi:
-            end = bisect_right(col, col[lo], lo, hi)
-            expl[col[lo]] = (nl, lo, end)
-            lo = end
-        return _kids(expl, default >= 0 and (nl, 0, 0), domains[lv])
+        k = domains[lv]
+        syms = []
+        kids = []
+        below = [(0, 0)] if default >= 0 else []  # the default node is child 0
+        for lo, hi in runs:
+            symbols = []
+            children = []
+            while lo < hi:
+                end = bisect_right(col, col[lo], lo, hi)
+                symbols.append(col[lo])
+                children.append(len(below))
+                below.append((lo, end))
+                lo = end
+            if default >= 0 and len(symbols) < k:  # the default takes the rest
+                named = dict(zip(symbols, children))
+                symbols = range(k)
+                children = [named.get(v, 0) for v in symbols]
+            syms.append(symbols)
+            kids.append(children)
+        return syms, kids, below
 
-    def label_of(run):
-        _, lo, hi = run
-        label = labels[lo] if lo < hi else default
-        return None if label < 0 else label
+    def labels_of(runs):
+        found = [labels[lo] if lo < hi else default for lo, hi in runs]
+        return [None if label < 0 else label for label in found]
 
-    root = (0, 0, n_strings)
     out = _Shared()
-    built = _walk(domains, root, kids_of, label_of, out)
-    return out.parts(built[root])
+    root, _ = _walk(domains, (0, n_strings), expand, labels_of, out)
+    return out.parts(root)
 
 
 def join(entries, domains):
@@ -591,15 +636,21 @@ def project_entries(shared, domains, lvl):
     off, sym, dst, term = shared
     out = _Shared()
     if lvl == len(domains) - 1:
-        def kids_of(s, lv):
-            lo, hi = off[s], off[s + 1]
-            return list(zip(sym[lo:hi], dst[lo:hi]))
+        edges = _edges(shared)
 
-        def label_of(s):
-            return min(map(term.__getitem__, dst[off[s] : off[s + 1]]), default=None)
+        def expand(lv, nodes):
+            index = {}
+            at = index.setdefault
+            rows = [edges[s] for s in nodes]
+            kids = [[at(d, len(index)) for d in dsts] for _, dsts in rows]
+            return [symbols for symbols, _ in rows], kids, list(index)
 
-        built = _walk(domains[:lvl], 0, kids_of, label_of, out)
-        return (*out.parts(built[0]), (len(built), len(built)))
+        def labels_of(nodes):
+            return [min(map(term.__getitem__, edges[s][1]), default=None) for s in nodes]
+
+        root, levels = _walk(domains[:lvl], 0, expand, labels_of, out)
+        states = sum(map(len, levels))
+        return (*out.parts(root), (states, states))
     owner = {s: t for s, t in enumerate(term) if t >= 0}
     root, states, subsets = _subset_walk(
         off, sym, dst, (0,), owner, domains[:lvl] + domains[lvl + 1 :], lvl, out
@@ -611,43 +662,71 @@ def combine_entries(a, b, domains, in_a, in_b, labels, fold=False):
     """Walk A and B in step over the union levels, labelled by label pair.
 
     A node is a pair (A state, B state); on a level outside an operand's
-    scope its state stays where it is.  With ``fold`` the last union level
-    is removed in the same walk: a pair on it is a leaf, and takes the
-    lowest label among its children, which is min-projection of the
-    combined function without building it.
+    scope its state stays where it is.  Each level is expanded in one
+    loop, which merges the edges of every pair inline.  With ``fold`` the
+    last union level is removed in the same walk: a pair on it is a leaf,
+    and takes the lowest label among its children, which is
+    min-projection of the combined function without building it.
 
-    Returns (shared, labels, (pairs, pairs)): the distinct pairs walked,
-    twice.
+    Returns (shared, labels, (pairs, pairs)): the number of distinct pairs
+    walked, twice.  A pair that stays where it is across a level neither
+    operand reads is one pair, not one per level.
     """
     term_a = a[3]
     term_b = b[3]
     nb = max(term_b, default=-1) + 1
-    dec_a = _decoder(*a[:3])
-    dec_b = _decoder(*b[:3])
-
-    def live(sa, sb):
-        return sa != DEAD and sb != DEAD
-
-    def pair_kids(pair, lv):
-        sa, sb = pair
-        return _merge(
-            domains[lv],
-            dec_a(sa) if in_a[lv] else (sa, NO_EDGES),
-            dec_b(sb) if in_b[lv] else (sb, NO_EDGES),
-            live,
-        )
-
-    def pair_label(pair):
-        i = term_a[pair[0]]
-        j = term_b[pair[1]]
-        return None if i < 0 or j < 0 else labels[i * nb + j]
-
+    edges_a = _edges(a)
+    edges_b = _edges(b)
     walked = domains[:-1] if fold else domains
 
-    def folded_label(pair):  # a pair on the last union level, len(walked)
-        found = (pair_label(child) for _, child in pair_kids(pair, len(walked)))
-        return min((label for label in found if label is not None), default=None)
+    def expand(lv, nodes):
+        index = {}
+        at = index.setdefault
+        syms = []
+        kids = []
+        if in_a[lv] and in_b[lv]:
+            for sa, sb in nodes:
+                sym_a, dst_a = edges_a[sa]
+                sym_b, dst_b = edges_b[sb]
+                if sym_a == sym_b:
+                    pairs = zip(dst_a, dst_b)
+                elif sym_a == ONLY_WILDCARD:
+                    sym_a = sym_b
+                    pairs = zip(dst_a * len(dst_b), dst_b)
+                elif sym_b == ONLY_WILDCARD:
+                    pairs = zip(dst_a, dst_b * len(dst_a))
+                else:  # two literal fans: the symbols both name
+                    named = dict(zip(sym_b, dst_b))
+                    pairs = [(da, named[v]) for v, da in zip(sym_a, dst_a) if v in named]
+                    sym_a = [v for v in sym_a if v in named]
+                syms.append(sym_a)
+                kids.append([at(p, len(index)) for p in pairs])
+        elif in_a[lv]:
+            for sa, sb in nodes:
+                sym_a, dst_a = edges_a[sa]
+                syms.append(sym_a)
+                kids.append([at((da, sb), len(index)) for da in dst_a])
+        elif in_b[lv]:
+            for sa, sb in nodes:
+                sym_b, dst_b = edges_b[sb]
+                syms.append(sym_b)
+                kids.append([at((sa, db), len(index)) for db in dst_b])
+        else:  # every pair stays where it is
+            return [ONLY_WILDCARD] * len(nodes), [[i] for i in range(len(nodes))], nodes
+        return syms, kids, list(index)
+
+    def pair_labels(nodes):
+        return [
+            labels[i * nb + j] if i >= 0 and j >= 0 else None
+            for i, j in ((term_a[sa], term_b[sb]) for sa, sb in nodes)
+        ]
+
+    def folded_labels(nodes):  # the pairs on the last union level, len(walked)
+        _, kids, below = expand(len(walked), nodes)
+        got = pair_labels(below)
+        return [min((got[c] for c in cs if got[c] is not None), default=None) for cs in kids]
 
     out = _Shared()
-    built = _walk(walked, (0, 0), pair_kids, folded_label if fold else pair_label, out)
-    return (*out.parts(built[(0, 0)]), (len(built), len(built)))
+    root, levels = _walk(walked, (0, 0), expand, folded_labels if fold else pair_labels, out)
+    pairs = sum(len(nodes) for lv, nodes in enumerate(levels) if lv == len(walked) or in_a[lv] or in_b[lv])
+    return (*out.parts(root), (pairs, pairs))

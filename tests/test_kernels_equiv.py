@@ -136,6 +136,38 @@ class TestSharedForm:
                 both("combine_entries", shared, other, dom, in_a, in_b, pair_labels, fold)
                 both("combine_entries", other, shared, dom, in_b, in_a, swapped, fold)
 
+    def test_combine_partial_scopes_byte_identical(self, both):
+        # the solver's usual shape: each operand misses levels the other
+        # reads; then levels neither reads, as add_levels inserts them
+        rng = random.Random(20261119)
+        for trial in range(200):
+            dom = rng.choice(DOMS)
+            reads = [rng.choice(("a", "b", "ab")) for _ in dom]
+            in_a = ["a" in r for r in reads]
+            in_b = ["b" in r for r in reads]
+            ops = []
+            for inside in (in_a, in_b):
+                sub = tuple(k for k, read in zip(dom, inside) if read)
+                shared, labels = both("join", rand_labelled_entries(rng, sub), sub)
+                ops.append((shared, len(labels)))
+            (a, na), (b, nb) = ops
+            pair_labels = [rng.randrange(6) for _ in range(na * nb)]
+            wide, wide_a, wide_b = [], [], []  # with idle levels at random places
+            for pos in range(len(dom) + 1):
+                if rng.random() < 0.3:
+                    wide.append(rng.randrange(1, 4))
+                    wide_a.append(False)
+                    wide_b.append(False)
+                if pos < len(dom):
+                    wide.append(dom[pos])
+                    wide_a.append(in_a[pos])
+                    wide_b.append(in_b[pos])
+            for fold in (False, True):
+                if dom:
+                    both("combine_entries", a, b, dom, in_a, in_b, pair_labels, fold)
+                if wide:
+                    both("combine_entries", a, b, tuple(wide), wide_a, wide_b, pair_labels, fold)
+
     def test_project_last_level_byte_identical(self, both):
         # the only level the solver removes: a walk over single states; tables
         # with pruned rows (label -1), empty functions, one level and
@@ -163,6 +195,41 @@ class TestSharedForm:
         for fold in (False, True):
             got = both("combine_entries", scalar, full, (2, 3), [0, 0], [1, 1], [5], fold)
             assert got[1] == [5]
+
+    def test_combine_dead_pairs_and_idle_levels(self, both):
+        def function(dom, *by_label):
+            return both("join", [Dafsa.from_strings(dom, words).parts for words in by_label], dom)[0]
+
+        empty = ((0, 0), (), (), (-1,))
+        # both operands read the level, and name disjoint symbols: no pair
+        # has a child, so the result is the empty function, with no state
+        # left edgeless
+        only_0 = function((3,), [(0,)])
+        only_12 = function((3,), [(1,), (2,)])
+        for fold in (False, True):
+            got = both("combine_entries", only_0, only_12, (3,), [1], [1], [7], fold)
+            assert flat(got) == (empty, (), (1, 1))
+        # one branch dies a level down, the other lives
+        a = function((2, 3), [(0, 0), (1, 1)])
+        b = function((2, 3), [(0, 1), (0, 2), (1, 1)])
+        got = both("combine_entries", a, b, (2, 3), [1, 1], [1, 1], [4], False)
+        assert flat(got[:2]) == (flat(function((2, 3), [(1, 1)])), (4,))
+        # the empty function, a lone root with no edges, on levels both read
+        nothing = function((2, 3))
+        full = function((2, 3), list(itertools.product(range(2), range(3))))
+        for fold in (False, True):
+            for x, y in ((nothing, full), (full, nothing)):
+                got = both("combine_entries", x, y, (2, 3), [1, 1], [1, 1], [], fold)
+                assert flat(got) == (empty, (), (1, 1))
+        # level 1 is read by neither operand, so each pair on it stays put
+        # and counts once: (0, 0); (1, 0), (2, 0) on levels 1 and 2; then
+        # (1, t), (2, t) past B's level
+        two = function((2,), [(0,)], [(1,)])
+        any3 = function((3,), list(itertools.product(range(3))))
+        got = both("combine_entries", two, any3, (2, 2, 3), [1, 0, 0], [0, 0, 1], [10, 11], False)
+        assert got[1:] == ([10, 11], (5, 5))
+        got = both("combine_entries", two, any3, (2, 2, 3), [1, 0, 0], [0, 0, 1], [10, 11], True)
+        assert got[1:] == ([10, 11], (3, 3))
 
 
 def strings_by_label(shared, dom):
