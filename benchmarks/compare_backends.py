@@ -6,6 +6,10 @@ flat-array inputs, so the numbers compare the implementations, not the
 workloads.  Outputs are also cross-checked byte for byte while we are
 at it; a mismatch aborts the run.
 
+The set-algebra rows run on two random 4k-string automata.  The
+``determinize`` row takes an NFA whose start state has the root edges of
+both, so its subsets have two members and it builds their union.
+
 The ``compile_sorted``, ``combine_entries``, fused ``combine_entries``
 and ``project_entries`` rows replay every call the solver makes on the
 whole seed-1 corpus of one of the benchmark's workloads
@@ -89,6 +93,24 @@ def sorted_digit_buffer(words, length):
     for w in words:
         buf.extend(w)
     return buf
+
+
+def union_nfa(a, b):
+    """(parts, start) of an NFA: the states of ``a`` and ``b`` side by side
+    and a start state that takes the root edges of both.  Determinizing it
+    gives their union through subsets of up to two members, so it stays
+    bounded, and one member's wildcard can sit beside another's
+    literals."""
+    n_a = a.state_count
+    root_a, root_b = a.t_off[1], b.t_off[1]
+    start = sorted([*zip(a.t_sym[:root_a], a.t_dst[:root_a]),
+                    *zip(b.t_sym[:root_b], (n_a + d for d in b.t_dst[:root_b]))])
+    t_off = a.t_off + array("i", (len(a.t_sym) + o for o in b.t_off[1:]))
+    t_sym = a.t_sym + b.t_sym + array("i", (v for v, _ in start))
+    t_dst = a.t_dst + array("i", (n_a + d for d in b.t_dst)) + array("i", (d for _, d in start))
+    t_off.append(len(t_sym))
+    acc = a.acc + array("i", (n_a + s for s in b.acc))
+    return (t_off, t_sym, t_dst, acc), n_a + b.state_count
 
 
 def record_factor_calls(workload):
@@ -214,6 +236,11 @@ def main():
     workload(
         "minimize (already minimal)",
         lambda K: K.minimize(a.parts, 0, domains),
+    )
+    nfa, start = union_nfa(a, b)
+    workload(
+        "determinize the union NFA of the 4k automata",
+        lambda K: K.determinize(nfa, start, domains),
     )
     for lvl in (0, length // 2, length - 1):
         workload(

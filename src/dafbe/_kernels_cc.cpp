@@ -26,14 +26,16 @@
 // raises MemoryError, so no input can crash the interpreter.
 //
 // Every kernel builds its result minimal as it goes, with no merge pass.
-// Each but split is one depth-first walk (walk) whose leaves carry a label
-// or none, and which finishes each node once its children are built
-// through SharedWalked: one state per node, interned in a unique table
-// (Unique), builds a shared form.  compile_sorted walks the trie of its
-// rows, runs of rows that share a prefix; product walks pairs of states;
-// determinize, minimize and remove_level walk subsets of states
-// (Subsets), all with one label; join walks subsets of entries
-// side by side; project_entries walks the states of one shared form to
+// Each but split is one walk (walk) whose leaves carry a label or none,
+// and which finishes each node once its children are built through
+// SharedWalked: one state per node, interned in a unique table (Unique),
+// builds a shared form.  This edition walks depth-first and the Python
+// edition level by level; both intern the same states and renumber them
+// breadth-first, so their results are byte-identical.  compile_sorted
+// walks the trie of its rows, runs of rows that share a prefix; product
+// walks pairs of states; determinize, minimize and remove_level walk
+// subsets of states (Subsets), all with one label; join walks subsets of
+// entries side by side; project_entries walks the states of one shared form to
 // remove its last level, and subsets of them to remove any other; and
 // combine_entries walks pairs of states, one per operand.  split makes one
 // backward pass over a shared form's states instead, interning one state
@@ -549,7 +551,8 @@ struct SharedWalked {
     }
 };
 
-// The depth-first walk behind every kernel, as _kernels_py._walk.  Nodes
+// The depth-first walk behind every kernel but split.  _kernels_py._walk
+// expands a whole level at a time instead, to the same states.  Nodes
 // are ints >= 0 that expand hands out: expand(node, lv, kids) appends the
 // node's kids on level lv, symbols ascending and a wildcard only alone;
 // label_of(node) gives the label (>= 0) of a node past the last level, or
@@ -704,9 +707,9 @@ PyObject* py_product(PyObject* args) {
 }
 
 // Subsets of the states of one or more automata side by side, stepped
-// level by level, as _kernels_py._Subsets.  add puts each automaton's
-// states after the ones before, owner[s] the label of state s or
-// NO_LABEL; a subset past the last level takes its members' lowest
+// level by level, as in _kernels_py._subset_walk.  add puts each
+// automaton's states after the ones before, owner[s] the label of state s
+// or NO_LABEL; a subset past the last level takes its members' lowest
 // label.  With lvl >= 0 that level is contracted on the fly: a state there
 // takes the merged edges of its successors, and if lvl is the last of the
 // walk's levels it accepts through an accepting successor.

@@ -111,33 +111,32 @@ bottom-up, interning one state per node keyed by (level, symbols,
 destinations).  That builds the shared form: the unique-table apply of
 Bryant (IEEE TC 35(8), 1986), one level per step as in breadth-first
 BDD packages (Ochi, Yasuoka & Yajima, ICCAD 1993), since a Python call
-costs more than a node's own work.  ``combine_entries``,
-``project_entries`` on the last level and ``compile_sorted`` expand a
-level in one loop of their own; the other kernels give each node's kids
-through the adapter ``_by_node``.  The compiled edition walks
-depth-first; both intern the same states and renumber breadth-first, so
-their results are byte-identical.  ``compile_sorted``
-walks the trie of its rows, runs of rows that share a prefix, bottom-up
-through the unique table as multi-terminal decision diagrams are built.
-``product`` walks pairs of states and ``determinize``, ``minimize`` and
-``remove_level`` subsets of states, all with one label.  ``join`` walks
-subsets of entries side by side.  ``split`` makes one backward pass over
-the shared form's states instead, interning one state per label each
-state reaches in the unique table of a ``_Shared``.  ``project_entries``
-walks the states of one shared automaton to remove its last level, and
-subsets of them to remove any other, and ``combine_entries`` pairs of
-states, one per operand; to fold, a pair on the last level is a leaf
-that reads its children's labels.  This is the multi-terminal apply of
-algebraic decision diagrams (Bahar et al., ICCAD 1993) on shared
-diagrams, across different scopes as in AOMDDs (Mateescu, Dechter &
-Marinescu, JAIR 33, 2008); folding the last level in the same walk is
-the relational product of symbolic model checking (Burch et al., LICS
-1990) in min-sum form, for a quantified variable that comes last, so no
-set of pairs ever forms.
+costs more than a node's own work.  Each kernel expands a level in one
+loop of its own, over its operands' edges decoded once per call.  The
+compiled edition walks depth-first; both intern the same states and
+renumber breadth-first, so their results are byte-identical.
+``compile_sorted`` walks the trie of its rows, runs of rows that share a
+prefix, bottom-up through the unique table as multi-terminal decision
+diagrams are built.  ``product`` walks pairs of states and
+``determinize``, ``minimize`` and ``remove_level`` subsets of states,
+all with one label.  ``join`` walks subsets of entries side by side.
+``split`` makes one backward pass over the shared form's states instead,
+interning one state per label each state reaches in the unique table of
+a ``_Shared``.  ``project_entries`` walks the states of one shared
+automaton to remove its last level, and subsets of them to remove any
+other, and ``combine_entries`` pairs of states, one per operand; to
+fold, a pair on the last level is a leaf that reads its children's
+labels.  This is the multi-terminal apply of algebraic decision diagrams
+(Bahar et al., ICCAD 1993) on shared diagrams, across different scopes
+as in AOMDDs (Mateescu, Dechter & Marinescu, JAIR 33, 2008); folding the
+last level in the same walk is the relational product of symbolic model
+checking (Burch et al., LICS 1990) in min-sum form, for a quantified
+variable that comes last, so no set of pairs ever forms.
 """
 
 from array import array
 from bisect import bisect_right
+from collections import defaultdict
 
 WILDCARD = -1
 DEAD = -1  # an empty language: a missing state, or a child with no strings
@@ -268,77 +267,10 @@ def _walk(domains, root, expand, labels_of, out):
     return built[0], levels
 
 
-def _by_node(kids_of, label_of):
-    """(expand, labels_of) for ``_walk`` from per-node functions:
-    ``kids_of(node, lv)`` lists a node's (symbol, child) pairs on level
-    ``lv``, and ``label_of(node)`` gives a leaf's label or None."""
-
-    def expand(lv, nodes):
-        index = {}
-        at = index.setdefault
-        syms = []
-        kids = []
-        for node in nodes:
-            pairs = kids_of(node, lv)
-            syms.append([v for v, _ in pairs])
-            kids.append([at(child, len(index)) for _, child in pairs])
-        return syms, kids, list(index)
-
-    def labels_of(nodes):
-        return map(label_of, nodes)
-
-    return expand, labels_of
-
-
-def _decoder(off, sym, dst):
-    """decode(s): (wildcard destination or DEAD, {literal: destination}) of
-    state ``s``, memoized; DEAD decodes to no edges."""
-    memo = {DEAD: (DEAD, NO_EDGES)}
-
-    def decode(s):
-        got = memo.get(s)
-        if got is None:
-            lo, hi = off[s], off[s + 1]
-            if hi > lo and sym[lo] == WILDCARD:
-                got = dst[lo], NO_EDGES
-            else:
-                got = DEAD, dict(zip(sym[lo:hi], dst[lo:hi]))
-            memo[s] = got
-        return got
-
-    return decode
-
-
 def _edges(parts):
     """[(symbols, destinations)] of every state of ``parts``, as tuples."""
     off, sym, dst = parts[0], parts[1].tolist(), parts[2].tolist()
     return [(tuple(sym[lo:hi]), tuple(dst[lo:hi])) for lo, hi in zip(off, off[1:])]
-
-
-def _merge(k, a, b, live):
-    """Kids of a pair of nodes, each decoded as (wildcard child, {symbol: child}).
-
-    A symbol one side does not name follows that side's wildcard; a child
-    pair is kept if ``live`` says so.  ``k`` is the level's domain size.
-    """
-    awild, amap = a
-    bwild, bmap = b
-    kids = []
-    if amap or bmap:
-        explicit = sorted(amap.keys() | bmap.keys()) if amap and bmap else list(amap or bmap)
-        for v in explicit:
-            child = (amap.get(v, awild), bmap.get(v, bwild))
-            if live(*child):
-                kids.append((v, child))
-        if len(explicit) < k and live(awild, bwild):
-            # symbols neither side names follow both wildcards
-            child = (awild, bwild)
-            seen = set(explicit)
-            kids.extend((v, child) for v in range(k) if v not in seen)
-            kids.sort()
-    elif live(awild, bwild):
-        kids.append((WILDCARD, (awild, bwild)))
-    return kids
 
 
 def product(mode, a, b, domains):
@@ -346,7 +278,10 @@ def product(mode, a, b, domains):
 
     The walk over pairs of states, with one label.  A missing state on one
     side is tracked as the dead id -1, so union and difference can keep
-    walking the side that is still alive.
+    walking the side that is still alive.  Each operand's states are
+    decoded once, and each level merges the edges of every pair in one
+    loop: a symbol one side does not name follows that side's wildcard,
+    and a child pair is kept where ``live`` says so.
     """
     acca_set = set(a[3])
     accb_set = set(b[3])
@@ -369,101 +304,98 @@ def product(mode, a, b, domains):
         def accepts(da, db):
             return da in acca_set and db not in accb_set
 
-    dec_a = _decoder(*a[:3])
-    dec_b = _decoder(*b[:3])
+    def decode(parts):
+        """(wildcard child or DEAD, {literal: child}) of every state, then
+        of DEAD, no edges, last, where index DEAD (-1) finds it."""
+        decoded = [
+            (dsts[0], NO_EDGES) if syms[:1] == ONLY_WILDCARD else (DEAD, dict(zip(syms, dsts)))
+            for syms, dsts in _edges(parts)
+        ]
+        decoded.append((DEAD, NO_EDGES))
+        return decoded
 
-    def kids_of(pair, lv):
-        return _merge(domains[lv], dec_a(pair[0]), dec_b(pair[1]), live)
+    dec_a = decode(a)
+    dec_b = decode(b)
 
-    def label_of(pair):
-        return 0 if accepts(*pair) else None
+    def expand(lv, nodes):
+        k = domains[lv]
+        index = {}
+        at = index.setdefault
+        syms = []
+        kids = []
+        for sa, sb in nodes:
+            awild, amap = dec_a[sa]
+            bwild, bmap = dec_b[sb]
+            named = amap.keys() | bmap.keys()
+            if len(named) < k and live(awild, bwild):  # the rest follow both wildcards
+                symbols = range(k) if named else ONLY_WILDCARD
+            else:
+                symbols = sorted(named)
+            kept = [(v, child) for v in symbols if live(*(child := (amap.get(v, awild), bmap.get(v, bwild))))]
+            syms.append([v for v, _ in kept])
+            kids.append([at(child, len(index)) for _, child in kept])
+        return syms, kids, list(index)
+
+    def labels_of(nodes):
+        return [0 if accepts(sa, sb) else None for sa, sb in nodes]
 
     out = _Shared()
-    root, _ = _walk(domains, (0, 0), *_by_node(kids_of, label_of), out)
+    root, _ = _walk(domains, (0, 0), expand, labels_of, out)
     return out.parts(root)
 
 
-def _kids(expl, wild, k):
-    """(symbol, child) kids of a node on a level of domain size ``k``.
-
-    ``expl`` maps literals to children, symbols ascending; the symbols it
-    does not name follow the wildcard child ``wild`` (falsy if none), as
-    one wildcard edge when ``expl`` is empty.
-    """
-    kids = list(expl.items())
-    if wild and len(expl) < k:
-        if expl:
-            kids.extend((v, wild) for v in range(k) if v not in expl)
-            kids.sort()
-        else:
-            kids.append((WILDCARD, wild))
-    return kids
-
-
-class _Subsets:
-    """Subsets of the states of one automaton, stepped level by level.
-
-    A subset is a sorted tuple of states, all on one level.  ``owner`` maps
-    each accepting state to its label, and a subset past the last level
-    takes the lowest label among its members.  With ``lvl`` >= 0 that
-    level is contracted on the fly: a state there takes the merged edges
-    of its successors (memoized), and if ``lvl`` is the last level of
-    ``domains`` it accepts through an accepting successor.
-    """
-
-    def __init__(self, off, sym, dst, owner, domains, lvl=-1):
-        self.off = off
-        self.sym = sym
-        self.dst = dst
-        self.owner = owner
-        self.domains = domains
-        self.lvl = lvl
-        self.merged = {}  # level-lvl state -> its contracted edges
-
-    def edges(self, s, lv):
-        off, sym, dst = self.off, self.sym, self.dst
-        if lv != self.lvl:
-            lo, hi = off[s], off[s + 1]
-            return zip(sym[lo:hi], dst[lo:hi])
-        e = self.merged.get(s)
-        if e is None:
-            e = self.merged[s] = {edge for t in dst[off[s] : off[s + 1]] for edge in self.edges(t, -1)}
-        return e
-
-    def kids(self, sub, lv):
-        """Kids of ``sub`` on level ``lv``: a literal's child takes in the
-        wildcard's members; children are sorted tuples."""
-        wild = set()
-        expl = {}
-        for s in sub:
-            for v, d in self.edges(s, lv):
-                if v == WILDCARD:
-                    wild.add(d)
-                elif v in expl:
-                    expl[v].add(d)
-                else:
-                    expl[v] = {d}
-        expl = {v: tuple(sorted(expl[v] | wild)) for v in sorted(expl)}
-        return _kids(expl, tuple(sorted(wild)), self.domains[lv])
-
-    def label(self, sub):
-        """The lowest label among the members that accept, or None."""
-        owner = self.owner
-        if self.lvl == len(self.domains):  # contracted last level
-            off, dst = self.off, self.dst
-            sub = [t for s in sub for t in dst[off[s] : off[s + 1]]]
-        return min((owner[s] for s in sub if s in owner), default=None)
-
-
 def _subset_walk(off, sym, dst, roots, owner, domains, lvl, out):
-    """Walk the subsets reachable from ``roots`` (see ``_Subsets``).
+    """Walk the subsets of states reachable from ``roots``, level by level.
 
-    ``domains`` are the result's, so level ``lvl`` is already removed from
-    them.  Returns what ``out`` built for the root, the number of distinct
+    A subset is a sorted tuple of states, all on one level.  Its kids
+    union its members' edges: a literal's child takes in the wildcard's
+    members, and the symbols no literal names follow the wildcard, as one
+    wildcard edge when no literal is named.  ``owner`` maps each accepting
+    state to its label, and a subset past the last level takes the lowest
+    label among its members.  With ``lvl`` >= 0 that level is contracted
+    on the fly: a state there takes the merged edges of its successors,
+    and if ``lvl`` is the last level of ``domains`` it accepts through an
+    accepting successor.  ``domains`` are the result's, so level ``lvl``
+    is already removed from them.
+
+    Returns what ``out`` built for the root, the number of distinct
     members and the number of distinct subsets visited.
     """
-    subsets = _Subsets(off, sym, dst, owner, domains, lvl)
-    root, levels = _walk(domains, tuple(roots), *_by_node(subsets.kids, subsets.label), out)
+    pairs = list(zip(sym.tolist(), dst.tolist()))
+    edges = [pairs[lo:hi] for lo, hi in zip(off, off[1:])]  # [(symbol, child)] per state
+
+    def expand(lv, subsets):
+        k = domains[lv]
+        step = edges
+        if lv == lvl:  # the contracted level: each state's successors' edges, merged once
+            step = {s: {e for _, t in edges[s] for e in edges[t]} for s in set().union(*subsets)}
+        index = {}
+        at = index.setdefault
+        syms = []
+        kids = []
+        for sub in subsets:
+            by_symbol = defaultdict(set)  # symbol -> the children it reaches
+            for s in sub:
+                for v, d in step[s]:
+                    by_symbol[v].add(d)
+            wild = by_symbol.pop(WILDCARD, set())
+            symbols = sorted(by_symbol)
+            children = [tuple(sorted(by_symbol[v] | wild)) for v in symbols]
+            if wild and len(symbols) < k:  # the wildcard takes the rest
+                named = dict(zip(symbols, children))
+                wild = tuple(sorted(wild))
+                symbols = range(k) if symbols else ONLY_WILDCARD
+                children = [named.get(v, wild) for v in symbols]
+            syms.append(symbols)
+            kids.append([at(child, len(index)) for child in children])
+        return syms, kids, list(index)
+
+    def labels_of(subsets):
+        if lvl == len(domains):  # contracted last level: a state accepts through a successor
+            subsets = [[t for s in sub for _, t in edges[s]] for sub in subsets]
+        return [min((owner[s] for s in sub if s in owner), default=None) for sub in subsets]
+
+    root, levels = _walk(domains, tuple(roots), expand, labels_of, out)
     return root, len({s for level in levels for sub in level for s in sub}), sum(map(len, levels))
 
 
@@ -513,9 +445,10 @@ def compile_sorted(digits, n_strings, length, domains, labels, default):
     a level are disjoint, so the level's expansion lists each child once
     without looking it up.  The symbols no row of a run names lead to the
     default node of the next level, the empty run ``(0, 0)``, which ends
-    in ``default``; with ``default`` -1 they lead nowhere.  A run whose
-    rows are all labelled -1 builds DEAD, so its symbol gets no edge and
-    no default.  Returns (shared, labels) as ``join``.
+    in ``default``: one wildcard edge when the run names none, as the
+    default node does.  With ``default`` -1 they lead nowhere.  A run
+    whose rows are all labelled -1 builds DEAD, so its symbol gets no edge
+    and no default.  Returns (shared, labels) as ``join``.
     """
     columns = [digits[d::length] for d in range(length)]
 
@@ -536,7 +469,7 @@ def compile_sorted(digits, n_strings, length, domains, labels, default):
                 lo = end
             if default >= 0 and len(symbols) < k:  # the default takes the rest
                 named = dict(zip(symbols, children))
-                symbols = range(k)
+                symbols = range(k) if symbols else ONLY_WILDCARD
                 children = [named.get(v, 0) for v in symbols]
             syms.append(symbols)
             kids.append(children)

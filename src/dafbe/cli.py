@@ -1,8 +1,9 @@
 """Command-line interface: solve instances, cross-check engines, emit stats.
 
 Exit codes: 0 success, 1 usage or parse error, 2 engine disagreement,
-3 internal error.  Timeouts and oracle budget refusals are reported in
-the per-instance record and do not affect the exit code.
+3 internal error.  Timeouts, oracle budget refusals and a solve that runs
+out of memory are reported in the per-instance record and do not affect
+the exit code.
 """
 
 from __future__ import annotations
@@ -193,6 +194,9 @@ def cmd_solve(cfg: RunConfig, out) -> int:
             except BudgetExceeded as exc:
                 rec = {"file": str(path), "engine": cfg.engine, "status": "budget-exceeded",
                        "error": str(exc)}
+            except MemoryError:
+                rec = {"file": str(path), "engine": cfg.engine, "status": "budget-exceeded",
+                       "error": "ran out of memory"}
             except DafbeError as exc:
                 rec = formats.result_record(path, None, cfg.engine, error=str(exc))
                 worst = max(worst, 1)

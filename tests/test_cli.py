@@ -118,6 +118,24 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", HAND)
         assert code == 3 and "internal error" in err
 
+    def test_memory_error_ends_only_its_own_solve(self, capsys, monkeypatch):
+        # running out of memory is a budget record, and the batch goes on
+        solve = cli.bucket_elimination
+        calls = []
+
+        def first_runs_out(*a, **kw):
+            calls.append(a)
+            if len(calls) == 1:
+                raise MemoryError()
+            return solve(*a, **kw)
+
+        monkeypatch.setattr(cli, "bucket_elimination", first_runs_out)
+        code, out, _ = run(capsys, "solve", "--format", "json-lines", HAND, QUEENS)
+        assert code == 0
+        first, second = json_records(out)
+        assert first["status"] == "budget-exceeded" and "memory" in first["error"]
+        assert second["file"] == QUEENS and second["status"] == "optimal"
+
 
 class TestEngines:
     @pytest.mark.parametrize("engine", ["dafsa", "tabular", "brute"])

@@ -58,6 +58,40 @@ def one_label(both, dom, name, *args):
     return result
 
 
+def rand_dfa_parts(rng, dom):
+    """A random leveled DFA over ``dom`` that need not be minimal, as parts.
+
+    Each level has 1-3 states.  Each state has one wildcard edge, a
+    literal fan, complete or partial, onto one child or several, or no
+    edges.  The accepting states are a random part of the last level.
+    """
+    levels, base = [], 0
+    for _ in range(len(dom) + 1):
+        width = rng.randrange(1, 4)
+        levels.append(range(base, base + width))
+        base += width
+    t_off, t_sym, t_dst = array("i", [0]), array("i"), array("i")
+    for lv, k in enumerate(dom):
+        below = levels[lv + 1]
+        for _ in levels[lv]:
+            roll = rng.random()
+            if roll < 0.25:
+                edges = [(-1, rng.choice(below))]
+            elif roll < 0.9:
+                fan = range(k) if rng.random() < 0.5 else sorted(rng.sample(range(k), rng.randrange(1, k + 1)))
+                targets = [rng.choice(below)] if rng.random() < 0.5 else below
+                edges = [(v, rng.choice(targets)) for v in fan]
+            else:
+                edges = []
+            for v, d in edges:
+                t_sym.append(v)
+                t_dst.append(d)
+            t_off.append(len(t_sym))
+    t_off.extend([len(t_sym)] * len(levels[-1]))
+    acc = array("i", sorted(rng.sample(levels[-1], rng.randrange(len(levels[-1]) + 1))))
+    return t_off, t_sym, t_dst, acc
+
+
 class TestFuzz:
     def test_all_kernels_byte_identical(self, both):
         rng = random.Random(20260815)
@@ -97,6 +131,24 @@ class TestFuzz:
                 one_label(both, dom, "product", mode, *ops, dom)
             for lvl in range(len(dom)):
                 one_label(both, dom[:lvl] + dom[lvl + 1 :], "remove_level", ops[0], dom, lvl)
+
+    def test_non_canonical_operands(self, both):
+        # DFAs that are not minimal: complete fans not collapsed, equal
+        # states not merged, edgeless and dead states; Dafsa(...) checks
+        # that each is well-formed
+        rng = random.Random(20261120)
+        for trial in range(300):
+            dom = rng.choice(DOMS)
+            a = rand_dfa_parts(rng, dom)
+            b = rand_dfa_parts(rng, dom)
+            Dafsa(dom, *a)
+            Dafsa(dom, *b)
+            for mode in (0, 1, 2):
+                one_label(both, dom, "product", mode, a, b, dom)
+            one_label(both, dom, "minimize", a, 0, dom)
+            for lvl in range(len(dom)):
+                one_label(both, dom[:lvl] + dom[lvl + 1 :], "remove_level", a, dom, lvl)
+            both("join", [a, b], dom)
 
 
 def rand_labelled_entries(rng, dom):
