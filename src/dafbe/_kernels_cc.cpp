@@ -37,7 +37,12 @@
 // subsets of states (Subsets), all with one label; join walks subsets of
 // entries side by side; project_entries walks the states of one shared form to
 // remove its last level, and subsets of them to remove any other; and
-// combine_entries walks pairs of states, one per operand.  split makes one
+// combine_entries walks pairs of states, one per operand.  This edition's
+// product keeps its own pair walk, while the Python product is a choice
+// of labels over combine_entries (intersection) and join's side-by-side
+// subset walk (union and difference, B's accepting states labelled 0 or
+// -1, a leaf with a negative label being no string); the results stay
+// byte-identical.  split makes one
 // backward pass over a shared form's states instead, interning one state
 // per label each state reaches in one Unique.  To fold, combine_entries
 // removes the last union level in the same walk: a pair on it is a leaf

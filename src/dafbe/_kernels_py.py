@@ -46,7 +46,8 @@ terminal, if any, the last state and the accepting one
 ``determinize`` and ``remove_level`` add their counts:
 
 * ``product(mode, a, b, domains)`` -> ``(shared, labels)``, the
-  intersection (mode 0), union (1) or difference (2) of ``a`` and ``b``;
+  intersection (mode 0), union (1) or difference (2) of ``a`` and ``b``,
+  as label choices over ``combine_entries`` and ``join``'s walk;
 * ``determinize(a, start, domains)`` -> ``(shared, labels,
   raw_states)``;
 * ``minimize(a, start, domains)`` -> ``(shared, labels)``;
@@ -106,20 +107,27 @@ at construction.
 Every kernel builds its result minimal, with no merge pass afterwards.
 Each but ``split`` is one walk, ``_walk``, level by level: it expands
 all nodes of a level at once, down to the leaves, which carry a label
-or none, and its finisher, ``_Shared``, then builds one level per pass,
-bottom-up, interning one state per node keyed by (level, symbols,
-destinations).  That builds the shared form: the unique-table apply of
-Bryant (IEEE TC 35(8), 1986), one level per step as in breadth-first
-BDD packages (Ochi, Yasuoka & Yajima, ICCAD 1993), since a Python call
-costs more than a node's own work.  Each kernel expands a level in one
+or none (a negative label is none), and its finisher, ``_Shared``, then
+builds one level per pass, bottom-up, interning one state per node keyed
+by (level, symbols, destinations).  That builds the shared form: the
+unique-table apply of Bryant (IEEE TC 35(8), 1986), one level per step as
+in breadth-first BDD packages (Ochi, Yasuoka & Yajima, ICCAD 1993), since
+a Python call costs more than a node's own work.  Each kernel expands a level in one
 loop of its own, over its operands' edges decoded once per call.  The
 compiled edition walks depth-first; both intern the same states and
 renumber breadth-first, so their results are byte-identical.
 ``compile_sorted`` walks the trie of its rows, runs of rows that share a
 prefix, bottom-up through the unique table as multi-terminal decision
-diagrams are built.  ``product`` walks pairs of states and
-``determinize``, ``minimize`` and ``remove_level`` subsets of states,
-all with one label.  ``join`` walks subsets of entries side by side.
+diagrams are built.  ``determinize``, ``minimize`` and ``remove_level``
+walk subsets of states, with one label, and ``join`` subsets of entries
+side by side.  ``product`` has no walk of its own: its modes are label
+choices over the walks of other kernels, as an apply takes its operator
+as a parameter.  Intersection is ``combine_entries`` over the operands'
+one-label forms, every level in both, with labels ``[0]``; union and
+difference are ``join``'s side-by-side subset walk with B's accepting
+states labelled 0 or -1, the union of the side-by-side NFA determinized
+(Rabin & Scott, 1959), where -1, the lowest label, leaves a string that
+B accepts out of the difference.
 ``split`` makes one backward pass over the shared form's states instead,
 interning one state per label each state reaches in the unique table of
 a ``_Shared``.  ``project_entries`` walks the states of one shared
@@ -139,8 +147,7 @@ from bisect import bisect_right
 from collections import defaultdict
 
 WILDCARD = -1
-DEAD = -1  # an empty language: a missing state, or a child with no strings
-NO_EDGES = {}  # the literal edges of a state that has none; never mutated
+DEAD = -1  # an empty language: a child with no strings
 ONLY_WILDCARD = (WILDCARD,)  # the symbols of a state with one wildcard edge
 
 
@@ -179,10 +186,11 @@ class _Shared:
     """The shared finisher: one result state per node, DEAD if it has no string.
 
     A node past the last level becomes the terminal of its label, one per
-    label.  Any other node keeps its kids whose child is not DEAD, a
-    complete literal fan onto one child becomes a wildcard, and the state
-    is looked up by (level, symbols, destinations), so the result is the
-    minimal shared form as built.
+    label; a negative label, or None, is no string.  Any other node keeps
+    its kids whose child is not DEAD, a complete literal fan onto one
+    child becomes a wildcard, and the state is looked up by (level,
+    symbols, destinations), so the result is the minimal shared form as
+    built.
     """
 
     def __init__(self):
@@ -192,7 +200,7 @@ class _Shared:
         self.terminals = {}  # label -> state
 
     def leaf(self, label):
-        if label is None:
+        if label is None or label < 0:  # no string
             return DEAD
         sid = self.terminals.get(label)
         if sid is None:
@@ -250,10 +258,11 @@ def _walk(domains, root, expand, labels_of, out):
     symbols, ascending and a wildcard only alone, and its children as
     indices into ``below``, the next level's nodes, each listed once.
     ``labels_of(nodes)`` gives the label of each node past the last level,
-    or None.  The walk expands one level at a time from ``root``; then the
-    finisher ``out`` builds one level per pass, bottom-up (``out.leaf``
-    past the last level, ``out.finish`` above it).  Returns (what ``out``
-    built for ``root``, the node list of every level).
+    None or a negative label for no string.  The walk expands one level at
+    a time from ``root``; then the finisher ``out`` builds one level per
+    pass, bottom-up (``out.leaf`` past the last level, ``out.finish``
+    above it).  Returns (what ``out`` built for ``root``, the node list of
+    every level).
     """
     levels = [[root]]
     rows = []
@@ -274,74 +283,24 @@ def _edges(parts):
 
 
 def product(mode, a, b, domains):
-    """Lockstep pair construction: 0 = intersect, 1 = union, 2 = difference.
+    """Intersection (mode 0), union (1) or difference (2) as label choices.
 
-    The walk over pairs of states, with one label.  A missing state on one
-    side is tracked as the dead id -1, so union and difference can keep
-    walking the side that is still alive.  Each operand's states are
-    decoded once, and each level merges the edges of every pair in one
-    loop: a symbol one side does not name follows that side's wildcard,
-    and a child pair is kept where ``live`` says so.
+    Intersection labels the pair (0, 0) in ``combine_entries``.  Union and
+    difference label B's accepting states 0 or -1 in the side-by-side
+    subset walk; -1 is the lowest label in a subset, and is no string.
     """
-    acca_set = set(a[3])
-    accb_set = set(b[3])
     if mode == 0:
-        def live(da, db):
-            return da != DEAD and db != DEAD
+        both = [True] * len(domains)
+        return combine_entries(_one_label(a), _one_label(b), domains, both, both, [0])[:2]
+    return _side_by_side((a, b), (0, 0) if mode == 1 else (0, -1), domains)
 
-        def accepts(da, db):
-            return da in acca_set and db in accb_set
-    elif mode == 1:
-        def live(da, db):
-            return da != DEAD or db != DEAD
 
-        def accepts(da, db):
-            return da in acca_set or db in accb_set
-    else:
-        def live(da, db):
-            return da != DEAD
-
-        def accepts(da, db):
-            return da in acca_set and db not in accb_set
-
-    def decode(parts):
-        """(wildcard child or DEAD, {literal: child}) of every state, then
-        of DEAD, no edges, last, where index DEAD (-1) finds it."""
-        decoded = [
-            (dsts[0], NO_EDGES) if syms[:1] == ONLY_WILDCARD else (DEAD, dict(zip(syms, dsts)))
-            for syms, dsts in _edges(parts)
-        ]
-        decoded.append((DEAD, NO_EDGES))
-        return decoded
-
-    dec_a = decode(a)
-    dec_b = decode(b)
-
-    def expand(lv, nodes):
-        k = domains[lv]
-        index = {}
-        at = index.setdefault
-        syms = []
-        kids = []
-        for sa, sb in nodes:
-            awild, amap = dec_a[sa]
-            bwild, bmap = dec_b[sb]
-            named = amap.keys() | bmap.keys()
-            if len(named) < k and live(awild, bwild):  # the rest follow both wildcards
-                symbols = range(k) if named else ONLY_WILDCARD
-            else:
-                symbols = sorted(named)
-            kept = [(v, child) for v in symbols if live(*(child := (amap.get(v, awild), bmap.get(v, bwild))))]
-            syms.append([v for v, _ in kept])
-            kids.append([at(child, len(index)) for _, child in kept])
-        return syms, kids, list(index)
-
-    def labels_of(nodes):
-        return [0 if accepts(sa, sb) else None for sa, sb in nodes]
-
-    out = _Shared()
-    root, _ = _walk(domains, (0, 0), expand, labels_of, out)
-    return out.parts(root)
+def _one_label(parts):
+    """The shared form of an automaton's parts, its accepting states labelled 0."""
+    term = array("i", [-1]) * (len(parts[0]) - 1)
+    for s in parts[3]:
+        term[s] = 0
+    return (*parts[:3], term)
 
 
 def _subset_walk(off, sym, dst, roots, owner, domains, lvl, out):
@@ -476,8 +435,7 @@ def compile_sorted(digits, n_strings, length, domains, labels, default):
         return syms, kids, below
 
     def labels_of(runs):
-        found = [labels[lo] if lo < hi else default for lo, hi in runs]
-        return [None if label < 0 else label for label in found]
+        return [labels[lo] if lo < hi else default for lo, hi in runs]
 
     out = _Shared()
     root, _ = _walk(domains, (0, n_strings), expand, labels_of, out)
@@ -487,22 +445,30 @@ def compile_sorted(digits, n_strings, length, domains, labels, default):
 def join(entries, domains):
     """The shared form of per-label automata, entry ``i`` labelled ``i``.
 
-    The subset walk over all entries side by side, entry ``i``'s state
-    ``s`` renamed ``base_i + s``; a leaf takes the lowest label among its
-    accepting members.  Returns (shared, labels).
+    Returns (shared, labels).
+    """
+    return _side_by_side(entries, range(len(entries)), domains)
+
+
+def _side_by_side(entries, owners, domains):
+    """The subset walk over automata side by side, entry ``i``'s state ``s``
+    renamed ``base_i + s`` and its accepting states labelled ``owners[i]``.
+
+    A leaf takes the lowest label among its accepting members.  Returns
+    (shared, labels).
     """
     off = array("i", [0])
     sym = array("i")
     dst = array("i")
     roots = []
     owner = {}
-    for i, (t_off, t_sym, t_dst, acc) in enumerate(entries):
+    for (t_off, t_sym, t_dst, acc), label in zip(entries, owners):
         base = len(off) - 1
         roots.append(base)
         off.extend(map(len(sym).__add__, t_off[1:]))
         sym.extend(t_sym)
         dst.extend(map(base.__add__, t_dst))
-        owner.update(dict.fromkeys(map(base.__add__, acc), i))
+        owner.update(dict.fromkeys(map(base.__add__, acc), label))
     out = _Shared()
     root, _, _ = _subset_walk(off, sym, dst, roots, owner, domains, -1, out)
     return out.parts(root)

@@ -323,28 +323,36 @@ class Dafsa:
         total = self.count_strings()
         if total > cap:
             raise EnumerationLimit(f"language has {total} strings, cap is {cap}")
-        out = []
         L = self.length
         acc_set = set(self.acc)
+        if L == 0:
+            return [()] if self.start in acc_set else []
+        out = []
         word = [0] * L
 
-        def walk(s, depth):
-            if depth == L:
-                if s in acc_set:
-                    out.append(tuple(word))
-                return
+        def steps(s, depth):
+            """(symbol, child) of every edge of ``s``, a wildcard read as each value."""
             for j in range(self.t_off[s], self.t_off[s + 1]):
                 sym = self.t_sym[j]
                 d = self.t_dst[j]
                 if sym == WILDCARD:
                     for v in range(self.domains[depth]):
-                        word[depth] = v
-                        walk(d, depth + 1)
+                        yield v, d
                 else:
-                    word[depth] = sym
-                    walk(d, depth + 1)
+                    yield sym, d
 
-        walk(self.start, 0)
+        stack = [steps(self.start, 0)]  # one edge iterator per level, depth first
+        while stack:
+            depth = len(stack) - 1
+            for v, d in stack[-1]:
+                word[depth] = v
+                if depth + 1 < L:
+                    stack.append(steps(d, depth + 1))
+                    break
+                if d in acc_set:
+                    out.append(tuple(word))
+            else:
+                stack.pop()
         return out
 
     # -- set algebra ---------------------------------------------------------

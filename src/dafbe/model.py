@@ -349,9 +349,10 @@ def bucket_elimination(
     levels.  A bucket that receives no factor is skipped; every other
     bucket records one growth sample.  A forward pass then rebuilds an
     optimal assignment by trying each value of each variable against its
-    bucket's functions, lowest value winning ties, so a variable whose
-    bucket is empty takes 0, and maps it back to the model's variable
-    ids.  Infinite-cost rows are left out of every factor
+    bucket's functions, lowest value winning ties; a variable whose bucket
+    is empty takes 0 without trying any, so a huge domain no function
+    reads costs nothing.  It then maps the assignment back to the model's
+    variable ids.  Infinite-cost rows are left out of every factor
     (``DafsaFactor.from_table``), so an assignment no entry covers
     scores inf.
 
@@ -430,6 +431,8 @@ def bucket_elimination(
         assignment = [0] * n  # by position
         for p in range(n):
             deadline.check()
+            if not buckets[p]:  # every value scores 0: it keeps 0
+                continue
             best_v = 0
             best_score = None
             for v in range(domains[p]):

@@ -139,6 +139,13 @@ class TestQueries:
         with pytest.raises(EnumerationLimit):
             a.enumerate_strings(cap=10**6)
 
+    def test_enumeration_of_long_strings(self):
+        # deeper than the recursion limit, in lexicographic order
+        words = [(0,) * 1200, (1,) * 1200]
+        a = Dafsa.from_strings((2,) * 1200, words)
+        assert a.count_strings() == 2
+        assert a.enumerate_strings() == words
+
 
 def _prod(dom):
     out = 1

@@ -136,6 +136,19 @@ class TestExitCodes:
         assert first["status"] == "budget-exceeded" and "memory" in first["error"]
         assert second["file"] == QUEENS and second["status"] == "optimal"
 
+    def test_huge_domain_no_function_reads_solves_at_once(self, tmp_path):
+        # variable 1 has 2^31-1 values and no function: the forward pass
+        # must not score each of them
+        model = tmp_path / "big.wcsp"
+        model.write_text("big 2 2147483647 1 10\n2 2147483647\n1 0 0 1\n1 5\n", encoding="ascii")
+        cmd = [sys.executable, "-m", "dafbe.cli", "solve", "--time-limit", "1",
+               "--format", "json-lines", str(model)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        (rec,) = json_records(proc.stdout)
+        assert rec["status"] == "optimal" and rec["optimum"] == 0.0
+        assert rec["assignment"] == [0, 0]
+
 
 class TestEngines:
     @pytest.mark.parametrize("engine", ["dafsa", "tabular", "brute"])

@@ -151,6 +151,47 @@ class TestFuzz:
             both("join", [a, b], dom)
 
 
+def check_python_product(dom, a, b):
+    """The Python ``product`` of ``a`` and ``b`` in each mode against the
+    set algebra of their enumerated languages: well formed, and equal to
+    the canonical automaton of the expected strings."""
+    import dafbe._kernels_py as KP
+
+    lang_a = set(Dafsa(dom, *a).enumerate_strings())
+    lang_b = set(Dafsa(dom, *b).enumerate_strings())
+    for mode, want in enumerate((lang_a & lang_b, lang_a | lang_b, lang_a - lang_b)):
+        got = Dafsa._from_one_label(dom, KP.product(mode, a, b, dom)[0])
+        got.check_invariants()
+        assert set(got.enumerate_strings()) == want, (mode, dom, flat(a), flat(b))
+        assert flat(got.parts) == flat(Dafsa.from_strings(dom, sorted(want)).parts)
+
+
+class TestPythonProduct:
+    # the Python product is label choices over other walks: combine_entries
+    # for intersection, the side-by-side subset walk for union and
+    # difference; checked on its own, with no compiler needed
+    def test_non_canonical_operands(self):
+        rng = random.Random(20261019)
+        for trial in range(300):
+            dom = rng.choice(DOMS)
+            check_python_product(dom, rand_dfa_parts(rng, dom), rand_dfa_parts(rng, dom))
+
+    def test_b_accepts_through_a_wildcard_only(self):
+        # A = {(0, 2)} by literals; B reads level 1 by one wildcard edge
+        I = lambda *v: array("i", v)  # noqa: E731
+        a = I(0, 1, 2, 2), I(0, 2), I(1, 2), I(2)
+        b = I(0, 1, 2, 2), I(0, -1), I(1, 2), I(2)
+        check_python_product((2, 3), a, b)
+        check_python_product((2, 3), b, a)
+
+    def test_b_empty(self):
+        rng = random.Random(20261020)
+        for dom in DOMS:
+            empty = Dafsa.empty(dom).parts
+            check_python_product(dom, rand_dfa_parts(rng, dom), empty)
+            check_python_product(dom, empty, rand_dfa_parts(rng, dom))
+
+
 def rand_labelled_entries(rng, dom):
     """Entry parts of a random function on ``dom``: each word gets one of
     up to four labels, or none; a label with no word is left out."""
