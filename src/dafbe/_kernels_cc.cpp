@@ -26,23 +26,25 @@
 // raises MemoryError, so no input can crash the interpreter.
 //
 // Every kernel builds its result minimal as it goes, with no merge pass.
-// Each but split is one walk (walk) whose leaves carry a label or none,
-// and which finishes each node once its children are built through
-// SharedWalked: one state per node, interned in a unique table (Unique),
-// builds a shared form.  This edition walks depth-first and the Python
-// edition level by level; both intern the same states and renumber them
-// breadth-first, so their results are byte-identical.  compile_sorted
-// walks the trie of its rows, runs of rows that share a prefix; product
-// walks pairs of states; determinize, minimize and remove_level walk
-// subsets of states (Subsets), all with one label; join walks subsets of
-// entries side by side; project_entries walks the states of one shared form to
-// remove its last level, and subsets of them to remove any other; and
-// combine_entries walks pairs of states, one per operand.  This edition's
-// product keeps its own pair walk, while the Python product is a choice
-// of labels over combine_entries (intersection) and join's side-by-side
-// subset walk (union and difference, B's accepting states labelled 0 or
-// -1, a leaf with a negative label being no string); the results stay
-// byte-identical.  split makes one
+// Each but split is one walk (walk) whose leaves carry a label or none, a
+// negative label being none, and which finishes each node once its
+// children are built through SharedWalked: one state per node, interned in
+// a unique table (Unique), builds a shared form.  This edition walks
+// depth-first and the Python edition level by level; both intern the same
+// states and renumber them breadth-first, so their results are
+// byte-identical.  In both, compile_sorted walks the trie of its rows,
+// runs of rows that share a prefix; determinize, minimize and remove_level
+// walk subsets of states (Subsets), with one label; join walks subsets of
+// entries side by side; project_entries walks the states of one shared
+// form to remove its last level, and subsets of them to remove any other;
+// and combine_entries walks pairs of states, one per operand (combine).
+// product has no walk of its own: its modes are choices of labels over
+// these walks, as an apply takes its operator as a parameter.
+// Intersection is the pair walk over the operands' accepting states
+// labelled 0, every level in both, with label table {0}.  Union and
+// difference are join's side-by-side subset walk, B's accepting states
+// labelled 0, or for difference a negative label that ranks below every
+// other, so that a string B accepts is no string.  split makes one
 // backward pass over a shared form's states instead, interning one state
 // per label each state reaches in one Unique.  To fold, combine_entries
 // removes the last union level in the same walk: a pair on it is a leaf
@@ -72,6 +74,7 @@ namespace {
 constexpr int WILDCARD = -1;
 constexpr int DEAD = -1;  // no state or subset: an empty language
 constexpr int NO_LABEL = -1;
+constexpr int VETO = -2;  // a label below every other, and no string
 
 using Ints = std::vector<int>;
 using Flags = std::vector<char>;
@@ -379,7 +382,6 @@ struct Graph {
 // One automaton argument, its parts (t_off, t_sym, t_dst, acc), from start.
 struct Automaton : Graph {
     IntBuffer acc_buf;
-    Flags final;  // accepting flags
 
     void load(PyObject* parts, const Ints& dom, int start_state = 0) {
         Ref seq(PySequence_Fast(parts, "an automaton must be a sequence of four arrays"));
@@ -387,26 +389,17 @@ struct Automaton : Graph {
         acquire(item[0], item[1], item[2]);
         acc_buf.acquire(item[3], "acc");
         check(dom, start_state);
-        check_acc();
+        for (Py_ssize_t q = 0; q < acc_buf.size(); ++q) {
+            if (acc_buf[q] < 0 || acc_buf[q] >= n)
+                throw BadInput("accepting state " + str(acc_buf[q]) + " outside 0.." + str(n - 1));
+        }
     }
 
     // the label of each state: label if accepting, else NO_LABEL
     Ints owners(int label) const {
         Ints out(n, NO_LABEL);
-        for (int s = 0; s < n; ++s) {
-            if (final[s]) out[s] = label;
-        }
+        for (Py_ssize_t q = 0; q < acc_buf.size(); ++q) out[acc_buf[q]] = label;
         return out;
-    }
-
-  private:
-    void check_acc() {
-        final.assign(n, 0);
-        for (Py_ssize_t q = 0; q < acc_buf.size(); ++q) {
-            if (acc_buf[q] < 0 || acc_buf[q] >= n)
-                throw BadInput("accepting state " + str(acc_buf[q]) + " outside 0.." + str(n - 1));
-            final[acc_buf[q]] = 1;
-        }
     }
 };
 
@@ -483,8 +476,8 @@ struct Kid {
 
 // The shared finisher, as _kernels_py._Shared: each node gets one state,
 // or DEAD if it has no string.  A node past the last level becomes the
-// terminal of its label, one per label; any other node keeps its kids
-// whose child is not DEAD and is interned.
+// terminal of its label, one per label, a negative label being no string;
+// any other node keeps its kids whose child is not DEAD and is interned.
 struct SharedWalked {
     static constexpr int UNBUILT = -2;
     Unique out;
@@ -496,7 +489,7 @@ struct SharedWalked {
 
     void leaf(int node, int label) {
         int s = DEAD;
-        if (label != NO_LABEL) {
+        if (label >= 0) {
             const auto hit = terminals.try_emplace(label, 0);
             if (hit.second) hit.first->second = out.add_leaf();
             s = hit.first->second;
@@ -560,9 +553,10 @@ struct SharedWalked {
 // expands a whole level at a time instead, to the same states.  Nodes
 // are ints >= 0 that expand hands out: expand(node, lv, kids) appends the
 // node's kids on level lv, symbols ascending and a wildcard only alone;
-// label_of(node) gives the label (>= 0) of a node past the last level, or
-// NO_LABEL.  Nodes are expanded on an explicit stack, and the finisher w
-// builds a node once its children are built (SharedWalked).
+// label_of(node) gives the label of a node past the last level, a
+// negative one for no string.  Nodes are expanded on an explicit stack,
+// and the finisher w builds a node once its children are built
+// (SharedWalked).
 template <class Expand, class LabelOf>
 void walk(const Ints& dom, int root, const Expand& expand, const LabelOf& label_of, SharedWalked& w) {
     const int L = static_cast<int>(dom.size());
@@ -597,13 +591,13 @@ void walk(const Ints& dom, int root, const Expand& expand, const LabelOf& label_
 }
 
 
-// Pairs of ids (DEAD allowed), interned as dense node ids.
+// Pairs of state ids, interned as dense node ids.
 struct Pairs {
     std::unordered_map<uint64_t, int> ids;
     Ints first, second;
     int operator()(int a, int b) {
-        const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(a + 1)) << 32) |
-                             static_cast<uint32_t>(b + 1);
+        const uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
+                             static_cast<uint32_t>(b);
         const auto hit = ids.try_emplace(key, static_cast<int>(first.size()));
         if (hit.second) {
             first.push_back(a);
@@ -621,19 +615,16 @@ struct Decoded {
 
 constexpr Span NONE{nullptr, nullptr};
 
-// The kids of a pair node, appended to kids: a symbol one side does not
-// name follows that side's wildcard, and a child pair (da, db) is kept if
-// live says so, as the node pair(da, db).  k is the level's domain size.
-template <class Live, class Pair>
-void merge(int k, const Decoded& a, const Decoded& b, const Live& live, Pair& pair,
-           std::vector<Kid>& kids) {
+// The kids of a pair node, appended to kids: each symbol both sides read,
+// a side's wildcard reading every symbol, to the child pair(da, db).  A
+// side with no edges reads none, so its pair gets no kids.
+template <class Pair>
+void merge(const Decoded& a, const Decoded& b, Pair& pair, std::vector<Kid>& kids) {
     const size_t na = a.syms.size(), nb = b.syms.size();
     if (!na && !nb) {
-        if (live(a.wild, b.wild)) kids.push_back({WILDCARD, pair(a.wild, b.wild)});
+        if (a.wild != DEAD && b.wild != DEAD) kids.push_back({WILDCARD, pair(a.wild, b.wild)});
         return;
     }
-    const size_t kbeg = kids.size();
-    int named = 0;
     size_t i = 0, j = 0;
     while (i < na || j < nb) {
         int v, da, db;
@@ -650,65 +641,62 @@ void merge(int k, const Decoded& a, const Decoded& b, const Live& live, Pair& pa
             da = a.dsts[i++];
             db = b.dsts[j++];
         }
-        ++named;
-        if (live(da, db)) kids.push_back({v, pair(da, db)});
-    }
-    if (named < k && live(a.wild, b.wild)) {
-        // symbols neither side names follow both wildcards
-        const int rest = pair(a.wild, b.wild);
-        i = j = 0;
-        for (int v = 0; v < k; ++v) {
-            while (i < na && a.syms[i] < v) ++i;
-            while (j < nb && b.syms[j] < v) ++j;
-            if ((i < na && a.syms[i] == v) || (j < nb && b.syms[j] == v)) continue;
-            kids.push_back({v, rest});
-        }
-        std::sort(kids.begin() + kbeg, kids.end());
+        if (da != DEAD && db != DEAD) kids.push_back({v, pair(da, db)});
     }
 }
 
 // -- kernels -----------------------------------------------------------------
 
 Decoded decode(const CsrView& g, int s) {
-    if (s == DEAD) return {DEAD, NONE, NONE};
     Span syms = g.syms(s), dsts = g.dsts(s);
     if (syms.size() && syms[0] == WILDCARD) return {dsts[0], NONE, NONE};
     return {DEAD, syms, dsts};
 }
 
-// Lockstep pair construction: 0 = intersect, 1 = union, 2 = difference.
-// The walk over pairs of states, with one label; a missing state on one
-// side is DEAD, so union and difference keep walking the live side.
-PyObject* product(int mode, const Automaton& a, const Automaton& b, const Ints& dom) {
-    auto live = [mode](int da, int db) {
-        return mode == 0 ? da != DEAD && db != DEAD : mode == 1 ? da != DEAD || db != DEAD : da != DEAD;
+// One operand of the combine walk: its graph, the label of each state
+// (NO_LABEL for none), and per union level whether it reads that level.
+struct Side {
+    CsrView g;
+    Ints term, in;
+};
+
+// The walk over pairs (A state, B state) of two operands rooted at state
+// 0, in step over the union domains, into w: a string at labels (i, j) is
+// labelled labels[i * nb + j], nb one more than B's largest label; on a
+// level an operand does not read its state stays where it is.  With fold,
+// the last union level is removed in the same walk: a pair on it is a
+// leaf, labelled by the lowest label among its children.  Returns the
+// root node.
+int combine(const Ints& dom, const Side& a, const Side& b, const Ints& labels, bool fold, SharedWalked& w) {
+    const size_t nb = static_cast<size_t>(*std::max_element(b.term.begin(), b.term.end()) + 1);
+    // the kids of pair (sa, sb) on union level lv, child pairs as pair(da, db)
+    auto pair_kids = [&](int sa, int sb, int lv, auto& pair, std::vector<Kid>& kids) {
+        const Decoded da = a.in[lv] ? decode(a.g, sa) : Decoded{sa, NONE, NONE};
+        const Decoded db = b.in[lv] ? decode(b.g, sb) : Decoded{sb, NONE, NONE};
+        merge(da, db, pair, kids);
+    };
+    auto pair_label = [&](int sa, int sb) {
+        const int i = a.term[sa], j = b.term[sb];
+        return i < 0 || j < 0 ? NO_LABEL : labels[static_cast<size_t>(i) * nb + j];
     };
     Pairs pairs;
-    const CsrView ga = a.view(), gb = b.view();
-    auto expand = [&](int node, int lv, std::vector<Kid>& kids) {
-        merge(dom[lv], decode(ga, pairs.first[node]), decode(gb, pairs.second[node]), live, pairs, kids);
+    const Ints walked(dom.begin(), dom.end() - fold);
+    const int last = static_cast<int>(walked.size());  // the folded level
+    std::vector<Kid> children;  // a folded leaf's, each as its label
+    auto expand = [&](int p, int lv, std::vector<Kid>& kids) {
+        pair_kids(pairs.first[p], pairs.second[p], lv, pairs, kids);
     };
-    auto label_of = [&](int node) {
-        const int pa = pairs.first[node], pb = pairs.second[node];
-        const bool fa = pa != DEAD && a.final[pa], fb = pb != DEAD && b.final[pb];
-        return (mode == 0 ? fa && fb : mode == 1 ? fa || fb : fa && !fb) ? 0 : NO_LABEL;
+    auto label_of = [&](int p) {
+        if (!fold) return pair_label(pairs.first[p], pairs.second[p]);
+        children.clear();
+        pair_kids(pairs.first[p], pairs.second[p], last, pair_label, children);
+        int best = NO_LABEL;
+        for (const Kid& kid : children) best = lowest(best, kid.node);
+        return best;
     };
-    SharedWalked w;
     const int root = pairs(0, 0);
-    walk(dom, root, expand, label_of, w);
-    return w.result(root);
-}
-
-PyObject* py_product(PyObject* args) {
-    int mode;
-    PyObject *a_arg, *b_arg, *domains;
-    if (!PyArg_ParseTuple(args, "iOOO:product", &mode, &a_arg, &b_arg, &domains)) throw PyFailure();
-    if (mode < 0 || mode > 2) throw BadInput("product mode " + str(mode) + " is not 0, 1 or 2");
-    const Ints dom = parse_domains(domains);
-    Automaton a, b;
-    a.load(a_arg, dom);
-    b.load(b_arg, dom);
-    return product(mode, a, b, dom);
+    walk(walked, root, expand, label_of, w);
+    return root;
 }
 
 // Subsets of the states of one or more automata side by side, stepped
@@ -860,8 +848,10 @@ void add_wildcard_kids(int k, int wild, size_t kbeg, std::vector<Kid>& kids) {
     std::sort(kids.begin() + kbeg, kids.end());
 }
 
-// The walk over the subsets of subsets reachable from its root, into w.
-void walk_subsets(Subsets& subsets, const Ints& dom, int root, SharedWalked& w) {
+// The walk over the subsets of subsets reachable from the subset of every
+// automaton's start state, into w.  Returns that root subset.
+int walk_subsets(Subsets& subsets, const Ints& dom, SharedWalked& w) {
+    const int root = subsets.root();
     Ints syms, dsts;
     auto expand = [&](int sub, int lv, std::vector<Kid>& kids) {
         syms.clear();
@@ -872,6 +862,7 @@ void walk_subsets(Subsets& subsets, const Ints& dom, int root, SharedWalked& w) 
         add_wildcard_kids(dom[lv], wild, kbeg, kids);
     };
     walk(dom, root, expand, [&](int sub) { return subsets.label(sub); }, w);
+    return root;
 }
 
 // (shared, labels, sample) of a walk that built root into w, sample
@@ -882,6 +873,34 @@ PyObject* with_sample(const SharedWalked& w, int root, const char* format, Count
     return Ref(Py_BuildValue(format, PyTuple_GET_ITEM(result.p, 0), PyTuple_GET_ITEM(result.p, 1),
                              counts...))
         .release();
+}
+
+// Intersection (mode 0), union (1) or difference (2) of a and b, as
+// choices of labels over other kernels' walks, each operand's accepting
+// states labelled: intersection is the combine walk, every level in both
+// operands, with label table {0}; union and difference are join's
+// side-by-side subset walk, B's accepting states labelled 0 or VETO, which
+// a subset that B accepts takes as its lowest label.
+PyObject* py_product(PyObject* args) {
+    int mode;
+    PyObject *a_arg, *b_arg, *domains;
+    if (!PyArg_ParseTuple(args, "iOOO:product", &mode, &a_arg, &b_arg, &domains)) throw PyFailure();
+    if (mode < 0 || mode > 2) throw BadInput("product mode " + str(mode) + " is not 0, 1 or 2");
+    const Ints dom = parse_domains(domains);
+    Automaton a, b;
+    a.load(a_arg, dom);
+    b.load(b_arg, dom);
+    SharedWalked w;
+    if (mode == 0) {
+        const Ints every(dom.size(), 1);
+        const int root =
+            combine(dom, {a.view(), a.owners(0), every}, {b.view(), b.owners(0), every}, {0}, false, w);
+        return w.result(root);
+    }
+    Subsets subsets(static_cast<int>(dom.size()), -1);
+    subsets.add(a.view(), a.n, 0, a.owners(0));
+    subsets.add(b.view(), b.n, 0, b.owners(mode == 1 ? 0 : VETO));
+    return w.result(walk_subsets(subsets, dom, w));
 }
 
 // determinize and minimize: the walk over the input's own edges (a DFA is
@@ -895,9 +914,8 @@ PyObject* walk_own_edges(PyObject* args, const char* format, bool with_count) {
     a.load(a_arg, dom, start);
     Subsets subsets(static_cast<int>(dom.size()), -1);
     subsets.add(a.view(), a.n, a.start, a.owners(0));
-    const int root = subsets.root();
     SharedWalked w;
-    walk_subsets(subsets, dom, root, w);
+    const int root = walk_subsets(subsets, dom, w);
     return with_count ? with_sample(w, root, "(OOi)", w.nodes()) : w.result(root);
 }
 
@@ -924,9 +942,8 @@ PyObject* py_remove_level(PyObject* args) {
     a.load(a_arg, dom);
     Subsets subsets(static_cast<int>(new_dom.size()), lvl);
     subsets.add(a.view(), a.n, a.start, a.owners(0));
-    const int root = subsets.root();
     SharedWalked w;
-    walk_subsets(subsets, new_dom, root, w);
+    const int root = walk_subsets(subsets, new_dom, w);
     return with_sample(w, root, "(OO(ii))", subsets.members(w), w.nodes());
 }
 
@@ -1015,10 +1032,8 @@ PyObject* py_join(PyObject* args) {
         a.load(PySequence_Fast_GET_ITEM(seq.p, i), dom);
         subsets.add(a.view(), a.n, 0, a.owners(i));
     }
-    const int root = subsets.root();
     SharedWalked w;
-    walk_subsets(subsets, dom, root, w);
-    return w.result(root);
+    return w.result(walk_subsets(subsets, dom, w));
 }
 
 // [(label, parts), ...]: the automaton of each label of a shared form,
@@ -1109,19 +1124,12 @@ PyObject* py_project_entries(PyObject* args) {
     }
     Subsets subsets(static_cast<int>(new_dom.size()), lvl);
     subsets.add(d.view(), d.n, 0, d.owners());
-    const int root = subsets.root();
-    walk_subsets(subsets, new_dom, root, w);
+    const int root = walk_subsets(subsets, new_dom, w);
     return with_sample(w, root, "(OO(ii))", subsets.members(w), w.nodes());
 }
 
-bool both_live(int sa, int sb) { return sa != DEAD && sb != DEAD; }
-
-// Walk the shared forms of A and B in step over the union domains, a node
-// a pair (A state, B state) and a string at labels (i, j) labelled
-// labels[i * nb + j]; on a level outside an operand's scope (in_a / in_b
-// false) its state stays where it is.  With fold, the last union level is
-// removed in the same walk: a pair on it is a leaf, labelled by the lowest
-// label among its children.  Returns (shared, labels, (pairs, pairs)).
+// The walk of combine over the shared forms A and B, in_a / in_b flagging
+// the union levels each reads.  Returns (shared, labels, (pairs, pairs)).
 PyObject* py_combine_entries(PyObject* args) {
     PyObject *a_arg, *b_arg, *domains, *in_a_arg, *in_b_arg, *labels_arg;
     int fold = 0;
@@ -1146,36 +1154,9 @@ PyObject* py_combine_entries(PyObject* args) {
     if (labels.size() != static_cast<size_t>(a.labels) * static_cast<size_t>(b.labels))
         throw BadInput(str(labels.size()) + " labels for " + str(a.labels) + " x " + str(b.labels) +
                        " label pairs");
-
-    const CsrView ga = a.view(), gb = b.view();
-    // the kids of pair (sa, sb) on union level lv, child pairs as pair(da, db)
-    auto pair_kids = [&](int sa, int sb, int lv, auto& pair, std::vector<Kid>& kids) {
-        const Decoded da = in_a[lv] ? decode(ga, sa) : Decoded{sa, NONE, NONE};
-        const Decoded db = in_b[lv] ? decode(gb, sb) : Decoded{sb, NONE, NONE};
-        merge(dom[lv], da, db, both_live, pair, kids);
-    };
-    auto pair_label = [&](int sa, int sb) {
-        const int i = a.term(sa), j = b.term(sb);
-        return i < 0 || j < 0 ? NO_LABEL : labels[static_cast<size_t>(i) * b.labels + j];
-    };
-    Pairs pairs;
-    const Ints walked(dom.begin(), dom.end() - fold);
-    const int last = static_cast<int>(walked.size());  // the folded level
-    std::vector<Kid> children;  // a folded leaf's, each as its label
-    auto expand = [&](int p, int lv, std::vector<Kid>& kids) {
-        pair_kids(pairs.first[p], pairs.second[p], lv, pairs, kids);
-    };
-    auto label_of = [&](int p) {
-        if (!fold) return pair_label(pairs.first[p], pairs.second[p]);
-        children.clear();
-        pair_kids(pairs.first[p], pairs.second[p], last, pair_label, children);
-        int best = NO_LABEL;
-        for (const Kid& kid : children) best = lowest(best, kid.node);
-        return best;
-    };
-    const int root = pairs(0, 0);
     SharedWalked w;
-    walk(walked, root, expand, label_of, w);
+    const int root =
+        combine(dom, {a.view(), a.owners(), in_a}, {b.view(), b.owners(), in_b}, labels, fold, w);
     return with_sample(w, root, "(OO(ii))", w.nodes(), w.nodes());
 }
 

@@ -148,6 +148,16 @@ def both(compiled_kernels):
     return check
 
 
+@pytest.fixture(params=["python", "compiled"])
+def kernels(request):
+    """Each kernel edition in turn; the Python one needs no compiler."""
+    if request.param == "python":
+        import dafbe._kernels_py as KP
+
+        return KP
+    return request.getfixturevalue("compiled_kernels")
+
+
 def rand_nfa_parts(rng, dom):
     """Random leveled NFA: 1-3 states per level, up to 3 edges per state.
 

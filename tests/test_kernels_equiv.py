@@ -4,9 +4,9 @@ The compiled edition is the one hand-written ``_kernels_cc.cpp``, built
 by the session fixture ``compiled_src`` into a temporary copy of the
 package (never into ``src/``, where import would then pick it up) and
 loaded from there; without g++ or ``Python.h`` every test that needs it
-is skipped, and only the Python-edition check of ``split`` runs.  The
-compiled edition also checks its inputs: malformed arrays raise
-``AutomatonError`` instead of crashing the interpreter.
+is skipped, and only the Python-edition checks of ``split`` and
+``product`` run.  The compiled edition also checks its inputs: malformed
+arrays raise ``AutomatonError`` instead of crashing the interpreter.
 """
 
 import glob
@@ -151,45 +151,53 @@ class TestFuzz:
             both("join", [a, b], dom)
 
 
-def check_python_product(dom, a, b):
-    """The Python ``product`` of ``a`` and ``b`` in each mode against the
-    set algebra of their enumerated languages: well formed, and equal to
-    the canonical automaton of the expected strings."""
-    import dafbe._kernels_py as KP
-
+def check_product(kernels, dom, a, b):
+    """``product`` of ``a`` and ``b`` in each mode against the set algebra
+    of their enumerated languages: well formed, and equal to the canonical
+    automaton of the expected strings."""
     lang_a = set(Dafsa(dom, *a).enumerate_strings())
     lang_b = set(Dafsa(dom, *b).enumerate_strings())
     for mode, want in enumerate((lang_a & lang_b, lang_a | lang_b, lang_a - lang_b)):
-        got = Dafsa._from_one_label(dom, KP.product(mode, a, b, dom)[0])
+        got = Dafsa._from_one_label(dom, kernels.product(mode, a, b, dom)[0])
         got.check_invariants()
         assert set(got.enumerate_strings()) == want, (mode, dom, flat(a), flat(b))
         assert flat(got.parts) == flat(Dafsa.from_strings(dom, sorted(want)).parts)
 
 
-class TestPythonProduct:
-    # the Python product is label choices over other walks: combine_entries
-    # for intersection, the side-by-side subset walk for union and
-    # difference; checked on its own, with no compiler needed
-    def test_non_canonical_operands(self):
+class TestProduct:
+    # product is label choices over other walks in both editions: the
+    # combine walk for intersection, the side-by-side subset walk for union
+    # and difference; each edition checked on its own
+    def test_non_canonical_operands(self, kernels):
         rng = random.Random(20261019)
         for trial in range(300):
             dom = rng.choice(DOMS)
-            check_python_product(dom, rand_dfa_parts(rng, dom), rand_dfa_parts(rng, dom))
+            check_product(kernels, dom, rand_dfa_parts(rng, dom), rand_dfa_parts(rng, dom))
 
-    def test_b_accepts_through_a_wildcard_only(self):
+    def test_b_accepts_through_a_wildcard_only(self, kernels):
         # A = {(0, 2)} by literals; B reads level 1 by one wildcard edge
         I = lambda *v: array("i", v)  # noqa: E731
         a = I(0, 1, 2, 2), I(0, 2), I(1, 2), I(2)
         b = I(0, 1, 2, 2), I(0, -1), I(1, 2), I(2)
-        check_python_product((2, 3), a, b)
-        check_python_product((2, 3), b, a)
+        check_product(kernels, (2, 3), a, b)
+        check_product(kernels, (2, 3), b, a)
 
-    def test_b_empty(self):
+    def test_b_empty(self, kernels):
         rng = random.Random(20261020)
         for dom in DOMS:
             empty = Dafsa.empty(dom).parts
-            check_python_product(dom, rand_dfa_parts(rng, dom), empty)
-            check_python_product(dom, empty, rand_dfa_parts(rng, dom))
+            check_product(kernels, dom, rand_dfa_parts(rng, dom), empty)
+            check_product(kernels, dom, empty, rand_dfa_parts(rng, dom))
+
+    def test_edgeless_state_facing_a_wildcard_and_a_literal_fan(self, kernels):
+        # A's level-1 state 1 has no edges and does not accept; symbols 0
+        # and 1 lead there, where B has a wildcard-only state and a
+        # literal fan
+        I = lambda *v: array("i", v)  # noqa: E731
+        a = I(0, 3, 3, 4, 5, 5), I(0, 1, 2, -1, -1), I(1, 1, 2, 3, 4), I(4)
+        b = I(0, 3, 4, 6, 7, 8, 8), I(0, 1, 2, -1, 0, 1, 0, -1), I(1, 2, 2, 3, 3, 4, 5, 5), I(5)
+        check_product(kernels, (3, 2, 2), a, b)
+        check_product(kernels, (3, 2, 2), b, a)
 
 
 def rand_labelled_entries(rng, dom):
@@ -676,6 +684,10 @@ class TestMalformedInput:
                 lambda: compiled_kernels.remove_level(bad, dom, 0),
                 lambda: compiled_kernels.product(0, bad, universal, dom),
                 lambda: compiled_kernels.product(0, universal, bad, dom),
+                lambda: compiled_kernels.product(1, bad, universal, dom),
+                lambda: compiled_kernels.product(1, universal, bad, dom),
+                lambda: compiled_kernels.product(2, bad, universal, dom),
+                lambda: compiled_kernels.product(2, universal, bad, dom),
             ]
             for call in calls:
                 with pytest.raises(AutomatonError, match="does not run from level"):

@@ -28,22 +28,12 @@ import random
 import sys
 from array import array
 
-import pytest
-
-import dafbe._kernels_py as KP
 from dafbe.automata import Dafsa
 
 from conftest import rand_nfa_parts
 
 DOMS = [(), (1,), (2,), (1, 2), (2, 2), (3, 2), (2, 3, 2), (4, 2, 3), (2, 2, 2, 2), (3, 1, 2, 2)]
 WILDCARD = -1
-
-
-@pytest.fixture(params=["python", "compiled"])
-def kernels(request):
-    if request.param == "python":
-        return KP
-    return request.getfixturevalue("compiled_kernels")
 
 
 # -- brute-force reference ---------------------------------------------------
