@@ -1214,6 +1214,13 @@ PyModuleDef module_def = {
 }  // namespace
 
 PyMODINIT_FUNC PyInit__kernels_cc() {
+    // libstdc++ allocates a thread's exception state at its first throw;
+    // throwing once here allocates it at import, so a later bad_alloc
+    // under a memory cap still has it and becomes MemoryError
+    try {
+        throw 0;
+    } catch (int) {
+    }
     PyObject* errors = PyImport_ImportModule("dafbe.errors");
     if (!errors) return nullptr;
     automaton_error = PyObject_GetAttrString(errors, "AutomatonError");

@@ -32,8 +32,9 @@ scope, as it always is in the solver, that is one ``combine_entries``
 pass that folds the last level as it walks, so the combined factor is
 never built; any other ``var`` is projected out of ``combine(f, g)``.
 The solver's growth samples therefore have two equal counts.  ``value_at``
-is one path down the shared automaton.  ``on_support`` drops the levels
-of the variables a factor ignores, without a kernel call.
+is one path down the shared automaton, ``least_string`` one depth-first
+search of it.  ``on_support`` drops the levels of the variables a factor
+ignores, without a kernel call.
 
 Both table kinds expose the same read side: ``scope``, ``domains``,
 ``size``, ``value_of``, ``redundancy``, ``values`` (dense, so only the
@@ -528,6 +529,49 @@ class DafsaFactor:
             s = t_dst[j]
         label = term[s]
         return None if label < 0 else self.keys[label]
+
+    def least_string(self, label: int = 0):
+        """The lexicographically least assignment of ``scope`` labelled ``label``, or None.
+
+        Depth-first in symbol order, a wildcard edge reading 0.  A state
+        with no string of the label below it is marked dead, so the search
+        is O(states + edges), and it keeps its path in lists, not on the
+        call stack.  Label 0 gives the least assignment of the least value.
+        """
+        t_off, t_sym, t_dst, term = self.shared
+        if label < 0 or label not in term:  # -1 marks every state but the terminals
+            return None
+        target = term.index(label)  # the label's one terminal
+        depth = len(self.scope)
+        dead = set()
+        states = [0]
+        edges = [t_off[0]]  # the next edge to try out of each state on the path
+        word = []
+        while True:
+            s = states[-1]
+            if len(word) == depth:
+                if s == target:
+                    return tuple(word)
+                e = hi = 0  # another label's terminal
+            else:
+                e = edges[-1]
+                hi = t_off[s + 1]
+                while e < hi and t_dst[e] in dead:
+                    e += 1
+            if e == hi:  # no string of the label below s
+                if not word:
+                    return None
+                dead.add(s)
+                states.pop()
+                edges.pop()
+                word.pop()
+                continue
+            edges[-1] = e + 1
+            d = t_dst[e]
+            sym = t_sym[e]
+            word.append(0 if sym == WILDCARD else sym)
+            states.append(d)
+            edges.append(t_off[d])
 
     def covered_count(self) -> int:
         return sum(d.count_strings() for _, d in self.entries)

@@ -302,7 +302,9 @@ class SolveStats:
 
         The solver removes only last levels, where no subset or set of
         pairs forms, so each of its samples has two equal counts and a
-        solve with any sample reads 1.0.
+        solve with any sample reads 1.0.  Only buckets a kernel walk
+        eliminates record one: tail buckets, eliminated without a walk,
+        record none, so a solve that is all tail reads None.
         """
         ratios = [raw / nfa for nfa, raw in self.growth_samples if nfa > 0]
         if not ratios:
@@ -346,15 +348,29 @@ def bucket_elimination(
     combined factor is never built (a one-factor bucket is projected
     alone), and place the message.  The bucket variable is the last level
     of every factor in its bucket, so the solver only ever removes last
-    levels.  A bucket that receives no factor is skipped; every other
-    bucket records one growth sample.  A forward pass then rebuilds an
-    optimal assignment by trying each value of each variable against its
-    bucket's functions, lowest value winning ties; a variable whose bucket
-    is empty takes 0 without trying any, so a huge domain no function
-    reads costs nothing.  It then maps the assignment back to the model's
-    variable ids.  Infinite-cost rows are left out of every factor
-    (``DafsaFactor.from_table``), so an assignment no entry covers
-    scores inf.
+    levels.  A bucket that receives no factor is skipped.
+
+    Once a bucket holds one factor and no lower bucket holds anything,
+    that factor holds every variable left, and eliminating them one by
+    one would only carry its least value down: ``project`` keeps its
+    input's keys, so each message of this tail is, at each prefix, the
+    least key below it.  The solver stops there and adds the factor's
+    first key to the optimum, at the point where the tail's constant
+    would have been added.  So tail buckets are eliminated without a
+    kernel walk, and only the buckets a kernel walk eliminates count in
+    ``buckets_processed`` and ``messages`` and record a growth sample.
+
+    The tail's variables take the lexicographically least string of that
+    least value (``DafsaFactor.least_string``), which is what the
+    sequential pass below would pick on the tail's messages; a tail
+    variable outside the factor's scope takes 0.  A forward pass then
+    rebuilds the rest of an optimal assignment by trying each value of
+    each later variable against its bucket's functions, lowest value
+    winning ties; a variable whose bucket is empty takes 0 without trying
+    any, so a huge domain no function reads costs nothing.  It then maps
+    the assignment back to the model's variable ids.  Infinite-cost rows
+    are left out of every factor (``DafsaFactor.from_table``), so an
+    assignment no entry covers scores inf.
 
     A WCSP with no finite-cost assignment is ``"infeasible"``.  A MAP
     model reports the probability exp(-cost), and the cost itself, which
@@ -379,11 +395,12 @@ def bucket_elimination(
     live_states = 0
     peak = 0
     buckets = [[] for _ in range(n)]
+    lowest = n  # the lowest bucket holding a factor
     optimum = 0.0
     infeasible = False
 
     def place(f: DafsaFactor):
-        nonlocal live_states, peak, optimum, infeasible
+        nonlocal live_states, peak, lowest, optimum, infeasible
         f = f.on_support()
         note_factor(f)
         if not f.keys:
@@ -394,19 +411,26 @@ def bucket_elimination(
             return
         live_states += f.total_states
         peak = max(peak, live_states)
-        buckets[f.scope[-1]].append(f)
+        last = f.scope[-1]
+        buckets[last].append(f)
+        lowest = min(lowest, last)
 
     for tab in model.cost_factors():
         place(DafsaFactor.from_table(tab.renamed(position), eps))
         if infeasible:
             break
 
+    tail = -1  # the bucket whose one factor holds every variable left
     if not infeasible:
         for p in range(n - 1, -1, -1):
             deadline.check()
             bucket = buckets[p]
             if not bucket:
                 continue
+            if len(bucket) == 1 and lowest == p:  # its minimum is the rest's
+                optimum += bucket[0].keys[0]
+                tail = p
+                break
             stats.buckets_processed += 1
             combined = bucket[0]
             transient = 0  # states of the current fold intermediate
@@ -429,7 +453,11 @@ def bucket_elimination(
     assignment = None
     if not (infeasible or math.isinf(optimum)):
         assignment = [0] * n  # by position
-        for p in range(n):
+        if tail >= 0:  # the tail's variables: the least string of the least value
+            f = buckets[tail][0]
+            for p, v in zip(f.scope, f.least_string()):
+                assignment[p] = v
+        for p in range(tail + 1, n):
             deadline.check()
             if not buckets[p]:  # every value scores 0: it keeps 0
                 continue

@@ -2,6 +2,7 @@ import importlib.util
 import itertools
 import os
 import random
+import shlex
 import shutil
 import subprocess
 import sys
@@ -88,7 +89,10 @@ def compiled_src(tmp_path_factory):
     Returns the directory to put on ``PYTHONPATH``.  The extension is built
     once per session, into the copy and never into ``src/``, where import
     (and the benchmark) would pick it up.  Warnings are errors, so a
-    non-template helper that a change leaves unused fails the build.  Skips
+    non-template helper that a change leaves unused fails the build.
+    ``DAFBE_TEST_CXXFLAGS``, when set, is split like a shell line and its
+    flags are added after the default ones, so that the compiled half of
+    the suite can run under the sanitizers (see README, tier 2).  Skips
     without g++ or ``Python.h``.
     """
     include = sysconfig.get_paths()["include"]
@@ -102,6 +106,7 @@ def compiled_src(tmp_path_factory):
     target = package / ("_kernels_cc" + sysconfig.get_config_var("EXT_SUFFIX"))
     proc = subprocess.run(
         [cxx, "-std=c++17", "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+         *shlex.split(os.environ.get("DAFBE_TEST_CXXFLAGS", "")),
          f"-I{include}", str(source), "-o", str(target)],
         capture_output=True, text=True,
     )
@@ -158,6 +163,14 @@ def kernels(request):
     return request.getfixturevalue("compiled_kernels")
 
 
+@pytest.fixture(params=["python", "compiled"])
+def edition(request):
+    """(PYTHONPATH, DAFBE_KERNELS) of one kernel edition, for a child interpreter."""
+    if request.param == "python":
+        return os.path.dirname(SRC_PACKAGE), "python"
+    return request.getfixturevalue("compiled_src"), "compiled"
+
+
 def rand_nfa_parts(rng, dom):
     """Random leveled NFA: 1-3 states per level, up to 3 edges per state.
 
@@ -187,15 +200,25 @@ def rand_nfa_parts(rng, dom):
     return (t_off, t_sym, t_dst, acc), 0
 
 
-def run_python(pythonpath, args, kernels=None):
-    """Run ``python args`` with only ``pythonpath`` on the path, DAFBE_KERNELS set if given.
+def python_env(pythonpath, kernels=None):
+    """The environment of a child interpreter with only ``pythonpath`` on
+    the path, DAFBE_KERNELS set if given.
 
     ``PYTHONDONTWRITEBYTECODE`` passes through when it is set, so a test
-    run that asks for no bytecode cache leaves none in the checkout.
+    run that asks for no bytecode cache leaves none in the checkout, and
+    so do ``LD_PRELOAD`` and ``ASAN_OPTIONS``, so that a child loads a
+    sanitized build as its parent does (see README, tier 2).
     """
     env = {"PATH": os.environ.get("PATH", "/usr/bin:/bin"), "PYTHONPATH": pythonpath}
-    if "PYTHONDONTWRITEBYTECODE" in os.environ:
-        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    for name in ("PYTHONDONTWRITEBYTECODE", "LD_PRELOAD", "ASAN_OPTIONS"):
+        if name in os.environ:
+            env[name] = os.environ[name]
     if kernels is not None:
         env["DAFBE_KERNELS"] = kernels
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return env
+
+
+def run_python(pythonpath, args, kernels=None):
+    """Run ``python args`` in the environment of ``python_env``."""
+    return subprocess.run([sys.executable, *args], env=python_env(pythonpath, kernels),
+                          capture_output=True, text=True)

@@ -11,11 +11,9 @@ import io
 import json
 import os
 
-import pytest
-
 from dafbe import cli
 
-from conftest import FIXTURES, SRC_PACKAGE, run_python
+from conftest import FIXTURES, run_python
 
 WCSP = sorted(glob.glob(os.path.join(FIXTURES, "*.wcsp")))
 UAI = sorted(glob.glob(os.path.join(FIXTURES, "*.uai")))
@@ -55,14 +53,6 @@ def in_process(argv):
     with contextlib.redirect_stdout(buf):
         rc = cli.main(argv)
     return [rc, buf.getvalue()]
-
-
-@pytest.fixture(params=["python", "compiled"])
-def edition(request):
-    """(PYTHONPATH, DAFBE_KERNELS) of one kernel edition."""
-    if request.param == "python":
-        return os.path.dirname(SRC_PACKAGE), "python"
-    return request.getfixturevalue("compiled_src"), "compiled"
 
 
 def test_wcsp_path_never_imports_numpy(edition):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dafbe._backend import kernels
-from dafbe.automata import Dafsa
+from dafbe.automata import WILDCARD, Dafsa
 from dafbe.errors import FactorError
 from dafbe.factor import DafsaFactor, SparseFactor, TabularFactor, _strides, combine, project
 from dafbe.keying import ValueKeySet
@@ -183,6 +183,37 @@ class TestConstantCompression:
         assert f.entry_count == 1
         assert f.total_states <= m + 1
         assert f.redundancy() == 1.0 - 1 / 2**m
+
+
+class TestLeastString:
+    def test_against_enumerated_strings(self):
+        # sparse tables with a default, some over wildcard levels: each
+        # label's least string is the first assignment, in lexicographic
+        # order, that takes its value
+        rng = random.Random(21)
+        wildcards = 0
+        for trial in range(300):
+            n = rng.randint(1, 5)
+            domains = tuple(rng.randint(1, 4) for _ in range(n))
+            cells = list(assignments(domains))
+            exceptions = {word: rng.choice([0.0, 1.0, 2.0, 3.0, math.inf])
+                          for word in rng.sample(cells, rng.randint(0, len(cells)))}
+            f = DafsaFactor.from_table(SparseFactor(tuple(range(n)), domains,
+                                                    rng.choice([0.5, 2.0, math.inf]), exceptions))
+            if rng.random() < 0.5:
+                f = f.add_levels(tuple(range(n + 1)), (*domains, rng.randint(1, 3)))
+                domains = f.domains
+            wildcards += WILDCARD in f.shared[1]
+            for label, key in enumerate(f.keys):
+                want = next(a for a in assignments(domains) if f.value_at(a) == key)
+                assert f.least_string(label) == want, (trial, label)
+            assert f.least_string(len(f.keys)) is None
+            assert f.least_string(-1) is None
+        assert wildcards > 100
+
+    def test_the_empty_function_has_none(self):
+        f = DafsaFactor.from_table(table_from_feed((0, 1), (2, 2), lambda a: math.inf))
+        assert f.keys == () and f.least_string() is None
 
 
 class TestAddLevels:

@@ -19,6 +19,7 @@ from dafbe.model import (
     min_fill_ordering,
 )
 from dafbe.formats import parse_path
+from dafbe.generate import random_micro_model
 from dafbe.oracle import brute_force, tabular_be
 
 from conftest import fixture_path, ignoring_table, micro_model, table_from_feed
@@ -343,7 +344,7 @@ class TestRenaming:
 
         monkeypatch.setattr(factor_mod, "project", checking_project)
         rng = random.Random(18)
-        for trial in range(200):
+        for trial in range(500):  # tail buckets project nothing, so more models
             m = shuffled_model(rng, (Task.MAP, Task.WCSP)[trial % 2])
             bucket_elimination(m, shuffled_ordering(rng, m.n_vars))
         assert calls > 300
@@ -443,16 +444,19 @@ class TestBucketElimination:
         # depends on all its variables, so the buckets of 4, 3, 2, 1 and
         # 0 hold 3, 2, 1, 2 and 1 factors: one projection per one-factor
         # bucket and one fused step per other bucket, each recording one
-        # sample
+        # sample, except that the one factor of bucket 0, the lowest,
+        # holds every variable left: its least value is the optimum's
+        # last term and the solver stops before it
         sizes, r = self.bucket_sizes(monkeypatch, lambda a: float(1 + sum(v * 3**i for i, v in enumerate(a))))
-        assert sizes == [3, 2, 1, 2, 1]
+        assert sizes == [3, 2, 1, 2]
         assert r.optimum == 5.0
         # (3 a0 + a0 + a1) % 4 = a1: each binary table reads only its later
         # variable and the unary one on 4 is the constant 0, so on their
         # supports the buckets of 4, 3 and 1 hold 2, 1 and 1 factors, those
-        # of 2 and 0 none, and every message is a constant
+        # of 2 and 0 none, and every message is a constant; bucket 1 is
+        # then the lowest, so its one factor is not projected
         sizes, r = self.bucket_sizes(monkeypatch, lambda a: float((3 * a[0] + sum(a)) % 4))
-        assert sizes == [2, 1, 1]
+        assert sizes == [2, 1]
         assert r.optimum == 0.0 and r.assignment == (0,) * 5
 
     def test_tables_that_ignore_part_of_their_scope(self, monkeypatch):
@@ -478,16 +482,52 @@ class TestBucketElimination:
         assert splices > 2000
 
     def test_constant_message_folds_into_the_optimum(self):
-        # min over x1 of (x0 xor x1) + 1 is 1 whatever x0 is, and the
-        # unary table on 2 has minimum 1: both messages are constants, so
-        # bucket 0 receives no factor and x0 takes 0
+        # the unary table on 2 has minimum 1, a constant message; then
+        # the xor table is the one factor of the lowest bucket, 1, so its
+        # minimum, min over x0 and x1 of (x0 xor x1) + 1 = 1, is added
+        # without projecting it, and its least string of that value sets
+        # x0 = x1 = 0
         xor = table_from_feed((0, 1), (2, 2), lambda a: float(a[0] ^ a[1]) + 1)
         unary = table_from_feed((2,), (2,), lambda a: 3.0 - 2 * a[0])
         m = GraphicalModel(3, (2, 2, 2), (xor, unary), Task.WCSP)
         r = bucket_elimination(m, (0, 1, 2))
         assert r.optimum == 2.0 and r.assignment == (0, 0, 1)
         s = r.stats
-        assert s.messages == s.buckets_processed == len(s.growth_samples) == 2
+        assert s.messages == s.buckets_processed == len(s.growth_samples) == 1
+
+    def test_decode_is_the_least_optimal_assignment(self):
+        # the assignment is the lexicographically least optimal one, read
+        # in elimination order, whether the forward pass or the tail's
+        # least string sets a variable
+        rng = random.Random(19)
+        for trial in range(220):
+            task = (Task.MAP, Task.WCSP)[trial % 2]
+            while True:
+                m = random_micro_model(rng, task)
+                if math.prod(m.domains) <= 3000:
+                    break
+            ordering = tuple(rng.sample(range(m.n_vars), m.n_vars))
+            factors = m.cost_factors()
+            costs = {a: sum(f.value_of(a) for f in factors)
+                     for a in itertools.product(*(range(k) for k in m.domains))}
+            best = min(costs.values())
+            r = bucket_elimination(m, ordering)
+            if math.isinf(best):
+                continue
+            want = min((a for a, c in costs.items() if math.isclose(c, best, rel_tol=1e-9, abs_tol=1e-9)),
+                       key=lambda a: [a[var] for var in ordering])
+            assert r.assignment == want, (trial, ordering)
+
+    def test_decode_of_a_deep_tail(self):
+        # one function of 1,200 variables, zero only at one tuple: the
+        # solver eliminates nothing and decodes the tuple in one search
+        rng = random.Random(20)
+        n = 1200
+        word = tuple(rng.randrange(2) for _ in range(n))
+        t = SparseFactor(tuple(range(n)), (2,) * n, 1.0, {word: 0.0})
+        r = bucket_elimination(GraphicalModel(n, (2,) * n, (t,), Task.WCSP), tuple(range(n)))
+        assert r.optimum == 0.0 and r.assignment == word
+        assert r.stats.buckets_processed == r.stats.messages == 0
 
     def test_growth_average(self):
         m = micro_model(4)
