@@ -1,10 +1,19 @@
 #!/usr/bin/env python3
-"""Time the pure-Python kernels against the compiled extension.
+"""Time the pure-Python kernels against the compiled extension, or
+against the pure-Python kernels of another source tree.
 
-Both kernel modules are imported side by side and fed the exact same
-flat-array inputs, so the numbers compare the implementations, not the
-workloads.  Outputs are also cross-checked byte for byte while we are
-at it; a mismatch aborts the run.
+Both kernel modules are loaded side by side in one process and fed the
+exact same flat-array inputs, so the numbers compare the
+implementations, not the workloads.  Outputs are also cross-checked byte
+for byte while we are at it; a mismatch aborts the run.
+
+With ``--against TREE`` the two editions are ``TREE``'s
+``src/dafbe/_kernels_py.py``, loaded by path under a module name of its
+own, and this tree's ``_kernels_py``; the compiled extension is not
+needed.  Each row then prints the base tree's time, this tree's time and
+their ratio, base over this, so a ratio above 1 means this tree is
+faster.  The subprocess rows are left out, because they cannot run two
+trees in one process.
 
 The set-algebra rows run on two random 4k-string automata.  The
 ``determinize`` row takes an NFA whose start state has the root edges of
@@ -39,16 +48,23 @@ The two cold-start rows time whole fresh interpreters the same way: the
 median wall time of 9 runs of ``import dafbe.cli`` and of 9 one-process
 ``dafbe solve`` runs of ``tests/fixtures/hand.wcsp``, launch to exit.
 
-Within every row the two editions' runs alternate (python, compiled,
-python, compiled, ...), so host drift during a row reaches both alike
-instead of skewing one edition's runs.
+A kernel row replays its calls one at a time, each call on both
+editions in turn, whichever ran second on the last call running first
+on the next, and ``--repeats`` times over; a row's time is the sum over
+its calls of each call's best time.  So host drift reaches both editions
+alike instead of skewing one edition's runs, and a slow moment costs
+only the calls it hits.  The subprocess rows alternate whole runs
+(python, compiled, python, ...) and keep the best, or the median.
 
 Usage:
     python3 benchmarks/compare_backends.py [--repeats N] [--skip-solve] [--workload NAME]
+    python3 benchmarks/compare_backends.py --against TREE [--repeats N] [--workload NAME]
 """
 
 import argparse
+import importlib.util
 import itertools
+import math
 import os
 import random
 import statistics
@@ -57,15 +73,7 @@ import sys
 import time
 from array import array
 
-from dafbe import _kernels_py
-
-try:
-    from dafbe import _kernels_cc
-except ImportError:
-    print("compiled extension not importable; build it first (pip install -e .)")
-    sys.exit(1)
-
-from dafbe import factor, formats
+from dafbe import _kernels_py, factor, formats
 from dafbe.automata import Dafsa
 from dafbe.model import bucket_elimination
 
@@ -166,6 +174,38 @@ def record_factor_calls(workload):
     return calls
 
 
+def load_tree_kernels(tree):
+    """``tree``'s ``src/dafbe/_kernels_py.py``, loaded by path as its own module."""
+    path = os.path.join(tree, "src", "dafbe", "_kernels_py.py")
+    spec = importlib.util.spec_from_file_location("_kernels_py_against", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def replay(editions, kernel, calls, repeats):
+    """[seconds per edition]: each call's best time, summed over ``calls``.
+
+    Every call runs on each edition in turn, the order flipping from one
+    call to the next, ``repeats`` times over.  The first run of each call
+    compares the editions' outputs; a mismatch returns None.
+    """
+    fns = [getattr(module, kernel) for module in editions]
+    best = [[math.inf] * len(calls) for _ in fns]
+    turn = 0
+    for repeat in range(repeats):
+        for i, args in enumerate(calls):
+            outs = [None] * len(fns)
+            for e in (range(len(fns)) if turn % 2 == 0 else reversed(range(len(fns)))):
+                t0 = time.perf_counter()
+                outs[e] = fns[e](*args)
+                best[e][i] = min(best[e][i], time.perf_counter() - t0)
+            turn += 1
+            if repeat == 0 and any(plain(out) != plain(outs[0]) for out in outs[1:]):
+                return None
+    return [sum(times) for times in best]
+
+
 def interleaved(fns, repeats):
     """[[(seconds, output), ...] per function]: ``repeats`` runs of each, alternating."""
     runs = [[] for _ in fns]
@@ -196,8 +236,22 @@ def main():
                     help="kernel microbenchmarks only, no subprocess solve")
     ap.add_argument("--workload", choices=sorted(WORKLOADS), default="wcsp-planted",
                     help="the benchmark workload whose seed-1 solves the factor-kernel rows replay")
+    ap.add_argument("--against", metavar="TREE",
+                    help="time this tree's Python kernels against TREE's, not against the compiled ones")
     args = ap.parse_args()
     rng = random.Random(args.seed)
+
+    if args.against:
+        editions = [load_tree_kernels(args.against), _kernels_py]
+        header = ("base", "this tree", "base/this")
+    else:
+        try:
+            from dafbe import _kernels_cc
+        except ImportError:
+            print("compiled extension not importable; build it first (pip install -e .)")
+            sys.exit(1)
+        editions = [_kernels_py, _kernels_cc]
+        header = ("python", "compiled", "speedup")
 
     length = 10
     domains = tuple([3] * length)
@@ -212,49 +266,34 @@ def main():
 
     rows = []
 
-    def workload(name, call):
-        py, cc = interleaved([lambda: call(_kernels_py), lambda: call(_kernels_cc)], args.repeats)
-        if plain(py[-1][1]) != plain(cc[-1][1]):
+    def workload(name, kernel, calls):
+        times = replay(editions, kernel, calls, args.repeats)
+        if times is None:
             print(f"OUTPUT MISMATCH in {name}; not publishing numbers for broken code")
             sys.exit(2)
-        rows.append((name, min(t for t, _ in py), min(t for t, _ in cc)))
+        rows.append((name, *times))
 
     # one label and no default, as Dafsa.from_strings compiles
     workload(
-        f"compile {len(words_a)} sorted strings (len {length})",
-        lambda K: K.compile_sorted(buf_a, len(words_a), length, domains, array("i", [0]) * len(words_a), -1),
+        f"compile {len(words_a)} sorted strings (len {length})", "compile_sorted",
+        [(buf_a, len(words_a), length, domains, array("i", [0]) * len(words_a), -1)],
     )
     workload(
-        "compile 2^14 binary strings",
-        lambda K: K.compile_sorted(full_buf, len(full), 14, (2,) * 14, array("i", [0]) * len(full), -1),
+        "compile 2^14 binary strings", "compile_sorted",
+        [(full_buf, len(full), 14, (2,) * 14, array("i", [0]) * len(full), -1)],
     )
     for mode, label in ((0, "intersect"), (1, "union"), (2, "difference")):
-        workload(
-            f"{label} 4k x 4k automata",
-            lambda K, m=mode: K.product(m, a.parts, b.parts, domains),
-        )
-    workload(
-        "minimize (already minimal)",
-        lambda K: K.minimize(a.parts, 0, domains),
-    )
+        workload(f"{label} 4k x 4k automata", "product", [(mode, a.parts, b.parts, domains)])
+    workload("minimize (already minimal)", "minimize", [(a.parts, 0, domains)])
     nfa, start = union_nfa(a, b)
-    workload(
-        "determinize the union NFA of the 4k automata",
-        lambda K: K.determinize(nfa, start, domains),
-    )
+    workload("determinize the union NFA of the 4k automata", "determinize", [(nfa, start, domains)])
     for lvl in (0, length // 2, length - 1):
-        workload(
-            f"remove level {lvl} (determinize)",
-            lambda K, l=lvl: K.remove_level(a.parts, domains, l),
-        )
+        workload(f"remove level {lvl} (determinize)", "remove_level", [(a.parts, domains, lvl)])
 
     for row, (name, recorded) in record_factor_calls(args.workload).items():
-        workload(
-            f"{row}, {len(recorded)} calls of the {args.workload} corpus",
-            lambda K, n=name, r=recorded: [getattr(K, n)(*a) for a in r],
-        )
+        workload(f"{row}, {len(recorded)} calls of the {args.workload} corpus", name, recorded)
 
-    if not args.skip_solve:
+    if not args.skip_solve and not args.against:
         probe = (
             "import time, random\n"
             "from dafbe import generate\n"
@@ -292,9 +331,9 @@ def main():
             rows.append((f"cold start: {name}, median of {COLD_RUNS}", *cold_start(argv)))
 
     width = max(len(r[0]) for r in rows)
-    print(f"{'workload'.ljust(width)}  {'python':>10}  {'compiled':>10}  {'speedup':>8}")
-    for name, t_py, t_cc in rows:
-        print(f"{name.ljust(width)}  {t_py:>9.4f}s  {t_cc:>9.4f}s  {t_py / t_cc:>7.1f}x")
+    print(f"{'workload'.ljust(width)}  {header[0]:>10}  {header[1]:>10}  {header[2]:>9}")
+    for name, t_0, t_1 in rows:
+        print(f"{name.ljust(width)}  {t_0:>9.4f}s  {t_1:>9.4f}s  {t_0 / t_1:>8.2f}x")
 
 
 if __name__ == "__main__":

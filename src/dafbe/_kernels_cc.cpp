@@ -30,9 +30,10 @@
 // negative label being none, and which finishes each node once its
 // children are built through SharedWalked: one state per node, interned in
 // a unique table (Unique), builds a shared form.  This edition walks
-// depth-first and the Python edition level by level; both intern the same
-// states and renumber them breadth-first, so their results are
-// byte-identical.  In both, compile_sorted walks the trie of its rows,
+// depth-first and renumbers the result breadth-first afterwards; the
+// Python edition walks level by level and numbers each level's states
+// breadth-first as it builds them, renumbering only in split.  Both
+// intern the same states, so their results are byte-identical.  In both, compile_sorted walks the trie of its rows,
 // runs of rows that share a prefix; determinize, minimize and remove_level
 // walk subsets of states (Subsets), with one label; join walks subsets of
 // entries side by side; project_entries walks the states of one shared
@@ -200,8 +201,8 @@ bool complete_fan(const Ints& syms, const Ints& dsts, int k) {
 }
 
 // Result states, built children first and interned in a unique table
-// keyed by (level, symbols, destinations), as in _kernels_py: equal right
-// languages share one state.  Leaves, which have no edges, are added
+// keyed by (level, symbols, destinations), as in _kernels_py's split (its
+// walks keep one table per level): equal right languages share one state.  Leaves, which have no edges, are added
 // apart from the table.
 struct Unique {
     Csr res;

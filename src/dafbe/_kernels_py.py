@@ -108,14 +108,19 @@ Every kernel builds its result minimal, with no merge pass afterwards.
 Each but ``split`` is one walk, ``_walk``, level by level: it expands
 all nodes of a level at once, down to the leaves, which carry a label
 or none (a negative label is none), and its finisher, ``_Shared``, then
-builds one level per pass, bottom-up, interning one state per node keyed
-by (level, symbols, destinations).  That builds the shared form: the
-unique-table apply of Bryant (IEEE TC 35(8), 1986), one level per step as
-in breadth-first BDD packages (Ochi, Yasuoka & Yajima, ICCAD 1993), since
-a Python call costs more than a node's own work.  Each kernel expands a level in one
-loop of its own, over its operands' edges decoded once per call.  The
-compiled edition walks depth-first; both intern the same states and
-renumber breadth-first, so their results are byte-identical.
+builds one level per pass, bottom-up, interning one state per node in
+that level's unique table, keyed by (symbols, destinations).  That
+builds the shared form: the unique-table apply of Bryant (IEEE TC 35(8),
+1986), one level per step as in breadth-first BDD packages (Ochi,
+Yasuoka & Yajima, ICCAD 1993), since a Python call costs more than a
+node's own work.  Each kernel expands a level in one loop of its own,
+over its operands' edges decoded once per call, and lists the level
+below in the order its nodes first name their children, so each level's
+states, numbered in the order its nodes first reach them, come out
+breadth-first: the result is never renumbered, and only ``split``
+renumbers its per-label automata.  The compiled edition walks
+depth-first and renumbers its result breadth-first afterwards; both
+intern the same states, so their results are byte-identical.
 ``compile_sorted`` walks the trie of its rows, runs of rows that share a
 prefix, bottom-up through the unique table as multi-terminal decision
 diagrams are built.  ``determinize``, ``minimize`` and ``remove_level``
@@ -129,10 +134,11 @@ states labelled 0 or -1, the union of the side-by-side NFA determinized
 (Rabin & Scott, 1959), where -1, the lowest label, leaves a string that
 B accepts out of the difference.
 ``split`` makes one backward pass over the shared form's states instead,
-interning one state per label each state reaches in the unique table of
-a ``_Shared``.  ``project_entries`` walks the states of one shared
-automaton to remove its last level, and subsets of them to remove any
-other, and ``combine_entries`` pairs of states, one per operand; to
+interning one state per label each state reaches in one unique table,
+keyed by (level, symbols, destinations), and renumbers each label's
+automaton breadth-first.  ``project_entries`` walks the states of one
+shared automaton to remove its last level, and subsets of them to remove
+any other, and ``combine_entries`` pairs of states, one per operand; to
 fold, a pair on the last level is a leaf that reads its children's
 labels.  This is the multi-terminal apply of algebraic decision diagrams
 (Bahar et al., ICCAD 1993) on shared diagrams, across different scopes
@@ -145,6 +151,7 @@ variable that comes last, so no set of pairs ever forms.
 from array import array
 from bisect import bisect_right
 from collections import defaultdict
+from itertools import accumulate, islice
 
 WILDCARD = -1
 DEAD = -1  # an empty language: a child with no strings
@@ -187,52 +194,51 @@ class _Shared:
 
     A node past the last level becomes the terminal of its label, one per
     label; a negative label, or None, is no string.  Any other node keeps
-    its kids whose child is not DEAD, a complete literal fan onto one
-    child becomes a wildcard, and the state is looked up by (level,
-    symbols, destinations), so the result is the minimal shared form as
-    built.
+    its kids whose child is not DEAD, and is DEAD if none is left; a
+    complete literal fan onto one child becomes a wildcard, and the state
+    is looked up by (symbols, destinations) in its level's unique table,
+    so the result is the minimal shared form as built.  Each level's
+    states are numbered in the order the level's nodes first reach them,
+    destinations pointing into the level below, which is breadth-first
+    order when every level lists its nodes in the order their parents
+    first name them; ``parts`` then only shifts each level's
+    destinations by the number of states above the level they point
+    into.
     """
 
     def __init__(self):
-        self.esym = []
-        self.edst = []
-        self.table = {}
-        self.terminals = {}  # label -> state
+        self.levels = []  # per level, bottom-up: {(symbols, destinations): index}
+        self.terminals = {}  # label -> index on the terminal level
 
-    def leaf(self, label):
-        if label is None or label < 0:  # no string
-            return DEAD
-        sid = self.terminals.get(label)
-        if sid is None:
-            sid = self.terminals[label] = len(self.esym)
-            self.esym.append(())
-            self.edst.append(())
-        return sid
+    def leaves(self, labels):
+        """The terminal of each label, DEAD for no string."""
+        terminals = self.terminals
+        at = terminals.setdefault
+        return [DEAD if label is None or label < 0 else at(label, len(terminals)) for label in labels]
 
-    def finish(self, lv, k, rows, below):
-        """The states of level ``lv``'s nodes from their (symbols, children),
-        children as indices into ``below``, the next level's states."""
-        table, esym, edst = self.table, self.esym, self.edst
-        at = below.__getitem__
+    def finish(self, k, syms, kids, below):
+        """The states of one level's nodes from their symbols and their
+        children, flat, as indices into ``below``, the next level's states."""
+        table = {}
+        at = table.setdefault
         states = []
-        for syms, kids in rows:
-            dsts = tuple(map(at, kids))
-            if DEAD in dsts:
-                syms = [v for v, d in zip(syms, dsts) if d != DEAD]
-                dsts = tuple(d for d in dsts if d != DEAD)
-            if not dsts:
+        dsts = tuple(map(below.__getitem__, kids))
+        dead = DEAD in dsts
+        hi = 0
+        for symbols in syms:
+            lo = hi
+            hi += len(symbols)
+            d = dsts[lo:hi]
+            if dead and DEAD in d:
+                symbols = [v for v, c in zip(symbols, d) if c != DEAD]
+                d = tuple(c for c in d if c != DEAD)
+            if not d:  # no kids, or only DEAD ones
                 states.append(DEAD)
-                continue
-            if len(dsts) == k and dsts.count(dsts[0]) == k:  # _collapse, inlined for speed
-                sig = lv, ONLY_WILDCARD, dsts[:1]
+            elif len(d) == k and d.count(d[0]) == k:  # _collapse, inlined for speed
+                states.append(at((ONLY_WILDCARD, d[:1]), len(table)))
             else:
-                sig = lv, tuple(syms), dsts
-            sid = table.get(sig)
-            if sid is None:
-                sid = table[sig] = len(esym)
-                esym.append(sig[1])
-                edst.append(sig[2])
-            states.append(sid)
+                states.append(at((tuple(symbols), d), len(table)))
+        self.levels.append(table)
         return states
 
     def parts(self, root):
@@ -242,12 +248,22 @@ class _Shared:
         """
         if root == DEAD:
             return (array("i", [0, 0]), array("i"), array("i"), array("i", [-1])), []
-        old2new, csr = _renumber(self.esym, self.edst, root)
-        found = sorted((label, old2new[s]) for label, s in self.terminals.items() if s in old2new)
-        term = array("i", [-1]) * len(old2new)
-        for rank, (_, s) in enumerate(found):
-            term[s] = rank
-        return (*csr, term), [label for label, _ in found]
+        sym = []
+        dst = []
+        degrees = []
+        shift = 0  # the id of the first state below the level
+        for table in reversed(self.levels):
+            shift += len(table)
+            for symbols, _ in table:
+                sym += symbols
+                degrees.append(len(symbols))
+            dst += [d + shift for _, dsts in table for d in dsts]
+        labels = sorted(self.terminals)
+        rank = {label: r for r, label in enumerate(labels)}
+        degrees += [0] * len(labels)
+        term = array("i", [-1]) * shift
+        term.extend(map(rank.__getitem__, self.terminals))
+        return (array("i", accumulate(degrees, initial=0)), array("i", sym), array("i", dst), term), labels
 
 
 def _walk(domains, root, expand, labels_of, out):
@@ -255,12 +271,14 @@ def _walk(domains, root, expand, labels_of, out):
 
     A node is any hashable.  ``expand(lv, nodes)`` takes the list of level
     ``lv``'s nodes and returns ``(symbols, kids, below)``: per node its
-    symbols, ascending and a wildcard only alone, and its children as
-    indices into ``below``, the next level's nodes, each listed once.
+    symbols, ascending and a wildcard only alone; one flat list of every
+    node's children in turn, one per symbol, as indices into ``below``;
+    and ``below``, the next level's nodes, each listed once, in the order
+    the level's nodes first name them, and none that no node names.
     ``labels_of(nodes)`` gives the label of each node past the last level,
     None or a negative label for no string.  The walk expands one level at
     a time from ``root``; then the finisher ``out`` builds one level per
-    pass, bottom-up (``out.leaf`` past the last level, ``out.finish``
+    pass, bottom-up (``out.leaves`` past the last level, ``out.finish``
     above it).  Returns (what ``out`` built for ``root``, the node list of
     every level).
     """
@@ -270,9 +288,9 @@ def _walk(domains, root, expand, labels_of, out):
         syms, kids, below = expand(lv, levels[-1])
         rows.append((syms, kids))
         levels.append(below)
-    built = [out.leaf(label) for label in labels_of(levels[-1])]
+    built = out.leaves(labels_of(levels[-1]))
     for lv in reversed(range(len(domains))):
-        built = out.finish(lv, domains[lv], zip(*rows[lv]), built)
+        built = out.finish(domains[lv], *rows[lv], built)
     return built[0], levels
 
 
@@ -328,10 +346,8 @@ def _subset_walk(off, sym, dst, roots, owner, domains, lvl, out):
         step = edges
         if lv == lvl:  # the contracted level: each state's successors' edges, merged once
             step = {s: {e for _, t in edges[s] for e in edges[t]} for s in set().union(*subsets)}
-        index = {}
-        at = index.setdefault
         syms = []
-        kids = []
+        all_children = []  # every subset's children in turn, looked up in one pass
         for sub in subsets:
             by_symbol = defaultdict(set)  # symbol -> the children it reaches
             for s in sub:
@@ -346,8 +362,10 @@ def _subset_walk(off, sym, dst, roots, owner, domains, lvl, out):
                 symbols = range(k) if symbols else ONLY_WILDCARD
                 children = [named.get(v, wild) for v in symbols]
             syms.append(symbols)
-            kids.append([at(child, len(index)) for child in children])
-        return syms, kids, list(index)
+            all_children += children
+        index = {}
+        at = index.setdefault
+        return syms, [at(child, len(index)) for child in all_children], list(index)
 
     def labels_of(subsets):
         if lvl == len(domains):  # contracted last level: a state accepts through a successor
@@ -405,9 +423,10 @@ def compile_sorted(digits, n_strings, length, domains, labels, default):
     without looking it up.  The symbols no row of a run names lead to the
     default node of the next level, the empty run ``(0, 0)``, which ends
     in ``default``: one wildcard edge when the run names none, as the
-    default node does.  With ``default`` -1 they lead nowhere.  A run
-    whose rows are all labelled -1 builds DEAD, so its symbol gets no edge
-    and no default.  Returns (shared, labels) as ``join``.
+    default node does.  The default node is listed where a run first
+    takes it, in symbol order, and not at all if no run does.  With
+    ``default`` -1 those symbols lead nowhere.  A run whose rows are all
+    labelled -1 builds DEAD, so its symbol gets no edge and no default.  Returns (shared, labels) as ``join``.
     """
     columns = [digits[d::length] for d in range(length)]
 
@@ -416,22 +435,33 @@ def compile_sorted(digits, n_strings, length, domains, labels, default):
         k = domains[lv]
         syms = []
         kids = []
-        below = [(0, 0)] if default >= 0 else []  # the default node is child 0
+        below = []
+        fill = None  # the index of the default node in ``below``, once a run takes it
         for lo, hi in runs:
             symbols = []
             children = []
             while lo < hi:
                 end = bisect_right(col, col[lo], lo, hi)
                 symbols.append(col[lo])
-                children.append(len(below))
-                below.append((lo, end))
+                children.append((lo, end))
                 lo = end
-            if default >= 0 and len(symbols) < k:  # the default takes the rest
+            if default < 0 or len(symbols) == k:
+                kids += range(len(below), len(below) + len(children))
+                below += children
+            else:  # the default takes the rest
                 named = dict(zip(symbols, children))
                 symbols = range(k) if symbols else ONLY_WILDCARD
-                children = [named.get(v, 0) for v in symbols]
+                for v in symbols:
+                    child = named.get(v)
+                    if child is None:
+                        if fill is None:
+                            fill = len(below)
+                            below.append((0, 0))
+                        kids.append(fill)
+                    else:
+                        kids.append(len(below))
+                        below.append(child)
             syms.append(symbols)
-            kids.append(children)
         return syms, kids, below
 
     def labels_of(runs):
@@ -479,18 +509,19 @@ def split(shared, domains):
 
     One backward pass over the states the root reaches, deepest level
     first.  Each state gets one result state per label it reaches: the
-    edges to its children's states for that label, interned in the unique
-    table of a ``_Shared``, so equal right languages share one state,
-    whatever their label.  The terminals share one sink, which accepts in
-    every label's automaton.
+    edges to its children's states for that label, interned in one unique
+    table, so equal right languages share one state, whatever their
+    label.  The terminals share one sink, which accepts in every label's
+    automaton.
     """
     off, sym, dst, term = shared
     layers = [[0]]  # the states the root reaches, level by level
     for _ in domains:
         layers.append(list(dict.fromkeys(d for s in layers[-1] for d in dst[off[s] : off[s + 1]])))
-    out = _Shared()
-    sink = out.leaf(0)
-    table, esym, edst = out.table, out.esym, out.edst
+    sink = 0  # every terminal is this one state
+    esym = [()]
+    edst = [()]
+    table = {}
     # state -> {label: result state}
     built = {s: {term[s]: sink} if term[s] >= 0 else {} for s in layers[-1]}
     for lv in reversed(range(len(domains))):
@@ -541,7 +572,7 @@ def project_entries(shared, domains, lvl):
             index = {}
             at = index.setdefault
             rows = [edges[s] for s in nodes]
-            kids = [[at(d, len(index)) for d in dsts] for _, dsts in rows]
+            kids = [at(d, len(index)) for _, dsts in rows for d in dsts]
             return [symbols for symbols, _ in rows], kids, list(index)
 
         def labels_of(nodes):
@@ -579,39 +610,40 @@ def combine_entries(a, b, domains, in_a, in_b, labels, fold=False):
     walked = domains[:-1] if fold else domains
 
     def expand(lv, nodes):
+        if not (in_a[lv] or in_b[lv]):  # every pair stays where it is
+            return [ONLY_WILDCARD] * len(nodes), list(range(len(nodes))), nodes
         index = {}
         at = index.setdefault
         syms = []
-        kids = []
         if in_a[lv] and in_b[lv]:
+            pairs = []  # every node's children in turn, looked up in one pass
             for sa, sb in nodes:
                 sym_a, dst_a = edges_a[sa]
                 sym_b, dst_b = edges_b[sb]
                 if sym_a == sym_b:
-                    pairs = zip(dst_a, dst_b)
+                    pairs += zip(dst_a, dst_b)
                 elif sym_a == ONLY_WILDCARD:
                     sym_a = sym_b
-                    pairs = zip(dst_a * len(dst_b), dst_b)
+                    pairs += zip(dst_a * len(dst_b), dst_b)
                 elif sym_b == ONLY_WILDCARD:
-                    pairs = zip(dst_a, dst_b * len(dst_a))
+                    pairs += zip(dst_a, dst_b * len(dst_a))
                 else:  # two literal fans: the symbols both name
                     named = dict(zip(sym_b, dst_b))
-                    pairs = [(da, named[v]) for v, da in zip(sym_a, dst_a) if v in named]
+                    pairs += [(da, named[v]) for v, da in zip(sym_a, dst_a) if v in named]
                     sym_a = [v for v in sym_a if v in named]
                 syms.append(sym_a)
-                kids.append([at(p, len(index)) for p in pairs])
-        elif in_a[lv]:
+            return syms, [at(p, len(index)) for p in pairs], list(index)
+        kids = []
+        if in_a[lv]:
             for sa, sb in nodes:
                 sym_a, dst_a = edges_a[sa]
                 syms.append(sym_a)
-                kids.append([at((da, sb), len(index)) for da in dst_a])
-        elif in_b[lv]:
+                kids += [at((da, sb), len(index)) for da in dst_a]
+        else:
             for sa, sb in nodes:
                 sym_b, dst_b = edges_b[sb]
                 syms.append(sym_b)
-                kids.append([at((sa, db), len(index)) for db in dst_b])
-        else:  # every pair stays where it is
-            return [ONLY_WILDCARD] * len(nodes), [[i] for i in range(len(nodes))], nodes
+                kids += [at((sa, db), len(index)) for db in dst_b]
         return syms, kids, list(index)
 
     def pair_labels(nodes):
@@ -621,9 +653,9 @@ def combine_entries(a, b, domains, in_a, in_b, labels, fold=False):
         ]
 
     def folded_labels(nodes):  # the pairs on the last union level, len(walked)
-        _, kids, below = expand(len(walked), nodes)
-        got = pair_labels(below)
-        return [min((got[c] for c in cs if got[c] is not None), default=None) for cs in kids]
+        syms, kids, below = expand(len(walked), nodes)
+        got = map(pair_labels(below).__getitem__, kids)
+        return [min((g for g in islice(got, len(s)) if g is not None), default=None) for s in syms]
 
     out = _Shared()
     root, levels = _walk(walked, (0, 0), expand, folded_labels if fold else pair_labels, out)
