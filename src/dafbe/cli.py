@@ -87,16 +87,20 @@ def _default_eps():
 
 
 def _ordering_for(model: GraphicalModel, cfg: RunConfig):
-    """The elimination ordering; an unreadable ordering file, a token that
-    is not an integer or a non-permutation is a UsageError."""
+    """(elimination ordering, its induced width).  Min-fill finds the width
+    as it orders; a file's ordering has it replayed.  An unreadable
+    ordering file, a token that is not an integer or a non-permutation is
+    a UsageError."""
     if cfg.ordering == "file":
         try:
             with open(cfg.ordering_file, "r", encoding="ascii") as fh:
                 order = [int(tok) for tok in fh.read().split()]
-            return check_ordering(model, order)
+            order = check_ordering(model, order)
         except (OSError, ValueError, ModelError) as exc:
             raise UsageError(f"ordering file {cfg.ordering_file}: {exc}") from None
-    return min_fill_ordering(model, weighted=cfg.ordering == "weighted-min-fill")
+        return order, induced_width(model, order)
+    return min_fill_ordering(model, weighted=cfg.ordering == "weighted-min-fill",
+                             with_width=True)
 
 
 def _tolerance_ok(task: Task, a: float, b: float) -> bool:
@@ -119,10 +123,11 @@ def _certify(model: GraphicalModel, result) -> bool:
     return _tolerance_ok(model.task, model.evaluate(result.assignment), result.optimum)
 
 
-def _solve_one(model: GraphicalModel, ordering, cfg: RunConfig):
+def _solve_one(model: GraphicalModel, ordering, width, cfg: RunConfig):
     """Returns (record-extra dict, result or None, disagreement flag)."""
     if cfg.engine == "dafsa":
-        result = bucket_elimination(model, ordering, eps=cfg.eps, time_limit=cfg.time_limit)
+        result = bucket_elimination(model, ordering, eps=cfg.eps, time_limit=cfg.time_limit,
+                                    width=width)
         return {}, result, False
     if cfg.engine == "tabular":
         result = oracle.tabular_be(model, ordering, time_limit=cfg.time_limit)
@@ -133,7 +138,8 @@ def _solve_one(model: GraphicalModel, ordering, cfg: RunConfig):
 
     # check-all: run every engine that fits its budget and compare
     results = {}
-    results["dafsa"] = bucket_elimination(model, ordering, eps=cfg.eps, time_limit=cfg.time_limit)
+    results["dafsa"] = bucket_elimination(model, ordering, eps=cfg.eps, time_limit=cfg.time_limit,
+                                          width=width)
     skipped = []
     try:
         results["tabular"] = oracle.tabular_be(model, ordering, time_limit=cfg.time_limit)
@@ -177,10 +183,10 @@ def cmd_solve(cfg: RunConfig, out) -> int:
         if rec is None:
             try:
                 t0 = time.perf_counter()
-                ordering = _ordering_for(model, cfg)  # excluded from wall_time_s
+                ordering, width = _ordering_for(model, cfg)  # excluded from wall_time_s
                 ordering_s = time.perf_counter() - t0
                 red = [f.redundancy(cfg.eps) for f in model.cost_factors()]
-                extra, result, disagree = _solve_one(model, ordering, cfg)
+                extra, result, disagree = _solve_one(model, ordering, width, cfg)
                 rec = formats.result_record(
                     path, result, cfg.engine, redundancy_per_factor=red,
                     extra=extra, timings=cfg.timings or cfg.fmt == "human",
@@ -213,7 +219,7 @@ def cmd_stats(cfg: RunConfig, out, csv_fmt: bool) -> int:
     for path in cfg.inputs:
         try:
             model = formats.parse_path(path, cfg.dialect)
-            ordering = _ordering_for(model, cfg)
+            ordering, width = _ordering_for(model, cfg)
         except (FormatError, UsageError, OSError) as exc:
             rows.append({"file": str(path), "error": str(exc)})
             worst = max(worst, 1)
@@ -228,7 +234,7 @@ def cmd_stats(cfg: RunConfig, out, csv_fmt: bool) -> int:
             "arity_min": min(arities, default=0),
             "arity_max": max(arities, default=0),
             "arity_mean": round(sum(arities) / len(arities), 6) if arities else None,
-            "induced_width": induced_width(model, ordering),
+            "induced_width": width,
             "redundancy_per_factor": [round(r, 12) for r in red],
             "redundancy_mean": round(sum(red) / len(red), 12) if red else None,
         })

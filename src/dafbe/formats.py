@@ -12,59 +12,83 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import Counter
 
 from .errors import FormatError
 from .model import GraphicalModel, SolverResult, Task
-from .factor import SparseFactor, TabularFactor
+from .factor import SparseFactor, TabularFactor, _check_value, _trusted
 
 
 class _Tokens:
-    """Whitespace token stream that remembers the current line number."""
+    """Whitespace tokens of a text, read one at a time or in runs.
+
+    Lines are counted only for an error message: ``line_of`` walks the
+    text again up to the token it names.
+    """
 
     def __init__(self, text):
-        self.items = []  # (token, line)
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if "#" in line:  # comment tails, seen in some wcsp corpora
-                line = line.split("#", 1)[0]
-            for tok in line.split():
-                self.items.append((tok, lineno))
+        self.text = text
+        if "#" in text:  # comment tails, seen in some wcsp corpora
+            self.items = [tok for line in text.splitlines()
+                          for tok in line.split("#", 1)[0].split()]
+        else:  # every line break splitlines knows is whitespace to split
+            self.items = text.split()
         self.pos = 0
-        self.last_line = 1
+
+    def line_of(self, index):
+        """The line of token ``index``; 1 for no token."""
+        for lineno, line in enumerate(self.text.splitlines(), start=1):
+            index -= len(line.split("#", 1)[0].split())
+            if index < 0:
+                return lineno
+        return 1
+
+    @property
+    def last_line(self):
+        """The line of the token read last; 1 before any."""
+        return self.line_of(self.pos - 1)
 
     def next(self, what):
         if self.pos >= len(self.items):
             raise FormatError(f"unexpected end of file, expected {what}", self.last_line)
-        tok, line = self.items[self.pos]
         self.pos += 1
-        self.last_line = line
-        return tok, line
+        return self.items[self.pos - 1]
 
     def next_int(self, what, minimum=None):
-        tok, line = self.next(what)
+        tok = self.next(what)
         try:
             val = int(tok)
         except ValueError:
-            raise FormatError(f"expected integer {what}, got {tok!r}", line) from None
+            raise FormatError(f"expected integer {what}, got {tok!r}", self.last_line) from None
         if minimum is not None and val < minimum:
-            raise FormatError(f"{what} must be >= {minimum}, got {val}", line)
+            raise FormatError(f"{what} must be >= {minimum}, got {val}", self.last_line)
         return val
 
     def next_float(self, what):
-        tok, line = self.next(what)
+        tok = self.next(what)
         try:
             # float() is locale-independent in Python: decimal point only
             val = float(tok)
         except ValueError:
-            raise FormatError(f"expected number {what}, got {tok!r}", line) from None
+            raise FormatError(f"expected number {what}, got {tok!r}", self.last_line) from None
         if math.isnan(val):
-            raise FormatError(f"{what} is NaN", line)
+            raise FormatError(f"{what} is NaN", self.last_line)
         return val
+
+    def run(self, count):
+        """The next ``count`` tokens as a new list; ValueError if fewer are left."""
+        end = self.pos + count
+        if end > len(self.items):
+            raise ValueError("end of file inside a run")
+        out = self.items[self.pos:end]
+        self.pos = end
+        return out
 
     def expect_end(self):
         if self.pos < len(self.items):
-            tok, line = self.items[self.pos]
-            raise FormatError(f"trailing garbage starting at {tok!r}", line)
+            raise FormatError(f"trailing garbage starting at {self.items[self.pos]!r}",
+                              self.line_of(self.pos))
 
 
 def _read_scope(toks, n_vars, i):
@@ -86,9 +110,9 @@ def _read_scope(toks, n_vars, i):
 def parse_uai(text: str) -> GraphicalModel:
     """UAI MARKOV network as a MAP model (tables multiplied, maximized)."""
     toks = _Tokens(text)
-    kind, line = toks.next("header")
+    kind = toks.next("header")
     if kind.upper() not in ("MARKOV", "BAYES"):
-        raise FormatError(f"expected MARKOV or BAYES header, got {kind!r}", line)
+        raise FormatError(f"expected MARKOV or BAYES header, got {kind!r}", toks.last_line)
     n_vars = toks.next_int("variable count", minimum=0)
     domains = [toks.next_int(f"domain size of variable {i}", minimum=1) for i in range(n_vars)]
     n_funcs = toks.next_int("function count", minimum=0)
@@ -114,9 +138,16 @@ def parse_uai(text: str) -> GraphicalModel:
 def parse_wcsp(text: str) -> GraphicalModel:
     """WCSP format as a WCSP model; costs >= the upper bound become inf.
 
+    One checked pass.  It reads the domains, each function's scope line
+    and each function's exception rows as runs of tokens and checks each
+    run in bulk.  Only a function that fails a bulk check is read again
+    one token at a time, to raise the error of its first bad token, on
+    that token's line.
+
     Each function stays a ``SparseFactor``: its default plus the
-    exception tuples, built in file order and then ``renamed`` onto the
-    sorted scope.  A tuple listed twice keeps its last cost.
+    exception tuples, each permuted once onto the sorted scope, in file
+    order.  A tuple listed twice keeps its last cost.  The factor is
+    built without the constructor's checks, which the pass has just made.
     """
     toks = _Tokens(text)
     toks.next("problem name")
@@ -124,41 +155,85 @@ def parse_wcsp(text: str) -> GraphicalModel:
     toks.next_int("max domain size", minimum=0)
     n_funcs = toks.next_int("function count", minimum=0)
     upper = toks.next_float("global upper bound")
-    domains = [toks.next_int(f"domain size of variable {i}", minimum=1) for i in range(n_vars)]
+    start = toks.pos
+    try:
+        domains = list(map(int, toks.run(n_vars)))
+        if min(domains, default=1) < 1:
+            raise ValueError("domain below 1")
+    except ValueError:
+        toks.pos = start
+        domains = [toks.next_int(f"domain size of variable {i}", minimum=1)
+                   for i in range(n_vars)]
     factors = []
     for i in range(n_funcs):
-        raw_scope = _read_scope(toks, n_vars, i)
-        default = toks.next_float(f"default cost of function {i}")
-        n_exc = toks.next_int(f"exception count of function {i}", minimum=0)
-        exceptions = {}
-        for e in range(n_exc):
-            word = []
-            for j, v in enumerate(raw_scope):
-                val = toks.next_int(f"tuple value {j} of exception {e} of function {i}")
-                if not 0 <= val < domains[v]:
-                    raise FormatError(
-                        f"exception {e} of function {i}: value {val} outside domain "
-                        f"of variable {v}",
-                        toks.last_line,
-                    )
-                word.append(val)
-            cost = toks.next_float(f"cost of exception {e} of function {i}")
-            exceptions[tuple(word)] = cost
-        dims = tuple(domains[v] for v in raw_scope)
-        resolved = list(exceptions.values())
-        if len(exceptions) < math.prod(dims):
-            resolved.append(default)
-        if any(c < 0 for c in resolved):
-            raise FormatError(f"function {i} has a negative cost", toks.last_line)
-        capped = {word: _cap(c, upper) for word, c in exceptions.items()}
-        factors.append(SparseFactor(tuple(range(len(dims))), dims, _cap(default, upper), capped)
-                       .renamed(raw_scope))
+        start = toks.pos
+        try:
+            factors.append(_wcsp_function(toks, n_vars, domains, upper))
+        except ValueError:
+            toks.pos = start
+            _recheck_function(toks, i, n_vars, domains)
     toks.expect_end()
     return GraphicalModel(n_vars, tuple(domains), tuple(factors), Task.WCSP)
 
 
-def _cap(cost, upper):
-    return math.inf if cost >= upper else cost
+def _wcsp_function(toks, n_vars, domains, upper):
+    """The next function, read in runs and checked in bulk; every failed
+    check is a ValueError, which ``_recheck_function`` turns into its
+    FormatError."""
+    arity = int(toks.run(1)[0])
+    if arity < 0:
+        raise ValueError("negative arity")
+    head = toks.run(arity + 2)
+    raw_scope = list(map(int, head[:arity]))
+    if arity and (min(raw_scope) < 0 or max(raw_scope) >= n_vars or len(set(raw_scope)) < arity):
+        raise ValueError("bad scope")
+    default = float(head[arity])
+    n_exc = int(head[arity + 1])
+    if math.isnan(default) or n_exc < 0:
+        raise ValueError("bad default or exception count")
+    rows = toks.run(n_exc * (arity + 1))
+    costs = list(map(float, rows[arity :: arity + 1]))
+    del rows[arity :: arity + 1]
+    digits = list(map(int, rows))
+    if digits and (min(digits) < 0 or any(
+            max(digits[j::arity]) >= domains[v] for j, v in enumerate(raw_scope))):
+        raise ValueError("tuple value outside its domain")
+    if any(map(math.isnan, costs)):
+        raise ValueError("NaN cost")
+    perm = sorted(range(arity), key=raw_scope.__getitem__)
+    scope = tuple(raw_scope[j] for j in perm)
+    dims = tuple(domains[v] for v in scope)
+    words = zip(*[iter(digits)] * arity) if arity else [()] * n_exc
+    if perm != list(range(arity)):
+        words = map(operator.itemgetter(*perm), words)  # two or more positions: tuples
+    raw = dict(zip(words, costs))
+    if min(raw.values(), default=0.0) < 0 or (default < 0 and len(raw) < math.prod(dims)):
+        raise ValueError("negative cost")
+    exceptions = {word: math.inf if c >= upper else c + 0.0 for word, c in raw.items()}
+    default = math.inf if default >= upper else default + 0.0  # -0.0 as +0.0
+    _check_value(default)  # the constructor's -inf check: such a default covers no cell
+    return _trusted(SparseFactor, scope=scope, domains=dims, default=default,
+                    exceptions=exceptions)
+
+
+def _recheck_function(toks, i, n_vars, domains):
+    """Function ``i`` read again token by token after a failed bulk check:
+    raises the FormatError of its first bad token."""
+    raw_scope = _read_scope(toks, n_vars, i)
+    toks.next_float(f"default cost of function {i}")
+    n_exc = toks.next_int(f"exception count of function {i}", minimum=0)
+    for e in range(n_exc):
+        for j, v in enumerate(raw_scope):
+            val = toks.next_int(f"tuple value {j} of exception {e} of function {i}")
+            if not 0 <= val < domains[v]:
+                raise FormatError(
+                    f"exception {e} of function {i}: value {val} outside domain "
+                    f"of variable {v}",
+                    toks.last_line,
+                )
+        toks.next_float(f"cost of exception {e} of function {i}")
+    # every token passed, so the check that failed was the last one
+    raise FormatError(f"function {i} has a negative cost", toks.last_line)
 
 
 def parse_path(path: str, dialect: str = "auto") -> GraphicalModel:

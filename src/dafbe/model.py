@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 import operator
 import time
@@ -90,10 +91,15 @@ class GraphicalModel:
 
         WCSP factors are costs already.  A MAP potential p becomes -log p,
         with 0 becoming inf, so the maximal product is the exp(-cost) of
-        the minimal sum.
+        the minimal sum.  The MAP tables are computed once per model, so
+        every call returns the same tuple.
         """
         if self.task is Task.WCSP:
             return self.factors
+        return self._neg_log_factors
+
+    @functools.cached_property  # the frozen model's fields do not change
+    def _neg_log_factors(self) -> tuple:
         return tuple(_neg_log_factor(f) for f in self.factors)
 
     def evaluate(self, assignment) -> float:
@@ -151,8 +157,10 @@ def _eliminate(adj: list, v: int) -> int:
     return nb
 
 
-def min_fill_ordering(model: GraphicalModel, weighted: bool = False) -> tuple:
-    """Greedy fill-minimizing elimination ordering.
+def min_fill_ordering(model: GraphicalModel, weighted: bool = False, *,
+                      with_width: bool = False):
+    """Greedy fill-minimizing elimination ordering; with ``with_width``,
+    the pair (ordering, its induced width).
 
     Each step eliminates the variable whose remaining neighbors need the
     fewest missing edges to become a clique (weighted mode scores a
@@ -183,6 +191,18 @@ def min_fill_ordering(model: GraphicalModel, weighted: bool = False) -> tuple:
     ascending id order.  The updates are integer arithmetic on the very
     scores rescoring from scratch gives, so the minima, their ties and
     the ordering are unchanged.
+
+    The fill-edge decrements of one elimination are summed in bit-sliced
+    counters: mask j holds the variables whose decrement has bit j set.
+    A fill edge adds its common neighbours at each set bit of w(a) w(b),
+    carrying like a ripple-carry adder, so it costs a few mask operations
+    whatever the number of common neighbours.  One pass over the masks
+    then takes 2^j off each variable in mask j.
+
+    The induced width is read off as the ordering forms: the largest
+    neighbour count an elimination sees, and at the clique shortcut the
+    clique's size less one, which its first variable sees.  It is the
+    width ``induced_width`` replays for this ordering.
     """
     adj = _adjacency_masks(model)
     n = model.n_vars
@@ -213,13 +233,21 @@ def min_fill_ordering(model: GraphicalModel, weighted: bool = False) -> tuple:
 
     remaining = list(range(n))
     order = [0] * n
+    width = 0
+    # the bit-sliced counters; a decrement is at most the weight of every
+    # pair, so it has fewer than ``levels`` bits
+    levels = (max(omega, default=1) ** 2 * n * n).bit_length()
+    cnt = [0] * levels
     for pos in range(n - 1, -1, -1):
         x = min(remaining, key=score.__getitem__)  # first minimum: lowest id
         nb = adj[x]
+        degree = nb.bit_count()
         simplicial = score[x] == 0
-        if simplicial and nb.bit_count() == pos:  # next to all pos others: a clique
+        if simplicial and degree == pos:  # next to all pos others: a clique
             order[: pos + 1] = reversed(remaining)
+            width = max(width, pos)
             break
+        width = max(width, degree)
         remaining.remove(x)
         order[pos] = x
         xbit = 1 << x
@@ -240,16 +268,34 @@ def min_fill_ordering(model: GraphicalModel, weighted: bool = False) -> tuple:
                     b = lb.bit_length() - 1
                     adj_b = adj[b]
                     delta += omega[b] * weight(outside & ~adj_b)
-                    if b > a:  # fill edge {a, b}
+                    if b > a:  # fill edge {a, b}: w_ab off each common neighbour
+                        common = adj_a & adj_b & ~xbit  # x's score is done
                         w_ab = omega[a] * omega[b]
-                        common = adj_a & adj_b  # x among them: its score is done
-                        while common:
-                            lc = common & -common
-                            common ^= lc
-                            score[lc.bit_length() - 1] -= w_ab
+                        j = 0
+                        while w_ab:
+                            if w_ab & 1:  # add common at bit j, carrying upwards
+                                carry = common
+                                i = j
+                                while carry:
+                                    c = cnt[i]
+                                    cnt[i] = c ^ carry
+                                    carry &= c
+                                    i += 1
+                            w_ab >>= 1
+                            j += 1
             score[a] += delta
+        if not simplicial:
+            for j in range(levels):
+                m = cnt[j]
+                if m:
+                    cnt[j] = 0
+                    step = 1 << j
+                    while m:
+                        low = m & -m
+                        m ^= low
+                        score[low.bit_length() - 1] -= step
         _eliminate(adj, x)
-    return tuple(order)
+    return (tuple(order), width) if with_width else tuple(order)
 
 
 def check_ordering(model: GraphicalModel, ordering) -> tuple:
@@ -332,8 +378,14 @@ def bucket_elimination(
     ordering=None,
     eps: float = DEFAULT_EPS,
     time_limit: float | None = None,
+    width: int | None = None,
 ) -> SolverResult:
     """Exact solve by min-sum bucket elimination over value-keyed automata.
+
+    Without an ordering the solver takes min-fill's, with the induced
+    width min-fill found as it ordered.  A given ordering's width is
+    ``width`` when the caller has it from ``min_fill_ordering(...,
+    with_width=True)``, and is otherwise replayed by ``induced_width``.
 
     The solver minimizes the sum of ``model.cost_factors()``.  It names
     each variable by its position in the ordering before it compiles the
@@ -380,8 +432,13 @@ def bucket_elimination(
     """
     t0 = time.monotonic()
     deadline = Deadline(time_limit)
-    ordering = min_fill_ordering(model) if ordering is None else check_ordering(model, ordering)
-    stats = SolveStats(induced_width=induced_width(model, ordering))
+    if ordering is None:
+        ordering, width = min_fill_ordering(model, with_width=True)
+    else:
+        ordering = check_ordering(model, ordering)
+        if width is None:
+            width = induced_width(model, ordering)
+    stats = SolveStats(induced_width=width)
     n = model.n_vars
     position = [0] * n  # variable id -> its name inside the solver
     for p, var in enumerate(ordering):

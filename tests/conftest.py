@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dafbe.automata import Dafsa
-from dafbe.factor import DafsaFactor, TabularFactor
+from dafbe.factor import DafsaFactor, SparseFactor, TabularFactor
 from dafbe.model import GraphicalModel, Task
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -23,6 +23,18 @@ SRC_PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__fil
 
 def fixture_path(name):
     return os.path.join(FIXTURES, name)
+
+
+def bench_generators():
+    """The benchmark's instance generators, ``bench/generators.py``."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    spec = importlib.util.spec_from_file_location(
+        "bench_generators", os.path.join(bench, "generators.py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def rand_dafsa(rng, domains, max_strings=12):
@@ -222,3 +234,25 @@ def run_python(pythonpath, args, kernels=None):
     """Run ``python args`` in the environment of ``python_env``."""
     return subprocess.run([sys.executable, *args], env=python_env(pythonpath, kernels),
                           capture_output=True, text=True)
+
+
+def scoped_model(domains, scopes):
+    """An all-zero WCSP over ``domains`` with one factor per scope."""
+    factors = []
+    for scope in scopes:
+        scope = tuple(sorted(scope))
+        dims = tuple(domains[v] for v in scope)
+        factors.append(SparseFactor(scope, dims, 0.0, {}))
+    return GraphicalModel(len(domains), domains, tuple(factors), Task.WCSP)
+
+
+def dense_models():
+    """20 models shaped like the wcsp-high-width benchmark: arity-8 scopes
+    over 30-48 variables, so the fill edges are large and the tail of the
+    ordering is a clique; odd ones mix domain sizes."""
+    rng = random.Random(14)
+    for trial in range(20):
+        n = rng.randrange(30, 49)
+        domains = tuple(rng.choice([2, 3, 5]) if trial % 2 else 2 for _ in range(n))
+        scopes = [rng.sample(range(n), 8) for _ in range(rng.randrange(20, 36))]
+        yield scoped_model(domains, scopes)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -5,9 +6,10 @@ import sys
 import pytest
 
 from dafbe import cli
-from dafbe.model import SolverResult, SolveStats, Task
+from dafbe.formats import parse_path, write_wcsp
+from dafbe.model import SolverResult, SolveStats, Task, induced_width, min_fill_ordering
 
-from conftest import fixture_path
+from conftest import dense_models, fixture_path
 
 HAND = fixture_path("hand.wcsp")
 QUEENS = fixture_path("queens4.wcsp")
@@ -364,6 +366,38 @@ class TestStats:
         lines = out.strip().splitlines()
         assert lines[0].startswith("file,n_vars,")
         assert len(lines) == 4 and lines[-1].startswith("(aggregate)")
+
+    @pytest.mark.parametrize("ordering, weighted", [("min-fill", False),
+                                                     ("weighted-min-fill", True)])
+    def test_width_is_min_fill_width(self, capsys, tmp_path, ordering, weighted):
+        paths = []
+        for trial, m in enumerate(itertools.islice(dense_models(), 6)):
+            path = tmp_path / f"dense{trial}.wcsp"
+            path.write_text(write_wcsp(m), encoding="ascii")
+            paths.append(str(path))
+        _, out, _ = run(capsys, "stats", "--ordering", ordering, *paths)
+        rows = json.loads(out)["instances"]
+        _, out, _ = run(capsys, "solve", "--ordering", ordering, "--format", "json-lines", *paths)
+        for path, row, rec in zip(paths, rows, json_records(out)):
+            m = parse_path(path)
+            want = induced_width(m, min_fill_ordering(m, weighted))
+            assert row["induced_width"] == rec["stats"]["induced_width"] == want, path
+
+    def test_ordering_file_width_is_replayed(self, capsys, tmp_path):
+        m = next(dense_models())
+        path = tmp_path / "dense.wcsp"
+        path.write_text(write_wcsp(m), encoding="ascii")
+        ordering = tuple(range(m.n_vars))
+        assert ordering != min_fill_ordering(m)
+        order = tmp_path / "order.txt"
+        order.write_text(" ".join(map(str, ordering)), encoding="ascii")
+        want = induced_width(m, ordering)
+        assert want != induced_width(m, min_fill_ordering(m))
+        flags = ("--ordering", "file", "--ordering-file", str(order), str(path))
+        _, out, _ = run(capsys, "stats", *flags)
+        assert json.loads(out)["instances"][0]["induced_width"] == want
+        _, out, _ = run(capsys, "solve", "--format", "json-lines", *flags)
+        assert json_records(out)[0]["stats"]["induced_width"] == want
 
     def test_unparsable_instance_flagged(self, capsys, tmp_path):
         bad = tmp_path / "bad.wcsp"

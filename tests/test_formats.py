@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
-from dafbe.errors import FormatError
+from dafbe.errors import DafbeError, FormatError
+from dafbe.factor import SparseFactor
 from dafbe.formats import (
     parse_path,
     parse_uai,
@@ -17,10 +20,10 @@ from dafbe.formats import (
     write_uai,
     write_wcsp,
 )
-from dafbe.model import Task, bucket_elimination
+from dafbe.model import GraphicalModel, Task, bucket_elimination
 from dafbe.oracle import brute_force
 
-from conftest import fixture_path
+from conftest import bench_generators, fixture_path
 
 
 def load(name):
@@ -139,6 +142,299 @@ class TestParseWcsp:
     def test_truncated(self):
         with pytest.raises(FormatError, match="unexpected end of file"):
             parse_wcsp("t 1 2 1 10\n2\n1 0 0 2\n0 5\n")
+
+
+_H = "t 2 2 1 10\n2 2\n"  # two binary variables, one function
+
+# one malformed input per check, with the exact message and line it raises
+WCSP_ERRORS = [
+    ("empty", "", "line 1: unexpected end of file, expected problem name"),
+    ("eof-in-header", "t 2 2\n", "line 1: unexpected end of file, expected function count"),
+    ("var-count-not-int", "t x 2 1 10\n2 2\n",
+     "line 1: expected integer variable count, got 'x'"),
+    ("var-count-negative", "t -1 2 1 10\n", "line 1: variable count must be >= 0, got -1"),
+    ("max-domain-negative", "t 2 -1 1 10\n2 2\n",
+     "line 1: max domain size must be >= 0, got -1"),
+    ("function-count-negative", "t 2 2 -1 10\n2 2\n",
+     "line 1: function count must be >= 0, got -1"),
+    ("upper-not-number", "t 2 2 1 x\n2 2\n",
+     "line 1: expected number global upper bound, got 'x'"),
+    ("upper-nan", "t 2 2 1 nan\n2 2\n", "line 1: global upper bound is NaN"),
+    ("domain-not-int", "t 2 2 0 10\n2 two\n",
+     "line 2: expected integer domain size of variable 1, got 'two'"),
+    ("domain-below-1", "t 2 2 0 10\n2 0\n",
+     "line 2: domain size of variable 1 must be >= 1, got 0"),
+    ("eof-in-domains", "t 2 2 0 10\n2\n",
+     "line 2: unexpected end of file, expected domain size of variable 1"),
+    ("arity-not-int", _H + "x\n", "line 3: expected integer arity of function 0, got 'x'"),
+    ("arity-negative", _H + "-1 0 0\n", "line 3: arity of function 0 must be >= 0, got -1"),
+    ("variable-not-int", _H + "2 0 y 0 0\n",
+     "line 3: expected integer variable 1 of function 0, got 'y'"),
+    ("variable-out-of-range", _H + "2 0 5 0 0\n",
+     "line 3: function 0 references variable 5, model has 2"),
+    ("variable-at-count", _H + "2 0 2 0 0\n",
+     "line 3: function 0 references variable 2, model has 2"),
+    ("variable-negative", _H + "2 -1 0 0 0\n",
+     "line 3: function 0 references variable -1, model has 2"),
+    ("variable-repeated", _H + "2 1\n1 0 0\n", "line 4: function 0 repeats a variable"),
+    ("eof-in-scope", _H + "2 0\n",
+     "line 3: unexpected end of file, expected variable 1 of function 0"),
+    ("default-not-number", _H + "2 0 1 z 0\n",
+     "line 3: expected number default cost of function 0, got 'z'"),
+    ("default-nan", _H + "2 0 1 nan 0\n", "line 3: default cost of function 0 is NaN"),
+    ("exception-count-negative", _H + "2 0 1 0 -1\n",
+     "line 3: exception count of function 0 must be >= 0, got -1"),
+    ("exception-count-not-int", _H + "2 0 1 0 1.5\n",
+     "line 3: expected integer exception count of function 0, got '1.5'"),
+    ("tuple-value-not-int", _H + "2 0 1 0 1\n0 x 5\n",
+     "line 4: expected integer tuple value 1 of exception 0 of function 0, got 'x'"),
+    ("tuple-value-float", _H + "2 0 1 0 1\n1.0 0 5\n",
+     "line 4: expected integer tuple value 0 of exception 0 of function 0, got '1.0'"),
+    ("tuple-value-outside-domain", _H + "2 0 1 0 1\n0 2 5\n",
+     "line 4: exception 0 of function 0: value 2 outside domain of variable 1"),
+    ("tuple-value-negative", _H + "2 0 1 0 1\n-1 0 5\n",
+     "line 4: exception 0 of function 0: value -1 outside domain of variable 0"),
+    ("cost-not-number", _H + "2 0 1 0 1\n0 1 w\n",
+     "line 4: expected number cost of exception 0 of function 0, got 'w'"),
+    ("cost-nan", _H + "2 0 1 0 1\n0 1 nan\n", "line 4: cost of exception 0 of function 0 is NaN"),
+    ("cost-negative", _H + "2 0 1 0 2\n0 1 -2\n1 1 3\n", "line 5: function 0 has a negative cost"),
+    ("default-negative-covering", _H + "2 0 1 -1 1\n0 1 5\n",
+     "line 4: function 0 has a negative cost"),
+    ("eof-in-tuple", _H + "2 0 1 0 1\n0\n",
+     "line 4: unexpected end of file, expected tuple value 1 of exception 0 of function 0"),
+    ("eof-before-cost", _H + "2 0 1 0 1\n0 1\n",
+     "line 4: unexpected end of file, expected cost of exception 0 of function 0"),
+    ("trailing-garbage", _H + "2 0 1 0 1\n0 1 5\n7 8\n", "line 5: trailing garbage starting at '7'"),
+    ("second-function", "t 2 2 2 10\n2 2\n1 0 0 0\n2 1 1 0 0\n",
+     "line 4: function 1 repeats a variable"),
+    ("after-comment-line", "t 2 2 1 10\n# a comment\n2 2\n2 0 x 0 0\n",
+     "line 4: expected integer variable 1 of function 0, got 'x'"),
+    ("crlf-lines", "t 2 2 1 10\r\n2 2\r\n2 0 1 0 1\r\n0 1 nan\r\n",
+     "line 4: cost of exception 0 of function 0 is NaN"),
+]
+
+
+def _signed(v):
+    return (v, math.copysign(1.0, v))
+
+
+def factor_fields(model):
+    """Each factor's scope, domains, default and exceptions, signs of zero kept."""
+    return [(f.scope, f.domains, _signed(f.default),
+             [(w, _signed(v)) for w, v in f.exceptions.items()]) for f in model.factors]
+
+
+# accepted inputs and the factors they give: (scope, domains, default, exceptions)
+WCSP_ACCEPTED = [
+    ("comment-tails", "t 1 2 1 10 # header\n2\n1 0 1 1 # scope\n0 3 # a tuple\n",
+     [((0,), (2,), 1.0, {(0,): 3.0})]),
+    ("tuple-split-across-lines", _H + "2 0 1 0 1\n0\n1\n5\n",
+     [((0, 1), (2, 2), 0.0, {(0, 1): 5.0})]),
+    ("repeated-tuple-keeps-last", _H + "2 0 1 0 3\n0 1 5\n1 1 2\n0 1 3\n",
+     [((0, 1), (2, 2), 0.0, {(0, 1): 3.0, (1, 1): 2.0})]),
+    ("negative-cost-overwritten", _H + "2 0 1 0 2\n0 1 -2\n0 1 3\n",
+     [((0, 1), (2, 2), 0.0, {(0, 1): 3.0})]),
+    ("negative-default-covering-nothing", "t 1 2 1 10\n2\n1 0 -1 2\n0 1\n1 2\n",
+     [((0,), (2,), -1.0, {(0,): 1.0, (1,): 2.0})]),
+    ("minus-zero-is-plus-zero", _H + "2 0 1 -0 1\n1 1 -0.0\n",
+     [((0, 1), (2, 2), 0.0, {(1, 1): 0.0})]),
+    ("at-or-above-upper-is-inf", _H + "2 0 1 10 2\n0 0 9.5\n1 1 11\n",
+     [((0, 1), (2, 2), math.inf, {(0, 0): 9.5, (1, 1): math.inf})]),
+    ("unsorted-scope-permuted", "t 3 3 1 10\n2 3 2\n3 2 0 1 0 2\n1 0 2 4\n0 1 1 6\n",
+     [((0, 1, 2), (2, 3, 2), 0.0, {(0, 2, 1): 4.0, (1, 1, 0): 6.0})]),
+    ("arity-zero", "t 1 2 1 10\n2\n0 4 2\n3\n1\n", [((), (), 4.0, {(): 1.0})]),
+]
+
+
+class TestWcspParseTable:
+    @pytest.mark.parametrize("text, message", [c[1:] for c in WCSP_ERRORS],
+                             ids=[c[0] for c in WCSP_ERRORS])
+    def test_error(self, text, message):
+        with pytest.raises(FormatError) as info:
+            parse_wcsp(text)
+        assert str(info.value) == message
+
+    def test_non_ascii_byte(self, tmp_path):
+        path = tmp_path / "bad.wcsp"
+        path.write_bytes(b"t 1 2 0 10\n2 # caf\xe9\n")
+        with pytest.raises(FormatError) as info:
+            parse_path(str(path))
+        assert str(info.value) == "line 2: non-ASCII byte 0xe9"
+
+    @pytest.mark.parametrize("text, factors", [c[1:] for c in WCSP_ACCEPTED],
+                             ids=[c[0] for c in WCSP_ACCEPTED])
+    def test_accepted(self, text, factors):
+        # the expected zeros are +0.0, so a -0.0 read fails
+        expected = [(scope, dims, _signed(d), [(w, _signed(v)) for w, v in exc.items()])
+                    for scope, dims, d, exc in factors]
+        assert factor_fields(parse_wcsp(text)) == expected
+
+
+# -- the token-at-a-time parser the run-reading one replaced, as the reference
+
+
+class _RefTokens:
+    def __init__(self, text):
+        self.items = []  # (token, line)
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if "#" in line:
+                line = line.split("#", 1)[0]
+            for tok in line.split():
+                self.items.append((tok, lineno))
+        self.pos = 0
+        self.last_line = 1
+
+    def next(self, what):
+        if self.pos >= len(self.items):
+            raise FormatError(f"unexpected end of file, expected {what}", self.last_line)
+        tok, line = self.items[self.pos]
+        self.pos += 1
+        self.last_line = line
+        return tok, line
+
+    def next_int(self, what, minimum=None):
+        tok, line = self.next(what)
+        try:
+            val = int(tok)
+        except ValueError:
+            raise FormatError(f"expected integer {what}, got {tok!r}", line) from None
+        if minimum is not None and val < minimum:
+            raise FormatError(f"{what} must be >= {minimum}, got {val}", line)
+        return val
+
+    def next_float(self, what):
+        tok, line = self.next(what)
+        try:
+            val = float(tok)
+        except ValueError:
+            raise FormatError(f"expected number {what}, got {tok!r}", line) from None
+        if math.isnan(val):
+            raise FormatError(f"{what} is NaN", line)
+        return val
+
+    def expect_end(self):
+        if self.pos < len(self.items):
+            tok, line = self.items[self.pos]
+            raise FormatError(f"trailing garbage starting at {tok!r}", line)
+
+
+def reference_parse_wcsp(text):
+    toks = _RefTokens(text)
+    toks.next("problem name")
+    n_vars = toks.next_int("variable count", minimum=0)
+    toks.next_int("max domain size", minimum=0)
+    n_funcs = toks.next_int("function count", minimum=0)
+    upper = toks.next_float("global upper bound")
+    domains = [toks.next_int(f"domain size of variable {i}", minimum=1) for i in range(n_vars)]
+    factors = []
+    for i in range(n_funcs):
+        arity = toks.next_int(f"arity of function {i}", minimum=0)
+        raw_scope = []
+        for j in range(arity):
+            v = toks.next_int(f"variable {j} of function {i}")
+            if not 0 <= v < n_vars:
+                raise FormatError(
+                    f"function {i} references variable {v}, model has {n_vars}", toks.last_line
+                )
+            raw_scope.append(v)
+        if len(set(raw_scope)) != len(raw_scope):
+            raise FormatError(f"function {i} repeats a variable", toks.last_line)
+        default = toks.next_float(f"default cost of function {i}")
+        n_exc = toks.next_int(f"exception count of function {i}", minimum=0)
+        exceptions = {}
+        for e in range(n_exc):
+            word = []
+            for j, v in enumerate(raw_scope):
+                val = toks.next_int(f"tuple value {j} of exception {e} of function {i}")
+                if not 0 <= val < domains[v]:
+                    raise FormatError(
+                        f"exception {e} of function {i}: value {val} outside domain "
+                        f"of variable {v}",
+                        toks.last_line,
+                    )
+                word.append(val)
+            cost = toks.next_float(f"cost of exception {e} of function {i}")
+            exceptions[tuple(word)] = cost
+        dims = tuple(domains[v] for v in raw_scope)
+        resolved = list(exceptions.values())
+        if len(exceptions) < math.prod(dims):
+            resolved.append(default)
+        if any(c < 0 for c in resolved):
+            raise FormatError(f"function {i} has a negative cost", toks.last_line)
+
+        def cap(c):
+            return math.inf if c >= upper else c
+
+        capped = {word: cap(c) for word, c in exceptions.items()}
+        factors.append(SparseFactor(tuple(range(len(dims))), dims, cap(default), capped)
+                       .renamed(raw_scope))
+    toks.expect_end()
+    return GraphicalModel(n_vars, tuple(domains), tuple(factors), Task.WCSP)
+
+
+def _parse_outcome(parse, text):
+    """The model's fields, signs of zero kept, or the error's type and text."""
+    try:
+        m = parse(text)
+    except DafbeError as exc:
+        return type(exc).__name__, str(exc)
+    return m.n_vars, m.domains, factor_fields(m)
+
+
+def _mutate(rng, text):
+    """One random edit: a token deleted, duplicated or replaced, a line
+    split or joined, or a comment tail added."""
+    lines = text.split("\n")
+    li = rng.randrange(len(lines))
+    toks = lines[li].split(" ")
+    kind = rng.randrange(6)
+    if kind == 4:  # join with the next line
+        if li + 1 < len(lines):
+            lines[li : li + 2] = [lines[li] + " " + lines[li + 1]]
+        return "\n".join(lines)
+    ti = rng.randrange(len(toks))
+    if kind == 0:
+        del toks[ti]
+    elif kind == 1:
+        toks.insert(ti, toks[ti])
+    elif kind == 2:
+        toks[ti] = rng.choice(["-1", "x", "nan", "1.5", "1000", "0", "-0", "inf"])
+    elif kind == 3:  # split the line before token ti
+        toks[ti] = "\n" + toks[ti]
+    else:
+        toks.insert(ti, rng.choice(["#", "# 1 2", "#x"]))
+    lines[li] = " ".join(toks)
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def wcsp_corpora():
+    """The seed-1 corpora of the WCSP workloads; of the slow-to-draw
+    high-width one, its first eight instances."""
+    gen = bench_generators()
+    texts = []
+    for name, size in (("wcsp-planted", 48), ("wcsp-wide-arity", 10), ("wcsp-high-width", 8)):
+        workload = dataclasses.replace(gen.WORKLOADS[name], corpus_size=size)
+        texts += [text for _, text in gen.corpus(workload, 1)]
+    return texts
+
+
+class TestWcspParseDifferential:
+    def test_corpora_parse_alike(self, wcsp_corpora):
+        for text in wcsp_corpora:
+            assert _parse_outcome(parse_wcsp, text) == _parse_outcome(reference_parse_wcsp, text)
+
+    def test_mutants_parse_alike(self, wcsp_corpora):
+        rng = random.Random(28)
+        errors = 0
+        for trial in range(3000):
+            text = rng.choice(wcsp_corpora)
+            for _ in range(rng.choice([1, 1, 1, 2, 3])):
+                text = _mutate(rng, text)
+            got = _parse_outcome(parse_wcsp, text)
+            assert got == _parse_outcome(reference_parse_wcsp, text), (trial, text)
+            errors += isinstance(got[0], str)
+        assert 300 < errors < 2900  # both outcomes are well exercised
 
 
 class TestWriters:

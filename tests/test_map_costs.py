@@ -9,12 +9,9 @@ tolerance only, and its assignment must reproduce its optimum.
 """
 
 import dataclasses
-import importlib.util
 import json
 import math
-import os
 import random
-import sys
 
 import numpy as np
 
@@ -25,19 +22,9 @@ from dafbe.factor import TabularFactor
 from dafbe.formats import parse_uai, record_to_json, result_record
 from dafbe.model import GraphicalModel, Task, bucket_elimination, min_fill_ordering
 
+from conftest import bench_generators
+
 RTOL = 1e-6
-BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
-
-
-def _bench_generators():
-    spec = importlib.util.spec_from_file_location(
-        "bench_generators", os.path.join(BENCH, "generators.py")
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
 
 def _potentials(rng, size, zeros, keep):
     """Log-uniform over [1e-6, 1]; with ``zeros`` about one cell in eight
@@ -79,7 +66,7 @@ def grid(rng, rows=5, cols=6):
 
 
 def _families():
-    map_grid = _bench_generators().map_grid
+    map_grid = bench_generators().map_grid
     yield from (
         ("small-chain", 40, lambda rng, i: chain(rng, 14)),
         ("chain", 80, lambda rng, i: chain(rng, rng.randint(30, 40))),

@@ -22,7 +22,8 @@ from dafbe.formats import parse_path
 from dafbe.generate import random_micro_model
 from dafbe.oracle import brute_force, tabular_be
 
-from conftest import fixture_path, ignoring_table, micro_model, table_from_feed
+from conftest import (dense_models, fixture_path, ignoring_table, micro_model, scoped_model,
+                      table_from_feed)
 
 
 def chain_model(n, task=Task.WCSP):
@@ -64,6 +65,7 @@ class TestGraphicalModel:
         assert math.copysign(1.0, dense_cost.values[1]) == 1.0  # -log 1 is +0.0
         assert sparse_cost.default == math.log(2.0)
         assert sparse_cost.exceptions == {(2, 1): math.inf}
+        assert m.cost_factors() is m.cost_factors()  # -log is taken once per model
         w = GraphicalModel(2, (3, 2), (dense, sparse), Task.WCSP)
         assert w.cost_factors() == w.factors
 
@@ -83,16 +85,6 @@ class TestTask:
         assert Task.MAP.combine(2.0, 3.0) == 6.0
         assert Task.WCSP.combine(2.0, 3.0) == 5.0
         assert Task.MAP.better(3.0, 2.0) and Task.WCSP.better(2.0, 3.0)
-
-
-def scoped_model(domains, scopes):
-    """An all-zero WCSP over ``domains`` with one factor per scope."""
-    factors = []
-    for scope in scopes:
-        scope = tuple(sorted(scope))
-        dims = tuple(domains[v] for v in scope)
-        factors.append(SparseFactor(scope, dims, 0.0, {}))
-    return GraphicalModel(len(domains), domains, tuple(factors), Task.WCSP)
 
 
 def reference_min_fill(model, weighted=False):
@@ -139,6 +131,20 @@ def reference_induced_width(model, ordering):
     return width
 
 
+def fuzz_models():
+    """200 random WCSPs of 0-39 variables over domains 2, 3 and 5."""
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randrange(0, 40)
+        domains = tuple(rng.choice([2, 2, 3, 5]) for _ in range(n))
+        factors = []
+        for _ in range(rng.randrange(0, 2 * n + 1)):
+            scope = tuple(sorted(rng.sample(range(n), rng.randrange(1, min(n, 6) + 1))))
+            dims = tuple(domains[v] for v in scope)
+            factors.append(TabularFactor(scope, dims, np.zeros(math.prod(dims))))
+        yield GraphicalModel(n, domains, tuple(factors), Task.WCSP)
+
+
 class TestOrdering:
     def test_is_permutation(self):
         for seed in range(20):
@@ -177,34 +183,36 @@ class TestOrdering:
             assert sorted(order) == list(range(m.n_vars))
 
     def test_bitset_ordering_matches_set_reference(self):
-        rng = random.Random(41)
-        for trial in range(200):
-            n = rng.randrange(0, 40)
-            domains = tuple(rng.choice([2, 2, 3, 5]) for _ in range(n))
-            factors = []
-            for _ in range(rng.randrange(0, 2 * n + 1)):
-                scope = tuple(sorted(rng.sample(range(n), rng.randrange(1, min(n, 6) + 1))))
-                dims = tuple(domains[v] for v in scope)
-                factors.append(TabularFactor(scope, dims, np.zeros(math.prod(dims))))
-            m = GraphicalModel(n, domains, tuple(factors), Task.WCSP)
+        for trial, m in enumerate(fuzz_models()):
             for weighted in (False, True):
                 order = min_fill_ordering(m, weighted=weighted)
                 assert order == reference_min_fill(m, weighted), (trial, weighted)
                 assert induced_width(m, order) == reference_induced_width(m, order)
 
     def test_dense_graphs_match_reference(self):
-        # shaped like the wcsp-high-width benchmark: arity-8 scopes over
-        # 30-48 variables, so the fill edges are large and the tail of
-        # the ordering is a clique; odd trials mix domain sizes
-        rng = random.Random(14)
-        for trial in range(20):
-            n = rng.randrange(30, 49)
-            domains = tuple(rng.choice([2, 3, 5]) if trial % 2 else 2 for _ in range(n))
-            scopes = [rng.sample(range(n), 8) for _ in range(rng.randrange(20, 36))]
-            m = scoped_model(domains, scopes)
+        for trial, m in enumerate(dense_models()):
             for weighted in (False, True):
                 order = min_fill_ordering(m, weighted)
                 assert order == reference_min_fill(m, weighted), (trial, weighted)
+
+    def test_min_fill_width_is_the_replayed_width(self):
+        # the dense models end in the clique shortcut, where the width is
+        # read off the clique's size
+        for trial, m in enumerate(itertools.chain(fuzz_models(), dense_models())):
+            for weighted in (False, True):
+                order, width = min_fill_ordering(m, weighted, with_width=True)
+                assert order == min_fill_ordering(m, weighted), (trial, weighted)
+                assert width == induced_width(m, order), (trial, weighted)
+            solved = bucket_elimination(m).stats.induced_width
+            assert solved == induced_width(m, min_fill_ordering(m)), trial
+
+    def test_given_ordering_replays_its_width(self):
+        rng = random.Random(28)
+        for m in dense_models():
+            ordering = shuffled_ordering(rng, m.n_vars)
+            want = induced_width(m, ordering)
+            assert bucket_elimination(m, ordering).stats.induced_width == want
+            assert bucket_elimination(m, ordering, width=want).stats.induced_width == want
 
     @pytest.mark.parametrize(
         "domains, scopes",
