@@ -9,11 +9,15 @@ for byte while we are at it; a mismatch aborts the run.
 
 With ``--against TREE`` the two editions are ``TREE``'s
 ``src/dafbe/_kernels_py.py``, loaded by path under a module name of its
-own, and this tree's ``_kernels_py``; the compiled extension is not
-needed.  Each row then prints the base tree's time, this tree's time and
-their ratio, base over this, so a ratio above 1 means this tree is
-faster.  The subprocess rows are left out, because they cannot run two
-trees in one process.
+own, and this tree's ``_kernels_py``; no installed extension is needed.
+Each row then prints the base tree's time, this tree's time and their
+ratio, base over this, so a ratio above 1 means this tree is faster.
+When g++ and ``Python.h`` are present, both trees' ``_kernels_cc.cpp``
+are also built into a temporary directory, as ``tests/conftest.py``
+builds them, each loaded under a module name of its own, and every row
+prints the compiled editions' times and ratio beside the Python ones;
+each call then runs on all four editions in turn.  The subprocess rows
+are left out, because they cannot run two trees in one process.
 
 The set-algebra rows run on two random 4k-string automata.  The
 ``determinize`` row takes an NFA whose start state has the root edges of
@@ -67,9 +71,12 @@ import itertools
 import math
 import os
 import random
+import shutil
 import statistics
 import subprocess
 import sys
+import sysconfig
+import tempfile
 import time
 from array import array
 
@@ -183,6 +190,35 @@ def load_tree_kernels(tree):
     return module
 
 
+def build_tree_kernels(trees):
+    """[the compiled kernel module of each tree], or [] without g++ or ``Python.h``.
+
+    Each tree's ``src/dafbe/_kernels_cc.cpp`` is built with the flags of
+    ``tests/conftest.py`` into a temporary directory, which is removed
+    once the modules are loaded, and loaded as ``tree<i>._kernels_cc``:
+    the last part of the name picks the init function, the package
+    part keeps the builds apart.
+    """
+    include = sysconfig.get_paths()["include"]
+    cxx = shutil.which("g++")
+    if cxx is None or not os.path.exists(os.path.join(include, "Python.h")):
+        return []
+    modules = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, tree in enumerate(trees):
+            source = os.path.join(tree, "src", "dafbe", "_kernels_cc.cpp")
+            target = os.path.join(tmp, f"tree{i}" + sysconfig.get_config_var("EXT_SUFFIX"))
+            subprocess.run([cxx, "-std=c++17", "-O2", "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+                            f"-I{include}", source, "-o", target], check=True)
+            name = f"tree{i}._kernels_cc"
+            spec = importlib.util.spec_from_file_location(name, target)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules.pop(name, None)  # the extension registers itself as it loads
+            modules.append(module)
+    return modules
+
+
 def replay(editions, kernel, calls, repeats):
     """[seconds per edition]: each call's best time, summed over ``calls``.
 
@@ -243,7 +279,11 @@ def main():
 
     if args.against:
         editions = [load_tree_kernels(args.against), _kernels_py]
-        header = ("base", "this tree", "base/this")
+        header = [("base", "this tree", "base/this")]
+        compiled = build_tree_kernels([args.against, ROOT])
+        if compiled:
+            editions += compiled
+            header.append(("base cc", "this cc", "base/this cc"))
     else:
         try:
             from dafbe import _kernels_cc
@@ -251,7 +291,7 @@ def main():
             print("compiled extension not importable; build it first (pip install -e .)")
             sys.exit(1)
         editions = [_kernels_py, _kernels_cc]
-        header = ("python", "compiled", "speedup")
+        header = [("python", "compiled", "speedup")]
 
     length = 10
     domains = tuple([3] * length)
@@ -331,9 +371,10 @@ def main():
             rows.append((f"cold start: {name}, median of {COLD_RUNS}", *cold_start(argv)))
 
     width = max(len(r[0]) for r in rows)
-    print(f"{'workload'.ljust(width)}  {header[0]:>10}  {header[1]:>10}  {header[2]:>9}")
-    for name, t_0, t_1 in rows:
-        print(f"{name.ljust(width)}  {t_0:>9.4f}s  {t_1:>9.4f}s  {t_0 / t_1:>8.2f}x")
+    print("workload".ljust(width) + "".join(f"  {h0:>10}  {h1:>10}  {h2:>12}" for h0, h1, h2 in header))
+    for name, *times in rows:
+        pairs = zip(times[::2], times[1::2])
+        print(name.ljust(width) + "".join(f"  {t_0:>9.4f}s  {t_1:>9.4f}s  {t_0 / t_1:>11.2f}x" for t_0, t_1 in pairs))
 
 
 if __name__ == "__main__":

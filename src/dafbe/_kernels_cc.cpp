@@ -26,14 +26,14 @@
 // raises MemoryError, so no input can crash the interpreter.
 //
 // Every kernel builds its result minimal as it goes, with no merge pass.
-// Each but split is one walk (walk) whose leaves carry a label or none, a
-// negative label being none, and which finishes each node once its
-// children are built through SharedWalked: one state per node, interned in
-// a unique table (Unique), builds a shared form.  This edition walks
-// depth-first and renumbers the result breadth-first afterwards; the
-// Python edition walks level by level and numbers each level's states
-// breadth-first as it builds them, renumbering only in split.  Both
-// intern the same states, so their results are byte-identical.  In both, compile_sorted walks the trie of its rows,
+// Each but split is one walk (Walk) whose leaves carry a label or none, a
+// negative label being none.  Both editions walk level by level, with the
+// same algorithm: expand one level at a time from the root, then build
+// one level per pass, bottom-up, one state per node interned in a unique
+// table (Unique), which gives a shared form.  Each level's states are
+// numbered in the order its nodes first reach them, so the result comes
+// out breadth-first and only split renumbers; the two editions' results
+// are byte-identical.  In both, compile_sorted walks the trie of its rows,
 // runs of rows that share a prefix; determinize, minimize and remove_level
 // walk subsets of states (Subsets), with one label; join walks subsets of
 // entries side by side; project_entries walks the states of one shared
@@ -201,9 +201,9 @@ bool complete_fan(const Ints& syms, const Ints& dsts, int k) {
 }
 
 // Result states, built children first and interned in a unique table
-// keyed by (level, symbols, destinations), as in _kernels_py's split (its
-// walks keep one table per level): equal right languages share one state.  Leaves, which have no edges, are added
-// apart from the table.
+// keyed by (level, symbols, destinations), as in _kernels_py's split: equal
+// right languages share one state.  Leaves, which have no edges, are added
+// apart from the table.  A walk clears the table after each level.
 struct Unique {
     Csr res;
     UniqueTable table;
@@ -475,66 +475,112 @@ struct Kid {
     bool operator<(const Kid& o) const { return v < o.v; }
 };
 
-// The shared finisher, as _kernels_py._Shared: each node gets one state,
-// or DEAD if it has no string.  A node past the last level becomes the
-// terminal of its label, one per label, a negative label being no string;
-// any other node keeps its kids whose child is not DEAD and is interned.
-struct SharedWalked {
-    static constexpr int UNBUILT = -2;
-    Unique out;
-    Ints state;                              // per node
-    std::unordered_map<int, int> terminals;  // label -> state
-
-    bool built(int node) const { return node < static_cast<int>(state.size()) && state[node] != UNBUILT; }
-    int nodes() const { return static_cast<int>(state.size() - std::count(state.begin(), state.end(), UNBUILT)); }
-
-    void leaf(int node, int label) {
-        int s = DEAD;
-        if (label >= 0) {
-            const auto hit = terminals.try_emplace(label, 0);
-            if (hit.second) hit.first->second = out.add_leaf();
-            s = hit.first->second;
+// The level-by-level walk behind every kernel but split, as
+// _kernels_py._walk and _Shared.  Nodes are ints >= 0 that expand hands
+// out: expand(node, lv, kids) appends the node's kids on level lv,
+// symbols ascending and a wildcard only alone; label_of(node) gives the
+// label of a node past the last level, a negative one for no string.
+// The walk expands one level at a time from the root, listing each
+// level's nodes once, in the order the level above first names them;
+// then it builds one level per pass, bottom-up, one state per listed
+// node, or DEAD if it has no string.  A node past the last level becomes
+// the terminal of its label, one per label; any other keeps its kids
+// whose child is not DEAD and is interned in the unique table, which is
+// cleared after each level.  So each level's states sit together in the
+// result CSR, numbered in the order the level's nodes first reach them,
+// and shifting each level's ids gives the breadth-first numbering.
+class Walk {
+  public:
+    template <class Expand, class LabelOf>
+    Walk(const Ints& dom, int root, const Expand& expand, const LabelOf& label_of)
+        : levels_(static_cast<int>(dom.size())), base_(levels_ + 1, 0) {
+        // every listed node's kids in turn, each child as its index in nodes_:
+        // node i's are kids[nodes_[i - 1].kend, nodes_[i].kend)
+        std::vector<Kid> kids;
+        nodes_.push_back({root, 0, DEAD});
+        start_.reserve(levels_ + 2);
+        {
+            // per node, where it was last listed: a slot below the level's start is a level above
+            Ints slot;
+            for (int lv = 0; lv < levels_; ++lv) {
+                const int lo = start_.back(), hi = static_cast<int>(nodes_.size());
+                start_.push_back(hi);
+                for (int i = lo; i < hi; ++i) {
+                    const size_t kbeg = kids.size();
+                    expand(nodes_[i].node, lv, kids);
+                    for (size_t q = kbeg; q < kids.size(); ++q) {
+                        const size_t node = static_cast<size_t>(kids[q].node);
+                        if (node >= slot.size()) slot.resize(node + 1, -1);
+                        if (slot[node] < hi) {
+                            slot[node] = static_cast<int>(nodes_.size());
+                            nodes_.push_back({kids[q].node, 0, DEAD});
+                        }
+                        kids[q].node = slot[node];
+                    }
+                    nodes_[i].kend = static_cast<int>(kids.size());
+                }
+            }
         }
-        set(node, s);
+        start_.push_back(static_cast<int>(nodes_.size()));
+        for (int i = start_[levels_]; i < start_[levels_ + 1]; ++i) nodes_[i].state = leaf(label_of(nodes_[i].node));
+        Ints syms, dsts;
+        for (int lv = levels_ - 1; lv >= 0; --lv) {
+            base_[lv] = out_.res.size();
+            for (int i = start_[lv]; i < start_[lv + 1]; ++i) {
+                syms.clear();
+                dsts.clear();
+                for (int q = i ? nodes_[i - 1].kend : 0; q < nodes_[i].kend; ++q) {
+                    const int d = nodes_[kids[q].node].state;
+                    if (d == DEAD) continue;
+                    syms.push_back(kids[q].v);
+                    dsts.push_back(d);
+                }
+                if (!syms.empty()) nodes_[i].state = out_.intern(lv, dom[lv], syms, dsts);
+            }
+            out_.table.clear();
+        }
+        root_ = nodes_[0].state;
     }
 
-    void finish(int node, int lv, int k, const std::vector<Kid>& kids, int kbeg, int kend) {
-        syms_.clear();
-        dsts_.clear();
-        for (int q = kbeg; q < kend; ++q) {
-            const int d = state[kids[q].node];
-            if (d == DEAD) continue;
-            syms_.push_back(kids[q].v);
-            dsts_.push_back(d);
-        }
-        set(node, syms_.empty() ? DEAD : out.intern(lv, k, syms_, dsts_));
-    }
+    int listed(int lv) const { return start_[lv + 1] - start_[lv]; }  // the nodes on level lv
+    int walked() const { return static_cast<int>(nodes_.size()); }    // the nodes on every level
 
-    // The shared form below node, its term in p.acc: term renumbers each
-    // terminal's label into labels, ascending.
-    Parts parts(int node, Ints& labels) const {
-        const int root = state[node];
-        if (root == DEAD) return {{0, 0}, {}, {}, {-1}};
+    // The shared form, its term in p.acc: each level's states follow the
+    // levels above, and term renumbers each terminal's label into labels,
+    // ascending.
+    Parts parts(Ints& labels) const {
+        if (root_ == DEAD) return {{0, 0}, {}, {}, {-1}};
         Parts p;
-        Ints old2new(out.res.size(), -1), order;
-        renumber(out.res.view(), root, old2new, order, p);
-        std::vector<std::pair<int, int>> found;  // (label, new id)
-        for (const auto& t : terminals) {
-            if (old2new[t.second] >= 0) found.emplace_back(t.first, old2new[t.second]);
+        p.off.reserve(out_.res.off.size());
+        p.off.push_back(0);
+        p.sym.reserve(out_.res.sym.size());
+        p.dst.reserve(out_.res.dst.size());
+        const CsrView g = out_.res.view();
+        int first = 0;  // the id of level lv's first state: the states of the levels above
+        for (int lv = 0; lv <= levels_; ++lv) {
+            const int lo = base_[lv], hi = lv ? base_[lv - 1] : out_.res.size();
+            const int shift = first + hi - lo - (lv < levels_ ? base_[lv + 1] : 0);  // into level lv + 1
+            for (int r = lo; r < hi; ++r) {
+                p.sym.insert(p.sym.end(), g.syms(r).begin(), g.syms(r).end());
+                for (int d : g.dsts(r)) p.dst.push_back(d + shift);
+                p.off.push_back(static_cast<int>(p.sym.size()));
+            }
+            if (lv < levels_) first += hi - lo;
         }
+        std::vector<std::pair<int, int>> found(terminals_.begin(), terminals_.end());  // (label, state)
         std::sort(found.begin(), found.end());
-        p.acc.assign(order.size(), -1);
+        p.acc.assign(p.off.size() - 1, -1);
         for (size_t r = 0; r < found.size(); ++r) {
-            p.acc[found[r].second] = static_cast<int>(r);
+            p.acc[first + found[r].second] = static_cast<int>(r);
             labels.push_back(found[r].first);
         }
         return p;
     }
 
-    // (parts, labels) of the shared form below node, as Python objects
-    PyObject* result(int node) const {
+    // (parts, labels) of the shared form, as Python objects
+    PyObject* result() const {
         Ints labels;
-        Ref parts(pack(this->parts(node, labels)));
+        Ref parts(pack(this->parts(labels)));
         Ref list(PyList_New(static_cast<Py_ssize_t>(labels.size())));
         for (size_t r = 0; r < labels.size(); ++r)
             PyList_SET_ITEM(list.p, static_cast<Py_ssize_t>(r), Ref(PyLong_FromLong(labels[r])).release());
@@ -542,55 +588,25 @@ struct SharedWalked {
     }
 
   private:
-    Ints syms_, dsts_;
+    // A listed node: its id, the end of its kids, and its state once built.
+    struct Listed {
+        int node, kend, state;
+    };
+    std::vector<Listed> nodes_;  // level lv lists nodes_[start_[lv], start_[lv + 1])
+    Ints start_{0};
+    int levels_;
+    Ints base_;  // out_.res id of level lv's first state; the terminals come first
+    Unique out_;
+    std::unordered_map<int, int> terminals_;  // label -> state
+    int root_ = DEAD;
 
-    void set(int node, int s) {
-        if (node >= static_cast<int>(state.size())) state.resize(node + 1, UNBUILT);
-        state[node] = s;
+    int leaf(int label) {
+        if (label < 0) return DEAD;
+        const auto hit = terminals_.try_emplace(label, 0);
+        if (hit.second) hit.first->second = out_.add_leaf();
+        return hit.first->second;
     }
 };
-
-// The depth-first walk behind every kernel but split.  _kernels_py._walk
-// expands a whole level at a time instead, to the same states.  Nodes
-// are ints >= 0 that expand hands out: expand(node, lv, kids) appends the
-// node's kids on level lv, symbols ascending and a wildcard only alone;
-// label_of(node) gives the label of a node past the last level, a
-// negative one for no string.  Nodes are expanded on an explicit stack,
-// and the finisher w builds a node once its children are built
-// (SharedWalked).
-template <class Expand, class LabelOf>
-void walk(const Ints& dom, int root, const Expand& expand, const LabelOf& label_of, SharedWalked& w) {
-    const int L = static_cast<int>(dom.size());
-    std::vector<Kid> kids;  // a stack: frames own nested ranges
-    // kbeg < 0 until the node's children are pushed above it; then its
-    // kids are kids[kbeg, kend) until it is built
-    struct Frame {
-        int node, lv, kbeg, kend;
-    };
-    std::vector<Frame> stack{{root, 0, -1, -1}};
-    while (!stack.empty()) {
-        const Frame f = stack.back();
-        stack.pop_back();
-        if (f.kbeg >= 0) {
-            w.finish(f.node, f.lv, dom[f.lv], kids, f.kbeg, f.kend);
-            kids.resize(f.kbeg);
-            continue;
-        }
-        if (w.built(f.node)) continue;
-        if (f.lv == L) {
-            w.leaf(f.node, label_of(f.node));
-            continue;
-        }
-        const int kbeg = static_cast<int>(kids.size());
-        expand(f.node, f.lv, kids);
-        const int kend = static_cast<int>(kids.size());
-        stack.push_back({f.node, f.lv, kbeg, kend});
-        for (int q = kbeg; q < kend; ++q) {
-            if (!w.built(kids[q].node)) stack.push_back({kids[q].node, f.lv + 1, -1, -1});
-        }
-    }
-}
-
 
 // Pairs of state ids, interned as dense node ids.
 struct Pairs {
@@ -662,13 +678,12 @@ struct Side {
 };
 
 // The walk over pairs (A state, B state) of two operands rooted at state
-// 0, in step over the union domains, into w: a string at labels (i, j) is
+// 0, in step over the union domains: a string at labels (i, j) is
 // labelled labels[i * nb + j], nb one more than B's largest label; on a
 // level an operand does not read its state stays where it is.  With fold,
 // the last union level is removed in the same walk: a pair on it is a
-// leaf, labelled by the lowest label among its children.  Returns the
-// root node.
-int combine(const Ints& dom, const Side& a, const Side& b, const Ints& labels, bool fold, SharedWalked& w) {
+// leaf, labelled by the lowest label among its children.
+Walk combine(const Ints& dom, const Side& a, const Side& b, const Ints& labels, bool fold) {
     const size_t nb = static_cast<size_t>(*std::max_element(b.term.begin(), b.term.end()) + 1);
     // the kids of pair (sa, sb) on union level lv, child pairs as pair(da, db)
     auto pair_kids = [&](int sa, int sb, int lv, auto& pair, std::vector<Kid>& kids) {
@@ -695,9 +710,7 @@ int combine(const Ints& dom, const Side& a, const Side& b, const Ints& labels, b
         for (const Kid& kid : children) best = lowest(best, kid.node);
         return best;
     };
-    const int root = pairs(0, 0);
-    walk(walked, root, expand, label_of, w);
-    return root;
+    return Walk(walked, pairs(0, 0), expand, label_of);
 }
 
 // Subsets of the states of one or more automata side by side, stepped
@@ -776,18 +789,13 @@ class Subsets {
         return best;
     }
 
-    // Distinct members of the subsets the walk w built.
-    int members(const SharedWalked& w) const {
+    // Distinct members of the subsets interned, every one a walk lists.
+    int members() const {
         Flags seen(g_.size(), 0);
         int count = 0;
-        for (int sub = 0; sub + 1 < static_cast<int>(soff_.size()); ++sub) {
-            if (!w.built(sub)) continue;
-            for (int p = soff_[sub]; p < soff_[sub + 1]; ++p) {
-                if (!seen[smem_[p]]) {
-                    seen[smem_[p]] = 1;
-                    ++count;
-                }
-            }
+        for (int s : smem_) {
+            count += !seen[s];
+            seen[s] = 1;
         }
         return count;
     }
@@ -850,9 +858,8 @@ void add_wildcard_kids(int k, int wild, size_t kbeg, std::vector<Kid>& kids) {
 }
 
 // The walk over the subsets of subsets reachable from the subset of every
-// automaton's start state, into w.  Returns that root subset.
-int walk_subsets(Subsets& subsets, const Ints& dom, SharedWalked& w) {
-    const int root = subsets.root();
+// automaton's start state.
+Walk walk_subsets(Subsets& subsets, const Ints& dom) {
     Ints syms, dsts;
     auto expand = [&](int sub, int lv, std::vector<Kid>& kids) {
         syms.clear();
@@ -862,15 +869,14 @@ int walk_subsets(Subsets& subsets, const Ints& dom, SharedWalked& w) {
         for (size_t q = 0; q < syms.size(); ++q) kids.push_back({syms[q], dsts[q]});
         add_wildcard_kids(dom[lv], wild, kbeg, kids);
     };
-    walk(dom, root, expand, [&](int sub) { return subsets.label(sub); }, w);
-    return root;
+    return Walk(dom, subsets.root(), expand, [&](int sub) { return subsets.label(sub); });
 }
 
-// (shared, labels, sample) of a walk that built root into w, sample
-// built by Py_BuildValue from format and the counts.
+// (shared, labels, sample) of a walk, sample built by Py_BuildValue from
+// format and the counts.
 template <class... Counts>
-PyObject* with_sample(const SharedWalked& w, int root, const char* format, Counts... counts) {
-    Ref result(w.result(root));
+PyObject* with_sample(const Walk& w, const char* format, Counts... counts) {
+    Ref result(w.result());
     return Ref(Py_BuildValue(format, PyTuple_GET_ITEM(result.p, 0), PyTuple_GET_ITEM(result.p, 1),
                              counts...))
         .release();
@@ -891,17 +897,15 @@ PyObject* py_product(PyObject* args) {
     Automaton a, b;
     a.load(a_arg, dom);
     b.load(b_arg, dom);
-    SharedWalked w;
     if (mode == 0) {
         const Ints every(dom.size(), 1);
-        const int root =
-            combine(dom, {a.view(), a.owners(0), every}, {b.view(), b.owners(0), every}, {0}, false, w);
-        return w.result(root);
+        return combine(dom, {a.view(), a.owners(0), every}, {b.view(), b.owners(0), every}, {0}, false)
+            .result();
     }
     Subsets subsets(static_cast<int>(dom.size()), -1);
     subsets.add(a.view(), a.n, 0, a.owners(0));
     subsets.add(b.view(), b.n, 0, b.owners(mode == 1 ? 0 : VETO));
-    return w.result(walk_subsets(subsets, dom, w));
+    return walk_subsets(subsets, dom).result();
 }
 
 // determinize and minimize: the walk over the input's own edges (a DFA is
@@ -915,9 +919,8 @@ PyObject* walk_own_edges(PyObject* args, const char* format, bool with_count) {
     a.load(a_arg, dom, start);
     Subsets subsets(static_cast<int>(dom.size()), -1);
     subsets.add(a.view(), a.n, a.start, a.owners(0));
-    SharedWalked w;
-    const int root = walk_subsets(subsets, dom, w);
-    return with_count ? with_sample(w, root, "(OOi)", w.nodes()) : w.result(root);
+    const Walk w = walk_subsets(subsets, dom);
+    return with_count ? with_sample(w, "(OOi)", w.walked()) : w.result();
 }
 
 PyObject* py_determinize(PyObject* args) { return walk_own_edges(args, "OiO:determinize", true); }
@@ -943,20 +946,19 @@ PyObject* py_remove_level(PyObject* args) {
     a.load(a_arg, dom);
     Subsets subsets(static_cast<int>(new_dom.size()), lvl);
     subsets.add(a.view(), a.n, a.start, a.owners(0));
-    SharedWalked w;
-    const int root = walk_subsets(subsets, new_dom, w);
-    return with_sample(w, root, "(OO(ii))", subsets.members(w), w.nodes());
+    const Walk w = walk_subsets(subsets, new_dom);
+    return with_sample(w, "(OO(ii))", subsets.members(), w.walked());
 }
 
 // The shared form of n_strings labelled rows of a flat buffer, strictly
 // increasing, and of dflt on every string no row names: the walk over the
-// trie of the rows, as _kernels_py.compile_sorted.  Node d <= length is the
-// default node of depth d; every other node is a run of the rows that
-// share a prefix, [lo[node], hi[node]).  The trie is a tree, so a run is
+// trie of the rows, as _kernels_py.compile_sorted.  Node 0 is the default
+// node, on every level; every other node is a run of the rows that share
+// a prefix, [lo[node], hi[node]).  The trie is a tree, so a run is
 // reached from one parent only and is numbered as it is found.
 PyObject* compile_sorted(const IntBuffer& dig, int n_strings, int length, const Ints& dom,
                          const IntBuffer& labels, int dflt) {
-    Ints lo(length + 1, 0), hi(length + 1, 0);
+    Ints lo{0}, hi{0};
     auto run = [&](int first, int last) {
         lo.push_back(first);
         hi.push_back(last);
@@ -971,13 +973,10 @@ PyObject* compile_sorted(const IntBuffer& dig, int n_strings, int length, const 
             kids.push_back({v, run(i, j)});
             i = j;
         }
-        add_wildcard_kids(dom[lv], dflt == NO_LABEL ? DEAD : lv + 1, kbeg, kids);
+        add_wildcard_kids(dom[lv], dflt == NO_LABEL ? DEAD : 0, kbeg, kids);
     };
     auto label_of = [&](int node) { return lo[node] < hi[node] ? labels[lo[node]] : dflt; };
-    const int root = n_strings ? run(0, n_strings) : 0;
-    SharedWalked w;
-    walk(dom, root, expand, label_of, w);
-    return w.result(root);
+    return Walk(dom, n_strings ? run(0, n_strings) : 0, expand, label_of).result();
 }
 
 PyObject* py_compile_sorted(PyObject* args) {
@@ -1033,8 +1032,7 @@ PyObject* py_join(PyObject* args) {
         a.load(PySequence_Fast_GET_ITEM(seq.p, i), dom);
         subsets.add(a.view(), a.n, 0, a.owners(i));
     }
-    SharedWalked w;
-    return w.result(walk_subsets(subsets, dom, w));
+    return walk_subsets(subsets, dom).result();
 }
 
 // [(label, parts), ...]: the automaton of each label of a shared form,
@@ -1109,7 +1107,6 @@ PyObject* py_project_entries(PyObject* args) {
     const Ints new_dom = without_level(dom, lvl);
     Diagram d;
     d.load(shared, dom);
-    SharedWalked w;
     if (lvl == static_cast<int>(new_dom.size())) {
         const CsrView g = d.view();
         auto expand = [&](int s, int, std::vector<Kid>& kids) {
@@ -1120,13 +1117,14 @@ PyObject* py_project_entries(PyObject* args) {
             for (int t : g.dsts(s)) best = lowest(best, d.term(t));
             return best;
         };
-        walk(new_dom, 0, expand, label_of, w);
-        return with_sample(w, 0, "(OO(ii))", w.nodes(), w.nodes());
+        const Walk w(new_dom, 0, expand, label_of);
+        const int states = w.walked();
+        return with_sample(w, "(OO(ii))", states, states);
     }
     Subsets subsets(static_cast<int>(new_dom.size()), lvl);
     subsets.add(d.view(), d.n, 0, d.owners());
-    const int root = walk_subsets(subsets, new_dom, w);
-    return with_sample(w, root, "(OO(ii))", subsets.members(w), w.nodes());
+    const Walk w = walk_subsets(subsets, new_dom);
+    return with_sample(w, "(OO(ii))", subsets.members(), w.walked());
 }
 
 // The walk of combine over the shared forms A and B, in_a / in_b flagging
@@ -1155,10 +1153,12 @@ PyObject* py_combine_entries(PyObject* args) {
     if (labels.size() != static_cast<size_t>(a.labels) * static_cast<size_t>(b.labels))
         throw BadInput(str(labels.size()) + " labels for " + str(a.labels) + " x " + str(b.labels) +
                        " label pairs");
-    SharedWalked w;
-    const int root =
-        combine(dom, {a.view(), a.owners(), in_a}, {b.view(), b.owners(), in_b}, labels, fold, w);
-    return with_sample(w, root, "(OO(ii))", w.nodes(), w.nodes());
+    const Walk w = combine(dom, {a.view(), a.owners(), in_a}, {b.view(), b.owners(), in_b}, labels, fold);
+    // each pair once: on a level neither operand reads, a pair stays where it is
+    const int last = static_cast<int>(dom.size()) - fold;
+    int pairs = w.listed(last);
+    for (int lv = 0; lv < last; ++lv) pairs += in_a[lv] || in_b[lv] ? w.listed(lv) : 0;
+    return with_sample(w, "(OO(ii))", pairs, pairs);
 }
 
 // Every kernel entry point: C++ exceptions become Python exceptions here.

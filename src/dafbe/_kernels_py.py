@@ -117,10 +117,9 @@ node's own work.  Each kernel expands a level in one loop of its own,
 over its operands' edges decoded once per call, and lists the level
 below in the order its nodes first name their children, so each level's
 states, numbered in the order its nodes first reach them, come out
-breadth-first: the result is never renumbered, and only ``split``
-renumbers its per-label automata.  The compiled edition walks
-depth-first and renumbers its result breadth-first afterwards; both
-intern the same states, so their results are byte-identical.
+breadth-first: the result is never renumbered.  Both editions walk
+level by level, so their results are byte-identical, and in both only
+``split`` renumbers, its per-label automata.
 ``compile_sorted`` walks the trie of its rows, runs of rows that share a
 prefix, bottom-up through the unique table as multi-terminal decision
 diagrams are built.  ``determinize``, ``minimize`` and ``remove_level``

@@ -17,7 +17,7 @@ from collections import Counter
 
 from .errors import FormatError
 from .model import GraphicalModel, SolverResult, Task
-from .factor import SparseFactor, TabularFactor, _check_value, _trusted
+from .factor import SparseFactor, TabularFactor, _trusted
 
 
 class _Tokens:
@@ -207,11 +207,12 @@ def _wcsp_function(toks, n_vars, domains, upper):
     if perm != list(range(arity)):
         words = map(operator.itemgetter(*perm), words)  # two or more positions: tuples
     raw = dict(zip(words, costs))
-    if min(raw.values(), default=0.0) < 0 or (default < 0 and len(raw) < math.prod(dims)):
+    # a -inf default is a negative cost even where it covers no cell
+    if min(raw.values(), default=0.0) < 0 or default == -math.inf or (
+            default < 0 and len(raw) < math.prod(dims)):
         raise ValueError("negative cost")
     exceptions = {word: math.inf if c >= upper else c + 0.0 for word, c in raw.items()}
     default = math.inf if default >= upper else default + 0.0  # -0.0 as +0.0
-    _check_value(default)  # the constructor's -inf check: such a default covers no cell
     return _trusted(SparseFactor, scope=scope, domains=dims, default=default,
                     exceptions=exceptions)
 

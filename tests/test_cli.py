@@ -79,6 +79,16 @@ class TestExitCodes:
         assert recs[0]["status"] == "error"
         assert recs[1]["status"] == "optimal" and recs[1]["optimum"] == 1.0
 
+    def test_minus_inf_default_is_a_parse_error_of_its_file_only(self, capsys, tmp_path):
+        # a -inf default that covers no cell is a parse error of its own file
+        bad = tmp_path / "bad.wcsp"
+        bad.write_text("t 1 2 1 10\n2\n1 0 -inf 2\n0 1\n1 2\n", encoding="ascii")
+        code, out, err = run(capsys, "solve", "--format", "json-lines", str(bad), HAND)
+        assert code == 1 and "internal error" not in err
+        recs = json_records(out)
+        assert recs[0]["status"] == "error" and recs[0]["error"] == "line 5: function 0 has a negative cost"
+        assert recs[1]["status"] == "optimal" and recs[1]["optimum"] == 1.0
+
     def test_disagreement_exit_code(self, capsys, monkeypatch):
         # an oracle that always claims a better optimum than anyone else
         def liar(model, budget=None):

@@ -200,6 +200,8 @@ WCSP_ERRORS = [
     ("cost-negative", _H + "2 0 1 0 2\n0 1 -2\n1 1 3\n", "line 5: function 0 has a negative cost"),
     ("default-negative-covering", _H + "2 0 1 -1 1\n0 1 5\n",
      "line 4: function 0 has a negative cost"),
+    ("default-minus-inf-covering-nothing", "t 1 2 1 10\n2\n1 0 -inf 2\n0 1\n1 2\n",
+     "line 5: function 0 has a negative cost"),
     ("eof-in-tuple", _H + "2 0 1 0 1\n0\n",
      "line 4: unexpected end of file, expected tuple value 1 of exception 0 of function 0"),
     ("eof-before-cost", _H + "2 0 1 0 1\n0 1\n",
@@ -357,7 +359,7 @@ def reference_parse_wcsp(text):
             exceptions[tuple(word)] = cost
         dims = tuple(domains[v] for v in raw_scope)
         resolved = list(exceptions.values())
-        if len(exceptions) < math.prod(dims):
+        if len(exceptions) < math.prod(dims) or default == -math.inf:
             resolved.append(default)
         if any(c < 0 for c in resolved):
             raise FormatError(f"function {i} has a negative cost", toks.last_line)

@@ -1,10 +1,11 @@
-"""The Python kernels number each level's states as they build them.
+"""Both kernel editions number each level's states as they build them.
 
-``_Shared`` gives the states of a level ids in the order the level's
-nodes first reach them, and every walk lists a level's nodes in the
-order their parents first name them, so the result comes out numbered
-breadth-first with no renumbering pass.  These checks run on the Python
-edition alone, so they need no compiler:
+``_Shared`` in the Python edition and ``Walk`` in the compiled one give
+the states of a level ids in the order the level's nodes first reach
+them, and every walk lists a level's nodes in the order their parents
+first name them, so the result comes out numbered breadth-first with no
+renumbering pass.  Every check runs on each edition (the ``kernels``
+fixture; the compiled one needs g++):
 
 * every result of every walking kernel is its own breadth-first
   renumbering (a breadth-first search from state 0, edges in symbol
@@ -14,7 +15,7 @@ edition alone, so they need no compiler:
 * three cases pin what numbering as one builds can get wrong: a node
   whose kids all vanish is DEAD, a default node that no run takes gets
   no state, and a default node taken below a literal child is numbered
-  first.  These run on both editions.
+  first.
 """
 
 import itertools
@@ -61,13 +62,13 @@ def rand_table(rng, dom):
 
 
 class TestBreadthFirstAsBuilt:
-    def test_compile_sorted(self):
+    def test_compile_sorted(self, kernels):
         rng = random.Random(20261019)
         for trial in range(400):
             dom = tuple(rng.randrange(1, 4) for _ in range(rng.randrange(0, 5)))
-            check_numbering(KP.compile_sorted(*rand_table(rng, dom))[0])
+            check_numbering(kernels.compile_sorted(*rand_table(rng, dom))[0])
 
-    def test_combine_entries_with_and_without_fold(self):
+    def test_combine_entries_with_and_without_fold(self, kernels):
         rng = random.Random(20261020)
         for trial in range(300):
             dom = tuple(rng.randrange(1, 4) for _ in range(rng.randrange(1, 5)))
@@ -79,38 +80,39 @@ class TestBreadthFirstAsBuilt:
                 shared, labels = KP.join(rand_labelled_entries(rng, sub), sub)
                 ops.append((shared, inside, len(labels)))
             (a, in_a, na), (b, in_b, nb) = ops
-            pair_labels = [rng.randrange(-1, 6) for _ in range(na * nb)]
+            low = -1 if kernels is KP else 0  # the compiled edition takes no label below 0
+            pair_labels = [rng.randrange(low, 6) for _ in range(na * nb)]
             for fold in (False, True):
-                check_numbering(KP.combine_entries(a, b, dom, in_a, in_b, pair_labels, fold)[0])
+                check_numbering(kernels.combine_entries(a, b, dom, in_a, in_b, pair_labels, fold)[0])
 
-    def test_project_entries_on_every_level(self):
+    def test_project_entries_on_every_level(self, kernels):
         rng = random.Random(20261021)
         for trial in range(200):
             dom = tuple(rng.randrange(1, 4) for _ in range(rng.randrange(1, 5)))
-            shared, _ = KP.compile_sorted(*rand_table(rng, dom))
+            shared, _ = kernels.compile_sorted(*rand_table(rng, dom))
             for lvl in range(len(dom)):
-                check_numbering(KP.project_entries(shared, dom, lvl)[0])
+                check_numbering(kernels.project_entries(shared, dom, lvl)[0])
 
-    def test_join(self):
+    def test_join(self, kernels):
         rng = random.Random(20261022)
         for trial in range(200):
             dom = rng.choice(DOMS)
-            check_numbering(KP.join(rand_labelled_entries(rng, dom), dom)[0])
+            check_numbering(kernels.join(rand_labelled_entries(rng, dom), dom)[0])
 
-    def test_product_determinize_minimize_and_remove_level(self):
+    def test_product_determinize_minimize_and_remove_level(self, kernels):
         rng = random.Random(20261023)
         for trial in range(200):
             dom = rng.choice(DOMS)
             a = rand_dfa_parts(rng, dom)
             b = one_label_parts(dom, rand_words(rng, dom)) if trial % 2 else rand_dfa_parts(rng, dom)
             for mode in (0, 1, 2):
-                check_numbering(KP.product(mode, a, b, dom)[0])
-                check_numbering(KP.product(mode, b, a, dom)[0])
-            check_numbering(KP.minimize(a, 0, dom)[0])
+                check_numbering(kernels.product(mode, a, b, dom)[0])
+                check_numbering(kernels.product(mode, b, a, dom)[0])
+            check_numbering(kernels.minimize(a, 0, dom)[0])
             nfa, start = rand_nfa_parts(rng, dom)
-            check_numbering(KP.determinize(nfa, start, dom)[0])
+            check_numbering(kernels.determinize(nfa, start, dom)[0])
             for lvl in range(len(dom)):
-                check_numbering(KP.remove_level(nfa, dom, lvl)[0])
+                check_numbering(kernels.remove_level(nfa, dom, lvl)[0])
 
 
 class TestNumberingTraps:

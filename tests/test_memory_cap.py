@@ -6,7 +6,10 @@ than the cap.  libstdc++ allocates a thread's exception state at its
 first throw, so a compiled kernel whose first throw is a ``bad_alloc``
 under the cap could not allocate it and aborted the interpreter instead;
 the extension now throws once at import.  Which caps hit that depends on
-the allocator, so the child is run at several.
+the allocator, so the child is run at several.  The walk is sized so
+that both editions run out of memory at every cap: a level-by-level walk
+frees each level's unique table as it climbs, and at 14 variables a
+table the compiled walk finished under the top cap.
 """
 
 import os
@@ -19,14 +22,14 @@ from conftest import python_env
 
 resource = pytest.importorskip("resource")
 
-# Two full tables over 14 binary variables, 40 random labels each, then
-# their sum over 28 variables, the two reading disjoint halves: 40 copies
+# Two full tables over 15 binary variables, 40 random labels each, then
+# their sum over 30 variables, the two reading disjoint halves: 40 copies
 # of the second table below the first, every label pair its own label.
 CHILD = """
 import random, resource, sys
 from array import array
 from dafbe._backend import kernels
-L = 14
+L = 15
 rows = 1 << L
 rng = random.Random(0)
 digits = array("i", [(r >> (L - 1 - i)) & 1 for r in range(rows) for i in range(L)])
