@@ -32,26 +32,26 @@ scope, as it always is in the solver, that is one ``combine_entries``
 pass that folds the last level as it walks, so the combined factor is
 never built; any other ``var`` is projected out of ``combine(f, g)``.
 The solver's growth samples therefore have two equal counts.  ``value_at``
-is one path down the shared automaton, ``least_string`` one depth-first
-search of it.  ``on_support`` drops the levels of the variables a factor
-ignores, without a kernel call.
+is one path down the shared automaton, ``least_string`` one backward
+marking pass over it and one path down.  ``on_support`` drops the levels
+of the variables a factor ignores, without a kernel call.
 
 Both table kinds expose the same read side: ``scope``, ``domains``,
 ``size``, ``value_of``, ``redundancy``, ``values`` (dense, so only the
 oracles and tests read it), ``present_values`` (the values of at least
-one cell), ``cells`` (what the WCSP writer consumes) and
-``labelled_rows`` (the listed cells, each labelled by the index of its
-value's key, what ``DafsaFactor.from_table`` compiles), and both give
-``renamed`` (the same function over renamed variables, what the solver
-compiles).  The dense kind is numpy through and through:
-``present_values`` is its table, ``cells`` gives an assignment matrix
-and the table, it labels with one ``searchsorted`` and renames with one
-transpose.  The sparse kind is pure Python, so a WCSP solve never
-imports numpy: ``present_values`` is a list, ``cells`` gives the sorted
-exception tuples and a list of their values, it labels in one pass over
-its exceptions and renames by permuting them.  Only ``values`` and
-``to_table`` load numpy.  Both kinds store -0.0 as +0.0, so the two paths
-key zero alike.
+one cell) and ``cells`` (the listed cells as flat ``array('i')`` digits,
+their values and the default, what ``DafsaFactor.from_table`` compiles
+and the WCSP writer writes), and both give ``renamed`` (the same function
+over renamed variables, what the solver compiles).  ``from_table`` labels
+the listed values, and a sparse default, by one
+``ValueKeySet.from_values`` scan, whatever the kind.  The dense kind is
+numpy through and through: ``present_values`` is its table, ``cells``
+lists every row in rank order with the table as values, and it renames
+with one transpose.  The sparse kind is pure Python, so a WCSP solve
+never imports numpy: ``present_values`` is a list, ``cells`` gives the
+sorted exceptions and a list of their values, and it renames by permuting
+them.  Only ``values`` and ``to_table`` load numpy.  Both kinds store
+-0.0 as +0.0, so the two paths key zero alike.
 
 The solver runs ``combine(..., "sum")`` and ``project(..., "min")``
 only: MAP potentials reach it as costs -log p (see
@@ -188,8 +188,8 @@ class TabularFactor:
     def cells(self):
         """(digits, values, None): every row, in rank order.
 
-        ``digits`` is an ``size x len(scope)`` intc matrix of assignments;
-        there is no default, every cell is listed.
+        ``digits`` is an ``array('i')`` of ``size x len(scope)`` symbols,
+        row-major; there is no default, every cell is listed.
         """
         import numpy as np
 
@@ -197,30 +197,7 @@ class TabularFactor:
         digits = np.empty((self.size, len(self.domains)), dtype=np.intc)
         for j, (stride, k) in enumerate(zip(_strides(self.domains), self.domains)):
             digits[:, j] = rank // stride % k
-        return digits, self.values, None
-
-    def labelled_rows(self, keyset: ValueKeySet):
-        """(digits, rows, labels, -1): every row, labelled by its key's index.
-
-        ``keyset`` must be built on this table's values; a value keys to
-        the largest representative at or below it, and infinity to -1,
-        left out.  ``digits`` and ``labels`` are ``array('i')`` in rank
-        order, which is lexicographic.  There is no default: every cell is
-        a row.
-        """
-        import numpy as np
-
-        values = self.values
-        reps = np.asarray(keyset.reps, dtype=np.float64)
-        labels = np.full(len(values), -1, dtype=np.intc)
-        finite = ~np.isinf(values)
-        if finite.any():
-            labels[finite] = np.searchsorted(reps, values[finite], side="right") - 1
-        digits = array("i")
-        digits.frombytes(self.cells()[0].tobytes())  # intc is the C int of 'i'
-        out = array("i")
-        out.frombytes(labels.tobytes())
-        return digits, self.size, out, -1
+        return array("i", digits.tobytes()), self.values, None  # intc is the C int of 'i'
 
     def renamed(self, names) -> TabularFactor:
         """This function over the variables ``names[v]``, ``v`` in ``scope``.
@@ -312,30 +289,16 @@ class SparseFactor:
         return values
 
     def cells(self):
-        """(words, values, default): the exceptions, lexicographically sorted.
+        """(digits, values, default): the exceptions, lexicographically sorted.
 
-        ``words`` are the exception tuples and ``values`` a list of their
-        values; ``default`` is None when every cell is an exception.
+        ``digits`` is an ``array('i')`` of the exception tuples end to end
+        and ``values`` a list of their values; ``default`` is None when
+        every cell is an exception.
         """
         words = sorted(self.exceptions)
         values = [self.exceptions[w] for w in words]
-        return words, values, self.default if self.default_covers else None
-
-    def labelled_rows(self, keyset: ValueKeySet):
-        """(digits, rows, labels, default): the exceptions, labelled by key index.
-
-        ``keyset`` must be built on ``present_values``; infinity is
-        labelled -1, left out.  One pass over the sorted exceptions gives
-        ``digits`` and ``labels`` as ``array('i')``.  ``default`` is the
-        label of every other cell, -1 when it is infinite or covers none.
-        """
-        words, values, default = self.cells()
-        index = {rep: n for n, rep in enumerate(keyset)}
-        index[math.inf] = -1
-        key = keyset.key
         digits = array("i", itertools.chain.from_iterable(words))
-        labels = array("i", [index[key(v)] for v in values])
-        return digits, len(words), labels, -1 if default is None else index[key(default)]
+        return digits, values, self.default if self.default_covers else None
 
     def renamed(self, names) -> SparseFactor:
         """This function over the variables ``names[v]``, ``v`` in ``scope``.
@@ -459,22 +422,27 @@ class DafsaFactor:
                    eps: float = DEFAULT_EPS) -> "DafsaFactor":
         """Key each cell's value and compile the table in one kernel call.
 
-        ``table`` is a ``TabularFactor`` or a ``SparseFactor``; its
-        ``labelled_rows`` labels each listed cell by the index of its
-        value's key (numpy for a dense table, pure Python for a sparse
-        one), and ``compile_sorted`` builds the shared form straight from
-        them, a sparse default's label on every other cell.  The result
-        keeps no entries; ``entries`` splits them off on demand.  The
-        infinite-value cells are left out: their language is the complement
-        of the finite entries, so ``value_at`` returns None and ``to_table``
-        gives ``inf`` for them.
+        ``table`` is a ``TabularFactor`` or a ``SparseFactor``, read
+        through its ``cells``: one ``from_values`` scan over the listed
+        values, and a sparse default after them, labels each by its key's
+        index, and ``compile_sorted`` builds the shared form straight from
+        the rows and labels, the default's label on every other cell.  The
+        result keeps no entries; ``entries`` splits them off on demand.
+        The infinite-value cells are labelled -1 and left out: their
+        language is the complement of the finite entries, so ``value_at``
+        returns None and ``to_table`` gives ``inf`` for them.
         """
         domains = table.domains
-        keyset = ValueKeySet.from_values(table.present_values(), eps)
-        keys = tuple(keyset)
-        digits, n, labels, default = table.labelled_rows(keyset)
-        shared, kept = kernels.compile_sorted(digits, n, len(domains), domains, labels, default)
-        return cls._from_shared(table.scope, domains, tuple(keys[n] for n in kept), shared)
+        digits, values, default = table.cells()
+        if default is not None:
+            values = [*values, default]  # labelled last
+        keyset = ValueKeySet.from_values(values, eps)
+        labels = keyset.labels
+        default = -1 if default is None else labels.pop()
+        shared, kept = kernels.compile_sorted(
+            digits, len(labels), len(domains), domains, labels, default
+        )
+        return cls._from_shared(table.scope, domains, tuple(keyset.reps[n] for n in kept), shared)
 
     def to_table(self, default: float = math.inf) -> TabularFactor:
         """Expand back to a dense table; uncovered rows get ``default``.
@@ -533,45 +501,38 @@ class DafsaFactor:
     def least_string(self, label: int = 0):
         """The lexicographically least assignment of ``scope`` labelled ``label``, or None.
 
-        Depth-first in symbol order, a wildcard edge reading 0.  A state
-        with no string of the label below it is marked dead, so the search
-        is O(states + edges), and it keeps its path in lists, not on the
-        call stack.  Label 0 gives the least assignment of the least value.
+        Two passes, O(states + edges).  The first marks the states from
+        which a string of the label runs, one level at a time from the
+        deepest: states are numbered breadth-first, so a level is an id
+        run that starts at the first child of the level above's first
+        state, and a state is marked when the running count of marked
+        children rises across its edges.  The second walks from the root,
+        taking each state's first edge into a marked state, in symbol
+        order, a wildcard edge reading 0.  Label 0 gives the least
+        assignment of the least value.
         """
         t_off, t_sym, t_dst, term = self.shared
         if label < 0 or label not in term:  # -1 marks every state but the terminals
             return None
-        target = term.index(label)  # the label's one terminal
-        depth = len(self.scope)
-        dead = set()
-        states = [0]
-        edges = [t_off[0]]  # the next edge to try out of each state on the path
+        live = bytearray(len(term))
+        live[term.index(label)] = 1  # the label's one terminal
+        first = [0]  # the first state of each level
+        for _ in self.scope:
+            first.append(t_dst[t_off[first[-1]]])
+        for lo, hi in reversed(list(zip(first, first[1:]))):
+            base = t_off[lo]
+            seen = list(itertools.accumulate(map(live.__getitem__, t_dst[base : t_off[hi]]), initial=0))
+            at = [seen[e - base] for e in t_off[lo : hi + 1]]
+            live[lo:hi] = bytes(map(operator.lt, at, at[1:]))
         word = []
-        while True:
-            s = states[-1]
-            if len(word) == depth:
-                if s == target:
-                    return tuple(word)
-                e = hi = 0  # another label's terminal
-            else:
-                e = edges[-1]
-                hi = t_off[s + 1]
-                while e < hi and t_dst[e] in dead:
-                    e += 1
-            if e == hi:  # no string of the label below s
-                if not word:
-                    return None
-                dead.add(s)
-                states.pop()
-                edges.pop()
-                word.pop()
-                continue
-            edges[-1] = e + 1
-            d = t_dst[e]
-            sym = t_sym[e]
-            word.append(0 if sym == WILDCARD else sym)
-            states.append(d)
-            edges.append(t_off[d])
+        s = 0
+        for _ in self.scope:
+            e = t_off[s]
+            while not live[t_dst[e]]:
+                e += 1
+            word.append(0 if t_sym[e] == WILDCARD else t_sym[e])
+            s = t_dst[e]
+        return tuple(word)
 
     def covered_count(self) -> int:
         return sum(d.count_strings() for _, d in self.entries)
@@ -702,9 +663,8 @@ def _combine_call(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float):
 
     ``operands`` are the ``combine_entries`` arguments before the labels:
     the shared forms, union domains and level flags.  Every label pair
-    (i, j) is keyed by the epsilon key of ``v_i op v_j``, over the keyset
-    of all pair values, and labelled by that key's index in the sorted
-    ``keys``.
+    (i, j) is labelled by one ``from_values`` scan over all pair values
+    ``v_i op v_j``: the index of its epsilon key in the sorted ``keys``.
     """
     if op not in COMBINE_OPS:
         raise FactorError(f"combine op must be one of {COMBINE_OPS}, got {op!r}")
@@ -720,13 +680,14 @@ def _combine_call(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float):
 
     pair_values = [va + vb if op == "sum" else va * vb for va in f1.keys for vb in f2.keys]
     keyset = ValueKeySet.from_values(pair_values, eps)
-    keys = list(keyset)
-    index = {key: n for n, key in enumerate(keys)}
+    labels = keyset.labels
+    if keyset.has_infinity:  # infinity is a key here, the last one
+        labels = [n if n >= 0 else len(keyset.reps) for n in labels]
     operands = (
         f1.shared, f2.shared, domains,
         [var in f1.scope for var in scope], [var in f2.scope for var in scope],
     )
-    return scope, domains, keys, operands, [index[keyset.key(v)] for v in pair_values]
+    return scope, domains, list(keyset), operands, labels
 
 
 def combine(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float = DEFAULT_EPS) -> DafsaFactor:

@@ -314,6 +314,7 @@ def write_wcsp(model: GraphicalModel, name: str = "instance") -> str:
         if default is not None and chosen != default:
             digits, values, _ = f.to_table().cells()
         exceptions = np.nonzero(values != chosen)[0]
+        arity = len(f.scope)
         lines.append(
             " ".join(
                 [str(len(f.scope))]
@@ -322,7 +323,8 @@ def write_wcsp(model: GraphicalModel, name: str = "instance") -> str:
             )
         )
         for idx in exceptions:
-            lines.append(" ".join([*map(str, digits[idx]), fmt(values[idx])]))
+            word = digits[idx * arity : (idx + 1) * arity]
+            lines.append(" ".join([*map(str, word), fmt(values[idx])]))
     return "\n".join(lines) + "\n"
 
 

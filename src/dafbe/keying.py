@@ -7,12 +7,16 @@ opens a new cluster when it sits more than ``eps`` above the current
 cluster's representative, and every member maps to that representative
 (the cluster's smallest value).  Infinity is its own key.  Repeated
 values never open a cluster, so the scan only needs the distinct ones.
+The scan is also the labeller: ``from_values`` hands each input value the
+index of its key, so the factors compile and combine from those labels
+and never look a value up again; ``key`` is the one-value lookup.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from bisect import bisect_right
 
 from .errors import FactorError
@@ -23,7 +27,7 @@ DEFAULT_EPS = 1e-10
 class ValueKeySet:
     """Immutable set of representatives for epsilon-equal float values."""
 
-    __slots__ = ("eps", "reps", "has_infinity")
+    __slots__ = ("eps", "reps", "has_infinity", "labels")
 
     def __init__(self, eps: float = DEFAULT_EPS, reps=(), has_infinity: bool = False):
         if not (eps >= 0.0) or math.isinf(eps) or math.isnan(eps):
@@ -31,38 +35,53 @@ class ValueKeySet:
         self.eps = eps
         self.reps = tuple(reps)
         self.has_infinity = has_infinity
+        self.labels = None  # set by ``from_values``
 
     @classmethod
     def from_values(cls, values, eps: float = DEFAULT_EPS) -> "ValueKeySet":
         """Cluster ``values``; finite representatives come out sorted.
 
-        An ndarray (a dense table's cells) is reduced to its distinct
-        values by ``np.unique`` before the scan; any other iterable is
-        scanned value by value in pure Python.  Telling the two apart
-        never imports numpy: an ndarray exists only once numpy is loaded.
+        The result's ``labels`` gives each value, in input order, the
+        index in ``reps`` of its key, and -1 for infinity.  An ndarray (a
+        dense table's cells) is reduced to its distinct values by
+        ``np.unique``, whose inverse labels every cell at once; any other
+        iterable is listed, and labelled through a dict over its distinct
+        values, in pure Python.  Telling the two apart never imports
+        numpy: an ndarray exists only once numpy is loaded.
         """
         np = ndarray_numpy(values)
         if np is not None:
-            finite, has_inf = _distinct_finite(np, values)
+            # return_index makes the sort stable, so among equal values
+            # (0.0 and -0.0) the first one in ``values`` is kept, as in a list
+            distinct, _, inverse = np.unique(
+                np.asarray(values, dtype=np.float64), return_index=True, return_inverse=True
+            )
+            distinct = distinct.tolist()
         else:
-            has_inf = False
-            finite = []
-            for v in values:
-                v = float(v)
-                if math.isnan(v):
-                    raise FactorError("NaN factor value")
-                if math.isinf(v):
-                    if v < 0:
-                        raise FactorError("-inf factor value")
-                    has_inf = True
-                else:
-                    finite.append(v)
-            finite.sort()
+            values = list(map(float, values))
+            distinct = sorted(set(values))  # a set keeps the first of equal values
+        if any(map(math.isnan, distinct)):
+            raise FactorError("NaN factor value")
+        if distinct and distinct[0] == -math.inf:
+            raise FactorError("-inf factor value")
+        has_inf = bool(distinct) and distinct[-1] == math.inf
+        if has_inf:
+            distinct.pop()
         reps = []
-        for v in finite:
+        cluster = []  # each distinct value's index in reps
+        for v in distinct:
             if not reps or v - reps[-1] > eps:
                 reps.append(v)
-        return cls(eps, reps, has_inf)
+            cluster.append(len(reps) - 1)
+        cluster.append(-1)  # infinity, after the finite values
+        if np is not None:
+            labels = array("i", np.asarray(cluster, dtype=np.intc)[inverse].tobytes())
+        else:
+            distinct.append(math.inf)
+            labels = array("i", map(dict(zip(distinct, cluster)).__getitem__, values))
+        out = cls(eps, reps, has_inf)
+        out.labels = labels
+        return out
 
     def key(self, value: float) -> float:
         """Map a value to its representative.
@@ -109,22 +128,6 @@ def ndarray_numpy(values):
     """
     np = sys.modules.get("numpy")
     return np if np is not None and isinstance(values, np.ndarray) else None
-
-
-def _distinct_finite(np, values):
-    """(sorted distinct finite values as floats, whether inf occurs).
-
-    ``return_index`` makes ``np.unique`` sort stably, so among equal
-    values (0.0 and -0.0) the first one in ``values`` is kept, as the
-    sorted scan over every value would keep it.
-    """
-    uniq = np.unique(np.asarray(values, dtype=np.float64), return_index=True)[0]
-    if len(uniq) and np.isnan(uniq[-1]):
-        raise FactorError("NaN factor value")
-    if len(uniq) and uniq[0] == -math.inf:
-        raise FactorError("-inf factor value")
-    has_inf = bool(len(uniq)) and uniq[-1] == math.inf
-    return (uniq[:-1] if has_inf else uniq).tolist(), has_inf
 
 
 def redundancy(values, eps: float = DEFAULT_EPS, total: int | None = None) -> float:

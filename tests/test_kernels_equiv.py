@@ -9,6 +9,7 @@ is skipped, and only the Python-edition checks of ``split`` and
 arrays raise ``AutomatonError`` instead of crashing the interpreter.
 """
 
+import dataclasses
 import glob
 import itertools
 import os
@@ -22,7 +23,7 @@ from dafbe.automata import Dafsa
 from dafbe.errors import AutomatonError
 from dafbe.formats import write_wcsp
 
-from conftest import FIXTURES, SRC_PACKAGE, flat, rand_nfa_parts, run_python
+from conftest import FIXTURES, SRC_PACKAGE, bench_generators, flat, rand_nfa_parts, run_python
 
 DOMS = [(), (1,), (1, 2), (2,), (2, 2), (3, 2), (2, 3, 2), (4, 2, 3), (2, 2, 2, 2)]
 
@@ -455,12 +456,17 @@ class TestBackendSelection:
 
     def test_solve_output_identical_on_generated_models(self, compiled_src, tmp_path):
         # wide buckets of many-entry factors, where combine_entries and
-        # project_entries meet many entries per call
+        # project_entries meet many entries per call; and two map-grid
+        # instances, whose dense UAI tables are labelled through numpy
         inputs = []
         for seed in range(6):
             path = tmp_path / f"redundant{seed}.wcsp"
             path.write_text(write_wcsp(generate.high_redundancy_model(random.Random(seed))))
             inputs.append(str(path))
+        gen = bench_generators()
+        for name, text in gen.corpus(dataclasses.replace(gen.WORKLOADS["map-grid"], corpus_size=2), 1):
+            (tmp_path / name).write_text(text)
+            inputs.append(str(tmp_path / name))
         args = ["-m", "dafbe.cli", "solve", "--format", "json-lines", *inputs]
         outs = {}
         for backend in ("python", "compiled"):

@@ -73,6 +73,33 @@ class TestArrayInput:
             ValueKeySet.from_values(np.array([-math.inf, 1.0]))
 
 
+class TestLabels:
+    """``labels`` gives each value the index of its ``key`` in ``reps``, -1 for inf."""
+
+    def test_labels_index_each_values_key(self):
+        rng = random.Random(31)
+        # repeats, both zeros, chains across the eps window and infinity
+        pool = [0.0, -0.0, 1e-10, 1.5e-10, 2e-10, 2.4e-10, 3.0, 3.0 + 1e-10, 3.0 + 2e-10, 7.25, math.inf]
+        for _ in range(300):
+            values = [rng.choice(pool) for _ in range(rng.randrange(0, 16))]
+            for eps in (0.0, 1e-10):
+                ks = ValueKeySet.from_values(values, eps)
+                want = [-1 if v == math.inf else ks.reps.index(ks.key(v)) for v in values]
+                assert list(ks.labels) == want, (values, eps)
+                arr = ValueKeySet.from_values(np.asarray(values, dtype=np.float64), eps)
+                assert list(arr.labels) == want, (values, eps)
+
+    def test_labels_of_a_large_array(self):
+        rng = np.random.default_rng(5)
+        values = rng.choice([0.0, -0.0, 0.5, 0.5 + 1e-11, 2.0, math.inf], size=5000)
+        ks = ValueKeySet.from_values(values)
+        assert list(ks.labels) == list(ValueKeySet.from_values(values.tolist()).labels)
+        assert list(ks.labels) == [-1 if v == math.inf else ks.reps.index(ks.key(v)) for v in values]
+
+    def test_constructed_set_has_no_labels(self):
+        assert ValueKeySet(reps=(1.0,)).labels is None
+
+
 class TestKeyLookup:
     def test_tie_prefers_lower(self):
         ks = ValueKeySet(eps=1.0, reps=(0.0, 1.5))
