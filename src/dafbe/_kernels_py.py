@@ -265,7 +265,7 @@ class _Shared:
         return (array("i", accumulate(degrees, initial=0)), array("i", sym), array("i", dst), term), labels
 
 
-def _walk(domains, root, expand, labels_of, out):
+def _walk(domains, root, expand, labels_of):
     """The level-by-level walk behind every kernel but ``split``.
 
     A node is any hashable.  ``expand(lv, nodes)`` takes the list of level
@@ -276,11 +276,12 @@ def _walk(domains, root, expand, labels_of, out):
     the level's nodes first name them, and none that no node names.
     ``labels_of(nodes)`` gives the label of each node past the last level,
     None or a negative label for no string.  The walk expands one level at
-    a time from ``root``; then the finisher ``out`` builds one level per
-    pass, bottom-up (``out.leaves`` past the last level, ``out.finish``
-    above it).  Returns (what ``out`` built for ``root``, the node list of
-    every level).
+    a time from ``root``; then a fresh ``_Shared`` builds one level per
+    pass, bottom-up (``leaves`` past the last level, ``finish`` above it).
+    Returns (shared, labels, the node list of every level), ``shared`` and
+    ``labels`` as ``_Shared.parts`` gives them for ``root``.
     """
+    out = _Shared()
     levels = [[root]]
     rows = []
     for lv in range(len(domains)):
@@ -289,8 +290,8 @@ def _walk(domains, root, expand, labels_of, out):
         levels.append(below)
     built = out.leaves(labels_of(levels[-1]))
     for lv in reversed(range(len(domains))):
-        built = out.finish(domains[lv], *rows[lv], built)
-    return built[0], levels
+        built = out.finish(domains[lv], *rows.pop(), built)  # a level's rows go once built
+    return (*out.parts(built[0]), levels)
 
 
 def _edges(parts):
@@ -320,7 +321,7 @@ def _one_label(parts):
     return (*parts[:3], term)
 
 
-def _subset_walk(off, sym, dst, roots, owner, domains, lvl, out):
+def _subset_walk(off, sym, dst, roots, owner, domains, lvl):
     """Walk the subsets of states reachable from ``roots``, level by level.
 
     A subset is a sorted tuple of states, all on one level.  Its kids
@@ -334,8 +335,8 @@ def _subset_walk(off, sym, dst, roots, owner, domains, lvl, out):
     accepting successor.  ``domains`` are the result's, so level ``lvl``
     is already removed from them.
 
-    Returns what ``out`` built for the root, the number of distinct
-    members and the number of distinct subsets visited.
+    Returns (shared, labels) as ``_walk``, the number of distinct members
+    and the number of distinct subsets visited.
     """
     pairs = list(zip(sym.tolist(), dst.tolist()))
     edges = [pairs[lo:hi] for lo, hi in zip(off, off[1:])]  # [(symbol, child)] per state
@@ -371,8 +372,8 @@ def _subset_walk(off, sym, dst, roots, owner, domains, lvl, out):
             subsets = [[t for s in sub for _, t in edges[s]] for sub in subsets]
         return [min((owner[s] for s in sub if s in owner), default=None) for sub in subsets]
 
-    root, levels = _walk(domains, tuple(roots), expand, labels_of, out)
-    return root, len({s for level in levels for sub in level for s in sub}), sum(map(len, levels))
+    shared, labels, levels = _walk(domains, tuple(roots), expand, labels_of)
+    return shared, labels, len({s for level in levels for sub in level for s in sub}), sum(map(len, levels))
 
 
 def determinize(a, start, domains):
@@ -383,9 +384,8 @@ def determinize(a, start, domains):
     counts the distinct subsets visited, the honest size of the
     determinized machine.
     """
-    out = _Shared()
-    root, _, raw_states = _subset_walk(*a[:3], (start,), dict.fromkeys(a[3], 0), domains, -1, out)
-    return (*out.parts(root), raw_states)
+    shared, labels, _, raw_states = _subset_walk(*a[:3], (start,), dict.fromkeys(a[3], 0), domains, -1)
+    return shared, labels, raw_states
 
 
 def minimize(a, start, domains):
@@ -402,11 +402,10 @@ def remove_level(a, domains, lvl):
     contracted automaton (those reachable, minus level ``lvl + 1``) and
     the number of distinct subsets visited.
     """
-    out = _Shared()
-    root, nfa_states, raw_states = _subset_walk(
-        *a[:3], (0,), dict.fromkeys(a[3], 0), domains[:lvl] + domains[lvl + 1 :], lvl, out
+    shared, labels, nfa_states, raw_states = _subset_walk(
+        *a[:3], (0,), dict.fromkeys(a[3], 0), domains[:lvl] + domains[lvl + 1 :], lvl
     )
-    return (*out.parts(root), (nfa_states, raw_states))
+    return shared, labels, (nfa_states, raw_states)
 
 
 def compile_sorted(digits, n_strings, length, domains, labels, default):
@@ -466,9 +465,7 @@ def compile_sorted(digits, n_strings, length, domains, labels, default):
     def labels_of(runs):
         return [labels[lo] if lo < hi else default for lo, hi in runs]
 
-    out = _Shared()
-    root, _ = _walk(domains, (0, n_strings), expand, labels_of, out)
-    return out.parts(root)
+    return _walk(domains, (0, n_strings), expand, labels_of)[:2]
 
 
 def join(entries, domains):
@@ -498,9 +495,7 @@ def _side_by_side(entries, owners, domains):
         sym.extend(t_sym)
         dst.extend(map(base.__add__, t_dst))
         owner.update(dict.fromkeys(map(base.__add__, acc), label))
-    out = _Shared()
-    root, _, _ = _subset_walk(off, sym, dst, roots, owner, domains, -1, out)
-    return out.parts(root)
+    return _subset_walk(off, sym, dst, roots, owner, domains, -1)[:2]
 
 
 def split(shared, domains):
@@ -563,7 +558,6 @@ def project_entries(shared, domains, lvl):
     is one state, so both count the states walked.
     """
     off, sym, dst, term = shared
-    out = _Shared()
     if lvl == len(domains) - 1:
         edges = _edges(shared)
 
@@ -577,14 +571,14 @@ def project_entries(shared, domains, lvl):
         def labels_of(nodes):
             return [min(map(term.__getitem__, edges[s][1]), default=None) for s in nodes]
 
-        root, levels = _walk(domains[:lvl], 0, expand, labels_of, out)
+        parts, kept, levels = _walk(domains[:lvl], 0, expand, labels_of)
         states = sum(map(len, levels))
-        return (*out.parts(root), (states, states))
+        return parts, kept, (states, states)
     owner = {s: t for s, t in enumerate(term) if t >= 0}
-    root, states, subsets = _subset_walk(
-        off, sym, dst, (0,), owner, domains[:lvl] + domains[lvl + 1 :], lvl, out
+    parts, kept, states, subsets = _subset_walk(
+        off, sym, dst, (0,), owner, domains[:lvl] + domains[lvl + 1 :], lvl
     )
-    return (*out.parts(root), (states, subsets))
+    return parts, kept, (states, subsets)
 
 
 def combine_entries(a, b, domains, in_a, in_b, labels, fold=False):
@@ -656,7 +650,6 @@ def combine_entries(a, b, domains, in_a, in_b, labels, fold=False):
         got = map(pair_labels(below).__getitem__, kids)
         return [min((g for g in islice(got, len(s)) if g is not None), default=None) for s in syms]
 
-    out = _Shared()
-    root, levels = _walk(walked, (0, 0), expand, folded_labels if fold else pair_labels, out)
+    shared, kept, levels = _walk(walked, (0, 0), expand, folded_labels if fold else pair_labels)
     pairs = sum(len(nodes) for lv, nodes in enumerate(levels) if lv == len(walked) or in_a[lv] or in_b[lv])
-    return (*out.parts(root), (pairs, pairs))
+    return shared, kept, (pairs, pairs)

@@ -36,22 +36,21 @@ is one path down the shared automaton, ``least_string`` one backward
 marking pass over it and one path down.  ``on_support`` drops the levels
 of the variables a factor ignores, without a kernel call.
 
-Both table kinds expose the same read side: ``scope``, ``domains``,
-``size``, ``value_of``, ``redundancy``, ``values`` (dense, so only the
-oracles and tests read it), ``present_values`` (the values of at least
-one cell) and ``cells`` (the listed cells as flat ``array('i')`` digits,
-their values and the default, what ``DafsaFactor.from_table`` compiles
-and the WCSP writer writes), and both give ``renamed`` (the same function
-over renamed variables, what the solver compiles).  ``from_table`` labels
-the listed values, and a sparse default, by one
-``ValueKeySet.from_values`` scan, whatever the kind.  The dense kind is
-numpy through and through: ``present_values`` is its table, ``cells``
-lists every row in rank order with the table as values, and it renames
-with one transpose.  The sparse kind is pure Python, so a WCSP solve
-never imports numpy: ``present_values`` is a list, ``cells`` gives the
-sorted exceptions and a list of their values, and it renames by permuting
-them.  Only ``values`` and ``to_table`` load numpy.  Both kinds store
--0.0 as +0.0, so the two paths key zero alike.
+Both table kinds expose the same read side, the way a WCSP file states
+a function: ``scope``, ``domains``, ``size``, ``value_of``,
+``redundancy``, ``values`` (dense, so only the oracles and tests read
+it), ``present_values`` (a list of the values of at least one cell) and
+``cells`` (a default and the cells off it, as flat ``array('i')`` digits
+and a list of their values, what ``DafsaFactor.from_table`` compiles and
+the WCSP writer writes), and both give ``renamed`` (the same function
+over renamed variables, what the solver compiles).  So keying always
+gets a list.  The dense kind keeps numpy inside: ``cells`` takes the
+most frequent value, ties to the smallest, as the default and lists the
+other cells in rank order, and it renames with one transpose.  The
+sparse kind is pure Python, so a WCSP solve never imports numpy:
+``cells`` gives the sorted exceptions, and a default of None when they
+cover every cell, and it renames by permuting them.  Both kinds store
+-0.0 as +0.0, so the two key zero alike.
 
 The solver runs ``combine(..., "sum")`` and ``project(..., "min")``
 only: MAP potentials reach it as costs -log p (see
@@ -182,22 +181,30 @@ class TabularFactor:
             idx += v * stride
         return float(self.values[idx])
 
-    def present_values(self) -> np.ndarray:
-        return self.values
+    def present_values(self) -> list:
+        """The table's distinct values, ascending."""
+        import numpy as np
+
+        return np.unique(self.values).tolist()
 
     def cells(self):
-        """(digits, values, None): every row, in rank order.
+        """(digits, values, default): the cells off the most frequent value.
 
-        ``digits`` is an ``array('i')`` of ``size x len(scope)`` symbols,
-        row-major; there is no default, every cell is listed.
+        ``default`` is the value most cells hold, the smallest of those
+        tied; the cells holding any other value are listed in rank order,
+        ``digits`` an ``array('i')`` of their assignments end to end and
+        ``values`` a list of their values.  It is the normal form the WCSP
+        writer writes, and a constant table lists no cell.
         """
         import numpy as np
 
-        rank = np.arange(self.size, dtype=np.int64)
-        digits = np.empty((self.size, len(self.domains)), dtype=np.intc)
+        distinct, counts = np.unique(self.values, return_counts=True)
+        default = distinct[np.argmax(counts)].item()  # the first maximum: the smallest tied
+        ranks = np.flatnonzero(self.values != default)
+        digits = np.empty((len(ranks), len(self.domains)), dtype=np.intc)
         for j, (stride, k) in enumerate(zip(_strides(self.domains), self.domains)):
-            digits[:, j] = rank // stride % k
-        return array("i", digits.tobytes()), self.values, None  # intc is the C int of 'i'
+            digits[:, j] = ranks // stride % k
+        return array("i", digits.tobytes()), self.values[ranks].tolist(), default  # intc is 'i'
 
     def renamed(self, names) -> TabularFactor:
         """This function over the variables ``names[v]``, ``v`` in ``scope``.
@@ -212,8 +219,8 @@ class TabularFactor:
         return _trusted(TabularFactor, scope=scope, domains=domains, values=values)
 
     def redundancy(self, eps: float = DEFAULT_EPS) -> float:
-        """1 - distinct/total over epsilon-keyed table values."""
-        return _value_redundancy(self.values, eps)
+        """1 - distinct/total over epsilon-keyed cell values."""
+        return _value_redundancy(self.present_values(), eps, total=self.size)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,7 +322,7 @@ class SparseFactor:
                         exceptions=exceptions)
 
     def redundancy(self, eps: float = DEFAULT_EPS) -> float:
-        """1 - distinct/total over epsilon-keyed cell values, from counts."""
+        """1 - distinct/total over epsilon-keyed cell values."""
         return _value_redundancy(self.present_values(), eps, total=self.size)
 
 
@@ -424,7 +431,7 @@ class DafsaFactor:
 
         ``table`` is a ``TabularFactor`` or a ``SparseFactor``, read
         through its ``cells``: one ``from_values`` scan over the listed
-        values, and a sparse default after them, labels each by its key's
+        values, and the default after them, labels each by its key's
         index, and ``compile_sorted`` builds the shared form straight from
         the rows and labels, the default's label on every other cell.  The
         result keeps no entries; ``entries`` splits them off on demand.

@@ -280,21 +280,15 @@ def write_wcsp(model: GraphicalModel, name: str = "instance") -> str:
     The emitted upper bound is one above the largest finite cost so that
     re-parsing maps exactly the inf cells back to inf.  Each function's
     default is its most frequent value, ties to the smallest; every other
-    cell is an exception, in lexicographic order.  Value counts come from
-    the factor's cells, so a sparse factor is densified only when one of
-    its exception values outnumbers its default.
+    cell is an exception, in lexicographic order.  That is the form a
+    dense table's ``cells`` gives, so it is written as given; a sparse
+    function is densified only when its default is outnumbered, and its
+    exceptions that hold the default are left out.
     """
     if model.task is not Task.WCSP:
         raise FormatError("write_wcsp needs a WCSP model")
-    import numpy as np
-
-    finite_max = 0.0
-    for f in model.factors:
-        present = np.asarray(f.present_values(), dtype=np.float64)
-        finite = present[np.isfinite(present)]
-        if len(finite):
-            finite_max = max(finite_max, float(finite.max()))
-    upper = math.floor(finite_max) + 1
+    finite = [v for f in model.factors for v in f.present_values() if v < math.inf]
+    upper = math.floor(max([0.0, *finite])) + 1
 
     def fmt(v):
         return _format_value(upper if math.isinf(v) else v)
@@ -306,14 +300,13 @@ def write_wcsp(model: GraphicalModel, name: str = "instance") -> str:
     ]
     for f in model.factors:
         digits, values, default = f.cells()
-        values = np.asarray(values, dtype=np.float64)
-        counts = Counter(values.tolist())
+        counts = Counter(values)
         if default is not None:
             counts[default] += f.size - len(values)
         chosen = min(counts, key=lambda v: (-counts[v], v))
         if default is not None and chosen != default:
-            digits, values, _ = f.to_table().cells()
-        exceptions = np.nonzero(values != chosen)[0]
+            digits, values, chosen = f.to_table().cells()
+        exceptions = [i for i, v in enumerate(values) if v != chosen]
         arity = len(f.scope)
         lines.append(
             " ".join(

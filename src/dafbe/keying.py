@@ -9,13 +9,13 @@ cluster's representative, and every member maps to that representative
 values never open a cluster, so the scan only needs the distinct ones.
 The scan is also the labeller: ``from_values`` hands each input value the
 index of its key, so the factors compile and combine from those labels
-and never look a value up again; ``key`` is the one-value lookup.
+and never look a value up again; ``key`` is the one-value lookup.  Every
+caller hands in a list, so keying is pure Python and never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from array import array
 from bisect import bisect_right
 
@@ -42,24 +42,12 @@ class ValueKeySet:
         """Cluster ``values``; finite representatives come out sorted.
 
         The result's ``labels`` gives each value, in input order, the
-        index in ``reps`` of its key, and -1 for infinity.  An ndarray (a
-        dense table's cells) is reduced to its distinct values by
-        ``np.unique``, whose inverse labels every cell at once; any other
-        iterable is listed, and labelled through a dict over its distinct
-        values, in pure Python.  Telling the two apart never imports
-        numpy: an ndarray exists only once numpy is loaded.
+        index in ``reps`` of its key, and -1 for infinity, through a dict
+        over the distinct values.  ``values`` is any iterable of numbers;
+        it is listed once, in pure Python.
         """
-        np = ndarray_numpy(values)
-        if np is not None:
-            # return_index makes the sort stable, so among equal values
-            # (0.0 and -0.0) the first one in ``values`` is kept, as in a list
-            distinct, _, inverse = np.unique(
-                np.asarray(values, dtype=np.float64), return_index=True, return_inverse=True
-            )
-            distinct = distinct.tolist()
-        else:
-            values = list(map(float, values))
-            distinct = sorted(set(values))  # a set keeps the first of equal values
+        values = list(map(float, values))
+        distinct = sorted(set(values))  # a set keeps the first of equal values
         if any(map(math.isnan, distinct)):
             raise FactorError("NaN factor value")
         if distinct and distinct[0] == -math.inf:
@@ -73,12 +61,9 @@ class ValueKeySet:
             if not reps or v - reps[-1] > eps:
                 reps.append(v)
             cluster.append(len(reps) - 1)
-        cluster.append(-1)  # infinity, after the finite values
-        if np is not None:
-            labels = array("i", np.asarray(cluster, dtype=np.intc)[inverse].tobytes())
-        else:
-            distinct.append(math.inf)
-            labels = array("i", map(dict(zip(distinct, cluster)).__getitem__, values))
+        distinct.append(math.inf)  # infinity, after the finite values
+        cluster.append(-1)
+        labels = array("i", map(dict(zip(distinct, cluster)).__getitem__, values))
         out = cls(eps, reps, has_inf)
         out.labels = labels
         return out
@@ -120,27 +105,14 @@ class ValueKeySet:
         return f"ValueKeySet(eps={self.eps}, reps={list(self.reps)}{inf})"
 
 
-def ndarray_numpy(values):
-    """The numpy module if ``values`` is an ndarray, else None.
-
-    Looks numpy up in ``sys.modules`` instead of importing it, so pure
-    Python input never loads it.
-    """
-    np = sys.modules.get("numpy")
-    return np if np is not None and isinstance(values, np.ndarray) else None
-
-
 def redundancy(values, eps: float = DEFAULT_EPS, total: int | None = None) -> float:
     """1 - distinct/total over epsilon-keyed values; 0.0 for empty input.
 
     ``total`` is the number of cells the values stand for, by default
     ``len(values)``; a caller passing only the values that occur in a
-    larger table gives the table's size.  An ndarray is keyed as it is,
-    through ``np.unique``; any other iterable is listed and keyed in pure
-    Python, without importing numpy.
+    larger table gives the table's size.
     """
-    if ndarray_numpy(values) is None:
-        values = list(values)
+    values = list(values)
     if total is None:
         total = len(values)
     if total == 0:

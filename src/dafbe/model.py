@@ -23,7 +23,7 @@ import time
 from . import factor as factor_ops
 from .errors import ModelError, TimeLimit
 from .factor import DafsaFactor, SparseFactor, TabularFactor
-from .keying import DEFAULT_EPS, ndarray_numpy
+from .keying import DEFAULT_EPS
 
 
 class Task(enum.Enum):
@@ -112,9 +112,6 @@ class GraphicalModel:
 
 def _finite_nonnegative(values) -> bool:
     """No value is negative or infinite (NaN never reaches a factor)."""
-    np = ndarray_numpy(values)
-    if np is not None:
-        return not (np.isinf(values).any() or (values < 0).any())
     return all(0.0 <= v < math.inf for v in values)
 
 

@@ -1,14 +1,22 @@
-"""``dafbe solve --format json-lines`` must print exactly the committed records.
+"""``dafbe solve``, ``dafbe stats`` and the model writers must give exactly
+the committed bytes.
 
 The inputs are ``tests/fixtures/*`` and the first two seed-1 instances of
-each benchmark workload (``bench/generators.py``).  A record holds no
-timing field, so the output of a correct solver is the same bytes on
-every run; a change that alters any optimum, assignment or statistic
-shows here as a diff against ``expected/solve.jsonl``.  Paths are given
-relative to the directory the inputs are written to, so the records'
-``file`` fields do not depend on where the tests run.  After an intended
-change, ``PYTHONPATH=src:tests python tests/test_golden_output.py``
-rewrites the expected file.
+each benchmark workload (``bench/generators.py``).  Three outputs are
+pinned, each against its file under ``expected/``:
+
+- ``solve.jsonl``: ``dafbe solve --format json-lines`` over every input;
+- ``stats.json``: ``dafbe stats --format json`` over every input;
+- ``models.txt``: ``formats.write_model`` of each parsed input, after a
+  ``# <path>`` line.
+
+No output holds a timing field, so a correct program prints the same
+bytes on every run; a change that alters any optimum, assignment,
+statistic or written table shows here as a diff.  Paths are given
+relative to the directory the inputs are written to, so the ``file``
+fields do not depend on where the tests run.  After an intended change,
+``PYTHONPATH=src:tests python tests/test_golden_output.py`` rewrites all
+three files.
 """
 
 import contextlib
@@ -19,11 +27,13 @@ import pathlib
 import shutil
 import tempfile
 
-from dafbe import cli
+import pytest
+
+from dafbe import cli, formats
 
 from conftest import FIXTURES, bench_generators
 
-EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "expected", "solve.jsonl")
+EXPECTED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "expected")
 WORKLOADS = ("wcsp-planted", "map-grid", "wcsp-wide-arity", "wcsp-high-width")
 
 
@@ -43,29 +53,64 @@ def _inputs(root):
     return names
 
 
-def solve_output(root):
-    """(json-lines output, input count) of one ``dafbe solve`` run in ``root``."""
-    inputs = _inputs(root)
+def _cli_output(root, argv):
+    """What ``dafbe <argv>`` prints when run in ``root``; it must exit 0."""
     out = io.StringIO()
     cwd = os.getcwd()
     os.chdir(root)
     try:
         with contextlib.redirect_stdout(out):
-            assert cli.main(["solve", "--format", "json-lines", *inputs]) == 0
+            assert cli.main(argv) == 0
     finally:
         os.chdir(cwd)
-    return out.getvalue(), len(inputs)
+    return out.getvalue()
 
 
-def test_solve_json_lines_matches_expected(tmp_path):
-    got, count = solve_output(tmp_path)
-    with open(EXPECTED) as f:
-        assert got == f.read()
-    assert got.count("\n") == count
+def outputs(root):
+    """{expected file name: output} for inputs written under ``root``, and the input count."""
+    inputs = _inputs(root)
+    models = "".join(
+        f"# {name}\n" + formats.write_model(formats.parse_path(str(root / name)))
+        for name in inputs
+    )
+    return {
+        "solve.jsonl": _cli_output(root, ["solve", "--format", "json-lines", *inputs]),
+        "stats.json": _cli_output(root, ["stats", "--format", "json", *inputs]),
+        "models.txt": models,
+    }, len(inputs)
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory):
+    return outputs(tmp_path_factory.mktemp("golden"))
+
+
+def _expected(name):
+    with open(os.path.join(EXPECTED, name)) as f:
+        return f.read()
+
+
+def test_solve_json_lines_matches_expected(golden):
+    assert golden[0]["solve.jsonl"] == _expected("solve.jsonl")
+
+
+def test_stats_json_matches_expected(golden):
+    assert golden[0]["stats.json"] == _expected("stats.json")
+
+
+def test_written_models_match_expected(golden):
+    assert golden[0]["models.txt"] == _expected("models.txt")
+
+
+def test_every_input_is_pinned(golden):
+    got, count = golden
+    assert got["solve.jsonl"].count("\n") == count
+    assert got["models.txt"].count("\n# ") + 1 == count
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
-        text, _ = solve_output(pathlib.Path(root))
-    with open(EXPECTED, "w") as f:
-        f.write(text)
+        texts, _ = outputs(pathlib.Path(root))
+    for name, text in texts.items():
+        with open(os.path.join(EXPECTED, name), "w") as f:
+            f.write(text)

@@ -44,7 +44,7 @@ class TestClustering:
 
 
 class TestArrayInput:
-    """An ndarray is keyed over its distinct values, with the same result."""
+    """An ndarray is listed and keyed as any iterable is, with the same result."""
 
     def test_matches_value_by_value_scan(self):
         rng = random.Random(7)
