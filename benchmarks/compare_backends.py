@@ -24,7 +24,7 @@ The set-algebra rows run on two random 4k-string automata.  The
 both, so its subsets have two members and it builds their union.
 
 The ``compile_sorted``, ``combine_entries``, fused ``combine_entries``
-and ``project_entries`` rows replay every call the solver makes on the
+and one-factor fold rows replay every call the solver makes on the
 whole seed-1 corpus of one of the benchmark's workloads
 (``bench/generators.py``; ``--workload``, wcsp-planted by default),
 recorded once with the Python edition, so they time the factor kernels
@@ -33,13 +33,15 @@ does not swamp a row.  ``compile_sorted``
 compiles each input table, its rows labelled by value and its ``inf``
 rows labelled -1, straight into the shared form; a fused call is a
 ``combine_entries`` call that folds the last level (``fold``): a bucket's
-last combine and its projection in one walk.  The solver names variables
-by elimination position, so every fused and ``project_entries`` call it
-makes removes the last level.  The "project_entries, level 0" row
-replays the ``project_entries`` calls removing level 0 instead, so the
-subset walk over contracted states, which the library still runs for any
-level but the last, stays timed and cross-checked.  The solver calls neither
-``split`` nor ``join``.  The ``split`` row splits every shared form those
+last combine and its projection in one walk.  A one-factor fold is a
+fold whose second operand is the constant ``SCALAR``: the projection of
+a bucket that holds one factor.  The solver names variables by
+elimination position, so every fold it makes removes the last level.
+The "project_entries, level 0" row removes level 0 of each one-factor
+fold's first operand instead, so the subset walk over contracted states,
+which the library still runs for any level but the last, stays timed
+and cross-checked.  The solver calls neither ``project_entries``, nor
+``split``, nor ``join``.  The ``split`` row splits every shared form those
 calls returned back into entries, as ``DafsaFactor.entries`` does on
 demand, and the ``join`` row joins the entries of each compiled table
 back into its shared form, as the public ``DafsaFactor(scope, domains,
@@ -81,7 +83,7 @@ import time
 from array import array
 
 from dafbe import _kernels_py, factor, formats
-from dafbe.automata import Dafsa
+from dafbe.automata import SCALAR, Dafsa
 from dafbe.model import bucket_elimination
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -135,10 +137,11 @@ def record_factor_calls(workload):
     The ``split`` row's calls are (shared, domains) of every shared form
     the other calls returned, and the ``join`` row's calls are (entries,
     domains) of every table ``compile_sorted`` compiled.  The "level 0"
-    row is the ``project_entries`` calls with ``lvl`` 0.
+    row is ``project_entries`` of each one-factor fold's first operand,
+    with ``lvl`` 0.
     """
     rows = ("compile_sorted", "join", "combine_entries", "combine_entries, fused",
-            "project_entries", "split")
+            "combine_entries, one-factor fold", "split")
     calls = {row: (row.split(",")[0], []) for row in rows}
     splits = calls["split"][1]
 
@@ -155,11 +158,9 @@ def record_factor_calls(workload):
                     domains = args[3]
                     entries = [parts for _, parts in _kernels_py.split(out[0], domains)]
                     calls["join"][1].append((entries, domains))
-                elif name == "project_entries":
-                    domains = args[1][:-1]  # the solver removes only last levels
-                elif len(args) > 6:  # project's fold
+                elif len(args) > 6:  # project's fold, of the last level
                     domains = args[2][:-1]
-                    row = "combine_entries, fused"
+                    row = "combine_entries, one-factor fold" if args[1] is SCALAR else "combine_entries, fused"
                 else:
                     domains = args[2]
                 calls[row][1].append(args)
@@ -176,8 +177,9 @@ def record_factor_calls(workload):
             bucket_elimination(parse(text))
     finally:
         factor.kernels = saved
-    calls["project_entries, level 0"] = ("project_entries",
-                                         [(*args[:-1], 0) for args in calls["project_entries"][1]])
+    calls["project_entries, level 0"] = (
+        "project_entries", [(args[0], args[2], 0) for args in calls["combine_entries, one-factor fold"][1]]
+    )
     return calls
 
 

@@ -36,9 +36,10 @@
 // are byte-identical.  In both, compile_sorted walks the trie of its rows,
 // runs of rows that share a prefix; determinize, minimize and remove_level
 // walk subsets of states (Subsets), with one label; join walks subsets of
-// entries side by side; project_entries walks the states of one shared
-// form to remove its last level, and subsets of them to remove any other;
-// and combine_entries walks pairs of states, one per operand (combine).
+// entries side by side; project_entries walks subsets of the states of one
+// shared form with its level contracted, the walk of remove_level with
+// more labels (contract); and combine_entries walks pairs of states, one
+// per operand (combine).
 // product has no walk of its own: its modes are choices of labels over
 // these walks, as an apply takes its operator as a parameter.
 // Intersection is the pair walk over the operands' accepting states
@@ -50,7 +51,9 @@
 // per label each state reaches in one Unique.  To fold, combine_entries
 // removes the last union level in the same walk: a pair on it is a leaf
 // that takes the lowest label among its children, so a bucket's combined
-// factor is never built and no set of pairs ever forms.
+// factor is never built and no set of pairs ever forms.  The solver folds
+// a lone factor against the constant SCALAR, so every last level it
+// removes is a fold's.
 //
 // Build by hand (setup.py does the same through setuptools):
 //   g++ -std=c++17 -O2 -shared -fPIC -I<Python include dir> _kernels_cc.cpp
@@ -201,9 +204,10 @@ bool complete_fan(const Ints& syms, const Ints& dsts, int k) {
 }
 
 // Result states, built children first and interned in a unique table
-// keyed by (level, symbols, destinations), as in _kernels_py's split: equal
-// right languages share one state.  Leaves, which have no edges, are added
-// apart from the table.  A walk clears the table after each level.
+// keyed by (symbols, destinations), as in _kernels_py's split: equal right
+// languages share one state.  A state's destinations all sit on the next
+// level, so the key implies its level.  Leaves, which have no edges, are
+// added apart from the table.  A walk clears the table after each level.
 struct Unique {
     Csr res;
     UniqueTable table;
@@ -214,15 +218,15 @@ struct Unique {
         return res.size() - 1;
     }
 
-    // The state with edges syms -> dsts (nonempty, symbol-sorted) on level
-    // lv; a complete literal fan onto one child becomes a wildcard.
-    int intern(int lv, int k, Ints& syms, Ints& dsts) {
+    // The state with edges syms -> dsts (nonempty, symbol-sorted) on a
+    // level of domain size k; a complete literal fan onto one child becomes
+    // a wildcard.
+    int intern(int k, Ints& syms, Ints& dsts) {
         if (complete_fan(syms, dsts, k)) {
             syms.assign(1, WILDCARD);
             dsts.resize(1);
         }
-        sig.assign(1, lv);
-        sig.insert(sig.end(), syms.begin(), syms.end());
+        sig.assign(syms.begin(), syms.end());
         sig.insert(sig.end(), dsts.begin(), dsts.end());
         const auto hit = table.try_emplace(sig, res.size());
         if (hit.second) res.add_state(syms, dsts);
@@ -535,7 +539,7 @@ class Walk {
                     syms.push_back(kids[q].v);
                     dsts.push_back(d);
                 }
-                if (!syms.empty()) nodes_[i].state = out_.intern(lv, dom[lv], syms, dsts);
+                if (!syms.empty()) nodes_[i].state = out_.intern(dom[lv], syms, dsts);
             }
             out_.table.clear();
         }
@@ -935,7 +939,17 @@ Ints without_level(const Ints& dom, int lvl) {
     return out;
 }
 
-// Project out level lvl: the walk with the level contracted on the fly.
+// Remove level lvl of g, rooted at state 0, owners[s] the label of state
+// s: the subset walk with the level contracted on the fly, new_dom the
+// domains without it.  Returns (shared, labels, (states, subsets)).
+PyObject* contract(const Graph& g, const Ints& owners, const Ints& new_dom, int lvl) {
+    Subsets subsets(static_cast<int>(new_dom.size()), lvl);
+    subsets.add(g.view(), g.n, 0, owners);
+    const Walk w = walk_subsets(subsets, new_dom);
+    return with_sample(w, "(OO(ii))", subsets.members(), w.walked());
+}
+
+// Project out level lvl of an automaton, which may be nondeterministic.
 PyObject* py_remove_level(PyObject* args) {
     int lvl;
     PyObject *a_arg, *domains;
@@ -944,10 +958,7 @@ PyObject* py_remove_level(PyObject* args) {
     const Ints new_dom = without_level(dom, lvl);
     Automaton a;
     a.load(a_arg, dom);
-    Subsets subsets(static_cast<int>(new_dom.size()), lvl);
-    subsets.add(a.view(), a.n, a.start, a.owners(0));
-    const Walk w = walk_subsets(subsets, new_dom);
-    return with_sample(w, "(OO(ii))", subsets.members(), w.walked());
+    return contract(a, a.owners(0), new_dom, lvl);
 }
 
 // The shared form of n_strings labelled rows of a flat buffer, strictly
@@ -1074,7 +1085,7 @@ PyObject* py_split(PyObject* args) {
                     syms.push_back(std::get<1>(found[i]));
                     dsts.push_back(std::get<2>(found[i]));
                 }
-                pool.emplace_back(label, u.intern(lv, dom[lv], syms, dsts));
+                pool.emplace_back(label, u.intern(dom[lv], syms, dsts));
             }
         }
         end[s] = static_cast<int>(pool.size());
@@ -1094,11 +1105,7 @@ PyObject* py_split(PyObject* args) {
 }
 
 // Remove level lvl from a shared form; each string takes the lowest label
-// it reaches.  The last level needs no subsets, as in _kernels_py: the
-// walk steps single states, and a state on the last level that is left
-// takes the lowest label among its successors.  Any other level is
-// removed by the subset walk with the level contracted.  Returns (shared,
-// labels, (states, subsets)); on the last level both count the states.
+// it reaches.  The solver removes last levels with combine_entries' fold.
 PyObject* py_project_entries(PyObject* args) {
     PyObject *shared, *domains;
     int lvl;
@@ -1107,24 +1114,7 @@ PyObject* py_project_entries(PyObject* args) {
     const Ints new_dom = without_level(dom, lvl);
     Diagram d;
     d.load(shared, dom);
-    if (lvl == static_cast<int>(new_dom.size())) {
-        const CsrView g = d.view();
-        auto expand = [&](int s, int, std::vector<Kid>& kids) {
-            for (int j = g.off[s]; j < g.off[s + 1]; ++j) kids.push_back({g.sym[j], g.dst[j]});
-        };
-        auto label_of = [&](int s) {
-            int best = NO_LABEL;
-            for (int t : g.dsts(s)) best = lowest(best, d.term(t));
-            return best;
-        };
-        const Walk w(new_dom, 0, expand, label_of);
-        const int states = w.walked();
-        return with_sample(w, "(OO(ii))", states, states);
-    }
-    Subsets subsets(static_cast<int>(new_dom.size()), lvl);
-    subsets.add(d.view(), d.n, 0, d.owners());
-    const Walk w = walk_subsets(subsets, new_dom);
-    return with_sample(w, "(OO(ii))", subsets.members(), w.walked());
+    return contract(d, d.owners(), new_dom, lvl);
 }
 
 // The walk of combine over the shared forms A and B, in_a / in_b flagging

@@ -73,7 +73,8 @@ Five kernels build or read a factor's shared form:
   string of the result takes the lowest label among its extensions,
   which is min-projection when labels rank values best first.  The
   solver names variables by elimination position, so it removes only
-  last levels.
+  last levels, and it removes them with ``combine_entries``' fold, a
+  lone factor's against the constant ``automata.SCALAR``.
 * ``combine_entries(a, b, domains, in_a, in_b, labels, fold=False)``
   walks the two operands in step over the union ``domains``.
   ``in_a[l]`` / ``in_b[l]`` tell whether union level ``l`` is one of the
@@ -92,9 +93,9 @@ got a string, and one growth sample.  ``project_entries`` samples the
 distinct states and the distinct subsets its walk visited, and
 ``combine_entries`` the distinct (A state, B state) pairs it walked,
 twice; a pair that stays where it is across levels neither operand
-reads is one pair.  On the last level no subset forms, so each sample
-the solver takes has two equal counts.  ``compile_sorted`` and ``join``
-return ``(shared, labels)`` alike.
+reads is one pair.  Every sample the solver takes is a fold's, so it has
+two equal counts.  ``compile_sorted`` and ``join`` return ``(shared,
+labels)`` alike.
 
 This edition does not check its inputs.  Malformed arrays (state ids out
 of range, broken offsets, symbols outside their level's domain, edges
@@ -134,17 +135,20 @@ states labelled 0 or -1, the union of the side-by-side NFA determinized
 B accepts out of the difference.
 ``split`` makes one backward pass over the shared form's states instead,
 interning one state per label each state reaches in one unique table,
-keyed by (level, symbols, destinations), and renumbers each label's
-automaton breadth-first.  ``project_entries`` walks the states of one
-shared automaton to remove its last level, and subsets of them to remove
-any other, and ``combine_entries`` pairs of states, one per operand; to
-fold, a pair on the last level is a leaf that reads its children's
-labels.  This is the multi-terminal apply of algebraic decision diagrams
-(Bahar et al., ICCAD 1993) on shared diagrams, across different scopes
-as in AOMDDs (Mateescu, Dechter & Marinescu, JAIR 33, 2008); folding the
-last level in the same walk is the relational product of symbolic model
-checking (Burch et al., LICS 1990) in min-sum form, for a quantified
-variable that comes last, so no set of pairs ever forms.
+keyed by (symbols, destinations), which implies the level, since a
+state's destinations sit on the next one, and renumbers each label's
+automaton breadth-first.  ``project_entries`` walks subsets of the
+states of one shared automaton with its level contracted, the walk of
+``remove_level`` with more labels, and ``combine_entries`` pairs of
+states, one per operand; to fold, a pair on the last level is a leaf
+that reads its children's labels, and a lone factor is folded against
+``SCALAR``, its one state paired with each of the factor's.  This is the
+multi-terminal apply of algebraic decision diagrams (Bahar et al., ICCAD
+1993) on shared diagrams, across different scopes as in AOMDDs
+(Mateescu, Dechter & Marinescu, JAIR 33, 2008); folding the last level
+in the same walk is the relational product of symbolic model checking
+(Burch et al., LICS 1990) in min-sum form, for a quantified variable
+that comes last, so no set of pairs ever forms.
 """
 
 from array import array
@@ -180,12 +184,12 @@ def _renumber(esym, edst, root):
     return old2new, (array("i", off), array("i", sym), array("i", dst))
 
 
-def _collapse(lv, k, syms, dsts):
+def _collapse(k, syms, dsts):
     """The unique-table key of a state: a complete literal fan onto one
     child becomes a wildcard."""
     if len(syms) == k and min(dsts) == max(dsts):
-        return lv, (WILDCARD,), (dsts[0],)
-    return lv, tuple(syms), tuple(dsts)
+        return ONLY_WILDCARD, (dsts[0],)
+    return tuple(syms), tuple(dsts)
 
 
 class _Shared:
@@ -395,17 +399,15 @@ def minimize(a, start, domains):
 def remove_level(a, domains, lvl):
     """Project out level ``lvl``: contract its edges, then determinize.
 
-    Contraction gives each level-``lvl`` state the merged edges of its
-    successors, which in general is nondeterministic.  The walk reads them
-    on the fly, so no NFA is built.  Returns (shared, labels, (nfa_states,
-    raw_states)): the canonical result, the number of states of the
-    contracted automaton (those reachable, minus level ``lvl + 1``) and
-    the number of distinct subsets visited.
+    ``project_entries`` of the one-label form.  Contraction gives each
+    level-``lvl`` state the merged edges of its successors, which in
+    general is nondeterministic; the walk reads them on the fly, so no
+    NFA is built.  Returns (shared, labels, (nfa_states, raw_states)): the
+    canonical result, the number of states of the contracted automaton
+    (those reachable, minus level ``lvl + 1``) and the number of distinct
+    subsets visited.
     """
-    shared, labels, nfa_states, raw_states = _subset_walk(
-        *a[:3], (0,), dict.fromkeys(a[3], 0), domains[:lvl] + domains[lvl + 1 :], lvl
-    )
-    return shared, labels, (nfa_states, raw_states)
+    return project_entries(_one_label(a), domains, lvl)
 
 
 def compile_sorted(digits, n_strings, length, domains, labels, default):
@@ -531,12 +533,12 @@ def split(shared, domains):
                         edges[1].append(d)
             states = built[s] = {}
             for label, (syms, dsts) in per.items():
-                sig = _collapse(lv, domains[lv], syms, dsts)
+                sig = _collapse(domains[lv], syms, dsts)
                 sid = table.get(sig)
                 if sid is None:
                     sid = table[sig] = len(esym)
-                    esym.append(sig[1])
-                    edst.append(sig[2])
+                    esym.append(sig[0])
+                    edst.append(sig[1])
                 states[label] = sid
     result = []
     for label, root in sorted(built[0].items()):
@@ -548,37 +550,18 @@ def split(shared, domains):
 def project_entries(shared, domains, lvl):
     """Remove level ``lvl``; each string takes the lowest label it reaches.
 
-    The solver names variables by elimination position, so it removes
-    only the last level.  That needs no subsets: the input is
-    deterministic, so the walk steps single states, and a state on the
-    last level that is left takes the lowest label among its successors.
-    Any other level is removed by the subset walk over the shared form
-    with level ``lvl`` contracted, as in ``remove_level``.  Returns
-    (shared, labels, (states, subsets)); on the last level every subset
-    is one state, so both count the states walked.
+    The subset walk over the shared form with level ``lvl`` contracted on
+    the fly, as in ``remove_level``; on the last level each state left
+    takes the lowest label among its successors.  The solver removes last
+    levels with ``combine_entries``' fold instead.  Returns (shared,
+    labels, (states, subsets)): the distinct states and the distinct
+    subsets the walk visited.
     """
-    off, sym, dst, term = shared
-    if lvl == len(domains) - 1:
-        edges = _edges(shared)
-
-        def expand(lv, nodes):
-            index = {}
-            at = index.setdefault
-            rows = [edges[s] for s in nodes]
-            kids = [at(d, len(index)) for _, dsts in rows for d in dsts]
-            return [symbols for symbols, _ in rows], kids, list(index)
-
-        def labels_of(nodes):
-            return [min(map(term.__getitem__, edges[s][1]), default=None) for s in nodes]
-
-        parts, kept, levels = _walk(domains[:lvl], 0, expand, labels_of)
-        states = sum(map(len, levels))
-        return parts, kept, (states, states)
-    owner = {s: t for s, t in enumerate(term) if t >= 0}
-    parts, kept, states, subsets = _subset_walk(
-        off, sym, dst, (0,), owner, domains[:lvl] + domains[lvl + 1 :], lvl
+    owner = {s: t for s, t in enumerate(shared[3]) if t >= 0}
+    shared, labels, states, subsets = _subset_walk(
+        *shared[:3], (0,), owner, domains[:lvl] + domains[lvl + 1 :], lvl
     )
-    return parts, kept, (states, subsets)
+    return shared, labels, (states, subsets)
 
 
 def combine_entries(a, b, domains, in_a, in_b, labels, fold=False):
@@ -607,8 +590,8 @@ def combine_entries(a, b, domains, in_a, in_b, labels, fold=False):
             return [ONLY_WILDCARD] * len(nodes), list(range(len(nodes))), nodes
         index = {}
         at = index.setdefault
-        syms = []
         if in_a[lv] and in_b[lv]:
+            syms = []
             pairs = []  # every node's children in turn, looked up in one pass
             for sa, sb in nodes:
                 sym_a, dst_a = edges_a[sa]
@@ -626,18 +609,11 @@ def combine_entries(a, b, domains, in_a, in_b, labels, fold=False):
                     sym_a = [v for v in sym_a if v in named]
                 syms.append(sym_a)
             return syms, [at(p, len(index)) for p in pairs], list(index)
-        kids = []
-        if in_a[lv]:
-            for sa, sb in nodes:
-                sym_a, dst_a = edges_a[sa]
-                syms.append(sym_a)
-                kids += [at((da, sb), len(index)) for da in dst_a]
-        else:
-            for sa, sb in nodes:
-                sym_b, dst_b = edges_b[sb]
-                syms.append(sym_b)
-                kids += [at((sa, db), len(index)) for db in dst_b]
-        return syms, kids, list(index)
+        if in_a[lv]:  # each pair's B state stays where it is
+            kids = [at((da, sb), len(index)) for sa, sb in nodes for da in edges_a[sa][1]]
+            return [edges_a[sa][0] for sa, _ in nodes], kids, list(index)
+        kids = [at((sa, db), len(index)) for sa, sb in nodes for db in edges_b[sb][1]]
+        return [edges_b[sb][0] for _, sb in nodes], kids, list(index)
 
     def pair_labels(nodes):
         return [

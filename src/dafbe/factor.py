@@ -24,17 +24,18 @@ a table straight into it in one ``compile_sorted`` walk, each listed
 cell labelled by its value's key, and keeps no entries.  The ``join``
 kernel reads entries into it and ``split`` reads them back off,
 byte-identical, each on first demand.  ``combine`` and ``project`` each
-make one kernel pass over shared forms (``combine_entries``,
-``project_entries``) and return one, so the solver never builds entries.
-``project(f, var, op, other=g)`` eliminates ``var`` from the combination
-of ``f`` and ``g``.  When ``var`` is the last variable of their union
-scope, as it always is in the solver, that is one ``combine_entries``
-pass that folds the last level as it walks, so the combined factor is
-never built; any other ``var`` is projected out of ``combine(f, g)``.
-The solver's growth samples therefore have two equal counts.  ``value_at``
-is one path down the shared automaton, ``least_string`` one backward
-marking pass over it and one path down.  ``on_support`` drops the levels
-of the variables a factor ignores, without a kernel call.
+make one kernel pass over shared forms and return one, so the solver
+never builds entries.  ``project(f, var, op, other=g)`` eliminates
+``var`` from the combination of ``f`` and ``g``, and without ``g`` from
+``f`` combined with the constant ``SCALAR``.  When ``var`` is the last
+variable of their union scope, as it always is in the solver, that is
+one ``combine_entries`` pass that folds the last level as it walks, so
+the combined factor is never built; any other ``var`` is projected out
+of ``combine(f, g)``, or out of ``f`` by ``project_entries``' subset
+walk.  The solver's growth samples therefore have two equal counts.
+``value_at`` is one path down the shared automaton, ``least_string`` one
+backward marking pass over it and one path down.  ``on_support`` drops
+the levels of the variables a factor ignores, without a kernel call.
 
 Both table kinds expose the same read side, the way a WCSP file states
 a function: ``scope``, ``domains``, ``size``, ``value_of``,
@@ -711,32 +712,31 @@ def combine(f1: DafsaFactor, f2: DafsaFactor, op: str, eps: float = DEFAULT_EPS)
     return DafsaFactor._from_shared(scope, domains, tuple(keys[n] for n in kept), shared)
 
 
-def _reverse_labels(shared, count):
-    """``shared`` with label ``n`` renamed ``count - 1 - n``."""
+def _relabelled(shared, labels):
+    """``shared`` with label ``n`` renamed ``labels[n]``."""
     t_off, t_sym, t_dst, term = shared
-    last = count - 1
-    return t_off, t_sym, t_dst, array("i", [t if t < 0 else last - t for t in term])
+    return t_off, t_sym, t_dst, array("i", [t if t < 0 else labels[t] for t in term])
 
 
 def project(f: DafsaFactor, var: int, op: str, other: DafsaFactor | None = None,
             eps: float = DEFAULT_EPS):
     """Eliminate ``var`` by ``op`` over its values, in one kernel pass.
 
-    ``project_entries`` drops the variable's level from the shared
-    automaton, its labels ranked best value first, and gives each
-    assignment of the result the best label that reaches it.
-
     Given ``other``, it eliminates ``var`` from ``combine(f, other)``, by
     the op's semiring partner (sum for min, product for max) under that
-    combine's keyset.  When ``var`` is the last variable of the union
-    scope, ``combine_entries`` folds its level on the fly, with the labels
-    ranked best first, so the combined factor is never built; any other
-    ``var`` is projected out of the combined factor.
+    combine's keyset; without, from ``f`` alone, which is ``f`` combined
+    with the constant ``SCALAR``, each key its own label.  The labels are
+    ranked best value first.  When ``var`` is the last variable of the
+    scope, as it always is in the solver, ``combine_entries`` folds its
+    level on the fly, each assignment of the result taking the best label
+    that reaches it, so the combined factor is never built.  Any other
+    ``var`` is projected out of the combined factor, and out of ``f`` by
+    ``project_entries``' subset walk.
 
     Returns ``(factor, growth)`` where growth holds the call's one
-    sample: the distinct states and the distinct subsets
-    ``project_entries`` visited, or the distinct (A state, B state) pairs
-    the fold walked, twice.
+    sample: the distinct (A state, B state) pairs the fold walked, twice,
+    or the distinct states and the distinct subsets ``project_entries``
+    visited.
     """
     if op not in PROJECT_OPS:
         raise FactorError(f"project op must be one of {PROJECT_OPS}, got {op!r}")
@@ -745,6 +745,8 @@ def project(f: DafsaFactor, var: int, op: str, other: DafsaFactor | None = None,
     if other is None:
         f = _with_inf_entry(f) if op == "max" else f
         scope, domains, keys = f.scope, f.domains, f.keys
+        operands = (f.shared, SCALAR, domains, [True] * len(scope), [False] * len(scope))
+        labels = range(len(keys))
     else:
         scope, domains, keys, operands, labels = _combine_call(f, other, PARTNER[op], eps)
     if var not in scope:
@@ -752,17 +754,16 @@ def project(f: DafsaFactor, var: int, op: str, other: DafsaFactor | None = None,
     pos = scope.index(var)
     # ranked: the values best first, largest first (so inf first) for max
     ranked = keys if op == "min" else keys[::-1]
-    if other is None:
-        shared = f.shared if op == "min" else _reverse_labels(f.shared, len(keys))
-        shared, kept, growth = kernels.project_entries(shared, domains, pos)
-    else:
-        if op == "max":
-            labels = [len(keys) - 1 - n for n in labels]
+    if op == "max":
+        labels = [len(keys) - 1 - n for n in labels]
+    if pos == len(scope) - 1:
         shared, kept, growth = kernels.combine_entries(*operands, labels, True)
+    else:  # f alone: a level the solver never removes
+        shared, kept, growth = kernels.project_entries(_relabelled(f.shared, labels), domains, pos)
     keys = tuple(ranked[n] for n in kept)
     if op == "max":  # kept comes in ranked order
         keys = keys[::-1]
-        shared = _reverse_labels(shared, len(keys))
+        shared = _relabelled(shared, range(len(keys) - 1, -1, -1))
     scope = scope[:pos] + scope[pos + 1 :]
     domains = domains[:pos] + domains[pos + 1 :]
     return DafsaFactor._from_shared(scope, domains, keys, shared), [growth]

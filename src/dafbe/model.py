@@ -343,9 +343,9 @@ class SolveStats:
     def growth_average(self):
         """Mean determinization growth (raw subset states / NFA states).
 
-        The solver removes only last levels, where no subset or set of
-        pairs forms, so each of its samples has two equal counts and a
-        solve with any sample reads 1.0.  Only buckets a kernel walk
+        Every sample the solver records is a fold's, the distinct pairs
+        it walked, twice, since folding the last level forms no subset or
+        set of pairs; so a solve with any sample reads 1.0.  Only buckets a kernel walk
         eliminates record one: tail buckets, eliminated without a walk,
         record none, so a solve that is all tail reads None.
         """
@@ -394,8 +394,8 @@ def bucket_elimination(
     optimum.  Buckets are processed last to first: combine all but the
     bucket's last factor, then project the bucket variable out of their
     sum with the last one in one fused kernel walk, so the bucket's
-    combined factor is never built (a one-factor bucket is projected
-    alone), and place the message.  The bucket variable is the last level
+    combined factor is never built (a one-factor bucket's one factor is
+    folded against the constant ``SCALAR``), and place the message.  The bucket variable is the last level
     of every factor in its bucket, so the solver only ever removes last
     levels.  A bucket that receives no factor is skipped.
 

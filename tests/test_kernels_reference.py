@@ -16,11 +16,12 @@ small domains where every string can be enumerated:
 * a labelled ``compile_sorted`` leads each string to its row's label, or
   else to the default, and is byte-identical to the ``join`` of one
   canonical automaton per label;
-* ``project_entries`` on the last level, the only level the solver
-  removes, equals the canonical shared form of the function read off
-  ``split`` by brute force, each shortened string taking the lowest
-  label among its extensions, and samples the states above the last
-  level twice.
+* the last level removed, by ``combine_entries``' fold against the
+  constant ``SCALAR`` as the solver removes it, and by
+  ``project_entries``' subset walk, equals the canonical shared form of
+  the function read off ``split`` by brute force, each shortened string
+  taking the lowest label among its extensions, and samples the states
+  above the last level twice.
 """
 
 import itertools
@@ -28,7 +29,7 @@ import random
 import sys
 from array import array
 
-from dafbe.automata import Dafsa
+from dafbe.automata import SCALAR, Dafsa
 
 from conftest import rand_nfa_parts
 
@@ -337,7 +338,7 @@ class TestLabelledCompile:
 
 
 def last_level_reference(kernels, shared, dom):
-    """(parts, labels, sample) ``project_entries`` must give on the last level.
+    """(parts, labels, sample) of removing the last level.
 
     The function is read off ``split`` by brute force, each string cut
     short by its last symbol and taking the lowest label among its
@@ -367,7 +368,14 @@ class TestProjectLastLevel:
             row_labels = [rng.randrange(-1, 4) for _ in rows]
             default = rng.choice((-1, -1, rng.randrange(4)))
             digits = array("i", [v for w in rows for v in w])
-            shared, _ = kernels.compile_sorted(digits, len(rows), len(dom), dom, array("i", row_labels), default)
-            parts, labels, sample = kernels.project_entries(shared, dom, len(dom) - 1)
+            shared, present = kernels.compile_sorted(
+                digits, len(rows), len(dom), dom, array("i", row_labels), default
+            )
             want = last_level_reference(kernels, shared, dom)
-            assert (tuple(map(tuple, parts)), list(labels), tuple(sample)) == want, trial
+            every, none = [True] * len(dom), [False] * len(dom)
+            for got in (
+                kernels.combine_entries(shared, SCALAR, dom, every, none, range(len(present)), True),
+                kernels.project_entries(shared, dom, len(dom) - 1),
+            ):
+                parts, labels, sample = got
+                assert (tuple(map(tuple, parts)), list(labels), tuple(sample)) == want, trial

@@ -4,7 +4,8 @@ The solver reads only ``keys`` and ``shared`` of the factors it builds,
 so with the ``split`` kernel made to fail it must still solve everything
 and give the same answers.  ``from_table`` compiles each table straight
 into the shared form, so the solve path also runs without ``product``
-and ``join``.  The ``entries`` read off a kernel result on
+and ``join``, and ``combine_entries``' fold removes every last level, so
+it runs no subset walk either.  The ``entries`` read off a kernel result on
 demand must equal what ``from_table`` compiles from the dense table of
 the same function.  The states of each level of a kernel result are one
 run of ids, which ``DafsaFactor.on_support`` relies on.
@@ -51,9 +52,10 @@ def test_solve_never_splits_a_factor(monkeypatch):
         assert math.isclose(optimum, oracle.optimum, rel_tol=1e-9, abs_tol=1e-12)
 
 
-def test_solve_runs_on_three_kernels(monkeypatch):
-    # compile_sorted, combine_entries and project_entries: no set algebra
-    # (product), no join of entries and no split
+def test_solve_runs_on_two_kernels(monkeypatch):
+    # compile_sorted and combine_entries, whose fold removes every last
+    # level: no set algebra (product, minimize, determinize), no join of
+    # entries, no split, and no subset walk (project_entries, remove_level)
     models = [formats.parse_path(p) for p in sorted(glob.glob(os.path.join(FIXTURES, "*")))]
     models += [micro_model(seed, Task.WCSP) for seed in range(20)]
     # generated WCSP files: their functions parse as a default plus exceptions
@@ -61,7 +63,7 @@ def test_solve_runs_on_three_kernels(monkeypatch):
                for seed in range(3)]
     want = answers(models)
 
-    for name in ("product", "join", "split"):
+    for name in ("product", "join", "split", "project_entries", "remove_level", "minimize", "determinize"):
         def refuse(*args, name=name):
             raise AssertionError(f"the solve called {name}")
 
