@@ -37,6 +37,10 @@ last combine and its projection in one walk.  A one-factor fold is a
 fold whose second operand is the constant ``SCALAR``: the projection of
 a bucket that holds one factor.  The solver names variables by
 elimination position, so every fold it makes removes the last level.
+A fold whose result is a constant, every string at one label, goes to
+a row of its own, "fused, constant" or "one-factor fold, constant":
+its walk returns the constant's wildcard chain without building a
+level, so those rows time that exit apart from the folds that build.
 The "project_entries, level 0" row removes level 0 of each one-factor
 fold's first operand instead, so the subset walk over contracted states,
 which the library still runs for any level but the last, stays timed
@@ -136,12 +140,13 @@ def record_factor_calls(workload):
 
     The ``split`` row's calls are (shared, domains) of every shared form
     the other calls returned, and the ``join`` row's calls are (entries,
-    domains) of every table ``compile_sorted`` compiled.  The "level 0"
-    row is ``project_entries`` of each one-factor fold's first operand,
-    with ``lvl`` 0.
+    domains) of every table ``compile_sorted`` compiled.  A fold whose
+    result is a constant (one label, wildcard edges only) goes to its
+    row's ", constant" twin.  The "level 0" row is ``project_entries`` of
+    each one-factor fold's first operand, with ``lvl`` 0.
     """
-    rows = ("compile_sorted", "join", "combine_entries", "combine_entries, fused",
-            "combine_entries, one-factor fold", "split")
+    folds = ("combine_entries, fused", "combine_entries, one-factor fold")
+    rows = ("compile_sorted", "join", "combine_entries", *folds, *(f"{row}, constant" for row in folds), "split")
     calls = {row: (row.split(",")[0], []) for row in rows}
     splits = calls["split"][1]
 
@@ -160,7 +165,9 @@ def record_factor_calls(workload):
                     calls["join"][1].append((entries, domains))
                 elif len(args) > 6:  # project's fold, of the last level
                     domains = args[2][:-1]
-                    row = "combine_entries, one-factor fold" if args[1] is SCALAR else "combine_entries, fused"
+                    row = folds[args[1] is SCALAR]
+                    if len(out[1]) == 1 and set(out[0][1]) <= {-1}:  # the wildcard chain
+                        row += ", constant"
                 else:
                     domains = args[2]
                 calls[row][1].append(args)
@@ -177,9 +184,8 @@ def record_factor_calls(workload):
             bucket_elimination(parse(text))
     finally:
         factor.kernels = saved
-    calls["project_entries, level 0"] = (
-        "project_entries", [(args[0], args[2], 0) for args in calls["combine_entries, one-factor fold"][1]]
-    )
+    one_factor = calls[folds[1]][1] + calls[f"{folds[1]}, constant"][1]
+    calls["project_entries, level 0"] = ("project_entries", [(args[0], args[2], 0) for args in one_factor])
     return calls
 
 

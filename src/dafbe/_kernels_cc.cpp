@@ -33,8 +33,10 @@
 // table (Unique), which gives a shared form.  Each level's states are
 // numbered in the order its nodes first reach them, so the result comes
 // out breadth-first and only split renumbers; the two editions' results
-// are byte-identical.  In both, compile_sorted walks the trie of its rows,
-// runs of rows that share a prefix; determinize, minimize and remove_level
+// are byte-identical.  In both, a walk that finds every string at one
+// label builds no level and returns the constant's wildcard chain (Walk).
+// In both, compile_sorted walks the trie of its rows, runs of rows that
+// share a prefix; determinize, minimize and remove_level
 // walk subsets of states (Subsets), with one label; join walks subsets of
 // entries side by side; project_entries walks subsets of the states of one
 // shared form with its level contracted, the walk of remove_level with
@@ -493,6 +495,13 @@ struct Kid {
 // cleared after each level.  So each level's states sit together in the
 // result CSR, numbered in the order the level's nodes first reach them,
 // and shifting each level's ids gives the breadth-first numbering.
+// A walk whose every string gets one label builds nothing: when it lists
+// a leaf, every leaf has the same label and every listed node a complete
+// fan (its level's k symbols, or the lone wildcard), the result is that
+// constant, and parts() gives its canonical form, one wildcard edge per
+// level down to one terminal, as _kernels_py._walk does.  The count of
+// terminals is tested first, so a walk with several labels reads nothing
+// more.
 class Walk {
   public:
     template <class Expand, class LabelOf>
@@ -527,6 +536,10 @@ class Walk {
         }
         start_.push_back(static_cast<int>(nodes_.size()));
         for (int i = start_[levels_]; i < start_[levels_ + 1]; ++i) nodes_[i].state = leaf(label_of(nodes_[i].node));
+        if (terminals_.size() == 1 && complete(dom, kids)) {
+            constant_ = terminals_.begin()->first;
+            return;
+        }
         Ints syms, dsts;
         for (int lv = levels_ - 1; lv >= 0; --lv) {
             base_[lv] = out_.res.size();
@@ -553,6 +566,17 @@ class Walk {
     // levels above, and term renumbers each terminal's label into labels,
     // ascending.
     Parts parts(Ints& labels) const {
+        if (constant_ != NO_LABEL) {  // one wildcard edge per level down to the terminal
+            Parts p;
+            for (int lv = 0; lv <= levels_; ++lv) p.off.push_back(lv);
+            p.off.push_back(levels_);
+            p.sym.assign(levels_, WILDCARD);
+            for (int lv = 1; lv <= levels_; ++lv) p.dst.push_back(lv);
+            p.acc.assign(levels_, -1);
+            p.acc.push_back(0);
+            labels.push_back(constant_);
+            return p;
+        }
         if (root_ == DEAD) return {{0, 0}, {}, {}, {-1}};
         Parts p;
         p.off.reserve(out_.res.off.size());
@@ -603,6 +627,22 @@ class Walk {
     Unique out_;
     std::unordered_map<int, int> terminals_;  // label -> state
     int root_ = DEAD;
+    int constant_ = NO_LABEL;  // the label of every string, when the walk found one
+
+    // Whether no leaf is DEAD and every listed node above the leaves has a
+    // complete fan: its level's k symbols (k > 0), or the lone wildcard.
+    bool complete(const Ints& dom, const std::vector<Kid>& kids) const {
+        for (int i = start_[levels_]; i < start_[levels_ + 1]; ++i) {
+            if (nodes_[i].state == DEAD) return false;
+        }
+        for (int lv = 0; lv < levels_; ++lv) {
+            for (int i = start_[lv]; i < start_[lv + 1]; ++i) {
+                const int beg = i ? nodes_[i - 1].kend : 0, n = nodes_[i].kend - beg;
+                if (!(n > 0 && n == dom[lv]) && !(n == 1 && kids[beg].v == WILDCARD)) return false;
+            }
+        }
+        return true;
+    }
 
     int leaf(int label) {
         if (label < 0) return DEAD;

@@ -120,7 +120,9 @@ below in the order its nodes first name their children, so each level's
 states, numbered in the order its nodes first reach them, come out
 breadth-first: the result is never renumbered.  Both editions walk
 level by level, so their results are byte-identical, and in both only
-``split`` renumbers, its per-label automata.
+``split`` renumbers, its per-label automata.  In both, a walk that
+finds every string at one label returns that constant's wildcard chain
+and builds no level, as Bryant's apply stops at a terminal case.
 ``compile_sorted`` walks the trie of its rows, runs of rows that share a
 prefix, bottom-up through the unique table as multi-terminal decision
 diagrams are built.  ``determinize``, ``minimize`` and ``remove_level``
@@ -269,6 +271,13 @@ class _Shared:
         return (array("i", accumulate(degrees, initial=0)), array("i", sym), array("i", dst), term), labels
 
 
+def _constant(n):
+    """The shared parts of a constant over ``n`` levels: the wildcard chain."""
+    term = array("i", [-1]) * n
+    term.append(0)
+    return array("i", [*range(n + 1), n]), array("i", [WILDCARD]) * n, array("i", range(1, n + 1)), term
+
+
 def _walk(domains, root, expand, labels_of):
     """The level-by-level walk behind every kernel but ``split``.
 
@@ -284,15 +293,29 @@ def _walk(domains, root, expand, labels_of):
     pass, bottom-up (``leaves`` past the last level, ``finish`` above it).
     Returns (shared, labels, the node list of every level), ``shared`` and
     ``labels`` as ``_Shared.parts`` gives them for ``root``.
+
+    When it lists a leaf, all leaves have one label and every listed node
+    a complete fan (its level's k symbols, or the lone wildcard), every
+    string has that label: the walk returns ``_constant`` and builds
+    nothing.  The labels are tested first, in one C-level count.
     """
-    out = _Shared()
     levels = [[root]]
     rows = []
     for lv in range(len(domains)):
         syms, kids, below = expand(lv, levels[-1])
         rows.append((syms, kids))
         levels.append(below)
-    built = out.leaves(labels_of(levels[-1]))
+    ends = labels_of(levels[-1])
+    label = ends[0] if ends else None
+    if (
+        label is not None
+        and label >= 0
+        and ends.count(label) == len(ends)
+        and all(0 < k == len(s) or WILDCARD in s for (syms, _), k in zip(rows, domains) for s in syms)
+    ):
+        return _constant(len(domains)), [label], levels
+    out = _Shared()
+    built = out.leaves(ends)
     for lv in reversed(range(len(domains))):
         built = out.finish(domains[lv], *rows.pop(), built)  # a level's rows go once built
     return (*out.parts(built[0]), levels)

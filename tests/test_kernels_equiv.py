@@ -271,9 +271,10 @@ class TestSharedForm:
                     both("combine_entries", a, b, tuple(wide), wide_a, wide_b, pair_labels, fold)
 
     def test_project_last_level_byte_identical(self, both):
-        # the only level the solver removes: a walk over single states; tables
-        # with pruned rows (label -1), empty functions, one level and
-        # wildcard levels from a covering default, domains 1-3
+        # the last level, which the solver removes with combine_entries'
+        # fold, removed here by project_entries' subset walk; tables with
+        # pruned rows (label -1), empty functions, one level and wildcard
+        # levels from a covering default, domains 1-3
         rng = random.Random(20261107)
         for trial in range(400):
             dom = tuple(rng.randrange(1, 4) for _ in range(rng.randrange(1, 5)))

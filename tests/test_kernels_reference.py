@@ -21,13 +21,20 @@ small domains where every string can be enumerated:
   ``project_entries``' subset walk, equals the canonical shared form of
   the function read off ``split`` by brute force, each shortened string
   taking the lowest label among its extensions, and samples the states
-  above the last level twice.
+  above the last level twice;
+* a walk whose every string gets one label, in every walking kernel,
+  returns the bytes of ``Dafsa.universal``'s chain with its terminal
+  given that label, and in the Python edition builds no level; a near
+  miss (an incomplete fan, two labels, a leaf with no string, no leaf)
+  builds the canonical form.
 """
 
 import itertools
 import random
 import sys
 from array import array
+
+import pytest
 
 from dafbe.automata import SCALAR, Dafsa
 
@@ -379,3 +386,174 @@ class TestProjectLastLevel:
             ):
                 parts, labels, sample = got
                 assert (tuple(map(tuple, parts)), list(labels), tuple(sample)) == want, trial
+
+
+# -- constant results ----------------------------------------------------------
+
+
+def constant_chain(dom, label):
+    """(parts, labels) of the constant ``label`` over ``dom``, built apart
+    from the kernels: ``Dafsa.universal``'s parts, its accepting state the
+    terminal of the one label."""
+    t_off, t_sym, t_dst, acc = Dafsa.universal(dom).parts
+    term = [-1] * (len(t_off) - 1)
+    for s in acc:
+        term[s] = 0
+    return (tuple(t_off), tuple(t_sym), tuple(t_dst), tuple(term)), [label]
+
+
+def table_args(dom, func, default=-1):
+    """compile_sorted's arguments for ``func``, {string: label}, and ``default`` elsewhere."""
+    rows = sorted(func)
+    digits = array("i", [v for w in rows for v in w])
+    return digits, len(rows), len(dom), dom, array("i", [func[w] for w in rows]), default
+
+
+def words_of(dom):
+    return list(itertools.product(*(range(k) for k in dom)))
+
+
+@pytest.fixture
+def built(kernels, monkeypatch):
+    """run(kernel, *args) -> (its result, whether its walk built its
+    levels): in the Python edition, whether a ``_Shared`` was made; in the
+    compiled one, None."""
+    import dafbe._kernels_py as KP
+
+    made = []
+    if kernels is KP:
+
+        class Counted(KP._Shared):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(KP, "_Shared", Counted)
+
+    def run(kernel, *args):
+        made.clear()
+        out = getattr(kernels, kernel)(*args)
+        return out, (bool(made) if kernels is KP else None)
+
+    return run
+
+
+def shared_of(result):
+    parts, labels = result[:2]
+    return tuple(map(tuple, parts)), list(labels)
+
+
+class TestConstantResult:
+    """A walk whose every string gets one label returns the wildcard chain
+    without building a level; a near miss builds the canonical form."""
+
+    DOMS = [(), (1,), (3,), (1, 1), (2, 3), (3, 1, 2), (2, 2, 2)]
+
+    def expect_chain(self, run, dom, label, kernel, *args):
+        out, was_built = run(kernel, *args)
+        assert shared_of(out) == constant_chain(dom, label), (kernel, dom)
+        assert not was_built, (kernel, dom)
+        return out
+
+    def expect_built(self, run, dom, func, kernel, *args):
+        out, was_built = run(kernel, *args)
+        assert shared_of(out) == canonical_shared(func, dom), (kernel, dom)
+        assert was_built in (True, None), (kernel, dom)
+        return out
+
+    def test_compile_sorted(self, kernels, built):
+        rng = random.Random(20261020)
+        for dom in self.DOMS:
+            words = words_of(dom)
+            self.expect_chain(built, dom, 4, "compile_sorted", *table_args(dom, {}, 4))  # default only
+            for n in range(len(words) + 1):  # rows that all carry the default's label
+                rows = dict.fromkeys(rng.sample(words, n), 2)
+                self.expect_chain(built, dom, 2, "compile_sorted", *table_args(dom, rows, 2))
+            rows = dict.fromkeys(words, 1)  # every string a row, no default
+            self.expect_chain(built, dom, 1, "compile_sorted", *table_args(dom, rows))
+
+    def test_join(self, kernels, built):
+        for dom in self.DOMS:
+            universal = Dafsa.universal(dom).parts
+            self.expect_chain(built, dom, 0, "join", [universal], dom)
+            part = Dafsa.from_strings(dom, words_of(dom)[:1]).parts
+            self.expect_chain(built, dom, 0, "join", [universal, part], dom)  # the lowest label wins
+
+    def test_combine_entries(self, kernels, built):
+        rng = random.Random(20261021)
+        for dom in self.DOMS:
+            if not dom:
+                continue
+            L = len(dom)
+            every, none = [True] * L, [False] * L
+            for _ in range(6):
+                # unfolded: two total functions, every label pair to label 5
+                fa = {w: rng.randrange(3) for w in words_of(dom)}
+                fb = {w: rng.randrange(3) for w in words_of(dom)}
+                a, la = kernels.compile_sorted(*table_args(dom, fa))
+                b, lb = kernels.compile_sorted(*table_args(dom, fb))
+                pairs = [5] * (len(la) * len(lb))
+                self.expect_chain(built, dom, 5, "combine_entries", a, b, dom, every, every, pairs)
+                fb0 = {w: rng.randrange(3) for w in words_of(dom[:1])}  # B reads level 0 alone
+                b0, lb0 = kernels.compile_sorted(*table_args(dom[:1], fb0))
+                in_b = [lv == 0 for lv in range(L)]
+                pairs = [5] * (len(la) * len(lb0))
+                self.expect_chain(built, dom, 5, "combine_entries", a, b0, dom, every, in_b, pairs)
+                # folded: every string has an extension at label 0, the lowest
+                fc = {w: 0 if w[-1] == 0 else rng.randrange(1, 3) for w in words_of(dom)}
+                c, lc = kernels.compile_sorted(*table_args(dom, fc))
+                self.expect_chain(
+                    built, dom[:-1], 0, "combine_entries", c, SCALAR, dom, every, none, range(len(lc)), True
+                )
+                fused = [min(i, j) for i in range(len(lc)) for j in range(len(lc))]
+                self.expect_chain(built, dom[:-1], 0, "combine_entries", c, c, dom, every, every, fused, True)
+
+    def test_project_entries(self, kernels, built):
+        rng = random.Random(20261022)
+        for dom in self.DOMS:
+            for lvl in range(len(dom)):
+                func = {w: 0 if w[lvl] == 0 else rng.randrange(1, 4) for w in words_of(dom)}
+                shared, _ = kernels.compile_sorted(*table_args(dom, func))
+                short = dom[:lvl] + dom[lvl + 1 :]
+                self.expect_chain(built, short, 0, "project_entries", shared, dom, lvl)
+
+    def test_library_kernels(self, kernels, built):
+        for dom in self.DOMS:
+            universal = Dafsa.universal(dom).parts
+            one = Dafsa.from_strings(dom, words_of(dom)[-1:]).parts
+            self.expect_chain(built, dom, 0, "product", 0, universal, universal, dom)
+            self.expect_chain(built, dom, 0, "product", 1, one, universal, dom)
+            self.expect_chain(built, dom, 0, "determinize", universal, 0, dom)
+            self.expect_chain(built, dom, 0, "minimize", universal, 0, dom)
+            for lvl in range(len(dom)):
+                self.expect_chain(built, dom[:lvl] + dom[lvl + 1 :], 0, "remove_level", universal, dom, lvl)
+
+    def test_near_misses_build(self, kernels, built):
+        # one label with one incomplete fan, k = 1 levels among them
+        for dom in ((2, 3), (1, 2), (1, 1, 2), (3,)):
+            func = dict.fromkeys(words_of(dom)[1:], 0)
+            self.expect_built(built, dom, func, "compile_sorted", *table_args(dom, func))
+        # complete fans, two labels
+        for dom in ((2,), (1, 2), (2, 3)):
+            func = {w: n % 2 for n, w in enumerate(words_of(dom))}
+            self.expect_built(built, dom, func, "compile_sorted", *table_args(dom, func))
+        # complete fans, one label, and a leaf that is no string (label -1)
+        for dom in ((1, 1), (2,), (2, 3)):
+            func = dict.fromkeys(words_of(dom), 0)
+            func[words_of(dom)[-1]] = -1
+            kept = {w: label for w, label in func.items() if label >= 0}
+            self.expect_built(built, dom, kept, "compile_sorted", *table_args(dom, func))
+        # range(k) fans from the default, with two labels
+        dom = (3, 2)
+        func = {w: 1 for w in words_of(dom)}
+        func[(1, 0)] = 2
+        self.expect_built(built, dom, func, "compile_sorted", *table_args(dom, {(1, 0): 2}, 1))
+        # walks that list no leaf: an empty table, and disjoint operands
+        for dom in ((), (2,), (2, 3)):
+            self.expect_built(built, dom, {}, "compile_sorted", *table_args(dom, {}))
+        dom = (2, 3)
+        a = Dafsa.from_strings(dom, [(0, 0)]).parts
+        b = Dafsa.from_strings(dom, [(1, 0)]).parts
+        self.expect_built(built, dom, {}, "product", 0, a, b, dom)
+        # zero levels: the constant is the lone terminal root
+        self.expect_chain(built, (), 3, "compile_sorted", *table_args((), {}, 3))
