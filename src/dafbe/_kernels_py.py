@@ -120,9 +120,10 @@ below in the order its nodes first name their children, so each level's
 states, numbered in the order its nodes first reach them, come out
 breadth-first: the result is never renumbered.  Both editions walk
 level by level, so their results are byte-identical, and in both only
-``split`` renumbers, its per-label automata.  In both, a walk that
-finds every string at one label returns that constant's wildcard chain
-and builds no level, as Bryant's apply stops at a terminal case.
+``split`` renumbers, its per-label automata.  In both, a walk whose
+leaves all reach one terminal through complete fans returns that
+constant's wildcard chain and builds no level, as Bryant's apply stops
+at a terminal case.
 ``compile_sorted`` walks the trie of its rows, runs of rows that share a
 prefix, bottom-up through the unique table as multi-terminal decision
 diagrams are built.  ``determinize``, ``minimize`` and ``remove_level``
@@ -294,10 +295,10 @@ def _walk(domains, root, expand, labels_of):
     Returns (shared, labels, the node list of every level), ``shared`` and
     ``labels`` as ``_Shared.parts`` gives them for ``root``.
 
-    When it lists a leaf, all leaves have one label and every listed node
-    a complete fan (its level's k symbols, or the lone wildcard), every
-    string has that label: the walk returns ``_constant`` and builds
-    nothing.  The labels are tested first, in one C-level count.
+    When the leaves reach one terminal and no DEAD, and every listed node
+    has a complete fan (its level's k symbols, or the lone wildcard),
+    every string has that label: the walk returns ``_constant`` and
+    builds nothing.  The terminal count is read first, in O(1).
     """
     levels = [[root]]
     rows = []
@@ -306,16 +307,14 @@ def _walk(domains, root, expand, labels_of):
         rows.append((syms, kids))
         levels.append(below)
     ends = labels_of(levels[-1])
-    label = ends[0] if ends else None
-    if (
-        label is not None
-        and label >= 0
-        and ends.count(label) == len(ends)
-        and all(0 < k == len(s) or WILDCARD in s for (syms, _), k in zip(rows, domains) for s in syms)
-    ):
-        return _constant(len(domains)), [label], levels
     out = _Shared()
     built = out.leaves(ends)
+    if (
+        len(out.terminals) == 1
+        and DEAD not in built
+        and all(0 < k == len(s) or WILDCARD in s for (syms, _), k in zip(rows, domains) for s in syms)
+    ):
+        return _constant(len(domains)), [*out.terminals], levels
     for lv in reversed(range(len(domains))):
         built = out.finish(domains[lv], *rows.pop(), built)  # a level's rows go once built
     return (*out.parts(built[0]), levels)

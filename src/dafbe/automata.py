@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 from array import array
 from bisect import bisect_left
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ._backend import BACKEND, kernels
 from .errors import AutomatonError, EnumerationLimit

@@ -1,16 +1,15 @@
 """Command-line interface: solve instances, cross-check engines, emit stats.
 
 Exit codes: 0 success, 1 usage or parse error, 2 engine disagreement,
-3 internal error.  Timeouts, oracle budget refusals and a solve that runs
-out of memory are reported in the per-instance record and do not affect
-the exit code.
+3 internal error.  Timeouts, oracle budget refusals and a parse or solve
+that runs out of memory are reported in the per-instance record and do
+not affect the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -19,7 +18,6 @@ import sys
 import time
 
 from . import formats, oracle
-from ._backend import BACKEND
 from .errors import BudgetExceeded, DafbeError, FormatError, ModelError, TimeLimit
 from .keying import DEFAULT_EPS
 from .model import (
@@ -32,7 +30,6 @@ from .model import (
 )
 
 EPS_ENV_VAR = "DAFBE_EPSILON"
-ENGINES = ("dafsa", "tabular", "brute", "check-all")
 
 
 class UsageError(DafbeError):
@@ -44,62 +41,46 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclasses.dataclass
-class RunConfig:
-    inputs: list
-    dialect: str = "auto"  # auto (by extension) | uai | wcsp
-    eps: float = DEFAULT_EPS
-    ordering: str = "min-fill"  # min-fill | weighted-min-fill | file
-    ordering_file: str | None = None
-    time_limit: float = 7200.0
-    engine: str = "dafsa"
-    fmt: str = "human"  # human | json-lines
-    timings: bool = False
-
-    def __post_init__(self):
-        if not self.inputs:
-            raise UsageError("no input files given")
-        if self.engine not in ENGINES:
-            raise UsageError(f"engine must be one of {ENGINES}")
-        if not 0 < self.eps < math.inf:  # NaN too
-            raise UsageError("epsilon must be finite and > 0")
-        if not self.time_limit > 0:  # NaN too; inf means no limit
-            raise UsageError("time limit must be > 0")
-        if self.ordering == "file" and not self.ordering_file:
-            raise UsageError("--ordering file requires --ordering-file")
-        if self.ordering_file and self.ordering != "file":
-            raise UsageError("--ordering-file requires --ordering file")
-        if self.ordering_file and len(self.inputs) != 1:
-            raise UsageError("--ordering-file only works with a single input")
+def _checked(args):
+    """``args`` after the checks argparse cannot make, ``epsilon`` read
+    from the environment when the flag is absent."""
+    if args.epsilon is None:
+        raw = os.environ.get(EPS_ENV_VAR, DEFAULT_EPS)
+        try:
+            args.epsilon = float(raw)
+        except ValueError:
+            raise UsageError(f"{EPS_ENV_VAR} is not a number: {raw!r}") from None
+        if not 0 < args.epsilon < math.inf:
+            raise UsageError(f"{EPS_ENV_VAR} must be finite and > 0")
+    if not args.inputs:
+        raise UsageError("no input files given")
+    if not 0 < args.epsilon < math.inf:  # NaN too
+        raise UsageError("epsilon must be finite and > 0")
+    if args.command == "solve" and not args.time_limit > 0:  # NaN too; inf means no limit
+        raise UsageError("time limit must be > 0")
+    if args.ordering == "file" and not args.ordering_file:
+        raise UsageError("--ordering file requires --ordering-file")
+    if args.ordering_file and args.ordering != "file":
+        raise UsageError("--ordering-file requires --ordering file")
+    if args.ordering_file and len(args.inputs) != 1:
+        raise UsageError("--ordering-file only works with a single input")
+    return args
 
 
-def _default_eps():
-    raw = os.environ.get(EPS_ENV_VAR)
-    if raw is None:
-        return DEFAULT_EPS
-    try:
-        val = float(raw)
-    except ValueError:
-        raise UsageError(f"{EPS_ENV_VAR} is not a number: {raw!r}") from None
-    if not 0 < val < math.inf:
-        raise UsageError(f"{EPS_ENV_VAR} must be finite and > 0")
-    return val
-
-
-def _ordering_for(model: GraphicalModel, cfg: RunConfig):
+def _ordering_for(model: GraphicalModel, args):
     """(elimination ordering, its induced width).  Min-fill finds the width
     as it orders; a file's ordering has it replayed.  An unreadable
     ordering file, a token that is not an integer or a non-permutation is
     a UsageError."""
-    if cfg.ordering == "file":
+    if args.ordering == "file":
         try:
-            with open(cfg.ordering_file, "r", encoding="ascii") as fh:
+            with open(args.ordering_file, "r", encoding="ascii") as fh:
                 order = [int(tok) for tok in fh.read().split()]
             order = check_ordering(model, order)
         except (OSError, ValueError, ModelError) as exc:
-            raise UsageError(f"ordering file {cfg.ordering_file}: {exc}") from None
+            raise UsageError(f"ordering file {args.ordering_file}: {exc}") from None
         return order, induced_width(model, order)
-    return min_fill_ordering(model, weighted=cfg.ordering == "weighted-min-fill",
+    return min_fill_ordering(model, weighted=args.ordering == "weighted-min-fill",
                              with_width=True)
 
 
@@ -123,32 +104,29 @@ def _certify(model: GraphicalModel, result) -> bool:
     return _tolerance_ok(model.task, model.evaluate(result.assignment), result.optimum)
 
 
-def _solve_one(model: GraphicalModel, ordering, width, cfg: RunConfig):
+# engine name -> call; globals are looked up per call, so patches reach them
+_RUNS = {
+    "dafsa": lambda model, ordering, width, args: bucket_elimination(
+        model, ordering, eps=args.epsilon, time_limit=args.time_limit, width=width),
+    "tabular": lambda model, ordering, width, args: oracle.tabular_be(
+        model, ordering, time_limit=args.time_limit),
+    "brute": lambda model, ordering, width, args: oracle.brute_force(model),
+}
+
+
+def _solve_one(model: GraphicalModel, ordering, width, args):
     """Returns (record-extra dict, result or None, disagreement flag)."""
-    if cfg.engine == "dafsa":
-        result = bucket_elimination(model, ordering, eps=cfg.eps, time_limit=cfg.time_limit,
-                                    width=width)
-        return {}, result, False
-    if cfg.engine == "tabular":
-        result = oracle.tabular_be(model, ordering, time_limit=cfg.time_limit)
-        return {}, result, False
-    if cfg.engine == "brute":
-        result = oracle.brute_force(model)
-        return {}, result, False
+    if args.engine != "check-all":
+        return {}, _RUNS[args.engine](model, ordering, width, args), False
 
     # check-all: run every engine that fits its budget and compare
-    results = {}
-    results["dafsa"] = bucket_elimination(model, ordering, eps=cfg.eps, time_limit=cfg.time_limit,
-                                          width=width)
+    results = {"dafsa": _RUNS["dafsa"](model, ordering, width, args)}
     skipped = []
-    try:
-        results["tabular"] = oracle.tabular_be(model, ordering, time_limit=cfg.time_limit)
-    except BudgetExceeded:
-        skipped.append("tabular")
-    try:
-        results["brute"] = oracle.brute_force(model)
-    except BudgetExceeded:
-        skipped.append("brute")
+    for name in ("tabular", "brute"):
+        try:
+            results[name] = _RUNS[name](model, ordering, width, args)
+        except BudgetExceeded:
+            skipped.append(name)
 
     base = results["dafsa"]
     disagree = []
@@ -171,60 +149,54 @@ def _solve_one(model: GraphicalModel, ordering, width, cfg: RunConfig):
     return extra, base, bool(disagree)
 
 
-def cmd_solve(cfg: RunConfig, out) -> int:
+def cmd_solve(args, out) -> int:
     worst = 0
-    for path in cfg.inputs:
-        rec = None
+    for path in args.inputs:
         try:
-            model = formats.parse_path(path, cfg.dialect)
-        except (FormatError, OSError) as exc:
-            rec = formats.result_record(path, None, cfg.engine, error=str(exc))
+            model = formats.parse_path(path, args.dialect)
+            t0 = time.perf_counter()
+            ordering, width = _ordering_for(model, args)  # excluded from wall_time_s
+            ordering_s = time.perf_counter() - t0
+            red = [f.redundancy(args.epsilon) for f in model.cost_factors()]
+            extra, result, disagree = _solve_one(model, ordering, width, args)
+            rec = formats.result_record(
+                path, result, args.engine, redundancy_per_factor=red,
+                extra=extra, timings=args.timings or args.fmt == "human",
+                ordering_s=ordering_s,
+            )
+            if disagree:
+                rec["status"] = "disagreement"
+                worst = max(worst, 2)
+        except TimeLimit:
+            rec = {"file": str(path), "engine": args.engine, "status": "timeout"}
+        except BudgetExceeded as exc:
+            rec = {"file": str(path), "engine": args.engine, "status": "budget-exceeded",
+                   "error": str(exc)}
+        except MemoryError:
+            rec = {"file": str(path), "engine": args.engine, "status": "budget-exceeded",
+                   "error": "ran out of memory"}
+        except (DafbeError, OSError) as exc:
+            rec = formats.result_record(path, None, args.engine, error=str(exc))
             worst = max(worst, 1)
-        if rec is None:
-            try:
-                t0 = time.perf_counter()
-                ordering, width = _ordering_for(model, cfg)  # excluded from wall_time_s
-                ordering_s = time.perf_counter() - t0
-                red = [f.redundancy(cfg.eps) for f in model.cost_factors()]
-                extra, result, disagree = _solve_one(model, ordering, width, cfg)
-                rec = formats.result_record(
-                    path, result, cfg.engine, redundancy_per_factor=red,
-                    extra=extra, timings=cfg.timings or cfg.fmt == "human",
-                    ordering_s=ordering_s,
-                )
-                if disagree:
-                    rec["status"] = "disagreement"
-                    worst = max(worst, 2)
-            except TimeLimit:
-                rec = {"file": str(path), "engine": cfg.engine, "status": "timeout"}
-            except BudgetExceeded as exc:
-                rec = {"file": str(path), "engine": cfg.engine, "status": "budget-exceeded",
-                       "error": str(exc)}
-            except MemoryError:
-                rec = {"file": str(path), "engine": cfg.engine, "status": "budget-exceeded",
-                       "error": "ran out of memory"}
-            except DafbeError as exc:
-                rec = formats.result_record(path, None, cfg.engine, error=str(exc))
-                worst = max(worst, 1)
-        if cfg.fmt == "json-lines":
+        if args.fmt == "json-lines":
             out.write(formats.record_to_json(rec) + "\n")
         else:
             out.write(formats.record_to_human(rec))
     return worst
 
 
-def cmd_stats(cfg: RunConfig, out, csv_fmt: bool) -> int:
+def cmd_stats(args, out) -> int:
     worst = 0
     rows = []
-    for path in cfg.inputs:
+    for path in args.inputs:
         try:
-            model = formats.parse_path(path, cfg.dialect)
-            ordering, width = _ordering_for(model, cfg)
+            model = formats.parse_path(path, args.dialect)
+            ordering, width = _ordering_for(model, args)
         except (FormatError, UsageError, OSError) as exc:
             rows.append({"file": str(path), "error": str(exc)})
             worst = max(worst, 1)
             continue
-        red = [f.redundancy(cfg.eps) for f in model.cost_factors()]
+        red = [f.redundancy(args.epsilon) for f in model.cost_factors()]
         arities = [len(f.scope) for f in model.factors]
         rows.append({
             "file": str(path),
@@ -245,7 +217,7 @@ def cmd_stats(cfg: RunConfig, out, csv_fmt: bool) -> int:
         "redundancy_mean": round(sum(reds) / len(reds), 12) if reds else None,
         "induced_width_max": max((r["induced_width"] for r in ok_rows), default=0),
     }
-    if csv_fmt:
+    if args.fmt == "csv":
         buf = io.StringIO()
         fields = ["file", "n_vars", "n_factors", "max_domain", "arity_min", "arity_max",
                   "arity_mean", "induced_width", "redundancy_mean", "error"]
@@ -281,7 +253,7 @@ def build_parser() -> _Parser:
 
     solve = sub.add_parser("solve", help="solve instances with the chosen engine")
     add_common(solve)
-    solve.add_argument("--engine", choices=ENGINES, default="dafsa")
+    solve.add_argument("--engine", choices=(*_RUNS, "check-all"), default="dafsa")
     solve.add_argument("--time-limit", type=float, default=7200.0, help="seconds per instance")
     solve.add_argument("--format", dest="fmt", choices=("human", "json-lines"), default="human")
     solve.add_argument("--timings", action="store_true",
@@ -302,22 +274,10 @@ def main(argv=None) -> int:
     try:
         if _parser is None:
             _parser = build_parser()
-        args = _parser.parse_args(argv)
-        eps = args.epsilon if args.epsilon is not None else _default_eps()
-        cfg = RunConfig(
-            inputs=list(args.inputs),
-            dialect=args.dialect,
-            eps=eps,
-            ordering=args.ordering,
-            ordering_file=args.ordering_file,
-            time_limit=getattr(args, "time_limit", 7200.0),
-            engine=getattr(args, "engine", "dafsa"),
-            fmt=getattr(args, "fmt", "human"),
-            timings=getattr(args, "timings", False),
-        )
+        args = _checked(_parser.parse_args(argv))
         if args.command == "stats":
-            return cmd_stats(cfg, sys.stdout, csv_fmt=args.fmt == "csv")
-        return cmd_solve(cfg, sys.stdout)
+            return cmd_stats(args, sys.stdout)
+        return cmd_solve(args, sys.stdout)
     except (UsageError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ import math
 import time
 from typing import TYPE_CHECKING
 
-from .errors import BudgetExceeded, ModelError, TimeLimit
+from .errors import BudgetExceeded, TimeLimit
 from .model import (
     GraphicalModel,
     SolveStats,

@@ -130,18 +130,21 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", HAND)
         assert code == 3 and "internal error" in err
 
-    def test_memory_error_ends_only_its_own_solve(self, capsys, monkeypatch):
-        # running out of memory is a budget record, and the batch goes on
-        solve = cli.bucket_elimination
+    @pytest.mark.parametrize("owner, stage", [(cli.formats, "parse_path"), (cli, "bucket_elimination")],
+                             ids=["parse", "solve"])
+    def test_memory_error_ends_only_its_own_solve(self, capsys, monkeypatch, owner, stage):
+        # running out of memory while parsing or solving is a budget
+        # record, and the batch goes on
+        run_stage = getattr(owner, stage)
         calls = []
 
         def first_runs_out(*a, **kw):
             calls.append(a)
             if len(calls) == 1:
                 raise MemoryError()
-            return solve(*a, **kw)
+            return run_stage(*a, **kw)
 
-        monkeypatch.setattr(cli, "bucket_elimination", first_runs_out)
+        monkeypatch.setattr(owner, stage, first_runs_out)
         code, out, _ = run(capsys, "solve", "--format", "json-lines", HAND, QUEENS)
         assert code == 0
         first, second = json_records(out)
@@ -341,6 +344,42 @@ class TestOrderingAndConfig:
         for flag in ("--prune-infinity", "--no-prune-infinity"):
             code, out, err = run(capsys, "solve", flag, "--format", "json-lines", QUEENS)
             assert code == 1 and out == "" and flag in err
+
+
+class TestArgumentChecks:
+    """The checks argparse cannot make, in their order: an invalid
+    DAFBE_EPSILON first, then a missing input, the epsilon, solve's time
+    limit and the --ordering-file couplings."""
+
+    @pytest.mark.parametrize("env, argv, message", [
+        (None, ["solve"], "no input files given"),
+        ("abc", ["solve"], "DAFBE_EPSILON is not a number: 'abc'"),
+        ("inf", ["solve", "--ordering", "file", HAND], "DAFBE_EPSILON must be finite and > 0"),
+        (None, ["solve", "--epsilon", "inf", "--time-limit", "0", HAND], "epsilon must be finite and > 0"),
+        (None, ["solve", "--epsilon", "nan", HAND], "epsilon must be finite and > 0"),
+        (None, ["solve", "--epsilon", "-1", HAND], "epsilon must be finite and > 0"),
+        (None, ["stats", "--epsilon", "nan", HAND], "epsilon must be finite and > 0"),
+        (None, ["stats", "--epsilon", "-1", HAND], "epsilon must be finite and > 0"),
+        (None, ["solve", "--time-limit", "0", "--ordering", "file", HAND], "time limit must be > 0"),
+        (None, ["solve", "--ordering-file", "x", HAND], "--ordering-file requires --ordering file"),
+        (None, ["stats", "--ordering-file", "x", HAND], "--ordering-file requires --ordering file"),
+        (None, ["solve", "--ordering", "file", HAND], "--ordering file requires --ordering-file"),
+        (None, ["stats", "--ordering", "file", HAND], "--ordering file requires --ordering-file"),
+        (None, ["solve", "--ordering", "file", "--ordering-file", "x", HAND, QUEENS],
+         "--ordering-file only works with a single input"),
+        (None, ["stats", "--ordering", "file", "--ordering-file", "x", HAND, QUEENS],
+         "--ordering-file only works with a single input"),
+        (None, ["solve", "--engine", "psychic", HAND],
+         "argument --engine: invalid choice: 'psychic' (choose from 'dafsa', 'tabular', 'brute', 'check-all')"),
+        (None, ["stats"], "no input files given"),
+        ("0", ["stats", HAND], "DAFBE_EPSILON must be finite and > 0"),
+        (None, ["stats", "--time-limit", "5", HAND], "unrecognized arguments: --time-limit"),
+    ])
+    def test_usage_error(self, capsys, monkeypatch, env, argv, message):
+        monkeypatch.delenv(cli.EPS_ENV_VAR, raising=False)
+        if env is not None:
+            monkeypatch.setenv(cli.EPS_ENV_VAR, env)
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 class TestStats:

@@ -416,7 +416,8 @@ def words_of(dom):
 @pytest.fixture
 def built(kernels, monkeypatch):
     """run(kernel, *args) -> (its result, whether its walk built its
-    levels): in the Python edition, whether a ``_Shared`` was made; in the
+    levels): in the Python edition, whether a ``_Shared`` wrote its parts,
+    which every build does and the constant's exit does not; in the
     compiled one, None."""
     import dafbe._kernels_py as KP
 
@@ -424,9 +425,9 @@ def built(kernels, monkeypatch):
     if kernels is KP:
 
         class Counted(KP._Shared):
-            def __init__(self):
-                super().__init__()
+            def parts(self, root):
                 made.append(self)
+                return super().parts(root)
 
         monkeypatch.setattr(KP, "_Shared", Counted)
 
