@@ -19,22 +19,32 @@
 // the accepting ids of an automaton or entry (Automaton); a shared form's
 // terms, one per state, a label or -1, terminals without edges on the
 // last level and no other leaf but an empty function's root (Diagram);
-// the lengths of the level flags and labels of combine_entries, and that
-// it has a level to fold; and the rows of compile_sorted, their symbols
-// and order, one label per row and the default, each a label or -1.  A
-// violation raises dafbe.errors.AutomatonError, and running out of memory
-// raises MemoryError, so no input can crash the interpreter.
+// the lengths of the level flags and labels of combine_entries, each of
+// its labels a label or -1, and that it has a level to fold; and the rows
+// of compile_sorted, their symbols and order, one label per row and the
+// default, each a label or -1.  A violation raises
+// dafbe.errors.AutomatonError, and running out of memory raises
+// MemoryError, so no input can crash the interpreter.
+//
+// Labels are ints >= 0, and -1 (NO_LABEL) is no label, in every kernel of
+// both editions: a string labelled -1 is no string, and -1 never wins a
+// minimum (lowest).  So compile_sorted's -1 rows and default, and a -1 in
+// combine_entries' label table, leave their strings out, and a leaf that
+// takes the lowest label among its children or members takes the least
+// label >= 0, or has no string if there is none.  Only difference needs a
+// label that wins: product labels B's accepting states VETO (-2), which
+// ranks below every label and is no string.
 //
 // Every kernel builds its result minimal as it goes, with no merge pass.
-// Each but split is one walk (Walk) whose leaves carry a label or none, a
-// negative label being none.  Both editions walk level by level, with the
-// same algorithm: expand one level at a time from the root, then build
-// one level per pass, bottom-up, one state per node interned in a unique
-// table (Unique), which gives a shared form.  Each level's states are
-// numbered in the order its nodes first reach them, so the result comes
-// out breadth-first and only split renumbers; the two editions' results
-// are byte-identical.  In both, a walk that finds every string at one
-// label builds no level and returns the constant's wildcard chain (Walk).
+// Each but split is one walk (Walk) whose leaves carry a label or none.
+// Both editions walk level by level, with the same algorithm: expand one
+// level at a time from the root, then build one level per pass, bottom-up,
+// one state per node interned in a unique table (Unique), which gives a
+// shared form.  Each level's states are numbered in the order its nodes
+// first reach them, so the result comes out breadth-first and only split
+// renumbers; the two editions' results are byte-identical.  In both, a
+// walk that finds every string at one label builds no level and returns
+// the constant's wildcard chain (Walk).
 // In both, compile_sorted walks the trie of its rows, runs of rows that
 // share a prefix; determinize, minimize and remove_level
 // walk subsets of states (Subsets), with one label; join walks subsets of
@@ -47,15 +57,14 @@
 // Intersection is the pair walk over the operands' accepting states
 // labelled 0, every level in both, with label table {0}.  Union and
 // difference are join's side-by-side subset walk, B's accepting states
-// labelled 0, or for difference a negative label that ranks below every
-// other, so that a string B accepts is no string.  split makes one
-// backward pass over a shared form's states instead, interning one state
-// per label each state reaches in one Unique.  To fold, combine_entries
-// removes the last union level in the same walk: a pair on it is a leaf
-// that takes the lowest label among its children, so a bucket's combined
-// factor is never built and no set of pairs ever forms.  The solver folds
-// a lone factor against the constant SCALAR, so every last level it
-// removes is a fold's.
+// labelled 0, or VETO for difference, so that a string B accepts is no
+// string.  split makes one backward pass over a shared form's states
+// instead, interning one state per label each state reaches in one
+// Unique.  To fold, combine_entries removes the last union level in the
+// same walk: a pair on it is a leaf that takes the lowest label among its
+// children, so a bucket's combined factor is never built and no set of
+// pairs ever forms.  The solver folds a lone factor against the constant
+// SCALAR, so every last level it removes is a fold's.
 //
 // Build by hand (setup.py does the same through setuptools):
 //   g++ -std=c++17 -O2 -shared -fPIC -I<Python include dir> _kernels_cc.cpp
@@ -485,7 +494,7 @@ struct Kid {
 // _kernels_py._walk and _Shared.  Nodes are ints >= 0 that expand hands
 // out: expand(node, lv, kids) appends the node's kids on level lv,
 // symbols ascending and a wildcard only alone; label_of(node) gives the
-// label of a node past the last level, a negative one for no string.
+// label of a node past the last level, NO_LABEL or VETO for no string.
 // The walk expands one level at a time from the root, listing each
 // level's nodes once, in the order the level above first names them;
 // then it builds one level per pass, bottom-up, one state per listed
@@ -726,7 +735,7 @@ struct Side {
 // labelled labels[i * nb + j], nb one more than B's largest label; on a
 // level an operand does not read its state stays where it is.  With fold,
 // the last union level is removed in the same walk: a pair on it is a
-// leaf, labelled by the lowest label among its children.
+// leaf, labelled by the least label >= 0 among its children.
 Walk combine(const Ints& dom, const Side& a, const Side& b, const Ints& labels, bool fold) {
     const size_t nb = static_cast<size_t>(*std::max_element(b.term.begin(), b.term.end()) + 1);
     // the kids of pair (sa, sb) on union level lv, child pairs as pair(da, db)
@@ -1167,7 +1176,7 @@ PyObject* py_combine_entries(PyObject* args) {
         throw PyFailure();
     const Ints dom = parse_domains(domains);
     const Ints in_a = parse_ints(in_a_arg, "in_a", 0, 1), in_b = parse_ints(in_b_arg, "in_b", 0, 1);
-    const Ints labels = parse_ints(labels_arg, "labels", 0, INT32_MAX);
+    const Ints labels = parse_ints(labels_arg, "labels", NO_LABEL, INT32_MAX);
     if (in_a.size() != dom.size() || in_b.size() != dom.size())
         throw BadInput("in_a has " + str(in_a.size()) + " and in_b " + str(in_b.size()) +
                        " flags for " + str(dom.size()) + " levels");

@@ -105,12 +105,21 @@ contract does not cover them.  The compiled edition checks them before
 it reads them and raises ``AutomatonError``; ``Dafsa(...)`` checks them
 at construction.
 
+Labels are ints of at least 0, and -1 is no label, in every kernel of
+both editions: a string labelled -1 is no string, and -1 never wins a
+minimum.  So ``compile_sorted``'s -1 rows and default, and a -1 in
+``combine_entries``' label table, leave their strings out, and a leaf
+that takes the lowest label among its children or members takes the
+least label of at least 0, or has no string if there is none.  Only
+difference needs a label that wins: ``product`` labels B's accepting
+states ``VETO`` (-2), which ranks below every label and is no string.
+
 Every kernel builds its result minimal, with no merge pass afterwards.
 Each but ``split`` is one walk, ``_walk``, level by level: it expands
 all nodes of a level at once, down to the leaves, which carry a label
-or none (a negative label is none), and its finisher, ``_Shared``, then
-builds one level per pass, bottom-up, interning one state per node in
-that level's unique table, keyed by (symbols, destinations).  That
+or none, and its finisher, ``_Shared``, then builds one level per pass,
+bottom-up, interning one state per node in that level's unique table,
+keyed by (symbols, destinations).  That
 builds the shared form: the unique-table apply of Bryant (IEEE TC 35(8),
 1986), one level per step as in breadth-first BDD packages (Ochi,
 Yasuoka & Yajima, ICCAD 1993), since a Python call costs more than a
@@ -133,8 +142,8 @@ choices over the walks of other kernels, as an apply takes its operator
 as a parameter.  Intersection is ``combine_entries`` over the operands'
 one-label forms, every level in both, with labels ``[0]``; union and
 difference are ``join``'s side-by-side subset walk with B's accepting
-states labelled 0 or -1, the union of the side-by-side NFA determinized
-(Rabin & Scott, 1959), where -1, the lowest label, leaves a string that
+states labelled 0 or ``VETO``, the union of the side-by-side NFA
+determinized (Rabin & Scott, 1959), where ``VETO`` leaves a string that
 B accepts out of the difference.
 ``split`` makes one backward pass over the shared form's states instead,
 interning one state per label each state reaches in one unique table,
@@ -161,6 +170,7 @@ from itertools import accumulate, islice
 
 WILDCARD = -1
 DEAD = -1  # an empty language: a child with no strings
+VETO = -2  # a label below every other, and no string: difference's B
 ONLY_WILDCARD = (WILDCARD,)  # the symbols of a state with one wildcard edge
 
 
@@ -199,10 +209,10 @@ class _Shared:
     """The shared finisher: one result state per node, DEAD if it has no string.
 
     A node past the last level becomes the terminal of its label, one per
-    label; a negative label, or None, is no string.  Any other node keeps
-    its kids whose child is not DEAD, and is DEAD if none is left; a
-    complete literal fan onto one child becomes a wildcard, and the state
-    is looked up by (symbols, destinations) in its level's unique table,
+    label; -1 and ``VETO`` are no string.  Any other node keeps its kids
+    whose child is not DEAD, and is DEAD if none is left; a complete
+    literal fan onto one child becomes a wildcard, and the state is
+    looked up by (symbols, destinations) in its level's unique table,
     so the result is the minimal shared form as built.  Each level's
     states are numbered in the order the level's nodes first reach them,
     destinations pointing into the level below, which is breadth-first
@@ -220,7 +230,7 @@ class _Shared:
         """The terminal of each label, DEAD for no string."""
         terminals = self.terminals
         at = terminals.setdefault
-        return [DEAD if label is None or label < 0 else at(label, len(terminals)) for label in labels]
+        return [DEAD if label < 0 else at(label, len(terminals)) for label in labels]
 
     def finish(self, k, syms, kids, below):
         """The states of one level's nodes from their symbols and their
@@ -289,9 +299,9 @@ def _walk(domains, root, expand, labels_of):
     and ``below``, the next level's nodes, each listed once, in the order
     the level's nodes first name them, and none that no node names.
     ``labels_of(nodes)`` gives the label of each node past the last level,
-    None or a negative label for no string.  The walk expands one level at
-    a time from ``root``; then a fresh ``_Shared`` builds one level per
-    pass, bottom-up (``leaves`` past the last level, ``finish`` above it).
+    -1 or ``VETO`` for no string.  The walk expands one level at a time
+    from ``root``; then a fresh ``_Shared`` builds one level per pass,
+    bottom-up (``leaves`` past the last level, ``finish`` above it).
     Returns (shared, labels, the node list of every level), ``shared`` and
     ``labels`` as ``_Shared.parts`` gives them for ``root``.
 
@@ -330,13 +340,13 @@ def product(mode, a, b, domains):
     """Intersection (mode 0), union (1) or difference (2) as label choices.
 
     Intersection labels the pair (0, 0) in ``combine_entries``.  Union and
-    difference label B's accepting states 0 or -1 in the side-by-side
-    subset walk; -1 is the lowest label in a subset, and is no string.
+    difference label B's accepting states 0 or ``VETO`` in the side-by-side
+    subset walk; ``VETO`` is the lowest label in a subset, and no string.
     """
     if mode == 0:
         both = [True] * len(domains)
         return combine_entries(_one_label(a), _one_label(b), domains, both, both, [0])[:2]
-    return _side_by_side((a, b), (0, 0) if mode == 1 else (0, -1), domains)
+    return _side_by_side((a, b), (0, 0) if mode == 1 else (0, VETO), domains)
 
 
 def _one_label(parts):
@@ -354,12 +364,13 @@ def _subset_walk(off, sym, dst, roots, owner, domains, lvl):
     union its members' edges: a literal's child takes in the wildcard's
     members, and the symbols no literal names follow the wildcard, as one
     wildcard edge when no literal is named.  ``owner`` maps each accepting
-    state to its label, and a subset past the last level takes the lowest
-    label among its members.  With ``lvl`` >= 0 that level is contracted
-    on the fly: a state there takes the merged edges of its successors,
-    and if ``lvl`` is the last level of ``domains`` it accepts through an
-    accepting successor.  ``domains`` are the result's, so level ``lvl``
-    is already removed from them.
+    state to its label, at least 0 or ``VETO``, and a subset past the last
+    level takes the lowest label among its members, -1 if none accepts.
+    With ``lvl`` >= 0 that level is contracted on the fly: a state there
+    takes the merged edges of its successors, and if ``lvl`` is the last
+    level of ``domains`` it accepts through an accepting successor.
+    ``domains`` are the result's, so level ``lvl`` is already removed from
+    them.
 
     Returns (shared, labels) as ``_walk``, the number of distinct members
     and the number of distinct subsets visited.
@@ -396,7 +407,7 @@ def _subset_walk(off, sym, dst, roots, owner, domains, lvl):
     def labels_of(subsets):
         if lvl == len(domains):  # contracted last level: a state accepts through a successor
             subsets = [[t for s in sub for _, t in edges[s]] for sub in subsets]
-        return [min((owner[s] for s in sub if s in owner), default=None) for sub in subsets]
+        return [min((owner[s] for s in sub if s in owner), default=-1) for sub in subsets]
 
     shared, labels, levels = _walk(domains, tuple(roots), expand, labels_of)
     return shared, labels, len({s for level in levels for sub in level for s in sub}), sum(map(len, levels))
@@ -593,7 +604,7 @@ def combine_entries(a, b, domains, in_a, in_b, labels, fold=False):
     scope its state stays where it is.  Each level is expanded in one
     loop, which merges the edges of every pair inline.  With ``fold`` the
     last union level is removed in the same walk: a pair on it is a leaf,
-    and takes the lowest label among its children, which is
+    and takes the least label of at least 0 among its children, which is
     min-projection of the combined function without building it.
 
     Returns (shared, labels, (pairs, pairs)): the number of distinct pairs
@@ -639,14 +650,14 @@ def combine_entries(a, b, domains, in_a, in_b, labels, fold=False):
 
     def pair_labels(nodes):
         return [
-            labels[i * nb + j] if i >= 0 and j >= 0 else None
+            labels[i * nb + j] if i >= 0 and j >= 0 else -1
             for i, j in ((term_a[sa], term_b[sb]) for sa, sb in nodes)
         ]
 
     def folded_labels(nodes):  # the pairs on the last union level, len(walked)
         syms, kids, below = expand(len(walked), nodes)
         got = map(pair_labels(below).__getitem__, kids)
-        return [min((g for g in islice(got, len(s)) if g is not None), default=None) for s in syms]
+        return [min((g for g in islice(got, len(s)) if g >= 0), default=-1) for s in syms]
 
     shared, kept, levels = _walk(walked, (0, 0), expand, folded_labels if fold else pair_labels)
     pairs = sum(len(nodes) for lv, nodes in enumerate(levels) if lv == len(walked) or in_a[lv] or in_b[lv])

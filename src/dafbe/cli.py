@@ -2,15 +2,14 @@
 
 Exit codes: 0 success, 1 usage or parse error, 2 engine disagreement,
 3 internal error.  Timeouts, oracle budget refusals and a parse or solve
-that runs out of memory are reported in the per-instance record and do
-not affect the exit code.
+that runs out of memory are reported in the input's record or ``stats``
+row and do not affect the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -114,6 +113,16 @@ _RUNS = {
 }
 
 
+def _prepare(path, args):
+    """(model, ordering, width, ordering_s, redundancy per cost factor) of
+    one input: parsed, ordered and measured, as both commands report it."""
+    model = formats.parse_path(path, args.dialect)
+    t0 = time.perf_counter()
+    ordering, width = _ordering_for(model, args)  # excluded from wall_time_s
+    ordering_s = time.perf_counter() - t0
+    return model, ordering, width, ordering_s, [f.redundancy(args.epsilon) for f in model.cost_factors()]
+
+
 def _solve_one(model: GraphicalModel, ordering, width, args):
     """Returns (record-extra dict, result or None, disagreement flag)."""
     if args.engine != "check-all":
@@ -153,11 +162,7 @@ def cmd_solve(args, out) -> int:
     worst = 0
     for path in args.inputs:
         try:
-            model = formats.parse_path(path, args.dialect)
-            t0 = time.perf_counter()
-            ordering, width = _ordering_for(model, args)  # excluded from wall_time_s
-            ordering_s = time.perf_counter() - t0
-            red = [f.redundancy(args.epsilon) for f in model.cost_factors()]
+            model, ordering, width, ordering_s, red = _prepare(path, args)
             extra, result, disagree = _solve_one(model, ordering, width, args)
             rec = formats.result_record(
                 path, result, args.engine, redundancy_per_factor=red,
@@ -190,13 +195,14 @@ def cmd_stats(args, out) -> int:
     rows = []
     for path in args.inputs:
         try:
-            model = formats.parse_path(path, args.dialect)
-            ordering, width = _ordering_for(model, args)
+            model, _, width, _, red = _prepare(path, args)
+        except MemoryError:
+            rows.append({"file": str(path), "error": "ran out of memory"})
+            continue
         except (FormatError, UsageError, OSError) as exc:
             rows.append({"file": str(path), "error": str(exc)})
             worst = max(worst, 1)
             continue
-        red = [f.redundancy(args.epsilon) for f in model.cost_factors()]
         arities = [len(f.scope) for f in model.factors]
         rows.append({
             "file": str(path),
@@ -207,27 +213,23 @@ def cmd_stats(args, out) -> int:
             "arity_max": max(arities, default=0),
             "arity_mean": round(sum(arities) / len(arities), 6) if arities else None,
             "induced_width": width,
-            "redundancy_per_factor": [round(r, 12) for r in red],
-            "redundancy_mean": round(sum(red) / len(red), 12) if red else None,
+            **formats.redundancy_fields(red),
         })
     ok_rows = [r for r in rows if "error" not in r]
     reds = [r["redundancy_mean"] for r in ok_rows if r["redundancy_mean"] is not None]
     aggregate = {
         "instances": len(ok_rows),
-        "redundancy_mean": round(sum(reds) / len(reds), 12) if reds else None,
+        "redundancy_mean": formats.redundancy_fields(reds)["redundancy_mean"],
         "induced_width_max": max((r["induced_width"] for r in ok_rows), default=0),
     }
     if args.fmt == "csv":
-        buf = io.StringIO()
         fields = ["file", "n_vars", "n_factors", "max_domain", "arity_min", "arity_max",
                   "arity_mean", "induced_width", "redundancy_mean", "error"]
-        writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore")
+        writer = csv.DictWriter(out, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()
-        for r in rows:
-            writer.writerow(r)
+        writer.writerows(rows)
         writer.writerow({"file": "(aggregate)", "redundancy_mean": aggregate["redundancy_mean"],
                          "induced_width": aggregate["induced_width_max"]})
-        out.write(buf.getvalue())
     else:
         out.write(json.dumps({"instances": rows, "aggregate": aggregate},
                              sort_keys=True, allow_nan=False) + "\n")

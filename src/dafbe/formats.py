@@ -369,12 +369,7 @@ def result_record(
     stats["determinization_growth_avg"] = growth
     stats["determinization_samples"] = len(result.stats.growth_samples)
     if redundancy_per_factor is not None:
-        stats["redundancy_per_factor"] = [round(r, 12) for r in redundancy_per_factor]
-        stats["redundancy_mean"] = (
-            round(sum(redundancy_per_factor) / len(redundancy_per_factor), 12)
-            if redundancy_per_factor
-            else None
-        )
+        stats.update(redundancy_fields(redundancy_per_factor))
     if timings:
         stats["wall_time_s"] = result.stats.wall_time
         if ordering_s is not None:
@@ -383,6 +378,13 @@ def result_record(
     if extra:
         rec.update(extra)
     return rec
+
+
+def redundancy_fields(per_factor) -> dict:
+    """``redundancy_per_factor`` and their mean, ``redundancy_mean`` (None
+    with no factor), each rounded to 12 places, as records report them."""
+    mean = round(sum(per_factor) / len(per_factor), 12) if per_factor else None
+    return {"redundancy_per_factor": [round(r, 12) for r in per_factor], "redundancy_mean": mean}
 
 
 def write_result(result: SolverResult, fmt: str = "human", path: str = "-", engine: str = "dafsa", **kw) -> str:

@@ -17,8 +17,9 @@ import math
 import time
 from typing import TYPE_CHECKING
 
-from .errors import BudgetExceeded, TimeLimit
+from .errors import BudgetExceeded
 from .model import (
+    Deadline,
     GraphicalModel,
     SolveStats,
     SolverResult,
@@ -108,7 +109,7 @@ def tabular_be(
     import numpy as np
 
     t0 = time.monotonic()
-    expires = None if time_limit is None else t0 + time_limit
+    deadline = Deadline(time_limit)
     ordering = min_fill_ordering(model) if ordering is None else check_ordering(model, ordering)
     task = model.task
     stats = TabularStats(induced_width=induced_width(model, ordering))
@@ -121,10 +122,6 @@ def tabular_be(
     buckets = [[] for _ in range(n)]
     optimum = task.identity
     infeasible = False
-
-    def check_time():
-        if expires is not None and time.monotonic() > expires:
-            raise TimeLimit("time limit exceeded")
 
     def fits(cells):
         # checked before a table is allocated, never after
@@ -151,13 +148,13 @@ def tabular_be(
 
     if not infeasible:
         for p in range(n - 1, -1, -1):
-            check_time()
+            deadline.check()
             bucket = buckets[p]
             if not bucket:
                 continue
             scope, table = bucket[0]
             for oscope, otable in bucket[1:]:
-                check_time()
+                deadline.check()
                 merged = sorted(set(scope) | set(oscope))
                 fits(math.prod(model.domains[v] for v in merged))
                 scope_pos = {v: i for i, v in enumerate(merged)}
@@ -190,7 +187,7 @@ def tabular_be(
 
     assignment = [0] * n
     for p in range(n):
-        check_time()
+        deadline.check()
         var = ordering[p]
         best_v = 0
         best_score = None

@@ -1,13 +1,18 @@
 import itertools
 import json
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from dafbe import cli
+from dafbe import factor as factor_mod
+from dafbe.factor import TabularFactor
 from dafbe.formats import parse_path, write_wcsp
-from dafbe.model import SolverResult, SolveStats, Task, induced_width, min_fill_ordering
+from dafbe.model import GraphicalModel, SolverResult, SolveStats, Task, induced_width, min_fill_ordering
+from dafbe.oracle import tabular_be
 
 from conftest import dense_models, fixture_path
 
@@ -25,6 +30,18 @@ def run(capsys, *argv):
 
 def json_records(out):
     return [json.loads(line) for line in out.splitlines()]
+
+
+def mixed_domain_model(rng):
+    """A WCSP on 8 variables, domains drawn from {2, 3, 5}, with 12 binary
+    tables of costs 0-3."""
+    domains = tuple(rng.choice((2, 3, 5)) for _ in range(8))
+    factors = []
+    for a, b in sorted(rng.sample(list(itertools.combinations(range(8), 2)), 12)):
+        dims = (domains[a], domains[b])
+        costs = [float(rng.randrange(4)) for _ in range(dims[0] * dims[1])]
+        factors.append(TabularFactor((a, b), dims, np.array(costs)))
+    return GraphicalModel(8, domains, tuple(factors), Task.WCSP)
 
 
 class TestExitCodes:
@@ -150,6 +167,32 @@ class TestExitCodes:
         first, second = json_records(out)
         assert first["status"] == "budget-exceeded" and "memory" in first["error"]
         assert second["file"] == QUEENS and second["status"] == "optimal"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_memory_error_ends_only_its_own_stats_row(self, capsys, monkeypatch, fmt):
+        # as in solve: a parse that runs out of memory is an error row of
+        # its own input, the exit code stays 0 and the batch goes on
+        parse_path = cli.formats.parse_path
+        calls = []
+
+        def first_runs_out(*a, **kw):
+            calls.append(a)
+            if len(calls) == 1:
+                raise MemoryError()
+            return parse_path(*a, **kw)
+
+        monkeypatch.setattr(cli.formats, "parse_path", first_runs_out)
+        code, out, err = run(capsys, "stats", "--format", fmt, HAND, QUEENS)
+        assert code == 0 and err == ""
+        _, want, _ = run(capsys, "stats", "--format", fmt, QUEENS)
+        if fmt == "csv":
+            lines = out.splitlines()
+            assert lines[1] == f"{HAND},,,,,,,,,ran out of memory"
+            assert [lines[0], *lines[2:]] == want.splitlines()
+        else:
+            doc = json.loads(out)
+            assert doc["instances"][0] == {"file": HAND, "error": "ran out of memory"}
+            assert {"instances": doc["instances"][1:], "aggregate": doc["aggregate"]} == json.loads(want)
 
     def test_huge_domain_no_function_reads_solves_at_once(self, tmp_path):
         # variable 1 has 2^31-1 values and no function: the forward pass
@@ -299,6 +342,23 @@ class TestOrderingAndConfig:
         assert code == 0
         (rec,) = json_records(out)
         assert rec["optimum"] == 0.0
+
+    def test_weighted_ordering_differs_and_solves(self, capsys, tmp_path, monkeypatch, kernels):
+        # every fixture but asym.uai has one domain size, where the two
+        # orderings agree; this model mixes sizes 2, 3 and 5
+        monkeypatch.setattr(factor_mod, "kernels", kernels)
+        m = mixed_domain_model(random.Random(0))
+        assert min_fill_ordering(m) != min_fill_ordering(m, weighted=True)
+        path = tmp_path / "mixed.wcsp"
+        path.write_text(write_wcsp(m), encoding="ascii")
+        want = tabular_be(m).optimum
+        for ordering in ("min-fill", "weighted-min-fill"):
+            code, out, _ = run(capsys, "solve", "--engine", "check-all", "--ordering", ordering,
+                               "--format", "json-lines", str(path))
+            (rec,) = json_records(out)
+            assert code == 0 and rec["status"] == "optimal" and rec["optimum"] == want, ordering
+            # check-all certified every engine's assignment and found them agreed
+            assert rec["engines_skipped"] == [] and "disagreement" not in rec
 
     @pytest.mark.parametrize("value", ["nan", "-1", "0"])
     def test_time_limit_not_positive_is_usage_error(self, capsys, value):

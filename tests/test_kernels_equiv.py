@@ -335,6 +335,61 @@ class TestSharedForm:
         assert got[1:] == ([10, 11], (3, 3))
 
 
+class TestLabelHoles:
+    # -1 in combine_entries' label table is no string and never wins a
+    # fold's minimum, in both editions
+
+    def test_hole_does_not_win_the_fold(self, kernels):
+        # keys 0, 1, 2 on (x0, x1): x0 = 0 reaches labels 0 and 1, and pair
+        # label 1 is a hole, so the fold keeps x0 = 0 at label 0
+        a = kernels.join([Dafsa.from_strings((2, 2), words).parts
+                          for words in ([(0, 0)], [(0, 1)], [(1, 0), (1, 1)])], (2, 2))[0]
+        scalar = kernels.join([Dafsa.universal(()).parts], ())[0]
+        shared, labels, _ = kernels.combine_entries(a, scalar, (2, 2), [1, 1], [0, 0], [0, -1, 2], True)
+        assert labels == [0, 2]
+        assert strings_by_label(shared, (2,)) == [(0, [(0,)]), (1, [(1,)])]
+
+    def test_fuzz_matches_brute_force(self, both):
+        rng = random.Random(20261021)
+        for trial in range(300):
+            dom = rng.choice(DOMS[1:])
+            reads = [rng.choice(("a", "b", "ab", "")) for _ in dom]
+            in_a = ["a" in r for r in reads]
+            in_b = ["b" in r for r in reads]
+            ops = []
+            for inside in (in_a, in_b):
+                sub = tuple(k for k, read in zip(dom, inside) if read)
+                shared, labels = both("join", rand_labelled_entries(rng, sub), sub)
+                ops.append((shared, sub, inside, len(labels)))
+            (a, _, _, na), (b, _, _, nb) = ops
+            pair_labels = [-1 if rng.random() < 0.3 else rng.randrange(6) for _ in range(na * nb)]
+            for fold in (False, True):
+                shared, labels, _ = both("combine_entries", a, b, dom, in_a, in_b, pair_labels, fold)
+                got = {w: labels[t] for t, words in strings_by_label(shared, dom[:len(dom) - fold])
+                       for w in words}
+                assert got == combined_by_brute_force(dom, ops, pair_labels, fold), (trial, fold)
+
+
+def combined_by_brute_force(dom, ops, pair_labels, fold):
+    """{string: label} of combine_entries, read string by string: a string
+    at A's label i and B's label j gets ``pair_labels[i * nb + j]``, -1
+    being none; with ``fold`` each string without its last symbol takes the
+    least label of at least 0 among its extensions."""
+    (a, dom_a, in_a, _), (b, dom_b, in_b, nb) = ops
+    label_of = [{w: t for t, words in strings_by_label(shared, sub) for w in words}
+                for shared, sub in ((a, dom_a), (b, dom_b))]
+    out = {}
+    for w in itertools.product(*(range(k) for k in dom)):
+        i = label_of[0].get(tuple(v for v, read in zip(w, in_a) if read))
+        j = label_of[1].get(tuple(v for v, read in zip(w, in_b) if read))
+        label = -1 if i is None or j is None else pair_labels[i * nb + j]
+        if label < 0:
+            continue
+        key = w[:-1] if fold else w
+        out[key] = min(label, out.get(key, label))
+    return out
+
+
 def strings_by_label(shared, dom):
     """[(label, strings), ...] of a shared form, read by brute force from
     its root: only the labels the root reaches, ascending."""
@@ -580,7 +635,7 @@ DIRECT = {
     "shared form with no states": (kernels.split, (I(), I(), I(), I()), D),
     "labels too short": (kernels.combine_entries, one, one, D, BOTH, BOTH, []),
     "labels too long": (kernels.combine_entries, one, one, D, BOTH, BOTH, [0, 0]),
-    "negative label": (kernels.combine_entries, one, one, D, BOTH, BOTH, [-1]),
+    "combine_entries label below -1": (kernels.combine_entries, one, one, D, BOTH, BOTH, [-2]),
     "in_a too short": (kernels.combine_entries, one, one, D, [1], BOTH, [0]),
     "in_b too long": (kernels.combine_entries, one, one, D, BOTH, [1, 1, 1], [0]),
     "in_a flag of 2": (kernels.combine_entries, one, one, D, [2, 1], BOTH, [0]),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dafbe.errors import BudgetExceeded
+from dafbe.errors import BudgetExceeded, TimeLimit
 from dafbe.factor import TabularFactor
 from dafbe.model import GraphicalModel, Task, min_fill_ordering
 from dafbe.oracle import OracleBudget, brute_force, tabular_be
@@ -69,3 +69,11 @@ class TestTabularBe:
         t = table_from_feed((0, 1), (2, 2), lambda a: math.inf)
         m = GraphicalModel(2, (2, 2), (t,), Task.WCSP)
         assert tabular_be(m, min_fill_ordering(m)).status == "infeasible"
+
+    def test_time_limit(self):
+        t = table_from_feed((0, 1), (2, 2), lambda a: float(a[0] + a[1]))
+        m = GraphicalModel(2, (2, 2), (t,), Task.WCSP)
+        with pytest.raises(TimeLimit, match="^time limit exceeded$"):
+            tabular_be(m, time_limit=0.0)
+        for limit in (None, math.inf):
+            assert tabular_be(m, time_limit=limit).assignment == (0, 0)
