@@ -83,24 +83,25 @@ def _ordering_for(model: GraphicalModel, args):
                              with_width=True)
 
 
-def _tolerance_ok(task: Task, a: float, b: float) -> bool:
+def _costs_agree(task: Task, a: float | None, b: float | None) -> bool:
+    """Equal least costs: within 1e-6 on -log p for MAP, that is, 1e-6
+    relative on the probability, and within 1e-9 for WCSP.  A missing
+    cost agrees with nothing."""
+    if a is None or b is None:
+        return False
     if math.isinf(a) or math.isinf(b):
         return a == b
-    if task is Task.MAP:
-        return math.isclose(a, b, rel_tol=1e-6)
-    return abs(a - b) <= 1e-9
+    return abs(a - b) <= (1e-6 if task is Task.MAP else 1e-9)
 
 
 def _certify(model: GraphicalModel, result) -> bool:
-    """Does the assignment reproduce the optimum?  Compared in cost space
-    when the engine reports a cost: a MAP optimum below the smallest
-    double is 0.0, and every assignment would match it as a product."""
+    """Does the assignment reproduce the least cost?  Compared in cost
+    space: a MAP optimum below the smallest double is 0.0, and every
+    assignment would match it as a product."""
     if result.status != "optimal":
         return True
-    if result.cost is not None:
-        cost = sum(f.value_of(result.assignment) for f in model.cost_factors())
-        return math.isclose(cost, result.cost, rel_tol=1e-9, abs_tol=1e-9)
-    return _tolerance_ok(model.task, model.evaluate(result.assignment), result.optimum)
+    cost = sum(f.value_of(result.assignment) for f in model.cost_factors())
+    return result.cost is not None and math.isclose(cost, result.cost, rel_tol=1e-9, abs_tol=1e-9)
 
 
 # engine name -> call; globals are looked up per call, so patches reach them
@@ -142,10 +143,10 @@ def _solve_one(model: GraphicalModel, ordering, width, args):
     for name, res in results.items():
         if res.status != base.status:
             disagree.append(f"{name}: status {res.status} != {base.status}")
-        elif res.status == "optimal" and not _tolerance_ok(model.task, res.optimum, base.optimum):
-            disagree.append(f"{name}: optimum {res.optimum!r} != {base.optimum!r}")
+        elif not _costs_agree(model.task, res.cost, base.cost):
+            disagree.append(f"{name}: cost {res.cost!r} != {base.cost!r}")
         if not _certify(model, res):
-            disagree.append(f"{name}: assignment does not reproduce its optimum")
+            disagree.append(f"{name}: assignment does not reproduce its cost")
     extra = {
         "engines": {
             name: {"status": r.status, "optimum": None if r.status != "optimal" else r.optimum}

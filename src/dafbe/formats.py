@@ -401,13 +401,13 @@ def record_to_json(rec: dict) -> str:
 
 def record_to_human(rec: dict) -> str:
     lines = [f"instance: {rec['file']}"]
+    if rec["status"] != "error":  # an error record is its file and its error
+        lines.append(f"  engine: {rec['engine']}")
+        if "task" in rec:
+            lines.append(f"  task: {rec['task']}")
+        lines.append(f"  status: {rec['status']}")
     if rec.get("error"):
         lines.append(f"  error: {rec['error']}")
-        return "\n".join(lines) + "\n"
-    lines.append(f"  engine: {rec['engine']}")
-    if "task" in rec:
-        lines.append(f"  task: {rec['task']}")
-    lines.append(f"  status: {rec['status']}")
     if rec.get("optimum") is not None:
         lines.append(f"  optimum: {_format_value(rec['optimum'])}")
     if rec.get("cost") is not None:

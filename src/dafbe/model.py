@@ -30,8 +30,8 @@ class Task(enum.Enum):
     """MAP: product/max over probabilities. WCSP: sum/min over costs.
 
     ``identity``, ``combine`` and ``better`` are the task's own semantics,
-    used to evaluate assignments and by the oracles; the automaton solver
-    works on costs for both tasks (``GraphicalModel.cost_factors``).
+    used to evaluate assignments; every engine, the oracles too, works on
+    costs for both tasks (``GraphicalModel.cost_factors``).
     """
 
     MAP = enum.auto()
@@ -357,9 +357,10 @@ class SolveStats:
 
 @dataclasses.dataclass
 class SolverResult:
-    """``cost`` is the minimal sum the solver found (None from the
-    oracles): the optimum itself for WCSP, -log of it for MAP, where it
-    stays finite after ``optimum`` = exp(-cost) has underflowed to 0.0."""
+    """``cost`` is the least sum of ``cost_factors()`` the engine found:
+    the optimum itself for WCSP, -log of it for MAP, where it stays
+    finite after ``optimum`` = exp(-cost) has underflowed to 0.0.  Every
+    engine reports it; None is a result built by hand without one."""
 
     task: Task
     status: str  # "optimal" or "infeasible"
@@ -368,6 +369,23 @@ class SolverResult:
     ordering: tuple
     stats: SolveStats
     cost: float | None = None
+
+    @classmethod
+    def from_cost(cls, model: GraphicalModel, cost: float, assignment, ordering, stats) -> SolverResult:
+        """The result of least ``cost``, reached at ``assignment``.
+
+        With no finite cost a WCSP is ``"infeasible"``, and a MAP model,
+        whose every assignment has probability 0, is optimal at 0.0 at
+        the all-zeros assignment.  Otherwise the optimum is exp(-cost)
+        for MAP and the cost itself for WCSP.
+        """
+        task = model.task
+        if math.isinf(cost):
+            if task is Task.WCSP:
+                return cls(task, "infeasible", math.inf, None, ordering, stats, math.inf)
+            return cls(task, "optimal", 0.0, (0,) * model.n_vars, ordering, stats, math.inf)
+        optimum = math.exp(-cost) if task is Task.MAP else cost
+        return cls(task, "optimal", optimum, tuple(assignment), ordering, stats, cost)
 
 
 def bucket_elimination(
@@ -504,8 +522,9 @@ def bucket_elimination(
             if infeasible:
                 break
 
+    cost = math.inf if infeasible else optimum
     assignment = None
-    if not (infeasible or math.isinf(optimum)):
+    if cost < math.inf:
         assignment = [0] * n  # by position
         if tail >= 0:  # the tail's variables: the least string of the least value
             f = buckets[tail][0]
@@ -531,12 +550,4 @@ def bucket_elimination(
 
     stats.peak_live_states = peak
     stats.wall_time = time.monotonic() - t0
-    task = model.task
-    if assignment is None:
-        if task is Task.MAP:  # every assignment has probability 0
-            return SolverResult(task, "optimal", 0.0, (0,) * n, ordering, stats, math.inf)
-        return SolverResult(task, "infeasible", math.inf, None, ordering, stats, math.inf)
-    cost = optimum
-    if task is Task.MAP:
-        optimum = math.exp(-cost)
-    return SolverResult(task, "optimal", optimum, assignment, ordering, stats, cost)
+    return SolverResult.from_cost(model, cost, assignment, ordering, stats)

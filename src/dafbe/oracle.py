@@ -1,13 +1,15 @@
 """Independent correctness oracles: exhaustive search and dense-table BE.
 
-Both solvers work straight on numpy tables and share nothing with the
-automaton pipeline beyond the model types, so agreement between the three
-engines is meaningful evidence.  numpy is imported on the first oracle
-call, not with this module, so a solve that never runs an oracle never
-loads it.  Both refuse oversized instances instead
-of degrading, checking their budgets before densifying a sparse factor
-or allocating a table; ``tabular_be`` additionally reports its peak table
-cells, the dense-memory baseline the automaton solver is measured against.
+Both minimize the sum of ``model.cost_factors()``, as the automaton
+solver does, and report their least cost; they work straight on numpy
+tables and share nothing with the automaton pipeline beyond the model
+types, so agreement between the three engines is meaningful evidence.
+numpy is imported on the first oracle call, not with this module, so a
+solve that never runs an oracle never loads it.  Both refuse oversized
+instances instead of degrading, checking their budgets before densifying
+a sparse factor or allocating a table; ``tabular_be`` additionally
+reports its peak table cells, the dense-memory baseline the automaton
+solver is measured against.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .model import (
     GraphicalModel,
     SolveStats,
     SolverResult,
-    Task,
     check_ordering,
     induced_width,
     min_fill_ordering,
@@ -53,18 +54,14 @@ def _joint_table(model: GraphicalModel, budget: OracleBudget) -> np.ndarray:
         raise BudgetExceeded(f"{total} assignments exceed budget {budget.max_assignments}")
     import numpy as np
 
-    joint = np.full(tuple(model.domains), model.task.identity)
-    for f in model.factors:
+    joint = np.zeros(tuple(model.domains))
+    for f in model.cost_factors():
         shape = [1] * model.n_vars
         for var, k in zip(f.scope, f.domains):
             shape[var] = k
         # scope is sorted and tables are last-variable-fastest, so a plain
         # reshape lines the axes up
-        cube = f.values.reshape(shape)
-        if model.task is Task.MAP:
-            joint = joint * cube
-        else:
-            joint = joint + cube
+        joint = joint + f.values.reshape(shape)
     return joint
 
 
@@ -74,23 +71,12 @@ def brute_force(model: GraphicalModel, budget: OracleBudget = OracleBudget()) ->
 
     t0 = time.monotonic()
     joint = _joint_table(model, budget)
-    flat = joint.reshape(-1)
-    stats = SolveStats()
-    if model.task is Task.WCSP and not np.isfinite(flat).any():
-        stats.wall_time = time.monotonic() - t0
-        return SolverResult(model.task, "infeasible", math.inf, None, tuple(range(model.n_vars)), stats)
-    # argmax/argmin return the first index among ties, and C-order flat
-    # index order is lexicographic assignment order
-    if model.task is Task.MAP:
-        idx = int(np.argmax(flat))
-    else:
-        finite = np.where(np.isfinite(flat), flat, np.inf)
-        idx = int(np.argmin(finite))
-    optimum = float(flat[idx])
-    assignment = tuple(np.unravel_index(idx, joint.shape)) if model.n_vars else ()
-    assignment = tuple(int(v) for v in assignment)
-    stats.wall_time = time.monotonic() - t0
-    return SolverResult(model.task, "optimal", optimum, assignment, tuple(range(model.n_vars)), stats)
+    # argmin returns the first index among ties, and C-order flat index
+    # order is lexicographic assignment order
+    idx = int(np.argmin(joint))
+    assignment = tuple(int(v) for v in np.unravel_index(idx, joint.shape))
+    stats = SolveStats(wall_time=time.monotonic() - t0)
+    return SolverResult.from_cost(model, float(joint.flat[idx]), assignment, tuple(range(model.n_vars)), stats)
 
 
 def tabular_be(
@@ -102,16 +88,16 @@ def tabular_be(
     """Bucket elimination on dense numpy tables.
 
     Same contract as the automaton solver (same tie-breaking, same
-    infeasibility rules), implemented with broadcast combine and axis
-    max/min.  Tracks the peak number of simultaneously live table cells,
-    counting bucket contents kept for assignment recovery.
+    infeasibility rules), implemented with broadcast sums and axis
+    minima over the cost tables.  Tracks the peak number of
+    simultaneously live table cells, counting bucket contents kept for
+    assignment recovery.
     """
     import numpy as np
 
     t0 = time.monotonic()
     deadline = Deadline(time_limit)
     ordering = min_fill_ordering(model) if ordering is None else check_ordering(model, ordering)
-    task = model.task
     stats = TabularStats(induced_width=induced_width(model, ordering))
     pos_of = {v: i for i, v in enumerate(ordering)}
     n = model.n_vars
@@ -120,8 +106,7 @@ def tabular_be(
     live_cells = 0
     peak = 0
     buckets = [[] for _ in range(n)]
-    optimum = task.identity
-    infeasible = False
+    cost = 0.0
 
     def fits(cells):
         # checked before a table is allocated, never after
@@ -129,12 +114,9 @@ def tabular_be(
             raise BudgetExceeded(f"table of {cells} cells exceeds budget {budget.max_cells}")
 
     def place(scope, table):
-        nonlocal live_cells, peak, optimum, infeasible
+        nonlocal live_cells, peak, cost
         if not scope:
-            val = float(table.reshape(()))
-            if task is Task.WCSP and math.isinf(val):
-                infeasible = True
-            optimum = task.combine(optimum, val)
+            cost += float(table.reshape(()))
             return
         live_cells += table.size
         peak = max(peak, live_cells)
@@ -142,11 +124,11 @@ def tabular_be(
             raise BudgetExceeded(f"{live_cells} live cells exceed budget {budget.max_cells}")
         buckets[max(pos_of[v] for v in scope)].append((scope, table))
 
-    for f in model.factors:
+    for f in model.cost_factors():
         fits(f.size)
         place(f.scope, f.values.reshape(f.domains))
 
-    if not infeasible:
+    if cost < math.inf:
         for p in range(n - 1, -1, -1):
             deadline.check()
             bucket = buckets[p]
@@ -166,42 +148,33 @@ def tabular_be(
                     sb[scope_pos[v]] = model.domains[v]
                 a = table.reshape(sa)
                 b = otable.reshape(sb)
-                table = a * b if task is Task.MAP else a + b
+                table = a + b
                 scope = tuple(merged)
                 peak = max(peak, live_cells + table.size)
             axis = scope.index(ordering[p])
-            if task is Task.MAP:
-                message = np.max(table, axis=axis)
-            else:
-                message = np.min(table, axis=axis)
+            message = np.min(table, axis=axis)
             peak = max(peak, live_cells + table.size + message.size)
             new_scope = tuple(v for v in scope if v != ordering[p])
             place(new_scope, message)
-            if infeasible:
+            if cost == math.inf:
                 break
 
-    if infeasible or (task is Task.WCSP and math.isinf(optimum)):
-        stats.peak_table_cells = peak
-        stats.wall_time = time.monotonic() - t0
-        return SolverResult(task, "infeasible", math.inf, None, ordering, stats)
-
     assignment = [0] * n
-    for p in range(n):
+    for p in range(n if cost < math.inf else 0):  # no finite cost: no assignment
         deadline.check()
         var = ordering[p]
         best_v = 0
         best_score = None
         for v in range(model.domains[var]):
             assignment[var] = v
-            score = task.identity
+            score = 0.0
             for scope, table in buckets[p]:
-                idx = tuple(assignment[u] for u in scope)
-                score = task.combine(score, float(table[idx]))
-            if best_score is None or task.better(score, best_score):
+                score += float(table[tuple(assignment[u] for u in scope)])
+            if best_score is None or score < best_score:
                 best_score = score
                 best_v = v
         assignment[var] = best_v
 
     stats.peak_table_cells = peak
     stats.wall_time = time.monotonic() - t0
-    return SolverResult(task, "optimal", optimum, tuple(assignment), ordering, stats)
+    return SolverResult.from_cost(model, cost, assignment, ordering, stats)

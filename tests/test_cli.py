@@ -167,6 +167,14 @@ class TestExitCodes:
         first, second = json_records(out)
         assert first["status"] == "budget-exceeded" and "memory" in first["error"]
         assert second["file"] == QUEENS and second["status"] == "optimal"
+        # a human record names its engine and status, unlike a parse error's
+        calls.clear()
+        code, out, _ = run(capsys, "solve", HAND, QUEENS)
+        assert code == 0
+        first, second = out.split(f"instance: {QUEENS}\n")
+        assert first == (f"instance: {HAND}\n  engine: dafsa\n  status: budget-exceeded\n"
+                         "  error: ran out of memory\n")
+        assert "  status: optimal\n" in second
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_memory_error_ends_only_its_own_stats_row(self, capsys, monkeypatch, fmt):

@@ -1,11 +1,13 @@
-"""MAP solved as min-sum over -log p agrees with the product-space oracles.
+"""MAP solved as min-sum over -log p: the automaton solver agrees with
+the oracles, which minimize the same costs, at every probability scale.
 
 Potentials are log-uniform over [1e-6, 1], so the optima here lie
 between 1e-226 and 1e-14: far below any absolute keying tolerance on
 probabilities.
 The automaton solver is compared with ``tabular_be`` on every instance and
 with ``brute_force`` where the joint space fits its budget, by a relative
-tolerance only, and its assignment must reproduce its optimum.
+tolerance on optima and costs, and its assignment must reproduce its
+optimum as a product of potentials (``GraphicalModel.evaluate``).
 """
 
 import dataclasses
@@ -15,11 +17,11 @@ import random
 
 import numpy as np
 
-from dafbe import oracle
+from dafbe import cli, oracle
 from dafbe.cli import _certify
 from dafbe.errors import BudgetExceeded
 from dafbe.factor import TabularFactor
-from dafbe.formats import parse_uai, record_to_json, result_record
+from dafbe.formats import parse_uai, record_to_json, result_record, write_uai
 from dafbe.model import GraphicalModel, Task, bucket_elimination, min_fill_ordering
 
 from conftest import bench_generators
@@ -89,6 +91,8 @@ def _disagreements(model):
         assert ref.status == "optimal" and ref.optimum > 1e-300, (name, ref.optimum)
         if got.status != "optimal" or not math.isclose(got.optimum, ref.optimum, rel_tol=RTOL):
             out.append(f"{name} {ref.optimum!r} vs dafsa {got.status} {got.optimum!r}")
+        elif not math.isclose(got.cost, ref.cost, rel_tol=1e-9, abs_tol=1e-9):
+            out.append(f"{name} cost {ref.cost!r} vs dafsa {got.cost!r}")
     if got.status == "optimal":
         value = model.evaluate(got.assignment)
         if not math.isclose(value, got.optimum, rel_tol=RTOL):
@@ -120,10 +124,9 @@ def test_all_zero_model_is_optimal_at_zero():
         TabularFactor((1, 2), (3, 2), np.full(6, 0.5)),
     )
     model = GraphicalModel(3, (2, 3, 2), factors, Task.MAP)
-    got = bucket_elimination(model)
-    want = oracle.brute_force(model)
-    assert (got.status, got.optimum, got.assignment) == ("optimal", 0.0, (0, 0, 0))
-    assert (want.status, want.optimum, want.assignment) == ("optimal", 0.0, (0, 0, 0))
+    for solve in (bucket_elimination, oracle.brute_force, oracle.tabular_be):
+        got = solve(model)
+        assert (got.status, got.optimum, got.assignment, got.cost) == ("optimal", 0.0, (0, 0, 0), math.inf)
 
 
 def _underflowing_chain():
@@ -163,6 +166,29 @@ def test_certification_compares_costs():
         one_flip = list(result.assignment)
         one_flip[var] = 1 - one_flip[var]  # costs 1148.08 to 1150.51
         assert not _certify(model, dataclasses.replace(result, assignment=tuple(one_flip)))
+
+
+def test_check_all_compares_costs_below_the_smallest_double(tmp_path, capsys, monkeypatch):
+    # every engine reports 0.0 on the chain, so only costs tell them apart
+    model = _underflowing_chain()
+    got = bucket_elimination(model)
+    table = oracle.tabular_be(model)
+    assert math.isclose(table.cost, got.cost, rel_tol=1e-9)
+    assert _certify(model, table)
+
+    def liar(model, budget=None):
+        # self-consistent: the true cost of a worse assignment
+        flipped = (1 - got.assignment[0], *got.assignment[1:])
+        cost = sum(f.value_of(flipped) for f in model.cost_factors())
+        return dataclasses.replace(got, optimum=0.0, assignment=flipped, cost=cost)
+
+    monkeypatch.setattr(cli.oracle, "brute_force", liar)
+    path = tmp_path / "chain.uai"
+    path.write_text(write_uai(model), encoding="ascii")
+    code = cli.main(["solve", "--engine", "check-all", "--format", "json-lines", str(path)])
+    rec = json.loads(capsys.readouterr().out)
+    assert code == 2 and rec["status"] == "disagreement"
+    assert [line.split(" ")[:2] for line in rec["disagreement"]] == [["brute:", "cost"]]
 
 
 def test_cost_only_in_map_records():

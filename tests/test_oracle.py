@@ -11,6 +11,20 @@ from dafbe.oracle import OracleBudget, brute_force, tabular_be
 from conftest import micro_model, table_from_feed
 
 
+@pytest.mark.parametrize("task", [Task.MAP, Task.WCSP], ids=["map", "wcsp"])
+@pytest.mark.parametrize("solve", [brute_force, tabular_be], ids=["brute", "tabular"])
+def test_cost_is_the_sum_of_cost_factors_at_the_assignment(solve, task):
+    # both oracles minimize model.cost_factors(), as the automaton solver does
+    for seed in range(20):
+        m = micro_model(seed, task)
+        r = solve(m)
+        if r.status != "optimal":
+            assert r.cost == math.inf and r.assignment is None
+            continue
+        want = sum(f.value_of(r.assignment) for f in m.cost_factors())
+        assert r.cost == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 class TestBruteForce:
     def test_exhausts_micro_models(self):
         for seed in range(20):
